@@ -1,6 +1,7 @@
 """Command-line front end: gen, suggest, eval, sweep-pt, sweep-ratio.
 
-Exit codes: 0 success, 1 runtime/I-O error, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime/I-O error, 2 usage or configuration error,
+including a malformed task, result or model spec file.
 Flags override config-file values. Per-task decode failures are recorded as
 error rows in the output, not process failures.
 """
@@ -9,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 from .core import (
+    MalformedLine,
     ResultRow,
     TsError,
     TsTask,
@@ -27,16 +28,16 @@ from .harness import (
     GenConfig,
     SweepConfig,
     decode_task,
+    eval_record,
     gen_config_from_dict,
     gen_dataset,
-    parse_task_ratio,
-    resolve_pair,
+    result_row,
     run_pt_sweep,
     run_ratio_sweep,
     split_by_ratio,
     sweep_config_from_dict,
 )
-from .lm import load_model_spec, model_from_spec, save_model_spec
+from .lm import InvalidModelSpec, load_model_spec, model_from_spec, save_model_spec
 from .metrics import EvalRecord, aggregate, write_metrics_csv
 from .scoring import SCORING_MODES
 
@@ -107,14 +108,6 @@ def _psgd_params(args) -> PsgdParams:
         raise ConfigError(str(exc)) from exc
 
 
-def _concurrency(args) -> int:
-    if getattr(args, "concurrency", None):
-        return max(1, args.concurrency)
-    if getattr(args, "timing", False):
-        return 1
-    return os.cpu_count() or 1
-
-
 def cmd_gen(args) -> int:
     cfg = _gen_config(args)
     tasks = gen_dataset(cfg)
@@ -134,35 +127,10 @@ def cmd_suggest(args) -> int:
     rows: list[ResultRow] = []
     for task in tasks:
         try:
-            suggestion = decode_task(model, task, args.decoder, params)
-            rows.append(
-                ResultRow(
-                    task_id=task.task_id,
-                    decoder=args.decoder,
-                    span=suggestion.span.tokens,
-                    score=suggestion.whole_seq_score,
-                    forward_passes=suggestion.stats.forward_passes,
-                    positions_scored=suggestion.stats.positions_scored,
-                    emitted_steps=suggestion.stats.emitted_steps,
-                    stop_reason=suggestion.stats.stop_reason,
-                    wall_time_us=suggestion.stats.wall_time_us,
-                )
-            )
+            outcome = decode_task(model, task, args.decoder, params)
         except TsError as exc:
-            rows.append(
-                ResultRow(
-                    task_id=task.task_id,
-                    decoder=args.decoder,
-                    span=(),
-                    score=0.0,
-                    forward_passes=0,
-                    positions_scored=0,
-                    emitted_steps=0,
-                    stop_reason="max_len",
-                    wall_time_us=0,
-                    error=type(exc).__name__,
-                )
-            )
+            outcome = exc
+        rows.append(result_row(task, args.decoder, outcome))
     write_results_jsonl(args.out, rows)
     print(f"wrote {len(rows)} results to {args.out}")
     return EXIT_OK
@@ -178,22 +146,9 @@ def cmd_eval(args) -> int:
         task = tasks.get(row.task_id)
         if task is None:
             raise UnknownTaskId(f"result references unknown task id {row.task_id!r}")
-        if row.error is not None:
-            continue
-        pair = resolve_pair(task, row.span)
-        if pair is None:
-            continue
-        records.append(
-            EvalRecord(
-                decoder=row.decoder,
-                mask_ratio=parse_task_ratio(task),
-                candidate=pair[0],
-                reference=pair[1],
-                forward_passes=row.forward_passes,
-                emitted_steps=row.emitted_steps,
-                wall_time_us=row.wall_time_us,
-            )
-        )
+        record = eval_record(task, row)
+        if record is not None:
+            records.append(record)
     write_metrics_csv(args.out, aggregate(records))
     print(f"wrote metrics to {args.out}")
     return EXIT_OK
@@ -219,7 +174,6 @@ def cmd_sweep_pt(args) -> int:
         sweep_cfg.pt_values,
         sweep_cfg.beam_width,
         repetitions=sweep_cfg.repetitions,
-        concurrency=_concurrency(args),
     )
     out = args.out or sweep_cfg.output_path
     write_metrics_csv(out, bench)
@@ -239,7 +193,6 @@ def cmd_sweep_ratio(args) -> int:
         sweep_cfg.decoders,
         params,
         repetitions=sweep_cfg.repetitions,
-        concurrency=_concurrency(args),
     )
     out = args.out or sweep_cfg.output_path
     write_metrics_csv(out, bench)
@@ -291,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="combined Gen/Sweep config JSON")
         p.add_argument("--out", help="output metrics CSV (overrides config)")
         p.add_argument("--results-out", help="also write per-task result JSONL")
-        p.add_argument("--timing", action="store_true", help="stable wall-time mode (concurrency 1)")
-        p.add_argument("--concurrency", type=int, default=0)
         p.set_defaults(func=fn)
 
     return parser
@@ -303,7 +254,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MalformedLine, InvalidModelSpec) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TsError, OSError, ValueError) as exc:

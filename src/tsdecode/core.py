@@ -25,6 +25,10 @@ class ReservedTokenInContent(TsError):
     """BOS or EOS appeared inside a content sequence."""
 
 
+class MalformedLine(TsError):
+    """A task or result JSONL line is not JSON, lacks a key or holds a bad value."""
+
+
 ROLE_SOURCE = "source"
 ROLE_TARGET = "target"
 ROLE_PREFIX = "prefix"
@@ -267,9 +271,23 @@ def write_tasks_jsonl(path: str | Path, tasks: Iterable[TsTask]) -> None:
     _write_jsonl(path, (task_to_dict(t) for t in tasks))
 
 
-def read_tasks_jsonl(path: str | Path) -> list[TsTask]:
+def _read_jsonl(path: str | Path, from_dict) -> list:
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        return [task_from_dict(json.loads(line)) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(from_dict(json.loads(line)))
+            except KeyError as exc:
+                raise MalformedLine(f"{path}:{lineno}: missing key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
+    return out
+
+
+def read_tasks_jsonl(path: str | Path) -> list[TsTask]:
+    return _read_jsonl(path, task_from_dict)
 
 
 def write_results_jsonl(path: str | Path, rows: Iterable[ResultRow]) -> None:
@@ -277,5 +295,4 @@ def write_results_jsonl(path: str | Path, rows: Iterable[ResultRow]) -> None:
 
 
 def read_results_jsonl(path: str | Path) -> list[ResultRow]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [result_from_dict(json.loads(line)) for line in fh if line.strip()]
+    return _read_jsonl(path, result_from_dict)

@@ -16,7 +16,6 @@ task schema itself stores no ratio; aggregation parses it back out.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dc_fields, replace
 
 from .core import (
@@ -246,24 +245,33 @@ def decode_task(
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
-def _run_tasks(fn, tasks, concurrency: int):
-    if concurrency <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _result_row(task: TsTask, decoder: str, suggestion: Suggestion) -> ResultRow:
+def result_row(task: TsTask, decoder: str, outcome: Suggestion | TsError) -> ResultRow:
+    """The result row for one decode: the suggestion and its statistics, or
+    an error row naming the exception when the decode failed."""
+    if isinstance(outcome, TsError):
+        return ResultRow(
+            task_id=task.task_id,
+            decoder=decoder,
+            span=(),
+            score=0.0,
+            forward_passes=0,
+            positions_scored=0,
+            emitted_steps=0,
+            stop_reason="max_len",
+            wall_time_us=0,
+            error=type(outcome).__name__,
+        )
+    stats = outcome.stats
     return ResultRow(
         task_id=task.task_id,
         decoder=decoder,
-        span=suggestion.span.tokens,
-        score=suggestion.whole_seq_score,
-        forward_passes=suggestion.stats.forward_passes,
-        positions_scored=suggestion.stats.positions_scored,
-        emitted_steps=suggestion.stats.emitted_steps,
-        stop_reason=suggestion.stats.stop_reason,
-        wall_time_us=suggestion.stats.wall_time_us,
+        span=outcome.span.tokens,
+        score=outcome.whole_seq_score,
+        forward_passes=stats.forward_passes,
+        positions_scored=stats.positions_scored,
+        emitted_steps=stats.emitted_steps,
+        stop_reason=stats.stop_reason,
+        wall_time_us=stats.wall_time_us,
     )
 
 
@@ -279,6 +287,25 @@ def resolve_pair(task: TsTask, span: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return None
 
 
+def eval_record(task: TsTask, row: ResultRow) -> EvalRecord | None:
+    """The record ``aggregate`` scores for one result row, or None for an
+    error row or a task with no reference."""
+    if row.error is not None:
+        return None
+    pair = resolve_pair(task, row.span)
+    if pair is None:
+        return None
+    return EvalRecord(
+        decoder=row.decoder,
+        mask_ratio=parse_task_ratio(task),
+        candidate=pair[0],
+        reference=pair[1],
+        forward_passes=row.forward_passes,
+        emitted_steps=row.emitted_steps,
+        wall_time_us=row.wall_time_us,
+    )
+
+
 def _sweep_point(
     model: SequenceModel,
     tasks: list[TsTask],
@@ -286,48 +313,25 @@ def _sweep_point(
     decoder: str,
     params: PsgdParams,
     repetitions: int,
-    concurrency: int,
 ) -> tuple[list[EvalRecord], list[ResultRow]]:
-    def one(task: TsTask) -> tuple[EvalRecord | None, ResultRow]:
+    """Decode ``tasks`` in order; each row reports the mean wall time over
+    ``repetitions`` decodes."""
+    records: list[EvalRecord] = []
+    rows: list[ResultRow] = []
+    for task in tasks:
         try:
-            suggestion = decode_task(model, task, decoder, params)
-            wall = suggestion.stats.wall_time_us
+            outcome = decode_task(model, task, decoder, params)
+            wall = outcome.stats.wall_time_us
             for _ in range(repetitions - 1):
-                again = decode_task(model, task, decoder, params)
-                wall += again.stats.wall_time_us
-            wall = wall // repetitions
-            row = replace(_result_row(task, decoder_label, suggestion), wall_time_us=wall)
+                wall += decode_task(model, task, decoder, params).stats.wall_time_us
+            outcome = replace(outcome, stats=replace(outcome.stats, wall_time_us=wall // repetitions))
         except TsError as exc:
-            row = ResultRow(
-                task_id=task.task_id,
-                decoder=decoder_label,
-                span=(),
-                score=0.0,
-                forward_passes=0,
-                positions_scored=0,
-                emitted_steps=0,
-                stop_reason="max_len",
-                wall_time_us=0,
-                error=type(exc).__name__,
-            )
-            return None, row
-        pair = resolve_pair(task, suggestion.span.tokens)
-        if pair is None:
-            return None, row
-        record = EvalRecord(
-            decoder=decoder_label,
-            mask_ratio=parse_task_ratio(task),
-            candidate=pair[0],
-            reference=pair[1],
-            forward_passes=row.forward_passes,
-            emitted_steps=row.emitted_steps,
-            wall_time_us=row.wall_time_us,
-        )
-        return record, row
-
-    outcomes = _run_tasks(one, tasks, concurrency)
-    records = [rec for rec, _ in outcomes if rec is not None]
-    rows = [row for _, row in outcomes]
+            outcome = exc
+        row = result_row(task, decoder_label, outcome)
+        rows.append(row)
+        record = eval_record(task, row)
+        if record is not None:
+            records.append(record)
     return records, rows
 
 
@@ -337,7 +341,6 @@ def run_pt_sweep(
     pt_values,
     beam_width: int,
     repetitions: int = 1,
-    concurrency: int = 1,
 ) -> tuple[list[BenchRow], list[ResultRow]]:
     """Decode the dataset at each early-stopping patience value."""
     for task in dataset:
@@ -347,9 +350,7 @@ def run_pt_sweep(
     rows: list[ResultRow] = []
     for pt in pt_values:
         params = PsgdParams(beam_width=beam_width, patience=int(pt))
-        recs, rws = _sweep_point(
-            model, dataset, f"psgd_pt{pt}", "psgd", params, repetitions, concurrency
-        )
+        recs, rws = _sweep_point(model, dataset, f"psgd_pt{pt}", "psgd", params, repetitions)
         records.extend(recs)
         rows.extend(rws)
     return aggregate(records), rows
@@ -361,7 +362,6 @@ def run_ratio_sweep(
     decoders,
     params: PsgdParams,
     repetitions: int = 1,
-    concurrency: int = 1,
 ) -> tuple[list[BenchRow], list[ResultRow]]:
     """Decode every per-ratio dataset with every decoder."""
     records: list[EvalRecord] = []
@@ -369,9 +369,7 @@ def run_ratio_sweep(
     for ratio in sorted(datasets_by_ratio):
         tasks = datasets_by_ratio[ratio]
         for decoder in decoders:
-            recs, rws = _sweep_point(
-                model, tasks, decoder, decoder, params, repetitions, concurrency
-            )
+            recs, rws = _sweep_point(model, tasks, decoder, decoder, params, repetitions)
             records.extend(recs)
             rows.extend(rws)
     return aggregate(records), rows

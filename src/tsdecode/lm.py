@@ -35,6 +35,10 @@ class UnnormalizedRow(TsError):
     """A supplied probability row does not sum to 1 within 1e-9."""
 
 
+class InvalidModelSpec(TsError, ValueError):
+    """A model spec is not JSON, lacks a key or holds an invalid value."""
+
+
 Tokens = tuple[int, ...]
 
 
@@ -116,8 +120,7 @@ def _finalize_row(raw: np.ndarray, bos_id: int) -> np.ndarray:
 class SequenceModel:
     """Base class: subclasses provide one raw row per (source, context).
 
-    Finalized rows and their logs are memoized per (source, context); the
-    cache is safe under concurrent use because inserts are idempotent.
+    Finalized rows and their logs are memoized per (source, context).
     """
 
     def __init__(self, descriptor: ModelDescriptor) -> None:
@@ -252,9 +255,6 @@ class NgramGenModel(SequenceModel):
     redraws a fraction of contexts under a second seed, which yields a
     "sibling" model that mostly agrees with the base one but makes plausible
     errors elsewhere.
-
-    The memo cache tolerates concurrent readers/writers: inserts are
-    idempotent because every thread computes the identical row.
     """
 
     def __init__(
@@ -276,7 +276,6 @@ class NgramGenModel(SequenceModel):
         self.concentration = float(concentration)
         self.perturb_seed = perturb_seed
         self.perturb_rate = float(perturb_rate)
-        self._cache: dict[tuple[Tokens, Tokens], np.ndarray] = {}
 
     def _draw_row(self, seed: int, source: Tokens, context: Tokens) -> np.ndarray:
         stream = Stream(hash_key(seed, 0x6E6772616D, source, context))
@@ -287,18 +286,12 @@ class NgramGenModel(SequenceModel):
         return row
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
-        key = (source, context)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
         seed = self.descriptor.seed
         if self.perturb_seed is not None and self.perturb_rate > 0.0:
             coin = Stream(hash_key(self.perturb_seed, 0x636F696E, source, context)).uniform()
             if coin < self.perturb_rate:
                 seed = mix64(seed ^ mix64(self.perturb_seed))
-        row = self._draw_row(seed, source, context)
-        self._cache[key] = row
-        return row
+        return self._draw_row(seed, source, context)
 
 
 def make_uniform_model(vocab: Vocab) -> UniformModel:
@@ -376,20 +369,26 @@ def model_to_spec(model: SequenceModel) -> dict:
 
 
 def model_from_spec(spec: Mapping) -> SequenceModel:
-    vocab = Vocab(size=int(spec["vocab_size"]))
-    kind = spec["kind"]
-    if kind == _KIND_UNIFORM:
-        return UniformModel(vocab)
-    if kind == _KIND_TABLE:
-        table = {
-            _decode_table_key(key): row for key, row in (spec["table"] or {}).items()
-        }
-        return TableModel(vocab, int(spec["order"]), table)
-    if kind == _KIND_NGRAM:
-        return NgramGenModel(
-            vocab, int(spec["order"]), int(spec["seed"]), float(spec["concentration"])
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Build the model a spec describes; InvalidModelSpec if it cannot."""
+    try:
+        vocab = Vocab(size=int(spec["vocab_size"]))
+        kind = spec["kind"]
+        if kind == _KIND_UNIFORM:
+            return UniformModel(vocab)
+        if kind == _KIND_TABLE:
+            table = {
+                _decode_table_key(key): row for key, row in (spec["table"] or {}).items()
+            }
+            return TableModel(vocab, int(spec["order"]), table)
+        if kind == _KIND_NGRAM:
+            return NgramGenModel(
+                vocab, int(spec["order"]), int(spec["seed"]), float(spec["concentration"])
+            )
+    except KeyError as exc:
+        raise InvalidModelSpec(f"model spec lacks key {exc}") from exc
+    except (TypeError, ValueError, UnnormalizedRow) as exc:
+        raise InvalidModelSpec(f"invalid model spec: {exc}") from exc
+    raise InvalidModelSpec(f"unknown model kind {kind!r}")
 
 
 def save_model_spec(path: str | Path, model: SequenceModel) -> None:
@@ -399,5 +398,8 @@ def save_model_spec(path: str | Path, model: SequenceModel) -> None:
 
 
 def load_model_spec(path: str | Path) -> SequenceModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_spec(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return model_from_spec(json.load(fh))
+    except ValueError as exc:  # not JSON, or an InvalidModelSpec
+        raise InvalidModelSpec(f"{path}: {exc}") from exc

@@ -39,13 +39,6 @@ class BleuScore:
     reference_len: int
 
 
-def empty_candidate_handling(candidate):
-    """Empty candidates are legal: they contribute zero matches and zero
-    length to the corpus pool (driving the brevity penalty down), rather
-    than being an error."""
-    return candidate
-
-
 def _ngram_counts(tokens: tuple[int, ...], n: int) -> Counter:
     return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
@@ -58,7 +51,6 @@ def _pooled_counts(
     cand_len = 0
     ref_len = 0
     for cand, ref in zip(candidates, references):
-        cand = empty_candidate_handling(cand)
         cand_len += len(cand)
         ref_len += len(ref)
         for n in range(1, MAX_ORDER + 1):
@@ -89,7 +81,11 @@ def _geometric_bleu(precisions: Sequence[float], bp: float) -> float:
 
 
 def corpus_bleu(candidates: Sequence, references: Sequence) -> BleuScore:
-    """Unsmoothed corpus BLEU with one reference per candidate."""
+    """Unsmoothed corpus BLEU with one reference per candidate.
+
+    Empty candidates are legal: they add zero matches and zero length to the
+    pool (driving the brevity penalty down) rather than raising.
+    """
     if len(candidates) != len(references):
         raise LengthMismatch(
             f"{len(candidates)} candidates vs {len(references)} references"

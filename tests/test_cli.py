@@ -1,8 +1,15 @@
 import json
+from dataclasses import replace
+
+import pytest
 
 from tsdecode.cli import main
-from tsdecode.core import read_results_jsonl, read_tasks_jsonl, write_results_jsonl
-from tsdecode.core import ResultRow
+from tsdecode.core import read_results_jsonl, read_tasks_jsonl, write_results_jsonl, write_tasks_jsonl
+from tsdecode.core import ResultRow, TokenSeq, TsTask
+from tsdecode.decode import PsgdParams
+from tsdecode.harness import run_ratio_sweep, split_by_ratio
+from tsdecode.lm import load_model_spec
+from tsdecode.metrics import format_metrics_csv
 
 
 GEN_CONFIG = {
@@ -138,6 +145,30 @@ class TestSuggest:
         assert code == 0
         assert out.exists()
 
+    def test_task_line_missing_key_exits_2(self, tmp_path, capsys):
+        _, model_path = run_gen(tmp_path)
+        tasks_path = tmp_path / "bad.jsonl"
+        tasks_path.write_text('{"task_id":"a","source":[2],"prefix":[]}\n')
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tasks_path}:1" in err and "suffix" in err
+        assert "Traceback" not in err
+
+    # An edit to None drops the key.
+    @pytest.mark.parametrize("edit, named", [({"order": 0}, "context_order"), ({"seed": None}, "seed")])
+    def test_invalid_model_spec_exits_2(self, tmp_path, capsys, edit, named):
+        tasks_path, model_path = run_gen(tmp_path)
+        spec = dict(json.loads(model_path.read_text()), **edit)
+        model_path.write_text(json.dumps({k: v for k, v in spec.items() if v is not None}))
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_missing_task_file_exits_2(self, tmp_path, capsys):
         _, model_path = run_gen(tmp_path)
         code = main(
@@ -173,12 +204,20 @@ class TestEval:
         assert code == 1
         assert "ghost" in capsys.readouterr().err
 
+    def test_result_line_not_json_exits_2(self, tmp_path, capsys):
+        tasks_path, _ = run_gen(tmp_path)
+        results_path = tmp_path / "results.jsonl"
+        results_path.write_text("not json\n")
+        code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        assert f"{results_path}:1" in capsys.readouterr().err
+
 
 class TestSweeps:
     def test_sweep_pt_writes_csv(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_CONFIG)
         out = tmp_path / "metrics.csv"
-        code = main(["sweep-pt", "--config", cfg, "--out", str(out), "--timing"])
+        code = main(["sweep-pt", "--config", cfg, "--out", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0].startswith("decoder,mask_ratio")
@@ -189,7 +228,7 @@ class TestSweeps:
         out = tmp_path / "metrics.csv"
         results = tmp_path / "rows.jsonl"
         code = main(
-            ["sweep-ratio", "--config", cfg, "--out", str(out), "--results-out", str(results), "--timing"]
+            ["sweep-ratio", "--config", cfg, "--out", str(out), "--results-out", str(results)]
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 3  # header + psgd + dba
@@ -198,6 +237,48 @@ class TestSweeps:
     def test_missing_config_exits_2(self, tmp_path):
         code = main(["sweep-pt", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "m.csv")])
         assert code == 2
+
+
+# DBA finds no constraint-complete sentence for this task at beam width 3.
+UNSATISFIABLE_FOR_DBA = TsTask(
+    task_id="r0.40_n0003",
+    source=TokenSeq((2, 3, 5, 8, 8), "source"),
+    prefix=TokenSeq((2, 4, 11), "prefix"),
+    suffix=TokenSeq((6, 2, 11), "suffix"),
+    gold_span=TokenSeq((10,), "span"),
+    gold_full=TokenSeq((2, 4, 11, 10, 6, 2, 11), "target"),
+)
+
+
+def test_suggest_and_eval_build_the_rows_and_metrics_of_the_sweep(tmp_path):
+    """suggest + eval and run_ratio_sweep share one row and one record builder."""
+    tasks_path, model_path = run_gen(tmp_path)
+    tasks = read_tasks_jsonl(tasks_path) + [UNSATISFIABLE_FOR_DBA]
+    write_tasks_jsonl(tasks_path, tasks)
+    bench, sweep_rows = run_ratio_sweep(
+        split_by_ratio(tasks), load_model_spec(model_path), ["psgd", "dba"], PsgdParams(beam_width=3, patience=2)
+    )
+    cli_rows = []
+    for decoder in ("psgd", "dba"):
+        out = tmp_path / f"{decoder}.jsonl"
+        argv = ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path),
+                "--decoder", decoder, "--beam-width", "3", "--pt", "2", "--out", str(out)]
+        assert main(argv) == 0
+        cli_rows += read_results_jsonl(out)
+    assert [r.error for r in cli_rows].count("ConstraintsUnsatisfiable") == 1
+    assert [replace(r, wall_time_us=0) for r in cli_rows] == [replace(r, wall_time_us=0) for r in sweep_rows]
+
+    results_path = tmp_path / "results.jsonl"
+    write_results_jsonl(results_path, cli_rows)
+    metrics = tmp_path / "metrics.csv"
+    assert main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(metrics)]) == 0
+
+    def masked(text):
+        lines = text.splitlines()
+        keep = [i for i, name in enumerate(lines[0].split(",")) if name != "mean_wall_time_us"]
+        return [",".join(line.split(",")[i] for i in keep) for line in lines]
+
+    assert masked(metrics.read_text()) == masked(format_metrics_csv(bench))
 
 
 def mask_wall(lines):

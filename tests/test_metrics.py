@@ -9,7 +9,6 @@ from tsdecode.metrics import (
     LengthMismatch,
     aggregate,
     corpus_bleu,
-    empty_candidate_handling,
     format_metrics_csv,
     sentence_bleu_smoothed,
 )
@@ -57,9 +56,6 @@ class TestCorpusBleu:
 
 
 class TestEmptyCandidates:
-    def test_passthrough(self):
-        assert empty_candidate_handling(()) == ()
-
     def test_all_empty_corpus_scores_0(self):
         got = corpus_bleu([(), ()], [(1, 2), (3,)])
         assert got.score == 0.0
