@@ -38,7 +38,7 @@ from .harness import (
     sweep_config_from_dict,
 )
 from .lm import InvalidModelSpec, load_model_spec, model_from_spec, save_model_spec
-from .metrics import EvalRecord, aggregate, write_metrics_csv
+from .metrics import BenchRow, EvalRecord, aggregate, write_metrics_csv
 from .scoring import SCORING_MODES
 
 EXIT_OK = 0
@@ -165,6 +165,16 @@ def _sweep_common(args) -> tuple[GenConfig, SweepConfig, list[TsTask]]:
     return gen_cfg, sweep_cfg, tasks
 
 
+def _write_sweep(args, sweep_cfg: SweepConfig, bench: list[BenchRow], rows: list[ResultRow]) -> int:
+    """Write the metrics CSV and, with ``--results-out``, the result rows."""
+    out = args.out or sweep_cfg.output_path
+    write_metrics_csv(out, bench)
+    if args.results_out:
+        write_results_jsonl(args.results_out, rows)
+    print(f"wrote metrics to {out}")
+    return EXIT_OK
+
+
 def cmd_sweep_pt(args) -> int:
     gen_cfg, sweep_cfg, tasks = _sweep_common(args)
     model = model_from_spec(gen_cfg.resolved_model_spec())
@@ -175,12 +185,7 @@ def cmd_sweep_pt(args) -> int:
         sweep_cfg.beam_width,
         repetitions=sweep_cfg.repetitions,
     )
-    out = args.out or sweep_cfg.output_path
-    write_metrics_csv(out, bench)
-    if args.results_out:
-        write_results_jsonl(args.results_out, rows)
-    print(f"wrote metrics to {out}")
-    return EXIT_OK
+    return _write_sweep(args, sweep_cfg, bench, rows)
 
 
 def cmd_sweep_ratio(args) -> int:
@@ -194,12 +199,7 @@ def cmd_sweep_ratio(args) -> int:
         params,
         repetitions=sweep_cfg.repetitions,
     )
-    out = args.out or sweep_cfg.output_path
-    write_metrics_csv(out, bench)
-    if args.results_out:
-        write_results_jsonl(args.results_out, rows)
-    print(f"wrote metrics to {out}")
-    return EXIT_OK
+    return _write_sweep(args, sweep_cfg, bench, rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sug.add_argument("--decoder", choices=["psgd", "dba"], default="psgd")
     p_sug.add_argument("--beam-width", type=int, default=5)
     p_sug.add_argument("--pt", type=int, default=5, help="early-stopping patience")
-    p_sug.add_argument("--max-span-len", type=int, default=None)
+    p_sug.add_argument(
+        "--max-span-len", type=int, default=None,
+        help="span length cap (DBA: sentence length cap of prefix + suffix + this)",
+    )
     p_sug.add_argument("--scoring", choices=list(SCORING_MODES), default="mean_logprob")
     p_sug.add_argument("--include-eos-in-len", action="store_true")
     p_sug.add_argument("--out", required=True, help="output result JSONL")

@@ -49,7 +49,6 @@ class Vocab:
     size: int
     bos_id: int = 0
     eos_id: int = 1
-    surface: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.size < 3:
@@ -59,8 +58,6 @@ class Vocab:
         for name, tok in (("bos_id", self.bos_id), ("eos_id", self.eos_id)):
             if not 0 <= tok < self.size:
                 raise ValueError(f"{name}={tok} outside vocabulary of size {self.size}")
-        if self.surface is not None and len(self.surface) != self.size:
-            raise ValueError("surface strings must cover every id")
 
     @property
     def content_ids(self) -> tuple[int, ...]:
@@ -90,17 +87,6 @@ class TokenSeq:
 
     def __getitem__(self, idx):
         return self.tokens[idx]
-
-    def with_role(self, role: str) -> "TokenSeq":
-        return TokenSeq(self.tokens, role)
-
-
-def cat(*seqs: TokenSeq, role: str = ROLE_TARGET) -> TokenSeq:
-    """Concatenate sequences into one sequence with the given role."""
-    tokens: tuple[int, ...] = ()
-    for s in seqs:
-        tokens += s.tokens
-    return TokenSeq(tokens, role)
 
 
 @dataclass(frozen=True)

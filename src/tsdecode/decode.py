@@ -1,5 +1,6 @@
-"""The three decoders: plain beam search, prefix-suffix guided span decoding
-(PSGD), and dynamic beam allocation (DBA) for lexically constrained decoding.
+"""The three decoders: prefix-suffix guided span decoding (PSGD), dynamic
+beam allocation (DBA) for lexically constrained decoding, and plain beam
+search.
 
 PSGD fills the masked span directly: the beam holds span candidates only,
 each step runs one forced pass over prefix + span + suffix per beam item,
@@ -11,13 +12,16 @@ prefix at the best-scoring step.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
-partially-satisfied hypotheses survive pruning.
+partially-satisfied hypotheses survive pruning. Plain beam search is the same
+search with no constraints: both run the one full-sentence beam loop in
+``_beam_core``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -63,7 +67,6 @@ class Hypothesis:
 
     span_tokens: Tokens
     span_logprob: float
-    alive: bool = True
 
 
 @dataclass
@@ -106,100 +109,6 @@ class BeamSearchResult:
 
 def _wall_us(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1e6)
-
-
-# ---------------------------------------------------------------------------
-# Plain beam search
-# ---------------------------------------------------------------------------
-
-def _pick_best(entries, selection_score):
-    best_tokens, best_sel = None, float("-inf")
-    for tokens, raw in entries:
-        sel = selection_score(raw, tokens)
-        if best_tokens is None or prefer(sel, tokens, best_sel, best_tokens):
-            best_tokens, best_sel = tokens, sel
-    return best_tokens, best_sel
-
-
-def beam_search(
-    model: SequenceModel,
-    source,
-    beam_width: int,
-    max_len: int,
-    length_norm: bool = False,
-) -> BeamSearchResult:
-    """Standard beam search from BOS over content tokens.
-
-    A hypothesis finishes (its EOS completion becomes a candidate answer)
-    when EOS is its argmax extension or its EOS candidate ranks inside the
-    beam selection window. Raw-score pruning is lossless: a hypothesis is
-    dropped only when it can no longer finish above the best completion
-    already recorded.
-
-    Termination: the length cap; an emptied beam; or, with length
-    normalization, once ``beam_width`` EOS candidates have ranked inside
-    the beam selection window.
-
-    Returns the best finished sequence under the selected scoring; if
-    nothing finished, the best unfinished hypothesis with ``finished=False``.
-    """
-    if beam_width < 1:
-        raise InvalidParams(f"beam_width must be >= 1, got {beam_width}")
-    if max_len < 0:
-        raise InvalidParams(f"max_len must be >= 0, got {max_len}")
-    src = as_tokens(source)
-    eos = model.vocab.eos_id
-    content = model.vocab.content_ids
-
-    def selection_score(raw: float, tokens: Tokens) -> float:
-        return normalized_score(raw, len(tokens)) if length_norm else raw
-
-    beam: list[tuple[Tokens, float]] = [((), 0.0)]
-    finished: dict[Tokens, float] = {}
-    best_finished_raw = float("-inf")
-    hard_finishes = 0
-
-    def record(tokens: Tokens, raw: float) -> None:
-        nonlocal best_finished_raw
-        if tokens not in finished:
-            finished[tokens] = raw
-        best_finished_raw = max(best_finished_raw, raw)
-
-    for step in range(max_len + 1):
-        candidates = []
-        for tokens, lp in beam:
-            log_row = model.forced_pass(src, tokens).log_matrix()[-1]
-            eos_raw = lp + float(log_row[eos])
-            if int(np.argmax(log_row)) == eos:
-                record(tokens, eos_raw)
-            if step < max_len:
-                candidates.append((eos_raw, tokens, True))
-                for tok in content:
-                    candidates.append((lp + float(log_row[tok]), tokens + (tok,), False))
-        if step == max_len:
-            break
-        candidates.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
-        # EOS candidates ranking inside the beam window finish; the alive
-        # beam is backfilled with the best content candidates.
-        for cand in candidates[:beam_width]:
-            if cand[2]:
-                record(cand[1], cand[0])
-                hard_finishes += 1
-        if length_norm and hard_finishes >= beam_width:
-            break
-        beam = [(tokens, lp) for lp, tokens, is_eos in candidates if not is_eos][:beam_width]
-        if not length_norm:
-            # Raw scores only decrease, so nothing at or below the best
-            # finished raw score can ever finish strictly better.
-            beam = [(t, lp) for t, lp in beam if lp > best_finished_raw]
-        if not beam:
-            break
-
-    if finished:
-        best_tokens, best_sel = _pick_best(finished.items(), selection_score)
-        return BeamSearchResult(TokenSeq(best_tokens, ROLE_TARGET), best_sel, True)
-    best_tokens, best_sel = _pick_best(((t, lp) for t, lp in beam), selection_score)
-    return BeamSearchResult(TokenSeq(best_tokens or (), ROLE_TARGET), best_sel, False)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +244,7 @@ def psgd_with_trace(
 
 
 # ---------------------------------------------------------------------------
-# Dynamic beam allocation
+# Full-sentence beam search: one core for DBA and for plain beam search
 # ---------------------------------------------------------------------------
 
 def _advance_progress(progress: tuple[int, ...], constraints: tuple[Tokens, ...], tok: int) -> tuple[int, ...]:
@@ -361,26 +270,31 @@ def _needed_tokens(progress: tuple[int, ...], constraints: tuple[Tokens, ...]) -
     }
 
 
-def dba_decode(
+Beam = list[tuple[Tokens, float, tuple[int, ...]]]
+
+
+def _pick_best(entries, length_norm: bool) -> tuple[Tokens | None, float]:
+    """The (tokens, raw score) entry preferred under the selection score:
+    the raw score, or the length-normalized one."""
+    best_tokens, best_sel = None, float("-inf")
+    for tokens, raw in entries:
+        sel = normalized_score(raw, len(tokens)) if length_norm else raw
+        if best_tokens is None or prefer(sel, tokens, best_sel, best_tokens):
+            best_tokens, best_sel = tokens, sel
+    return best_tokens, best_sel
+
+
+def _beam_core(
     model: SequenceModel,
     source,
     params: DbaParams,
-    length_norm: bool = False,
-) -> tuple[TokenSeq, float, DecodeStats]:
-    """Full-sequence beam search with hard phrasal constraints.
+    length_norm: bool,
+) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
+    """Full-sentence beam search from BOS under ``params.constraints``.
 
-    Beam slots are divided as evenly as possible among banks indexed by the
-    number of satisfied constraint tokens (partial phrase progress counts),
-    with remainders and unfillable slots going to higher banks / the best
-    remaining candidates. The per-step candidate pool is the global top-k
-    expansion set plus, for every hypothesis, the forced next token of each
-    unfinished phrase. Only constraint-complete hypotheses may finish, so
-    every returned sequence contains every phrase contiguously.
-
-    Termination mirrors ``beam_search``: length cap, emptied beam (raw
-    scoring drops hypotheses that cannot beat the best finished sequence),
-    or, under length normalization, beam-width many EOS candidates having
-    ranked inside the beam window; the latter two report ``empty_beam``.
+    Returns the finished sequences with their raw scores (EOS included), the
+    final beam as (tokens, raw score, constraint progress) triples, and the
+    decode statistics. See ``dba_decode`` for the search itself.
     """
     if params.beam_width < 1:
         raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
@@ -398,9 +312,6 @@ def dba_decode(
     def is_complete(progress: tuple[int, ...]) -> bool:
         return all(pos == len(phrase) for pos, phrase in zip(progress, constraints))
 
-    def selection_score(raw: float, tokens: Tokens) -> float:
-        return normalized_score(raw, len(tokens)) if length_norm else raw
-
     t0 = time.perf_counter()
     fw = 0
     pos_scored = 0
@@ -409,7 +320,7 @@ def dba_decode(
     hard_finishes = 0
 
     initial = tuple(0 for _ in constraints)
-    beam: list[tuple[Tokens, float, tuple[int, ...]]] = [((), 0.0, initial)]
+    beam: Beam = [((), 0.0, initial)]
     finished: dict[Tokens, float] = {}
     best_finished_raw = float("-inf")
 
@@ -435,32 +346,32 @@ def dba_decode(
                 for (tokens, lp, progress), log_row in zip(beam, rows):
                     if is_complete(progress):
                         record(tokens, lp + float(log_row[eos]))
-            stop_reason = STOP_MAX_LEN
             break
 
         # Global expansion ranking. EOS candidates (complete hypotheses only)
-        # finish via the same beam window as beam_search, or by winning a
+        # finish by ranking inside the global beam window, or by winning a
         # slot inside their own bank below (without which finishing would
         # have to outrank every unconstrained hypothesis globally). They
         # never enter the alive beam.
         expansions = []
+        eos_cands = []
         for (tokens, lp, progress), log_row in zip(beam, rows):
             if is_complete(progress):
-                expansions.append((lp + float(log_row[eos]), tokens, progress, None))
+                eos_cands.append((lp + float(log_row[eos]), tokens, progress, None))
             for tok in content:
                 expansions.append((lp + float(log_row[tok]), tokens + (tok,), progress, tok))
+        expansions.extend(eos_cands)
         expansions.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
         finishes_this_round: set[Tokens] = set()
-        # Same beam-window finishing rule as beam_search.
         for cand in expansions[:beam_width]:
             if cand[3] is None:
                 record(cand[1], cand[0])
                 finishes_this_round.add(cand[1])
-        content_exp = [c for c in expansions if c[3] is not None]
 
         # Candidate pool: top-k content expansions plus forced constraint
         # tokens, plus the EOS candidates competing for bank slots.
-        pool = {c[1]: c for c in content_exp[:beam_width]}
+        content_exp = (c for c in expansions if c[3] is not None)
+        pool = {c[1]: c for c in islice(content_exp, beam_width)}
         for (tokens, lp, progress), log_row in zip(beam, rows):
             for tok in _needed_tokens(progress, constraints):
                 child = tokens + (tok,)
@@ -473,12 +384,8 @@ def dba_decode(
         for lp_c, child, progress, tok in pool.values():
             new_progress = _advance_progress(progress, constraints, tok)
             banked.setdefault(sum(new_progress), []).append((lp_c, child, new_progress, False))
-        for lp_c, tokens, progress, _none in expansions:
-            if _none is None:
-                banked.setdefault(sum(progress), []).append((lp_c, tokens, progress, True))
-        if not banked:
-            stop_reason = STOP_EMPTY_BEAM
-            break
+        for lp_c, tokens, progress, _ in eos_cands:
+            banked.setdefault(sum(progress), []).append((lp_c, tokens, progress, True))
         for cands in banked.values():
             cands.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
 
@@ -507,19 +414,15 @@ def dba_decode(
             stop_reason = STOP_EMPTY_BEAM
             break
         if not length_norm:
+            # Raw scores only decrease, so nothing at or below the best
+            # finished raw score can ever finish strictly better.
             selected = [c for c in selected if c[0] > best_finished_raw]
-        if not selected:
-            stop_reason = STOP_EMPTY_BEAM
-            break
         selected.sort(key=lambda c: (-c[0], c[1]))
         beam = [(child, lp_c, progress) for lp_c, child, progress in selected]
+        if not beam:
+            stop_reason = STOP_EMPTY_BEAM
+            break
         emitted += 1
-
-    if not finished:
-        raise ConstraintsUnsatisfiable(
-            f"no constraint-complete hypothesis finished within max_len={params.max_len}"
-        )
-    best_tokens, best_sel = _pick_best(finished.items(), selection_score)
 
     stats = DecodeStats(
         forward_passes=fw,
@@ -528,6 +431,66 @@ def dba_decode(
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
+    return finished, beam, stats
+
+
+def beam_search(
+    model: SequenceModel,
+    source,
+    beam_width: int,
+    max_len: int,
+    length_norm: bool = False,
+) -> BeamSearchResult:
+    """Standard beam search from BOS over content tokens: the DBA search
+    with no constraints, so it finishes, prunes and stops as ``dba_decode``
+    does with a single bank.
+
+    Returns the best finished sequence under the selected scoring; if
+    nothing finished, the best unfinished hypothesis with ``finished=False``.
+    """
+    finished, beam, _stats = _beam_core(
+        model, source, DbaParams(beam_width, max_len), length_norm
+    )
+    if finished:
+        best_tokens, best_sel = _pick_best(finished.items(), length_norm)
+        return BeamSearchResult(TokenSeq(best_tokens, ROLE_TARGET), best_sel, True)
+    best_tokens, best_sel = _pick_best(((t, lp) for t, lp, _ in beam), length_norm)
+    return BeamSearchResult(TokenSeq(best_tokens or (), ROLE_TARGET), best_sel, False)
+
+
+def dba_decode(
+    model: SequenceModel,
+    source,
+    params: DbaParams,
+    length_norm: bool = False,
+) -> tuple[TokenSeq, float, DecodeStats]:
+    """Full-sequence beam search with hard phrasal constraints.
+
+    Beam slots are divided as evenly as possible among banks indexed by the
+    number of satisfied constraint tokens (partial phrase progress counts),
+    with remainders and unfillable slots going to higher banks / the best
+    remaining candidates. The per-step candidate pool is the global top-k
+    expansion set plus, for every hypothesis, the forced next token of each
+    unfinished phrase. Only constraint-complete hypotheses may finish, so
+    every returned sequence contains every phrase contiguously.
+
+    A hypothesis finishes (its EOS completion becomes a candidate answer)
+    when EOS is its argmax extension or its EOS candidate ranks inside the
+    global beam window or its bank's slots. Raw-score pruning is lossless:
+    a hypothesis is dropped only when it can no longer finish above the best
+    completion already recorded. Termination: the length cap (``max_len``);
+    an emptied beam; or, under length normalization, beam-width many EOS
+    candidates having ranked inside the beam window. The latter two report
+    ``empty_beam``.
+
+    Raises ``ConstraintsUnsatisfiable`` when nothing finished.
+    """
+    finished, _beam, stats = _beam_core(model, source, params, length_norm)
+    if not finished:
+        raise ConstraintsUnsatisfiable(
+            f"no constraint-complete hypothesis finished within max_len={params.max_len}"
+        )
+    best_tokens, best_sel = _pick_best(finished.items(), length_norm)
     return TokenSeq(best_tokens, ROLE_TARGET), best_sel, stats
 
 

@@ -235,10 +235,14 @@ def decode_task(
     if decoder == "psgd":
         return psgd(model, task, psgd_params)
     if decoder == "dba":
+        max_len = None
+        if psgd_params.max_span_len is not None:
+            max_len = len(task.prefix) + len(task.suffix) + psgd_params.max_span_len
         return dba_suggest(
             model,
             task,
             beam_width=psgd_params.beam_width,
+            max_len=max_len,
             scoring=psgd_params.scoring,
             include_eos_in_len=psgd_params.include_eos_in_len,
         )

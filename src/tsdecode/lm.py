@@ -73,7 +73,7 @@ class ForcedPassResult:
     """
 
     distributions: tuple[StepDistribution, ...]
-    _log_rows: tuple = field(default=None, repr=False, compare=False)
+    _log_rows: tuple = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.distributions)
@@ -82,11 +82,7 @@ class ForcedPassResult:
         return np.stack([d.probs for d in self.distributions])
 
     def log_matrix(self) -> np.ndarray:
-        if self._log_rows is not None:
-            return np.stack(self._log_rows)
-        # BOS entries are exactly 0 and legitimately map to -inf.
-        with np.errstate(divide="ignore"):
-            return np.log(self.matrix())
+        return np.stack(self._log_rows)
 
 
 @dataclass(frozen=True)

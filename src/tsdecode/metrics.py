@@ -182,10 +182,6 @@ def aggregate(records: Sequence[EvalRecord]) -> list[BenchRow]:
 
 CSV_HEADER = "decoder,mask_ratio,bleu,bp,p1,p2,p3,p4,mean_forward_passes,mean_wall_time_us,n_tasks"
 
-# Columns whose values depend on wall-clock measurement; golden-file
-# comparisons mask these.
-CSV_UNSTABLE_COLUMNS = ("mean_wall_time_us",)
-
 
 def format_metrics_csv(rows: Iterable[BenchRow]) -> str:
     lines = [CSV_HEADER]

@@ -143,7 +143,9 @@ class TestSuggest:
             ]
         )
         assert code == 0
-        assert out.exists()
+        rows = read_results_jsonl(out)
+        assert len(rows) == 3
+        assert all(len(row.span) <= 1 for row in rows)
 
     def test_task_line_missing_key_exits_2(self, tmp_path, capsys):
         _, model_path = run_gen(tmp_path)

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from tsdecode.core import Vocab
@@ -10,8 +12,8 @@ from tsdecode.decode import (
     dba_suggest,
     extract_span,
 )
-from tsdecode.lm import make_uniform_model
-from tsdecode.scoring import filled_score
+from tsdecode.lm import make_uniform_model, seq_logprob
+from tsdecode.scoring import filled_score, normalized_score, prefer
 
 from util import random_phrases, random_table_model, random_task
 
@@ -66,6 +68,43 @@ def test_hard_constraint_guarantee_random():
             continue
         for phrase in phrases:
             assert contains_phrase(out.tokens, phrase)
+
+
+def enumerate_best_constrained(model, source, phrases, max_len, length_norm):
+    """Independent oracle: score every content sequence up to max_len that
+    contains every phrase; None when there is none."""
+    best_tokens, best_score = None, float("-inf")
+    for length in range(max_len + 1):
+        for seq in itertools.product(model.vocab.content_ids, repeat=length):
+            if not all(contains_phrase(seq, phrase) for phrase in phrases):
+                continue
+            raw = seq_logprob(model, source, seq, include_eos=True)
+            score = normalized_score(raw, len(seq)) if length_norm else raw
+            if best_tokens is None or prefer(score, seq, best_score, best_tokens):
+                best_tokens, best_score = seq, score
+    return best_tokens, best_score
+
+
+@pytest.mark.parametrize("length_norm", [False, True])
+def test_constrained_matches_enumeration_when_exhaustive(length_norm):
+    # Vocab of 4 has 2 content tokens, so width 8 keeps every candidate to
+    # depth 3: the search must find the best constraint-complete sequence,
+    # and fail exactly when no sequence of length <= 3 holds every phrase.
+    unsatisfiable = 0
+    for seed in range(60):
+        vocab, src, model = random_table_model(seed, vocab_size=4)
+        phrases = random_phrases(seed, vocab)
+        want_tokens, want_score = enumerate_best_constrained(model, src, phrases, 3, length_norm)
+        params = DbaParams(beam_width=8, max_len=3, constraints=phrases)
+        if want_tokens is None:
+            unsatisfiable += 1
+            with pytest.raises(ConstraintsUnsatisfiable):
+                dba_decode(model, src, params, length_norm=length_norm)
+            continue
+        out, score, _ = dba_decode(model, src, params, length_norm=length_norm)
+        assert out.tokens == want_tokens
+        assert abs(score - want_score) < 1e-12
+    assert 0 < unsatisfiable < 60
 
 
 def test_unsatisfiable_when_budget_too_small(m1, m1_src):
