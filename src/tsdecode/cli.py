@@ -96,16 +96,22 @@ def _gen_config(args) -> GenConfig:
 
 
 def _psgd_params(args) -> PsgdParams:
-    try:
-        return PsgdParams(
-            beam_width=args.beam_width,
-            patience=args.pt,
-            max_span_len=args.max_span_len,
-            scoring=args.scoring,
-            include_eos_in_len=args.include_eos_in_len,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The decoder flags of ``suggest``; a value out of range is a usage
+    error for both decoders."""
+    for flag, value, least in (
+        ("--beam-width", args.beam_width, 1),
+        ("--pt", args.pt, 0),
+        ("--max-span-len", args.max_span_len, 1),
+    ):
+        if value is not None and value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    return PsgdParams(
+        beam_width=args.beam_width,
+        patience=args.pt,
+        max_span_len=args.max_span_len,
+        scoring=args.scoring,
+        include_eos_in_len=args.include_eos_in_len,
+    )
 
 
 def cmd_gen(args) -> int:
@@ -119,11 +125,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_suggest(args) -> int:
+    params = _psgd_params(args)
     _require_file(args.tasks, "task file")
     _require_file(args.model_spec, "model spec")
     model = load_model_spec(args.model_spec)
     tasks = read_tasks_jsonl(args.tasks)
-    params = _psgd_params(args)
     rows: list[ResultRow] = []
     for task in tasks:
         try:

@@ -333,7 +333,9 @@ def _beam_core(
     for step in range(params.max_len + 1):
         rows = []
         for tokens, lp, progress in beam:
-            log_row = model.forced_pass(src, tokens).log_matrix()[-1]
+            # One memoised row per hypothesis; the statistics still count the
+            # logical forced pass over BOS + tokens that the row ends.
+            log_row = model.next_log_row(src, tokens)
             fw += 1
             pos_scored += len(tokens) + 1
             rows.append(log_row)

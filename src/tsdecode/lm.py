@@ -1,10 +1,14 @@
 """Conditional autoregressive sequence models over integer vocabularies.
 
 A model maps (source sequence, target prefix) to a normalized next-token
-distribution. The only scoring entry point is ``forced_pass``: one call
-scores a whole target sequence and returns the distribution at every
-position, which is also how a single call can serve both sequence scoring
-and next-token selection.
+distribution. It answers two queries, both served from one memo of
+finalized rows per (source, context):
+
+- ``forced_pass`` scores a whole target sequence and returns the
+  distribution at every position, which is how a single call can serve
+  both sequence scoring and next-token selection (PSGD, ``seq_logprob``).
+- ``next_log_row`` returns only the log distribution after a prefix, the
+  one row a left-to-right beam step reads (``beam_search``, DBA).
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -69,14 +74,21 @@ class ForcedPassResult:
     """Distributions for every position of one scored target sequence.
 
     ``distributions[t]`` is the next-token distribution given BOS plus the
-    first ``t`` target tokens; there are ``len(target) + 1`` entries.
+    first ``t`` target tokens; there are ``len(target) + 1`` entries. The
+    finalized probability and log rows are kept as the memo returned them;
+    ``distributions`` (and so ``matrix``) builds and validates the
+    ``StepDistribution`` objects on first read only.
     """
 
-    distributions: tuple[StepDistribution, ...]
+    _prob_rows: tuple = field(repr=False)
     _log_rows: tuple = field(repr=False, compare=False)
 
+    @cached_property
+    def distributions(self) -> tuple[StepDistribution, ...]:
+        return tuple(StepDistribution(probs) for probs in self._prob_rows)
+
     def __len__(self) -> int:
-        return len(self.distributions)
+        return len(self._prob_rows)
 
     def matrix(self) -> np.ndarray:
         return np.stack([d.probs for d in self.distributions])
@@ -148,10 +160,13 @@ class SequenceModel:
         return hit
 
     def _check(self, seq: Tokens, *, content_only: bool) -> None:
+        vocab = self.vocab
+        size = vocab.size
+        reserved = (vocab.bos_id, vocab.eos_id)
         for tok in seq:
-            if tok < 0 or tok >= self.vocab.size:
-                raise TokenOutOfRange(f"token id {tok} outside vocab of size {self.vocab.size}")
-            if content_only and tok in (self.vocab.bos_id, self.vocab.eos_id):
+            if tok < 0 or tok >= size:
+                raise TokenOutOfRange(f"token id {tok} outside vocab of size {size}")
+            if content_only and tok in reserved:
                 raise ReservedTokenInContent(f"reserved token id {tok} in target sequence")
 
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
@@ -160,8 +175,19 @@ class SequenceModel:
         self._check(src, content_only=False)
         self._check(tgt, content_only=True)
         pairs = [self._finalized(src, self._context(tgt[:t])) for t in range(len(tgt) + 1)]
-        dists = tuple(StepDistribution(probs) for probs, _ in pairs)
-        return ForcedPassResult(dists, tuple(logs for _, logs in pairs))
+        return ForcedPassResult(
+            tuple(probs for probs, _ in pairs), tuple(logs for _, logs in pairs)
+        )
+
+    def next_log_row(self, source: TokenSeq | Sequence[int], prefix: TokenSeq | Sequence[int]) -> np.ndarray:
+        """The log next-token distribution given BOS + ``prefix``: the last
+        row of ``forced_pass(source, prefix).log_matrix()``, with the same
+        input checks, without building the earlier rows."""
+        src = as_tokens(source)
+        pre = as_tokens(prefix)
+        self._check(src, content_only=False)
+        self._check(pre, content_only=True)
+        return self._finalized(src, self._context(pre))[1]
 
 
 def forced_pass(model: SequenceModel, source, target) -> ForcedPassResult:

@@ -178,6 +178,26 @@ class TestSuggest:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("decoder", ["psgd", "dba"])
+    @pytest.mark.parametrize("flag, value", [("--beam-width", "0"), ("--pt", "-1"), ("--max-span-len", "0")])
+    def test_out_of_range_decoder_flag_exits_2(self, tmp_path, capsys, decoder, flag, value):
+        tasks_path, model_path = run_gen(tmp_path)
+        out = tmp_path / "results.jsonl"
+        code = main(
+            [
+                "suggest",
+                "--tasks", str(tasks_path),
+                "--model-spec", str(model_path),
+                "--decoder", decoder,
+                flag, value,
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err
+        assert not out.exists()
+
 
 class TestEval:
     def test_identity_suggestions_score_100(self, tmp_path):

@@ -12,7 +12,7 @@ from tsdecode.decode import (
     dba_suggest,
     extract_span,
 )
-from tsdecode.lm import make_uniform_model, seq_logprob
+from tsdecode.lm import make_ngram_gen_model, make_uniform_model, seq_logprob
 from tsdecode.scoring import filled_score, normalized_score, prefer
 
 from util import random_phrases, random_table_model, random_task
@@ -164,3 +164,33 @@ class TestDbaSuggest:
             except ConstraintsUnsatisfiable:
                 continue
             assert all(t in vocab.content_ids for t in got.span.tokens)
+
+
+# Read from the search when it still ran one forced pass per hypothesis per
+# step: (constraints, length_norm) -> (tokens, forward_passes, positions_scored).
+PINNED_BEAM_CORE = {
+    ((), False): ((5, 2, 11, 7, 2, 7), 26, 117),
+    ((), True): ((5, 2, 11, 7, 2, 7, 4), 33, 177),
+    (((4,), (6, 2)), False): ((6, 2, 11, 4), 38, 237),
+    (((4,), (6, 2)), True): ((5, 2, 11, 7, 2, 7, 4, 11, 6, 2), 41, 261),
+}
+
+
+@pytest.mark.parametrize("constraints, length_norm", sorted(PINNED_BEAM_CORE))
+def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints, length_norm):
+    # The beam core reads one row per hypothesis per step through
+    # next_log_row; forward_passes and positions_scored stay the counts of
+    # the forced passes that row stands for.
+    model = make_ngram_gen_model(Vocab(12), 2, seed=9, concentration=0.2)
+    calls = []
+    forced_pass = model.forced_pass
+    monkeypatch.setattr(model, "forced_pass", lambda *a: calls.append(a) or forced_pass(*a))
+    src = (3, 7, 5, 9)
+    want_tokens, want_fw, want_pos = PINNED_BEAM_CORE[(constraints, length_norm)]
+    out, _, stats = dba_decode(model, src, DbaParams(4, 10, constraints), length_norm=length_norm)
+    assert out.tokens == want_tokens
+    assert (stats.forward_passes, stats.positions_scored) == (want_fw, want_pos)
+    if not constraints:
+        got = beam_search(model, src, beam_width=4, max_len=10, length_norm=length_norm)
+        assert got.finished and got.tokens.tokens == want_tokens
+    assert calls == []

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, Vocab
+from tsdecode.core import ROLE_TARGET, ReservedTokenInContent, TokenOutOfRange, TokenSeq, Vocab
 from tsdecode.lm import (
     EPS_FLOOR,
+    ForcedPassResult,
     StepDistribution,
     UnnormalizedRow,
     forced_pass,
@@ -78,6 +79,106 @@ class TestForcedPass:
         assert row[0] == 0.0
         assert row[1] >= EPS_FLOOR and row[3] >= EPS_FLOOR
         assert abs(float(row.sum()) - 1.0) < 1e-9
+
+
+class TestLazyDistributions:
+    def test_reads_match_the_memoised_rows(self):
+        model = make_ngram_gen_model(Vocab(7), 2, seed=4, concentration=0.3)
+        target = (2, 5, 3)
+        result = model.forced_pass((2, 6), target)
+        rows = [model._finalized((2, 6), model._context(target[:t])) for t in range(4)]
+        assert len(result) == 4
+        assert all(isinstance(d, StepDistribution) for d in result.distributions)
+        assert result.distributions is result.distributions
+        for dist, (probs, _) in zip(result.distributions, rows):
+            np.testing.assert_array_equal(dist.probs, probs)
+        np.testing.assert_array_equal(result.matrix(), np.stack([probs for probs, _ in rows]))
+        np.testing.assert_array_equal(result.log_matrix(), np.stack([logs for _, logs in rows]))
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(result.log_matrix(), np.log(result.matrix()))
+
+    def test_built_only_when_read(self, monkeypatch):
+        built = []
+        post_init = StepDistribution.__post_init__
+        monkeypatch.setattr(StepDistribution, "__post_init__", lambda d: built.append(d) or post_init(d))
+        model = make_uniform_model(Vocab(5))
+        result = model.forced_pass((2,), (2, 3))
+        assert len(result) == 3 and result.log_matrix().shape == (3, 5)
+        assert built == []
+        result.matrix()
+        assert len(built) == 3
+
+    def test_unnormalized_row_raises_when_read(self):
+        probs = np.array([0.0, 0.5, 0.4])
+        with np.errstate(divide="ignore"):
+            logs = np.log(probs)
+        result = ForcedPassResult((probs,), (logs,))
+        assert len(result) == 1
+        np.testing.assert_array_equal(result.log_matrix(), [logs])
+        with pytest.raises(ValueError):
+            result.distributions
+        with pytest.raises(ValueError):
+            result.matrix()
+        with pytest.raises(ValueError):
+            StepDistribution(probs)
+
+
+def _order3_table_model():
+    # Rows keyed on BOS contexts: an order-3 context keeps BOS for the first
+    # three positions.
+    rows = {
+        ((2,), (0,)): [0.0, 0.1, 0.3, 0.2, 0.4],
+        ((2,), (0, 3)): [0.0, 0.25, 0.25, 0.1, 0.4],
+        ((2,), (0, 3, 4)): [0.0, 0.5, 0.2, 0.2, 0.1],
+        ((2,), (4, 2, 3)): [0.0, 0.05, 0.05, 0.6, 0.3],
+    }
+    return make_table_model(Vocab(5), 3, rows)
+
+
+NEXT_ROW_MODELS = {
+    "uniform": (lambda: make_uniform_model(Vocab(5)), (2,)),
+    "table_bos_contexts": (_order3_table_model, (2,)),
+    "ngram": (lambda: make_ngram_gen_model(Vocab(9), 2, seed=17, concentration=0.3), (3, 8, 2)),
+    "perturbed_sibling": (
+        lambda: make_perturbed_sibling(
+            make_ngram_gen_model(Vocab(9), 2, seed=17, concentration=0.3), perturb_seed=5, rate=0.5
+        ),
+        (3, 8, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEXT_ROW_MODELS))
+def test_next_log_row_is_last_forced_pass_row(name):
+    make, src = NEXT_ROW_MODELS[name]
+    # Two instances, so each query draws its rows cold rather than reading
+    # the other's memo.
+    cold, reference = make(), make()
+    content = cold.vocab.content_ids
+    prefixes = [(), (content[1],), (content[1], content[2]), (content[1], content[2], content[0], content[1])]
+    for prefix in prefixes + [TokenSeq(prefixes[-1], ROLE_TARGET), list(prefixes[2])]:
+        got = cold.next_log_row(src, prefix)
+        want = reference.forced_pass(src, prefix).log_matrix()[-1]
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "src, prefix, error",
+    [
+        ((2,), (5,), TokenOutOfRange),
+        ((2,), (2, -1), TokenOutOfRange),
+        ((9,), (), TokenOutOfRange),
+        ((2,), (0,), ReservedTokenInContent),
+        ((2,), (2, 1), ReservedTokenInContent),
+    ],
+)
+def test_next_log_row_checks_inputs_as_forced_pass(m1, src, prefix, error):
+    with pytest.raises(error) as want:
+        m1.forced_pass(src, prefix)
+    with pytest.raises(error) as got:
+        m1.next_log_row(src, prefix)
+    assert str(got.value) == str(want.value)
 
 
 class TestSeqLogprob:
