@@ -33,16 +33,11 @@ from .decode import (
 from .scoring import SCORING_MEAN_LOGPROB, SCORING_PROB_OVER_LENGTH, filled_score
 from .lm import (
     ForcedPassResult,
-    ModelDescriptor,
     NgramGenModel,
     SequenceModel,
     StepDistribution,
     TableModel,
     UniformModel,
-    forced_pass,
-    make_ngram_gen_model,
-    make_table_model,
-    make_uniform_model,
     seq_logprob,
 )
 from .metrics import BleuScore, corpus_bleu, sentence_bleu_smoothed
@@ -58,7 +53,6 @@ __all__ = [
     "DecodeStats",
     "ForcedPassResult",
     "InvalidParams",
-    "ModelDescriptor",
     "NgramGenModel",
     "OracleResult",
     "PsgdParams",
@@ -82,10 +76,6 @@ __all__ = [
     "exhaustive_best_prefix",
     "exhaustive_best_span",
     "filled_score",
-    "forced_pass",
-    "make_ngram_gen_model",
-    "make_table_model",
-    "make_uniform_model",
     "psgd",
     "psgd_two_pass",
     "psgd_with_trace",

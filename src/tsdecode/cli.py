@@ -75,6 +75,21 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(",") if v != "")
 
 
+def _gen_config_from(d: dict) -> GenConfig:
+    """The GenConfig of a resolved config; ConfigError if it is invalid or
+    its ``vocab_size`` differs from its model spec's."""
+    spec = d.get("model_spec")
+    spec_size = spec.get("vocab_size") if isinstance(spec, dict) else None
+    if spec_size is not None and d.get("vocab_size", spec_size) != spec_size:
+        raise ConfigError(
+            f"vocab_size {d['vocab_size']} differs from model_spec vocab_size {spec_size}"
+        )
+    try:
+        return gen_config_from_dict(d)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _gen_config(args) -> GenConfig:
     d = _load_json(args.config) if args.config else {}
     if args.vocab_size is not None:
@@ -89,10 +104,7 @@ def _gen_config(args) -> GenConfig:
         d["source_len_range"] = list(_ints(args.source_len_range))
     if args.constraint_source is not None:
         d["constraint_source"] = args.constraint_source
-    try:
-        return gen_config_from_dict(d)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _gen_config_from(d)
 
 
 def _psgd_params(args) -> PsgdParams:
@@ -162,8 +174,8 @@ def cmd_eval(args) -> int:
 
 def _sweep_common(args) -> tuple[GenConfig, SweepConfig, list[TsTask]]:
     d = _load_json(args.config)
+    gen_cfg = _gen_config_from(d)
     try:
-        gen_cfg = gen_config_from_dict(d)
         sweep_cfg = sweep_config_from_dict(d)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -161,11 +161,16 @@ class ResultRow:
     error: str | None = None
 
 
-def _check_seq(seq: TokenSeq, vocab: Vocab, what: str) -> None:
-    for tok in seq.tokens:
-        if tok < 0 or tok >= vocab.size:
-            raise TokenOutOfRange(f"{what}: token id {tok} outside vocab of size {vocab.size}")
-        if tok == vocab.bos_id or tok == vocab.eos_id:
+def check_tokens(tokens: tuple[int, ...], vocab: Vocab, what: str, content: bool = True) -> None:
+    """Raise TokenOutOfRange for an id outside ``vocab`` and, if ``tokens`` is
+    a content sequence, ReservedTokenInContent for BOS or EOS; the message
+    starts with ``what``."""
+    size = vocab.size
+    reserved = (vocab.bos_id, vocab.eos_id)
+    for tok in tokens:
+        if tok < 0 or tok >= size:
+            raise TokenOutOfRange(f"{what}: token id {tok} outside vocab of size {size}")
+        if content and tok in reserved:
             raise ReservedTokenInContent(f"{what}: reserved token id {tok} in content sequence")
 
 
@@ -175,13 +180,10 @@ def validate_task(task: TsTask, vocab: Vocab) -> TsTask:
     Raises TokenOutOfRange for ids outside the vocabulary and
     ReservedTokenInContent if BOS/EOS appear in any content sequence.
     """
-    _check_seq(task.source, vocab, f"task {task.task_id} source")
-    _check_seq(task.prefix, vocab, f"task {task.task_id} prefix")
-    _check_seq(task.suffix, vocab, f"task {task.task_id} suffix")
-    if task.gold_span is not None:
-        _check_seq(task.gold_span, vocab, f"task {task.task_id} gold_span")
-    if task.gold_full is not None:
-        _check_seq(task.gold_full, vocab, f"task {task.task_id} gold_full")
+    for what in ("source", "prefix", "suffix", "gold_span", "gold_full"):
+        seq = getattr(task, what)
+        if seq is not None:
+            check_tokens(seq.tokens, vocab, f"task {task.task_id} {what}")
     return task
 
 

@@ -139,6 +139,17 @@ def parse_task_ratio(task: TsTask) -> float:
     return 0.0
 
 
+def _reference(model: SequenceModel, source: tuple[int, ...]) -> tuple[int, ...]:
+    """The length-normalized beam-search translation of ``source``."""
+    return beam_search(
+        model,
+        source,
+        _GEN_BEAM_WIDTH,
+        max_len=default_max_span_len(len(source)),
+        length_norm=True,
+    ).tokens.tokens
+
+
 def _sample_reference(
     model: SequenceModel, stream: Stream, lo: int, hi: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -147,13 +158,7 @@ def _sample_reference(
     for _ in range(100):
         src_len = stream.randint(lo, hi)
         source = tuple(stream.choice(content) for _ in range(src_len))
-        ref = beam_search(
-            model,
-            source,
-            _GEN_BEAM_WIDTH,
-            max_len=default_max_span_len(src_len),
-            length_norm=True,
-        ).tokens.tokens
+        ref = _reference(model, source)
         if len(ref) >= 2:
             return source, ref
     raise DegenerateTarget("no reference of length >= 2 after 100 retries")
@@ -182,36 +187,19 @@ def gen_dataset(cfg: GenConfig) -> list[TsTask]:
         for i in range(cfg.n_tasks):
             stream = Stream(hash_key(cfg.seed, 0x7461736B, ratio_key, i))
             source, ref = _sample_reference(model, stream, lo, hi)
-            if cfg.constraint_source == CONSTRAINT_GOLD:
-                start, span_len = _mask(ref, ratio, stream)
-                task = TsTask(
-                    task_id=make_task_id(ratio, i),
-                    source=TokenSeq(source, ROLE_SOURCE),
-                    prefix=TokenSeq(ref[:start], ROLE_PREFIX),
-                    suffix=TokenSeq(ref[start + span_len :], ROLE_SUFFIX),
-                    gold_span=TokenSeq(ref[start : start + span_len], ROLE_SPAN),
-                    gold_full=TokenSeq(ref, ROLE_TARGET),
-                )
-            else:
-                mt_ref = beam_search(
-                    mt_model,
-                    source,
-                    _GEN_BEAM_WIDTH,
-                    max_len=default_max_span_len(len(source)),
-                    length_norm=True,
-                ).tokens.tokens
-                if len(mt_ref) < 1:
-                    mt_ref = ref
-                start, span_len = _mask(mt_ref, ratio, stream)
-                task = TsTask(
-                    task_id=make_task_id(ratio, i),
-                    source=TokenSeq(source, ROLE_SOURCE),
-                    prefix=TokenSeq(mt_ref[:start], ROLE_PREFIX),
-                    suffix=TokenSeq(mt_ref[start + span_len :], ROLE_SUFFIX),
-                    gold_span=None,
-                    gold_full=TokenSeq(ref, ROLE_TARGET),
-                )
-            tasks.append(task)
+            # In MT mode the constraints come from the sibling's translation,
+            # or from the reference when that translation is empty.
+            masked = ref if mt_model is None else (_reference(mt_model, source) or ref)
+            start, span_len = _mask(masked, ratio, stream)
+            span = TokenSeq(masked[start : start + span_len], ROLE_SPAN)
+            tasks.append(TsTask(
+                task_id=make_task_id(ratio, i),
+                source=TokenSeq(source, ROLE_SOURCE),
+                prefix=TokenSeq(masked[:start], ROLE_PREFIX),
+                suffix=TokenSeq(masked[start + span_len :], ROLE_SUFFIX),
+                gold_span=span if mt_model is None else None,
+                gold_full=TokenSeq(ref, ROLE_TARGET),
+            ))
     return tasks
 
 

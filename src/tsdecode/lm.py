@@ -1,8 +1,16 @@
 """Conditional autoregressive sequence models over integer vocabularies.
 
+Build a model with its class constructor: ``UniformModel(vocab)``,
+``TableModel(vocab, order, table)`` or ``NgramGenModel(vocab, order, seed,
+concentration)``; ``make_perturbed_sibling`` derives an n-gram model's
+sibling, and ``model_from_spec``/``load_model_spec`` read the spec schema.
+A model's ``name`` (its spec kind), ``vocab``, context ``order`` and
+``seed`` are plain attributes.
+
 A model maps (source sequence, target prefix) to a normalized next-token
 distribution. It answers two queries, both served from one memo of
-finalized rows per (source, context):
+finalized rows per (source, context), and both check their tokens with
+``core.check_tokens`` (BOS and EOS are allowed in the source only):
 
 - ``forced_pass`` scores a whole target sequence and returns the
   distribution at every position, which is how a single call can serve
@@ -26,7 +34,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TokenOutOfRange, ReservedTokenInContent, TokenSeq, TsError, Vocab
+from .core import TokenSeq, TsError, Vocab, check_tokens
 from .rng import Stream, hash_key, mix64
 
 EPS_FLOOR = 1e-12
@@ -97,18 +105,6 @@ class ForcedPassResult:
         return np.stack(self._log_rows)
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
-    name: str
-    vocab: Vocab
-    context_order: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.context_order < 1:
-            raise ValueError("context_order must be >= 1")
-
-
 def _finalize_row(raw: np.ndarray, bos_id: int) -> np.ndarray:
     """Zero BOS, renormalize, and mix in the EPS_FLOOR uniform floor."""
     row = np.asarray(raw, dtype=np.float64).copy()
@@ -128,21 +124,24 @@ def _finalize_row(raw: np.ndarray, bos_id: int) -> np.ndarray:
 class SequenceModel:
     """Base class: subclasses provide one raw row per (source, context).
 
-    Finalized rows and their logs are memoized per (source, context).
+    ``name`` is the spec kind, ``order`` the context length; ``seed`` is the
+    row seed of models that draw their rows (0 for the others). Finalized
+    rows and their logs are memoized per (source, context).
     """
 
-    def __init__(self, descriptor: ModelDescriptor) -> None:
-        self.descriptor = descriptor
-        self._row_cache: dict[tuple[Tokens, Tokens], tuple[np.ndarray, np.ndarray]] = {}
+    seed = 0
 
-    @property
-    def vocab(self) -> Vocab:
-        return self.descriptor.vocab
+    def __init__(self, name: str, vocab: Vocab, order: int) -> None:
+        if order < 1:
+            raise ValueError("context_order must be >= 1")
+        self.name = name
+        self.vocab = vocab
+        self.order = order
+        self._row_cache: dict[tuple[Tokens, Tokens], tuple[np.ndarray, np.ndarray]] = {}
 
     def _context(self, target_prefix: Tokens) -> Tokens:
         """The conditioning context: last ``order`` tokens of BOS + prefix."""
-        padded = (self.vocab.bos_id,) + target_prefix
-        return padded[-self.descriptor.context_order:]
+        return ((self.vocab.bos_id,) + target_prefix)[-self.order:]
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
         raise NotImplementedError
@@ -159,21 +158,11 @@ class SequenceModel:
             self._row_cache[key] = hit
         return hit
 
-    def _check(self, seq: Tokens, *, content_only: bool) -> None:
-        vocab = self.vocab
-        size = vocab.size
-        reserved = (vocab.bos_id, vocab.eos_id)
-        for tok in seq:
-            if tok < 0 or tok >= size:
-                raise TokenOutOfRange(f"token id {tok} outside vocab of size {size}")
-            if content_only and tok in reserved:
-                raise ReservedTokenInContent(f"reserved token id {tok} in target sequence")
-
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
         src = as_tokens(source)
         tgt = as_tokens(target)
-        self._check(src, content_only=False)
-        self._check(tgt, content_only=True)
+        check_tokens(src, self.vocab, "source", content=False)
+        check_tokens(tgt, self.vocab, "target")
         pairs = [self._finalized(src, self._context(tgt[:t])) for t in range(len(tgt) + 1)]
         return ForcedPassResult(
             tuple(probs for probs, _ in pairs), tuple(logs for _, logs in pairs)
@@ -185,14 +174,9 @@ class SequenceModel:
         input checks, without building the earlier rows."""
         src = as_tokens(source)
         pre = as_tokens(prefix)
-        self._check(src, content_only=False)
-        self._check(pre, content_only=True)
+        check_tokens(src, self.vocab, "source", content=False)
+        check_tokens(pre, self.vocab, "target")
         return self._finalized(src, self._context(pre))[1]
-
-
-def forced_pass(model: SequenceModel, source, target) -> ForcedPassResult:
-    """Score ``target`` under ``model`` in one pass; see ForcedPassResult."""
-    return model.forced_pass(source, target)
 
 
 def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) -> float:
@@ -212,7 +196,7 @@ class UniformModel(SequenceModel):
     """Every distribution is uniform over all non-BOS ids."""
 
     def __init__(self, vocab: Vocab) -> None:
-        super().__init__(ModelDescriptor(name="uniform", vocab=vocab, context_order=1))
+        super().__init__(_KIND_UNIFORM, vocab, 1)
         row = np.full(vocab.size, 1.0 / (vocab.size - 1), dtype=np.float64)
         row[vocab.bos_id] = 0.0
         self._row = row
@@ -239,9 +223,8 @@ class TableModel(SequenceModel):
         vocab: Vocab,
         order: int,
         table: Mapping[tuple[Tokens, Tokens], Sequence[float]],
-        name: str = "table",
     ) -> None:
-        super().__init__(ModelDescriptor(name=name, vocab=vocab, context_order=order))
+        super().__init__(_KIND_TABLE, vocab, order)
         self._table: dict[tuple[Tokens, Tokens], np.ndarray] = {}
         for (src, ctx), row in table.items():
             arr = np.asarray(row, dtype=np.float64)
@@ -292,9 +275,8 @@ class NgramGenModel(SequenceModel):
             raise ValueError("concentration must be > 0")
         if not 0.0 <= perturb_rate <= 1.0:
             raise ValueError("perturb_rate must be in [0, 1]")
-        super().__init__(
-            ModelDescriptor(name="ngram_gen", vocab=vocab, context_order=order, seed=seed)
-        )
+        super().__init__(_KIND_NGRAM, vocab, order)
+        self.seed = seed
         self.concentration = float(concentration)
         self.perturb_seed = perturb_seed
         self.perturb_rate = float(perturb_rate)
@@ -308,7 +290,7 @@ class NgramGenModel(SequenceModel):
         return row
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
-        seed = self.descriptor.seed
+        seed = self.seed
         if self.perturb_seed is not None and self.perturb_rate > 0.0:
             coin = Stream(hash_key(self.perturb_seed, 0x636F696E, source, context)).uniform()
             if coin < self.perturb_rate:
@@ -316,28 +298,12 @@ class NgramGenModel(SequenceModel):
         return self._draw_row(seed, source, context)
 
 
-def make_uniform_model(vocab: Vocab) -> UniformModel:
-    return UniformModel(vocab)
-
-
-def make_table_model(
-    vocab: Vocab, order: int, table: Mapping[tuple[Tokens, Tokens], Sequence[float]]
-) -> TableModel:
-    return TableModel(vocab, order, table)
-
-
-def make_ngram_gen_model(
-    vocab: Vocab, order: int, seed: int, concentration: float
-) -> NgramGenModel:
-    return NgramGenModel(vocab, order, seed, concentration)
-
-
 def make_perturbed_sibling(model: NgramGenModel, perturb_seed: int, rate: float = 0.3) -> NgramGenModel:
     """A sibling of ``model`` whose rows differ on ~``rate`` of contexts."""
     return NgramGenModel(
         vocab=model.vocab,
-        order=model.descriptor.context_order,
-        seed=model.descriptor.seed,
+        order=model.order,
+        seed=model.seed,
         concentration=model.concentration,
         perturb_seed=perturb_seed,
         perturb_rate=rate,
@@ -369,10 +335,10 @@ def model_to_spec(model: SequenceModel) -> dict:
     if (vocab.bos_id, vocab.eos_id) != (0, 1):
         raise ValueError("model spec files assume bos_id=0 and eos_id=1")
     spec = {
-        "kind": model.descriptor.name,
+        "kind": model.name,
         "vocab_size": vocab.size,
-        "order": model.descriptor.context_order,
-        "seed": model.descriptor.seed,
+        "order": model.order,
+        "seed": model.seed,
         "concentration": 0.0,
         "table": None,
     }
@@ -386,7 +352,7 @@ def model_to_spec(model: SequenceModel) -> dict:
             for (src, ctx), row in sorted(model.table.items())
         }
     elif not isinstance(model, UniformModel):
-        raise ValueError(f"cannot serialize model kind {model.descriptor.name!r}")
+        raise ValueError(f"cannot serialize model kind {model.name!r}")
     return spec
 
 

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
-from tsdecode.lm import make_table_model
+from tsdecode.lm import TableModel
 
 
 # The four-token lookup fixture used throughout: bos=0, eos=1, a=2, b=3,
@@ -25,7 +25,7 @@ def vocab4():
 
 @pytest.fixture(scope="session")
 def m1(vocab4):
-    return make_table_model(vocab4, 1, M1_TABLE)
+    return TableModel(vocab4, 1, M1_TABLE)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import pytest
 
 from tsdecode.core import Vocab
 from tsdecode.decode import InvalidParams, beam_search
-from tsdecode.lm import make_table_model, make_uniform_model, seq_logprob
+from tsdecode.lm import TableModel, UniformModel, seq_logprob
 from tsdecode.scoring import normalized_score, prefer
 
 from util import random_table_model
@@ -39,7 +39,7 @@ def test_m1_matches_enumeration_normalized(m1, m1_src):
 
 
 def test_uniform_tie_break_deterministic():
-    model = make_uniform_model(Vocab(5))
+    model = UniformModel(Vocab(5))
     got = beam_search(model, (2,), beam_width=3, max_len=4)
     # All completions tie per-token; raw scoring then favors the shortest.
     assert got.tokens.tokens == ()
@@ -67,7 +67,7 @@ def test_unfinished_flag_when_eos_never_competitive():
     vocab = Vocab(7)
     row = [0.0, 0.0, 0.2, 0.2, 0.2, 0.2, 0.2]
     rows = {((2,), ctx): row for ctx in [(0,)] + [(t,) for t in vocab.content_ids]}
-    model = make_table_model(vocab, 1, rows)
+    model = TableModel(vocab, 1, rows)
     got = beam_search(model, (2,), beam_width=2, max_len=4)
     assert not got.finished
     assert len(got.tokens) == 4

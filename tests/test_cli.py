@@ -79,6 +79,26 @@ class TestGen:
         assert len(out.read_text().splitlines()) == 5
 
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("gen", ["--vocab-size", "50"]), ("gen", []), ("sweep-pt", []), ("sweep-ratio", [])],
+    )
+    def test_vocab_size_differing_from_model_spec_exits_2(self, tmp_path, capsys, command, flags):
+        # Without the flag, the config file itself names vocab_size 50.
+        cfg = write_config(tmp_path, SWEEP_CONFIG if flags else dict(SWEEP_CONFIG, vocab_size=50))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+        assert "vocab_size" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_incomplete_model_spec_still_reported_as_such(self, tmp_path, capsys):
+        spec = {k: v for k, v in GEN_CONFIG["model_spec"].items() if k != "vocab_size"}
+        cfg = write_config(tmp_path, dict(GEN_CONFIG, model_spec=spec))
+        code = main(["gen", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
+        assert code == 2
+        assert "model spec lacks key 'vocab_size'" in capsys.readouterr().err
+
+
 class TestSuggest:
     def test_one_result_per_task_order_preserved(self, tmp_path):
         tasks_path, model_path = run_gen(tmp_path)

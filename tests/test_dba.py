@@ -12,7 +12,7 @@ from tsdecode.decode import (
     dba_suggest,
     extract_span,
 )
-from tsdecode.lm import make_ngram_gen_model, make_uniform_model, seq_logprob
+from tsdecode.lm import NgramGenModel, UniformModel, seq_logprob
 from tsdecode.scoring import filled_score, normalized_score, prefer
 
 from util import random_phrases, random_table_model, random_task
@@ -43,7 +43,7 @@ class TestDegenerateEquivalence:
 
 
 def test_single_constraint_on_uniform_model():
-    model = make_uniform_model(Vocab(6))
+    model = UniformModel(Vocab(6))
     out, _, _ = dba_decode(model, (2,), DbaParams(beam_width=3, max_len=8, constraints=((4,),)))
     assert 4 in out.tokens
 
@@ -181,7 +181,7 @@ def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, const
     # The beam core reads one row per hypothesis per step through
     # next_log_row; forward_passes and positions_scored stay the counts of
     # the forced passes that row stands for.
-    model = make_ngram_gen_model(Vocab(12), 2, seed=9, concentration=0.2)
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     calls = []
     forced_pass = model.forced_pass
     monkeypatch.setattr(model, "forced_pass", lambda *a: calls.append(a) or forced_pass(*a))

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
-from tsdecode.core import TsError, write_tasks_jsonl
+from tsdecode import harness
+from tsdecode.core import ROLE_TARGET, TokenSeq, TsError, write_tasks_jsonl
 from tsdecode.decode import PsgdParams
 from tsdecode.harness import (
     CONSTRAINT_MT,
@@ -131,6 +134,25 @@ class TestGenDataset:
             elif task.suffix.tokens and task.suffix.tokens != full[len(full) - len(task.suffix):]:
                 divergent += 1
         assert divergent > 0
+
+    def test_mt_empty_translation_falls_back_to_reference(self, monkeypatch, small_dataset):
+        # With every sibling translation empty, MT mode masks the reference
+        # itself, drawing the same mask as gold mode.
+        real = harness.beam_search
+
+        def empty_for_sibling(model, *args, **kwargs):
+            result = real(model, *args, **kwargs)
+            if getattr(model, "perturb_seed", None) is None:
+                return result
+            return replace(result, tokens=TokenSeq((), ROLE_TARGET))
+
+        monkeypatch.setattr(harness, "beam_search", empty_for_sibling)
+        tasks = gen_dataset(small_config(constraint_source=CONSTRAINT_MT))
+        assert len(tasks) == len(small_dataset)
+        for mt, gold in zip(tasks, small_dataset):
+            assert mt.gold_span is None
+            assert (mt.task_id, mt.source, mt.gold_full) == (gold.task_id, gold.source, gold.gold_full)
+            assert (mt.prefix, mt.suffix) == (gold.prefix, gold.suffix)
 
 
 class TestPtSweep:

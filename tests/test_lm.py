@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,13 +9,12 @@ from tsdecode.core import ROLE_TARGET, ReservedTokenInContent, TokenOutOfRange, 
 from tsdecode.lm import (
     EPS_FLOOR,
     ForcedPassResult,
+    NgramGenModel,
     StepDistribution,
+    TableModel,
+    UniformModel,
     UnnormalizedRow,
-    forced_pass,
-    make_ngram_gen_model,
     make_perturbed_sibling,
-    make_table_model,
-    make_uniform_model,
     model_from_spec,
     model_to_spec,
     load_model_spec,
@@ -27,7 +27,7 @@ from util import random_table_model
 
 class TestUniformModel:
     def test_rows_uniform_over_non_bos(self):
-        model = make_uniform_model(Vocab(5))
+        model = UniformModel(Vocab(5))
         result = model.forced_pass((2,), (2, 3, 4))
         assert len(result) == 4
         for dist in result.distributions:
@@ -35,12 +35,12 @@ class TestUniformModel:
             np.testing.assert_allclose(dist.probs[1:], 0.25, atol=1e-9)
 
     def test_three_token_vocab(self):
-        model = make_uniform_model(Vocab(3))
+        model = UniformModel(Vocab(3))
         row = model.forced_pass((2,), ()).distributions[0].probs
         np.testing.assert_allclose(row, [0.0, 0.5, 0.5], atol=1e-9)
 
     def test_position_independent(self):
-        model = make_uniform_model(Vocab(6))
+        model = UniformModel(Vocab(6))
         result = model.forced_pass((3, 4), (2, 5, 2))
         mats = result.matrix()
         for row in mats[1:]:
@@ -55,7 +55,7 @@ class TestForcedPass:
         assert len(m1.forced_pass(m1_src, ())) == 1
 
     def test_m1_rows_match_table(self, m1, m1_src):
-        result = forced_pass(m1, m1_src, (2,))
+        result = m1.forced_pass(m1_src, (2,))
         np.testing.assert_allclose(result.distributions[0].probs, [0, 0.1, 0.7, 0.2], atol=1e-9)
         np.testing.assert_allclose(result.distributions[1].probs, [0, 0.2, 0.2, 0.6], atol=1e-9)
 
@@ -74,7 +74,7 @@ class TestForcedPass:
 
     def test_floor_applies_to_every_non_bos_entry(self):
         vocab = Vocab(4)
-        model = make_table_model(vocab, 1, {((2,), (0,)): [0.0, 0.0, 1.0, 0.0]})
+        model = TableModel(vocab, 1, {((2,), (0,)): [0.0, 0.0, 1.0, 0.0]})
         row = model.forced_pass((2,), ()).distributions[0].probs
         assert row[0] == 0.0
         assert row[1] >= EPS_FLOOR and row[3] >= EPS_FLOOR
@@ -83,7 +83,7 @@ class TestForcedPass:
 
 class TestLazyDistributions:
     def test_reads_match_the_memoised_rows(self):
-        model = make_ngram_gen_model(Vocab(7), 2, seed=4, concentration=0.3)
+        model = NgramGenModel(Vocab(7), 2, seed=4, concentration=0.3)
         target = (2, 5, 3)
         result = model.forced_pass((2, 6), target)
         rows = [model._finalized((2, 6), model._context(target[:t])) for t in range(4)]
@@ -101,7 +101,7 @@ class TestLazyDistributions:
         built = []
         post_init = StepDistribution.__post_init__
         monkeypatch.setattr(StepDistribution, "__post_init__", lambda d: built.append(d) or post_init(d))
-        model = make_uniform_model(Vocab(5))
+        model = UniformModel(Vocab(5))
         result = model.forced_pass((2,), (2, 3))
         assert len(result) == 3 and result.log_matrix().shape == (3, 5)
         assert built == []
@@ -132,16 +132,16 @@ def _order3_table_model():
         ((2,), (0, 3, 4)): [0.0, 0.5, 0.2, 0.2, 0.1],
         ((2,), (4, 2, 3)): [0.0, 0.05, 0.05, 0.6, 0.3],
     }
-    return make_table_model(Vocab(5), 3, rows)
+    return TableModel(Vocab(5), 3, rows)
 
 
 NEXT_ROW_MODELS = {
-    "uniform": (lambda: make_uniform_model(Vocab(5)), (2,)),
+    "uniform": (lambda: UniformModel(Vocab(5)), (2,)),
     "table_bos_contexts": (_order3_table_model, (2,)),
-    "ngram": (lambda: make_ngram_gen_model(Vocab(9), 2, seed=17, concentration=0.3), (3, 8, 2)),
+    "ngram": (lambda: NgramGenModel(Vocab(9), 2, seed=17, concentration=0.3), (3, 8, 2)),
     "perturbed_sibling": (
         lambda: make_perturbed_sibling(
-            make_ngram_gen_model(Vocab(9), 2, seed=17, concentration=0.3), perturb_seed=5, rate=0.5
+            NgramGenModel(Vocab(9), 2, seed=17, concentration=0.3), perturb_seed=5, rate=0.5
         ),
         (3, 8, 2),
     ),
@@ -181,9 +181,57 @@ def test_next_log_row_checks_inputs_as_forced_pass(m1, src, prefix, error):
     assert str(got.value) == str(want.value)
 
 
+Q20 = [((4, 9, 12), ()), ((4, 9, 12), (5, 3, 8)), ((2, 19, 7, 7), (19, 2, 11))]
+
+# SHA-256 over the finalized probability and log rows of forced passes
+# (matrix() then log_matrix() bytes, query by query). A faster row draw,
+# finalization or memo must reproduce every bit of these rows.
+ROW_BYTES = {
+    "ngram_v20": (
+        lambda: NgramGenModel(Vocab(20), 2, seed=37, concentration=0.2),
+        Q20,
+        "352bdae4ec31040ef50213d2f1909d181c6a1327fd5ff5018cb03e0cb60b0bc7",
+    ),
+    "ngram_v100": (
+        lambda: NgramGenModel(Vocab(100), 2, seed=37, concentration=0.2),
+        [((4, 90, 12), (55, 3, 99)), ((2, 64), (64, 2, 17, 80))],
+        "18e2e43e73c457a7cfadde070e6d64571c080b63df4fae94285dc7868383b222",
+    ),
+    "perturbed_sibling_v20": (
+        lambda: make_perturbed_sibling(
+            NgramGenModel(Vocab(20), 2, seed=37, concentration=0.2), perturb_seed=5, rate=0.5
+        ),
+        Q20,
+        "450d43de8c19951a0ff4a63f91d2ca8d514fc8bd160d96e8a27b0b74d6578953",
+    ),
+    "table_fallback": (
+        lambda: TableModel(Vocab(6), 2, {((2,), (0,)): [0.0, 0.1, 0.2, 0.3, 0.2, 0.2]}),
+        [((2,), (3, 4, 5)), ((3, 5), (2,))],
+        "d005e8cc5436007e21ac6688c1d602f742aa8083c6d8abb9aebcba5c306158e5",
+    ),
+    "uniform": (
+        lambda: UniformModel(Vocab(7)),
+        [((2,), (3, 4)), ((6, 5), ())],
+        "c14e7f91cc6b1bdf13c14cc2917d9806b945ef031dddda2f41d054487a699532",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_BYTES))
+def test_finalized_row_bytes_are_pinned(name):
+    make, queries, want = ROW_BYTES[name]
+    model = make()
+    digest = hashlib.sha256()
+    for src, target in queries:
+        result = model.forced_pass(src, target)
+        digest.update(result.matrix().tobytes())
+        digest.update(result.log_matrix().tobytes())
+    assert digest.hexdigest() == want
+
+
 class TestSeqLogprob:
     def test_uniform_length_three_with_eos(self):
-        model = make_uniform_model(Vocab(5))
+        model = UniformModel(Vocab(5))
         got = seq_logprob(model, (2,), (2, 3, 4), include_eos=True)
         assert abs(got - 4 * math.log(0.25)) < 1e-9
 
@@ -199,20 +247,20 @@ class TestSeqLogprob:
 class TestTableModel:
     def test_unnormalized_row_rejected(self):
         with pytest.raises(UnnormalizedRow):
-            make_table_model(Vocab(4), 1, {((2,), (0,)): [0.0, 0.1, 0.7, 0.1]})
+            TableModel(Vocab(4), 1, {((2,), (0,)): [0.0, 0.1, 0.7, 0.1]})
 
     def test_negative_row_rejected(self):
         with pytest.raises(UnnormalizedRow):
-            make_table_model(Vocab(4), 1, {((2,), (0,)): [0.0, -0.1, 1.0, 0.1]})
+            TableModel(Vocab(4), 1, {((2,), (0,)): [0.0, -0.1, 1.0, 0.1]})
 
     def test_context_longer_than_order_rejected(self):
         with pytest.raises(ValueError):
-            make_table_model(Vocab(4), 1, {((2,), (0, 2)): [0.0, 0.1, 0.7, 0.2]})
+            TableModel(Vocab(4), 1, {((2,), (0, 2)): [0.0, 0.1, 0.7, 0.2]})
 
     def test_order_two_context_includes_bos_near_start(self):
         vocab = Vocab(4)
         row = [0.0, 0.2, 0.4, 0.4]
-        model = make_table_model(vocab, 2, {((2,), (0, 2)): row})
+        model = TableModel(vocab, 2, {((2,), (0, 2)): row})
         # Position 1 of target (2, ...) conditions on context (bos, 2).
         got = model.forced_pass((2,), (2,)).distributions[1].probs
         np.testing.assert_allclose(got, row, atol=1e-9)
@@ -220,15 +268,15 @@ class TestTableModel:
 
 class TestNgramGenModel:
     def test_deterministic_rows(self):
-        a = make_ngram_gen_model(Vocab(6), 2, seed=123, concentration=0.5)
-        b = make_ngram_gen_model(Vocab(6), 2, seed=123, concentration=0.5)
+        a = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
+        b = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
         ra = a.forced_pass((2, 3), (4, 5)).matrix()
         rb = b.forced_pass((2, 3), (4, 5)).matrix()
         np.testing.assert_array_equal(ra, rb)
 
     def test_golden_row(self):
         # Cross-platform canary: raw Dirichlet row pinned to 12 digits.
-        model = make_ngram_gen_model(Vocab(6), 2, seed=123, concentration=0.5)
+        model = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
         row = model._raw_row((2, 3), (0,))
         np.testing.assert_allclose(
             row,
@@ -237,19 +285,19 @@ class TestNgramGenModel:
         )
 
     def test_different_seeds_differ(self):
-        a = make_ngram_gen_model(Vocab(6), 2, seed=123, concentration=0.5)
-        b = make_ngram_gen_model(Vocab(6), 2, seed=124, concentration=0.5)
+        a = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
+        b = NgramGenModel(Vocab(6), 2, seed=124, concentration=0.5)
         assert (a._raw_row((2, 3), (0,)) != b._raw_row((2, 3), (0,))).any()
 
     def test_rows_normalized(self):
-        model = make_ngram_gen_model(Vocab(9), 2, seed=5, concentration=0.3)
+        model = NgramGenModel(Vocab(9), 2, seed=5, concentration=0.3)
         for t in range(20):
             result = model.forced_pass((2, 3), tuple([2 + (t + i) % 7 for i in range(3)]))
             for dist in result.distributions:
                 assert abs(float(dist.probs.sum()) - 1.0) < 1e-9
 
     def test_perturbed_sibling_differs_on_some_contexts(self):
-        base = make_ngram_gen_model(Vocab(8), 2, seed=21, concentration=0.4)
+        base = NgramGenModel(Vocab(8), 2, seed=21, concentration=0.4)
         sibling = make_perturbed_sibling(base, perturb_seed=99, rate=0.3)
         same = differ = 0
         for ctx_tok in base.vocab.content_ids:
@@ -263,7 +311,7 @@ class TestNgramGenModel:
 
     def test_invalid_concentration(self):
         with pytest.raises(ValueError):
-            make_ngram_gen_model(Vocab(4), 1, seed=0, concentration=0.0)
+            NgramGenModel(Vocab(4), 1, seed=0, concentration=0.0)
 
 
 class TestStepDistribution:
@@ -332,7 +380,7 @@ def test_normalization_and_floor(seed):
 
 class TestModelSpec:
     def test_uniform_roundtrip(self, tmp_path):
-        model = make_uniform_model(Vocab(7))
+        model = UniformModel(Vocab(7))
         path = tmp_path / "model.json"
         save_model_spec(path, model)
         loaded = load_model_spec(path)
@@ -350,14 +398,14 @@ class TestModelSpec:
         )
 
     def test_ngram_roundtrip(self):
-        model = make_ngram_gen_model(Vocab(6), 2, seed=9, concentration=0.25)
+        model = NgramGenModel(Vocab(6), 2, seed=9, concentration=0.25)
         loaded = model_from_spec(model_to_spec(model))
         np.testing.assert_array_equal(
             loaded.forced_pass((2,), (3, 4)).matrix(), model.forced_pass((2,), (3, 4)).matrix()
         )
 
     def test_perturbed_sibling_not_serializable(self):
-        base = make_ngram_gen_model(Vocab(6), 2, seed=9, concentration=0.25)
+        base = NgramGenModel(Vocab(6), 2, seed=9, concentration=0.25)
         with pytest.raises(ValueError):
             model_to_spec(make_perturbed_sibling(base, 1))
 

@@ -1,7 +1,7 @@
 import pytest
 
 from tsdecode.core import TokenSeq, TsTask, Vocab
-from tsdecode.lm import make_uniform_model
+from tsdecode.lm import UniformModel
 from tsdecode.oracle import SearchSpaceTooLarge, exhaustive_best_prefix, exhaustive_best_span
 from tsdecode.scoring import filled_score
 
@@ -17,7 +17,7 @@ def test_max_len_zero_single_candidate(m1, m1_task):
 
 
 def test_uniform_ties_break_to_empty_span():
-    model = make_uniform_model(Vocab(5))
+    model = UniformModel(Vocab(5))
     task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
     result = exhaustive_best_span(model, task, 2)
     assert result.best_span.tokens == ()
@@ -45,7 +45,7 @@ def test_best_score_recomputable(m1, m1_task):
 
 
 def test_search_space_guard():
-    model = make_uniform_model(Vocab(103))
+    model = UniformModel(Vocab(103))
     task = TsTask("g", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_best_span(model, task, 3)  # 101^3 > 1e6
@@ -60,7 +60,7 @@ class TestBestPrefix:
     def test_decreasing_scores_pick_zero(self):
         # Uniform model: every token costs the same, so longer fillings only
         # dilute the score and the empty prefix wins.
-        model = make_uniform_model(Vocab(5))
+        model = UniformModel(Vocab(5))
         task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
         n, _ = exhaustive_best_prefix(model, task, (2, 3, 4))
         assert n == 0
@@ -73,7 +73,7 @@ class TestBestPrefix:
         assert n2 == 0
 
     def test_ties_pick_smaller_n(self):
-        model = make_uniform_model(Vocab(3))
+        model = UniformModel(Vocab(3))
         # One content token: scores for n=0,1,2... are all log(0.5)·(n+1)/max(n,1):
         # n=0: log .5; n=1: 2 log .5; strictly worse, so n=0 by argmax anyway.
         task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))

@@ -11,7 +11,7 @@ from tsdecode.decode import (
     psgd_two_pass,
     psgd_with_trace,
 )
-from tsdecode.lm import make_table_model
+from tsdecode.lm import TableModel
 from tsdecode.oracle import exhaustive_best_prefix, exhaustive_best_span
 from tsdecode.scoring import SCORING_PROB_OVER_LENGTH, filled_score
 
@@ -27,7 +27,7 @@ def peaked_model():
         ((2,), (2,)): [0.0, 0.01, 0.01, 0.98],
         ((2,), (3,)): [0.0, 0.98, 0.01, 0.01],
     }
-    return vocab, make_table_model(vocab, 1, rows)
+    return vocab, TableModel(vocab, 1, rows)
 
 
 class TestEmptySpanOptimum:
