@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .core import (
@@ -37,7 +38,7 @@ from .harness import (
     split_by_ratio,
     sweep_config_from_dict,
 )
-from .lm import InvalidModelSpec, load_model_spec, model_from_spec, save_model_spec
+from .lm import InvalidModelSpec, SequenceModel, load_model_spec, model_from_spec, save_model_spec
 from .metrics import BenchRow, EvalRecord, aggregate, write_metrics_csv
 from .scoring import SCORING_MODES
 
@@ -52,6 +53,9 @@ class UnknownTaskId(TsError):
 
 class ConfigError(Exception):
     """Bad configuration or unusable input path."""
+
+
+_CONFIG_KEYS = frozenset(f.name for cls in (GenConfig, SweepConfig) for f in fields(cls))
 
 
 def _load_json(path: str) -> dict:
@@ -76,8 +80,11 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _gen_config_from(d: dict) -> GenConfig:
-    """The GenConfig of a resolved config; ConfigError if it is invalid or
-    its ``vocab_size`` differs from its model spec's."""
+    """The GenConfig of a resolved config; ConfigError if it is invalid, has
+    an unknown key, or its ``vocab_size`` differs from its model spec's."""
+    unknown = sorted(set(d) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     spec = d.get("model_spec")
     spec_size = spec.get("vocab_size") if isinstance(spec, dict) else None
     if spec_size is not None and d.get("vocab_size", spec_size) != spec_size:
@@ -172,15 +179,16 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _sweep_common(args) -> tuple[GenConfig, SweepConfig, list[TsTask]]:
+def _sweep_common(args) -> tuple[SweepConfig, list[TsTask], SequenceModel]:
     d = _load_json(args.config)
     gen_cfg = _gen_config_from(d)
     try:
         sweep_cfg = sweep_config_from_dict(d)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    tasks = gen_dataset(gen_cfg)
-    return gen_cfg, sweep_cfg, tasks
+    if args.command == "sweep-pt" and "psgd" not in sweep_cfg.decoders:
+        raise ConfigError(f"sweep-pt decodes with psgd, but decoders is {list(sweep_cfg.decoders)}")
+    return sweep_cfg, gen_dataset(gen_cfg), model_from_spec(gen_cfg.resolved_model_spec())
 
 
 def _write_sweep(args, sweep_cfg: SweepConfig, bench: list[BenchRow], rows: list[ResultRow]) -> int:
@@ -194,8 +202,7 @@ def _write_sweep(args, sweep_cfg: SweepConfig, bench: list[BenchRow], rows: list
 
 
 def cmd_sweep_pt(args) -> int:
-    gen_cfg, sweep_cfg, tasks = _sweep_common(args)
-    model = model_from_spec(gen_cfg.resolved_model_spec())
+    sweep_cfg, tasks, model = _sweep_common(args)
     bench, rows = run_pt_sweep(
         tasks,
         model,
@@ -207,8 +214,7 @@ def cmd_sweep_pt(args) -> int:
 
 
 def cmd_sweep_ratio(args) -> int:
-    gen_cfg, sweep_cfg, tasks = _sweep_common(args)
-    model = model_from_spec(gen_cfg.resolved_model_spec())
+    sweep_cfg, tasks, model = _sweep_common(args)
     params = PsgdParams(beam_width=sweep_cfg.beam_width, patience=sweep_cfg.pt_values[0])
     bench, rows = run_ratio_sweep(
         split_by_ratio(tasks),

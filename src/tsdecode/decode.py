@@ -15,13 +15,16 @@ constraints, dividing the beam into banks by constraint progress so that
 partially-satisfied hypotheses survive pruning. Plain beam search is the same
 search with no constraints: both run the one full-sentence beam loop in
 ``_beam_core``.
+
+PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
+their beams with one expansion step, ``_expand``.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .core import (
     validate_task,
 )
 from .lm import SequenceModel, as_tokens
-from .scoring import SCORING_MEAN_LOGPROB, filled_score, normalized_score, prefer
+from .scoring import SCORING_MEAN_LOGPROB, filled_score, normalized_score, rank
 
 Tokens = tuple[int, ...]
 
@@ -59,29 +62,6 @@ class MissingGoldSpan(TsError):
 def default_max_span_len(source_len: int) -> int:
     """Generous span cap preventing runaway decoding loops."""
     return 2 * (source_len + 4)
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A partial span candidate: emitted tokens and their cumulative log-prob."""
-
-    span_tokens: Tokens
-    span_logprob: float
-
-
-@dataclass
-class BestRecord:
-    """Running maximum of the whole-sequence score across steps and beams."""
-
-    best_score: float = float("-inf")
-    best_step: int = 0
-    best_span: Tokens = ()
-
-    def offer(self, score: float, step: int, span: Tokens) -> None:
-        if self.best_score == float("-inf") or prefer(score, span, self.best_score, self.best_span):
-            self.best_score = score
-            self.best_step = step
-            self.best_span = span
 
 
 @dataclass(frozen=True)
@@ -109,6 +89,18 @@ class BeamSearchResult:
 
 def _wall_us(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1e6)
+
+
+def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
+    """The ``k`` best one-token content expansions of ``beam`` (entries
+    ``(tokens, lp, ...)``, ``rows[i]`` the log next-token row of ``beam[i]``)
+    as ``(score, child, parent entry)`` in ``rank`` order."""
+    candidates = []
+    for entry, row in zip(beam, rows):
+        tokens, lp = entry[0], entry[1]
+        row = row.tolist()
+        candidates.extend((lp + row[tok], tokens + (tok,), entry) for tok in content)
+    return heapq.nsmallest(k, candidates, key=rank)
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +159,9 @@ def _psgd_run(
             next_log_row = log_m[len(p) + len(span)]
         return score, next_log_row
 
-    best = BestRecord()
-    beam: list[Hypothesis] = [Hypothesis((), 0.0)]
+    # The first-ranked (whole-sequence score, span, step) so far.
+    best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
+    beam: list[tuple[Tokens, float]] = [((), 0.0)]
     n = 0
     emitted = 0
     stop_reason = STOP_PATIENCE
@@ -177,31 +170,25 @@ def _psgd_run(
         # The loop below would exit before scoring anything; score the empty
         # span once so the reported score is real and recomputable.
         score, _ = score_item(())
-        best.offer(score, 0, ())
+        best = (score, (), 0)
         if trace is not None:
             trace.append([((), score)])
     else:
-        while n - best.best_step < patience:
+        while n - best[2] < patience:
             scored = []
-            for hyp in beam:
-                score, next_log_row = score_item(hyp.span_tokens)
-                best.offer(score, n, hyp.span_tokens)
-                scored.append((hyp, score, next_log_row))
+            rows = []
+            for span, _lp in beam:
+                score, next_log_row = score_item(span)
+                best = min(best, (score, span, n), key=rank)
+                scored.append((span, score))
+                rows.append(next_log_row)
             if trace is not None:
-                trace.append([(hyp.span_tokens, score) for hyp, score, _ in scored])
+                trace.append(scored)
             if n == max_span:
                 stop_reason = STOP_MAX_LEN
                 break
-            candidates = [
-                (hyp.span_logprob + float(next_log_row[tok]), hyp.span_tokens + (tok,))
-                for hyp, _score, next_log_row in scored
-                for tok in content
-            ]
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            beam = [Hypothesis(tokens, lp) for lp, tokens in candidates[:beam_width]]
-            if not beam:
-                stop_reason = STOP_EMPTY_BEAM
-                break
+            # Never empty: every vocabulary has a content id.
+            beam = [(child, lp) for lp, child, _ in _expand(beam, rows, content, beam_width)]
             emitted += 1
             n += 1
 
@@ -213,8 +200,8 @@ def _psgd_run(
         wall_time_us=_wall_us(t0),
     )
     return Suggestion(
-        span=TokenSeq(best.best_span, ROLE_SPAN),
-        whole_seq_score=best.best_score,
+        span=TokenSeq(best[1], ROLE_SPAN),
+        whole_seq_score=best[0],
         stats=stats,
     )
 
@@ -273,15 +260,14 @@ def _needed_tokens(progress: tuple[int, ...], constraints: tuple[Tokens, ...]) -
 Beam = list[tuple[Tokens, float, tuple[int, ...]]]
 
 
-def _pick_best(entries, length_norm: bool) -> tuple[Tokens | None, float]:
-    """The (tokens, raw score) entry preferred under the selection score:
-    the raw score, or the length-normalized one."""
-    best_tokens, best_sel = None, float("-inf")
-    for tokens, raw in entries:
-        sel = normalized_score(raw, len(tokens)) if length_norm else raw
-        if best_tokens is None or prefer(sel, tokens, best_sel, best_tokens):
-            best_tokens, best_sel = tokens, sel
-    return best_tokens, best_sel
+def _pick_best(entries, length_norm: bool) -> tuple[float, Tokens | None]:
+    """The first-ranked (selection score, tokens) of (tokens, raw score)
+    entries, by raw or length-normalized score; (-inf, None) if empty."""
+    return min(
+        ((normalized_score(raw, len(tokens)) if length_norm else raw, tokens) for tokens, raw in entries),
+        key=rank,
+        default=(float("-inf"), None),
+    )
 
 
 def _beam_core(
@@ -354,26 +340,27 @@ def _beam_core(
         # finish by ranking inside the global beam window, or by winning a
         # slot inside their own bank below (without which finishing would
         # have to outrank every unconstrained hypothesis globally). They
-        # never enter the alive beam.
-        expansions = []
-        eos_cands = []
-        for (tokens, lp, progress), log_row in zip(beam, rows):
-            if is_complete(progress):
-                eos_cands.append((lp + float(log_row[eos]), tokens, progress, None))
-            for tok in content:
-                expansions.append((lp + float(log_row[tok]), tokens + (tok,), progress, tok))
-        expansions.extend(eos_cands)
-        expansions.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
+        # never enter the alive beam. Any content candidate in the window is
+        # in the content top k, so the window ranks only those and the EOS
+        # candidates.
+        top = [
+            (lp_c, child, parent[2], child[-1])
+            for lp_c, child, parent in _expand(beam, rows, content, beam_width)
+        ]
+        eos_cands = [
+            (lp + float(log_row[eos]), tokens, progress, None)
+            for (tokens, lp, progress), log_row in zip(beam, rows)
+            if is_complete(progress)
+        ]
         finishes_this_round: set[Tokens] = set()
-        for cand in expansions[:beam_width]:
+        for cand in sorted(top + eos_cands, key=rank)[:beam_width]:
             if cand[3] is None:
                 record(cand[1], cand[0])
                 finishes_this_round.add(cand[1])
 
         # Candidate pool: top-k content expansions plus forced constraint
         # tokens, plus the EOS candidates competing for bank slots.
-        content_exp = (c for c in expansions if c[3] is not None)
-        pool = {c[1]: c for c in islice(content_exp, beam_width)}
+        pool = {c[1]: c for c in top}
         for (tokens, lp, progress), log_row in zip(beam, rows):
             for tok in _needed_tokens(progress, constraints):
                 child = tokens + (tok,)
@@ -389,7 +376,7 @@ def _beam_core(
         for lp_c, tokens, progress, _ in eos_cands:
             banked.setdefault(sum(progress), []).append((lp_c, tokens, progress, True))
         for cands in banked.values():
-            cands.sort(key=lambda c: (-c[0], len(c[1]), c[1]))
+            cands.sort(key=rank)
 
         # Even slot split over non-empty banks, remainders to higher banks.
         # EOS candidates ranking inside their bank's slots finish; alive
@@ -408,7 +395,7 @@ def _beam_core(
             selected.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[:slots])
             leftovers.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[slots:])
         if len(selected) < beam_width and leftovers:
-            leftovers.sort(key=lambda c: (-c[0], c[1]))
+            leftovers.sort(key=rank)
             selected.extend(leftovers[: beam_width - len(selected)])
 
         hard_finishes += len(finishes_this_round)
@@ -419,7 +406,7 @@ def _beam_core(
             # Raw scores only decrease, so nothing at or below the best
             # finished raw score can ever finish strictly better.
             selected = [c for c in selected if c[0] > best_finished_raw]
-        selected.sort(key=lambda c: (-c[0], c[1]))
+        selected.sort(key=rank)
         beam = [(child, lp_c, progress) for lp_c, child, progress in selected]
         if not beam:
             stop_reason = STOP_EMPTY_BEAM
@@ -454,9 +441,9 @@ def beam_search(
         model, source, DbaParams(beam_width, max_len), length_norm
     )
     if finished:
-        best_tokens, best_sel = _pick_best(finished.items(), length_norm)
+        best_sel, best_tokens = _pick_best(finished.items(), length_norm)
         return BeamSearchResult(TokenSeq(best_tokens, ROLE_TARGET), best_sel, True)
-    best_tokens, best_sel = _pick_best(((t, lp) for t, lp, _ in beam), length_norm)
+    best_sel, best_tokens = _pick_best(((t, lp) for t, lp, _ in beam), length_norm)
     return BeamSearchResult(TokenSeq(best_tokens or (), ROLE_TARGET), best_sel, False)
 
 
@@ -492,23 +479,17 @@ def dba_decode(
         raise ConstraintsUnsatisfiable(
             f"no constraint-complete hypothesis finished within max_len={params.max_len}"
         )
-    best_tokens, best_sel = _pick_best(finished.items(), length_norm)
+    best_sel, best_tokens = _pick_best(finished.items(), length_norm)
     return TokenSeq(best_tokens, ROLE_TARGET), best_sel, stats
 
 
-def _find_first(hay: Tokens, needle: Tokens) -> int | None:
-    if not needle:
-        return 0
-    for i in range(len(hay) - len(needle) + 1):
-        if hay[i : i + len(needle)] == needle:
-            return i
-    return None
-
-
-def _find_last(hay: Tokens, needle: Tokens) -> int | None:
-    if not needle:
-        return len(hay)
-    for i in range(len(hay) - len(needle), -1, -1):
+def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
+    """Start of the first (or last) occurrence of ``needle`` in ``hay``;
+    an empty needle occurs at 0 (or ``len(hay)``); None when absent."""
+    starts = range(len(hay) - len(needle) + 1)
+    if last:
+        starts = reversed(starts)
+    for i in starts:
         if hay[i : i + len(needle)] == needle:
             return i
     return None
@@ -518,8 +499,8 @@ def extract_span(output: Tokens, prefix: Tokens, suffix: Tokens) -> Tokens:
     """Span between the end of the first prefix occurrence and the start of
     the last suffix occurrence; if that window is ill-formed, fall back to
     deleting the matched constraint tokens and returning the remainder."""
-    p_start = _find_first(output, prefix)
-    s_start = _find_last(output, suffix)
+    p_start = _find(output, prefix)
+    s_start = _find(output, suffix, last=True)
     if p_start is None or s_start is None:
         # Unreachable for dba_decode outputs (hard-constraint guarantee),
         # but keep the fallback total for direct callers.
@@ -561,12 +542,10 @@ def dba_suggest(
     )
     span = extract_span(output.tokens, p, s)
     whole = filled_score(model, task.source, p, span, s, scoring, include_eos_in_len)
-    stats = DecodeStats(
+    stats = replace(
+        stats,
         forward_passes=stats.forward_passes + 1,
         positions_scored=stats.positions_scored + len(p) + len(span) + len(s) + 1,
-        emitted_steps=stats.emitted_steps,
-        stop_reason=stats.stop_reason,
-        wall_time_us=stats.wall_time_us,
     )
     return Suggestion(span=TokenSeq(span, ROLE_SPAN), whole_seq_score=whole, stats=stats)
 

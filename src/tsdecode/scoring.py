@@ -19,11 +19,17 @@ from __future__ import annotations
 
 import math
 
-from .lm import SequenceModel, seq_logprob
+from .lm import SequenceModel, as_tokens, seq_logprob
 
 SCORING_MEAN_LOGPROB = "mean_logprob"
 SCORING_PROB_OVER_LENGTH = "prob_over_length"
 SCORING_MODES = (SCORING_MEAN_LOGPROB, SCORING_PROB_OVER_LENGTH)
+
+
+def rank(candidate: tuple) -> tuple:
+    """Sort key of a ``(score, tokens, ...)`` candidate for every search and
+    oracle: higher score first, then shorter tokens, then smaller ones."""
+    return (-candidate[0], len(candidate[1]), candidate[1])
 
 
 def prefer(
@@ -32,11 +38,8 @@ def prefer(
     best_score: float,
     best_span: tuple[int, ...],
 ) -> bool:
-    """Candidate ordering used by every search and oracle: higher score wins;
-    ties go to the shorter span, then the lexicographically smaller one."""
-    if score != best_score:
-        return score > best_score
-    return (len(span), span) < (len(best_span), best_span)
+    """Whether ``(score, span)`` ranks strictly before ``(best_score, best_span)``."""
+    return rank((score, span)) < rank((best_score, best_span))
 
 
 def normalized_score(
@@ -69,8 +72,6 @@ def filled_score(
     include_eos_in_len: bool = False,
 ) -> float:
     """Score of prefix + span + suffix computed from scratch in one pass."""
-    from .lm import as_tokens
-
     target = as_tokens(prefix) + as_tokens(span) + as_tokens(suffix)
     total = seq_logprob(model, source, target, include_eos=True)
     return normalized_score(total, len(target), scoring, include_eos_in_len)

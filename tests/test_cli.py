@@ -280,6 +280,25 @@ class TestSweeps:
         code = main(["sweep-pt", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path / "m.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["gen", "sweep-pt", "sweep-ratio"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, command):
+        # A combined Gen/Sweep config is valid for every command; a key
+        # that is neither (a misspelt beam_width) is not.
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, SWEEP_CONFIG), "--out", str(out)]) == 0
+        out.unlink()
+        cfg = write_config(tmp_path, dict(SWEEP_CONFIG, beam_widht=1), name="typo.json")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "'beam_widht'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_pt_without_psgd_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SWEEP_CONFIG, decoders=["dba"]))
+        out = tmp_path / "metrics.csv"
+        assert main(["sweep-pt", "--config", cfg, "--out", str(out)]) == 2
+        assert "psgd" in capsys.readouterr().err
+        assert not out.exists()
+
 
 # DBA finds no constraint-complete sentence for this task at beam width 3.
 UNSATISFIABLE_FOR_DBA = TsTask(

@@ -5,6 +5,7 @@ import pytest
 from tsdecode.core import Vocab
 from tsdecode.decode import (
     ConstraintsUnsatisfiable,
+    _find,
     DbaParams,
     InvalidParams,
     beam_search,
@@ -134,6 +135,18 @@ class TestExtractSpan:
 
     def test_multiple_occurrences_first_prefix_last_suffix(self):
         assert extract_span((7, 5, 7, 6, 9), (7,), (9,)) == (5, 7, 6)
+
+    def test_absent_suffix_counts_as_matched_at_the_end(self):
+        assert extract_span((7, 5, 6), (7,), (9,)) == (5, 6)
+
+    def test_find_first_and_last_occurrence(self):
+        assert _find((1, 2, 1, 2), (1, 2)) == 0
+        assert _find((1, 2, 1, 2), (1, 2), last=True) == 2
+        assert _find((1, 2), ()) == 0
+        assert _find((1, 2), (), last=True) == 2
+        assert _find((), ()) == 0
+        assert _find((1,), (2,)) is None
+        assert _find((1,), (1, 1), last=True) is None
 
 
 class TestDbaSuggest:

@@ -1,0 +1,206 @@
+"""Candidate order where it decides: tied scores.
+
+Every search ranks candidates with ``scoring.rank``: higher score first,
+then the shorter token sequence, then the lexicographically smaller one.
+Under ``UniformModel`` every expansion ties, and the ``TIED`` table repeats
+row values (EOS tied with content ids in the rows after BOS, 3 and 5 for
+source (2,); after 2 and 4 for source (3,)), so the tie-breaks pick the beam,
+the finishes and the answer. The results below were recorded from the
+searches when each still sorted its own candidates with its own key; the
+shared order must reproduce them exactly.
+"""
+
+import random
+
+import pytest
+
+from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
+from tsdecode.decode import DbaParams, PsgdParams, _expand, beam_search, dba_decode, psgd
+from tsdecode.lm import TableModel, UniformModel
+from tsdecode.scoring import prefer, rank
+
+_A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
+_B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
+TIED = TableModel(
+    Vocab(6),
+    1,
+    {
+        ((2,), (0,)): _A, ((2,), (2,)): _B, ((2,), (3,)): _A, ((2,), (4,)): _B, ((2,), (5,)): _A,
+        ((3,), (0,)): _B, ((3,), (2,)): _A, ((3,), (3,)): _B, ((3,), (4,)): _A, ((3,), (5,)): _B,
+    },
+)
+MODELS = {"uniform": UniformModel(Vocab(5)), "tied": TIED}
+
+# (model, source, length_norm, beam_width, max_len, tokens, score, finished)
+BEAM_SEARCH = [
+    ('uniform', (2,), False, 1, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), False, 2, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), False, 3, 4, (), -1.3862943611198906, True),
+    ('uniform', (2,), True, 1, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), True, 2, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), True, 3, 4, (), -1.3862943611198906, True),
+    ('tied', (2,), False, 1, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), False, 2, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), False, 3, 4, (), -1.3862943611208907, True),
+    ('tied', (2,), True, 1, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), True, 2, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), True, 3, 4, (), -1.3862943611208907, True),
+    ('tied', (3,), False, 1, 3, (3, 3, 3), -4.158883083362672, False),
+    ('tied', (3,), False, 2, 3, (4,), -2.7725887222417813, True),
+    ('tied', (3,), False, 3, 4, (4,), -2.7725887222417813, True),
+    ('tied', (3,), True, 1, 3, (3, 3, 3), -1.3862943611208907, False),
+    ('tied', (3,), True, 2, 3, (3, 4), -2.079441541681336, True),
+    ('tied', (3,), True, 3, 4, (3, 3, 4), -1.848392481494521, True),
+]
+# (model, source, length_norm, constraints, beam_width, max_len, tokens, score,
+#  forward_passes, emitted_steps, stop_reason)
+DBA = [
+    ('uniform', (2,), False, (), 2, 4, (), -1.3862943611198906, 1, 0, 'empty_beam'),
+    ('uniform', (2,), False, (), 3, 5, (), -1.3862943611198906, 1, 0, 'empty_beam'),
+    ('uniform', (2,), False, ((3,),), 2, 4, (3,), -2.772588722239781, 3, 1, 'empty_beam'),
+    ('uniform', (2,), False, ((3,),), 3, 5, (3,), -2.772588722239781, 4, 1, 'empty_beam'),
+    ('uniform', (2,), False, ((4, 2),), 2, 4, (4, 2), -4.1588830833596715, 5, 2, 'empty_beam'),
+    ('uniform', (2,), False, ((4, 2),), 3, 5, (4, 2), -4.1588830833596715, 7, 2, 'empty_beam'),
+    ('uniform', (2,), False, ((3,), (2, 4)), 2, 4, (2, 4, 3), -5.545177444479562, 7, 3, 'empty_beam'),
+    ('uniform', (2,), False, ((3,), (2, 4)), 3, 5, (2, 4, 3), -5.545177444479562, 10, 3, 'empty_beam'),
+    ('uniform', (2,), True, (), 2, 4, (), -1.3862943611198906, 3, 1, 'empty_beam'),
+    ('uniform', (2,), True, (), 3, 5, (), -1.3862943611198906, 4, 1, 'empty_beam'),
+    ('uniform', (2,), True, ((3,),), 2, 4, (2, 3), -2.0794415416798357, 5, 2, 'empty_beam'),
+    ('uniform', (2,), True, ((3,),), 3, 5, (2, 3), -2.0794415416798357, 7, 2, 'empty_beam'),
+    ('uniform', (2,), True, ((4, 2),), 2, 4, (2, 4, 2), -1.8483924814931874, 7, 3, 'empty_beam'),
+    ('uniform', (2,), True, ((4, 2),), 3, 5, (2, 2, 4, 2), -1.7328679513998633, 13, 4, 'empty_beam'),
+    ('uniform', (2,), True, ((3,), (2, 4)), 2, 4, (2, 2, 4, 3), -1.7328679513998633, 9, 4, 'max_len'),
+    ('uniform', (2,), True, ((3,), (2, 4)), 3, 5, (2, 2, 2, 4, 3), -1.6635532333438685, 16, 5, 'max_len'),
+    ('tied', (2,), False, (), 2, 4, (), -1.3862943611208907, 1, 0, 'empty_beam'),
+    ('tied', (2,), False, (), 3, 5, (), -1.3862943611208907, 1, 0, 'empty_beam'),
+    ('tied', (2,), False, ((3,),), 2, 4, (3,), -2.7725887222417813, 3, 1, 'empty_beam'),
+    ('tied', (2,), False, ((3,),), 3, 5, (3,), -2.7725887222417813, 4, 1, 'empty_beam'),
+    ('tied', (2,), False, ((4, 2),), 2, 4, (2, 4, 4, 2), -8.317766166716343, 9, 4, 'max_len'),
+    ('tied', (2,), False, ((4, 2),), 3, 5, (2, 4, 2), -6.931471805595454, 12, 4, 'empty_beam'),
+    ('tied', (2,), False, ((3,), (2, 4)), 2, 4, (2, 4, 3), -5.545177444483563, 7, 3, 'empty_beam'),
+    ('tied', (2,), False, ((3,), (2, 4)), 3, 5, (2, 4, 3), -5.545177444483563, 10, 3, 'empty_beam'),
+    ('tied', (2,), True, (), 2, 4, (), -1.3862943611208907, 3, 1, 'empty_beam'),
+    ('tied', (2,), True, (), 3, 5, (), -1.3862943611208907, 7, 2, 'empty_beam'),
+    ('tied', (2,), True, ((3,),), 2, 4, (2, 3), -2.079441541681336, 5, 2, 'empty_beam'),
+    ('tied', (2,), True, ((3,),), 3, 5, (2, 3, 3), -1.848392481494521, 10, 3, 'empty_beam'),
+    ('tied', (2,), True, ((4, 2),), 2, 4, (2, 4, 4, 2), -2.0794415416790857, 9, 4, 'max_len'),
+    ('tied', (2,), True, ((4, 2),), 3, 5, (2, 3, 2, 4, 2), -1.940812105567447, 16, 5, 'max_len'),
+    ('tied', (2,), True, ((3,), (2, 4)), 2, 4, (2, 4, 3), -1.848392481494521, 9, 4, 'max_len'),
+    ('tied', (2,), True, ((3,), (2, 4)), 3, 5, (2, 3, 2, 4, 3), -1.6635532333450687, 16, 5, 'max_len'),
+    ('tied', (3,), False, (), 2, 4, (4,), -2.7725887222417813, 3, 1, 'empty_beam'),
+    ('tied', (3,), False, (), 3, 5, (4,), -2.7725887222417813, 4, 1, 'empty_beam'),
+    ('tied', (3,), False, ((3,),), 2, 4, (3, 4), -4.158883083362672, 5, 2, 'empty_beam'),
+    ('tied', (3,), False, ((3,),), 3, 5, (3, 4), -4.158883083362672, 7, 2, 'empty_beam'),
+    ('tied', (3,), False, ((4, 2),), 2, 4, (4, 2), -4.158883083362672, 5, 2, 'empty_beam'),
+    ('tied', (3,), False, ((4, 2),), 3, 5, (4, 2), -4.158883083362672, 7, 2, 'empty_beam'),
+    ('tied', (3,), False, ((3,), (2, 4)), 2, 4, (3, 2, 4), -6.931471805595454, 8, 4, 'max_len'),
+    ('tied', (3,), False, ((3,), (2, 4)), 3, 5, (3, 3, 2, 4), -8.317766166716345, 16, 5, 'max_len'),
+    ('tied', (3,), True, (), 2, 4, (3, 4), -2.079441541681336, 5, 2, 'empty_beam'),
+    ('tied', (3,), True, (), 3, 5, (3, 3, 4), -1.848392481494521, 10, 3, 'empty_beam'),
+    ('tied', (3,), True, ((3,),), 2, 4, (3, 3, 4), -1.848392481494521, 7, 3, 'empty_beam'),
+    ('tied', (3,), True, ((3,),), 3, 5, (3, 3, 3, 4), -1.7328679514011134, 13, 4, 'empty_beam'),
+    ('tied', (3,), True, ((4, 2),), 2, 4, (3, 4, 2), -1.848392481494521, 7, 3, 'empty_beam'),
+    ('tied', (3,), True, ((4, 2),), 3, 5, (3, 3, 4, 2), -1.7328679514011134, 13, 4, 'empty_beam'),
+    ('tied', (3,), True, ((3,), (2, 4)), 2, 4, (3, 3, 2, 4), -2.079441541679086, 9, 4, 'max_len'),
+    ('tied', (3,), True, ((3,), (2, 4)), 3, 5, (3, 3, 3, 2, 4), -1.9408121055674468, 16, 5, 'max_len'),
+]
+# (model, source, prefix, suffix, beam_width, span, score, emitted_steps), patience 2
+PSGD = [
+    ('uniform', (2,), (), (), 1, (), -1.3862943611198906, 2),
+    ('uniform', (2,), (), (), 3, (), -1.3862943611198906, 2),
+    ('uniform', (2,), (3,), (4,), 1, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.5018188912132147, 10),
+    ('uniform', (2,), (3,), (4,), 3, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.5018188912132147, 10),
+    ('uniform', (2,), (2, 2), (), 1, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.5018188912132147, 10),
+    ('uniform', (2,), (2, 2), (), 3, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.5018188912132147, 10),
+    ('tied', (2,), (), (), 1, (), -1.3862943611208907, 2),
+    ('tied', (2,), (), (), 3, (), -1.3862943611208907, 2),
+    ('tied', (2,), (3,), (4,), 1, (2, 3, 2), -1.8021826694562582, 5),
+    ('tied', (2,), (3,), (4,), 3, (2, 3, 2, 3, 2, 3, 2, 3, 2, 4), -1.559581156260627, 10),
+    ('tied', (2,), (2, 2), (), 1, (3, 2, 3), -1.8021826694562582, 5),
+    ('tied', (2,), (2, 2), (), 3, (3, 2, 3, 2, 3, 2, 3, 2, 3, 3), -1.559581156260627, 10),
+    ('tied', (3,), (), (), 1, (), -2.079441541676836, 2),
+    ('tied', (3,), (), (), 3, (), -2.079441541676836, 2),
+    ('tied', (3,), (3,), (4,), 1, (3, 3, 3, 3, 3, 3, 3, 3, 3, 3), -1.501818891214298, 10),
+    ('tied', (3,), (3,), (4,), 3, (3, 3, 3, 3, 3, 3, 3, 3, 3, 3), -1.501818891214298, 10),
+    ('tied', (3,), (2, 2), (), 1, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.559581156260627, 10),
+    ('tied', (3,), (2, 2), (), 3, (2, 2, 2, 2, 2, 2, 2, 2, 2, 2), -1.559581156260627, 10),
+]
+
+
+@pytest.mark.parametrize("name, src, length_norm, width, max_len, tokens, score, finished", BEAM_SEARCH)
+def test_beam_search_ties_pinned(name, src, length_norm, width, max_len, tokens, score, finished):
+    got = beam_search(MODELS[name], src, width, max_len, length_norm)
+    assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
+
+
+@pytest.mark.parametrize(
+    "name, src, length_norm, constraints, width, max_len, tokens, score, fw, emitted, stop", DBA
+)
+def test_dba_decode_ties_pinned(name, src, length_norm, constraints, width, max_len, tokens, score, fw, emitted, stop):
+    got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints), length_norm)
+    assert (got.tokens, sel) == (tokens, score)
+    assert (stats.forward_passes, stats.emitted_steps, stats.stop_reason) == (fw, emitted, stop)
+
+
+@pytest.mark.parametrize("name, src, prefix, suffix, width, span, score, emitted", PSGD)
+def test_psgd_ties_pinned(name, src, prefix, suffix, width, span, score, emitted):
+    task = TsTask(
+        "t", TokenSeq(src, ROLE_SOURCE), TokenSeq(prefix, ROLE_PREFIX), TokenSeq(suffix, ROLE_SUFFIX)
+    )
+    got = psgd(MODELS[name], task, PsgdParams(beam_width=width, patience=2))
+    assert (got.span.tokens, got.whole_seq_score, got.stats.emitted_steps) == (span, score, emitted)
+
+
+def test_tied_eos_candidate_ranks_before_longer_content():
+    # An EOS candidate keeps its parent's tokens, so it is one token shorter
+    # than the content candidates of the same step: at an equal score it
+    # ranks first even where a content candidate is lexicographically smaller.
+    eos_cand, content_cand = (-1.0, (3,)), (-1.0, (2, 2))
+    assert sorted([content_cand, eos_cand], key=rank) == [eos_cand, content_cand]
+    assert prefer(*eos_cand, *content_cand)
+
+
+def _beams():
+    """(model, source, beam) triples whose expansions tie: uniform rows, and
+    repeated TIED row values under equal or offsetting log-probs."""
+    uniform, tied = MODELS["uniform"], MODELS["tied"]
+    yield uniform, (2,), [((), 0.0)]
+    yield uniform, (2,), [((2,), -1.0), ((3,), -1.0), ((4,), -1.0)]
+    yield uniform, (2,), [((4, 2), -2.0, (1,)), ((2, 4), -2.0, (2,)), ((3, 3), -2.5, (0,))]
+    row = tied.next_log_row((2,), ()).tolist()
+    yield tied, (2,), [((2,), row[2]), ((3,), row[3]), ((4,), row[4]), ((5,), row[5])]
+    yield tied, (3,), [((3, 2), -1.5, (1,)), ((2, 3), -1.5, (0,)), ((5, 4), -1.5, (2,))]
+
+
+@pytest.mark.parametrize("model, src, beam", list(_beams()))
+def test_expand_equals_full_sort(model, src, beam):
+    rows = [model.next_log_row(src, entry[0]) for entry in beam]
+    content = model.vocab.content_ids
+    full = sorted(
+        (
+            (entry[1] + float(row[tok]), entry[0] + (tok,), entry)
+            for entry, row in zip(beam, rows)
+            for tok in content
+        ),
+        key=rank,
+    )
+    for k in range(1, len(full) + 2):
+        assert _expand(beam, rows, content, k) == full[:k]
+
+
+def _branchy_prefer(score, span, best_score, best_span):
+    """The tie-break as once written out in ``scoring.prefer``."""
+    if score != best_score:
+        return score > best_score
+    return (len(span), span) < (len(best_span), best_span)
+
+
+def test_prefer_agrees_with_branchy_definition():
+    gen = random.Random(6)
+    scores = [float("-inf"), -2.0, -1.0, -0.5, -0.0, 0.0]
+    for _ in range(5000):
+        a, b = (
+            (gen.choice(scores), tuple(gen.randint(2, 4) for _ in range(gen.randint(0, 3))))
+            for _ in range(2)
+        )
+        assert prefer(*a, *b) == _branchy_prefer(*a, *b), (a, b)
