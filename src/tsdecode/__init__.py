@@ -23,7 +23,6 @@ from .decode import (
     InvalidParams,
     PsgdParams,
     beam_search,
-    count_theoretical_steps,
     dba_decode,
     dba_suggest,
     psgd,
@@ -70,7 +69,6 @@ __all__ = [
     "Vocab",
     "beam_search",
     "corpus_bleu",
-    "count_theoretical_steps",
     "dba_decode",
     "dba_suggest",
     "exhaustive_best_prefix",

@@ -203,26 +203,14 @@ def _write_sweep(args, sweep_cfg: SweepConfig, bench: list[BenchRow], rows: list
 
 def cmd_sweep_pt(args) -> int:
     sweep_cfg, tasks, model = _sweep_common(args)
-    bench, rows = run_pt_sweep(
-        tasks,
-        model,
-        sweep_cfg.pt_values,
-        sweep_cfg.beam_width,
-        repetitions=sweep_cfg.repetitions,
-    )
+    bench, rows = run_pt_sweep(tasks, model, sweep_cfg.pt_values, sweep_cfg.beam_width)
     return _write_sweep(args, sweep_cfg, bench, rows)
 
 
 def cmd_sweep_ratio(args) -> int:
     sweep_cfg, tasks, model = _sweep_common(args)
     params = PsgdParams(beam_width=sweep_cfg.beam_width, patience=sweep_cfg.pt_values[0])
-    bench, rows = run_ratio_sweep(
-        split_by_ratio(tasks),
-        model,
-        sweep_cfg.decoders,
-        params,
-        repetitions=sweep_cfg.repetitions,
-    )
+    bench, rows = run_ratio_sweep(split_by_ratio(tasks), model, sweep_cfg.decoders, params)
     return _write_sweep(args, sweep_cfg, bench, rows)
 
 

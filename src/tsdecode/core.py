@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 
 class TsError(Exception):
@@ -44,20 +44,16 @@ STOP_REASONS = (STOP_PATIENCE, STOP_MAX_LEN, STOP_EMPTY_BEAM)
 
 @dataclass(frozen=True)
 class Vocab:
-    """An integer vocabulary with two reserved ids for BOS and EOS."""
+    """An integer vocabulary of ``size`` ids; id 0 is BOS and id 1 is EOS in
+    every vocabulary, and the ids from 2 up are content tokens."""
 
     size: int
-    bos_id: int = 0
-    eos_id: int = 1
+    bos_id: ClassVar[int] = 0
+    eos_id: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.size < 3:
             raise ValueError(f"vocab size must be >= 3, got {self.size}")
-        if self.bos_id == self.eos_id:
-            raise ValueError("bos_id and eos_id must differ")
-        for name, tok in (("bos_id", self.bos_id), ("eos_id", self.eos_id)):
-            if not 0 <= tok < self.size:
-                raise ValueError(f"{name}={tok} outside vocabulary of size {self.size}")
 
     @property
     def content_ids(self) -> tuple[int, ...]:

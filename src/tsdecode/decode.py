@@ -55,10 +55,6 @@ class ConstraintsUnsatisfiable(TsError):
     """No constraint-complete hypothesis finished within the length budget."""
 
 
-class MissingGoldSpan(TsError):
-    """The operation needs a task with a gold span."""
-
-
 def default_max_span_len(source_len: int) -> int:
     """Generous span cap preventing runaway decoding loops."""
     return 2 * (source_len + 4)
@@ -498,14 +494,18 @@ def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
 def extract_span(output: Tokens, prefix: Tokens, suffix: Tokens) -> Tokens:
     """Span between the end of the first prefix occurrence and the start of
     the last suffix occurrence; if that window is ill-formed, fall back to
-    deleting the matched constraint tokens and returning the remainder."""
+    deleting the matched constraint tokens and returning the remainder.
+
+    An absent prefix or suffix counts as an empty one, matched with zero
+    length at 0 or at the end, so it drops no token. dba_decode outputs
+    always contain both; this keeps the function total for direct callers.
+    """
     p_start = _find(output, prefix)
+    if p_start is None:
+        prefix, p_start = (), 0
     s_start = _find(output, suffix, last=True)
-    if p_start is None or s_start is None:
-        # Unreachable for dba_decode outputs (hard-constraint guarantee),
-        # but keep the fallback total for direct callers.
-        p_start = p_start if p_start is not None else 0
-        s_start = s_start if s_start is not None else len(output)
+    if s_start is None:
+        suffix, s_start = (), len(output)
     p_end = p_start + len(prefix)
     if p_end <= s_start:
         return output[p_end:s_start]
@@ -520,25 +520,25 @@ def dba_suggest(
     max_len: int | None = None,
     scoring: str = SCORING_MEAN_LOGPROB,
     include_eos_in_len: bool = False,
-    length_norm: bool = True,
 ) -> Suggestion:
     """Generate a span suggestion with DBA: decode the full sentence under
     prefix/suffix phrase constraints, then cut the span out of the output.
 
-    Selection is length-normalized by default, the usual convention for
+    Selection is always length-normalized, the usual convention for
     full-sentence translation decoding. The reported score is the same
     whole-sequence score PSGD reports for prefix + span + suffix, computed
     with one extra forced pass so results from both decoders are directly
-    comparable.
+    comparable; ``wall_time_us`` covers that pass too.
     """
     validate_task(task, model.vocab)
+    t0 = time.perf_counter()
     p = as_tokens(task.prefix)
     s = as_tokens(task.suffix)
     if max_len is None:
         max_len = len(p) + len(s) + default_max_span_len(len(task.source))
     constraints = tuple(c for c in (p, s) if c)
     output, _sel, stats = dba_decode(
-        model, task.source, DbaParams(beam_width, max_len, constraints), length_norm
+        model, task.source, DbaParams(beam_width, max_len, constraints), length_norm=True
     )
     span = extract_span(output.tokens, p, s)
     whole = filled_score(model, task.source, p, span, s, scoring, include_eos_in_len)
@@ -546,16 +546,7 @@ def dba_suggest(
         stats,
         forward_passes=stats.forward_passes + 1,
         positions_scored=stats.positions_scored + len(p) + len(span) + len(s) + 1,
+        wall_time_us=_wall_us(t0),
     )
     return Suggestion(span=TokenSeq(span, ROLE_SPAN), whole_seq_score=whole, stats=stats)
 
-
-def count_theoretical_steps(task: TsTask, patience: int) -> tuple[int, int]:
-    """Idealized decoding-step counts: span decoding needs span length plus
-    patience; full-sentence constrained decoding needs the whole length."""
-    if task.gold_span is None:
-        raise MissingGoldSpan(f"task {task.task_id} has no gold span")
-    t_p = len(task.prefix)
-    t_r = len(task.gold_span)
-    t_s = len(task.suffix)
-    return t_r + patience, t_p + t_r + t_s

@@ -16,7 +16,7 @@ task schema itself stores no ratio; aggregation parses it back out.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields
 
 from .core import (
     ROLE_PREFIX,
@@ -89,7 +89,6 @@ class SweepConfig:
     decoders: tuple[str, ...] = ("psgd", "dba")
     pt_values: tuple[int, ...] = (5,)
     beam_width: int = 5
-    repetitions: int = 1
     output_path: str = "metrics.csv"
 
     def __post_init__(self) -> None:
@@ -100,8 +99,8 @@ class SweepConfig:
                 raise ValueError(f"unknown decoder {name!r}")
         if not self.pt_values:
             raise ValueError("at least one pt value required")
-        if self.beam_width < 1 or self.repetitions < 1:
-            raise ValueError("beam_width and repetitions must be >= 1")
+        if self.beam_width < 1:
+            raise ValueError("beam_width must be >= 1")
 
 
 def _config_from_dict(cls, d: dict):
@@ -293,7 +292,6 @@ def eval_record(task: TsTask, row: ResultRow) -> EvalRecord | None:
         candidate=pair[0],
         reference=pair[1],
         forward_passes=row.forward_passes,
-        emitted_steps=row.emitted_steps,
         wall_time_us=row.wall_time_us,
     )
 
@@ -304,19 +302,13 @@ def _sweep_point(
     decoder_label: str,
     decoder: str,
     params: PsgdParams,
-    repetitions: int,
 ) -> tuple[list[EvalRecord], list[ResultRow]]:
-    """Decode ``tasks`` in order; each row reports the mean wall time over
-    ``repetitions`` decodes."""
+    """Decode each of ``tasks`` once, in order."""
     records: list[EvalRecord] = []
     rows: list[ResultRow] = []
     for task in tasks:
         try:
             outcome = decode_task(model, task, decoder, params)
-            wall = outcome.stats.wall_time_us
-            for _ in range(repetitions - 1):
-                wall += decode_task(model, task, decoder, params).stats.wall_time_us
-            outcome = replace(outcome, stats=replace(outcome.stats, wall_time_us=wall // repetitions))
         except TsError as exc:
             outcome = exc
         row = result_row(task, decoder_label, outcome)
@@ -332,7 +324,6 @@ def run_pt_sweep(
     model: SequenceModel,
     pt_values,
     beam_width: int,
-    repetitions: int = 1,
 ) -> tuple[list[BenchRow], list[ResultRow]]:
     """Decode the dataset at each early-stopping patience value."""
     for task in dataset:
@@ -342,7 +333,7 @@ def run_pt_sweep(
     rows: list[ResultRow] = []
     for pt in pt_values:
         params = PsgdParams(beam_width=beam_width, patience=int(pt))
-        recs, rws = _sweep_point(model, dataset, f"psgd_pt{pt}", "psgd", params, repetitions)
+        recs, rws = _sweep_point(model, dataset, f"psgd_pt{pt}", "psgd", params)
         records.extend(recs)
         rows.extend(rws)
     return aggregate(records), rows
@@ -353,7 +344,6 @@ def run_ratio_sweep(
     model: SequenceModel,
     decoders,
     params: PsgdParams,
-    repetitions: int = 1,
 ) -> tuple[list[BenchRow], list[ResultRow]]:
     """Decode every per-ratio dataset with every decoder."""
     records: list[EvalRecord] = []
@@ -361,7 +351,7 @@ def run_ratio_sweep(
     for ratio in sorted(datasets_by_ratio):
         tasks = datasets_by_ratio[ratio]
         for decoder in decoders:
-            recs, rws = _sweep_point(model, tasks, decoder, decoder, params, repetitions)
+            recs, rws = _sweep_point(model, tasks, decoder, decoder, params)
             records.extend(recs)
             rows.extend(rws)
     return aggregate(records), rows

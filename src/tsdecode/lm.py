@@ -246,10 +246,6 @@ class TableModel(SequenceModel):
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
         return self._table.get((source, context), self._fallback)
 
-    @property
-    def table(self) -> dict[tuple[Tokens, Tokens], np.ndarray]:
-        return dict(self._table)
-
 
 class NgramGenModel(SequenceModel):
     """Deterministic synthetic n-gram model with Dirichlet-distributed rows.
@@ -330,13 +326,10 @@ def _decode_table_key(key: str) -> tuple[Tokens, Tokens]:
 
 
 def model_to_spec(model: SequenceModel) -> dict:
-    """Serialize a model to the JSON spec schema (bos=0/eos=1 convention)."""
-    vocab = model.vocab
-    if (vocab.bos_id, vocab.eos_id) != (0, 1):
-        raise ValueError("model spec files assume bos_id=0 and eos_id=1")
+    """Serialize a model to the JSON spec schema."""
     spec = {
         "kind": model.name,
-        "vocab_size": vocab.size,
+        "vocab_size": model.vocab.size,
         "order": model.order,
         "seed": model.seed,
         "concentration": 0.0,
@@ -349,7 +342,7 @@ def model_to_spec(model: SequenceModel) -> dict:
     elif isinstance(model, TableModel):
         spec["table"] = {
             _encode_table_key(src, ctx): [float(v) for v in row]
-            for (src, ctx), row in sorted(model.table.items())
+            for (src, ctx), row in sorted(model._table.items())
         }
     elif not isinstance(model, UniformModel):
         raise ValueError(f"cannot serialize model kind {model.name!r}")

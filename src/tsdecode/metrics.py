@@ -142,7 +142,6 @@ class EvalRecord:
     candidate: tuple[int, ...]
     reference: tuple[int, ...]
     forward_passes: int
-    emitted_steps: int
     wall_time_us: int
 
 

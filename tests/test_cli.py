@@ -33,7 +33,6 @@ SWEEP_CONFIG = dict(
     decoders=["psgd", "dba"],
     pt_values=[2],
     beam_width=3,
-    repetitions=1,
 )
 
 
@@ -283,14 +282,16 @@ class TestSweeps:
     @pytest.mark.parametrize("command", ["gen", "sweep-pt", "sweep-ratio"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, command):
         # A combined Gen/Sweep config is valid for every command; a key
-        # that is neither (a misspelt beam_width) is not.
+        # that is neither (a misspelt beam_width, or the removed
+        # repetitions) is not.
         out = tmp_path / "out"
         assert main([command, "--config", write_config(tmp_path, SWEEP_CONFIG), "--out", str(out)]) == 0
         out.unlink()
-        cfg = write_config(tmp_path, dict(SWEEP_CONFIG, beam_widht=1), name="typo.json")
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "'beam_widht'" in capsys.readouterr().err
-        assert not out.exists()
+        for key in ("beam_widht", "repetitions"):
+            cfg = write_config(tmp_path, dict(SWEEP_CONFIG, **{key: 1}), name=f"{key}.json")
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert f"'{key}'" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_sweep_pt_without_psgd_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CONFIG, decoders=["dba"]))

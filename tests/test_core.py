@@ -1,8 +1,10 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+import tsdecode
 from tsdecode.core import (
     ReservedTokenInContent,
     ResultRow,
@@ -41,13 +43,11 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(2)
 
-    def test_bos_eos_must_differ(self):
-        with pytest.raises(ValueError):
-            Vocab(4, bos_id=1, eos_id=1)
-
-    def test_reserved_in_range(self):
-        with pytest.raises(ValueError):
-            Vocab(4, bos_id=0, eos_id=4)
+    def test_bos_and_eos_ids_are_fixed(self):
+        assert [f.name for f in fields(Vocab)] == ["size"]
+        assert (Vocab(5).bos_id, Vocab(5).eos_id) == (0, 1)
+        with pytest.raises(TypeError):
+            Vocab(4, bos_id=1)
 
 
 class TestValidateTask:
@@ -157,3 +157,10 @@ def test_suggestion_requires_finite_score():
     stats = DecodeStats(1, 1, 0, "patience", 0)
     with pytest.raises(ValueError):
         Suggestion(TokenSeq((), "span"), float("-inf"), stats)
+
+
+def test_public_names_resolve():
+    names = tsdecode.__all__
+    assert len(names) == len(set(names)), "a name is exported twice"
+    for name in names:
+        assert hasattr(tsdecode, name), f"tsdecode.__all__ names missing {name!r}"

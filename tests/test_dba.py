@@ -1,7 +1,9 @@
 import itertools
+import time
 
 import pytest
 
+from tsdecode import decode
 from tsdecode.core import Vocab
 from tsdecode.decode import (
     ConstraintsUnsatisfiable,
@@ -139,6 +141,14 @@ class TestExtractSpan:
     def test_absent_suffix_counts_as_matched_at_the_end(self):
         assert extract_span((7, 5, 6), (7,), (9,)) == (5, 6)
 
+    def test_absent_prefix_counts_as_matched_at_0(self):
+        assert extract_span((5, 6, 9), (7,), (9,)) == (5, 6)
+
+    def test_absent_prefix_keeps_its_partial_match(self):
+        # Only part of the prefix occurs, so it is content: the window runs
+        # from 0 to the suffix at 1.
+        assert extract_span((5, 6), (5, 6, 7), (6,)) == (5,)
+
     def test_find_first_and_last_occurrence(self):
         assert _find((1, 2, 1, 2), (1, 2)) == 0
         assert _find((1, 2, 1, 2), (1, 2), last=True) == 2
@@ -167,6 +177,16 @@ class TestDbaSuggest:
     def test_empty_constraints_omitted(self, m1, m1_task_empty):
         got = dba_suggest(m1, m1_task_empty, beam_width=4)
         assert got.span.tokens == (2, 3)
+
+    def test_wall_time_covers_the_rescoring_pass(self, monkeypatch, m1, m1_task):
+        real = decode.filled_score
+
+        def slow_filled_score(*args):
+            time.sleep(0.05)
+            return real(*args)
+
+        monkeypatch.setattr(decode, "filled_score", slow_filled_score)
+        assert dba_suggest(m1, m1_task, beam_width=4).stats.wall_time_us >= 50_000
 
     def test_output_reconstructs_with_constraints(self):
         for seed in range(20):

@@ -110,8 +110,8 @@ def test_appending_exact_match_never_decreases():
 
 
 class TestAggregate:
-    def record(self, decoder, ratio, cand, ref, fw=10, steps=3, wall=100):
-        return EvalRecord(decoder, ratio, tuple(cand), tuple(ref), fw, steps, wall)
+    def record(self, decoder, ratio, cand, ref, fw=10, wall=100):
+        return EvalRecord(decoder, ratio, tuple(cand), tuple(ref), fw, wall)
 
     def test_identity_group_scores_100(self):
         rows = aggregate([self.record("psgd", 0.5, (1, 2, 3, 4), (1, 2, 3, 4))] * 3)

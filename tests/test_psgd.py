@@ -5,8 +5,6 @@ from tsdecode.decode import (
     InvalidParams,
     PsgdParams,
     beam_search,
-    count_theoretical_steps,
-    MissingGoldSpan,
     psgd,
     psgd_two_pass,
     psgd_with_trace,
@@ -175,32 +173,3 @@ class TestParamValidation:
     def test_bad_max_span(self, m1, m1_task):
         with pytest.raises(InvalidParams):
             psgd(m1, m1_task, PsgdParams(max_span_len=0))
-
-
-class TestTheoreticalSteps:
-    def make(self, t_p, t_r, t_s):
-        prefix = tuple(2 for _ in range(t_p))
-        span = tuple(2 for _ in range(t_r))
-        suffix = tuple(2 for _ in range(t_s))
-        return TsTask(
-            "t",
-            TokenSeq((2,), "source"),
-            TokenSeq(prefix, "prefix"),
-            TokenSeq(suffix, "suffix"),
-            TokenSeq(span, "span"),
-            TokenSeq(prefix + span + suffix, "target"),
-        )
-
-    def test_basic_arithmetic(self):
-        assert count_theoretical_steps(self.make(10, 2, 8), 5) == (7, 20)
-
-    def test_span_decoding_can_cost_more_without_constraints(self):
-        assert count_theoretical_steps(self.make(0, 5, 0), 5) == (10, 5)
-
-    def test_empty_span(self):
-        assert count_theoretical_steps(self.make(3, 0, 4), 5) == (5, 7)
-
-    def test_requires_gold_span(self):
-        task = TsTask("t", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
-        with pytest.raises(MissingGoldSpan):
-            count_theoretical_steps(task, 5)
