@@ -58,7 +58,7 @@ Tokens = tuple[int, ...]
 def as_tokens(seq: TokenSeq | Sequence[int]) -> Tokens:
     if isinstance(seq, TokenSeq):
         return seq.tokens
-    return tuple(int(t) for t in seq)
+    return tuple(map(int, seq))
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,7 @@ class NgramGenModel(SequenceModel):
         stream = Stream(hash_key(seed, 0x6E6772616D, source, context))
         weights = stream.dirichlet(self.concentration, self.vocab.size - 1)
         row = np.zeros(self.vocab.size, dtype=np.float64)
-        ids = [i for i in range(self.vocab.size) if i != self.vocab.bos_id]
-        row[ids] = weights
+        row[1:] = weights  # every id but Vocab.bos_id, which is 0
         return row
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:

@@ -14,6 +14,7 @@ from tsdecode.lm import (
     TableModel,
     UniformModel,
     UnnormalizedRow,
+    as_tokens,
     make_perturbed_sibling,
     model_from_spec,
     model_to_spec,
@@ -23,6 +24,12 @@ from tsdecode.lm import (
 )
 
 from util import random_table_model
+
+
+def test_as_tokens_gives_plain_ints():
+    got = as_tokens(np.array([3, 4]))
+    assert got == (3, 4)
+    assert all(type(t) is int for t in got)
 
 
 class TestUniformModel:

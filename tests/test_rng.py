@@ -1,4 +1,18 @@
-from tsdecode.rng import Stream, hash_key, mix64
+import hashlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tsdecode.rng import BLOCK, Stream, hash_key, mix64
+
+
+def reference_u64(key, i):
+    """Draw ``i`` (counting from 1) of the stream keyed by ``key``, computed alone."""
+    return mix64(key ^ mix64(i))
+
+
+def reference_uniform(key, i):
+    return ((reference_u64(key, i) >> 11) + 0.5) * (2.0 ** -53)
 
 
 def test_stream_is_deterministic():
@@ -62,3 +76,56 @@ def test_normal_roughly_standard():
     var = sum((d - mean) ** 2 for d in draws) / len(draws)
     assert abs(mean) < 0.06
     assert abs(var - 1.0) < 0.1
+
+
+DRAWS = st.one_of(
+    st.just(("uniform",)),
+    st.just(("next_u64",)),
+    st.tuples(st.just("randint"), st.integers(-5, 5), st.integers(0, 2**70)),
+)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * BLOCK + 2))
+@settings(max_examples=60, deadline=None)
+def test_any_interleaving_matches_scalar_reference(key, draws):
+    s = Stream(key)
+    for i, (kind, *args) in enumerate(draws, start=1):
+        u = reference_u64(key, i)
+        if kind == "uniform":
+            assert s.uniform() == reference_uniform(key, i)
+        elif kind == "next_u64":
+            assert s.next_u64() == u
+        else:
+            lo, span = args
+            assert s.randint(lo, lo + span) == lo + u % (span + 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2])
+def test_draws_at_block_edges(n):
+    # Draw 1 is computed alone; blocks then cover draws 2..BLOCK+1, and so on.
+    key = hash_key(19, n)
+    s = Stream(key)
+    got = [s.uniform() for _ in range(n - 1)]
+    assert got == [reference_uniform(key, i) for i in range(1, n)]
+    assert s.next_u64() == reference_u64(key, n)
+
+
+def test_counter_counts_draws_consumed():
+    key = hash_key(23)
+    s = Stream(key)
+    for n in range(1, 2 * BLOCK + 3):
+        if n % 5 == 0:
+            assert s.next_u64() == reference_u64(key, n)
+        else:
+            assert s.uniform() == reference_uniform(key, n)
+        assert s._counter == n
+
+
+def test_golden_dirichlet_rows():
+    # Rows pinned before the stream drew in blocks: shape 0.2 takes the
+    # boost path of gamma, shape 2.5 the direct one.
+    digest = hashlib.sha256()
+    for shape in (0.2, 2.5):
+        for k in range(200):
+            digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
+    assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618"
