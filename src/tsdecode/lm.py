@@ -27,6 +27,7 @@ uniform mass), so scoring an arbitrary constraint token can never produce
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -35,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_tokens
-from .rng import Stream, hash_key, mix64
+from .rng import Stream, fold, hash_key, mix64
 
 EPS_FLOOR = 1e-12
 
@@ -267,8 +268,8 @@ class NgramGenModel(SequenceModel):
         perturb_seed: int | None = None,
         perturb_rate: float = 0.0,
     ) -> None:
-        if concentration <= 0.0:
-            raise ValueError("concentration must be > 0")
+        if not 0.0 < concentration < math.inf:
+            raise ValueError(f"concentration must be finite and > 0, got {concentration}")
         if not 0.0 <= perturb_rate <= 1.0:
             raise ValueError("perturb_rate must be in [0, 1]")
         super().__init__(_KIND_NGRAM, vocab, order)
@@ -276,21 +277,31 @@ class NgramGenModel(SequenceModel):
         self.concentration = float(concentration)
         self.perturb_seed = perturb_seed
         self.perturb_rate = float(perturb_rate)
+        if perturb_seed is not None:
+            self._perturbed_seed = mix64(seed ^ mix64(perturb_seed))
+        # hash_key(seed, tag, source) for each one seen, so that a row's key
+        # folds only its context.
+        self._source_keys: dict[tuple[int, int, Tokens], int] = {}
 
-    def _draw_row(self, seed: int, source: Tokens, context: Tokens) -> np.ndarray:
-        stream = Stream(hash_key(seed, 0x6E6772616D, source, context))
-        weights = stream.dirichlet(self.concentration, self.vocab.size - 1)
-        row = np.zeros(self.vocab.size, dtype=np.float64)
-        row[1:] = weights  # every id but Vocab.bos_id, which is 0
-        return row
+    def _key(self, seed: int, tag: int, source: Tokens, context: Tokens) -> int:
+        """``hash_key(seed, tag, source, context)``."""
+        prefix = (seed, tag, source)
+        h = self._source_keys.get(prefix)
+        if h is None:
+            h = self._source_keys[prefix] = hash_key(*prefix)
+        return fold(h, context)
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
         seed = self.seed
         if self.perturb_seed is not None and self.perturb_rate > 0.0:
-            coin = Stream(hash_key(self.perturb_seed, 0x636F696E, source, context)).uniform()
+            coin = Stream(self._key(self.perturb_seed, 0x636F696E, source, context)).uniform()
             if coin < self.perturb_rate:
-                seed = mix64(seed ^ mix64(self.perturb_seed))
-        return self._draw_row(seed, source, context)
+                seed = self._perturbed_seed
+        stream = Stream(self._key(seed, 0x6E6772616D, source, context))
+        weights = stream.dirichlet(self.concentration, self.vocab.size - 1)
+        row = np.zeros(self.vocab.size, dtype=np.float64)
+        row[1:] = weights  # every id but Vocab.bos_id, which is 0
+        return row
 
 
 def make_perturbed_sibling(model: NgramGenModel, perturb_seed: int, rate: float = 0.3) -> NgramGenModel:

@@ -317,8 +317,10 @@ class TestNgramGenModel:
         assert differ > 0 and same > 0
 
     def test_invalid_concentration(self):
-        with pytest.raises(ValueError):
-            NgramGenModel(Vocab(4), 1, seed=0, concentration=0.0)
+        # NaN and inf would give rows of NaN.
+        for concentration in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                NgramGenModel(Vocab(4), 1, seed=0, concentration=concentration)
 
 
 class TestStepDistribution:

@@ -1,9 +1,19 @@
 import hashlib
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode.rng import BLOCK, Stream, hash_key, mix64
+from tsdecode.rng import (
+    _ROW_DRAWS_PER_VARIATE,
+    _ROW_EXTRA_DRAWS,
+    BLOCK,
+    Stream,
+    fold,
+    hash_key,
+    mix64,
+)
 
 
 def reference_u64(key, i):
@@ -28,9 +38,35 @@ def test_golden_uniforms():
     assert got == [0.0833004957158831, 0.4541999850657041, 0.7784060395532655]
 
 
+def reference_dirichlet(stream, concentration, n):
+    """``Stream.dirichlet`` as one ``gamma`` call per variate."""
+    draws = np.array([stream.gamma(concentration) for _ in range(n)], dtype=np.float64)
+    total = draws.sum()
+    if total <= 0.0:
+        return np.full(n, 1.0 / n, dtype=np.float64)
+    return draws / total
+
+
 def test_hash_key_respects_sequence_boundaries():
     assert hash_key((1, 2), (3,)) != hash_key((1,), (2, 3))
     assert hash_key(5, (1,)) != hash_key(5, (1, 0))
+
+
+KEY_PARTS = st.lists(
+    st.one_of(
+        st.integers(-(2**70), 2**70),
+        st.lists(st.integers(-(2**70), 2**70), max_size=5).map(tuple),
+    ),
+    max_size=6,
+)
+
+
+@given(KEY_PARTS)
+@settings(max_examples=100, deadline=None)
+def test_fold_continues_hash_key_at_every_split(parts):
+    key = hash_key(*parts)
+    for k in range(len(parts) + 1):
+        assert fold(hash_key(*parts[:k]), *parts[k:]) == key
 
 
 def test_mix64_is_stable():
@@ -67,6 +103,17 @@ def test_dirichlet_normalized():
         row = s.dirichlet(0.4, 7)
         assert abs(float(row.sum()) - 1.0) < 1e-12
         assert (row >= 0).all()
+
+
+@pytest.mark.parametrize(
+    "concentration, n",
+    [(0.2, 0), (0.2, -3), (0.0, 5), (-1.0, 5), (-1.0, 0), (math.nan, 5), (math.inf, 5)],
+)
+def test_dirichlet_rejects_bad_arguments_before_drawing(concentration, n):
+    s = Stream(hash_key(13))
+    with pytest.raises(ValueError):
+        s.dirichlet(concentration, n)
+    assert s._counter == 0
 
 
 def test_normal_roughly_standard():
@@ -129,3 +176,41 @@ def test_golden_dirichlet_rows():
         for k in range(200):
             digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
     assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618"
+
+
+def assert_dirichlet_matches_reference(key, shape, n, prior=()):
+    """Row bytes, draws consumed and the next two draws all match ``n``
+    scalar ``gamma`` calls on a twin stream."""
+    got, ref = Stream(key), Stream(key)
+    for kind in prior:
+        assert getattr(got, kind)() == getattr(ref, kind)()
+    row = got.dirichlet(shape, n)
+    assert row.tobytes() == reference_dirichlet(ref, shape, n).tobytes()
+    assert got._counter == ref._counter
+    drawn = got._counter
+    assert got.uniform() == reference_uniform(key, drawn + 1)
+    assert got.uniform() == reference_uniform(key, drawn + 2)
+    return drawn
+
+
+# 0.05, 0.2 and 0.3 take the boost path, 1.0 is the edge that does not.
+SHAPES = st.sampled_from([0.05, 0.2, 0.3, 1.0, 2.5])
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    SHAPES,
+    st.integers(1, 3 * BLOCK),
+    st.lists(st.sampled_from(["uniform", "next_u64"]), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_dirichlet_matches_scalar_gamma_reference(key, shape, n, prior):
+    assert_dirichlet_matches_reference(key, shape, n, prior)
+
+
+def test_dirichlet_extends_its_uniform_list():
+    # Found by search: this row's rejections run past the 4n + 16 draws
+    # computed up front.
+    n = 20
+    drawn = assert_dirichlet_matches_reference(hash_key(29, n, 1098), 0.2, n)
+    assert drawn > _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
