@@ -47,6 +47,15 @@ class DegenerateTarget(TsError):
     """Could not generate a usable reference sequence after many retries."""
 
 
+def _check_int(name: str, value, least: int | None = None) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int (not a bool),
+    and at least ``least`` when given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     vocab_size: int = 20
@@ -58,16 +67,21 @@ class GenConfig:
     constraint_source: str = CONSTRAINT_GOLD
 
     def __post_init__(self) -> None:
+        _check_int("vocab_size", self.vocab_size)
+        _check_int("seed", self.seed)
+        _check_int("n_tasks", self.n_tasks, 1)
         lo, hi = self.source_len_range
+        _check_int("source_len_range", lo)
+        _check_int("source_len_range", hi)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad source_len_range {self.source_len_range}")
-        if self.n_tasks < 1:
-            raise ValueError("n_tasks must be >= 1")
+        if self.model_spec is not None and not isinstance(self.model_spec, dict):
+            raise ValueError(f"model_spec must be a dict or null, got {self.model_spec!r}")
         if not self.mask_ratio_list:
             raise ValueError("mask_ratio_list must be non-empty")
         for ratio in self.mask_ratio_list:
             if not 0.0 < ratio < 1.0:
-                raise ValueError(f"mask_ratio {ratio} outside (0, 1)")
+                raise ValueError(f"mask_ratio_list entry {ratio} outside (0, 1)")
         if self.constraint_source not in (CONSTRAINT_GOLD, CONSTRAINT_MT):
             raise ValueError(f"unknown constraint_source {self.constraint_source!r}")
 
@@ -99,8 +113,11 @@ class SweepConfig:
                 raise ValueError(f"unknown decoder {name!r}")
         if not self.pt_values:
             raise ValueError("at least one pt value required")
-        if self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1")
+        for pt in self.pt_values:
+            _check_int("pt_values", pt, 0)
+        _check_int("beam_width", self.beam_width, 1)
+        if not isinstance(self.output_path, str):
+            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
 
 def _config_from_dict(cls, d: dict):
@@ -332,7 +349,7 @@ def run_pt_sweep(
     records: list[EvalRecord] = []
     rows: list[ResultRow] = []
     for pt in pt_values:
-        params = PsgdParams(beam_width=beam_width, patience=int(pt))
+        params = PsgdParams(beam_width=beam_width, patience=pt)
         recs, rws = _sweep_point(model, dataset, f"psgd_pt{pt}", "psgd", params)
         records.extend(recs)
         rows.extend(rws)

@@ -5,23 +5,23 @@ uniform stream keyed by a 64-bit hash, so identical seeds give bit-identical
 results on every platform and Python build (unlike the built-in ``hash``).
 
 The chain is: key = fold of integer parts through a splitmix64-style mixer;
-uniforms = mixed (key, counter) pairs mapped into (0, 1); normals via
-Box-Muller; gamma variates via Marsaglia-Tsang squeeze rejection (with the
-usual power-of-uniform boost for shape < 1); Dirichlet rows by normalizing
-gamma draws.
+uniforms = mixed (key, counter) pairs mapped into (0, 1); gamma variates via
+Marsaglia-Tsang squeeze rejection on Box-Muller normals (with the usual
+power-of-uniform boost for shape < 1); Dirichlet rows by normalizing gamma
+draws.
 
 Draw ``i`` of a stream depends only on (key, i), as in the counter-based
 generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC 2011). So a ``Stream`` computes its draws ``BLOCK`` at a time: one numpy
-``uint64`` pass mixes a block of consecutive counters and maps it to
-uniforms, and the scalar methods hand the results out one by one. The first
-draw is still computed alone, because many streams (the sibling coin, most
-harness streams) draw once or a few times and a block would cost them more
-than it saves. The block math uses the same integer and IEEE float64
-operations as ``mix64`` and the scalar uniform formula, so every draw is
-bit-identical to the scalar definition. The transcendentals of ``normal``
-and ``gamma`` stay scalar ``math`` calls: ``np.log`` does not round like
-``math.log`` on every input, and rows must not depend on which is used.
+(SC 2011), so a ``Stream`` holds nothing but its key and counter. The scalar
+methods compute each draw alone. ``dirichlet`` is the one numpy path: it
+mixes a block of consecutive counters in one ``uint64`` pass, because a row
+of n entries needs about 4n draws, while a harness stream needs about a
+dozen, too few for a numpy pass to pay for itself. The block math uses the
+same integer and IEEE float64 operations as ``mix64`` and the scalar uniform
+formula, so every draw is bit-identical to the scalar definition. The
+transcendentals of ``gamma`` and ``dirichlet`` stay scalar ``math`` calls:
+``np.log`` does not round like ``math.log`` on every input, and rows must
+not depend on which is used.
 
 ``Stream.dirichlet`` fuses the ``n`` gamma variates of a row into one loop.
 It computes the uniforms it expects to need in one numpy pass, extends that
@@ -48,9 +48,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ULP = 2.0 ** -53
 
-# Draws computed per numpy pass once a stream has drawn once. A Dirichlet
-# row takes about four draws per entry (~400 at vocab 100), and one pass
-# over 128 counters costs about as much as a dozen scalar draws.
+# Draws by which ``dirichlet`` extends its uniform list when a run of
+# rejections overruns it.
 BLOCK = 128
 
 # Draws a Dirichlet row of n variates computes up front: 4n + 16, extended
@@ -116,70 +115,39 @@ def hash_key(*parts: int | Iterable[int]) -> int:
     return fold(0x100F0E0D0C0B0A09, *parts)
 
 
-def _to_uniforms(block: np.ndarray) -> list[float]:
-    """Each draw's top 53 bits shifted into the open interval (0, 1).
-
-    int -> float64 is exact below 2**53, so this is the scalar formula's
-    rounding, one IEEE operation at a time.
-    """
-    return (((block >> _U11).astype(np.float64) + 0.5) * _ULP).tolist()
-
-
 class Stream:
     """Deterministic random stream for a fixed 64-bit key.
 
-    Draw ``i`` (counting from 1) is ``mix64(key ^ mix64(i))``. The first draw
-    is computed alone; later draws are served from blocks of ``BLOCK``, and
-    ``dirichlet`` computes a row's draws in one pass of its own.
-    ``_counter`` is the number of draws consumed so far.
+    Draw ``i`` (counting from 1) is ``mix64(key ^ mix64(i))``. ``_counter``
+    is the number of draws consumed so far, and the stream's only state.
     """
 
-    __slots__ = ("_key", "_counter", "_start", "_u64s", "_uniforms")
+    __slots__ = ("_key", "_counter")
 
     def __init__(self, key: int) -> None:
         self._key = key & _MASK64
         self._counter = 0
-        # Draws _start + 1 .. _start + len(_uniforms) are buffered.
-        self._start = 0
-        self._u64s: tuple[int, ...] | np.ndarray = ()
-        self._uniforms: list[float] = []
 
-    def _block(self, start: int, count: int) -> np.ndarray:
-        """Draws ``start + 1 .. start + count``, mixed in one ``uint64`` pass."""
+    def _uniforms(self, start: int, count: int) -> list[float]:
+        """Draws ``start + 1 .. start + count`` as uniforms, in one ``uint64``
+        pass.
+
+        Each draw's top 53 bits are shifted into (0, 1); int -> float64 is
+        exact below 2**53, so this is the scalar formula's rounding, one IEEE
+        operation at a time.
+        """
         block = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         _mix64_block(block)
         block ^= np.uint64(self._key)
         _mix64_block(block)
-        return block
-
-    def _refill(self) -> None:
-        """Buffer the draws that follow the ``_counter`` consumed ones, each
-        also as a uniform."""
-        start = self._counter
-        if start == 0:
-            u = mix64(self._key ^ mix64(1))
-            self._u64s = (u,)
-            self._uniforms = [((u >> 11) + 0.5) * _ULP]
-        else:
-            self._u64s = self._block(start, BLOCK)
-            self._uniforms = _to_uniforms(self._u64s)
-        self._start = start
+        return (((block >> _U11).astype(np.float64) + 0.5) * _ULP).tolist()
 
     def next_u64(self) -> int:
-        i = self._counter - self._start
-        if i == len(self._uniforms):
-            self._refill()
-            i = 0
         self._counter += 1
-        return int(self._u64s[i])
+        return mix64(self._key ^ mix64(self._counter))
 
     def uniform(self) -> float:
-        i = self._counter - self._start
-        if i == len(self._uniforms):
-            self._refill()
-            i = 0
-        self._counter += 1
-        return self._uniforms[i]
+        return ((self.next_u64() >> 11) + 0.5) * _ULP
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -191,19 +159,14 @@ class Stream:
     def choice(self, items):
         return items[self.randint(0, len(items) - 1)]
 
-    def normal(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def gamma(self, shape: float) -> float:
         """Marsaglia-Tsang gamma variate with unit scale; shape > 0.
 
         The one-variate definition that ``dirichlet`` fuses; tests compare
         the two.
         """
-        if shape <= 0.0:
-            raise ValueError(f"gamma shape must be > 0, got {shape}")
+        if not 0.0 < shape < math.inf:
+            raise ValueError(f"gamma shape must be finite and > 0, got {shape}")
         if shape < 1.0:
             # Boost: Gamma(a) = Gamma(a + 1) * U^(1/a).
             u = self.uniform()
@@ -212,7 +175,7 @@ class Stream:
         c = 1.0 / math.sqrt(9.0 * d)
         uniform = self.uniform
         while True:
-            # self.normal(), inlined: u1 is drawn before u2.
+            # A Box-Muller normal: u1 is drawn before u2.
             x = math.sqrt(-2.0 * math.log(uniform())) * math.cos(2.0 * math.pi * uniform())
             v = 1.0 + c * x
             if v <= 0.0:
@@ -246,7 +209,7 @@ class Stream:
         log, cos, sqrt = math.log, math.cos, math.sqrt
         start = self._counter
         size = _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
-        us = _to_uniforms(self._block(start, size))
+        us = self._uniforms(start, size)
         draws: list[float] = []
         append = draws.append
         i = 0
@@ -255,7 +218,7 @@ class Stream:
             i += boost
             while True:
                 if i + 3 > size:
-                    us += _to_uniforms(self._block(start + size, BLOCK))
+                    us += self._uniforms(start + size, BLOCK)
                     size += BLOCK
                 x = sqrt(-2.0 * log(us[i])) * cos(two_pi * us[i + 1])
                 v = 1.0 + c * x
@@ -268,10 +231,8 @@ class Stream:
                 if u < 1.0 - 0.0331 * x * x * x * x or log(u) < 0.5 * x * x + d * (1.0 - v + log(v)):
                     break
             append(d * v * us[b] ** power if boost else d * v)
-        # The list's unread tail is dropped; the next draw refills from here.
-        self._counter = self._start = start + i
-        self._u64s = ()
-        self._uniforms = []
+        # The list's unread tail is dropped: draws consumed are start + i.
+        self._counter = start + i
         row = np.array(draws, dtype=np.float64)
         total = row.sum()
         if total <= 0.0:

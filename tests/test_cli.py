@@ -64,11 +64,32 @@ class TestGen:
         b, _ = run_gen(tmp_path)
         assert b.read_bytes() == first
 
-    def test_bad_mask_ratio_exits_2_naming_field(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, dict(GEN_CONFIG, mask_ratio_list=[1.5]))
-        code = main(["gen", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
-        assert code == 2
-        assert "mask_ratio" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "command, field, bad",
+        [
+            ("gen", "mask_ratio_list", [1.5]),
+            ("gen", "n_tasks", 2.5),
+            ("gen", "seed", 1.5),
+            ("gen", "vocab_size", 12.0),
+            ("gen", "source_len_range", [4.5, 7]),
+            ("gen", "source_len_range", [4, 7.5]),
+            ("gen", "model_spec", 5),
+            ("sweep-pt", "pt_values", [2.5]),
+            ("sweep-pt", "pt_values", [-1]),
+            ("sweep-pt", "pt_values", ["a"]),
+            ("sweep-ratio", "pt_values", [2.5]),
+            ("sweep-ratio", "pt_values", [-1]),
+            ("sweep-ratio", "pt_values", ["a"]),
+            ("sweep-ratio", "beam_width", 2.5),
+            ("sweep-pt", "output_path", 7),
+        ],
+    )
+    def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, command, field, bad):
+        cfg = write_config(tmp_path, dict(SWEEP_CONFIG, **{field: bad}))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):
         cfg = write_config(tmp_path, GEN_CONFIG)

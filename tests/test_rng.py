@@ -116,40 +116,56 @@ def test_dirichlet_rejects_bad_arguments_before_drawing(concentration, n):
     assert s._counter == 0
 
 
-def test_normal_roughly_standard():
-    s = Stream(hash_key(17))
-    draws = [s.normal() for _ in range(4000)]
-    mean = sum(draws) / len(draws)
-    var = sum((d - mean) ** 2 for d in draws) / len(draws)
-    assert abs(mean) < 0.06
-    assert abs(var - 1.0) < 0.1
+@pytest.mark.parametrize("shape", [0.0, -1.0, math.nan, math.inf])
+def test_gamma_rejects_bad_shape_before_drawing(shape):
+    s = Stream(hash_key(13))
+    with pytest.raises(ValueError):
+        s.gamma(shape)
+    assert s._counter == 0
 
+
+# 0.05, 0.2 and 0.3 take the boost path, 1.0 is the edge that does not.
+SHAPES = st.sampled_from([0.05, 0.2, 0.3, 1.0, 2.5])
 
 DRAWS = st.one_of(
     st.just(("uniform",)),
     st.just(("next_u64",)),
     st.tuples(st.just("randint"), st.integers(-5, 5), st.integers(0, 2**70)),
+    st.tuples(st.just("dirichlet"), SHAPES, st.integers(1, 8)),
 )
 
 
 @given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * BLOCK + 2))
 @settings(max_examples=60, deadline=None)
 def test_any_interleaving_matches_scalar_reference(key, draws):
-    s = Stream(key)
-    for i, (kind, *args) in enumerate(draws, start=1):
-        u = reference_u64(key, i)
+    s, twin = Stream(key), Stream(key)
+    drawn = 0
+    for kind, *args in draws:
+        if kind == "dirichlet":
+            # A row takes the draws of n scalar gamma calls on a twin stream
+            # that has consumed as many draws.
+            shape, n = args
+            twin._counter = drawn
+            assert s.dirichlet(shape, n).tobytes() == reference_dirichlet(twin, shape, n).tobytes()
+            drawn = twin._counter
+            assert s._counter == drawn
+            continue
+        drawn += 1
+        u = reference_u64(key, drawn)
         if kind == "uniform":
-            assert s.uniform() == reference_uniform(key, i)
+            assert s.uniform() == reference_uniform(key, drawn)
         elif kind == "next_u64":
             assert s.next_u64() == u
         else:
             lo, span = args
             assert s.randint(lo, lo + span) == lo + u % (span + 1)
+    assert s._counter == drawn
 
 
 @pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2])
 def test_draws_at_block_edges(n):
-    # Draw 1 is computed alone; blocks then cover draws 2..BLOCK+1, and so on.
+    # Each scalar draw is computed alone; these counts straddle the multiples
+    # of BLOCK, the step by which dirichlet extends its uniform list.
     key = hash_key(19, n)
     s = Stream(key)
     got = [s.uniform() for _ in range(n - 1)]
@@ -191,10 +207,6 @@ def assert_dirichlet_matches_reference(key, shape, n, prior=()):
     assert got.uniform() == reference_uniform(key, drawn + 1)
     assert got.uniform() == reference_uniform(key, drawn + 2)
     return drawn
-
-
-# 0.05, 0.2 and 0.3 take the boost path, 1.0 is the edge that does not.
-SHAPES = st.sampled_from([0.05, 0.2, 0.3, 1.0, 2.5])
 
 
 @given(
