@@ -61,9 +61,12 @@ _CONFIG_KEYS = frozenset(f.name for cls in (GenConfig, SweepConfig) for f in fie
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
+    if not isinstance(d, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return d
 
 
 def _require_file(path: str, what: str) -> None:

@@ -4,11 +4,11 @@ search.
 
 PSGD fills the masked span directly: the beam holds span candidates only,
 each step runs one forced pass over prefix + span + suffix per beam item,
-and that single pass yields both the whole-sequence score (used for the
-stopping rule) and the next-token distribution at the span position (used
-to extend the beam). Decoding stops once the best whole-sequence score has
-not improved for ``patience`` consecutive steps, and the answer is the span
-prefix at the best-scoring step.
+and the log rows of that single pass yield both the whole-sequence score
+(used for the stopping rule) and the next-token row at the span position
+(used to extend the beam). Decoding stops once the best whole-sequence
+score has not improved for ``patience`` consecutive steps, and the answer
+is the span prefix at the best-scoring step.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -132,65 +132,53 @@ def _psgd_run(
     content = model.vocab.content_ids
 
     t0 = time.perf_counter()
-    counters = {"fw": 0, "pos": 0}
-
-    def score_item(span: Tokens) -> tuple[float, np.ndarray]:
-        """One scoring round for a span: whole-sequence score and the log
-        distribution of the token following prefix + span."""
-        target = p + span + s
-        fp = model.forced_pass(src, target)
-        counters["fw"] += 1
-        counters["pos"] += len(target) + 1
-        log_m = fp.log_matrix()
-        total = float(log_m[len(target), eos])
-        for t, tok in enumerate(target):
-            total += float(log_m[t, tok])
-        score = normalized_score(total, len(target), params.scoring, params.include_eos_in_len)
-        if two_pass:
-            fp2 = model.forced_pass(src, p + span)
-            counters["fw"] += 1
-            counters["pos"] += len(p) + len(span) + 1
-            next_log_row = fp2.log_matrix()[-1]
-        else:
-            next_log_row = log_m[len(p) + len(span)]
-        return score, next_log_row
-
+    fw = 0
+    pos_scored = 0
+    emitted = 0
+    stop_reason = STOP_PATIENCE
     # The first-ranked (whole-sequence score, span, step) so far.
     best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
     beam: list[tuple[Tokens, float]] = [((), 0.0)]
     n = 0
-    emitted = 0
-    stop_reason = STOP_PATIENCE
-
-    if patience == 0:
-        # The loop below would exit before scoring anything; score the empty
-        # span once so the reported score is real and recomputable.
-        score, _ = score_item(())
-        best = (score, (), 0)
+    while True:
+        # One scoring round: a forced pass over prefix + span + suffix per
+        # item gives its whole-sequence score and its next-token row.
+        scored = []
+        rows = []
+        for span, _lp in beam:
+            target = p + span + s
+            log_rows = model.forced_pass(src, target).log_rows
+            fw += 1
+            pos_scored += len(target) + 1
+            total = float(log_rows[len(target)][eos])
+            for row, tok in zip(log_rows, target):
+                total += float(row[tok])
+            score = normalized_score(total, len(target), params.scoring, params.include_eos_in_len)
+            best = min(best, (score, span, n), key=rank)
+            scored.append((span, score))
+            if two_pass:
+                rows.append(model.next_log_row(src, p + span))
+                fw += 1
+                pos_scored += len(p) + len(span) + 1
+            else:
+                rows.append(log_rows[len(p) + len(span)])
         if trace is not None:
-            trace.append([((), score)])
-    else:
-        while n - best[2] < patience:
-            scored = []
-            rows = []
-            for span, _lp in beam:
-                score, next_log_row = score_item(span)
-                best = min(best, (score, span, n), key=rank)
-                scored.append((span, score))
-                rows.append(next_log_row)
-            if trace is not None:
-                trace.append(scored)
-            if n == max_span:
-                stop_reason = STOP_MAX_LEN
-                break
-            # Never empty: every vocabulary has a content id.
-            beam = [(child, lp) for lp, child, _ in _expand(beam, rows, content, beam_width)]
-            emitted += 1
-            n += 1
+            trace.append(scored)
+        if patience == 0:  # the empty span's score only, no expansion
+            break
+        if n == max_span:
+            stop_reason = STOP_MAX_LEN
+            break
+        # Never empty: every vocabulary has a content id.
+        beam = [(child, lp) for lp, child, _ in _expand(beam, rows, content, beam_width)]
+        emitted += 1
+        n += 1
+        if n - best[2] >= patience:
+            break
 
     stats = DecodeStats(
-        forward_passes=counters["fw"],
-        positions_scored=counters["pos"],
+        forward_passes=fw,
+        positions_scored=pos_scored,
         emitted_steps=emitted,
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
@@ -209,10 +197,10 @@ def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -
 
 
 def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
-    """Reference implementation that fetches the stopping score and the
-    next-token distribution with two separate forced passes per beam item.
-    Must produce bit-identical spans and scores to ``psgd`` with exactly
-    twice the forward passes."""
+    """Reference implementation that fetches the stopping score with a
+    forced pass and the next-token row with a second query (``next_log_row``)
+    per beam item. Must produce bit-identical spans and scores to ``psgd``
+    with exactly twice the forward passes."""
     return _psgd_run(model, task, params or PsgdParams(), two_pass=True, trace=None)
 
 

@@ -70,6 +70,8 @@ class GenConfig:
         _check_int("vocab_size", self.vocab_size)
         _check_int("seed", self.seed)
         _check_int("n_tasks", self.n_tasks, 1)
+        if len(self.source_len_range) != 2:
+            raise ValueError(f"source_len_range must be [min, max], got {self.source_len_range}")
         lo, hi = self.source_len_range
         _check_int("source_len_range", lo)
         _check_int("source_len_range", hi)
@@ -80,6 +82,8 @@ class GenConfig:
         if not self.mask_ratio_list:
             raise ValueError("mask_ratio_list must be non-empty")
         for ratio in self.mask_ratio_list:
+            if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
+                raise ValueError(f"mask_ratio_list entry {ratio!r} is not a number")
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"mask_ratio_list entry {ratio} outside (0, 1)")
         if self.constraint_source not in (CONSTRAINT_GOLD, CONSTRAINT_MT):
@@ -121,14 +125,18 @@ class SweepConfig:
 
 
 def _config_from_dict(cls, d: dict):
-    known = {f.name for f in dc_fields(cls)}
+    """``cls`` from the keys of ``d`` that name its fields, ignoring the
+    others; a tuple-valued field takes a list (or tuple) and nothing else."""
     kwargs = {}
-    for key, value in d.items():
-        if key not in known:
+    for f in dc_fields(cls):
+        if f.name not in d:
             continue
-        if isinstance(value, list):
+        value = d[f.name]
+        if isinstance(f.default, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{f.name} must be a list, got {value!r}")
             value = tuple(value)
-        kwargs[key] = value
+        kwargs[f.name] = value
     return cls(**kwargs)
 
 

@@ -12,9 +12,9 @@ distribution. It answers two queries, both served from one memo of
 finalized rows per (source, context), and both check their tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only):
 
-- ``forced_pass`` scores a whole target sequence and returns the
-  distribution at every position, which is how a single call can serve
-  both sequence scoring and next-token selection (PSGD, ``seq_logprob``).
+- ``forced_pass`` scores a whole target sequence; its ``log_rows`` hold the
+  log distribution at every position, so a single call serves both
+  sequence scoring and next-token selection (PSGD, ``seq_logprob``).
 - ``next_log_row`` returns only the log distribution after a prefix, the
   one row a left-to-right beam step reads (``beam_search``, DBA).
 
@@ -83,14 +83,15 @@ class ForcedPassResult:
     """Distributions for every position of one scored target sequence.
 
     ``distributions[t]`` is the next-token distribution given BOS plus the
-    first ``t`` target tokens; there are ``len(target) + 1`` entries. The
-    finalized probability and log rows are kept as the memo returned them;
+    first ``t`` target tokens; there are ``len(target) + 1`` entries.
+    ``log_rows[t]`` is the log of that distribution, the memo's read-only
+    row. The probability rows are kept as the memo returned them too;
     ``distributions`` (and so ``matrix``) builds and validates the
     ``StepDistribution`` objects on first read only.
     """
 
     _prob_rows: tuple = field(repr=False)
-    _log_rows: tuple = field(repr=False, compare=False)
+    log_rows: tuple = field(repr=False, compare=False)
 
     @cached_property
     def distributions(self) -> tuple[StepDistribution, ...]:
@@ -101,9 +102,6 @@ class ForcedPassResult:
 
     def matrix(self) -> np.ndarray:
         return np.stack([d.probs for d in self.distributions])
-
-    def log_matrix(self) -> np.ndarray:
-        return np.stack(self._log_rows)
 
 
 def _finalize_row(raw: np.ndarray, bos_id: int) -> np.ndarray:
@@ -171,8 +169,8 @@ class SequenceModel:
 
     def next_log_row(self, source: TokenSeq | Sequence[int], prefix: TokenSeq | Sequence[int]) -> np.ndarray:
         """The log next-token distribution given BOS + ``prefix``: the last
-        row of ``forced_pass(source, prefix).log_matrix()``, with the same
-        input checks, without building the earlier rows."""
+        of ``forced_pass(source, prefix).log_rows``, with the same input
+        checks, without building the earlier rows."""
         src = as_tokens(source)
         pre = as_tokens(prefix)
         check_tokens(src, self.vocab, "source", content=False)
@@ -183,13 +181,12 @@ class SequenceModel:
 def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) -> float:
     """Natural-log probability of ``target`` given ``source`` via one forced pass."""
     tgt = as_tokens(target)
-    result = model.forced_pass(source, tgt)
-    log_probs = result.log_matrix()
+    log_rows = model.forced_pass(source, tgt).log_rows
     total = 0.0
-    for t, tok in enumerate(tgt):
-        total += float(log_probs[t, tok])
+    for row, tok in zip(log_rows, tgt):
+        total += float(row[tok])
     if include_eos:
-        total += float(log_probs[len(tgt), model.vocab.eos_id])
+        total += float(log_rows[len(tgt)][model.vocab.eos_id])
     return total
 
 

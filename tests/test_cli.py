@@ -82,6 +82,15 @@ class TestGen:
             ("sweep-ratio", "pt_values", ["a"]),
             ("sweep-ratio", "beam_width", 2.5),
             ("sweep-pt", "output_path", 7),
+            ("gen", "mask_ratio_list", ["0.5"]),
+            ("gen", "mask_ratio_list", [True]),
+            ("gen", "mask_ratio_list", 0.5),
+            ("gen", "source_len_range", 5),
+            ("gen", "source_len_range", [3]),
+            ("gen", "source_len_range", [3, 4, 5]),
+            ("sweep-pt", "pt_values", 3),
+            ("sweep-pt", "decoders", "psgd"),
+            ("sweep-ratio", "decoders", "psgd"),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, command, field, bad):
@@ -313,6 +322,14 @@ class TestSweeps:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
             assert f"'{key}'" in capsys.readouterr().err
             assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["gen", "sweep-pt", "sweep-ratio"])
+    @pytest.mark.parametrize("payload", [None, 7, [1, 2], "abc"], ids=["null", "number", "array", "string"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, payload):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, payload), "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_pt_without_psgd_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(SWEEP_CONFIG, decoders=["dba"]))

@@ -100,9 +100,9 @@ class TestLazyDistributions:
         for dist, (probs, _) in zip(result.distributions, rows):
             np.testing.assert_array_equal(dist.probs, probs)
         np.testing.assert_array_equal(result.matrix(), np.stack([probs for probs, _ in rows]))
-        np.testing.assert_array_equal(result.log_matrix(), np.stack([logs for _, logs in rows]))
+        np.testing.assert_array_equal(np.stack(result.log_rows), np.stack([logs for _, logs in rows]))
         with np.errstate(divide="ignore"):
-            np.testing.assert_array_equal(result.log_matrix(), np.log(result.matrix()))
+            np.testing.assert_array_equal(np.stack(result.log_rows), np.log(result.matrix()))
 
     def test_built_only_when_read(self, monkeypatch):
         built = []
@@ -110,7 +110,7 @@ class TestLazyDistributions:
         monkeypatch.setattr(StepDistribution, "__post_init__", lambda d: built.append(d) or post_init(d))
         model = UniformModel(Vocab(5))
         result = model.forced_pass((2,), (2, 3))
-        assert len(result) == 3 and result.log_matrix().shape == (3, 5)
+        assert len(result) == 3 and np.stack(result.log_rows).shape == (3, 5)
         assert built == []
         result.matrix()
         assert len(built) == 3
@@ -121,7 +121,7 @@ class TestLazyDistributions:
             logs = np.log(probs)
         result = ForcedPassResult((probs,), (logs,))
         assert len(result) == 1
-        np.testing.assert_array_equal(result.log_matrix(), [logs])
+        np.testing.assert_array_equal(np.stack(result.log_rows), [logs])
         with pytest.raises(ValueError):
             result.distributions
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ def test_next_log_row_is_last_forced_pass_row(name):
     prefixes = [(), (content[1],), (content[1], content[2]), (content[1], content[2], content[0], content[1])]
     for prefix in prefixes + [TokenSeq(prefixes[-1], ROLE_TARGET), list(prefixes[2])]:
         got = cold.next_log_row(src, prefix)
-        want = reference.forced_pass(src, prefix).log_matrix()[-1]
+        want = np.stack(reference.forced_pass(src, prefix).log_rows)[-1]
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -191,7 +191,7 @@ def test_next_log_row_checks_inputs_as_forced_pass(m1, src, prefix, error):
 Q20 = [((4, 9, 12), ()), ((4, 9, 12), (5, 3, 8)), ((2, 19, 7, 7), (19, 2, 11))]
 
 # SHA-256 over the finalized probability and log rows of forced passes
-# (matrix() then log_matrix() bytes, query by query). A faster row draw,
+# (matrix() then np.stack(log_rows) bytes, query by query). A faster row draw,
 # finalization or memo must reproduce every bit of these rows.
 ROW_BYTES = {
     "ngram_v20": (
@@ -232,7 +232,7 @@ def test_finalized_row_bytes_are_pinned(name):
     for src, target in queries:
         result = model.forced_pass(src, target)
         digest.update(result.matrix().tobytes())
-        digest.update(result.log_matrix().tobytes())
+        digest.update(np.stack(result.log_rows).tobytes())
     assert digest.hexdigest() == want
 
 

@@ -9,7 +9,7 @@ from tsdecode.decode import (
     psgd_two_pass,
     psgd_with_trace,
 )
-from tsdecode.lm import TableModel
+from tsdecode.lm import NgramGenModel, TableModel
 from tsdecode.oracle import exhaustive_best_prefix, exhaustive_best_span
 from tsdecode.scoring import SCORING_PROB_OVER_LENGTH, filled_score
 
@@ -173,3 +173,58 @@ class TestParamValidation:
     def test_bad_max_span(self, m1, m1_task):
         with pytest.raises(InvalidParams):
             psgd(m1, m1_task, PsgdParams(max_span_len=0))
+
+
+# Pinned spans, exact scores, counts and traces of all three entry points.
+# Each run is (label, params, span, (forward_passes, positions_scored) of
+# psgd and psgd_with_trace, the same of psgd_two_pass, emitted_steps,
+# stop_reason, the spans of each trace round). psgd_two_pass adds one pass
+# of len(prefix) + len(span) + 1 positions per scored item. At patience 1
+# the one expansion is counted though its children are never scored.
+_PIN_SCORES = {
+    (): -2.3846603524236047,
+    (6,): -2.0998652092384824,
+    (4,): -2.8352224099324292,
+    (7,): -3.6521886074697822,
+    (6, 2): -2.6899321105782956,
+    (4, 3): -2.121760272483983,
+}
+PINNED_RUNS = [
+    ("pt0", PsgdParams(beam_width=3, patience=0), (), (1, 4), (2, 6), 0, STOP_PATIENCE, [[()]]),
+    ("pt1", PsgdParams(beam_width=3, patience=1), (), (1, 4), (2, 6), 1, STOP_PATIENCE, [[()]]),
+    (
+        "span1",
+        PsgdParams(beam_width=3, patience=5, max_span_len=1),
+        (6,), (4, 19), (8, 30), 1, STOP_MAX_LEN,
+        [[()], [(6,), (4,), (7,)]],
+    ),
+    (
+        "pt2",
+        PsgdParams(beam_width=2, patience=2),
+        (6,), (5, 26), (10, 42), 3, STOP_PATIENCE,
+        [[()], [(6,), (4,)], [(6, 2), (4, 3)]],
+    ),
+]
+
+
+@pytest.fixture(scope="module")
+def pinned_setup():
+    model = NgramGenModel(Vocab(8), 2, seed=3, concentration=0.5)
+    task = TsTask("pin", TokenSeq((2, 5, 4), "source"), TokenSeq((3,), "prefix"), TokenSeq((6, 2), "suffix"))
+    return model, task
+
+
+@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
+def test_entry_points_are_pinned(pinned_setup, run):
+    model, task = pinned_setup
+    _label, params, span, one, two, emitted, stop, trace_spans = run
+    single = psgd(model, task, params)
+    double = psgd_two_pass(model, task, params)
+    traced, trace = psgd_with_trace(model, task, params)
+    for got, (fw, pos) in ((single, one), (double, two), (traced, one)):
+        assert got.span.tokens == span
+        assert got.whole_seq_score == _PIN_SCORES[span]
+        assert (got.stats.forward_passes, got.stats.positions_scored) == (fw, pos)
+        assert got.stats.emitted_steps == emitted
+        assert got.stats.stop_reason == stop
+    assert trace == [[(sp, _PIN_SCORES[sp]) for sp in rnd] for rnd in trace_spans]
