@@ -138,10 +138,11 @@ def _psgd_params(args) -> PsgdParams:
 
 def cmd_gen(args) -> int:
     cfg = _gen_config(args)
-    tasks = gen_dataset(cfg)
+    model = model_from_spec(cfg.resolved_model_spec())
+    tasks = gen_dataset(cfg, model)
     write_tasks_jsonl(args.out, tasks)
     if args.model_spec:
-        save_model_spec(args.model_spec, model_from_spec(cfg.resolved_model_spec()))
+        save_model_spec(args.model_spec, model)
     print(f"wrote {len(tasks)} tasks to {args.out}")
     return EXIT_OK
 
@@ -191,7 +192,10 @@ def _sweep_common(args) -> tuple[SweepConfig, list[TsTask], SequenceModel]:
         raise ConfigError(str(exc)) from exc
     if args.command == "sweep-pt" and "psgd" not in sweep_cfg.decoders:
         raise ConfigError(f"sweep-pt decodes with psgd, but decoders is {list(sweep_cfg.decoders)}")
-    return sweep_cfg, gen_dataset(gen_cfg), model_from_spec(gen_cfg.resolved_model_spec())
+    # One model for gen and the sweep: the sweep decodes the sources whose
+    # references gen drew, from the same rows.
+    model = model_from_spec(gen_cfg.resolved_model_spec())
+    return sweep_cfg, gen_dataset(gen_cfg, model), model
 
 
 def _write_sweep(args, sweep_cfg: SweepConfig, bench: list[BenchRow], rows: list[ResultRow]) -> int:

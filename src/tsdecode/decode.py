@@ -8,7 +8,9 @@ and the log rows of that single pass yield both the whole-sequence score
 (used for the stopping rule) and the next-token row at the span position
 (used to extend the beam). Decoding stops once the best whole-sequence
 score has not improved for ``patience`` consecutive steps, and the answer
-is the span prefix at the best-scoring step.
+is the span prefix at the best-scoring step. The step that trips the
+patience rule counts in ``emitted_steps`` but is never expanded, since it
+would never be scored.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -17,7 +19,11 @@ search with no constraints: both run the one full-sentence beam loop in
 ``_beam_core``.
 
 PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
-their beams with one expansion step, ``_expand``.
+their beams with one expansion step, ``_expand``. It works on arrays, like
+the vectorised DBA of Hu et al. (NAACL 2019), which builds on Post & Vilar
+(NAACL 2018): it scores all beam x content candidates in one numpy add and
+builds candidate tuples only for those scoring at least the k-th best score,
+ties included, so the cut never changes which candidates win.
 """
 
 from __future__ import annotations
@@ -90,12 +96,30 @@ def _wall_us(t0: float) -> int:
 def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
     """The ``k`` best one-token content expansions of ``beam`` (entries
     ``(tokens, lp, ...)``, ``rows[i]`` the log next-token row of ``beam[i]``)
-    as ``(score, child, parent entry)`` in ``rank`` order."""
+    as ``(score, child, parent entry)`` in ``rank`` order.
+
+    ``content`` is the vocabulary's content ids, a run of consecutive ids.
+    All B x |content| scores ``lp + row[tok]`` come from one numpy add, the
+    same IEEE float64 operation as Python's ``+``. ``np.partition`` finds the
+    k-th best score, and only candidates scoring at least that much become
+    tuples. The cut is exact: a candidate below it has k candidates ranked
+    before it, and every candidate tied with the k-th score is kept, so
+    ``rank`` picks and orders the winners as it would over the full set.
+    Every child of one step has the same length, so ``rank`` breaks a score
+    tie on (parent tokens, tok).
+    """
+    lo = content[0]
+    width = content[-1] + 1 - lo
+    lps = np.array([entry[1] for entry in beam])
+    flat = (np.array(rows)[:, lo : lo + width] + lps[:, None]).ravel()
+    keep = np.arange(flat.size)
+    if k < flat.size:
+        kth = np.partition(flat, flat.size - k)[flat.size - k]
+        keep = (flat >= kth).nonzero()[0]
     candidates = []
-    for entry, row in zip(beam, rows):
-        tokens, lp = entry[0], entry[1]
-        row = row.tolist()
-        candidates.extend((lp + row[tok], tokens + (tok,), entry) for tok in content)
+    for i, score in zip(keep.tolist(), flat[keep].tolist()):
+        entry = beam[i // width]
+        candidates.append((score, entry[0] + (lo + i % width,), entry))
     return heapq.nsmallest(k, candidates, key=rank)
 
 
@@ -169,12 +193,14 @@ def _psgd_run(
         if n == max_span:
             stop_reason = STOP_MAX_LEN
             break
+        # Step n + 1 is emitted (the logical count) but expanded only if it
+        # will be scored: patience stops before its scoring round.
+        emitted += 1
+        if n + 1 - best[2] >= patience:
+            break
         # Never empty: every vocabulary has a content id.
         beam = [(child, lp) for lp, child, _ in _expand(beam, rows, content, beam_width)]
-        emitted += 1
         n += 1
-        if n - best[2] >= patience:
-            break
 
     stats = DecodeStats(
         forward_passes=fw,

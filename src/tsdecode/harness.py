@@ -196,9 +196,15 @@ def _mask(sequence: tuple[int, ...], ratio: float, stream: Stream) -> tuple[int,
     return start, span_len
 
 
-def gen_dataset(cfg: GenConfig) -> list[TsTask]:
-    """Generate ``cfg.n_tasks`` tasks per mask ratio, deterministically."""
-    model = model_from_spec(cfg.resolved_model_spec())
+def gen_dataset(cfg: GenConfig, model: SequenceModel | None = None) -> list[TsTask]:
+    """Generate ``cfg.n_tasks`` tasks per mask ratio, deterministically.
+
+    ``model`` is the model of ``cfg.resolved_model_spec()``, built here when
+    not given. A caller that decodes the tasks passes the model it decodes
+    with, so the rows drawn for the references are memo hits there.
+    """
+    if model is None:
+        model = model_from_spec(cfg.resolved_model_spec())
     mt_model = None
     if cfg.constraint_source == CONSTRAINT_MT:
         mt_model = make_perturbed_sibling(

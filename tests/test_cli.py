@@ -3,13 +3,21 @@ from dataclasses import replace
 
 import pytest
 
+from tsdecode import cli, harness
 from tsdecode.cli import main
 from tsdecode.core import read_results_jsonl, read_tasks_jsonl, write_results_jsonl, write_tasks_jsonl
 from tsdecode.core import ResultRow, TokenSeq, TsTask
 from tsdecode.decode import PsgdParams
-from tsdecode.harness import run_ratio_sweep, split_by_ratio
-from tsdecode.lm import load_model_spec
-from tsdecode.metrics import format_metrics_csv
+from tsdecode.harness import (
+    gen_config_from_dict,
+    gen_dataset,
+    run_pt_sweep,
+    run_ratio_sweep,
+    split_by_ratio,
+    sweep_config_from_dict,
+)
+from tsdecode.lm import load_model_spec, model_from_spec, save_model_spec
+from tsdecode.metrics import format_metrics_csv, write_metrics_csv
 
 
 GEN_CONFIG = {
@@ -337,6 +345,75 @@ class TestSweeps:
         assert main(["sweep-pt", "--config", cfg, "--out", str(out)]) == 2
         assert "psgd" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _masked_outputs(paths):
+    """Output file texts, with the timing fields of result rows and metrics
+    masked."""
+    out = []
+    for path in paths:
+        text = path.read_text()
+        if path.name == "rows.jsonl":
+            out.append(mask_wall(text.splitlines()))
+        elif path.suffix == ".csv":
+            header, *rows = text.splitlines()
+            keep = [i for i, name in enumerate(header.split(",")) if name != "mean_wall_time_us"]
+            out.append([",".join(line.split(",")[i] for i in keep) for line in [header, *rows]])
+        else:
+            out.append(text)
+    return out
+
+
+def _old_path_outputs(command, d):
+    """The outputs of ``command`` as written when gen built its own model and
+    the command built a second one from the same spec."""
+    config = SWEEP_CONFIG if command.startswith("sweep") else GEN_CONFIG
+    gen_cfg = gen_config_from_dict(config)
+    tasks = gen_dataset(gen_cfg)
+    model = model_from_spec(gen_cfg.resolved_model_spec())
+    if command == "gen":
+        write_tasks_jsonl(d / "tasks.jsonl", tasks)
+        save_model_spec(d / "model.json", model)
+        return [d / "tasks.jsonl", d / "model.json"]
+    sweep_cfg = sweep_config_from_dict(config)
+    if command == "sweep-pt":
+        bench, rows = run_pt_sweep(tasks, model, sweep_cfg.pt_values, sweep_cfg.beam_width)
+    else:
+        params = PsgdParams(beam_width=sweep_cfg.beam_width, patience=sweep_cfg.pt_values[0])
+        bench, rows = run_ratio_sweep(split_by_ratio(tasks), model, sweep_cfg.decoders, params)
+    write_metrics_csv(d / "metrics.csv", bench)
+    write_results_jsonl(d / "rows.jsonl", rows)
+    return [d / "metrics.csv", d / "rows.jsonl"]
+
+
+@pytest.mark.parametrize("command", ["gen", "sweep-pt", "sweep-ratio"])
+def test_one_model_per_command(tmp_path, monkeypatch, command):
+    """gen and the sweeps build one model, shared by gen and the decoding,
+    and write what they wrote with a model each."""
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    want = _masked_outputs(_old_path_outputs(command, old))
+
+    built = []
+
+    def counting_model_from_spec(spec):
+        built.append(spec)
+        return model_from_spec(spec)
+
+    monkeypatch.setattr(cli, "model_from_spec", counting_model_from_spec)
+    monkeypatch.setattr(harness, "model_from_spec", counting_model_from_spec)
+    if command == "gen":
+        cfg = write_config(new, GEN_CONFIG)
+        outs = [new / "tasks.jsonl", new / "model.json"]
+        argv = ["gen", "--config", cfg, "--out", str(outs[0]), "--model-spec", str(outs[1])]
+    else:
+        cfg = write_config(new, SWEEP_CONFIG)
+        outs = [new / "metrics.csv", new / "rows.jsonl"]
+        argv = [command, "--config", cfg, "--out", str(outs[0]), "--results-out", str(outs[1])]
+    assert main(argv) == 0
+    assert len(built) == 1
+    assert _masked_outputs(outs) == want
 
 
 # DBA finds no constraint-complete sentence for this task at beam width 3.

@@ -1,5 +1,6 @@
 import pytest
 
+from tsdecode import decode
 from tsdecode.core import STOP_MAX_LEN, STOP_PATIENCE, TokenSeq, TsTask, Vocab
 from tsdecode.decode import (
     InvalidParams,
@@ -93,6 +94,28 @@ class TestStopping:
             got = psgd(model, task, PsgdParams(beam_width=3, patience=2, max_span_len=12))
             if got.stats.stop_reason == STOP_PATIENCE:
                 assert got.stats.emitted_steps == len(got.span) + 2
+
+    def test_expands_only_before_a_scoring_round(self, monkeypatch):
+        # A patience stop counts its last step in emitted_steps but does not
+        # expand the beam for it: one _expand per scoring round but the last.
+        calls = []
+        real = decode._expand
+        monkeypatch.setattr(decode, "_expand", lambda *args: calls.append(args) or real(*args))
+        stops = set()
+        for seed in range(10):
+            vocab, src, model = random_table_model(seed + 50)
+            task = random_task(seed + 50, vocab, src)
+            for patience, max_span in ((1, 12), (2, 12), (3, 2)):
+                calls.clear()
+                params = PsgdParams(beam_width=3, patience=patience, max_span_len=max_span)
+                got, trace = psgd_with_trace(model, task, params)
+                assert len(calls) == len(trace) - 1
+                stops.add(got.stats.stop_reason)
+                if got.stats.stop_reason == STOP_PATIENCE:
+                    assert got.stats.emitted_steps == len(trace) == len(got.span) + patience
+                else:
+                    assert got.stats.emitted_steps == len(trace) - 1 == max_span
+        assert stops == {STOP_PATIENCE, STOP_MAX_LEN}
 
     def test_best_step_equals_oracle_prefix_rule(self):
         for seed in range(30):

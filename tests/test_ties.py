@@ -12,7 +12,9 @@ shared order must reproduce them exactly.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams, PsgdParams, _expand, beam_search, dba_decode, psgd
@@ -172,11 +174,9 @@ def _beams():
     yield tied, (3,), [((3, 2), -1.5, (1,)), ((2, 3), -1.5, (0,)), ((5, 4), -1.5, (2,))]
 
 
-@pytest.mark.parametrize("model, src, beam", list(_beams()))
-def test_expand_equals_full_sort(model, src, beam):
-    rows = [model.next_log_row(src, entry[0]) for entry in beam]
-    content = model.vocab.content_ids
-    full = sorted(
+def _full_sort(beam, rows, content):
+    """Every one-token content expansion of ``beam``, sorted by ``rank``."""
+    return sorted(
         (
             (entry[1] + float(row[tok]), entry[0] + (tok,), entry)
             for entry, row in zip(beam, rows)
@@ -184,8 +184,44 @@ def test_expand_equals_full_sort(model, src, beam):
         ),
         key=rank,
     )
+
+
+@pytest.mark.parametrize("model, src, beam", list(_beams()))
+def test_expand_equals_full_sort(model, src, beam):
+    rows = [model.next_log_row(src, entry[0]) for entry in beam]
+    content = model.vocab.content_ids
+    full = _full_sort(beam, rows, content)
     for k in range(1, len(full) + 2):
         assert _expand(beam, rows, content, k) == full[:k]
+
+
+# Few distinct values, so scores tie across parents and at the k-th score.
+_TIE_VALUES = st.sampled_from([-2.0, -1.5, -1.0, -0.5])
+
+
+@st.composite
+def _tied_steps(draw):
+    """(beam, rows, content, k): 1-5 distinct parents of one length, vocab
+    3-30 (one content id up to 28), and k from 1 to one past the candidates."""
+    vocab = Vocab(draw(st.integers(3, 30)))
+    length = draw(st.integers(0, 3))
+    parents = draw(st.lists(
+        st.tuples(*[st.integers(2, 6)] * length), min_size=1, max_size=min(5, 5**length), unique=True
+    ))
+    beam = [(tokens, draw(_TIE_VALUES)) for tokens in parents]
+    rows = [
+        np.array(draw(st.lists(_TIE_VALUES, min_size=vocab.size, max_size=vocab.size)))
+        for _ in beam
+    ]
+    content = vocab.content_ids
+    return beam, rows, content, draw(st.integers(1, len(beam) * len(content) + 1))
+
+
+@given(_tied_steps())
+@settings(max_examples=300, deadline=None)
+def test_expand_equals_full_sort_under_ties(step):
+    beam, rows, content, k = step
+    assert _expand(beam, rows, content, k) == _full_sort(beam, rows, content)[:k]
 
 
 def _branchy_prefer(score, span, best_score, best_span):
