@@ -157,6 +157,16 @@ class ResultRow:
     error: str | None = None
 
 
+def check_int(name: str, value, least: int | None = None) -> int:
+    """``value``, or a ValueError naming ``name`` unless it is an int (not a
+    bool) and at least ``least`` when given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 def check_tokens(tokens: tuple[int, ...], vocab: Vocab, what: str, content: bool = True) -> None:
     """Raise TokenOutOfRange for an id outside ``vocab`` and, if ``tokens`` is
     a content sequence, ReservedTokenInContent for BOS or EOS; the message
@@ -200,7 +210,7 @@ def task_to_dict(task: TsTask) -> dict:
 
 def task_from_dict(d: dict) -> TsTask:
     def seq(key: str, role: str) -> TokenSeq:
-        return TokenSeq(tuple(d[key]), role)
+        return TokenSeq(tuple(check_int(key, tok) for tok in d[key]), role)
 
     return TsTask(
         task_id=str(d["task_id"]),
@@ -230,16 +240,18 @@ def result_to_dict(row: ResultRow) -> dict:
 
 
 def result_from_dict(d: dict) -> ResultRow:
+    if d["stop_reason"] not in STOP_REASONS:
+        raise ValueError(f"unknown stop_reason {d['stop_reason']!r}")
     return ResultRow(
         task_id=str(d["task_id"]),
         decoder=str(d["decoder"]),
-        span=tuple(d["span"]),
+        span=tuple(check_int("span", tok) for tok in d["span"]),
         score=float(d["score"]),
-        forward_passes=int(d["forward_passes"]),
-        positions_scored=int(d["positions_scored"]),
-        emitted_steps=int(d["emitted_steps"]),
-        stop_reason=str(d["stop_reason"]),
-        wall_time_us=int(d["wall_time_us"]),
+        forward_passes=check_int("forward_passes", d["forward_passes"], 0),
+        positions_scored=check_int("positions_scored", d["positions_scored"], 0),
+        emitted_steps=check_int("emitted_steps", d["emitted_steps"], 0),
+        stop_reason=d["stop_reason"],
+        wall_time_us=check_int("wall_time_us", d["wall_time_us"], 0),
         error=d.get("error"),
     )
 

@@ -16,7 +16,7 @@ DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
 partially-satisfied hypotheses survive pruning. Plain beam search is the same
 search with no constraints: both run the one full-sentence beam loop in
-``_beam_core``.
+``_beam_core``, which selects by length-normalized score.
 
 PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
 their beams with one expansion step, ``_expand``. It works on arrays, like
@@ -270,22 +270,13 @@ def _needed_tokens(progress: tuple[int, ...], constraints: tuple[Tokens, ...]) -
 Beam = list[tuple[Tokens, float, tuple[int, ...]]]
 
 
-def _pick_best(entries, length_norm: bool) -> tuple[float, Tokens | None]:
-    """The first-ranked (selection score, tokens) of (tokens, raw score)
-    entries, by raw or length-normalized score; (-inf, None) if empty."""
-    return min(
-        ((normalized_score(raw, len(tokens)) if length_norm else raw, tokens) for tokens, raw in entries),
-        key=rank,
-        default=(float("-inf"), None),
-    )
+def _pick_best(entries) -> tuple[float, Tokens]:
+    """The first-ranked (length-normalized score, tokens) of non-empty
+    (tokens, raw score) entries."""
+    return min(((normalized_score(raw, len(tokens)), tokens) for tokens, raw in entries), key=rank)
 
 
-def _beam_core(
-    model: SequenceModel,
-    source,
-    params: DbaParams,
-    length_norm: bool,
-) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
+def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
     """Full-sentence beam search from BOS under ``params.constraints``.
 
     Returns the finished sequences with their raw scores (EOS included), the
@@ -318,16 +309,11 @@ def _beam_core(
     initial = tuple(0 for _ in constraints)
     beam: Beam = [((), 0.0, initial)]
     finished: dict[Tokens, float] = {}
-    best_finished_raw = float("-inf")
-
-    def record(tokens: Tokens, raw: float) -> None:
-        nonlocal best_finished_raw
-        if tokens not in finished:
-            finished[tokens] = raw
-        best_finished_raw = max(best_finished_raw, raw)
 
     for step in range(params.max_len + 1):
+        last = step == params.max_len
         rows = []
+        eos_cands = []
         for tokens, lp, progress in beam:
             # One memoised row per hypothesis; the statistics still count the
             # logical forced pass over BOS + tokens that the row ends.
@@ -335,15 +321,14 @@ def _beam_core(
             fw += 1
             pos_scored += len(tokens) + 1
             rows.append(log_row)
-            if is_complete(progress) and int(np.argmax(log_row)) == eos:
-                record(tokens, lp + float(log_row[eos]))
-        if step == params.max_len:
-            if constraints:
-                # Forced finish at the length budget: close every alive
-                # complete hypothesis with EOS rather than return nothing.
-                for (tokens, lp, progress), log_row in zip(beam, rows):
-                    if is_complete(progress):
-                        record(tokens, lp + float(log_row[eos]))
+            if is_complete(progress):
+                eos_cands.append((lp + float(log_row[eos]), tokens, progress, None))
+                # A complete hypothesis finishes when EOS is its argmax and,
+                # under constraints, at the length budget (a forced finish,
+                # rather than return nothing).
+                if int(np.argmax(log_row)) == eos or (constraints and last):
+                    finished.setdefault(tokens, eos_cands[-1][0])
+        if last:
             break
 
         # Global expansion ranking. EOS candidates (complete hypotheses only)
@@ -357,15 +342,10 @@ def _beam_core(
             (lp_c, child, parent[2], child[-1])
             for lp_c, child, parent in _expand(beam, rows, content, beam_width)
         ]
-        eos_cands = [
-            (lp + float(log_row[eos]), tokens, progress, None)
-            for (tokens, lp, progress), log_row in zip(beam, rows)
-            if is_complete(progress)
-        ]
         finishes_this_round: set[Tokens] = set()
         for cand in sorted(top + eos_cands, key=rank)[:beam_width]:
             if cand[3] is None:
-                record(cand[1], cand[0])
+                finished.setdefault(cand[1], cand[0])
                 finishes_this_round.add(cand[1])
 
         # Candidate pool: top-k content expansions plus forced constraint
@@ -399,7 +379,7 @@ def _beam_core(
             slots = base + (1 if i < rem else 0)
             for cand in banked[bank][:slots]:
                 if cand[3]:
-                    record(cand[1], cand[0])
+                    finished.setdefault(cand[1], cand[0])
                     finishes_this_round.add(cand[1])
             bank_content = [c for c in banked[bank] if not c[3]]
             selected.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[:slots])
@@ -409,18 +389,11 @@ def _beam_core(
             selected.extend(leftovers[: beam_width - len(selected)])
 
         hard_finishes += len(finishes_this_round)
-        if length_norm and hard_finishes >= beam_width:
+        if hard_finishes >= beam_width:
             stop_reason = STOP_EMPTY_BEAM
             break
-        if not length_norm:
-            # Raw scores only decrease, so nothing at or below the best
-            # finished raw score can ever finish strictly better.
-            selected = [c for c in selected if c[0] > best_finished_raw]
         selected.sort(key=rank)
         beam = [(child, lp_c, progress) for lp_c, child, progress in selected]
-        if not beam:
-            stop_reason = STOP_EMPTY_BEAM
-            break
         emitted += 1
 
     stats = DecodeStats(
@@ -433,36 +406,23 @@ def _beam_core(
     return finished, beam, stats
 
 
-def beam_search(
-    model: SequenceModel,
-    source,
-    beam_width: int,
-    max_len: int,
-    length_norm: bool = False,
-) -> BeamSearchResult:
+def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> BeamSearchResult:
     """Standard beam search from BOS over content tokens: the DBA search
-    with no constraints, so it finishes, prunes and stops as ``dba_decode``
-    does with a single bank.
+    with no constraints, so it finishes and stops as ``dba_decode`` does
+    with a single bank. Without constraints nothing is force-finished at
+    ``max_len``: a hypothesis still alive there finishes only when EOS is
+    its argmax.
 
-    Returns the best finished sequence under the selected scoring; if
+    Returns the best finished sequence by length-normalized score; if
     nothing finished, the best unfinished hypothesis with ``finished=False``.
     """
-    finished, beam, _stats = _beam_core(
-        model, source, DbaParams(beam_width, max_len), length_norm
-    )
-    if finished:
-        best_sel, best_tokens = _pick_best(finished.items(), length_norm)
-        return BeamSearchResult(TokenSeq(best_tokens, ROLE_TARGET), best_sel, True)
-    best_sel, best_tokens = _pick_best(((t, lp) for t, lp, _ in beam), length_norm)
-    return BeamSearchResult(TokenSeq(best_tokens or (), ROLE_TARGET), best_sel, False)
+    finished, beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
+    entries = finished.items() if finished else [(t, lp) for t, lp, _ in beam]
+    score, tokens = _pick_best(entries)
+    return BeamSearchResult(TokenSeq(tokens, ROLE_TARGET), score, bool(finished))
 
 
-def dba_decode(
-    model: SequenceModel,
-    source,
-    params: DbaParams,
-    length_norm: bool = False,
-) -> tuple[TokenSeq, float, DecodeStats]:
+def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSeq, float, DecodeStats]:
     """Full-sequence beam search with hard phrasal constraints.
 
     Beam slots are divided as evenly as possible among banks indexed by the
@@ -475,22 +435,21 @@ def dba_decode(
 
     A hypothesis finishes (its EOS completion becomes a candidate answer)
     when EOS is its argmax extension or its EOS candidate ranks inside the
-    global beam window or its bank's slots. Raw-score pruning is lossless:
-    a hypothesis is dropped only when it can no longer finish above the best
-    completion already recorded. Termination: the length cap (``max_len``);
-    an emptied beam; or, under length normalization, beam-width many EOS
-    candidates having ranked inside the beam window. The latter two report
-    ``empty_beam``.
+    global beam window or its bank's slots; under constraints, every
+    complete hypothesis alive at ``max_len`` finishes too. Termination: the
+    length cap (``max_len``), or beam-width many EOS candidates having
+    ranked inside the beam window, which reports ``empty_beam``. The answer
+    is the finished sequence of best length-normalized score.
 
     Raises ``ConstraintsUnsatisfiable`` when nothing finished.
     """
-    finished, _beam, stats = _beam_core(model, source, params, length_norm)
+    finished, _beam, stats = _beam_core(model, source, params)
     if not finished:
         raise ConstraintsUnsatisfiable(
             f"no constraint-complete hypothesis finished within max_len={params.max_len}"
         )
-    best_sel, best_tokens = _pick_best(finished.items(), length_norm)
-    return TokenSeq(best_tokens, ROLE_TARGET), best_sel, stats
+    score, tokens = _pick_best(finished.items())
+    return TokenSeq(tokens, ROLE_TARGET), score, stats
 
 
 def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
@@ -551,9 +510,7 @@ def dba_suggest(
     if max_len is None:
         max_len = len(p) + len(s) + default_max_span_len(len(task.source))
     constraints = tuple(c for c in (p, s) if c)
-    output, _sel, stats = dba_decode(
-        model, task.source, DbaParams(beam_width, max_len, constraints), length_norm=True
-    )
+    output, _sel, stats = dba_decode(model, task.source, DbaParams(beam_width, max_len, constraints))
     span = extract_span(output.tokens, p, s)
     whole = filled_score(model, task.source, p, span, s, scoring, include_eos_in_len)
     stats = replace(

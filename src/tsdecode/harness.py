@@ -29,6 +29,7 @@ from .core import (
     TokenSeq,
     TsError,
     TsTask,
+    check_int,
 )
 from .decode import PsgdParams, beam_search, dba_suggest, default_max_span_len, psgd
 from .lm import SequenceModel, make_perturbed_sibling, model_from_spec
@@ -47,15 +48,6 @@ class DegenerateTarget(TsError):
     """Could not generate a usable reference sequence after many retries."""
 
 
-def _check_int(name: str, value, least: int | None = None) -> None:
-    """ValueError naming ``name`` unless ``value`` is an int (not a bool),
-    and at least ``least`` when given."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class GenConfig:
     vocab_size: int = 20
@@ -67,14 +59,14 @@ class GenConfig:
     constraint_source: str = CONSTRAINT_GOLD
 
     def __post_init__(self) -> None:
-        _check_int("vocab_size", self.vocab_size)
-        _check_int("seed", self.seed)
-        _check_int("n_tasks", self.n_tasks, 1)
+        check_int("vocab_size", self.vocab_size)
+        check_int("seed", self.seed)
+        check_int("n_tasks", self.n_tasks, 1)
         if len(self.source_len_range) != 2:
             raise ValueError(f"source_len_range must be [min, max], got {self.source_len_range}")
         lo, hi = self.source_len_range
-        _check_int("source_len_range", lo)
-        _check_int("source_len_range", hi)
+        check_int("source_len_range", lo)
+        check_int("source_len_range", hi)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad source_len_range {self.source_len_range}")
         if self.model_spec is not None and not isinstance(self.model_spec, dict):
@@ -86,6 +78,8 @@ class GenConfig:
                 raise ValueError(f"mask_ratio_list entry {ratio!r} is not a number")
             if not 0.0 < ratio < 1.0:
                 raise ValueError(f"mask_ratio_list entry {ratio} outside (0, 1)")
+        if len({make_task_id(ratio, 0) for ratio in self.mask_ratio_list}) < len(self.mask_ratio_list):
+            raise ValueError(f"mask_ratio_list entries {list(self.mask_ratio_list)} share a task id")
         if self.constraint_source not in (CONSTRAINT_GOLD, CONSTRAINT_MT):
             raise ValueError(f"unknown constraint_source {self.constraint_source!r}")
 
@@ -118,8 +112,8 @@ class SweepConfig:
         if not self.pt_values:
             raise ValueError("at least one pt value required")
         for pt in self.pt_values:
-            _check_int("pt_values", pt, 0)
-        _check_int("beam_width", self.beam_width, 1)
+            check_int("pt_values", pt, 0)
+        check_int("beam_width", self.beam_width, 1)
         if not isinstance(self.output_path, str):
             raise ValueError(f"output_path must be a string, got {self.output_path!r}")
 
@@ -166,11 +160,7 @@ def parse_task_ratio(task: TsTask) -> float:
 def _reference(model: SequenceModel, source: tuple[int, ...]) -> tuple[int, ...]:
     """The length-normalized beam-search translation of ``source``."""
     return beam_search(
-        model,
-        source,
-        _GEN_BEAM_WIDTH,
-        max_len=default_max_span_len(len(source)),
-        length_norm=True,
+        model, source, _GEN_BEAM_WIDTH, max_len=default_max_span_len(len(source))
     ).tokens.tokens
 
 

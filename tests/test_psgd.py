@@ -70,7 +70,7 @@ def test_unconstrained_task_matches_plain_beam_search(m1, m1_task_empty, m1_src)
     # With no constraints the span search walks the same greedy path as beam
     # search; on M1 the stopping rule lands on the same sentence.
     got = psgd(m1, m1_task_empty, PsgdParams(beam_width=1, patience=5))
-    want = beam_search(m1, m1_src, beam_width=1, max_len=20, length_norm=True)
+    want = beam_search(m1, m1_src, beam_width=1, max_len=20)
     assert got.span.tokens == want.tokens.tokens == (2, 3)
 
 

@@ -33,78 +33,45 @@ TIED = TableModel(
 )
 MODELS = {"uniform": UniformModel(Vocab(5)), "tied": TIED}
 
-# (model, source, length_norm, beam_width, max_len, tokens, score, finished)
+# (model, source, beam_width, max_len, tokens, score, finished)
 BEAM_SEARCH = [
-    ('uniform', (2,), False, 1, 3, (), -1.3862943611198906, True),
-    ('uniform', (2,), False, 2, 3, (), -1.3862943611198906, True),
-    ('uniform', (2,), False, 3, 4, (), -1.3862943611198906, True),
-    ('uniform', (2,), True, 1, 3, (), -1.3862943611198906, True),
-    ('uniform', (2,), True, 2, 3, (), -1.3862943611198906, True),
-    ('uniform', (2,), True, 3, 4, (), -1.3862943611198906, True),
-    ('tied', (2,), False, 1, 3, (), -1.3862943611208907, True),
-    ('tied', (2,), False, 2, 3, (), -1.3862943611208907, True),
-    ('tied', (2,), False, 3, 4, (), -1.3862943611208907, True),
-    ('tied', (2,), True, 1, 3, (), -1.3862943611208907, True),
-    ('tied', (2,), True, 2, 3, (), -1.3862943611208907, True),
-    ('tied', (2,), True, 3, 4, (), -1.3862943611208907, True),
-    ('tied', (3,), False, 1, 3, (3, 3, 3), -4.158883083362672, False),
-    ('tied', (3,), False, 2, 3, (4,), -2.7725887222417813, True),
-    ('tied', (3,), False, 3, 4, (4,), -2.7725887222417813, True),
-    ('tied', (3,), True, 1, 3, (3, 3, 3), -1.3862943611208907, False),
-    ('tied', (3,), True, 2, 3, (3, 4), -2.079441541681336, True),
-    ('tied', (3,), True, 3, 4, (3, 3, 4), -1.848392481494521, True),
+    ('uniform', (2,), 1, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), 2, 3, (), -1.3862943611198906, True),
+    ('uniform', (2,), 3, 4, (), -1.3862943611198906, True),
+    ('tied', (2,), 1, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), 2, 3, (), -1.3862943611208907, True),
+    ('tied', (2,), 3, 4, (), -1.3862943611208907, True),
+    ('tied', (3,), 1, 3, (3, 3, 3), -1.3862943611208907, False),
+    ('tied', (3,), 2, 3, (3, 4), -2.079441541681336, True),
+    ('tied', (3,), 3, 4, (3, 3, 4), -1.848392481494521, True),
 ]
-# (model, source, length_norm, constraints, beam_width, max_len, tokens, score,
+# (model, source, constraints, beam_width, max_len, tokens, score,
 #  forward_passes, emitted_steps, stop_reason)
 DBA = [
-    ('uniform', (2,), False, (), 2, 4, (), -1.3862943611198906, 1, 0, 'empty_beam'),
-    ('uniform', (2,), False, (), 3, 5, (), -1.3862943611198906, 1, 0, 'empty_beam'),
-    ('uniform', (2,), False, ((3,),), 2, 4, (3,), -2.772588722239781, 3, 1, 'empty_beam'),
-    ('uniform', (2,), False, ((3,),), 3, 5, (3,), -2.772588722239781, 4, 1, 'empty_beam'),
-    ('uniform', (2,), False, ((4, 2),), 2, 4, (4, 2), -4.1588830833596715, 5, 2, 'empty_beam'),
-    ('uniform', (2,), False, ((4, 2),), 3, 5, (4, 2), -4.1588830833596715, 7, 2, 'empty_beam'),
-    ('uniform', (2,), False, ((3,), (2, 4)), 2, 4, (2, 4, 3), -5.545177444479562, 7, 3, 'empty_beam'),
-    ('uniform', (2,), False, ((3,), (2, 4)), 3, 5, (2, 4, 3), -5.545177444479562, 10, 3, 'empty_beam'),
-    ('uniform', (2,), True, (), 2, 4, (), -1.3862943611198906, 3, 1, 'empty_beam'),
-    ('uniform', (2,), True, (), 3, 5, (), -1.3862943611198906, 4, 1, 'empty_beam'),
-    ('uniform', (2,), True, ((3,),), 2, 4, (2, 3), -2.0794415416798357, 5, 2, 'empty_beam'),
-    ('uniform', (2,), True, ((3,),), 3, 5, (2, 3), -2.0794415416798357, 7, 2, 'empty_beam'),
-    ('uniform', (2,), True, ((4, 2),), 2, 4, (2, 4, 2), -1.8483924814931874, 7, 3, 'empty_beam'),
-    ('uniform', (2,), True, ((4, 2),), 3, 5, (2, 2, 4, 2), -1.7328679513998633, 13, 4, 'empty_beam'),
-    ('uniform', (2,), True, ((3,), (2, 4)), 2, 4, (2, 2, 4, 3), -1.7328679513998633, 9, 4, 'max_len'),
-    ('uniform', (2,), True, ((3,), (2, 4)), 3, 5, (2, 2, 2, 4, 3), -1.6635532333438685, 16, 5, 'max_len'),
-    ('tied', (2,), False, (), 2, 4, (), -1.3862943611208907, 1, 0, 'empty_beam'),
-    ('tied', (2,), False, (), 3, 5, (), -1.3862943611208907, 1, 0, 'empty_beam'),
-    ('tied', (2,), False, ((3,),), 2, 4, (3,), -2.7725887222417813, 3, 1, 'empty_beam'),
-    ('tied', (2,), False, ((3,),), 3, 5, (3,), -2.7725887222417813, 4, 1, 'empty_beam'),
-    ('tied', (2,), False, ((4, 2),), 2, 4, (2, 4, 4, 2), -8.317766166716343, 9, 4, 'max_len'),
-    ('tied', (2,), False, ((4, 2),), 3, 5, (2, 4, 2), -6.931471805595454, 12, 4, 'empty_beam'),
-    ('tied', (2,), False, ((3,), (2, 4)), 2, 4, (2, 4, 3), -5.545177444483563, 7, 3, 'empty_beam'),
-    ('tied', (2,), False, ((3,), (2, 4)), 3, 5, (2, 4, 3), -5.545177444483563, 10, 3, 'empty_beam'),
-    ('tied', (2,), True, (), 2, 4, (), -1.3862943611208907, 3, 1, 'empty_beam'),
-    ('tied', (2,), True, (), 3, 5, (), -1.3862943611208907, 7, 2, 'empty_beam'),
-    ('tied', (2,), True, ((3,),), 2, 4, (2, 3), -2.079441541681336, 5, 2, 'empty_beam'),
-    ('tied', (2,), True, ((3,),), 3, 5, (2, 3, 3), -1.848392481494521, 10, 3, 'empty_beam'),
-    ('tied', (2,), True, ((4, 2),), 2, 4, (2, 4, 4, 2), -2.0794415416790857, 9, 4, 'max_len'),
-    ('tied', (2,), True, ((4, 2),), 3, 5, (2, 3, 2, 4, 2), -1.940812105567447, 16, 5, 'max_len'),
-    ('tied', (2,), True, ((3,), (2, 4)), 2, 4, (2, 4, 3), -1.848392481494521, 9, 4, 'max_len'),
-    ('tied', (2,), True, ((3,), (2, 4)), 3, 5, (2, 3, 2, 4, 3), -1.6635532333450687, 16, 5, 'max_len'),
-    ('tied', (3,), False, (), 2, 4, (4,), -2.7725887222417813, 3, 1, 'empty_beam'),
-    ('tied', (3,), False, (), 3, 5, (4,), -2.7725887222417813, 4, 1, 'empty_beam'),
-    ('tied', (3,), False, ((3,),), 2, 4, (3, 4), -4.158883083362672, 5, 2, 'empty_beam'),
-    ('tied', (3,), False, ((3,),), 3, 5, (3, 4), -4.158883083362672, 7, 2, 'empty_beam'),
-    ('tied', (3,), False, ((4, 2),), 2, 4, (4, 2), -4.158883083362672, 5, 2, 'empty_beam'),
-    ('tied', (3,), False, ((4, 2),), 3, 5, (4, 2), -4.158883083362672, 7, 2, 'empty_beam'),
-    ('tied', (3,), False, ((3,), (2, 4)), 2, 4, (3, 2, 4), -6.931471805595454, 8, 4, 'max_len'),
-    ('tied', (3,), False, ((3,), (2, 4)), 3, 5, (3, 3, 2, 4), -8.317766166716345, 16, 5, 'max_len'),
-    ('tied', (3,), True, (), 2, 4, (3, 4), -2.079441541681336, 5, 2, 'empty_beam'),
-    ('tied', (3,), True, (), 3, 5, (3, 3, 4), -1.848392481494521, 10, 3, 'empty_beam'),
-    ('tied', (3,), True, ((3,),), 2, 4, (3, 3, 4), -1.848392481494521, 7, 3, 'empty_beam'),
-    ('tied', (3,), True, ((3,),), 3, 5, (3, 3, 3, 4), -1.7328679514011134, 13, 4, 'empty_beam'),
-    ('tied', (3,), True, ((4, 2),), 2, 4, (3, 4, 2), -1.848392481494521, 7, 3, 'empty_beam'),
-    ('tied', (3,), True, ((4, 2),), 3, 5, (3, 3, 4, 2), -1.7328679514011134, 13, 4, 'empty_beam'),
-    ('tied', (3,), True, ((3,), (2, 4)), 2, 4, (3, 3, 2, 4), -2.079441541679086, 9, 4, 'max_len'),
-    ('tied', (3,), True, ((3,), (2, 4)), 3, 5, (3, 3, 3, 2, 4), -1.9408121055674468, 16, 5, 'max_len'),
+    ('uniform', (2,), (), 2, 4, (), -1.3862943611198906, 3, 1, 'empty_beam'),
+    ('uniform', (2,), (), 3, 5, (), -1.3862943611198906, 4, 1, 'empty_beam'),
+    ('uniform', (2,), ((3,),), 2, 4, (2, 3), -2.0794415416798357, 5, 2, 'empty_beam'),
+    ('uniform', (2,), ((3,),), 3, 5, (2, 3), -2.0794415416798357, 7, 2, 'empty_beam'),
+    ('uniform', (2,), ((4, 2),), 2, 4, (2, 4, 2), -1.8483924814931874, 7, 3, 'empty_beam'),
+    ('uniform', (2,), ((4, 2),), 3, 5, (2, 2, 4, 2), -1.7328679513998633, 13, 4, 'empty_beam'),
+    ('uniform', (2,), ((3,), (2, 4)), 2, 4, (2, 2, 4, 3), -1.7328679513998633, 9, 4, 'max_len'),
+    ('uniform', (2,), ((3,), (2, 4)), 3, 5, (2, 2, 2, 4, 3), -1.6635532333438685, 16, 5, 'max_len'),
+    ('tied', (2,), (), 2, 4, (), -1.3862943611208907, 3, 1, 'empty_beam'),
+    ('tied', (2,), (), 3, 5, (), -1.3862943611208907, 7, 2, 'empty_beam'),
+    ('tied', (2,), ((3,),), 2, 4, (2, 3), -2.079441541681336, 5, 2, 'empty_beam'),
+    ('tied', (2,), ((3,),), 3, 5, (2, 3, 3), -1.848392481494521, 10, 3, 'empty_beam'),
+    ('tied', (2,), ((4, 2),), 2, 4, (2, 4, 4, 2), -2.0794415416790857, 9, 4, 'max_len'),
+    ('tied', (2,), ((4, 2),), 3, 5, (2, 3, 2, 4, 2), -1.940812105567447, 16, 5, 'max_len'),
+    ('tied', (2,), ((3,), (2, 4)), 2, 4, (2, 4, 3), -1.848392481494521, 9, 4, 'max_len'),
+    ('tied', (2,), ((3,), (2, 4)), 3, 5, (2, 3, 2, 4, 3), -1.6635532333450687, 16, 5, 'max_len'),
+    ('tied', (3,), (), 2, 4, (3, 4), -2.079441541681336, 5, 2, 'empty_beam'),
+    ('tied', (3,), (), 3, 5, (3, 3, 4), -1.848392481494521, 10, 3, 'empty_beam'),
+    ('tied', (3,), ((3,),), 2, 4, (3, 3, 4), -1.848392481494521, 7, 3, 'empty_beam'),
+    ('tied', (3,), ((3,),), 3, 5, (3, 3, 3, 4), -1.7328679514011134, 13, 4, 'empty_beam'),
+    ('tied', (3,), ((4, 2),), 2, 4, (3, 4, 2), -1.848392481494521, 7, 3, 'empty_beam'),
+    ('tied', (3,), ((4, 2),), 3, 5, (3, 3, 4, 2), -1.7328679514011134, 13, 4, 'empty_beam'),
+    ('tied', (3,), ((3,), (2, 4)), 2, 4, (3, 3, 2, 4), -2.079441541679086, 9, 4, 'max_len'),
+    ('tied', (3,), ((3,), (2, 4)), 3, 5, (3, 3, 3, 2, 4), -1.9408121055674468, 16, 5, 'max_len'),
 ]
 # (model, source, prefix, suffix, beam_width, span, score, emitted_steps), patience 2
 PSGD = [
@@ -129,17 +96,15 @@ PSGD = [
 ]
 
 
-@pytest.mark.parametrize("name, src, length_norm, width, max_len, tokens, score, finished", BEAM_SEARCH)
-def test_beam_search_ties_pinned(name, src, length_norm, width, max_len, tokens, score, finished):
-    got = beam_search(MODELS[name], src, width, max_len, length_norm)
+@pytest.mark.parametrize("name, src, width, max_len, tokens, score, finished", BEAM_SEARCH)
+def test_beam_search_ties_pinned(name, src, width, max_len, tokens, score, finished):
+    got = beam_search(MODELS[name], src, width, max_len)
     assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
 
 
-@pytest.mark.parametrize(
-    "name, src, length_norm, constraints, width, max_len, tokens, score, fw, emitted, stop", DBA
-)
-def test_dba_decode_ties_pinned(name, src, length_norm, constraints, width, max_len, tokens, score, fw, emitted, stop):
-    got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints), length_norm)
+@pytest.mark.parametrize("name, src, constraints, width, max_len, tokens, score, fw, emitted, stop", DBA)
+def test_dba_decode_ties_pinned(name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
+    got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints))
     assert (got.tokens, sel) == (tokens, score)
     assert (stats.forward_passes, stats.emitted_steps, stats.stop_reason) == (fw, emitted, stop)
 

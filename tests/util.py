@@ -1,12 +1,15 @@
-"""Shared random-fixture generators for tests.
+"""Shared random-fixture generators and the brute-force search oracle for tests.
 
 Everything is keyed off the library's own platform-stable stream so every
 test run sees identical fixtures.
 """
 
+import itertools
+
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
-from tsdecode.lm import TableModel
+from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
+from tsdecode.scoring import normalized_score, prefer
 
 
 def random_table_model(seed, vocab_size=4, order=1, concentration=0.8, max_src_len=2):
@@ -49,3 +52,22 @@ def random_phrases(seed, vocab, max_phrases=2, max_phrase_len=3):
         tuple(stream.choice(vocab.content_ids) for _ in range(stream.randint(1, max_phrase_len)))
         for _ in range(n)
     )
+
+
+def contains_phrase(hay, phrase):
+    return any(hay[i : i + len(phrase)] == phrase for i in range(len(hay) - len(phrase) + 1))
+
+
+def enumerate_best(model, source, max_len, phrases=()):
+    """Independent oracle: the best content sequence up to ``max_len`` by
+    length-normalized score among those containing every phrase; None when
+    there is none."""
+    best_tokens, best_score = None, float("-inf")
+    for length in range(max_len + 1):
+        for seq in itertools.product(model.vocab.content_ids, repeat=length):
+            if not all(contains_phrase(seq, phrase) for phrase in phrases):
+                continue
+            score = normalized_score(seq_logprob(model, source, seq, include_eos=True), len(seq))
+            if best_tokens is None or prefer(score, seq, best_score, best_tokens):
+                best_tokens, best_score = seq, score
+    return best_tokens, best_score
