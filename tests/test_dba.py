@@ -183,7 +183,10 @@ PINNED_BEAM_CORE = {
 }
 
 
-@pytest.mark.parametrize("constraints", sorted(PINNED_BEAM_CORE))
+# Ids as pytest gave them when the keys also held the raw-score mode.
+@pytest.mark.parametrize(
+    "constraints", sorted(PINNED_BEAM_CORE), ids=["constraints1-True", "constraints3-True"]
+)
 def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints):
     # The beam core reads one row per hypothesis per step through
     # next_log_row; forward_passes and positions_scored stay the counts of

@@ -96,13 +96,31 @@ PSGD = [
 ]
 
 
-@pytest.mark.parametrize("name, src, width, max_len, tokens, score, finished", BEAM_SEARCH)
+def pinned_ids(argnames, table, block):
+    """Row ids in the form pytest gave them when these tables also held
+    raw-score rows: each block of ``block`` rows followed its raw-score twin,
+    so row i sat at index i + block * (i // block + 1), and a ``True`` after
+    the source named the length-normalized mode. Keeps each row's name."""
+    names = [a.strip() for a in argnames.split(",")]
+    ids = []
+    for i, row in enumerate(table):
+        index = i + block * (i // block + 1)
+        parts = [str(v) if isinstance(v, (str, int, float)) else f"{a}{index}" for a, v in zip(names, row)]
+        ids.append("-".join(parts[:2] + ["True"] + parts[2:]))
+    return ids
+
+
+_BEAM_ARGS = "name, src, width, max_len, tokens, score, finished"
+_DBA_ARGS = "name, src, constraints, width, max_len, tokens, score, fw, emitted, stop"
+
+
+@pytest.mark.parametrize(_BEAM_ARGS, BEAM_SEARCH, ids=pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
 def test_beam_search_ties_pinned(name, src, width, max_len, tokens, score, finished):
     got = beam_search(MODELS[name], src, width, max_len)
     assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
 
 
-@pytest.mark.parametrize("name, src, constraints, width, max_len, tokens, score, fw, emitted, stop", DBA)
+@pytest.mark.parametrize(_DBA_ARGS, DBA, ids=pinned_ids(_DBA_ARGS, DBA, 8))
 def test_dba_decode_ties_pinned(name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
     got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints))
     assert (got.tokens, sel) == (tokens, score)
