@@ -3,20 +3,27 @@ beam allocation (DBA) for lexically constrained decoding, and plain beam
 search.
 
 PSGD fills the masked span directly: the beam holds span candidates only,
-each step runs one forced pass over prefix + span + suffix per beam item,
-and the log rows of that single pass yield both the whole-sequence score
-(used for the stopping rule) and the next-token row at the span position
-(used to extend the beam). Decoding stops once the best whole-sequence
+and each step scores every item's whole sequence, prefix + span + suffix
+(used for the stopping rule), and reads its next-token row at the span
+position (used to extend the beam). Under an order-k model a span changes
+only the next-token row, the first k suffix rows and, for a suffix shorter
+than k, the EOS row; every other term of the score is computed once per
+task or carried from parent to child, so a step costs a few memo lookups
+per item, not a forced pass. Decoding stops once the best whole-sequence
 score has not improved for ``patience`` consecutive steps, and the answer
 is the span prefix at the best-scoring step. The step that trips the
 patience rule counts in ``emitted_steps`` but is never expanded, since it
-would never be scored.
+would never be scored. ``forward_passes`` and ``positions_scored`` count
+the logical forced passes over each scored sequence all the same.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
 partially-satisfied hypotheses survive pruning. Plain beam search is the same
 search with no constraints: both run the one full-sentence beam loop in
 ``_beam_core``, which selects by length-normalized score.
+
+Every decoder checks its inputs once per decode and then reads memoised
+rows through the model's unchecked lookup, ``SequenceModel.rows_after``.
 
 PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
 their beams with one expansion step, ``_expand``. It works on arrays, like
@@ -45,10 +52,11 @@ from .core import (
     TokenSeq,
     TsError,
     TsTask,
+    check_tokens,
     validate_task,
 )
 from .lm import SequenceModel, as_tokens
-from .scoring import SCORING_MEAN_LOGPROB, filled_score, normalized_score, rank
+from .scoring import SCORING_MEAN_LOGPROB, SCORING_MODES, filled_score, normalized_score, rank
 
 Tokens = tuple[int, ...]
 
@@ -127,17 +135,75 @@ def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
 # PSGD
 # ---------------------------------------------------------------------------
 
+def _check_scoring(scoring: str) -> None:
+    if scoring not in SCORING_MODES:
+        raise InvalidParams(f"unknown scoring mode {scoring!r}, expected one of {SCORING_MODES}")
+
+
 def _resolve_psgd_params(params: PsgdParams, source_len: int) -> tuple[int, int, int]:
     if params.beam_width < 1:
         raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
     if params.patience < 0:
         raise InvalidParams(f"patience must be >= 0, got {params.patience}")
+    _check_scoring(params.scoring)
     max_span = params.max_span_len
     if max_span is None:
         max_span = default_max_span_len(source_len)
     if max_span < 1:
         raise InvalidParams(f"max_span_len must be >= 1, got {max_span}")
     return params.beam_width, params.patience, max_span
+
+
+def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
+    """Incremental scoring of prefix + span + suffix for one task.
+
+    Returns ``(root, extend, score)``: ``root`` is the carry of the empty
+    span, ``extend(carry, term)`` the carry of a child whose last token
+    scored ``term`` in its parent's next-token row, and ``score(head,
+    carry)``, with ``head`` = prefix + span, gives (summed log-probability
+    of the whole sequence with its EOS, next-token row after ``head``).
+
+    The sum is added in the order ``psgd_two_pass`` sums its forced pass,
+    EOS term first and then the target left to right, so both give the same
+    float. Under an order-k model the prefix rows and the suffix rows from
+    position k on never see the span, so their terms are read once here.
+    When the suffix has at least k tokens the EOS row is fixed too and the
+    carry is the partial sum EOS + prefix + span terms; otherwise it is the
+    span terms, re-summed after each item's own EOS term.
+    """
+    rows_after = model.rows_after
+    eos = model.vocab.eos_id
+    k = min(model.order, len(s))
+    fixed_eos = len(s) >= model.order
+    prefix_terms = [float(rows_after(src, p[:t])[1][tok]) for t, tok in enumerate(p)]
+    tail_terms = [float(rows_after(src, p + s[:j])[1][s[j]]) for j in range(k, len(s))]
+    root = ()
+    if fixed_eos:
+        root = float(rows_after(src, p + s)[1][eos])
+        for term in prefix_terms:
+            root += term
+
+    def extend(carry, term: float):
+        return carry + term if fixed_eos else carry + (term,)
+
+    def score(head: Tokens, carry):
+        row = rows_after(src, head)[1]
+        if fixed_eos:
+            total = carry
+        else:
+            total = float(rows_after(src, head + s)[1][eos])
+            for term in prefix_terms:
+                total += term
+            for term in carry:
+                total += term
+        for j in range(k):
+            log_row = row if j == 0 else rows_after(src, head + s[:j])[1]
+            total += float(log_row[s[j]])
+        for term in tail_terms:
+            total += term
+        return total, row
+
+    return root, extend, score
 
 
 def _psgd_run(
@@ -152,40 +218,46 @@ def _psgd_run(
     src = as_tokens(task.source)
     p = as_tokens(task.prefix)
     s = as_tokens(task.suffix)
-    eos = model.vocab.eos_id
     content = model.vocab.content_ids
 
     t0 = time.perf_counter()
+    root, extend, score_item = _span_scorer(model, src, p, s)
     fw = 0
     pos_scored = 0
     emitted = 0
     stop_reason = STOP_PATIENCE
     # The first-ranked (whole-sequence score, span, step) so far.
     best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
-    beam: list[tuple[Tokens, float]] = [((), 0.0)]
+    # (span, span log-prob, scorer carry) per item.
+    beam: list[tuple[Tokens, float, object]] = [((), 0.0, root)]
     n = 0
     while True:
-        # One scoring round: a forced pass over prefix + span + suffix per
-        # item gives its whole-sequence score and its next-token row.
+        # One scoring round: each item's whole-sequence score and its
+        # next-token row; the two-pass reference gets them from a forced
+        # pass over prefix + span + suffix and a next_log_row query.
         scored = []
+        entries = []
         rows = []
-        for span, _lp in beam:
-            target = p + span + s
-            log_rows = model.forced_pass(src, target).log_rows
+        for span, lp, carry in beam:
+            head = p + span
+            if two_pass:
+                target = head + s
+                log_rows = model.forced_pass(src, target).log_rows
+                total = float(log_rows[-1][model.vocab.eos_id])
+                for log_row, tok in zip(log_rows, target):
+                    total += float(log_row[tok])
+                row = model.next_log_row(src, head)
+                fw += 1
+                pos_scored += len(head) + 1
+            else:
+                total, row = score_item(head, carry)
             fw += 1
-            pos_scored += len(target) + 1
-            total = float(log_rows[len(target)][eos])
-            for row, tok in zip(log_rows, target):
-                total += float(row[tok])
-            score = normalized_score(total, len(target), params.scoring, params.include_eos_in_len)
+            pos_scored += len(head) + len(s) + 1
+            score = normalized_score(total, len(head) + len(s), params.scoring, params.include_eos_in_len)
             best = min(best, (score, span, n), key=rank)
             scored.append((span, score))
-            if two_pass:
-                rows.append(model.next_log_row(src, p + span))
-                fw += 1
-                pos_scored += len(p) + len(span) + 1
-            else:
-                rows.append(log_rows[len(p) + len(span)])
+            entries.append((span, lp, carry, row))
+            rows.append(row)
         if trace is not None:
             trace.append(scored)
         if patience == 0:  # the empty span's score only, no expansion
@@ -199,7 +271,10 @@ def _psgd_run(
         if n + 1 - best[2] >= patience:
             break
         # Never empty: every vocabulary has a content id.
-        beam = [(child, lp) for lp, child, _ in _expand(beam, rows, content, beam_width)]
+        beam = [
+            (child, lp_c, extend(parent[2], float(parent[3][child[-1]])))
+            for lp_c, child, parent in _expand(entries, rows, content, beam_width)
+        ]
         n += 1
 
     stats = DecodeStats(
@@ -217,16 +292,20 @@ def _psgd_run(
 
 
 def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
-    """Prefix-suffix guided span decoding: one forced pass per beam item per
-    step serves both the stopping score and the next-token distribution."""
+    """Prefix-suffix guided span decoding. Each beam item's whole-sequence
+    score (the stopping rule) and its next-token row (the expansion) come
+    from the memo rows the span changes plus terms computed once per task,
+    with no forced pass; the statistics count one logical forced pass per
+    item all the same."""
     return _psgd_run(model, task, params or PsgdParams(), two_pass=False, trace=None)
 
 
 def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
     """Reference implementation that fetches the stopping score with a
-    forced pass and the next-token row with a second query (``next_log_row``)
-    per beam item. Must produce bit-identical spans and scores to ``psgd``
-    with exactly twice the forward passes."""
+    forced pass over the whole sequence and the next-token row with a second
+    query (``next_log_row``) per beam item, both with their input checks.
+    Must produce bit-identical spans and scores to ``psgd`` with exactly
+    twice the forward passes."""
     return _psgd_run(model, task, params or PsgdParams(), two_pass=True, trace=None)
 
 
@@ -287,11 +366,16 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
     if params.max_len < 0:
         raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
+    # Inputs are checked once here: every later row is read unchecked, and
+    # hypotheses hold only content ids and constraint tokens.
+    src = as_tokens(source)
+    check_tokens(src, model.vocab, "source", content=False)
     constraints = tuple(as_tokens(c) for c in params.constraints)
     for c in constraints:
         if len(c) == 0:
             raise InvalidParams("constraint phrases must be non-empty")
-    src = as_tokens(source)
+        check_tokens(c, model.vocab, "constraint")
+    rows_after = model.rows_after
     eos = model.vocab.eos_id
     content = model.vocab.content_ids
     beam_width = params.beam_width
@@ -317,7 +401,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         for tokens, lp, progress in beam:
             # One memoised row per hypothesis; the statistics still count the
             # logical forced pass over BOS + tokens that the row ends.
-            log_row = model.next_log_row(src, tokens)
+            log_row = rows_after(src, tokens)[1]
             fw += 1
             pos_scored += len(tokens) + 1
             rows.append(log_row)
@@ -504,6 +588,7 @@ def dba_suggest(
     comparable; ``wall_time_us`` covers that pass too.
     """
     validate_task(task, model.vocab)
+    _check_scoring(scoring)
     t0 = time.perf_counter()
     p = as_tokens(task.prefix)
     s = as_tokens(task.suffix)

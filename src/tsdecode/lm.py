@@ -8,15 +8,19 @@ A model's ``name`` (its spec kind), ``vocab``, context ``order`` and
 ``seed`` are plain attributes.
 
 A model maps (source sequence, target prefix) to a normalized next-token
-distribution. It answers two queries, both served from one memo of
-finalized rows per (source, context), and both check their tokens with
+distribution. Every query is served from one memo of finalized rows per
+(source, context) through one lookup, ``rows_after``, which checks nothing.
+Two queries are built on it that check their tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only):
 
 - ``forced_pass`` scores a whole target sequence; its ``log_rows`` hold the
-  log distribution at every position, so a single call serves both
-  sequence scoring and next-token selection (PSGD, ``seq_logprob``).
-- ``next_log_row`` returns only the log distribution after a prefix, the
-  one row a left-to-right beam step reads (``beam_search``, DBA).
+  log distribution at every position (``seq_logprob``, the PSGD two-pass
+  reference).
+- ``next_log_row`` returns only the log distribution after a prefix.
+
+The decoders check their inputs once per decode and then call
+``rows_after`` directly: PSGD for the few rows a span changes, the beam
+core for one row per hypothesis.
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -139,7 +143,11 @@ class SequenceModel:
         self._row_cache: dict[tuple[Tokens, Tokens], tuple[np.ndarray, np.ndarray]] = {}
 
     def _context(self, target_prefix: Tokens) -> Tokens:
-        """The conditioning context: last ``order`` tokens of BOS + prefix."""
+        """The conditioning context: last ``order`` tokens of BOS + prefix.
+
+        A subclass may condition on less, but never on more: rows that only
+        depend on the last ``order`` tokens are what lets PSGD score a span
+        without re-reading the rows it cannot change."""
         return ((self.vocab.bos_id,) + target_prefix)[-self.order:]
 
     def _raw_row(self, source: Tokens, context: Tokens) -> np.ndarray:
@@ -157,12 +165,19 @@ class SequenceModel:
             self._row_cache[key] = hit
         return hit
 
+    def rows_after(self, source: Tokens, prefix: Tokens) -> tuple[np.ndarray, np.ndarray]:
+        """The memoised (probability, log) rows of the next-token distribution
+        given BOS + ``prefix``. Nothing is checked: both must be int tuples
+        whose ids ``check_tokens`` accepts (the source with BOS and EOS
+        allowed). The checked queries below are built on it."""
+        return self._finalized(source, self._context(prefix))
+
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
         src = as_tokens(source)
         tgt = as_tokens(target)
         check_tokens(src, self.vocab, "source", content=False)
         check_tokens(tgt, self.vocab, "target")
-        pairs = [self._finalized(src, self._context(tgt[:t])) for t in range(len(tgt) + 1)]
+        pairs = [self.rows_after(src, tgt[:t]) for t in range(len(tgt) + 1)]
         return ForcedPassResult(
             tuple(probs for probs, _ in pairs), tuple(logs for _, logs in pairs)
         )
@@ -175,7 +190,7 @@ class SequenceModel:
         pre = as_tokens(prefix)
         check_tokens(src, self.vocab, "source", content=False)
         check_tokens(pre, self.vocab, "target")
-        return self._finalized(src, self._context(pre))[1]
+        return self.rows_after(src, pre)[1]
 
 
 def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) -> float:

@@ -3,7 +3,7 @@ import time
 import pytest
 
 from tsdecode import decode
-from tsdecode.core import Vocab
+from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, Vocab
 from tsdecode.decode import (
     ConstraintsUnsatisfiable,
     _find,
@@ -17,7 +17,14 @@ from tsdecode.decode import (
 from tsdecode.lm import NgramGenModel, UniformModel
 from tsdecode.scoring import filled_score
 
-from util import contains_phrase, enumerate_best, random_phrases, random_table_model, random_task
+from util import (
+    contains_phrase,
+    enumerate_best,
+    random_phrases,
+    random_table_model,
+    random_task,
+    record_token_checks,
+)
 
 
 class TestDegenerateEquivalence:
@@ -188,9 +195,9 @@ PINNED_BEAM_CORE = {
     "constraints", sorted(PINNED_BEAM_CORE), ids=["constraints1-True", "constraints3-True"]
 )
 def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints):
-    # The beam core reads one row per hypothesis per step through
-    # next_log_row; forward_passes and positions_scored stay the counts of
-    # the forced passes that row stands for.
+    # The beam core reads one row per hypothesis per step through the
+    # unchecked rows_after lookup; forward_passes and positions_scored stay
+    # the counts of the forced passes that row stands for.
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     calls = []
     forced_pass = model.forced_pass
@@ -204,3 +211,48 @@ def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, const
         got = beam_search(model, src, beam_width=4, max_len=10)
         assert got.finished and got.tokens.tokens == want_tokens
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "source, constraints, error",
+    [
+        ((2, 5, 4), ((3, 9),), TokenOutOfRange),
+        ((2, 5, 4), ((3, -1),), TokenOutOfRange),
+        ((2, 5, 4), ((3, 1),), ReservedTokenInContent),
+        ((2, 5, 4), ((0,),), ReservedTokenInContent),
+        ((2, 8), (), TokenOutOfRange),
+        ((2, -1), (), TokenOutOfRange),
+    ],
+    ids=["phrase-past-vocab", "phrase-negative", "phrase-eos", "phrase-bos", "source-past-vocab", "source-negative"],
+)
+def test_bad_tokens_raise_typed_errors_before_any_row(monkeypatch, source, constraints, error):
+    # Inputs are checked once, up front: an id the unchecked row lookup
+    # would index with (a -1 reads the last entry) never reaches it.
+    model = NgramGenModel(Vocab(8), 2, seed=3, concentration=0.5)
+    looked_up = []
+    monkeypatch.setattr(model, "rows_after", lambda *a: looked_up.append(a))
+    with pytest.raises(error):
+        dba_decode(model, source, DbaParams(3, 6, constraints))
+    if not constraints:
+        with pytest.raises(error):
+            beam_search(model, source, beam_width=3, max_len=6)
+    assert looked_up == []
+
+
+def test_unknown_scoring_mode_is_rejected_before_decoding(monkeypatch, m1, m1_task):
+    monkeypatch.setattr(decode, "dba_decode", lambda *a: pytest.fail("decoded"))
+    with pytest.raises(InvalidParams, match="scoring"):
+        dba_suggest(m1, m1_task, beam_width=2, scoring="mean")
+
+
+@pytest.mark.parametrize("constraints", [(), ((4,), (6, 2))], ids=["plain", "constrained"])
+def test_beam_core_checks_its_inputs_once_per_decode(monkeypatch, constraints):
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    checked = record_token_checks(monkeypatch)
+    _, _, stats = dba_decode(model, (3, 7, 5, 9), DbaParams(4, 10, constraints))
+    assert stats.forward_passes > 1
+    assert checked == ["source"] + ["constraint"] * len(constraints)
+    if not constraints:
+        checked.clear()
+        beam_search(model, (3, 7, 5, 9), beam_width=4, max_len=10)
+        assert checked == ["source"]

@@ -10,11 +10,12 @@ from tsdecode.decode import (
     psgd_two_pass,
     psgd_with_trace,
 )
-from tsdecode.lm import NgramGenModel, TableModel
+from tsdecode.lm import NgramGenModel, SequenceModel, TableModel
 from tsdecode.oracle import exhaustive_best_prefix, exhaustive_best_span
-from tsdecode.scoring import SCORING_PROB_OVER_LENGTH, filled_score
+from tsdecode.rng import Stream, hash_key
+from tsdecode.scoring import SCORING_MODES, SCORING_PROB_OVER_LENGTH, filled_score
 
-from util import random_table_model, random_task
+from util import random_table_model, random_task, record_token_checks
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +156,50 @@ class TestScoreConsistency:
             assert abs(got.whole_seq_score - again) < 1e-9
 
 
+def _affix_tasks(order: int, vocab: Vocab, seed: int):
+    """Tasks over every suffix length 0..order + 1 and prefix length 0..3,
+    so each side of the fixed-EOS-row case (suffix length >= order) shows."""
+    stream = Stream(hash_key(seed, order))
+    content = vocab.content_ids
+    for n_suffix in range(order + 2):
+        for n_prefix in range(4):
+            source = tuple(stream.choice(content) for _ in range(stream.randint(1, 3)))
+            prefix = tuple(stream.choice(content) for _ in range(n_prefix))
+            suffix = tuple(stream.choice(content) for _ in range(n_suffix))
+            yield TsTask(
+                f"p{n_prefix}s{n_suffix}",
+                TokenSeq(source, "source"),
+                TokenSeq(prefix, "prefix"),
+                TokenSeq(suffix, "suffix"),
+            )
+
+
 class TestTwoPassReference:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_incremental_scores_equal_forced_passes_bit_for_bit(self, order):
+        # The incremental scorer keeps a running sum per hypothesis; the
+        # two-pass reference re-sums a forced pass over the whole sequence.
+        # Both add the EOS term first, then the target terms in order.
+        vocab = Vocab(7)
+        model = NgramGenModel(vocab, order, seed=11 + order, concentration=0.3)
+        for i, task in enumerate(_affix_tasks(order, vocab, seed=5)):
+            params = PsgdParams(
+                beam_width=1 + i % 3,
+                patience=1 + i % 3,
+                max_span_len=2 + i % 4,
+                scoring=SCORING_MODES[i % 2],
+                include_eos_in_len=bool(i % 3 == 1),
+            )
+            single, trace = psgd_with_trace(model, task, params)
+            two_trace = []
+            double = decode._psgd_run(model, task, params, two_pass=True, trace=two_trace)
+            assert single.span.tokens == double.span.tokens, task.task_id
+            assert single.whole_seq_score == double.whole_seq_score, task.task_id
+            assert trace == two_trace, task.task_id
+            assert single.stats.emitted_steps == double.stats.emitted_steps
+            assert single.stats.stop_reason == double.stats.stop_reason
+            assert double.stats.forward_passes == 2 * single.stats.forward_passes
+
     def test_bit_identical_with_double_passes(self):
         for seed in range(15):
             vocab, src, model = random_table_model(seed + 400)
@@ -196,6 +240,37 @@ class TestParamValidation:
     def test_bad_max_span(self, m1, m1_task):
         with pytest.raises(InvalidParams):
             psgd(m1, m1_task, PsgdParams(max_span_len=0))
+
+    def test_unknown_scoring_mode(self, m1, m1_task):
+        with pytest.raises(InvalidParams, match="scoring"):
+            psgd(m1, m1_task, PsgdParams(scoring="mean"))
+
+
+class TestNoForcedPass:
+    def test_psgd_never_runs_a_forced_pass(self, monkeypatch):
+        # The speed property: PSGD scores spans from memo rows, never with a
+        # forced pass over the whole sequence; dba_suggest's single
+        # re-scoring pass still may.
+        def refuse(*args):
+            raise AssertionError("forced_pass called")
+
+        monkeypatch.setattr(SequenceModel, "forced_pass", refuse)
+        vocab = Vocab(7)
+        for order in (1, 2, 3):
+            model = NgramGenModel(vocab, order, seed=order, concentration=0.3)
+            for task in _affix_tasks(order, vocab, seed=9):
+                got = psgd(model, task, PsgdParams(beam_width=3, patience=2, max_span_len=4))
+                assert got.stats.forward_passes >= 1
+        with pytest.raises(AssertionError, match="forced_pass"):
+            decode.dba_suggest(model, task, beam_width=3)
+
+    def test_psgd_checks_the_task_once(self, monkeypatch):
+        checked = record_token_checks(monkeypatch)
+        model = NgramGenModel(Vocab(9), 2, seed=4, concentration=0.3)
+        task = TsTask("t", TokenSeq((2, 5), "source"), TokenSeq((3,), "prefix"), TokenSeq((6, 2), "suffix"))
+        got = psgd(model, task, PsgdParams(beam_width=3, patience=3, max_span_len=5))
+        assert got.stats.forward_passes > 3
+        assert checked == ["task t source", "task t prefix", "task t suffix"]
 
 
 # Pinned spans, exact scores, counts and traces of all three entry points.

@@ -6,6 +6,7 @@ test run sees identical fixtures.
 
 import itertools
 
+from tsdecode import core, decode, lm
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
@@ -71,3 +72,18 @@ def enumerate_best(model, source, max_len, phrases=()):
             if best_tokens is None or prefer(score, seq, best_score, best_tokens):
                 best_tokens, best_score = seq, score
     return best_tokens, best_score
+
+
+def record_token_checks(monkeypatch) -> list[str]:
+    """Patch ``check_tokens`` wherever the library calls it; the returned
+    list collects the ``what`` of every call."""
+    checked = []
+    real = core.check_tokens
+
+    def recording(tokens, vocab, what, content=True):
+        checked.append(what)
+        return real(tokens, vocab, what, content)
+
+    for module in (core, decode, lm):
+        monkeypatch.setattr(module, "check_tokens", recording)
+    return checked
