@@ -20,7 +20,10 @@ DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
 partially-satisfied hypotheses survive pruning. Plain beam search is the same
 search with no constraints: both run the one full-sentence beam loop in
-``_beam_core``, which selects by length-normalized score.
+``_beam_core``, which selects by length-normalized score. Each step of it
+ranks every candidate once, in one list sorted by ``scoring.rank``, and
+reads the global window, each bank's slots, the backfill and the next beam
+from that one order.
 
 Every decoder checks its inputs once per decode and then reads memoised
 rows through the model's unchecked lookup, ``SequenceModel.rows_after``.
@@ -119,7 +122,7 @@ def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
     lo = content[0]
     width = content[-1] + 1 - lo
     lps = np.array([entry[1] for entry in beam])
-    flat = (np.array(rows)[:, lo : lo + width] + lps[:, None]).ravel()
+    flat = (np.asarray(rows)[:, lo : lo + width] + lps[:, None]).ravel()
     keep = np.arange(flat.size)
     if k < flat.size:
         kth = np.partition(flat, flat.size - k)[flat.size - k]
@@ -340,13 +343,7 @@ def _advance_progress(progress: tuple[int, ...], constraints: tuple[Tokens, ...]
     return tuple(out)
 
 
-def _needed_tokens(progress: tuple[int, ...], constraints: tuple[Tokens, ...]) -> set[int]:
-    return {
-        phrase[pos] for pos, phrase in zip(progress, constraints) if pos < len(phrase)
-    }
-
-
-Beam = list[tuple[Tokens, float, tuple[int, ...]]]
+Beam = list[tuple[Tokens, float, tuple[int, ...], int]]
 
 
 def _pick_best(entries) -> tuple[float, Tokens]:
@@ -359,8 +356,8 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
     """Full-sentence beam search from BOS under ``params.constraints``.
 
     Returns the finished sequences with their raw scores (EOS included), the
-    final beam as (tokens, raw score, constraint progress) triples, and the
-    decode statistics. See ``dba_decode`` for the search itself.
+    final beam as (tokens, raw score, constraint progress, bank) entries, and
+    the decode statistics. See ``dba_decode`` for the search itself.
     """
     if params.beam_width < 1:
         raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
@@ -379,9 +376,11 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
     eos = model.vocab.eos_id
     content = model.vocab.content_ids
     beam_width = params.beam_width
-
-    def is_complete(progress: tuple[int, ...]) -> bool:
-        return all(pos == len(phrase) for pos, phrase in zip(progress, constraints))
+    # A hypothesis's bank is its summed progress; it is constraint-complete
+    # exactly in the bank of every phrase token.
+    complete = sum(len(c) for c in constraints)
+    # (progress, token) -> (progress after token, its bank), for this decode.
+    advanced: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
     t0 = time.perf_counter()
     fw = 0
@@ -390,94 +389,86 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
     stop_reason = STOP_MAX_LEN
     hard_finishes = 0
 
-    initial = tuple(0 for _ in constraints)
-    beam: Beam = [((), 0.0, initial)]
+    beam: Beam = [((), 0.0, tuple(0 for _ in constraints), 0)]
     finished: dict[Tokens, float] = {}
 
     for step in range(params.max_len + 1):
         last = step == params.max_len
-        rows = []
-        eos_cands = []
-        for tokens, lp, progress in beam:
-            # One memoised row per hypothesis; the statistics still count the
-            # logical forced pass over BOS + tokens that the row ends.
-            log_row = rows_after(src, tokens)[1]
-            fw += 1
-            pos_scored += len(tokens) + 1
-            rows.append(log_row)
-            if is_complete(progress):
-                eos_cands.append((lp + float(log_row[eos]), tokens, progress, None))
-                # A complete hypothesis finishes when EOS is its argmax and,
-                # under constraints, at the length budget (a forced finish,
-                # rather than return nothing).
-                if int(np.argmax(log_row)) == eos or (constraints and last):
-                    finished.setdefault(tokens, eos_cands[-1][0])
+        # One memoised row per hypothesis; the statistics still count the
+        # logical forced pass over BOS + tokens that each row ends.
+        rows = np.array([rows_after(src, entry[0])[1] for entry in beam])
+        fw += len(beam)
+        pos_scored += sum(len(entry[0]) + 1 for entry in beam)
+        # EOS candidates of the complete hypotheses, which never enter the
+        # alive beam. A complete hypothesis finishes when EOS is its argmax
+        # and, under constraints, at the length budget (a forced finish,
+        # rather than return nothing).
+        cands = []
+        eos_lps, argmaxes = rows[:, eos].tolist(), rows.argmax(axis=1).tolist()
+        for (tokens, lp, progress, bank), eos_lp, best in zip(beam, eos_lps, argmaxes):
+            if bank == complete:
+                cands.append((lp + eos_lp, tokens, progress, bank, True))
+                if best == eos or (constraints and last):
+                    finished.setdefault(tokens, cands[-1][0])
         if last:
             break
 
-        # Global expansion ranking. EOS candidates (complete hypotheses only)
-        # finish by ranking inside the global beam window, or by winning a
-        # slot inside their own bank below (without which finishing would
-        # have to outrank every unconstrained hypothesis globally). They
-        # never enter the alive beam. Any content candidate in the window is
-        # in the content top k, so the window ranks only those and the EOS
-        # candidates.
-        top = [
-            (lp_c, child, parent[2], child[-1])
-            for lp_c, child, parent in _expand(beam, rows, content, beam_width)
-        ]
-        finishes_this_round: set[Tokens] = set()
-        for cand in sorted(top + eos_cands, key=rank)[:beam_width]:
-            if cand[3] is None:
-                finished.setdefault(cand[1], cand[0])
-                finishes_this_round.add(cand[1])
+        # The candidates: the EOS candidates, the top-k content expansions
+        # and each hypothesis's forced next token of every unfinished phrase
+        # (the content pool, keyed by child), each with its new progress and
+        # bank.
+        top = _expand(beam, rows, content, beam_width)
+        pool = {child: (lp_c, child, parent[2]) for lp_c, child, parent in top}
+        for (tokens, lp, progress, _), row in zip(beam, rows):
+            for pos, phrase in zip(progress, constraints):
+                if pos < len(phrase):
+                    child = tokens + (phrase[pos],)
+                    if child not in pool:
+                        pool[child] = (lp + float(row[phrase[pos]]), child, progress)
+        for lp_c, child, progress in pool.values():
+            key = (progress, child[-1])
+            moved = advanced.get(key)
+            if moved is None:
+                new_progress = _advance_progress(progress, constraints, child[-1])
+                moved = advanced[key] = (new_progress, sum(new_progress))
+            cands.append((lp_c, child, *moved, False))
+        cands.sort(key=rank)  # the one sort of the step (see dba_decode)
 
-        # Candidate pool: top-k content expansions plus forced constraint
-        # tokens, plus the EOS candidates competing for bank slots.
-        pool = {c[1]: c for c in top}
-        for (tokens, lp, progress), log_row in zip(beam, rows):
-            for tok in _needed_tokens(progress, constraints):
-                child = tokens + (tok,)
-                if child not in pool:
-                    pool[child] = (lp + float(log_row[tok]), child, progress, tok)
-
-        # Advance constraint states and group by bank; EOS candidates keep
-        # their (complete) progress and carry an is_eos marker.
-        banked: dict[int, list[tuple[float, Tokens, tuple[int, ...], bool]]] = {}
-        for lp_c, child, progress, tok in pool.values():
-            new_progress = _advance_progress(progress, constraints, tok)
-            banked.setdefault(sum(new_progress), []).append((lp_c, child, new_progress, False))
-        for lp_c, tokens, progress, _ in eos_cands:
-            banked.setdefault(sum(progress), []).append((lp_c, tokens, progress, True))
-        for cands in banked.values():
-            cands.sort(key=rank)
-
-        # Even slot split over non-empty banks, remainders to higher banks.
-        # EOS candidates ranking inside their bank's slots finish; alive
-        # slots are backfilled with the bank's best content candidates.
-        banks = sorted(banked, reverse=True)
+        # EOS candidates finish by ranking inside the global window, the
+        # first beam_width candidates, or inside their own bank's slots
+        # (without which finishing would have to outrank every unconstrained
+        # hypothesis globally). A forced-only candidate ranks after all
+        # beam_width top ones, so it never enters the window. Slots are split
+        # evenly over the non-empty banks, remainders to higher banks; each
+        # bank keeps its best content candidates in its slots.
+        banks = sorted({cand[3] for cand in cands}, reverse=True)
         base, rem = divmod(beam_width, len(banks))
-        selected: list[tuple[float, Tokens, tuple[int, ...]]] = []
-        leftovers: list[tuple[float, Tokens, tuple[int, ...]]] = []
-        for i, bank in enumerate(banks):
-            slots = base + (1 if i < rem else 0)
-            for cand in banked[bank][:slots]:
-                if cand[3]:
+        slots = {bank: base + (i < rem) for i, bank in enumerate(banks)}
+        seen = dict.fromkeys(banks, 0)
+        kept = dict.fromkeys(banks, 0)
+        alive = []
+        for i, cand in enumerate(cands):
+            bank = cand[3]
+            if cand[4]:
+                if i < beam_width or seen[bank] < slots[bank]:
                     finished.setdefault(cand[1], cand[0])
-                    finishes_this_round.add(cand[1])
-            bank_content = [c for c in banked[bank] if not c[3]]
-            selected.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[:slots])
-            leftovers.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[slots:])
-        if len(selected) < beam_width and leftovers:
-            leftovers.sort(key=rank)
-            selected.extend(leftovers[: beam_width - len(selected)])
-
-        hard_finishes += len(finishes_this_round)
+                    hard_finishes += 1
+            else:
+                alive.append((cand, kept[bank] < slots[bank]))
+                kept[bank] += 1
+            seen[bank] += 1
         if hard_finishes >= beam_width:
             stop_reason = STOP_EMPTY_BEAM
             break
-        selected.sort(key=rank)
-        beam = [(child, lp_c, progress) for lp_c, child, progress in selected]
+        # Slots a bank cannot fill go to the best leftover candidates.
+        spare = beam_width - sum(in_slot for _, in_slot in alive)
+        beam = []
+        for (lp_c, child, progress, bank, _), in_slot in alive:
+            if not in_slot:
+                if spare == 0:
+                    continue
+                spare -= 1
+            beam.append((child, lp_c, progress, bank))
         emitted += 1
 
     stats = DecodeStats(
@@ -501,7 +492,7 @@ def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> 
     nothing finished, the best unfinished hypothesis with ``finished=False``.
     """
     finished, beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
-    entries = finished.items() if finished else [(t, lp) for t, lp, _ in beam]
+    entries = finished.items() if finished else [entry[:2] for entry in beam]
     score, tokens = _pick_best(entries)
     return BeamSearchResult(TokenSeq(tokens, ROLE_TARGET), score, bool(finished))
 
@@ -517,13 +508,21 @@ def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSe
     unfinished phrase. Only constraint-complete hypotheses may finish, so
     every returned sequence contains every phrase contiguously.
 
+    Each step sorts the pool and the EOS candidates once by ``rank`` into
+    one list. The global window is its first beam-width entries, a bank's
+    slots are its first entries of that bank, and the backfill takes the
+    first leftovers. ``rank`` is a total order on the list, since every
+    child is distinct and one token longer than every EOS candidate, so each
+    of these reads the order that sorting it on its own would give.
+
     A hypothesis finishes (its EOS completion becomes a candidate answer)
     when EOS is its argmax extension or its EOS candidate ranks inside the
     global beam window or its bank's slots; under constraints, every
     complete hypothesis alive at ``max_len`` finishes too. Termination: the
     length cap (``max_len``), or beam-width many EOS candidates having
-    ranked inside the beam window, which reports ``empty_beam``. The answer
-    is the finished sequence of best length-normalized score.
+    ranked inside the beam window or their bank's slots, which reports
+    ``empty_beam``. The answer is the finished sequence of best
+    length-normalized score.
 
     Raises ``ConstraintsUnsatisfiable`` when nothing finished.
     """

@@ -10,16 +10,20 @@ searches when each still sorted its own candidates with its own key; the
 shared order must reproduce them exactly.
 """
 
+import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
-from tsdecode.decode import DbaParams, PsgdParams, _expand, beam_search, dba_decode, psgd
+from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_search, dba_decode, psgd
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import prefer, rank
+
+from util import reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -205,6 +209,64 @@ def _tied_steps(draw):
 def test_expand_equals_full_sort_under_ties(step):
     beam, rows, content, k = step
     assert _expand(beam, rows, content, k) == _full_sort(beam, rows, content)[:k]
+    assert _expand(beam, np.array(rows), content, k) == _expand(beam, rows, content, k)
+
+
+def _row(*weights):
+    """A normalized row: BOS 0, then ``weights`` over ids 1.. scaled to sum 1."""
+    return [0.0] + [w / sum(weights) for w in weights]
+
+
+# Phrase sets the bank split finds hardest: two phrases that need the same
+# next token, a phrase of one repeated token, a phrase inside another.
+_HARD_PHRASES = [((2, 3), (2, 4)), ((4, 4),), ((2, 3, 4), (3, 4)), ((3,), (3, 3), (2, 3))]
+
+
+@st.composite
+def _beam_core_cases(draw):
+    """(model, params): an order-1 or order-2 ``TableModel`` over vocab 5-7
+    whose rows repeat values (weights 1, 2 and 4; absent rows fall back to
+    uniform), beam width 1-6, ``max_len`` 0-8 and 0-3 phrases over ids 2-4."""
+    vocab = Vocab(draw(st.integers(5, 7)))
+    order = draw(st.integers(1, 2))
+    content = vocab.content_ids
+    contexts = [(0,)] + [(0, t) if order == 2 else (t,) for t in content]
+    if order == 2:
+        contexts += list(itertools.product(content, repeat=2))
+    table = {}
+    for ctx in contexts:
+        if draw(st.booleans()):
+            table[((2,), ctx)] = _row(*[draw(st.sampled_from([1.0, 2.0, 4.0])) for _ in range(vocab.size - 1)])
+    phrases = draw(st.one_of(
+        st.sampled_from(_HARD_PHRASES),
+        st.lists(st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple), max_size=3).map(tuple),
+    ))
+    params = DbaParams(draw(st.integers(1, 6)), draw(st.integers(0, 8)), phrases)
+    return TableModel(vocab, order, table), params
+
+
+# An EOS candidate that finishes only by ranking inside the global window,
+# not inside its bank's slots: found by searching for a case a copy without
+# the window gets wrong (random cases reach it about once in a thousand).
+_WINDOW_DECIDES = (
+    TableModel(Vocab(5), 2, {((2,), (0,)): _row(1.0, 2.0, 1.0, 2.0), ((2,), (4, 3)): _row(1.0, 1.0, 1.0, 2.0)}),
+    DbaParams(5, 3, ((2,),)),
+)
+
+
+@given(_beam_core_cases())
+@example(_WINDOW_DECIDES)
+@settings(max_examples=300, deadline=None)
+def test_beam_core_equals_per_bank_sort_reference(case):
+    # The one ranked list per step must pick exactly what sorting the window,
+    # each bank, the leftovers and the next beam on their own picked.
+    model, params = case
+    finished, beam, stats = _beam_core(model, (2,), params)
+    want_finished, want_beam, want_stats = reference_beam_core(model, (2,), params)
+    assert finished == want_finished
+    assert [entry[:3] for entry in beam] == want_beam
+    assert all(bank == sum(progress) for _, _, progress, bank in beam)
+    assert replace(stats, wall_time_us=0) == want_stats
 
 
 def _branchy_prefer(score, span, best_score, best_span):

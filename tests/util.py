@@ -6,11 +6,13 @@ test run sees identical fixtures.
 
 import itertools
 
+import numpy as np
+
 from tsdecode import core, decode, lm
 from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
-from tsdecode.scoring import normalized_score, prefer
+from tsdecode.scoring import normalized_score, prefer, rank
 
 
 def random_table_model(seed, vocab_size=4, order=1, concentration=0.8, max_src_len=2):
@@ -87,3 +89,100 @@ def record_token_checks(monkeypatch) -> list[str]:
     for module in (core, decode, lm):
         monkeypatch.setattr(module, "check_tokens", recording)
     return checked
+
+
+def reference_beam_core(model, source, params):
+    """The full-sentence beam search as written before ``decode._beam_core``
+    ranked each step's candidates in one sorted list: the global window,
+    each bank, the leftovers and the next beam are each sorted on their own.
+    Inputs must be valid; returns ``(finished, beam, stats)`` with the beam
+    as (tokens, raw score, progress) triples and ``wall_time_us`` 0."""
+    src = tuple(source)
+    constraints = tuple(tuple(c) for c in params.constraints)
+    eos = model.vocab.eos_id
+    content = model.vocab.content_ids
+    beam_width = params.beam_width
+
+    def is_complete(progress):
+        return all(pos == len(phrase) for pos, phrase in zip(progress, constraints))
+
+    fw = pos_scored = emitted = hard_finishes = 0
+    stop_reason = core.STOP_MAX_LEN
+    beam = [((), 0.0, tuple(0 for _ in constraints))]
+    finished = {}
+    for step in range(params.max_len + 1):
+        last = step == params.max_len
+        rows = []
+        eos_cands = []
+        for tokens, lp, progress in beam:
+            log_row = model.rows_after(src, tokens)[1]
+            fw += 1
+            pos_scored += len(tokens) + 1
+            rows.append(log_row)
+            if is_complete(progress):
+                eos_cands.append((lp + float(log_row[eos]), tokens, progress, None))
+                if int(np.argmax(log_row)) == eos or (constraints and last):
+                    finished.setdefault(tokens, eos_cands[-1][0])
+        if last:
+            break
+
+        top = [
+            (lp_c, child, parent[2], child[-1])
+            for lp_c, child, parent in decode._expand(beam, rows, content, beam_width)
+        ]
+        finishes_this_round = set()
+        for cand in sorted(top + eos_cands, key=rank)[:beam_width]:
+            if cand[3] is None:
+                finished.setdefault(cand[1], cand[0])
+                finishes_this_round.add(cand[1])
+
+        pool = {c[1]: c for c in top}
+        for (tokens, lp, progress), log_row in zip(beam, rows):
+            needed = {phrase[pos] for pos, phrase in zip(progress, constraints) if pos < len(phrase)}
+            for tok in needed:
+                child = tokens + (tok,)
+                if child not in pool:
+                    pool[child] = (lp + float(log_row[tok]), child, progress, tok)
+
+        banked = {}
+        for lp_c, child, progress, tok in pool.values():
+            new_progress = decode._advance_progress(progress, constraints, tok)
+            banked.setdefault(sum(new_progress), []).append((lp_c, child, new_progress, False))
+        for lp_c, tokens, progress, _ in eos_cands:
+            banked.setdefault(sum(progress), []).append((lp_c, tokens, progress, True))
+        for cands in banked.values():
+            cands.sort(key=rank)
+
+        banks = sorted(banked, reverse=True)
+        base, rem = divmod(beam_width, len(banks))
+        selected = []
+        leftovers = []
+        for i, bank in enumerate(banks):
+            slots = base + (1 if i < rem else 0)
+            for cand in banked[bank][:slots]:
+                if cand[3]:
+                    finished.setdefault(cand[1], cand[0])
+                    finishes_this_round.add(cand[1])
+            bank_content = [c for c in banked[bank] if not c[3]]
+            selected.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[:slots])
+            leftovers.extend((lp_c, child, prog) for lp_c, child, prog, _ in bank_content[slots:])
+        if len(selected) < beam_width and leftovers:
+            leftovers.sort(key=rank)
+            selected.extend(leftovers[: beam_width - len(selected)])
+
+        hard_finishes += len(finishes_this_round)
+        if hard_finishes >= beam_width:
+            stop_reason = core.STOP_EMPTY_BEAM
+            break
+        selected.sort(key=rank)
+        beam = [(child, lp_c, progress) for lp_c, child, progress in selected]
+        emitted += 1
+
+    stats = core.DecodeStats(
+        forward_passes=fw,
+        positions_scored=pos_scored,
+        emitted_steps=emitted,
+        stop_reason=stop_reason,
+        wall_time_us=0,
+    )
+    return finished, beam, stats
