@@ -26,7 +26,9 @@ reads the global window, each bank's slots, the backfill and the next beam
 from that one order.
 
 Every decoder checks its inputs once per decode and then reads memoised
-rows through the model's unchecked lookup, ``SequenceModel.rows_after``.
+rows through the model's unchecked batched lookup,
+``SequenceModel.log_rows_after``, which draws the rows a batch misses in one
+block: PSGD makes one call per scoring round, the beam loop one per step.
 
 PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
 their beams with one expansion step, ``_expand``. It works on arrays, like
@@ -162,49 +164,67 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
 
     Returns ``(root, extend, score)``: ``root`` is the carry of the empty
     span, ``extend(carry, term)`` the carry of a child whose last token
-    scored ``term`` in its parent's next-token row, and ``score(head,
-    carry)``, with ``head`` = prefix + span, gives (summed log-probability
-    of the whole sequence with its EOS, next-token row after ``head``).
+    scored ``term`` in its parent's next-token row, and ``score(beam)``, for
+    beam entries ``(span, lp, carry)``, gives per entry (summed
+    log-probability of the whole sequence with its EOS, next-token row after
+    prefix + span), from one batched row lookup.
 
     The sum is added in the order ``psgd_two_pass`` sums its forced pass,
     EOS term first and then the target left to right, so both give the same
     float. Under an order-k model the prefix rows and the suffix rows from
-    position k on never see the span, so their terms are read once here.
-    When the suffix has at least k tokens the EOS row is fixed too and the
-    carry is the partial sum EOS + prefix + span terms; otherwise it is the
-    span terms, re-summed after each item's own EOS term.
+    position k on never see the span, so their terms are read once here, in
+    one batch. When the suffix has at least k tokens the EOS row is fixed
+    too and the carry is the partial sum EOS + prefix + span terms;
+    otherwise it is the span terms, re-summed after each item's own EOS term.
     """
-    rows_after = model.rows_after
+    log_rows_after = model.log_rows_after
     eos = model.vocab.eos_id
     k = min(model.order, len(s))
     fixed_eos = len(s) >= model.order
-    prefix_terms = [float(rows_after(src, p[:t])[1][tok]) for t, tok in enumerate(p)]
-    tail_terms = [float(rows_after(src, p + s[:j])[1][s[j]]) for j in range(k, len(s))]
+    fixed_rows = log_rows_after(
+        src,
+        [p[:t] for t in range(len(p))]
+        + [p + s[:j] for j in range(k, len(s))]
+        + ([p + s] if fixed_eos else []),
+    )
+    prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
+    tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
     root = ()
     if fixed_eos:
-        root = float(rows_after(src, p + s)[1][eos])
+        root = float(fixed_rows[-1][eos])
         for term in prefix_terms:
             root += term
+    # Each head's rows, after head + piece: its next-token row, the rows of
+    # the suffix terms it changes, and its EOS row (the last) unless that is
+    # fixed; with no suffix the EOS row is the next-token row.
+    pieces = [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else [])
+    per_head = len(pieces)
+    span_suffix = s[:k]
 
     def extend(carry, term: float):
         return carry + term if fixed_eos else carry + (term,)
 
-    def score(head: Tokens, carry):
-        row = rows_after(src, head)[1]
-        if fixed_eos:
-            total = carry
-        else:
-            total = float(rows_after(src, head + s)[1][eos])
-            for term in prefix_terms:
+    def score(beam) -> list[tuple[float, np.ndarray]]:
+        rows = log_rows_after(src, [p + entry[0] + piece for entry in beam for piece in pieces])
+        out = []
+        i = 0
+        for entry in beam:
+            carry = entry[2]
+            if fixed_eos:
+                total = carry
+            else:
+                total = float(rows[i + per_head - 1][eos])
+                for term in prefix_terms:
+                    total += term
+                for term in carry:
+                    total += term
+            for log_row, tok in zip(rows[i : i + k], span_suffix):
+                total += float(log_row[tok])
+            for term in tail_terms:
                 total += term
-            for term in carry:
-                total += term
-        for j in range(k):
-            log_row = row if j == 0 else rows_after(src, head + s[:j])[1]
-            total += float(log_row[s[j]])
-        for term in tail_terms:
-            total += term
-        return total, row
+            out.append((total, rows[i]))
+            i += per_head
+        return out
 
     return root, extend, score
 
@@ -224,7 +244,7 @@ def _psgd_run(
     content = model.vocab.content_ids
 
     t0 = time.perf_counter()
-    root, extend, score_item = _span_scorer(model, src, p, s)
+    root, extend, score_items = _span_scorer(model, src, p, s)
     fw = 0
     pos_scored = 0
     emitted = 0
@@ -236,27 +256,31 @@ def _psgd_run(
     n = 0
     while True:
         # One scoring round: each item's whole-sequence score and its
-        # next-token row; the two-pass reference gets them from a forced
-        # pass over prefix + span + suffix and a next_log_row query.
-        scored = []
-        entries = []
-        rows = []
-        for span, lp, carry in beam:
-            head = p + span
-            if two_pass:
+        # next-token row, from one batched lookup; the two-pass reference
+        # gets them from a forced pass over prefix + span + suffix and a
+        # next_log_row query per item.
+        if two_pass:
+            results = []
+            for span, _, _ in beam:
+                head = p + span
                 target = head + s
                 log_rows = model.forced_pass(src, target).log_rows
                 total = float(log_rows[-1][model.vocab.eos_id])
                 for log_row, tok in zip(log_rows, target):
                     total += float(log_row[tok])
-                row = model.next_log_row(src, head)
+                results.append((total, model.next_log_row(src, head)))
                 fw += 1
                 pos_scored += len(head) + 1
-            else:
-                total, row = score_item(head, carry)
+        else:
+            results = score_items(beam)
+        scored = []
+        entries = []
+        rows = []
+        for (span, lp, carry), (total, row) in zip(beam, results):
+            length = len(p) + len(span) + len(s)
             fw += 1
-            pos_scored += len(head) + len(s) + 1
-            score = normalized_score(total, len(head) + len(s), params.scoring, params.include_eos_in_len)
+            pos_scored += length + 1
+            score = normalized_score(total, length, params.scoring, params.include_eos_in_len)
             best = min(best, (score, span, n), key=rank)
             scored.append((span, score))
             entries.append((span, lp, carry, row))
@@ -372,7 +396,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         if len(c) == 0:
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
-    rows_after = model.rows_after
+    log_rows_after = model.log_rows_after
     eos = model.vocab.eos_id
     content = model.vocab.content_ids
     beam_width = params.beam_width
@@ -394,9 +418,10 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
 
     for step in range(params.max_len + 1):
         last = step == params.max_len
-        # One memoised row per hypothesis; the statistics still count the
-        # logical forced pass over BOS + tokens that each row ends.
-        rows = np.array([rows_after(src, entry[0])[1] for entry in beam])
+        # One memoised row per hypothesis, from one batched lookup; the
+        # statistics still count the logical forced pass over BOS + tokens
+        # that each row ends.
+        rows = np.array(log_rows_after(src, [entry[0] for entry in beam]))
         fw += len(beam)
         pos_scored += sum(len(entry[0]) + 1 for entry in beam)
         # EOS candidates of the complete hypotheses, which never enter the

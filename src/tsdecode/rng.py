@@ -13,23 +13,28 @@ draws.
 Draw ``i`` of a stream depends only on (key, i), as in the counter-based
 generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC 2011), so a ``Stream`` holds nothing but its key and counter. The scalar
-methods compute each draw alone. ``dirichlet`` is the one numpy path: it
-mixes a block of consecutive counters in one ``uint64`` pass, because a row
-of n entries needs about 4n draws, while a harness stream needs about a
-dozen, too few for a numpy pass to pay for itself. The block math uses the
-same integer and IEEE float64 operations as ``mix64`` and the scalar uniform
-formula, so every draw is bit-identical to the scalar definition. The
-transcendentals of ``gamma`` and ``dirichlet`` stay scalar ``math`` calls:
-``np.log`` does not round like ``math.log`` on every input, and rows must
-not depend on which is used.
+methods compute each draw alone. Dirichlet rows take their uniforms from the
+one numpy path, ``_uniform_block``: a run of counters for several keys as one
+``uint64`` block, whose mixed counter column is computed once and XORed with
+every key. A row of n entries needs about 4n draws, while a harness stream
+needs about a dozen, too few for a numpy pass to pay for itself.
+``dirichlet_rows`` draws the rows of many fresh streams from one block;
+``Stream.dirichlet`` alone, and a row's extension on overrun, are blocks of
+one. The block math uses the same integer and IEEE float64 operations as
+``mix64`` and the scalar uniform formula, so every draw is bit-identical to
+the scalar definition, whatever block it is drawn in. The transcendentals
+of ``gamma`` and ``dirichlet`` stay scalar ``math`` calls: ``np.log`` does
+not round like ``math.log`` on every input, and rows must not depend on
+which is used.
 
 ``Stream.dirichlet`` fuses the ``n`` gamma variates of a row into one loop.
-It computes the uniforms it expects to need in one numpy pass, extends that
-list when a run of rejections overruns it, and indexes it directly. Per
-variate the loop does exactly what ``gamma`` does, in the same order: the
-boost uniform, then per attempt two uniforms for the normal and one for the
-squeeze, and the same ``math`` calls on the same operands. So its rows are
-bit-identical to ``n`` calls of ``gamma``, which stays as the reference.
+It reads the uniforms it expects to need from one list computed up front,
+extends that list when a run of rejections overruns it, and indexes it
+directly. Per variate the loop does exactly what ``gamma`` does, in the
+same order: the boost uniform, then per attempt two uniforms for the normal
+and one for the squeeze, and the same ``math`` calls on the same operands.
+So its rows are bit-identical to ``n`` calls of ``gamma``, which stays as
+the reference.
 Vectorising the transcendentals would cost more, not less: which draw
 starts an attempt depends on every earlier rejection, so a vectorised pass
 must score an attempt at every counter or restart after each rejection.
@@ -40,7 +45,7 @@ speculation does about twice the needed ``math`` work.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -115,6 +120,36 @@ def hash_key(*parts: int | Iterable[int]) -> int:
     return fold(0x100F0E0D0C0B0A09, *parts)
 
 
+def _uniform_block(keys: Sequence[int], start: int, count: int) -> np.ndarray:
+    """Draws ``start + 1 .. start + count`` of the stream of each key, as
+    uniforms: a (keys, count) float64 array computed as one ``uint64`` block.
+
+    Draw i is ``mix64(key ^ mix64(i))``, so the mixed counter column is
+    computed once and XORed with every key. Each draw's top 53 bits are
+    shifted into (0, 1); int -> float64 is exact below 2**53, so this is the
+    scalar formula's rounding, one IEEE operation at a time. Callers turn a
+    row into Python floats (``tolist``) just before they read it, so only one
+    row's floats are alive at a time: converting a whole block at once
+    raised the wide-mt benchmark's peak RSS by about 0.3 MB.
+    """
+    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    _mix64_block(counters)
+    block = np.array(keys, dtype=np.uint64)[:, None] ^ counters
+    _mix64_block(block)
+    block >>= _U11
+    uniforms = block.astype(np.float64)
+    uniforms += 0.5
+    uniforms *= _ULP
+    return uniforms
+
+
+def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
+    """``Stream(key).dirichlet(concentration, n)`` for each key, with the
+    uniforms every row expects to need computed in one block."""
+    block = _uniform_block(keys, 0, _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS)
+    return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
+
+
 class Stream:
     """Deterministic random stream for a fixed 64-bit key.
 
@@ -127,20 +162,6 @@ class Stream:
     def __init__(self, key: int) -> None:
         self._key = key & _MASK64
         self._counter = 0
-
-    def _uniforms(self, start: int, count: int) -> list[float]:
-        """Draws ``start + 1 .. start + count`` as uniforms, in one ``uint64``
-        pass.
-
-        Each draw's top 53 bits are shifted into (0, 1); int -> float64 is
-        exact below 2**53, so this is the scalar formula's rounding, one IEEE
-        operation at a time.
-        """
-        block = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        _mix64_block(block)
-        block ^= np.uint64(self._key)
-        _mix64_block(block)
-        return (((block >> _U11).astype(np.float64) + 0.5) * _ULP).tolist()
 
     def next_u64(self) -> int:
         self._counter += 1
@@ -187,13 +208,15 @@ class Stream:
             if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
                 return d * v
 
-    def dirichlet(self, concentration: float, n: int) -> np.ndarray:
+    def dirichlet(self, concentration: float, n: int, uniforms: list[float] | None = None) -> np.ndarray:
         """Symmetric Dirichlet draw of length ``n``: ``n`` unit-scale gamma
         variates, normalized.
 
         Each variate takes the draws, and does the arithmetic, of one
         ``gamma(concentration)`` call, in the same order; the loop reads its
-        uniforms from one list computed up front.
+        uniforms from one list computed up front. ``uniforms``, when given,
+        is that list: this stream's next draws, as ``dirichlet_rows`` hands
+        them over.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
@@ -208,8 +231,11 @@ class Stream:
         two_pi = 2.0 * math.pi
         log, cos, sqrt = math.log, math.cos, math.sqrt
         start = self._counter
-        size = _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
-        us = self._uniforms(start, size)
+        us = uniforms
+        if us is None:
+            size = _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
+            us = _uniform_block((self._key,), start, size)[0].tolist()
+        size = len(us)
         draws: list[float] = []
         append = draws.append
         i = 0
@@ -218,7 +244,7 @@ class Stream:
             i += boost
             while True:
                 if i + 3 > size:
-                    us += self._uniforms(start + size, BLOCK)
+                    us = us + _uniform_block((self._key,), start + size, BLOCK)[0].tolist()
                     size += BLOCK
                 x = sqrt(-2.0 * log(us[i])) * cos(two_pi * us[i + 1])
                 v = 1.0 + c * x

@@ -244,6 +244,25 @@ class TestSuggest:
         assert code == 2
         assert named in capsys.readouterr().err
 
+    # Spec ints are read as ints: a float, a string or a bool is not silently
+    # converted, and the error names the field.
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("vocab_size", 20.9), ("order", 2.7), ("seed", 3.5), ("vocab_size", "20"), ("vocab_size", True)],
+        ids=["vocab-float", "order-float", "seed-float", "vocab-string", "vocab-bool"],
+    )
+    def test_non_int_model_spec_field_exits_2_naming_it(self, tmp_path, capsys, field, bad):
+        tasks_path, model_path = run_gen(tmp_path)
+        spec = dict(json.loads(model_path.read_text()), **{field: bad})
+        model_path.write_text(json.dumps(spec))
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be an int, got {bad!r}" in err
+        assert "Traceback" not in err
+
     def test_missing_task_file_exits_2(self, tmp_path, capsys):
         _, model_path = run_gen(tmp_path)
         code = main(

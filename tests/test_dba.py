@@ -196,7 +196,7 @@ PINNED_BEAM_CORE = {
 )
 def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, constraints):
     # The beam core reads one row per hypothesis per step through the
-    # unchecked rows_after lookup; forward_passes and positions_scored stay
+    # unchecked batched lookup; forward_passes and positions_scored stay
     # the counts of the forced passes that row stands for.
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     calls = []
@@ -230,7 +230,8 @@ def test_bad_tokens_raise_typed_errors_before_any_row(monkeypatch, source, const
     # would index with (a -1 reads the last entry) never reaches it.
     model = NgramGenModel(Vocab(8), 2, seed=3, concentration=0.5)
     looked_up = []
-    monkeypatch.setattr(model, "rows_after", lambda *a: looked_up.append(a))
+    for lookup in ("rows_after", "log_rows_after"):
+        monkeypatch.setattr(model, lookup, lambda *a: looked_up.append(a))
     with pytest.raises(error):
         dba_decode(model, source, DbaParams(3, 6, constraints))
     if not constraints:

@@ -76,7 +76,7 @@ class TestForcedPass:
 
     def test_missing_context_falls_back_to_uniform(self, m1, m1_src):
         # Context (eos,) has no table row.
-        row = m1._finalized(m1_src.tokens, (1,))[0]
+        row = m1.rows_after(m1_src.tokens, (1,))[0]
         np.testing.assert_allclose(row, [0, 1 / 3, 1 / 3, 1 / 3], atol=1e-9)
 
     def test_floor_applies_to_every_non_bos_entry(self):
@@ -93,7 +93,7 @@ class TestLazyDistributions:
         model = NgramGenModel(Vocab(7), 2, seed=4, concentration=0.3)
         target = (2, 5, 3)
         result = model.forced_pass((2, 6), target)
-        rows = [model._finalized((2, 6), model._context(target[:t])) for t in range(4)]
+        rows = [model.rows_after((2, 6), target[:t]) for t in range(4)]
         assert len(result) == 4
         assert all(isinstance(d, StepDistribution) for d in result.distributions)
         assert result.distributions is result.distributions
@@ -284,7 +284,7 @@ class TestNgramGenModel:
     def test_golden_row(self):
         # Cross-platform canary: raw Dirichlet row pinned to 12 digits.
         model = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
-        row = model._raw_row((2, 3), (0,))
+        row = model._raw_rows((2, 3), [(0,)])[0]
         np.testing.assert_allclose(
             row,
             [0.0, 0.005985862393, 0.253041496324, 0.033840999458, 0.704912698660, 0.002218943165],
@@ -294,7 +294,7 @@ class TestNgramGenModel:
     def test_different_seeds_differ(self):
         a = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
         b = NgramGenModel(Vocab(6), 2, seed=124, concentration=0.5)
-        assert (a._raw_row((2, 3), (0,)) != b._raw_row((2, 3), (0,))).any()
+        assert (a._raw_rows((2, 3), [(0,)])[0] != b._raw_rows((2, 3), [(0,)])[0]).any()
 
     def test_rows_normalized(self):
         model = NgramGenModel(Vocab(9), 2, seed=5, concentration=0.3)
@@ -308,8 +308,8 @@ class TestNgramGenModel:
         sibling = make_perturbed_sibling(base, perturb_seed=99, rate=0.3)
         same = differ = 0
         for ctx_tok in base.vocab.content_ids:
-            a = base._raw_row((2,), (ctx_tok,))
-            b = sibling._raw_row((2,), (ctx_tok,))
+            a = base._raw_rows((2,), [(ctx_tok,)])[0]
+            b = sibling._raw_rows((2,), [(ctx_tok,)])[0]
             if (a == b).all():
                 same += 1
             else:

@@ -1,0 +1,192 @@
+"""The row block: every missing row of a batched lookup is drawn in one block.
+
+``SequenceModel.log_rows_after`` must give exactly what one ``rows_after``
+call per prefix gives on a fresh model: the same probability and log row
+bytes, the same memo keys, and the same draws from every stream. The
+benchmark's tracer counts rows and draws through ``Stream.dirichlet``, so a
+batched decode must call it once per drawn row and consume as many draws.
+"""
+
+import importlib.util
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tsdecode import decode, harness
+from tsdecode.core import Vocab
+from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
+from tsdecode.rng import Stream, dirichlet_rows, hash_key
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def make_model(vocab_size: int, perturbed: bool) -> NgramGenModel:
+    model = NgramGenModel(Vocab(vocab_size), 2, seed=37, concentration=0.2)
+    return make_perturbed_sibling(model, perturb_seed=5, rate=0.5) if perturbed else model
+
+
+@contextmanager
+def recorded_counters():
+    """Stream key -> its counter after each ``dirichlet`` or ``uniform``
+    call (the coin of a perturbed sibling), while the block is open."""
+    counters = {}
+    originals = {name: vars(Stream)[name] for name in ("dirichlet", "uniform")}
+
+    def recording(original):
+        def recorded(self, *args):
+            out = original(self, *args)
+            counters[self._key] = self._counter
+            return out
+
+        return recorded
+
+    for name, original in originals.items():
+        setattr(Stream, name, recording(original))
+    try:
+        yield counters
+    finally:
+        for name, original in originals.items():
+            setattr(Stream, name, original)
+
+
+def lookups(model, counters, src, warm, prefixes, batched):
+    """Log rows, probability rows, draws and memo keys of a lookup of
+    ``prefixes`` after one ``rows_after`` per ``warm`` prefix."""
+    counters.clear()
+    for prefix in warm:
+        model.rows_after(src, prefix)
+    if batched:
+        logs = model.log_rows_after(src, prefixes)
+    else:
+        logs = [model.rows_after(src, prefix)[1] for prefix in prefixes]
+    draws = dict(counters)
+    probs = [model.rows_after(src, prefix)[0] for prefix in prefixes]
+    return (
+        [row.tobytes() for row in logs],
+        [row.tobytes() for row in probs],
+        draws,
+        set(model._row_cache),
+    )
+
+
+def assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes):
+    with recorded_counters() as counters:
+        got = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=True)
+        want = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=False)
+    assert len(got[0]) == len(prefixes)
+    assert got == want
+
+
+SRC = (2, 2, 2)
+# (warm lookups, batch) over content ids 2..4.
+BATCHES = {
+    # One prefix three times, and the empty prefix twice: each context is
+    # drawn once.
+    "duplicates": ((), [(2, 3), (), (2, 3), (), (2, 3)]),
+    # Different prefixes ending in the same order-2 context (3, 4).
+    "shared-context": ((), [(2, 3, 4), (3, 4), (4, 3, 4), (2, 2, 3, 4), (4,)]),
+    # Hits (warmed first) mixed with misses, in both orders.
+    "hits-and-misses": (((2,), (3, 3), ()), [(2,), (4,), (3, 3), (2, 4), (), (4, 4), (2,)]),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+@pytest.mark.parametrize("perturbed", [False, True], ids=["base", "sibling"])
+@pytest.mark.parametrize("vocab_size", [5, 20, 100])
+def test_batched_lookup_matches_one_at_a_time(vocab_size, perturbed, batch):
+    warm, prefixes = BATCHES[batch]
+    assert_batch_matches_one_at_a_time(vocab_size, perturbed, SRC, warm, prefixes)
+
+
+TOKENS = st.lists(st.integers(2, 4), max_size=4).map(tuple)
+
+
+@given(
+    st.sampled_from([3, 20, 100]),
+    st.booleans(),
+    st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple),
+    st.lists(TOKENS, max_size=4),
+    st.lists(TOKENS, min_size=1, max_size=10),
+)
+@settings(max_examples=40, deadline=None)
+def test_any_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes):
+    if vocab_size == 3:  # one content id, 2
+        src = (2,) * len(src)
+        warm = [(2,) * len(p) for p in warm]
+        prefixes = [(2,) * len(p) for p in prefixes]
+    assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes)
+
+
+def test_block_with_an_overrunning_row_matches_single_rows():
+    # The middle key's row runs past the 4n + 16 draws of the block (see
+    # test_rng.test_dirichlet_extends_its_uniform_list) and extends alone.
+    n = 20
+    keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
+    with recorded_counters() as counters:
+        block = dirichlet_rows(keys, 0.2, n)
+        block_counters = dict(counters)
+        counters.clear()
+        single = [Stream(key).dirichlet(0.2, n) for key in keys]
+    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
+    assert block_counters == counters
+    assert counters[keys[1]] > 4 * n + 16
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def traced_rows(tracer_module):
+    """A cold gen + psgd + dba run under the benchmark's tracer (MT
+    constraints, so a perturbed sibling draws rows too): its
+    ``rng.rows_drawn``, summed ``dirichlet`` counter advance, and the size
+    of every block drawn into a memo."""
+    blocks = []
+    draw = vars(SequenceModel)["_draw"]
+
+    def counted(self, source, contexts):
+        blocks.append(len(contexts))
+        draw(self, source, contexts)
+
+    cfg = harness.GenConfig(
+        vocab_size=20,
+        n_tasks=4,
+        source_len_range=(4, 7),
+        seed=3,
+        mask_ratio_list=(0.3, 0.6),
+        constraint_source=harness.CONSTRAINT_MT,
+    )
+    tracer = tracer_module.Tracer()
+    SequenceModel._draw = counted
+    try:
+        with tracer.active():
+            model = model_from_spec(cfg.resolved_model_spec())
+            for task in harness.gen_dataset(cfg, model):
+                decode.psgd(model, task)
+                decode.dba_suggest(model, task, beam_width=3)
+    finally:
+        SequenceModel._draw = draw
+    u64 = sum(sp.info for sp in tracer.spans if sp.name == "rng.dirichlet")
+    return tracer_module.layer_metrics(tracer.spans)["rng.rows_drawn"], u64, blocks
+
+
+def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
+    """``rng.rows_drawn`` counts ``Stream.dirichlet`` calls and
+    ``rng.u64_per_row`` their counter advance. Batched, ``dirichlet`` runs
+    once per memoised row, and both sums equal the one-at-a-time path's."""
+    tracer_module = _load_tracer()
+    rows, u64, blocks = traced_rows(tracer_module)
+    monkeypatch.setattr(
+        SequenceModel,
+        "log_rows_after",
+        lambda self, source, prefixes: [self.rows_after(source, p)[1] for p in prefixes],
+    )
+    single_rows, single_u64, single_blocks = traced_rows(tracer_module)
+    assert rows == sum(blocks) and max(blocks) > 1
+    assert single_rows == sum(single_blocks) and max(single_blocks) == 1
+    assert (rows, u64) == (single_rows, single_u64)
