@@ -8,6 +8,7 @@ BOS and decoders handle EOS, so lengths always count content tokens only.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
@@ -167,6 +168,23 @@ def check_int(name: str, value, least: int | None = None) -> int:
     return value
 
 
+def check_str(name: str, value) -> str:
+    """``value``, or a ValueError naming ``name`` unless it is a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def check_score(value) -> float:
+    """``value`` as a float, or a ValueError unless it is an int or float
+    (not a bool) within the finite float range."""
+    # Compared as numbers, so NaN and ints beyond the float range fail too.
+    big = sys.float_info.max
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not -big <= value <= big:
+        raise ValueError(f"score must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_tokens(tokens: tuple[int, ...], vocab: Vocab, what: str, content: bool = True) -> None:
     """Raise TokenOutOfRange for an id outside ``vocab`` and, if ``tokens`` is
     a content sequence, ReservedTokenInContent for BOS or EOS; the message
@@ -213,7 +231,7 @@ def task_from_dict(d: dict) -> TsTask:
         return TokenSeq(tuple(check_int(key, tok) for tok in d[key]), role)
 
     return TsTask(
-        task_id=str(d["task_id"]),
+        task_id=check_str("task_id", d["task_id"]),
         source=seq("source", ROLE_SOURCE),
         prefix=seq("prefix", ROLE_PREFIX),
         suffix=seq("suffix", ROLE_SUFFIX),
@@ -242,17 +260,18 @@ def result_to_dict(row: ResultRow) -> dict:
 def result_from_dict(d: dict) -> ResultRow:
     if d["stop_reason"] not in STOP_REASONS:
         raise ValueError(f"unknown stop_reason {d['stop_reason']!r}")
+    error = d.get("error")
     return ResultRow(
-        task_id=str(d["task_id"]),
-        decoder=str(d["decoder"]),
+        task_id=check_str("task_id", d["task_id"]),
+        decoder=check_str("decoder", d["decoder"]),
         span=tuple(check_int("span", tok) for tok in d["span"]),
-        score=float(d["score"]),
+        score=check_score(d["score"]),
         forward_passes=check_int("forward_passes", d["forward_passes"], 0),
         positions_scored=check_int("positions_scored", d["positions_scored"], 0),
         emitted_steps=check_int("emitted_steps", d["emitted_steps"], 0),
         stop_reason=d["stop_reason"],
         wall_time_us=check_int("wall_time_us", d["wall_time_us"], 0),
-        error=d.get("error"),
+        error=None if error is None else check_str("error", error),
     )
 
 

@@ -30,6 +30,7 @@ from .core import (
     TsError,
     TsTask,
     check_int,
+    check_str,
 )
 from .decode import PsgdParams, beam_search, dba_suggest, default_max_span_len, psgd
 from .lm import SequenceModel, make_perturbed_sibling, model_from_spec
@@ -114,8 +115,7 @@ class SweepConfig:
         for pt in self.pt_values:
             check_int("pt_values", pt, 0)
         check_int("beam_width", self.beam_width, 1)
-        if not isinstance(self.output_path, str):
-            raise ValueError(f"output_path must be a string, got {self.output_path!r}")
+        check_str("output_path", self.output_path)
 
 
 def _config_from_dict(cls, d: dict):

@@ -16,7 +16,11 @@ draws the missing rows of one source as one block: a ``rows_after`` miss is
 a block of one, a batch's misses (each distinct context once) one block.
 Row bytes do not depend on the block: ``NgramGenModel`` rows draw their
 uniforms with ``rng.dirichlet_rows``, and finalizing acts on each row
-alone. Two queries are built on ``rows_after`` that check their tokens with
+alone, in place in the block. What a cold row costs beyond its Dirichlet
+loop is kept small by constants each ``NgramGenModel`` computes once, when
+it is built: its rows' mixed counter column (``rng.row_counters``) and the
+table of ``mix64`` of every token id and context length that its key fold
+reads. Two queries are built on ``rows_after`` that check their tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only):
 
 - ``forced_pass`` scores a whole target sequence; its ``log_rows`` hold the
@@ -47,13 +51,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_int, check_tokens
-from .rng import Stream, dirichlet_rows, fold, hash_key, mix64
+from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length, row_counters
 
 EPS_FLOOR = 1e-12
 
 _KIND_UNIFORM = "uniform"
 _KIND_TABLE = "table"
 _KIND_NGRAM = "ngram_gen"
+
+# Key tags of an n-gram model's rows and of a perturbed sibling's coins.
+_ROW_TAG = 0x6E6772616D
+_COIN_TAG = 0x636F696E
 
 
 class UnnormalizedRow(TsError):
@@ -115,16 +123,18 @@ class ForcedPassResult:
         return np.stack([d.probs for d in self.distributions])
 
 
-def _finalize_rows(raws: Sequence[np.ndarray], bos_id: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Stack raw rows; zero BOS, renormalize each row, mix in the EPS_FLOOR
-    uniform floor. Returns the probability rows and their logs, each row a
-    read-only array of its own.
+def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Zero BOS, renormalize each raw row, mix in the EPS_FLOOR uniform
+    floor. Returns the probability rows and their logs, each row a read-only
+    array of its own.
 
-    Each row comes out as it would alone: the sum runs along the contiguous
-    axis, as a 1-D row's does, and every other step is elementwise. Rows
-    are copied out of the block: memo rows kept as views of their blocks
-    raised the ratio-sweep benchmark's peak RSS by about 0.6 MB (1.5%)."""
-    rows = np.array(raws, dtype=np.float64)
+    An (R, V) float64 array is finalized in place; a list of rows is first
+    stacked into a fresh array, so the rows it holds are never written. Each
+    row comes out as it would alone: the sum runs along the contiguous axis,
+    as a 1-D row's does, and every other step is elementwise. Rows are
+    copied out of the block: memo rows kept as views of their blocks raised
+    the ratio-sweep benchmark's peak RSS by about 0.6 MB (1.5%)."""
+    rows = np.asarray(raws, dtype=np.float64)
     rows[:, bos_id] = 0.0
     total = rows.sum(axis=1)
     if min(total.tolist()) <= 0.0:
@@ -133,9 +143,10 @@ def _finalize_rows(raws: Sequence[np.ndarray], bos_id: int) -> tuple[list[np.nda
     k = rows.shape[1] - 1
     rows *= 1.0 - k * EPS_FLOOR
     rows += EPS_FLOOR
+    # BOS holds EPS_FLOOR here, so the log takes no log(0); both are set below.
+    logs = np.log(rows)
     rows[:, bos_id] = 0.0
-    with np.errstate(divide="ignore"):
-        logs = np.log(rows)
+    logs[:, bos_id] = -math.inf
     out = ([row.copy() for row in rows], [row.copy() for row in logs])
     for row in out[0] + out[1]:
         row.setflags(write=False)
@@ -168,8 +179,10 @@ class SequenceModel:
         without re-reading the rows it cannot change."""
         return ((self.vocab.bos_id,) + target_prefix)[-self.order:]
 
-    def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> Sequence[np.ndarray]:
-        """The raw rows of ``contexts``, distinct contexts of one source."""
+    def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray | Sequence[np.ndarray]:
+        """The raw rows of ``contexts``, distinct contexts of one source: an
+        (R, V) float64 array that the caller may overwrite, or a list of
+        rows, which the caller only reads."""
         raise NotImplementedError
 
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
@@ -327,27 +340,38 @@ class NgramGenModel(SequenceModel):
         # hash_key(seed, tag, source) for each one seen, so that a row's key
         # folds only its context.
         self._source_keys: dict[tuple[int, int, Tokens], int] = {}
+        # What rng.fold mixes for each token id and each context length, so
+        # a context folds with one mix64 call per token and one for its
+        # length; and the counter column every row reads.
+        self._mixed_tokens = [mix64(t) for t in range(vocab.size)]
+        self._mixed_lengths = [mix_length(n) for n in range(order + 1)]
+        self._counters = row_counters(vocab.size - 1)
 
     def _key(self, seed: int, tag: int, source: Tokens, context: Tokens) -> int:
-        """``hash_key(seed, tag, source, context)``."""
+        """``hash_key(seed, tag, source, context)``, for a context of at most
+        ``order`` ids of the vocabulary."""
         prefix = (seed, tag, source)
         h = self._source_keys.get(prefix)
         if h is None:
             h = self._source_keys[prefix] = hash_key(*prefix)
-        return fold(h, context)
+        mixed = self._mixed_tokens
+        h = mix64(h ^ self._mixed_lengths[len(context)])
+        for t in context:
+            h = mix64(h ^ mixed[t])
+        return h
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
         keys = []
         for context in contexts:
             seed = self.seed
             if self.perturb_seed is not None and self.perturb_rate > 0.0:
-                coin = Stream(self._key(self.perturb_seed, 0x636F696E, source, context)).uniform()
+                coin = Stream(self._key(self.perturb_seed, _COIN_TAG, source, context)).uniform()
                 if coin < self.perturb_rate:
                     seed = self._perturbed_seed
-            keys.append(self._key(seed, 0x6E6772616D, source, context))
+            keys.append(self._key(seed, _ROW_TAG, source, context))
         rows = np.zeros((len(keys), self.vocab.size), dtype=np.float64)
         # Every id but Vocab.bos_id, which is 0.
-        rows[:, 1:] = dirichlet_rows(keys, self.concentration, self.vocab.size - 1)
+        rows[:, 1:] = dirichlet_rows(keys, self.concentration, self.vocab.size - 1, self._counters)
         return rows
 
 

@@ -15,17 +15,25 @@ generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC 2011), so a ``Stream`` holds nothing but its key and counter. The scalar
 methods compute each draw alone. Dirichlet rows take their uniforms from the
 one numpy path, ``_uniform_block``: a run of counters for several keys as one
-``uint64`` block, whose mixed counter column is computed once and XORed with
-every key. A row of n entries needs about 4n draws, while a harness stream
-needs about a dozen, too few for a numpy pass to pay for itself.
-``dirichlet_rows`` draws the rows of many fresh streams from one block;
-``Stream.dirichlet`` alone, and a row's extension on overrun, are blocks of
-one. The block math uses the same integer and IEEE float64 operations as
-``mix64`` and the scalar uniform formula, so every draw is bit-identical to
-the scalar definition, whatever block it is drawn in. The transcendentals
-of ``gamma`` and ``dirichlet`` stay scalar ``math`` calls: ``np.log`` does
-not round like ``math.log`` on every input, and rows must not depend on
-which is used.
+``uint64`` block. Draw i is ``mix64(key ^ mix64(i))``, so the block is given
+the mixed counter column ``mix64(i)`` (``counter_column``) as data and only
+XORs in each key and mixes. A row of n entries needs about 4n draws, while a
+harness stream needs about a dozen, too few for a numpy pass to pay for
+itself. ``dirichlet_rows`` draws the rows of many fresh streams from one
+block; a caller that draws many rows of one length, like
+``lm.NgramGenModel``, keeps their column (``row_counters(n)``) and hands it
+over. ``Stream.dirichlet`` alone, and a row's extension on overrun, are
+blocks of one that compute their own column. The block math uses the same
+integer and IEEE float64 operations as ``mix64`` and the scalar uniform
+formula, so every draw is bit-identical to the scalar definition, whatever
+block it is drawn in. The transcendentals of ``gamma`` and ``dirichlet``
+stay scalar ``math`` calls: ``np.log`` does not round like ``math.log`` on
+every input, and rows must not depend on which is used.
+
+``fold`` mixes each integer part alone, and a sequence part's length
+(``mix_length``) before its items, so a caller that folds many short
+sequences of small ids, like ``lm.NgramGenModel``, can keep those mixes in
+a table and fold with them, bit for bit the same.
 
 ``Stream.dirichlet`` fuses the ``n`` gamma variates of a row into one loop.
 It reads the uniforms it expects to need from one list computed up front,
@@ -94,6 +102,11 @@ def _mix64_block(x: np.ndarray) -> None:
     x ^= x >> _U31
 
 
+def mix_length(n: int) -> int:
+    """What ``fold`` folds in for the length ``n`` of a sequence part."""
+    return mix64(n ^ 0xA5A5A5A5)
+
+
 def fold(h: int, *parts: int | Iterable[int]) -> int:
     """Continue a key: fold ``parts`` into the state ``h``.
 
@@ -105,7 +118,7 @@ def fold(h: int, *parts: int | Iterable[int]) -> int:
             h = mix64(h ^ mix64(part & _MASK64))
         else:
             items = tuple(part)
-            h = mix64(h ^ mix64(len(items) ^ 0xA5A5A5A5))
+            h = mix64(h ^ mix_length(len(items)))
             for v in items:
                 h = mix64(h ^ mix64(int(v) & _MASK64))
     return h
@@ -120,20 +133,35 @@ def hash_key(*parts: int | Iterable[int]) -> int:
     return fold(0x100F0E0D0C0B0A09, *parts)
 
 
-def _uniform_block(keys: Sequence[int], start: int, count: int) -> np.ndarray:
-    """Draws ``start + 1 .. start + count`` of the stream of each key, as
-    uniforms: a (keys, count) float64 array computed as one ``uint64`` block.
-
-    Draw i is ``mix64(key ^ mix64(i))``, so the mixed counter column is
-    computed once and XORed with every key. Each draw's top 53 bits are
-    shifted into (0, 1); int -> float64 is exact below 2**53, so this is the
-    scalar formula's rounding, one IEEE operation at a time. Callers turn a
-    row into Python floats (``tolist``) just before they read it, so only one
-    row's floats are alive at a time: converting a whole block at once
-    raised the wide-mt benchmark's peak RSS by about 0.3 MB.
-    """
+def counter_column(start: int, count: int) -> np.ndarray:
+    """``mix64(i)`` for draws i = ``start + 1 .. start + count``: the mixed
+    counter column of a block, shared by every key, as ``uint64``."""
     counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     _mix64_block(counters)
+    return counters
+
+
+def row_counters(n: int) -> np.ndarray:
+    """The counter column a fresh Dirichlet row of ``n`` variates reads up
+    front: ``mix64(i)`` for i = 1 .. 4n + 16, read-only."""
+    counters = counter_column(0, _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS)
+    counters.setflags(write=False)
+    return counters
+
+
+def _uniform_block(keys: Sequence[int], counters: np.ndarray) -> np.ndarray:
+    """The draws at ``counters`` (a ``counter_column``) of the stream of each
+    key, as uniforms: a (keys, len(counters)) float64 array computed as one
+    ``uint64`` block.
+
+    Draw i is ``mix64(key ^ mix64(i))``, so each key is XORed into the mixed
+    counter column and the block mixed. Each draw's top 53 bits are shifted
+    into (0, 1); int -> float64 is exact below 2**53, so this is the scalar
+    formula's rounding, one IEEE operation at a time. Callers turn a row into
+    Python floats (``tolist``) just before they read it, so only one row's
+    floats are alive at a time: converting a whole block at once raised the
+    wide-mt benchmark's peak RSS by about 0.3 MB.
+    """
     block = np.array(keys, dtype=np.uint64)[:, None] ^ counters
     _mix64_block(block)
     block >>= _U11
@@ -143,10 +171,16 @@ def _uniform_block(keys: Sequence[int], start: int, count: int) -> np.ndarray:
     return uniforms
 
 
-def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
+def dirichlet_rows(
+    keys: Sequence[int], concentration: float, n: int, counters: np.ndarray | None = None
+) -> list[np.ndarray]:
     """``Stream(key).dirichlet(concentration, n)`` for each key, with the
-    uniforms every row expects to need computed in one block."""
-    block = _uniform_block(keys, 0, _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS)
+    uniforms every row expects to need computed in one block. ``counters``,
+    when given, is ``row_counters(n)``, kept by a caller that draws many
+    blocks."""
+    if counters is None:
+        counters = row_counters(n)
+    block = _uniform_block(keys, counters)
     return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
 
 
@@ -231,10 +265,11 @@ class Stream:
         two_pi = 2.0 * math.pi
         log, cos, sqrt = math.log, math.cos, math.sqrt
         start = self._counter
+        key = (self._key,)
         us = uniforms
         if us is None:
             size = _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
-            us = _uniform_block((self._key,), start, size)[0].tolist()
+            us = _uniform_block(key, counter_column(start, size))[0].tolist()
         size = len(us)
         draws: list[float] = []
         append = draws.append
@@ -244,7 +279,7 @@ class Stream:
             i += boost
             while True:
                 if i + 3 > size:
-                    us = us + _uniform_block((self._key,), start + size, BLOCK)[0].tolist()
+                    us = us + _uniform_block(key, counter_column(start + size, BLOCK))[0].tolist()
                     size += BLOCK
                 x = sqrt(-2.0 * log(us[i])) * cos(two_pi * us[i + 1])
                 v = 1.0 + c * x

@@ -335,6 +335,15 @@ class TestEval:
             ("span", [2.5]),
             ("span", [False]),
             ("stop_reason", "bogus"),
+            ("score", True),
+            ("score", "1.5"),
+            ("score", float("nan")),
+            ("score", float("inf")),
+            ("score", float("-inf")),
+            pytest.param("score", 10**400, id="score-int_beyond_float_range"),
+            ("error", 12),
+            ("task_id", 7),
+            ("decoder", 5),
         ],
     )
     def test_result_line_bad_value_exits_2(self, tmp_path, capsys, key, bad):
@@ -348,6 +357,18 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{results_path}:1" in err and key in err
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_task_line_non_string_task_id_exits_2(self, tmp_path, capsys):
+        tasks_path, _ = run_gen(tmp_path)
+        task = json.loads(tasks_path.read_text().splitlines()[0])
+        tasks_path.write_text(json.dumps(dict(task, task_id=7)) + "\n")
+        results_path = tmp_path / "results.jsonl"
+        write_results_jsonl(results_path, [ResultRow("7", "psgd", (2,), -1.0, 4, 9, 2, "patience", 10)])
+        code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(tmp_path / "m.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tasks_path}:1" in err and "task_id" in err
         assert not (tmp_path / "m.csv").exists()
 
 

@@ -1,0 +1,100 @@
+"""The constants an n-gram model computes once must change no row.
+
+``NgramGenModel`` folds its row keys from a table of mixed token ids and
+context lengths, and hands every block its rows' mixed counter column; both
+must give exactly what ``rng.hash_key`` and a fresh ``Stream`` give. Blocks
+are finalized in place, which must never write a row a model keeps.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tsdecode.core import Vocab
+from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, TableModel, UniformModel, make_perturbed_sibling
+from tsdecode.rng import Stream, dirichlet_rows, hash_key, mix64, row_counters
+
+from test_row_block import recorded_counters
+
+
+@given(
+    st.sampled_from([3, 20, 100]),
+    st.integers(1, 3),
+    st.booleans(),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_key_equals_hash_key(vocab_size, order, perturbed, seed, data):
+    model = NgramGenModel(Vocab(vocab_size), order, seed=seed, concentration=0.2)
+    seeds = [seed]
+    if perturbed:
+        model = make_perturbed_sibling(model, perturb_seed=data.draw(st.integers(0, 2**64 - 1)))
+        seeds += [model.perturb_seed, model._perturbed_seed]
+    ids = st.integers(0, vocab_size - 1)
+    source = tuple(data.draw(st.lists(ids, max_size=12)))
+    prefix = tuple(data.draw(st.lists(st.integers(2, vocab_size - 1), max_size=4)))
+    # The context a lookup folds (it starts with BOS after a short prefix),
+    # and any context of at most ``order`` ids.
+    contexts = [model._context(prefix), tuple(data.draw(st.lists(ids, max_size=order)))]
+    for s in seeds:
+        for tag in (_ROW_TAG, _COIN_TAG):
+            for context in contexts:
+                assert model._key(s, tag, source, context) == hash_key(s, tag, source, context)
+
+
+@pytest.mark.parametrize("vocab_size", [3, 20, 100])
+def test_model_column_is_the_mixed_counters(vocab_size):
+    n = vocab_size - 1
+    column = NgramGenModel(Vocab(vocab_size), 2, seed=37, concentration=0.2)._counters
+    assert column.dtype == np.uint64
+    assert column.tolist() == [mix64(i) for i in range(1, 4 * n + 17)]
+    assert not column.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "keys, n",
+    [
+        ([hash_key(3, 2)], 2),
+        ([hash_key(5, 19, k) for k in range(5)], 19),
+        ([hash_key(7, 99, k) for k in range(3)], 99),
+        # The middle row runs past the column (test_rng's
+        # test_dirichlet_extends_its_uniform_list) and extends alone.
+        ([hash_key(29, 20, 1097), hash_key(29, 20, 1098), hash_key(29, 20, 1099)], 20),
+    ],
+)
+def test_rows_with_a_kept_column_match_single_streams(keys, n):
+    column = row_counters(n)
+    with recorded_counters() as counters:
+        block = dirichlet_rows(keys, 0.2, n, column)
+        block_counters = dict(counters)
+        counters.clear()
+        single = [Stream(key).dirichlet(0.2, n) for key in keys]
+    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
+    assert block_counters == counters
+    assert column.tolist() == row_counters(n).tolist()
+
+
+def _draw_everything(model):
+    src = (2, 3)
+    model.log_rows_after(src, [(), (2,), (3, 2), (2, 2, 3)])
+    model.rows_after(src, (4,))
+    model.rows_after((4,), ())
+    return model
+
+
+def test_uniform_model_row_is_never_written():
+    model = UniformModel(Vocab(6))
+    kept = model._row.tobytes()
+    _draw_everything(model)
+    assert model._row.tobytes() == kept
+
+
+def test_table_model_rows_are_never_written():
+    row = np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.0])
+    model = TableModel(Vocab(6), 2, {((2, 3), (0,)): row, ((2, 3), (0, 2)): row[::-1].copy()})
+    kept = {key: arr.tobytes() for key, arr in model._table.items()}
+    fallback = model._fallback.tobytes()
+    _draw_everything(model)
+    assert {key: arr.tobytes() for key, arr in model._table.items()} == kept
+    assert model._fallback.tobytes() == fallback
