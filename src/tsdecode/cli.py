@@ -4,6 +4,18 @@ Exit codes: 0 success, 1 runtime/I-O error, 2 usage or configuration error,
 including a malformed task, result or model spec file.
 Flags override config-file values. Per-task decode failures are recorded as
 error rows in the output, not process failures.
+
+Each ``main`` call builds a parser holding only the subcommand that its
+first argument names (``build_parser(command)``), and the parser of all
+five only for ``-h``, no argument or an unknown command; help, usage lines,
+errors and exit codes read the same either way. Building and parsing took
+1.0-1.2 ms per command with all five subcommands and 0.30-0.48 ms with one
+(CPU, minimum of 15 runs on a 2-vCPU x86-64 host, Python 3.11; see
+``BENCH_19.json``), and a file-based pipeline runs four commands per task.
+A parser built once per process would leave only the parse (35-85 us), but
+it is a process-wide cache: a benchmark's later passes would be warm while
+no command got faster. A fixed-width help formatter saves only 20-90 us
+more. Neither is used.
 """
 
 from __future__ import annotations
@@ -75,11 +87,19 @@ def _require_file(path: str, what: str) -> None:
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v != "")
+    """The value of a comma-separated number flag; a usage error names it."""
+    try:
+        return tuple(float(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v != "")
+    """The value of a comma-separated integer flag; a usage error names it."""
+    try:
+        return tuple(int(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _gen_config_from(d: dict) -> GenConfig:
@@ -109,9 +129,9 @@ def _gen_config(args) -> GenConfig:
     if args.seed is not None:
         d["seed"] = args.seed
     if args.mask_ratios is not None:
-        d["mask_ratio_list"] = list(_floats(args.mask_ratios))
+        d["mask_ratio_list"] = list(args.mask_ratios)
     if args.source_len_range is not None:
-        d["source_len_range"] = list(_ints(args.source_len_range))
+        d["source_len_range"] = list(args.source_len_range)
     if args.constraint_source is not None:
         d["constraint_source"] = args.constraint_source
     return _gen_config_from(d)
@@ -221,59 +241,77 @@ def cmd_sweep_ratio(args) -> int:
     return _write_sweep(args, sweep_cfg, bench, rows)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SWEEP_ARGS = (
+    ("--config", {"required": True, "help": "combined Gen/Sweep config JSON"}),
+    ("--out", {"help": "output metrics CSV (overrides config)"}),
+    ("--results-out", {"help": "also write per-task result JSONL"}),
+)
+
+# Each subcommand as (help, handler, arguments), an argument being the flag
+# and its add_argument keywords; build_parser builds parsers from these.
+_COMMANDS = {
+    "gen": ("generate a synthetic task file and model spec", cmd_gen, (
+        ("--config", {"help": "GenConfig JSON file"}),
+        ("--vocab-size", {"type": int}),
+        ("--n-tasks", {"type": int}),
+        ("--seed", {"type": int}),
+        ("--mask-ratios", {"type": _floats, "help": "comma-separated ratios in (0,1)"}),
+        ("--source-len-range", {"type": _ints, "help": "min,max source length"}),
+        ("--constraint-source", {"choices": ["gold_reference", "machine_translation"]}),
+        ("--out", {"required": True, "help": "output task JSONL"}),
+        ("--model-spec", {"help": "output model spec JSON"}),
+    )),
+    "suggest": ("decode suggestions for a task file", cmd_suggest, (
+        ("--tasks", {"required": True}),
+        ("--model-spec", {"required": True}),
+        ("--decoder", {"choices": ["psgd", "dba"], "default": "psgd"}),
+        ("--beam-width", {"type": int, "default": 5}),
+        ("--pt", {"type": int, "default": 5, "help": "early-stopping patience"}),
+        ("--max-span-len", {
+            "type": int, "default": None,
+            "help": "span length cap (DBA: sentence length cap of prefix + suffix + this)",
+        }),
+        ("--scoring", {"choices": list(SCORING_MODES), "default": "mean_logprob"}),
+        ("--include-eos-in-len", {"action": "store_true"}),
+        ("--out", {"required": True, "help": "output result JSONL"}),
+    )),
+    "eval": ("score results against gold tasks", cmd_eval, (
+        ("--tasks", {"required": True}),
+        ("--results", {"required": True}),
+        ("--out", {"required": True, "help": "output metrics CSV"}),
+    )),
+    "sweep-pt": ("run the sweep pt protocol", cmd_sweep_pt, _SWEEP_ARGS),
+    "sweep-ratio": ("run the sweep ratio protocol", cmd_sweep_ratio, _SWEEP_ARGS),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's argument parser. With ``command`` a subcommand name it holds
+    that subcommand alone, and its usage line and messages read as the full
+    parser's; otherwise it holds all five."""
     parser = argparse.ArgumentParser(
         prog="tsdecode",
         description="Span-infill decoding benchmark harness on synthetic sequence models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic task file and model spec")
-    p_gen.add_argument("--config", help="GenConfig JSON file")
-    p_gen.add_argument("--vocab-size", type=int)
-    p_gen.add_argument("--n-tasks", type=int)
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--mask-ratios", help="comma-separated ratios in (0,1)")
-    p_gen.add_argument("--source-len-range", help="min,max source length")
-    p_gen.add_argument("--constraint-source", choices=["gold_reference", "machine_translation"])
-    p_gen.add_argument("--out", required=True, help="output task JSONL")
-    p_gen.add_argument("--model-spec", help="output model spec JSON")
-    p_gen.set_defaults(func=cmd_gen)
-
-    p_sug = sub.add_parser("suggest", help="decode suggestions for a task file")
-    p_sug.add_argument("--tasks", required=True)
-    p_sug.add_argument("--model-spec", required=True)
-    p_sug.add_argument("--decoder", choices=["psgd", "dba"], default="psgd")
-    p_sug.add_argument("--beam-width", type=int, default=5)
-    p_sug.add_argument("--pt", type=int, default=5, help="early-stopping patience")
-    p_sug.add_argument(
-        "--max-span-len", type=int, default=None,
-        help="span length cap (DBA: sentence length cap of prefix + suffix + this)",
+    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
+    # A one-command parser still names all five in its usage line.
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None,
     )
-    p_sug.add_argument("--scoring", choices=list(SCORING_MODES), default="mean_logprob")
-    p_sug.add_argument("--include-eos-in-len", action="store_true")
-    p_sug.add_argument("--out", required=True, help="output result JSONL")
-    p_sug.set_defaults(func=cmd_suggest)
-
-    p_eval = sub.add_parser("eval", help="score results against gold tasks")
-    p_eval.add_argument("--tasks", required=True)
-    p_eval.add_argument("--results", required=True)
-    p_eval.add_argument("--out", required=True, help="output metrics CSV")
-    p_eval.set_defaults(func=cmd_eval)
-
-    for name, fn in (("sweep-pt", cmd_sweep_pt), ("sweep-ratio", cmd_sweep_ratio)):
-        p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')} protocol")
-        p.add_argument("--config", required=True, help="combined Gen/Sweep config JSON")
-        p.add_argument("--out", help="output metrics CSV (overrides config)")
-        p.add_argument("--results-out", help="also write per-task result JSONL")
-        p.set_defaults(func=fn)
-
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, MalformedLine, InvalidModelSpec) as exc:

@@ -114,6 +114,10 @@ class SweepConfig:
             raise ValueError("at least one pt value required")
         for pt in self.pt_values:
             check_int("pt_values", pt, 0)
+        # A repeated entry would decode every task twice into one CSV row.
+        for name, values in (("decoders", self.decoders), ("pt_values", self.pt_values)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} {list(values)} repeats an entry")
         check_int("beam_width", self.beam_width, 1)
         check_str("output_path", self.output_path)
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +105,8 @@ class TestGen:
             ("sweep-ratio", "decoders", "psgd"),
             ("gen", "mask_ratio_list", [0.12, 0.125]),
             ("gen", "mask_ratio_list", [0.5, 0.5]),
+            ("sweep-ratio", "decoders", ["psgd", "psgd"]),
+            ("sweep-pt", "pt_values", [5, 5]),
         ],
     )
     def test_bad_config_value_exits_2_naming_field(self, tmp_path, capsys, command, field, bad):
@@ -108,6 +114,17 @@ class TestGen:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--mask-ratios", "a"), ("--mask-ratios", "0.5,x"), ("--source-len-range", "a,b")]
+    )
+    def test_non_numeric_list_flag_exits_2_naming_it(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", flag, value, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flag_overrides_config(self, tmp_path):
@@ -570,3 +587,53 @@ def test_pipeline_determinism_end_to_end(tmp_path):
             (tasks.read_bytes(), model.read_bytes(), mask_wall(results.read_text().splitlines()), masked_csv)
         )
     assert snapshots[0] == snapshots[1]
+
+
+# Argument lists that argparse ends itself: help, usage errors, an unknown
+# command. main builds only the named command's parser, so each is checked
+# against the parser of all five.
+PARSE_EXITS = [
+    ["-h"],
+    [],
+    ["frobnicate"],
+    ["--version"],
+    ["gen", "-h"],
+    ["suggest", "-h"],
+    ["eval", "-h"],
+    ["sweep-pt", "-h"],
+    ["sweep-ratio", "-h"],
+    ["suggest"],
+    ["eval", "--tasks", "a"],
+    ["sweep-ratio", "--out", "m.csv"],
+    ["suggest", "--tasks", "a", "--model-spec", "b", "--out", "c", "--decoder", "x"],
+    ["gen", "--out", "o", "--constraint-source", "x"],
+    ["gen", "--out", "o", "--n-tasks", "x"],
+    ["gen", "--out", "o", "--mask-ratios", "a"],
+    ["suggest", "--tasks", "a", "--model-spec", "b", "--out", "c", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_main_parses_as_the_full_parser(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    assert outcome(main) == outcome(cli.build_parser().parse_args)
+
+
+def test_module_entry_point_reads_sys_argv(monkeypatch, capsys):
+    """``python -m tsdecode.cli``, like the ``tsdecode`` script, calls
+    main() with no argv."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsdecode.cli", "suggest", "-h"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["suggest", "-h"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
