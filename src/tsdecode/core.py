@@ -175,13 +175,13 @@ def check_str(name: str, value) -> str:
     return value
 
 
-def check_score(value) -> float:
-    """``value`` as a float, or a ValueError unless it is an int or float
-    (not a bool) within the finite float range."""
+def check_float(name: str, value) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is an
+    int or float (not a bool) within the finite float range."""
     # Compared as numbers, so NaN and ints beyond the float range fail too.
     big = sys.float_info.max
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not -big <= value <= big:
-        raise ValueError(f"score must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -260,12 +260,16 @@ def result_to_dict(row: ResultRow) -> dict:
 def result_from_dict(d: dict) -> ResultRow:
     if d["stop_reason"] not in STOP_REASONS:
         raise ValueError(f"unknown stop_reason {d['stop_reason']!r}")
+    decoder = check_str("decoder", d["decoder"])
+    # A metrics CSV row holds the label as one unquoted field.
+    if any(c in decoder for c in ",\n\r"):
+        raise ValueError(f"decoder must hold no comma or line break, got {decoder!r}")
     error = d.get("error")
     return ResultRow(
         task_id=check_str("task_id", d["task_id"]),
-        decoder=check_str("decoder", d["decoder"]),
+        decoder=decoder,
         span=tuple(check_int("span", tok) for tok in d["span"]),
-        score=check_score(d["score"]),
+        score=check_float("score", d["score"]),
         forward_passes=check_int("forward_passes", d["forward_passes"], 0),
         positions_scored=check_int("positions_scored", d["positions_scored"], 0),
         emitted_steps=check_int("emitted_steps", d["emitted_steps"], 0),
@@ -286,23 +290,32 @@ def write_tasks_jsonl(path: str | Path, tasks: Iterable[TsTask]) -> None:
     _write_jsonl(path, (task_to_dict(t) for t in tasks))
 
 
-def _read_jsonl(path: str | Path, from_dict) -> list:
+def _read_jsonl(path: str | Path, from_dict, key_fields: tuple[str, ...]) -> list:
+    """The items of a JSONL file, each read by ``from_dict``; no two may
+    agree on every one of ``key_fields``."""
     out = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                out.append(from_dict(json.loads(line)))
+                item = from_dict(json.loads(line))
             except KeyError as exc:
                 raise MalformedLine(f"{path}:{lineno}: missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
                 raise MalformedLine(f"{path}:{lineno}: {exc}") from exc
+            key = tuple(getattr(item, name) for name in key_fields)
+            if key in seen:
+                named = ", ".join(f"{name} {value!r}" for name, value in zip(key_fields, key))
+                raise MalformedLine(f"{path}:{lineno}: repeated {named}")
+            seen.add(key)
+            out.append(item)
     return out
 
 
 def read_tasks_jsonl(path: str | Path) -> list[TsTask]:
-    return _read_jsonl(path, task_from_dict)
+    return _read_jsonl(path, task_from_dict, ("task_id",))
 
 
 def write_results_jsonl(path: str | Path, rows: Iterable[ResultRow]) -> None:
@@ -310,4 +323,4 @@ def write_results_jsonl(path: str | Path, rows: Iterable[ResultRow]) -> None:
 
 
 def read_results_jsonl(path: str | Path) -> list[ResultRow]:
-    return _read_jsonl(path, result_from_dict)
+    return _read_jsonl(path, result_from_dict, ("task_id", "decoder"))

@@ -26,8 +26,8 @@ reads the global window, each bank's slots, the backfill and the next beam
 from that one order.
 
 Every decoder checks its inputs once per decode and then reads memoised
-rows through the model's unchecked batched lookup,
-``SequenceModel.log_rows_after``, which draws the rows a batch misses in one
+log rows through the model's one unchecked batched lookup,
+``SequenceModel.rows_after``, which draws the rows a batch misses in one
 block: PSGD makes one call per scoring round, the beam loop one per step.
 
 PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
@@ -177,16 +177,16 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
     too and the carry is the partial sum EOS + prefix + span terms;
     otherwise it is the span terms, re-summed after each item's own EOS term.
     """
-    log_rows_after = model.log_rows_after
+    rows_after = model.rows_after
     eos = model.vocab.eos_id
     k = min(model.order, len(s))
     fixed_eos = len(s) >= model.order
-    fixed_rows = log_rows_after(
-        src,
+    fixed = (
         [p[:t] for t in range(len(p))]
         + [p + s[:j] for j in range(k, len(s))]
-        + ([p + s] if fixed_eos else []),
+        + ([p + s] if fixed_eos else [])
     )
+    fixed_rows = [logs for _, logs in rows_after(src, fixed)]
     prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
     tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
     root = ()
@@ -205,7 +205,8 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
         return carry + term if fixed_eos else carry + (term,)
 
     def score(beam) -> list[tuple[float, np.ndarray]]:
-        rows = log_rows_after(src, [p + entry[0] + piece for entry in beam for piece in pieces])
+        heads = [p + entry[0] + piece for entry in beam for piece in pieces]
+        rows = [logs for _, logs in rows_after(src, heads)]
         out = []
         i = 0
         for entry in beam:
@@ -258,7 +259,7 @@ def _psgd_run(
         # One scoring round: each item's whole-sequence score and its
         # next-token row, from one batched lookup; the two-pass reference
         # gets them from a forced pass over prefix + span + suffix and a
-        # next_log_row query per item.
+        # second forced pass over prefix + span per item.
         if two_pass:
             results = []
             for span, _, _ in beam:
@@ -268,7 +269,7 @@ def _psgd_run(
                 total = float(log_rows[-1][model.vocab.eos_id])
                 for log_row, tok in zip(log_rows, target):
                     total += float(log_row[tok])
-                results.append((total, model.next_log_row(src, head)))
+                results.append((total, model.forced_pass(src, head).log_rows[-1]))
                 fw += 1
                 pos_scored += len(head) + 1
         else:
@@ -330,9 +331,9 @@ def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -
 def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
     """Reference implementation that fetches the stopping score with a
     forced pass over the whole sequence and the next-token row with a second
-    query (``next_log_row``) per beam item, both with their input checks.
-    Must produce bit-identical spans and scores to ``psgd`` with exactly
-    twice the forward passes."""
+    forced pass, over prefix + span, per beam item. Must produce
+    bit-identical spans and scores to ``psgd`` with exactly twice the forward
+    passes."""
     return _psgd_run(model, task, params or PsgdParams(), two_pass=True, trace=None)
 
 
@@ -396,7 +397,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         if len(c) == 0:
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
-    log_rows_after = model.log_rows_after
+    rows_after = model.rows_after
     eos = model.vocab.eos_id
     content = model.vocab.content_ids
     beam_width = params.beam_width
@@ -421,7 +422,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         # One memoised row per hypothesis, from one batched lookup; the
         # statistics still count the logical forced pass over BOS + tokens
         # that each row ends.
-        rows = np.array(log_rows_after(src, [entry[0] for entry in beam]))
+        rows = np.array([logs for _, logs in rows_after(src, [entry[0] for entry in beam])])
         fw += len(beam)
         pos_scored += sum(len(entry[0]) + 1 for entry in beam)
         # EOS candidates of the complete hypotheses, which never enter the

@@ -9,29 +9,25 @@ A model's ``name`` (its spec kind), ``vocab``, context ``order`` and
 
 A model maps (source sequence, target prefix) to a normalized next-token
 distribution. Every query is served from one memo of finalized rows per
-(source, context), read by two lookups that check nothing: ``rows_after``
-(the rows after one prefix) and ``log_rows_after`` (the log rows after each
-of a batch of prefixes of one source). Their one miss path, ``_draw``,
-draws the missing rows of one source as one block: a ``rows_after`` miss is
-a block of one, a batch's misses (each distinct context once) one block.
-Row bytes do not depend on the block: ``NgramGenModel`` rows draw their
-uniforms with ``rng.dirichlet_rows``, and finalizing acts on each row
-alone, in place in the block. What a cold row costs beyond its Dirichlet
-loop is kept small by constants each ``NgramGenModel`` computes once, when
-it is built: its rows' mixed counter column (``rng.row_counters``) and the
-table of ``mix64`` of every token id and context length that its key fold
-reads. Two queries are built on ``rows_after`` that check their tokens with
-``core.check_tokens`` (BOS and EOS are allowed in the source only):
+(source, context), read by one lookup that checks nothing, ``rows_after``:
+the (probability, log) rows after each of a batch of prefixes of one
+source. Its one miss path, ``_draw``, draws the rows a batch misses as one
+block, each distinct context once. Row bytes do not depend on the block:
+``NgramGenModel`` rows draw their uniforms with ``rng.dirichlet_rows``, and
+finalizing acts on each row alone, in place in the block. What a cold row
+costs beyond its Dirichlet loop is kept small by constants each
+``NgramGenModel`` computes once, when it is built: its rows' mixed counter
+column (``rng.row_counters``) and the table of ``mix64`` of every token id
+and context length that its key fold reads.
 
-- ``forced_pass`` scores a whole target sequence; its ``log_rows`` hold the
-  log distribution at every position (``seq_logprob``, the PSGD two-pass
-  reference).
-- ``next_log_row`` returns only the log distribution after a prefix.
-
-The decoders check their inputs once per decode and then call
-``log_rows_after`` directly: PSGD once per scoring round for the few rows
-its items' spans change, the beam core once per step for one row per
-hypothesis.
+The one checked query, ``forced_pass``, checks its tokens with
+``core.check_tokens`` (BOS and EOS are allowed in the source only) and
+reads the rows at every position of a target with one ``rows_after`` call;
+its ``log_rows`` hold the log distribution at every position
+(``seq_logprob``, the PSGD two-pass reference). The decoders check their
+inputs once per decode and then call ``rows_after`` directly: PSGD once per
+scoring round for the few rows its items' spans change, the beam core once
+per step for one row per hypothesis.
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -50,7 +46,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import TokenSeq, TsError, Vocab, check_int, check_tokens
+from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
 from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length, row_counters
 
 EPS_FLOOR = 1e-12
@@ -193,50 +189,32 @@ class SequenceModel:
         for context, prob_row, log_row in zip(contexts, probs, logs):
             cache[(source, context)] = (prob_row, log_row)
 
-    def rows_after(self, source: Tokens, prefix: Tokens) -> tuple[np.ndarray, np.ndarray]:
+    def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[tuple[np.ndarray, np.ndarray]]:
         """The memoised (probability, log) rows of the next-token distribution
-        given BOS + ``prefix``. Nothing is checked: both must be int tuples
-        whose ids ``check_tokens`` accepts (the source with BOS and EOS
-        allowed). The checked queries below are built on it."""
-        key = (source, self._context(prefix))
-        hit = self._row_cache.get(key)
-        if hit is None:
-            self._draw(source, (key[1],))
-            hit = self._row_cache[key]
-        return hit
-
-    def log_rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
-        """The memoised log rows given BOS + each of ``prefixes``: a batch of
-        ``rows_after`` lookups, unchecked like it, whose missing rows are
-        drawn in one block (each distinct context once)."""
+        given BOS + each of ``prefixes``: the memo's one reader. Every row
+        the batch misses is drawn in one block, each distinct context once.
+        Nothing is checked: the source and prefixes must be int tuples whose
+        ids ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
         cache = self._row_cache
         context = self._context
         keys = [(source, context(prefix)) for prefix in prefixes]
         try:
-            return [cache[key][1] for key in keys]
+            return [cache[key] for key in keys]
         except KeyError:
             self._draw(source, tuple(dict.fromkeys(key[1] for key in keys if key not in cache)))
-            return [cache[key][1] for key in keys]
+            return [cache[key] for key in keys]
 
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
+        """The rows at every position of ``target``, from one ``rows_after``
+        batch, after checking both sequences with ``check_tokens``."""
         src = as_tokens(source)
         tgt = as_tokens(target)
         check_tokens(src, self.vocab, "source", content=False)
         check_tokens(tgt, self.vocab, "target")
-        pairs = [self.rows_after(src, tgt[:t]) for t in range(len(tgt) + 1)]
+        pairs = self.rows_after(src, [tgt[:t] for t in range(len(tgt) + 1)])
         return ForcedPassResult(
             tuple(probs for probs, _ in pairs), tuple(logs for _, logs in pairs)
         )
-
-    def next_log_row(self, source: TokenSeq | Sequence[int], prefix: TokenSeq | Sequence[int]) -> np.ndarray:
-        """The log next-token distribution given BOS + ``prefix``: the last
-        of ``forced_pass(source, prefix).log_rows``, with the same input
-        checks, without building the earlier rows."""
-        src = as_tokens(source)
-        pre = as_tokens(prefix)
-        check_tokens(src, self.vocab, "source", content=False)
-        check_tokens(pre, self.vocab, "target")
-        return self.rows_after(src, pre)[1]
 
 
 def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) -> float:
@@ -447,7 +425,7 @@ def model_from_spec(spec: Mapping) -> SequenceModel:
                 vocab,
                 check_int("order", spec["order"]),
                 check_int("seed", spec["seed"]),
-                float(spec["concentration"]),
+                check_float("concentration", spec["concentration"]),
             )
     except KeyError as exc:
         raise InvalidModelSpec(f"model spec lacks key {exc}") from exc

@@ -171,15 +171,10 @@ def _uniform_block(keys: Sequence[int], counters: np.ndarray) -> np.ndarray:
     return uniforms
 
 
-def dirichlet_rows(
-    keys: Sequence[int], concentration: float, n: int, counters: np.ndarray | None = None
-) -> list[np.ndarray]:
+def dirichlet_rows(keys: Sequence[int], concentration: float, n: int, counters: np.ndarray) -> list[np.ndarray]:
     """``Stream(key).dirichlet(concentration, n)`` for each key, with the
-    uniforms every row expects to need computed in one block. ``counters``,
-    when given, is ``row_counters(n)``, kept by a caller that draws many
-    blocks."""
-    if counters is None:
-        counters = row_counters(n)
+    uniforms every row expects to need computed in one block. ``counters``
+    is ``row_counters(n)``, kept by a caller that draws many blocks."""
     block = _uniform_block(keys, counters)
     return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
 

@@ -280,6 +280,36 @@ class TestSuggest:
         assert f"{field} must be an int, got {bad!r}" in err
         assert "Traceback" not in err
 
+    # The concentration is read as a number: a string or a bool is not
+    # converted by float().
+    @pytest.mark.parametrize("bad", ["0.3", True, [0.3]], ids=["string", "bool", "list"])
+    def test_non_number_concentration_exits_2_naming_it(self, tmp_path, capsys, bad):
+        tasks_path, model_path = run_gen(tmp_path)
+        spec = dict(json.loads(model_path.read_text()), concentration=bad)
+        model_path.write_text(json.dumps(spec))
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"concentration must be a finite number, got {bad!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["suggest", "eval"])
+    def test_repeated_task_id_exits_2(self, tmp_path, capsys, command):
+        tasks_path, model_path = run_gen(tmp_path)
+        lines = tasks_path.read_text().splitlines()
+        tasks_path.write_text("\n".join(lines + lines[:1]) + "\n")
+        results_path = tmp_path / "results.jsonl"
+        write_results_jsonl(results_path, [])
+        out = tmp_path / "out"
+        flags = ["--model-spec", str(model_path)] if command == "suggest" else ["--results", str(results_path)]
+        code = main([command, "--tasks", str(tasks_path), *flags, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{tasks_path}:{len(lines) + 1}: repeated task_id" in err
+        assert not out.exists()
+
     def test_missing_task_file_exits_2(self, tmp_path, capsys):
         _, model_path = run_gen(tmp_path)
         code = main(
@@ -361,6 +391,10 @@ class TestEval:
             ("error", 12),
             ("task_id", 7),
             ("decoder", 5),
+            # The metrics CSV writes the label as one unquoted field.
+            pytest.param("decoder", "ps,gd", id="decoder-comma"),
+            pytest.param("decoder", "psgd\n", id="decoder-newline"),
+            pytest.param("decoder", "psgd\r", id="decoder-carriage_return"),
         ],
     )
     def test_result_line_bad_value_exits_2(self, tmp_path, capsys, key, bad):
@@ -375,6 +409,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{results_path}:1" in err and key in err
         assert not (tmp_path / "m.csv").exists()
+
+    def test_repeated_task_and_decoder_exits_2(self, tmp_path, capsys):
+        tasks_path, _ = run_gen(tmp_path)
+        rows = [
+            ResultRow(t.task_id, "psgd", t.gold_span.tokens, -1.0, 4, 9, 2, "patience", 10)
+            for t in read_tasks_jsonl(tasks_path)
+        ]
+        results_path = tmp_path / "results.jsonl"
+        out = tmp_path / "m.csv"
+        argv = ["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(out)]
+        # The same task under another decoder is no repeat.
+        write_results_jsonl(results_path, rows + [replace(rows[0], decoder="dba")])
+        assert main(argv) == 0
+        out.unlink()
+        write_results_jsonl(results_path, rows + rows[:1])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{results_path}:{len(rows) + 1}: repeated task_id {rows[0].task_id!r}, decoder 'psgd'" in err
+        assert not out.exists()
 
     def test_task_line_non_string_task_id_exits_2(self, tmp_path, capsys):
         tasks_path, _ = run_gen(tmp_path)

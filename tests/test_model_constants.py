@@ -77,9 +77,9 @@ def test_rows_with_a_kept_column_match_single_streams(keys, n):
 
 def _draw_everything(model):
     src = (2, 3)
-    model.log_rows_after(src, [(), (2,), (3, 2), (2, 2, 3)])
-    model.rows_after(src, (4,))
-    model.rows_after((4,), ())
+    model.rows_after(src, [(), (2,), (3, 2), (2, 2, 3)])
+    model.rows_after(src, [(4,)])
+    model.rows_after((4,), [()])
     return model
 
 

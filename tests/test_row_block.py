@@ -1,8 +1,9 @@
 """The row block: every missing row of a batched lookup is drawn in one block.
 
-``SequenceModel.log_rows_after`` must give exactly what one ``rows_after``
-call per prefix gives on a fresh model: the same probability and log row
-bytes, the same memo keys, and the same draws from every stream. The
+``SequenceModel.rows_after`` over a batch of prefixes must give exactly what
+one ``rows_after`` call per prefix gives on a fresh model: the same
+probability and log row bytes, the same memo keys, and the same draws from
+every stream. The
 benchmark's tracer counts rows and draws through ``Stream.dirichlet``, so a
 batched decode must call it once per drawn row and consume as many draws.
 """
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tsdecode import decode, harness
 from tsdecode.core import Vocab
 from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
-from tsdecode.rng import Stream, dirichlet_rows, hash_key
+from tsdecode.rng import Stream, dirichlet_rows, hash_key, row_counters
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -56,13 +57,13 @@ def lookups(model, counters, src, warm, prefixes, batched):
     ``prefixes`` after one ``rows_after`` per ``warm`` prefix."""
     counters.clear()
     for prefix in warm:
-        model.rows_after(src, prefix)
+        model.rows_after(src, [prefix])
     if batched:
-        logs = model.log_rows_after(src, prefixes)
+        logs = [logs for _, logs in model.rows_after(src, prefixes)]
     else:
-        logs = [model.rows_after(src, prefix)[1] for prefix in prefixes]
+        logs = [model.rows_after(src, [prefix])[0][1] for prefix in prefixes]
     draws = dict(counters)
-    probs = [model.rows_after(src, prefix)[0] for prefix in prefixes]
+    probs = [model.rows_after(src, [prefix])[0][0] for prefix in prefixes]
     return (
         [row.tobytes() for row in logs],
         [row.tobytes() for row in probs],
@@ -125,7 +126,7 @@ def test_block_with_an_overrunning_row_matches_single_rows():
     n = 20
     keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
     with recorded_counters() as counters:
-        block = dirichlet_rows(keys, 0.2, n)
+        block = dirichlet_rows(keys, 0.2, n, row_counters(n))
         block_counters = dict(counters)
         counters.clear()
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
@@ -181,12 +182,33 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     once per memoised row, and both sums equal the one-at-a-time path's."""
     tracer_module = _load_tracer()
     rows, u64, blocks = traced_rows(tracer_module)
+    rows_after = vars(SequenceModel)["rows_after"]
     monkeypatch.setattr(
         SequenceModel,
-        "log_rows_after",
-        lambda self, source, prefixes: [self.rows_after(source, p)[1] for p in prefixes],
+        "rows_after",
+        lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
     )
     single_rows, single_u64, single_blocks = traced_rows(tracer_module)
     assert rows == sum(blocks) and max(blocks) > 1
     assert single_rows == sum(single_blocks) and max(single_blocks) == 1
     assert (rows, u64) == (single_rows, single_u64)
+
+
+def test_cold_forced_pass_draws_one_block(monkeypatch):
+    """A forced pass reads every position with one batched lookup, so a cold
+    pass draws its distinct contexts as one block and a warm one draws none."""
+    blocks = []
+    draw = vars(SequenceModel)["_draw"]
+
+    def counted(self, source, contexts):
+        blocks.append(len(contexts))
+        draw(self, source, contexts)
+
+    monkeypatch.setattr(SequenceModel, "_draw", counted)
+    model = make_model(20, perturbed=False)
+    # Order-2 contexts (0,), (0, 2), (2, 3), (3, 4), (4, 2) and (2, 3) again.
+    result = model.forced_pass(SRC, (2, 3, 4, 2, 3))
+    assert len(result) == 6
+    assert blocks == [5]
+    model.forced_pass(SRC, (2, 3, 4))
+    assert blocks == [5]

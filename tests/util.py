@@ -115,7 +115,7 @@ def reference_beam_core(model, source, params):
         rows = []
         eos_cands = []
         for tokens, lp, progress in beam:
-            log_row = model.rows_after(src, tokens)[1]
+            log_row = model.rows_after(src, [tokens])[0][1]
             fw += 1
             pos_scored += len(tokens) + 1
             rows.append(log_row)
