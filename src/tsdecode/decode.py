@@ -186,7 +186,7 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
         + [p + s[:j] for j in range(k, len(s))]
         + ([p + s] if fixed_eos else [])
     )
-    fixed_rows = [logs for _, logs in rows_after(src, fixed)]
+    fixed_rows = rows_after(src, fixed)
     prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
     tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
     root = ()
@@ -206,7 +206,7 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
 
     def score(beam) -> list[tuple[float, np.ndarray]]:
         heads = [p + entry[0] + piece for entry in beam for piece in pieces]
-        rows = [logs for _, logs in rows_after(src, heads)]
+        rows = rows_after(src, heads)
         out = []
         i = 0
         for entry in beam:
@@ -422,7 +422,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         # One memoised row per hypothesis, from one batched lookup; the
         # statistics still count the logical forced pass over BOS + tokens
         # that each row ends.
-        rows = np.array([logs for _, logs in rows_after(src, [entry[0] for entry in beam])])
+        rows = np.array(rows_after(src, [entry[0] for entry in beam]))
         fw += len(beam)
         pos_scored += sum(len(entry[0]) + 1 for entry in beam)
         # EOS candidates of the complete hypotheses, which never enter the

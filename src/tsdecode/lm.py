@@ -8,26 +8,28 @@ A model's ``name`` (its spec kind), ``vocab``, context ``order`` and
 ``seed`` are plain attributes.
 
 A model maps (source sequence, target prefix) to a normalized next-token
-distribution. Every query is served from one memo of finalized rows per
-(source, context), read by one lookup that checks nothing, ``rows_after``:
-the (probability, log) rows after each of a batch of prefixes of one
-source. Its one miss path, ``_draw``, draws the rows a batch misses as one
-block, each distinct context once. Row bytes do not depend on the block:
-``NgramGenModel`` rows draw their uniforms with ``rng.dirichlet_rows``, and
-finalizing acts on each row alone, in place in the block. What a cold row
-costs beyond its Dirichlet loop is kept small by constants each
-``NgramGenModel`` computes once, when it is built: its rows' mixed counter
-column (``rng.row_counters``) and the table of ``mix64`` of every token id
-and context length that its key fold reads.
+distribution. Every query is served from one memo of finalized log rows,
+one dict per source keyed by context, read by one lookup that checks
+nothing, ``rows_after``: the log rows after each of a batch of prefixes of
+one source. Its one miss path, ``_draw``, draws the rows a batch misses as
+one block, each distinct context once, and keeps one read-only log row per
+context: every decoder scores with log-probabilities only. Row bytes do not
+depend on the block: ``NgramGenModel`` rows draw their uniforms with
+``rng.dirichlet_rows``, and finalizing acts on each row alone, in place in
+the block. What a cold row costs beyond its Dirichlet loop is kept small by
+constants each ``NgramGenModel`` computes once, when it is built: its rows'
+mixed counter column (``rng.row_counters``) and the table of ``mix64`` of
+every token id and context length that its key fold reads.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
 reads the rows at every position of a target with one ``rows_after`` call;
 its ``log_rows`` hold the log distribution at every position
-(``seq_logprob``, the PSGD two-pass reference). The decoders check their
-inputs once per decode and then call ``rows_after`` directly: PSGD once per
-scoring round for the few rows its items' spans change, the beam core once
-per step for one row per hypothesis.
+(``seq_logprob``, the PSGD two-pass reference). Its probability rows are
+finalized again from the raw rows, outside the memo, when first read. The
+decoders check their inputs once per decode and then call ``rows_after``
+directly: PSGD once per scoring round for the few rows its items' spans
+change, the beam core once per step for one row per hypothesis.
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -40,9 +42,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,36 +102,36 @@ class ForcedPassResult:
     ``distributions[t]`` is the next-token distribution given BOS plus the
     first ``t`` target tokens; there are ``len(target) + 1`` entries.
     ``log_rows[t]`` is the log of that distribution, the memo's read-only
-    row. The probability rows are kept as the memo returned them too;
-    ``distributions`` (and so ``matrix``) builds and validates the
-    ``StepDistribution`` objects on first read only.
+    row. The memo holds no probability rows: ``_prob_rows`` builds them
+    again, and ``distributions`` (and so ``matrix``) calls it and builds and
+    validates the ``StepDistribution`` objects on first read only.
     """
 
-    _prob_rows: tuple = field(repr=False)
+    _prob_rows: Callable[[], Sequence[np.ndarray]] = field(repr=False)
     log_rows: tuple = field(repr=False, compare=False)
 
     @cached_property
     def distributions(self) -> tuple[StepDistribution, ...]:
-        return tuple(StepDistribution(probs) for probs in self._prob_rows)
+        return tuple(StepDistribution(probs) for probs in self._prob_rows())
 
     def __len__(self) -> int:
-        return len(self._prob_rows)
+        return len(self.log_rows)
 
     def matrix(self) -> np.ndarray:
         return np.stack([d.probs for d in self.distributions])
 
 
-def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> np.ndarray:
     """Zero BOS, renormalize each raw row, mix in the EPS_FLOOR uniform
-    floor. Returns the probability rows and their logs, each row a read-only
-    array of its own.
+    floor. Returns the (R, V) block of probability rows, BOS exactly 0.
 
     An (R, V) float64 array is finalized in place; a list of rows is first
     stacked into a fresh array, so the rows it holds are never written. Each
     row comes out as it would alone: the sum runs along the contiguous axis,
-    as a 1-D row's does, and every other step is elementwise. Rows are
-    copied out of the block: memo rows kept as views of their blocks raised
-    the ratio-sweep benchmark's peak RSS by about 0.6 MB (1.5%)."""
+    as a 1-D row's does, and every other step is elementwise. ``_draw``
+    copies each memo row out of its block: memo rows kept as views of their
+    blocks raised the ratio-sweep benchmark's peak RSS by about 0.6 MB
+    (1.5%)."""
     rows = np.asarray(raws, dtype=np.float64)
     rows[:, bos_id] = 0.0
     total = rows.sum(axis=1)
@@ -139,14 +141,8 @@ def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> tupl
     k = rows.shape[1] - 1
     rows *= 1.0 - k * EPS_FLOOR
     rows += EPS_FLOOR
-    # BOS holds EPS_FLOOR here, so the log takes no log(0); both are set below.
-    logs = np.log(rows)
     rows[:, bos_id] = 0.0
-    logs[:, bos_id] = -math.inf
-    out = ([row.copy() for row in rows], [row.copy() for row in logs])
-    for row in out[0] + out[1]:
-        row.setflags(write=False)
-    return out
+    return rows
 
 
 class SequenceModel:
@@ -154,7 +150,7 @@ class SequenceModel:
 
     ``name`` is the spec kind, ``order`` the context length; ``seed`` is the
     row seed of models that draw their rows (0 for the others). Finalized
-    rows and their logs are memoized per (source, context).
+    log rows are memoized per source, then per context.
     """
 
     seed = 0
@@ -165,7 +161,7 @@ class SequenceModel:
         self.name = name
         self.vocab = vocab
         self.order = order
-        self._row_cache: dict[tuple[Tokens, Tokens], tuple[np.ndarray, np.ndarray]] = {}
+        self._row_cache: dict[Tokens, dict[Tokens, np.ndarray]] = {}
 
     def _context(self, target_prefix: Tokens) -> Tokens:
         """The conditioning context: last ``order`` tokens of BOS + prefix.
@@ -176,33 +172,46 @@ class SequenceModel:
         return ((self.vocab.bos_id,) + target_prefix)[-self.order:]
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray | Sequence[np.ndarray]:
-        """The raw rows of ``contexts``, distinct contexts of one source: an
-        (R, V) float64 array that the caller may overwrite, or a list of
-        rows, which the caller only reads."""
+        """The raw rows of ``contexts`` of one source: an (R, V) float64
+        array that the caller may overwrite, or a list of rows, which the
+        caller only reads."""
         raise NotImplementedError
 
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
-        """Build, finalize and memoise the rows of distinct uncached contexts
-        of one source, as one block: the memo's one miss path."""
-        probs, logs = _finalize_rows(self._raw_rows(source, contexts), self.vocab.bos_id)
-        cache = self._row_cache
-        for context, prob_row, log_row in zip(contexts, probs, logs):
-            cache[(source, context)] = (prob_row, log_row)
+        """Build, finalize and memoise the log rows of distinct uncached
+        contexts of one source, as one block: the memo's one miss path."""
+        rows = _finalize_rows(self._raw_rows(source, contexts), self.vocab.bos_id)
+        # The log of BOS's exact 0 is -inf.
+        with np.errstate(divide="ignore"):
+            np.log(rows, out=rows)
+        memo = self._row_cache.setdefault(source, {})
+        for context, row in zip(contexts, rows):
+            row = row.copy()
+            row.setflags(write=False)
+            memo[context] = row
 
-    def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The memoised (probability, log) rows of the next-token distribution
-        given BOS + each of ``prefixes``: the memo's one reader. Every row
-        the batch misses is drawn in one block, each distinct context once.
-        Nothing is checked: the source and prefixes must be int tuples whose
-        ids ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
-        cache = self._row_cache
+    def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
+        """The memoised log rows of the next-token distribution given BOS +
+        each of ``prefixes``: the memo's one reader. The source's memo is
+        looked up once and then each prefix's context. Every row the batch
+        misses is drawn in one block, each distinct context once. Nothing is
+        checked: the source and prefixes must be int tuples whose ids
+        ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
+        memo = self._row_cache.get(source, {})
         context = self._context
-        keys = [(source, context(prefix)) for prefix in prefixes]
+        contexts = [context(prefix) for prefix in prefixes]
         try:
-            return [cache[key] for key in keys]
+            return [memo[c] for c in contexts]
         except KeyError:
-            self._draw(source, tuple(dict.fromkeys(key[1] for key in keys if key not in cache)))
-            return [cache[key] for key in keys]
+            self._draw(source, tuple(dict.fromkeys(c for c in contexts if c not in memo)))
+            memo = self._row_cache[source]
+            return [memo[c] for c in contexts]
+
+    def _prob_rows(self, source: Tokens, prefixes: Sequence[Tokens]) -> np.ndarray:
+        """The probability rows after each of ``prefixes``, finalized again
+        from the raw rows; the memo is neither read nor written."""
+        contexts = [self._context(prefix) for prefix in prefixes]
+        return _finalize_rows(self._raw_rows(source, contexts), self.vocab.bos_id)
 
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
         """The rows at every position of ``target``, from one ``rows_after``
@@ -211,10 +220,8 @@ class SequenceModel:
         tgt = as_tokens(target)
         check_tokens(src, self.vocab, "source", content=False)
         check_tokens(tgt, self.vocab, "target")
-        pairs = self.rows_after(src, [tgt[:t] for t in range(len(tgt) + 1)])
-        return ForcedPassResult(
-            tuple(probs for probs, _ in pairs), tuple(logs for _, logs in pairs)
-        )
+        prefixes = [tgt[:t] for t in range(len(tgt) + 1)]
+        return ForcedPassResult(partial(self._prob_rows, src, prefixes), tuple(self.rows_after(src, prefixes)))
 
 
 def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) -> float:
@@ -374,14 +381,30 @@ def _encode_table_key(src: Tokens, ctx: Tokens) -> str:
 
 
 def _decode_table_key(key: str) -> tuple[Tokens, Tokens]:
-    src_part, ctx_part = key.split("|")
-    if not src_part.startswith("src:") or not ctx_part.startswith("ctx:"):
-        raise ValueError(f"malformed table key {key!r}")
+    """The (source, context) pair a ``src:…|ctx:…`` table key names."""
+    parts = key.split("|") if isinstance(key, str) else []
+    if [part[:4] for part in parts] == ["src:", "ctx:"]:
+        try:
+            return tuple(tuple(int(v) for v in part[4:].split(",") if v != "") for part in parts)
+        except ValueError:
+            pass
+    raise ValueError(f"malformed table key {key!r}")
 
-    def ints(text: str) -> Tokens:
-        return tuple(int(v) for v in text.split(",") if v != "")
 
-    return ints(src_part[4:]), ints(ctx_part[4:])
+def _table_from_spec(table) -> dict[tuple[Tokens, Tokens], list[float]]:
+    """A spec's ``table``: null, or an object mapping ``src:…|ctx:…`` keys
+    to rows of numbers."""
+    if table is None:
+        return {}
+    if not isinstance(table, Mapping):
+        raise ValueError(f"table must be an object or null, got {type(table).__name__}")
+    rows = {}
+    for key, row in table.items():
+        name = f"table[{key!r}]"
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"{name} must be a list of numbers, got {row!r}")
+        rows[_decode_table_key(key)] = [check_float(name, v) for v in row]
+    return rows
 
 
 def model_to_spec(model: SequenceModel) -> dict:
@@ -416,10 +439,7 @@ def model_from_spec(spec: Mapping) -> SequenceModel:
         if kind == _KIND_UNIFORM:
             return UniformModel(vocab)
         if kind == _KIND_TABLE:
-            table = {
-                _decode_table_key(key): row for key, row in (spec["table"] or {}).items()
-            }
-            return TableModel(vocab, check_int("order", spec["order"]), table)
+            return TableModel(vocab, check_int("order", spec["order"]), _table_from_spec(spec["table"]))
         if kind == _KIND_NGRAM:
             return NgramGenModel(
                 vocab,

@@ -26,9 +26,9 @@ over. ``Stream.dirichlet`` alone, and a row's extension on overrun, are
 blocks of one that compute their own column. The block math uses the same
 integer and IEEE float64 operations as ``mix64`` and the scalar uniform
 formula, so every draw is bit-identical to the scalar definition, whatever
-block it is drawn in. The transcendentals of ``gamma`` and ``dirichlet``
-stay scalar ``math`` calls: ``np.log`` does not round like ``math.log`` on
-every input, and rows must not depend on which is used.
+block it is drawn in. The transcendentals of ``dirichlet`` stay scalar
+``math`` calls: ``np.log`` does not round like ``math.log`` on every input,
+and rows must not depend on which is used.
 
 ``fold`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
@@ -38,11 +38,12 @@ a table and fold with them, bit for bit the same.
 ``Stream.dirichlet`` fuses the ``n`` gamma variates of a row into one loop.
 It reads the uniforms it expects to need from one list computed up front,
 extends that list when a run of rejections overruns it, and indexes it
-directly. Per variate the loop does exactly what ``gamma`` does, in the
-same order: the boost uniform, then per attempt two uniforms for the normal
-and one for the squeeze, and the same ``math`` calls on the same operands.
-So its rows are bit-identical to ``n`` calls of ``gamma``, which stays as
-the reference.
+directly. Per variate the loop does exactly what the one-variate sampler
+does, in the same order: the boost uniform, then per attempt two uniforms
+for the normal and one for the squeeze, and the same ``math`` calls on the
+same operands. So its rows are bit-identical to ``n`` calls of that
+sampler, ``gamma`` in ``tests/util.py``, which the tests keep as the
+reference.
 Vectorising the transcendentals would cost more, not less: which draw
 starts an attempt depends on every earlier rejection, so a vectorised pass
 must score an attempt at every counter or restart after each rejection.
@@ -209,40 +210,13 @@ class Stream:
     def choice(self, items):
         return items[self.randint(0, len(items) - 1)]
 
-    def gamma(self, shape: float) -> float:
-        """Marsaglia-Tsang gamma variate with unit scale; shape > 0.
-
-        The one-variate definition that ``dirichlet`` fuses; tests compare
-        the two.
-        """
-        if not 0.0 < shape < math.inf:
-            raise ValueError(f"gamma shape must be finite and > 0, got {shape}")
-        if shape < 1.0:
-            # Boost: Gamma(a) = Gamma(a + 1) * U^(1/a).
-            u = self.uniform()
-            return self.gamma(shape + 1.0) * u ** (1.0 / shape)
-        d = shape - 1.0 / 3.0
-        c = 1.0 / math.sqrt(9.0 * d)
-        uniform = self.uniform
-        while True:
-            # A Box-Muller normal: u1 is drawn before u2.
-            x = math.sqrt(-2.0 * math.log(uniform())) * math.cos(2.0 * math.pi * uniform())
-            v = 1.0 + c * x
-            if v <= 0.0:
-                continue
-            v = v * v * v
-            u = uniform()
-            if u < 1.0 - 0.0331 * x * x * x * x:
-                return d * v
-            if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
-                return d * v
-
     def dirichlet(self, concentration: float, n: int, uniforms: list[float] | None = None) -> np.ndarray:
         """Symmetric Dirichlet draw of length ``n``: ``n`` unit-scale gamma
         variates, normalized.
 
-        Each variate takes the draws, and does the arithmetic, of one
-        ``gamma(concentration)`` call, in the same order; the loop reads its
+        Each variate takes the draws, and does the arithmetic, of one call
+        of the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
+        ``concentration``, in the same order; the loop reads its
         uniforms from one list computed up front. ``uniforms``, when given,
         is that list: this stream's next draws, as ``dirichlet_rows`` hands
         them over.

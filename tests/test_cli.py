@@ -295,6 +295,32 @@ class TestSuggest:
         assert f"concentration must be a finite number, got {bad!r}" in err
         assert "Traceback" not in err
 
+    # A table spec is read as strictly: the table is an object or null, each
+    # key a src:…|ctx:… string and each entry a number, never converted.
+    @pytest.mark.parametrize(
+        "table, named",
+        [
+            ([1], "table must be an object or null, got list"),
+            ("x", "table must be an object or null, got str"),
+            ({"src:2|ctx:0": ["0", "1"] + ["0"] * 10}, "table['src:2|ctx:0'] must be a finite number, got '0'"),
+            ({"src:2|ctx:0": [False, True] + [False] * 10}, "table['src:2|ctx:0'] must be a finite number, got False"),
+            ({"src:2|ctx:0": 1}, "table['src:2|ctx:0'] must be a list of numbers, got 1"),
+            ({"src:2|ctx:a": [0.0, 1.0] + [0.0] * 10}, "malformed table key 'src:2|ctx:a'"),
+        ],
+        ids=["list", "string", "string-entries", "bool-entries", "number-row", "non-int-key"],
+    )
+    def test_malformed_table_exits_2_naming_it(self, tmp_path, capsys, table, named):
+        tasks_path, model_path = run_gen(tmp_path)
+        spec = dict(json.loads(model_path.read_text()), kind="table", order=1, table=table)
+        model_path.write_text(json.dumps(spec))
+        code = main(
+            ["suggest", "--tasks", str(tasks_path), "--model-spec", str(model_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["suggest", "eval"])
     def test_repeated_task_id_exits_2(self, tmp_path, capsys, command):
         tasks_path, model_path = run_gen(tmp_path)

@@ -6,12 +6,18 @@ probability and log row bytes, the same memo keys, and the same draws from
 every stream. The
 benchmark's tracer counts rows and draws through ``Stream.dirichlet``, so a
 batched decode must call it once per drawn row and consume as many draws.
+The memo the block fills holds one read-only log row per context, one dict
+per source, and reading a forced pass's probabilities leaves it alone.
 """
 
+import gc
 import importlib.util
+import math
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -52,6 +58,10 @@ def recorded_counters():
             setattr(Stream, name, original)
 
 
+def memo_snapshot(model):
+    return {(source, context): row for source, memo in model._row_cache.items() for context, row in memo.items()}
+
+
 def lookups(model, counters, src, warm, prefixes, batched):
     """Log rows, probability rows, draws and memo keys of a lookup of
     ``prefixes`` after one ``rows_after`` per ``warm`` prefix."""
@@ -59,17 +69,13 @@ def lookups(model, counters, src, warm, prefixes, batched):
     for prefix in warm:
         model.rows_after(src, [prefix])
     if batched:
-        logs = [logs for _, logs in model.rows_after(src, prefixes)]
+        logs = model.rows_after(src, prefixes)
     else:
-        logs = [model.rows_after(src, [prefix])[0][1] for prefix in prefixes]
+        logs = [model.rows_after(src, [prefix])[0] for prefix in prefixes]
     draws = dict(counters)
-    probs = [model.rows_after(src, [prefix])[0][0] for prefix in prefixes]
-    return (
-        [row.tobytes() for row in logs],
-        [row.tobytes() for row in probs],
-        draws,
-        set(model._row_cache),
-    )
+    keys = set(memo_snapshot(model))
+    probs = [model.forced_pass(src, prefix).distributions[-1].probs for prefix in prefixes]
+    return ([row.tobytes() for row in logs], [row.tobytes() for row in probs], draws, keys)
 
 
 def assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes):
@@ -212,3 +218,49 @@ def test_cold_forced_pass_draws_one_block(monkeypatch):
     assert blocks == [5]
     model.forced_pass(SRC, (2, 3, 4))
     assert blocks == [5]
+
+
+def test_memo_costs_under_500_bytes_per_row():
+    """The memo keeps one log row per context, in one dict per source:
+    3,000 cold vocab-20 rows over 30 sources cost under 500 B each (a
+    (probability, log) pair per (source, context) key cost about 750)."""
+    model = NgramGenModel(Vocab(20), 2, seed=11, concentration=0.2)
+    content = model.vocab.content_ids
+    sources = [(content[s % 18], content[s // 18]) + content[:6] for s in range(30)]
+    prefixes = [(a, b) for a in content for b in content][:100]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in sources:
+            model.rows_after(src, prefixes)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(memo_snapshot(model)) == 3000
+    assert held / 3000 < 500
+
+
+def test_memo_rows_are_read_only_log_rows():
+    model = make_model(20, perturbed=True)
+    model.forced_pass((2, 3, 4), (2, 3, 4, 4))
+    model.rows_after(SRC, [(), (2,), (3, 4, 2)])
+    memo = memo_snapshot(model)
+    assert len(memo) == 8
+    for (source, context), row in memo.items():
+        assert type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (20,)
+        assert not row.flags.writeable
+        assert row[model.vocab.bos_id] == -math.inf and np.isfinite(row[1:]).all()
+        # A hit on the prefix that ends in this context (BOS, id 0, starts none).
+        assert model.rows_after(source, [context[1:] if context[0] == 0 else context])[0] is row
+
+
+def test_reading_probabilities_leaves_the_memo_alone():
+    model = make_model(20, perturbed=True)
+    result = model.forced_pass(SRC, (2, 3, 4, 2, 3))
+    memo = memo_snapshot(model)
+    assert len(result.distributions) == 6 and result.matrix().shape == (6, 20)
+    after = memo_snapshot(model)
+    assert after.keys() == memo.keys()
+    assert all(after[key] is row for key, row in memo.items())

@@ -156,7 +156,7 @@ def _beams():
     yield uniform, (2,), [((), 0.0)]
     yield uniform, (2,), [((2,), -1.0), ((3,), -1.0), ((4,), -1.0)]
     yield uniform, (2,), [((4, 2), -2.0, (1,)), ((2, 4), -2.0, (2,)), ((3, 3), -2.5, (0,))]
-    row = tied.rows_after((2,), [()])[0][1].tolist()
+    row = tied.rows_after((2,), [()])[0].tolist()
     yield tied, (2,), [((2,), row[2]), ((3,), row[3]), ((4,), row[4]), ((5,), row[5])]
     yield tied, (3,), [((3, 2), -1.5, (1,)), ((2, 3), -1.5, (0,)), ((5, 4), -1.5, (2,))]
 
@@ -175,7 +175,7 @@ def _full_sort(beam, rows, content):
 
 @pytest.mark.parametrize("model, src, beam", list(_beams()))
 def test_expand_equals_full_sort(model, src, beam):
-    rows = [model.rows_after(src, [entry[0]])[0][1] for entry in beam]
+    rows = [model.rows_after(src, [entry[0]])[0] for entry in beam]
     content = model.vocab.content_ids
     full = _full_sort(beam, rows, content)
     for k in range(1, len(full) + 2):

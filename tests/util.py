@@ -1,10 +1,12 @@
-"""Shared random-fixture generators and the brute-force search oracle for tests.
+"""Shared random-fixture generators, the brute-force search oracle and the
+reference implementations that fused library code is checked against, for tests.
 
 Everything is keyed off the library's own platform-stable stream so every
 test run sees identical fixtures.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -76,6 +78,36 @@ def enumerate_best(model, source, max_len, phrases=()):
     return best_tokens, best_score
 
 
+def gamma(stream, shape):
+    """Marsaglia-Tsang gamma variate with unit scale, drawn from ``stream``;
+    shape > 0.
+
+    The one-variate definition that ``Stream.dirichlet`` fuses, kept as the
+    reference the fused loop is checked against.
+    """
+    if not 0.0 < shape < math.inf:
+        raise ValueError(f"gamma shape must be finite and > 0, got {shape}")
+    if shape < 1.0:
+        # Boost: Gamma(a) = Gamma(a + 1) * U^(1/a).
+        u = stream.uniform()
+        return gamma(stream, shape + 1.0) * u ** (1.0 / shape)
+    d = shape - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    uniform = stream.uniform
+    while True:
+        # A Box-Muller normal: u1 is drawn before u2.
+        x = math.sqrt(-2.0 * math.log(uniform())) * math.cos(2.0 * math.pi * uniform())
+        v = 1.0 + c * x
+        if v <= 0.0:
+            continue
+        v = v * v * v
+        u = uniform()
+        if u < 1.0 - 0.0331 * x * x * x * x:
+            return d * v
+        if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
+            return d * v
+
+
 def record_token_checks(monkeypatch) -> list[str]:
     """Patch ``check_tokens`` wherever the library calls it; the returned
     list collects the ``what`` of every call."""
@@ -115,7 +147,7 @@ def reference_beam_core(model, source, params):
         rows = []
         eos_cands = []
         for tokens, lp, progress in beam:
-            log_row = model.rows_after(src, [tokens])[0][1]
+            log_row = model.rows_after(src, [tokens])[0]
             fw += 1
             pos_scored += len(tokens) + 1
             rows.append(log_row)
