@@ -51,7 +51,7 @@ from .harness import (
     sweep_config_from_dict,
 )
 from .lm import InvalidModelSpec, SequenceModel, load_model_spec, model_from_spec, save_model_spec
-from .metrics import BenchRow, EvalRecord, aggregate, write_metrics_csv
+from .metrics import BenchRow, EmptyCorpus, EvalRecord, aggregate, write_metrics_csv
 from .scoring import SCORING_MODES
 
 EXIT_OK = 0
@@ -198,6 +198,9 @@ def cmd_eval(args) -> int:
         record = eval_record(task, row)
         if record is not None:
             records.append(record)
+    if not records:
+        errors = sum(row.error is not None for row in results)
+        raise EmptyCorpus(f"no result row to score: {errors} of {len(results)} rows hold an error")
     write_metrics_csv(args.out, aggregate(records))
     print(f"wrote metrics to {args.out}")
     return EXIT_OK

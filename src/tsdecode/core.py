@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
 
@@ -29,13 +29,6 @@ class ReservedTokenInContent(TsError):
 class MalformedLine(TsError):
     """A task or result JSONL line is not JSON, lacks a key or holds a bad value."""
 
-
-ROLE_SOURCE = "source"
-ROLE_TARGET = "target"
-ROLE_PREFIX = "prefix"
-ROLE_SUFFIX = "suffix"
-ROLE_SPAN = "span"
-ROLES = (ROLE_SOURCE, ROLE_TARGET, ROLE_PREFIX, ROLE_SUFFIX, ROLE_SPAN)
 
 STOP_PATIENCE = "patience"
 STOP_MAX_LEN = "max_len"
@@ -66,14 +59,13 @@ class Vocab:
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """An immutable content-token sequence tagged with its role."""
+    """An immutable content-token sequence; where it sits in a ``TsTask``
+    says what it is."""
 
     tokens: tuple[int, ...] = ()
-    role: str = ROLE_TARGET
+    role: InitVar[str | None] = None  # accepted and dropped until bench/ stops passing one (ROADMAP item 3)
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
+    def __post_init__(self, role: str | None) -> None:
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
 
     def __len__(self) -> int:
@@ -227,16 +219,16 @@ def task_to_dict(task: TsTask) -> dict:
 
 
 def task_from_dict(d: dict) -> TsTask:
-    def seq(key: str, role: str) -> TokenSeq:
-        return TokenSeq(tuple(check_int(key, tok) for tok in d[key]), role)
+    def seq(key: str) -> TokenSeq:
+        return TokenSeq(tuple(check_int(key, tok) for tok in d[key]))
 
     return TsTask(
         task_id=check_str("task_id", d["task_id"]),
-        source=seq("source", ROLE_SOURCE),
-        prefix=seq("prefix", ROLE_PREFIX),
-        suffix=seq("suffix", ROLE_SUFFIX),
-        gold_span=None if d.get("gold_span") is None else seq("gold_span", ROLE_SPAN),
-        gold_full=None if d.get("gold_full") is None else seq("gold_full", ROLE_TARGET),
+        source=seq("source"),
+        prefix=seq("prefix"),
+        suffix=seq("suffix"),
+        gold_span=None if d.get("gold_span") is None else seq("gold_span"),
+        gold_full=None if d.get("gold_full") is None else seq("gold_full"),
     )
 
 

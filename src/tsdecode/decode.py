@@ -47,8 +47,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    ROLE_SPAN,
-    ROLE_TARGET,
     STOP_EMPTY_BEAM,
     STOP_MAX_LEN,
     STOP_PATIENCE,
@@ -313,7 +311,7 @@ def _psgd_run(
         wall_time_us=_wall_us(t0),
     )
     return Suggestion(
-        span=TokenSeq(best[1], ROLE_SPAN),
+        span=TokenSeq(best[1]),
         whole_seq_score=best[0],
         stats=stats,
     )
@@ -424,7 +422,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         # that each row ends.
         rows = np.array(rows_after(src, [entry[0] for entry in beam]))
         fw += len(beam)
-        pos_scored += sum(len(entry[0]) + 1 for entry in beam)
+        pos_scored += len(beam) * (step + 1)  # every hypothesis holds step tokens
         # EOS candidates of the complete hypotheses, which never enter the
         # alive beam. A complete hypothesis finishes when EOS is its argmax
         # and, under constraints, at the length budget (a forced finish,
@@ -520,7 +518,7 @@ def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> 
     finished, beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
     entries = finished.items() if finished else [entry[:2] for entry in beam]
     score, tokens = _pick_best(entries)
-    return BeamSearchResult(TokenSeq(tokens, ROLE_TARGET), score, bool(finished))
+    return BeamSearchResult(TokenSeq(tokens), score, bool(finished))
 
 
 def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSeq, float, DecodeStats]:
@@ -558,7 +556,7 @@ def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSe
             f"no constraint-complete hypothesis finished within max_len={params.max_len}"
         )
     score, tokens = _pick_best(finished.items())
-    return TokenSeq(tokens, ROLE_TARGET), score, stats
+    return TokenSeq(tokens), score, stats
 
 
 def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
@@ -629,5 +627,5 @@ def dba_suggest(
         positions_scored=stats.positions_scored + len(p) + len(span) + len(s) + 1,
         wall_time_us=_wall_us(t0),
     )
-    return Suggestion(span=TokenSeq(span, ROLE_SPAN), whole_seq_score=whole, stats=stats)
+    return Suggestion(span=TokenSeq(span), whole_seq_score=whole, stats=stats)
 

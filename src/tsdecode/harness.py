@@ -19,11 +19,6 @@ import re
 from dataclasses import dataclass, fields as dc_fields
 
 from .core import (
-    ROLE_PREFIX,
-    ROLE_SOURCE,
-    ROLE_SPAN,
-    ROLE_SUFFIX,
-    ROLE_TARGET,
     ResultRow,
     Suggestion,
     TokenSeq,
@@ -215,14 +210,14 @@ def gen_dataset(cfg: GenConfig, model: SequenceModel | None = None) -> list[TsTa
             # or from the reference when that translation is empty.
             masked = ref if mt_model is None else (_reference(mt_model, source) or ref)
             start, span_len = _mask(masked, ratio, stream)
-            span = TokenSeq(masked[start : start + span_len], ROLE_SPAN)
+            span = TokenSeq(masked[start : start + span_len])
             tasks.append(TsTask(
                 task_id=make_task_id(ratio, i),
-                source=TokenSeq(source, ROLE_SOURCE),
-                prefix=TokenSeq(masked[:start], ROLE_PREFIX),
-                suffix=TokenSeq(masked[start + span_len :], ROLE_SUFFIX),
+                source=TokenSeq(source),
+                prefix=TokenSeq(masked[:start]),
+                suffix=TokenSeq(masked[start + span_len :]),
                 gold_span=span if mt_model is None else None,
-                gold_full=TokenSeq(ref, ROLE_TARGET),
+                gold_full=TokenSeq(ref),
             ))
     return tasks
 

@@ -169,7 +169,9 @@ class SequenceModel:
         A subclass may condition on less, but never on more: rows that only
         depend on the last ``order`` tokens are what lets PSGD score a span
         without re-reading the rows it cannot change."""
-        return ((self.vocab.bos_id,) + target_prefix)[-self.order:]
+        if len(target_prefix) >= self.order:
+            return target_prefix[-self.order:]
+        return (self.vocab.bos_id,) + target_prefix
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray | Sequence[np.ndarray]:
         """The raw rows of ``contexts`` of one source: an (R, V) float64
@@ -282,6 +284,10 @@ class TableModel(SequenceModel):
                 )
             if len(ctx) > order:
                 raise ValueError(f"context {ctx} longer than order {order}")
+            if not all(0 <= t < vocab.size for t in (*src, *ctx)):
+                raise ValueError(
+                    f"table key {_encode_table_key(src, ctx)!r} has an id outside [0, {vocab.size})"
+                )
             self._table[(tuple(src), tuple(ctx))] = arr
         uniform = np.full(vocab.size, 1.0 / (vocab.size - 1), dtype=np.float64)
         uniform[vocab.bos_id] = 0.0

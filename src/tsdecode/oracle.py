@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ROLE_SPAN, TokenSeq, TsError, TsTask
+from .core import TokenSeq, TsError, TsTask
 from .lm import SequenceModel, as_tokens
 from .scoring import SCORING_MEAN_LOGPROB, filled_score, prefer
 
@@ -57,7 +57,7 @@ def exhaustive_best_span(
                 best_score = score
                 best_span = span
     return OracleResult(
-        best_span=TokenSeq(best_span, ROLE_SPAN),
+        best_span=TokenSeq(best_span),
         best_score=best_score,
         candidates_evaluated=count,
     )

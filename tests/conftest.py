@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
+from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel
 
 
@@ -30,16 +30,16 @@ def m1(vocab4):
 
 @pytest.fixture(scope="session")
 def m1_src():
-    return TokenSeq((2,), ROLE_SOURCE)
+    return TokenSeq((2,))
 
 
 @pytest.fixture(scope="session")
 def m1_task(m1_src):
     """Fill between prefix [a] and suffix [b] under the M1 model."""
-    return TsTask("m1", m1_src, TokenSeq((2,), ROLE_PREFIX), TokenSeq((3,), ROLE_SUFFIX))
+    return TsTask("m1", m1_src, TokenSeq((2,)), TokenSeq((3,)))
 
 
 @pytest.fixture(scope="session")
 def m1_task_empty(m1_src):
     """Unconstrained task: both prefix and suffix empty."""
-    return TsTask("m1e", m1_src, TokenSeq((), ROLE_PREFIX), TokenSeq((), ROLE_SUFFIX))
+    return TsTask("m1e", m1_src, TokenSeq(()), TokenSeq(()))

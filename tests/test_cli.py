@@ -306,8 +306,11 @@ class TestSuggest:
             ({"src:2|ctx:0": [False, True] + [False] * 10}, "table['src:2|ctx:0'] must be a finite number, got False"),
             ({"src:2|ctx:0": 1}, "table['src:2|ctx:0'] must be a list of numbers, got 1"),
             ({"src:2|ctx:a": [0.0, 1.0] + [0.0] * 10}, "malformed table key 'src:2|ctx:a'"),
+            ({"src:12|ctx:0": [0.0, 1.0] + [0.0] * 10}, "table key 'src:12|ctx:0' has an id outside [0, 12)"),
+            ({"src:2|ctx:-5": [0.0, 1.0] + [0.0] * 10}, "table key 'src:2|ctx:-5' has an id outside [0, 12)"),
         ],
-        ids=["list", "string", "string-entries", "bool-entries", "number-row", "non-int-key"],
+        ids=["list", "string", "string-entries", "bool-entries", "number-row", "non-int-key",
+             "source-id-past-vocab", "negative-context-id"],
     )
     def test_malformed_table_exits_2_naming_it(self, tmp_path, capsys, table, named):
         tasks_path, model_path = run_gen(tmp_path)
@@ -390,6 +393,20 @@ class TestEval:
         code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(tmp_path / "m.csv")])
         assert code == 1
         assert "ghost" in capsys.readouterr().err
+
+    # eval_record skips error rows, so a file of only error rows leaves
+    # nothing to score; the message says how many of the rows were errors.
+    def test_only_error_rows_exits_1_counting_them(self, tmp_path, capsys):
+        tasks_path, _ = run_gen(tmp_path)
+        error = "ConstraintsUnsatisfiable: no constraint-complete hypothesis finished within max_len=3"
+        row = ResultRow(read_tasks_jsonl(tasks_path)[0].task_id, "dba", (), 0.0, 0, 0, 0, "max_len", 0, error)
+        results_path = tmp_path / "results.jsonl"
+        write_results_jsonl(results_path, [row])
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--tasks", str(tasks_path), "--results", str(results_path), "--out", str(out)])
+        assert code == 1
+        assert "error: EmptyCorpus: no result row to score: 1 of 1 rows hold an error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_result_line_not_json_exits_2(self, tmp_path, capsys):
         tasks_path, _ = run_gen(tmp_path)

@@ -77,9 +77,21 @@ def test_gold_consistency_enforced():
         make_task([2], [3], [4], gold_span=[5], gold_full=[3, 5, 5])
 
 
-def test_token_seq_rejects_unknown_role():
-    with pytest.raises(ValueError):
-        TokenSeq((1, 2), "body")
+def test_token_seq_accepts_and_drops_a_positional_role():
+    # bench/workloads.py still builds TokenSeq(tokens, role); the role is
+    # neither stored nor compared.
+    assert TokenSeq((2, 3), "prefix") == TokenSeq((2, 3))
+    assert [f.name for f in fields(TokenSeq)] == ["tokens"]
+    ref = (4, 5, 6, 7)
+    task = TsTask(
+        task_id="s000_m00",
+        source=TokenSeq((8, 9), "source"),
+        prefix=TokenSeq(ref[:1], "prefix"),
+        suffix=TokenSeq(ref[3:], "suffix"),
+        gold_span=TokenSeq(ref[1:3], "span"),
+        gold_full=TokenSeq(ref, "target"),
+    )
+    assert task_from_dict(task_to_dict(task)) == task
 
 
 content_tokens = st.lists(st.integers(min_value=2, max_value=99), max_size=6)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from tsdecode import harness
-from tsdecode.core import ROLE_TARGET, TokenSeq, TsError, write_tasks_jsonl
+from tsdecode.core import TokenSeq, TsError, write_tasks_jsonl
 from tsdecode.decode import PsgdParams
 from tsdecode.harness import (
     CONSTRAINT_MT,
@@ -144,7 +144,7 @@ class TestGenDataset:
             result = real(model, *args, **kwargs)
             if getattr(model, "perturb_seed", None) is None:
                 return result
-            return replace(result, tokens=TokenSeq((), ROLE_TARGET))
+            return replace(result, tokens=TokenSeq(()))
 
         monkeypatch.setattr(harness, "beam_search", empty_for_sibling)
         tasks = gen_dataset(small_config(constraint_source=CONSTRAINT_MT))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode.core import ROLE_TARGET, ReservedTokenInContent, TokenOutOfRange, TokenSeq, Vocab
+from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, TokenSeq, Vocab
 from tsdecode.lm import (
     EPS_FLOOR,
     ForcedPassResult,
+    InvalidModelSpec,
     NgramGenModel,
     StepDistribution,
     TableModel,
@@ -163,7 +164,7 @@ def test_next_log_row_is_last_forced_pass_row(name):
     cold, reference = make(), make()
     content = cold.vocab.content_ids
     prefixes = [(), (content[1],), (content[1], content[2]), (content[1], content[2], content[0], content[1])]
-    for prefix in prefixes + [TokenSeq(prefixes[-1], ROLE_TARGET), list(prefixes[2])]:
+    for prefix in prefixes + [TokenSeq(prefixes[-1]), list(prefixes[2])]:
         got = cold.rows_after(src, [as_tokens(prefix)])[0]
         want = np.stack(reference.forced_pass(src, prefix).log_rows)[-1]
         assert got.shape == want.shape
@@ -268,6 +269,13 @@ class TestTableModel:
         # Position 1 of target (2, ...) conditions on context (bos, 2).
         got = model.forced_pass((2,), (2,)).distributions[1].probs
         np.testing.assert_allclose(got, row, atol=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_context_is_last_order_tokens_of_bos_plus_prefix(self, order):
+        model = TableModel(Vocab(9), order, {})
+        for n in range(order + 3):
+            prefix = tuple(range(2, 2 + n))
+            assert model._context(prefix) == ((model.vocab.bos_id,) + prefix)[-order:]
 
 
 class TestNgramGenModel:
@@ -414,6 +422,19 @@ class TestModelSpec:
         base = NgramGenModel(Vocab(6), 2, seed=9, concentration=0.25)
         with pytest.raises(ValueError):
             model_to_spec(make_perturbed_sibling(base, 1))
+
+    # A key whose ids fall outside the vocabulary names a row no lookup can
+    # ever reach, so it is rejected rather than stored.
+    @pytest.mark.parametrize("src, ctx", [((99,), (0,)), ((2,), (-5,)), ((99,), (-5,)), ((2,), (4,))])
+    def test_table_key_outside_vocab_rejected(self, src, ctx):
+        with pytest.raises(ValueError, match="has an id outside"):
+            TableModel(Vocab(4), 1, {(src, ctx): [0.0, 0.5, 0.5, 0.0]})
+
+    def test_spec_table_key_outside_vocab_rejected(self):
+        spec = {"kind": "table", "vocab_size": 4, "order": 1, "seed": 0, "concentration": 0.0,
+                "table": {"src:99|ctx:-5": [0.0, 0.5, 0.5, 0.0]}}
+        with pytest.raises(InvalidModelSpec, match=r"table key 'src:99\|ctx:-5' has an id outside \[0, 4\)"):
+            model_from_spec(spec)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
+from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_search, dba_decode, psgd
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import prefer, rank
@@ -134,7 +134,7 @@ def test_dba_decode_ties_pinned(name, src, constraints, width, max_len, tokens, 
 @pytest.mark.parametrize("name, src, prefix, suffix, width, span, score, emitted", PSGD)
 def test_psgd_ties_pinned(name, src, prefix, suffix, width, span, score, emitted):
     task = TsTask(
-        "t", TokenSeq(src, ROLE_SOURCE), TokenSeq(prefix, ROLE_PREFIX), TokenSeq(suffix, ROLE_SUFFIX)
+        "t", TokenSeq(src), TokenSeq(prefix), TokenSeq(suffix)
     )
     got = psgd(MODELS[name], task, PsgdParams(beam_width=width, patience=2))
     assert (got.span.tokens, got.whole_seq_score, got.stats.emitted_steps) == (span, score, emitted)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from tsdecode import core, decode, lm
-from tsdecode.core import ROLE_PREFIX, ROLE_SOURCE, ROLE_SUFFIX, TokenSeq, TsTask, Vocab
+from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
 from tsdecode.scoring import normalized_score, prefer, rank
@@ -44,9 +44,9 @@ def random_task(seed, vocab, src, max_affix_len=2):
     suffix = tuple(stream.choice(vocab.content_ids) for _ in range(t_s))
     return TsTask(
         f"rand{seed}",
-        TokenSeq(src, ROLE_SOURCE),
-        TokenSeq(prefix, ROLE_PREFIX),
-        TokenSeq(suffix, ROLE_SUFFIX),
+        TokenSeq(src),
+        TokenSeq(prefix),
+        TokenSeq(suffix),
     )
 
 
