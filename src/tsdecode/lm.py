@@ -14,12 +14,13 @@ nothing, ``rows_after``: the log rows after each of a batch of prefixes of
 one source. Its one miss path, ``_draw``, draws the rows a batch misses as
 one block, each distinct context once, and keeps one read-only log row per
 context: every decoder scores with log-probabilities only. Row bytes do not
-depend on the block: ``NgramGenModel`` rows draw their uniforms with
+depend on the block: ``NgramGenModel`` rows are drawn with
 ``rng.dirichlet_rows``, and finalizing acts on each row alone, in place in
 the block. What a cold row costs beyond its Dirichlet loop is kept small by
-constants each ``NgramGenModel`` computes once, when it is built: its rows'
-mixed counter column (``rng.row_counters``) and the table of ``mix64`` of
-every token id and context length that its key fold reads.
+constants each ``NgramGenModel`` computes once: its rows' mixed counter
+column (``rng.row_counters``) and the tables of ``mix64`` of every token id
+and of every context length up to the longest drawn, which its key fold
+reads.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
@@ -333,9 +334,11 @@ class NgramGenModel(SequenceModel):
         self._source_keys: dict[tuple[int, int, Tokens], int] = {}
         # What rng.fold mixes for each token id and each context length, so
         # a context folds with one mix64 call per token and one for its
-        # length; and the counter column every row reads.
+        # length; and the counter column every row reads. The length table
+        # is replaced by a longer one when a longer context is drawn, so a
+        # large ``order`` costs nothing until contexts that long occur.
         self._mixed_tokens = [mix64(t) for t in range(vocab.size)]
-        self._mixed_lengths = [mix_length(n) for n in range(order + 1)]
+        self._mixed_lengths: list[int] = []
         self._counters = row_counters(vocab.size - 1)
 
     def _key(self, seed: int, tag: int, source: Tokens, context: Tokens) -> int:
@@ -346,7 +349,12 @@ class NgramGenModel(SequenceModel):
         if h is None:
             h = self._source_keys[prefix] = hash_key(*prefix)
         mixed = self._mixed_tokens
-        h = mix64(h ^ self._mixed_lengths[len(context)])
+        try:
+            h = mix64(h ^ self._mixed_lengths[len(context)])
+        except IndexError:  # a longer context than any before: a new, longer table
+            size = max(2 * len(self._mixed_lengths), len(context) + 1)
+            lengths = self._mixed_lengths = [mix_length(n) for n in range(size)]
+            h = mix64(h ^ lengths[len(context)])
         for t in context:
             h = mix64(h ^ mixed[t])
         return h

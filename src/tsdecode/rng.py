@@ -12,9 +12,25 @@ draws.
 
 Draw ``i`` of a stream depends only on (key, i), as in the counter-based
 generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
-(SC 2011), so a ``Stream`` holds nothing but its key and counter. The scalar
-methods compute each draw alone. Dirichlet rows take their uniforms from the
-one numpy path, ``_uniform_block``: a run of counters for several keys as one
+(SC 2011), so a ``Stream`` holds nothing but its key and counter, and a
+Dirichlet row is a pure function of its key, its starting counter, its
+concentration and its length. The scalar methods compute each draw alone.
+
+A row's gamma variates are drawn by one of two loops that give the same
+bytes and consume the same draws. The compiled row kernel (``rowkernel``,
+``_rowkernel.c``) is built and loaded when a process draws its first row,
+and used only if it draws a fixed set of rows exactly as the Python loop
+does. Otherwise ``Stream._gammas``, the Python loop and the reference the
+kernel is checked against, draws every row; ``row_path()`` says which. The
+transcendentals of both loops are scalar libm calls, the ones CPython's
+``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` make, on the
+same operands in the same order, and never numpy's: ``np.log`` does not
+round like ``math.log`` on every input, and rows must not depend on which
+is used. The kernel is compiled without floating-point contraction or
+fast-math for the same reason.
+
+Without the kernel, Dirichlet rows take their uniforms from the one numpy
+path, ``_uniform_block``: a run of counters for several keys as one
 ``uint64`` block. Draw i is ``mix64(key ^ mix64(i))``, so the block is given
 the mixed counter column ``mix64(i)`` (``counter_column``) as data and only
 XORs in each key and mixes. A row of n entries needs about 4n draws, while a
@@ -26,16 +42,15 @@ over. ``Stream.dirichlet`` alone, and a row's extension on overrun, are
 blocks of one that compute their own column. The block math uses the same
 integer and IEEE float64 operations as ``mix64`` and the scalar uniform
 formula, so every draw is bit-identical to the scalar definition, whatever
-block it is drawn in. The transcendentals of ``dirichlet`` stay scalar
-``math`` calls: ``np.log`` does not round like ``math.log`` on every input,
-and rows must not depend on which is used.
+block it is drawn in. The kernel computes each draw on its own, in C, with
+the same operations, and needs no block.
 
 ``fold`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
 sequences of small ids, like ``lm.NgramGenModel``, can keep those mixes in
 a table and fold with them, bit for bit the same.
 
-``Stream.dirichlet`` fuses the ``n`` gamma variates of a row into one loop.
+``Stream._gammas`` fuses the ``n`` gamma variates of a row into one loop.
 It reads the uniforms it expects to need from one list computed up front,
 extends that list when a run of rejections overruns it, and indexes it
 directly. Per variate the loop does exactly what the one-variate sampler
@@ -48,12 +63,15 @@ Vectorising the transcendentals would cost more, not less: which draw
 starts an attempt depends on every earlier rejection, so a vectorised pass
 must score an attempt at every counter or restart after each rejection.
 Both designs were tried and both were slower than the scalar loop, because
-speculation does about twice the needed ``math`` work.
+speculation does about twice the needed ``math`` work. The kernel runs the
+same scalar loop, without the interpreter.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from ctypes import c_double
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -172,10 +190,37 @@ def _uniform_block(keys: Sequence[int], counters: np.ndarray) -> np.ndarray:
     return uniforms
 
 
+# The compiled row kernel's function once the first row is drawn, or False
+# when it is unavailable; None before.
+_kernel = None
+_kernel_lock = threading.Lock()
+
+
+def _loaded_kernel():
+    """``_kernel``, loaded first if no row has been drawn yet."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            from . import rowkernel
+
+            _kernel = rowkernel.load() or False
+    return _kernel
+
+
+def row_path() -> str:
+    """Which loop draws Dirichlet rows in this process: ``"kernel"``, the
+    compiled ``_rowkernel.c``, or ``"python"``, ``Stream._gammas``. Loads
+    the kernel if no row has been drawn yet."""
+    return "kernel" if _loaded_kernel() else "python"
+
+
 def dirichlet_rows(keys: Sequence[int], concentration: float, n: int, counters: np.ndarray) -> list[np.ndarray]:
-    """``Stream(key).dirichlet(concentration, n)`` for each key, with the
-    uniforms every row expects to need computed in one block. ``counters``
-    is ``row_counters(n)``, kept by a caller that draws many blocks."""
+    """``Stream(key).dirichlet(concentration, n)`` for each key. Without the
+    kernel, the uniforms every row expects to need are computed in one
+    block; ``counters`` is ``row_counters(n)``, kept by a caller that draws
+    many blocks."""
+    if row_path() == "kernel":
+        return [Stream(key).dirichlet(concentration, n) for key in keys]
     block = _uniform_block(keys, counters)
     return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
 
@@ -216,15 +261,37 @@ class Stream:
 
         Each variate takes the draws, and does the arithmetic, of one call
         of the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
-        ``concentration``, in the same order; the loop reads its
-        uniforms from one list computed up front. ``uniforms``, when given,
-        is that list: this stream's next draws, as ``dirichlet_rows`` hands
-        them over.
+        ``concentration``, in the same order. The compiled kernel draws the
+        variates when it is loaded (``row_path()``), ``_gammas`` otherwise.
+        ``uniforms``, when given, is the list ``_gammas`` reads: this
+        stream's next draws, as ``dirichlet_rows`` hands them over.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
         if not 0.0 < concentration < math.inf:
             raise ValueError(f"dirichlet concentration must be finite and > 0, got {concentration}")
+        kernel = _kernel
+        if kernel is None:
+            kernel = _loaded_kernel()
+        if kernel:
+            gammas = (c_double * n)()
+            self._counter += kernel(self._key, self._counter, n, concentration, gammas)
+            row = np.frombuffer(gammas)
+        else:
+            row = np.array(self._gammas(concentration, n, uniforms), dtype=np.float64)
+        total = row.sum()
+        if total <= 0.0:
+            # All-zero underflow is possible for very small concentrations.
+            return np.full(n, 1.0 / n, dtype=np.float64)
+        return row / total
+
+    def _gammas(self, concentration: float, n: int, uniforms: list[float] | None) -> list[float]:
+        """The ``n`` gamma variates of a row, drawn by the pure-Python loop
+        that ``_rowkernel.c`` compiles: the reference the kernel is checked
+        against, and the path taken when the kernel is not loaded. It reads
+        ``uniforms``, or computes the 4n + 16 draws a row expects to need,
+        and extends the list by ``BLOCK`` when a run of rejections overruns
+        it."""
         # Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a).
         boost = 1 if concentration < 1.0 else 0
         shape = concentration + 1.0 if boost else concentration
@@ -263,9 +330,4 @@ class Stream:
             append(d * v * us[b] ** power if boost else d * v)
         # The list's unread tail is dropped: draws consumed are start + i.
         self._counter = start + i
-        row = np.array(draws, dtype=np.float64)
-        total = row.sum()
-        if total <= 0.0:
-            # All-zero underflow is possible for very small concentrations.
-            return np.full(n, 1.0 / n, dtype=np.float64)
-        return row / total
+        return draws

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from tsdecode.lm import (
     save_model_spec,
     seq_logprob,
 )
+from tsdecode.rng import hash_key
 
 from util import random_table_model
 
@@ -320,6 +322,23 @@ class TestNgramGenModel:
             else:
                 differ += 1
         assert differ > 0 and same > 0
+
+    def test_huge_order_builds_at_once_and_folds_keys_as_hash_key(self):
+        # The key fold tabulates context lengths only as contexts that long
+        # are drawn, so an order of 10**9 costs nothing before its first row.
+        spec = {"kind": "ngram_gen", "vocab_size": 9, "order": 10**9, "seed": 5, "concentration": 0.3, "table": None}
+        start = time.perf_counter()
+        huge = model_from_spec(spec)
+        assert time.perf_counter() - start < 0.5
+        for n in (0, 1, 5, 40, 3, 100, 2):
+            context = tuple(2 + (5 * i) % 7 for i in range(n))
+            assert huge._key(5, 7, (2, 3), context) == hash_key(5, 7, (2, 3), context)
+        # A forced pass draws contexts of every length up to the target's,
+        # each keyed as under any order longer than the target.
+        target = tuple(2 + (3 * i) % 7 for i in range(40))
+        want = model_from_spec(dict(spec, order=64)).forced_pass((2, 3), target).log_rows
+        got = model_from_spec(spec).forced_pass((2, 3), target).log_rows
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in want]
 
     def test_invalid_concentration(self):
         # NaN and inf would give rows of NaN.

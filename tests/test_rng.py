@@ -15,7 +15,7 @@ from tsdecode.rng import (
     mix64,
 )
 
-from util import gamma
+from util import gamma, row_paths, rows_drawn_by
 
 
 def reference_u64(key, i):
@@ -100,11 +100,13 @@ def test_gamma_moments():
 
 
 def test_dirichlet_normalized():
-    s = Stream(hash_key(13))
-    for _ in range(50):
-        row = s.dirichlet(0.4, 7)
-        assert abs(float(row.sum()) - 1.0) < 1e-12
-        assert (row >= 0).all()
+    for path in row_paths():
+        s = Stream(hash_key(13))
+        with rows_drawn_by(path):
+            for _ in range(50):
+                row = s.dirichlet(0.4, 7)
+                assert abs(float(row.sum()) - 1.0) < 1e-12
+                assert (row >= 0).all()
 
 
 @pytest.mark.parametrize(
@@ -112,10 +114,11 @@ def test_dirichlet_normalized():
     [(0.2, 0), (0.2, -3), (0.0, 5), (-1.0, 5), (-1.0, 0), (math.nan, 5), (math.inf, 5)],
 )
 def test_dirichlet_rejects_bad_arguments_before_drawing(concentration, n):
-    s = Stream(hash_key(13))
-    with pytest.raises(ValueError):
-        s.dirichlet(concentration, n)
-    assert s._counter == 0
+    for path in row_paths():
+        s = Stream(hash_key(13))
+        with rows_drawn_by(path), pytest.raises(ValueError):
+            s.dirichlet(concentration, n)
+        assert s._counter == 0
 
 
 @pytest.mark.parametrize("shape", [0.0, -1.0, math.nan, math.inf])
@@ -140,6 +143,12 @@ DRAWS = st.one_of(
 @given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * BLOCK + 2))
 @settings(max_examples=60, deadline=None)
 def test_any_interleaving_matches_scalar_reference(key, draws):
+    for path in row_paths():
+        with rows_drawn_by(path):
+            assert_interleaving_matches_scalar_reference(key, draws)
+
+
+def assert_interleaving_matches_scalar_reference(key, draws):
     s, twin = Stream(key), Stream(key)
     drawn = 0
     for kind, *args in draws:
@@ -189,25 +198,29 @@ def test_counter_counts_draws_consumed():
 def test_golden_dirichlet_rows():
     # Rows pinned before the stream drew in blocks: shape 0.2 takes the
     # boost path of gamma, shape 2.5 the direct one.
-    digest = hashlib.sha256()
-    for shape in (0.2, 2.5):
-        for k in range(200):
-            digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
-    assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618"
+    for path in row_paths():
+        digest = hashlib.sha256()
+        with rows_drawn_by(path):
+            for shape in (0.2, 2.5):
+                for k in range(200):
+                    digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
+        assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618", path
 
 
 def assert_dirichlet_matches_reference(key, shape, n, prior=()):
     """Row bytes, draws consumed and the next two draws all match ``n``
-    scalar ``gamma`` calls on a twin stream."""
-    got, ref = Stream(key), Stream(key)
-    for kind in prior:
-        assert getattr(got, kind)() == getattr(ref, kind)()
-    row = got.dirichlet(shape, n)
-    assert row.tobytes() == reference_dirichlet(ref, shape, n).tobytes()
-    assert got._counter == ref._counter
-    drawn = got._counter
-    assert got.uniform() == reference_uniform(key, drawn + 1)
-    assert got.uniform() == reference_uniform(key, drawn + 2)
+    scalar ``gamma`` calls on a twin stream, whichever loop draws the row."""
+    for path in row_paths():
+        got, ref = Stream(key), Stream(key)
+        for kind in prior:
+            assert getattr(got, kind)() == getattr(ref, kind)()
+        with rows_drawn_by(path):
+            row = got.dirichlet(shape, n)
+        assert row.tobytes() == reference_dirichlet(ref, shape, n).tobytes()
+        assert got._counter == ref._counter
+        drawn = got._counter
+        assert got.uniform() == reference_uniform(key, drawn + 1)
+        assert got.uniform() == reference_uniform(key, drawn + 2)
     return drawn
 
 

@@ -3,9 +3,9 @@
 ``SequenceModel.rows_after`` over a batch of prefixes must give exactly what
 one ``rows_after`` call per prefix gives on a fresh model: the same
 probability and log row bytes, the same memo keys, and the same draws from
-every stream. The
-benchmark's tracer counts rows and draws through ``Stream.dirichlet``, so a
-batched decode must call it once per drawn row and consume as many draws.
+every stream, whichever loop draws the rows. The benchmark's tracer counts
+rows and draws through ``Stream.dirichlet``, so a batched decode must call
+it once per drawn row and consume as many draws.
 The memo the block fills holds one read-only log row per context, one dict
 per source, and reading a forced pass's probabilities leaves it alone.
 """
@@ -25,6 +25,8 @@ from tsdecode import decode, harness
 from tsdecode.core import Vocab
 from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, dirichlet_rows, hash_key, row_counters
+
+from util import row_paths, rows_drawn_by
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -79,11 +81,17 @@ def lookups(model, counters, src, warm, prefixes, batched):
 
 
 def assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes):
-    with recorded_counters() as counters:
-        got = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=True)
-        want = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=False)
-    assert len(got[0]) == len(prefixes)
-    assert got == want
+    """The batch matches one lookup at a time under each row loop, and
+    both loops give the same rows, memo keys and draws."""
+    seen = []
+    for path in row_paths():
+        with recorded_counters() as counters, rows_drawn_by(path):
+            got = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=True)
+            want = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=False)
+        assert len(got[0]) == len(prefixes)
+        assert got == want
+        seen.append(got)
+    assert all(got == seen[0] for got in seen)
 
 
 SRC = (2, 2, 2)
@@ -129,16 +137,18 @@ def test_any_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefi
 def test_block_with_an_overrunning_row_matches_single_rows():
     # The middle key's row runs past the 4n + 16 draws of the block (see
     # test_rng.test_dirichlet_extends_its_uniform_list) and extends alone.
+    # The kernel draws the same rows and counts without the block.
     n = 20
     keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
-    with recorded_counters() as counters:
-        block = dirichlet_rows(keys, 0.2, n, row_counters(n))
-        block_counters = dict(counters)
-        counters.clear()
+    with recorded_counters() as counters, rows_drawn_by("python"):
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
-    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-    assert block_counters == counters
-    assert counters[keys[1]] > 4 * n + 16
+    single_counters = dict(counters)
+    assert single_counters[keys[1]] > 4 * n + 16
+    for path in row_paths():
+        with recorded_counters() as counters, rows_drawn_by(path):
+            block = dirichlet_rows(keys, 0.2, n, row_counters(n))
+        assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
+        assert counters == single_counters
 
 
 def _load_tracer():
@@ -185,19 +195,25 @@ def traced_rows(tracer_module):
 def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     """``rng.rows_drawn`` counts ``Stream.dirichlet`` calls and
     ``rng.u64_per_row`` their counter advance. Batched, ``dirichlet`` runs
-    once per memoised row, and both sums equal the one-at-a-time path's."""
+    once per memoised row, and both sums equal the one-at-a-time path's,
+    whichever loop draws the rows."""
     tracer_module = _load_tracer()
-    rows, u64, blocks = traced_rows(tracer_module)
-    rows_after = vars(SequenceModel)["rows_after"]
-    monkeypatch.setattr(
-        SequenceModel,
-        "rows_after",
-        lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
-    )
-    single_rows, single_u64, single_blocks = traced_rows(tracer_module)
+    with rows_drawn_by("python"):
+        rows, u64, blocks = traced_rows(tracer_module)
     assert rows == sum(blocks) and max(blocks) > 1
-    assert single_rows == sum(single_blocks) and max(single_blocks) == 1
-    assert (rows, u64) == (single_rows, single_u64)
+    rows_after = vars(SequenceModel)["rows_after"]
+    for path in row_paths():
+        with rows_drawn_by(path):
+            assert traced_rows(tracer_module) == (rows, u64, blocks)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    SequenceModel,
+                    "rows_after",
+                    lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
+                )
+                single_rows, single_u64, single_blocks = traced_rows(tracer_module)
+        assert single_rows == sum(single_blocks) and max(single_blocks) == 1
+        assert (rows, u64) == (single_rows, single_u64)
 
 
 def test_cold_forced_pass_draws_one_block(monkeypatch):

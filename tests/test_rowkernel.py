@@ -1,0 +1,187 @@
+"""The compiled row kernel: the same rows and draw counts as the Python
+loop, a cache that is built once and checked, and every failure to build,
+load or match falling back to the Python loop with the same rows."""
+
+import ctypes
+import math
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tsdecode import rng, rowkernel
+from tsdecode.rng import Stream, dirichlet_rows, hash_key, row_counters
+
+from util import gamma, row_paths, rows_drawn_by
+
+COMPILER = rowkernel.compiler()
+HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
+needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
+needs_kernel = pytest.mark.skipif("kernel" not in row_paths(), reason="the row kernel cannot be built here")
+
+# Keys of vocab-20 rows at concentration 0.2; the second overruns the 4n + 16
+# draws the Python loop computes up front.
+KEYS = [hash_key(29, 20, 1097), hash_key(29, 20, 1098)] + [hash_key(k, 2) for k in range(10)]
+
+
+def drawn_row(path, key, start, concentration, n):
+    """The bytes of the row ``path``'s loop draws after ``start`` draws of
+    the stream keyed by ``key``, and the draws consumed by then."""
+    stream = Stream(key)
+    stream._counter = start
+    with rows_drawn_by(path):
+        row = stream.dirichlet(concentration, n)
+    return row.tobytes(), stream._counter
+
+
+def reference_row(key, concentration, n):
+    """A fresh stream's row as ``n`` scalar ``gamma`` calls, and its draws."""
+    stream = Stream(key)
+    draws = np.array([gamma(stream, concentration) for _ in range(n)])
+    return (draws / draws.sum()).tobytes(), stream._counter
+
+
+@needs_compiler
+def test_kernel_loads_where_a_compiler_runs(tmp_path):
+    directory = tmp_path / "cache"
+    assert rowkernel.load(directory) is not None
+    assert directory.stat().st_mode & 0o777 == 0o700
+    (built,) = directory.iterdir()
+    assert built.name.startswith("rowkernel-") and built.suffix == ".so"
+
+
+@needs_kernel
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**40),
+    st.one_of(st.sampled_from([0.05, 0.2, 1.0, 2.5, 3.0]), st.floats(0.05, 3.0)),
+    st.sampled_from([1, 2, 19, 99, 300]),
+)
+@settings(max_examples=150, deadline=None)
+def test_kernel_rows_equal_python_rows(key, start, concentration, n):
+    assert drawn_row("kernel", key, start, concentration, n) == drawn_row("python", key, start, concentration, n)
+
+
+@needs_kernel
+def test_kernel_rows_match_past_the_draws_computed_up_front():
+    got = drawn_row("kernel", KEYS[1], 0, 0.2, 20)
+    assert got == drawn_row("python", KEYS[1], 0, 0.2, 20)
+    assert got[1] > 4 * 20 + 16
+
+
+@needs_compiler
+def test_a_cached_kernel_is_loaded_without_compiling(tmp_path, monkeypatch):
+    compiled = []
+    compile_ = rowkernel._compile
+
+    def recorded(command, path):
+        compiled.append(path)
+        compile_(command, path)
+
+    monkeypatch.setattr(rowkernel, "_compile", recorded)
+    assert rowkernel.load(tmp_path) is not None
+    assert rowkernel.load(tmp_path) is not None
+    assert len(compiled) == 1
+    # Another compile command names another file, built afresh.
+    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + ("-g",))
+    assert rowkernel.load(tmp_path) is not None
+    assert len(compiled) == 2 and compiled[0] != compiled[1]
+    assert sorted(tmp_path.iterdir()) == sorted(compiled)
+
+
+@needs_compiler
+def test_a_cache_directory_others_may_write_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowkernel, "_compile", lambda command, path: pytest.fail("compiled"))
+    tmp_path.chmod(0o777)
+    with pytest.warns(RuntimeWarning, match="not private to this user"):
+        assert rowkernel.load(tmp_path) is None
+
+
+def loaded_with_warnings(directory):
+    """``rowkernel.load(directory)`` and the categories of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernel = rowkernel.load(directory)
+    return kernel, [w.category for w in caught]
+
+
+def _refuse(*args, **kwargs):
+    raise OSError("refused")
+
+
+def _fail_to_compile(command, path):
+    raise subprocess.CalledProcessError(1, command)
+
+
+def _one_ulp_off(kernel):
+    def wrong(key, start, n, concentration, out):
+        drawn = kernel(key, start, n, concentration, out)
+        out[n - 1] = math.nextafter(out[n - 1], math.inf)
+        return drawn
+
+    return wrong
+
+
+def _one_draw_short(kernel):
+    return lambda key, start, n, concentration, out: kernel(key, start, n, concentration, out) - 1
+
+
+def _opened_as(wrap):
+    open_ = rowkernel._open
+    return lambda path: wrap(open_(path))
+
+
+# Without a compiler the Python loop is taken silently; any other failure
+# is reported.
+SILENT = {"no-compiler-named", "compiler-missing"}
+FALLBACKS = {
+    "no-compiler-named": (sysconfig, "get_config_var", lambda name: None),
+    "compiler-missing": (sysconfig, "get_config_var", lambda name: "/nonexistent/cc"),
+    "compiler-fails": (sysconfig, "get_config_var", lambda name: "false"),
+    "compile-step-fails": (rowkernel, "_compile", _fail_to_compile),
+    "load-fails": (ctypes, "CDLL", _refuse),
+    "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off)),
+    "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short)),
+}
+
+
+@pytest.mark.parametrize("fallback", sorted(FALLBACKS))
+def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch):
+    monkeypatch.setattr(*FALLBACKS[fallback])
+    kernel, warned = loaded_with_warnings(tmp_path / "cache")
+    assert kernel is None
+    assert warned == ([] if fallback in SILENT else [RuntimeWarning])
+    assert not list(tmp_path.glob("cache/.build-*"))
+    # A process that draws its first row now draws every row with the Python
+    # loop: the reference's bytes and draw counts, block or not.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(rng, "_kernel", None)
+    with warnings.catch_warnings(record=True):
+        rows = dirichlet_rows(KEYS, 0.2, 20, row_counters(20))
+    assert rng.row_path() == "python"
+    want = [reference_row(key, 0.2, 20) for key in KEYS]
+    assert [row.tobytes() for row in rows] == [row for row, _ in want]
+    assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
+
+
+@needs_compiler
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-O2", "-c"]
+    command = [*COMPILER, *flags, str(rowkernel.SOURCE), "-o", str(tmp_path / "rowkernel.o")]
+    proc = subprocess.run(command, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_program_loads_no_kernel():
+    src = str(Path(rng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, tsdecode.cli; print('tsdecode.rowkernel' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

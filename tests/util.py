@@ -7,10 +7,11 @@ test run sees identical fixtures.
 
 import itertools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
-from tsdecode import core, decode, lm
+from tsdecode import core, decode, lm, rng
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
@@ -82,8 +83,9 @@ def gamma(stream, shape):
     """Marsaglia-Tsang gamma variate with unit scale, drawn from ``stream``;
     shape > 0.
 
-    The one-variate definition that ``Stream.dirichlet`` fuses, kept as the
-    reference the fused loop is checked against.
+    The one-variate definition that ``Stream.dirichlet`` fuses, in Python
+    and in the compiled row kernel, kept as the reference both loops are
+    checked against.
     """
     if not 0.0 < shape < math.inf:
         raise ValueError(f"gamma shape must be finite and > 0, got {shape}")
@@ -106,6 +108,25 @@ def gamma(stream, shape):
             return d * v
         if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
             return d * v
+
+
+def row_paths():
+    """The loops that can draw Dirichlet rows here: ``"python"`` always,
+    and ``"kernel"`` where the compiled row kernel builds and loads."""
+    return ("python", "kernel") if rng.row_path() == "kernel" else ("python",)
+
+
+@contextmanager
+def rows_drawn_by(path):
+    """Draw every Dirichlet row with ``path``'s loop while the block is open."""
+    rng.row_path()
+    loaded = rng._kernel
+    assert path == "python" or loaded, "the row kernel is not loaded"
+    rng._kernel = loaded if path == "kernel" else False
+    try:
+        yield
+    finally:
+        rng._kernel = loaded
 
 
 def record_token_checks(monkeypatch) -> list[str]:
