@@ -14,7 +14,9 @@ score has not improved for ``patience`` consecutive steps, and the answer
 is the span prefix at the best-scoring step. The step that trips the
 patience rule counts in ``emitted_steps`` but is never expanded, since it
 would never be scored. ``forward_passes`` and ``positions_scored`` count
-the logical forced passes over each scored sequence all the same.
+the logical forced passes over each scored sequence all the same. The
+reference ``psgd_two_pass`` runs the same loop with ``_forced_pass_scorer``,
+which gets both values from forced passes.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -167,9 +169,9 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
     log-probability of the whole sequence with its EOS, next-token row after
     prefix + span), from one batched row lookup.
 
-    The sum is added in the order ``psgd_two_pass`` sums its forced pass,
-    EOS term first and then the target left to right, so both give the same
-    float. Under an order-k model the prefix rows and the suffix rows from
+    The sum is added in the order ``_forced_pass_scorer`` sums its forced
+    pass, EOS term first and then the target left to right, so both give the
+    same float. Under an order-k model the prefix rows and the suffix rows from
     position k on never see the span, so their terms are read once here, in
     one batch. When the suffix has at least k tokens the EOS row is fixed
     too and the carry is the partial sum EOS + prefix + span terms;
@@ -228,13 +230,32 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
     return root, extend, score
 
 
+def _forced_pass_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
+    """``_span_scorer``'s shape with no carry: per beam entry, one forced
+    pass over prefix + span + suffix for the score and one over prefix + span
+    for the next-token row."""
+    eos = model.vocab.eos_id
+
+    def score(beam) -> list[tuple[float, np.ndarray]]:
+        out = []
+        for entry in beam:
+            head = p + entry[0]
+            target = head + s
+            log_rows = model.forced_pass(src, target).log_rows
+            total = float(log_rows[-1][eos])
+            for log_row, tok in zip(log_rows, target):
+                total += float(log_row[tok])
+            out.append((total, model.forced_pass(src, head).log_rows[-1]))
+        return out
+
+    return (), lambda carry, term: carry, score
+
+
 def _psgd_run(
-    model: SequenceModel,
-    task: TsTask,
-    params: PsgdParams,
-    two_pass: bool,
-    trace: list | None,
-) -> Suggestion:
+    model: SequenceModel, task: TsTask, params: PsgdParams, scorer
+) -> tuple[Suggestion, list[list[tuple[Tokens, float]]]]:
+    """The PSGD search, scoring with ``scorer``; returns the suggestion and,
+    per scoring round, the (span, score) pairs examined."""
     validate_task(task, model.vocab)
     beam_width, patience, max_span = _resolve_psgd_params(params, len(task.source))
     src = as_tokens(task.source)
@@ -243,11 +264,12 @@ def _psgd_run(
     content = model.vocab.content_ids
 
     t0 = time.perf_counter()
-    root, extend, score_items = _span_scorer(model, src, p, s)
+    root, extend, score_items = scorer(model, src, p, s)
     fw = 0
     pos_scored = 0
     emitted = 0
     stop_reason = STOP_PATIENCE
+    trace: list[list[tuple[Tokens, float]]] = []
     # The first-ranked (whole-sequence score, span, step) so far.
     best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
     # (span, span log-prob, scorer carry) per item.
@@ -255,27 +277,11 @@ def _psgd_run(
     n = 0
     while True:
         # One scoring round: each item's whole-sequence score and its
-        # next-token row, from one batched lookup; the two-pass reference
-        # gets them from a forced pass over prefix + span + suffix and a
-        # second forced pass over prefix + span per item.
-        if two_pass:
-            results = []
-            for span, _, _ in beam:
-                head = p + span
-                target = head + s
-                log_rows = model.forced_pass(src, target).log_rows
-                total = float(log_rows[-1][model.vocab.eos_id])
-                for log_row, tok in zip(log_rows, target):
-                    total += float(log_row[tok])
-                results.append((total, model.forced_pass(src, head).log_rows[-1]))
-                fw += 1
-                pos_scored += len(head) + 1
-        else:
-            results = score_items(beam)
+        # next-token row.
         scored = []
         entries = []
         rows = []
-        for (span, lp, carry), (total, row) in zip(beam, results):
+        for (span, lp, carry), (total, row) in zip(beam, score_items(beam)):
             length = len(p) + len(span) + len(s)
             fw += 1
             pos_scored += length + 1
@@ -284,8 +290,7 @@ def _psgd_run(
             scored.append((span, score))
             entries.append((span, lp, carry, row))
             rows.append(row)
-        if trace is not None:
-            trace.append(scored)
+        trace.append(scored)
         if patience == 0:  # the empty span's score only, no expansion
             break
         if n == max_span:
@@ -310,11 +315,7 @@ def _psgd_run(
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return Suggestion(
-        span=TokenSeq(best[1]),
-        whole_seq_score=best[0],
-        stats=stats,
-    )
+    return Suggestion(span=TokenSeq(best[1]), whole_seq_score=best[0], stats=stats), trace
 
 
 def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -323,7 +324,7 @@ def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -
     from the memo rows the span changes plus terms computed once per task,
     with no forced pass; the statistics count one logical forced pass per
     item all the same."""
-    return _psgd_run(model, task, params or PsgdParams(), two_pass=False, trace=None)
+    return _psgd_run(model, task, params or PsgdParams(), _span_scorer)[0]
 
 
 def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -332,7 +333,12 @@ def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None 
     forced pass, over prefix + span, per beam item. Must produce
     bit-identical spans and scores to ``psgd`` with exactly twice the forward
     passes."""
-    return _psgd_run(model, task, params or PsgdParams(), two_pass=True, trace=None)
+    suggestion, _trace = _psgd_run(model, task, params or PsgdParams(), _forced_pass_scorer)
+    # The search counts one pass per item; the second, over prefix + span,
+    # covers len(suffix) fewer positions.
+    fw, pos = suggestion.stats.forward_passes, suggestion.stats.positions_scored
+    stats = replace(suggestion.stats, forward_passes=2 * fw, positions_scored=2 * pos - len(task.suffix) * fw)
+    return replace(suggestion, stats=stats)
 
 
 def psgd_with_trace(
@@ -340,9 +346,7 @@ def psgd_with_trace(
 ) -> tuple[Suggestion, list[list[tuple[Tokens, float]]]]:
     """Like ``psgd`` but also returns, per scoring round, the (span, score)
     pairs examined. Useful for verifying the stopping rule against oracles."""
-    trace: list[list[tuple[Tokens, float]]] = []
-    suggestion = _psgd_run(model, task, params or PsgdParams(), two_pass=False, trace=trace)
-    return suggestion, trace
+    return _psgd_run(model, task, params or PsgdParams(), _span_scorer)
 
 
 # ---------------------------------------------------------------------------

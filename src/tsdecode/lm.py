@@ -332,7 +332,7 @@ class NgramGenModel(SequenceModel):
         # hash_key(seed, tag, source) for each one seen, so that a row's key
         # folds only its context.
         self._source_keys: dict[tuple[int, int, Tokens], int] = {}
-        # What rng.fold mixes for each token id and each context length, so
+        # What rng.hash_key mixes for each token id and each context length, so
         # a context folds with one mix64 call per token and one for its
         # length; and the counter column every row reads. The length table
         # is replaced by a longer one when a longer context is drawn, so a

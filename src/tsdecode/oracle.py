@@ -12,7 +12,11 @@ from dataclasses import dataclass
 
 from .core import TokenSeq, TsError, TsTask
 from .lm import SequenceModel, as_tokens
-from .scoring import SCORING_MEAN_LOGPROB, filled_score, prefer
+from .scoring import SCORING_MEAN_LOGPROB, filled_score, rank
+
+
+# The most spans ``exhaustive_best_span`` may score.
+SPAN_BUDGET = 10**6
 
 
 class SearchSpaceTooLarge(TsError):
@@ -26,6 +30,10 @@ class OracleResult:
     candidates_evaluated: int
 
 
+def _score(model: SequenceModel, task: TsTask, span, scoring: str, include_eos_in_len: bool) -> float:
+    return filled_score(model, task.source, task.prefix, span, task.suffix, scoring, include_eos_in_len)
+
+
 def exhaustive_best_span(
     model: SequenceModel,
     task: TsTask,
@@ -33,29 +41,19 @@ def exhaustive_best_span(
     scoring: str = SCORING_MEAN_LOGPROB,
     include_eos_in_len: bool = False,
 ) -> OracleResult:
-    """Enumerate every content-token span of length 0..max_len and score it.
-
-    Enumeration runs length-ascending then lexicographic, so keeping the
-    first strict maximum implements the global tie-break (shorter span
-    first, then smaller token sequence) without sorting candidates.
-    """
+    """Score every content-token span of length 0..max_len and return the
+    first by ``rank``: best score, then shorter span, then smaller tokens."""
     content = model.vocab.content_ids
-    if max_len >= 0 and len(content) ** max_len > 10**6:
-        raise SearchSpaceTooLarge(
-            f"{len(content)}^{max_len} spans exceeds the 1e6 candidate budget"
-        )
-    best_score = float("-inf")
-    best_span: tuple[int, ...] = ()
-    count = 0
-    for length in range(max_len + 1):
-        for span in itertools.product(content, repeat=length):
-            score = filled_score(
-                model, task.source, task.prefix, span, task.suffix, scoring, include_eos_in_len
-            )
-            count += 1
-            if count == 1 or prefer(score, span, best_score, best_span):
-                best_score = score
-                best_span = span
+    lengths = range(max_len + 1)
+    count = sum(len(content) ** n for n in lengths)
+    if count > SPAN_BUDGET:
+        raise SearchSpaceTooLarge(f"{count} spans of length 0..{max_len} exceed the budget of {SPAN_BUDGET}")
+    spans = itertools.chain.from_iterable(itertools.product(content, repeat=n) for n in lengths)
+    best_score, best_span = min(
+        ((_score(model, task, span, scoring, include_eos_in_len), span) for span in spans),
+        key=rank,
+        default=(float("-inf"), ()),
+    )
     return OracleResult(
         best_span=TokenSeq(best_span),
         best_score=best_score,
@@ -75,13 +73,6 @@ def exhaustive_best_prefix(
     tokens = as_tokens(path)
     if len(tokens) > 10**4:
         raise SearchSpaceTooLarge(f"path of length {len(tokens)} exceeds the budget")
-    best_n = 0
-    best_score = float("-inf")
-    for n in range(len(tokens) + 1):
-        score = filled_score(
-            model, task.source, task.prefix, tokens[:n], task.suffix, scoring, include_eos_in_len
-        )
-        if n == 0 or score > best_score:
-            best_score = score
-            best_n = n
-    return best_n, best_score
+    heads = (tokens[:n] for n in range(len(tokens) + 1))
+    score, head = min(((_score(model, task, h, scoring, include_eos_in_len), h) for h in heads), key=rank)
+    return len(head), score

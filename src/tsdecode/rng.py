@@ -45,7 +45,7 @@ formula, so every draw is bit-identical to the scalar definition, whatever
 block it is drawn in. The kernel computes each draw on its own, in C, with
 the same operations, and needs no block.
 
-``fold`` mixes each integer part alone, and a sequence part's length
+``hash_key`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
 sequences of small ids, like ``lm.NgramGenModel``, can keep those mixes in
 a table and fold with them, bit for bit the same.
@@ -122,16 +122,17 @@ def _mix64_block(x: np.ndarray) -> None:
 
 
 def mix_length(n: int) -> int:
-    """What ``fold`` folds in for the length ``n`` of a sequence part."""
+    """What ``hash_key`` folds in for the length ``n`` of a sequence part."""
     return mix64(n ^ 0xA5A5A5A5)
 
 
-def fold(h: int, *parts: int | Iterable[int]) -> int:
-    """Continue a key: fold ``parts`` into the state ``h``.
+def hash_key(*parts: int | Iterable[int]) -> int:
+    """Fold integers (or iterables of integers) into one 64-bit key.
 
-    ``fold(hash_key(*a), *b) == hash_key(*a, *b)``, so a caller that keys
-    many streams by one common prefix can fold the prefix once.
+    Sequence boundaries are folded in via the length, so ((1, 2), (3,)) and
+    ((1,), (2, 3)) hash differently.
     """
+    h = 0x100F0E0D0C0B0A09
     for part in parts:
         if isinstance(part, int):
             h = mix64(h ^ mix64(part & _MASK64))
@@ -141,15 +142,6 @@ def fold(h: int, *parts: int | Iterable[int]) -> int:
             for v in items:
                 h = mix64(h ^ mix64(int(v) & _MASK64))
     return h
-
-
-def hash_key(*parts: int | Iterable[int]) -> int:
-    """Fold integers (or nested iterables of integers) into one 64-bit key.
-
-    Sequence boundaries are folded in via the length, so ((1, 2), (3,)) and
-    ((1,), (2, 3)) hash differently.
-    """
-    return fold(0x100F0E0D0C0B0A09, *parts)
 
 
 def counter_column(start: int, count: int) -> np.ndarray:

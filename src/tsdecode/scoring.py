@@ -32,16 +32,6 @@ def rank(candidate: tuple) -> tuple:
     return (-candidate[0], len(candidate[1]), candidate[1])
 
 
-def prefer(
-    score: float,
-    span: tuple[int, ...],
-    best_score: float,
-    best_span: tuple[int, ...],
-) -> bool:
-    """Whether ``(score, span)`` ranks strictly before ``(best_score, best_span)``."""
-    return rank((score, span)) < rank((best_score, best_span))
-
-
 def normalized_score(
     total_logprob: float,
     content_len: int,

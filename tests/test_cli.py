@@ -612,11 +612,11 @@ def test_one_model_per_command(tmp_path, monkeypatch, command):
 # DBA finds no constraint-complete sentence for this task at beam width 3.
 UNSATISFIABLE_FOR_DBA = TsTask(
     task_id="r0.40_n0003",
-    source=TokenSeq((2, 3, 5, 8, 8), "source"),
-    prefix=TokenSeq((2, 4, 11), "prefix"),
-    suffix=TokenSeq((6, 2, 11), "suffix"),
-    gold_span=TokenSeq((10,), "span"),
-    gold_full=TokenSeq((2, 4, 11, 10, 6, 2, 11), "target"),
+    source=TokenSeq((2, 3, 5, 8, 8)),
+    prefix=TokenSeq((2, 4, 11)),
+    suffix=TokenSeq((6, 2, 11)),
+    gold_span=TokenSeq((10,)),
+    gold_full=TokenSeq((2, 4, 11, 10, 6, 2, 11)),
 )
 
 

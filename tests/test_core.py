@@ -27,11 +27,11 @@ from tsdecode.core import (
 def make_task(source, prefix, suffix, gold_span=None, gold_full=None, task_id="t"):
     return TsTask(
         task_id,
-        TokenSeq(tuple(source), "source"),
-        TokenSeq(tuple(prefix), "prefix"),
-        TokenSeq(tuple(suffix), "suffix"),
-        None if gold_span is None else TokenSeq(tuple(gold_span), "span"),
-        None if gold_full is None else TokenSeq(tuple(gold_full), "target"),
+        TokenSeq(tuple(source)),
+        TokenSeq(tuple(prefix)),
+        TokenSeq(tuple(suffix)),
+        None if gold_span is None else TokenSeq(tuple(gold_span)),
+        None if gold_full is None else TokenSeq(tuple(gold_full)),
     )
 
 
@@ -168,7 +168,7 @@ def test_suggestion_requires_finite_score():
 
     stats = DecodeStats(1, 1, 0, "patience", 0)
     with pytest.raises(ValueError):
-        Suggestion(TokenSeq((), "span"), float("-inf"), stats)
+        Suggestion(TokenSeq(()), float("-inf"), stats)
 
 
 def test_public_names_resolve():

@@ -1,5 +1,6 @@
 import pytest
 
+from tsdecode import oracle
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import UniformModel
 from tsdecode.oracle import SearchSpaceTooLarge, exhaustive_best_prefix, exhaustive_best_span
@@ -18,7 +19,7 @@ def test_max_len_zero_single_candidate(m1, m1_task):
 
 def test_uniform_ties_break_to_empty_span():
     model = UniformModel(Vocab(5))
-    task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
+    task = TsTask("u", TokenSeq((2,)), TokenSeq(()), TokenSeq(()))
     result = exhaustive_best_span(model, task, 2)
     assert result.best_span.tokens == ()
 
@@ -46,9 +47,24 @@ def test_best_score_recomputable(m1, m1_task):
 
 def test_search_space_guard():
     model = UniformModel(Vocab(103))
-    task = TsTask("g", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
+    task = TsTask("g", TokenSeq((2,)), TokenSeq(()), TokenSeq(()))
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_best_span(model, task, 3)  # 101^3 > 1e6
+
+
+def test_search_space_guard_counts_every_length(m1, m1_task, monkeypatch):
+    # Two content ids: 1 + 2 + 4 = 7 spans up to length 2 exceed a budget of
+    # 6, though the longest length alone (2^2 = 4) is within it.
+    monkeypatch.setattr(oracle, "SPAN_BUDGET", 6)
+    with pytest.raises(SearchSpaceTooLarge):
+        exhaustive_best_span(m1, m1_task, 2)
+    assert exhaustive_best_span(m1, m1_task, 1).candidates_evaluated == 3
+
+
+def test_search_space_guard_at_the_default_budget(m1, m1_task):
+    # 2^0 + ... + 2^19 = 1,048,575 spans exceed 1e6; 2^19 alone does not.
+    with pytest.raises(SearchSpaceTooLarge):
+        exhaustive_best_span(m1, m1_task, 19)
 
 
 class TestBestPrefix:
@@ -61,7 +77,7 @@ class TestBestPrefix:
         # Uniform model: every token costs the same, so longer fillings only
         # dilute the score and the empty prefix wins.
         model = UniformModel(Vocab(5))
-        task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
+        task = TsTask("u", TokenSeq((2,)), TokenSeq(()), TokenSeq(()))
         n, _ = exhaustive_best_prefix(model, task, (2, 3, 4))
         assert n == 0
 
@@ -76,7 +92,7 @@ class TestBestPrefix:
         model = UniformModel(Vocab(3))
         # One content token: scores for n=0,1,2... are all log(0.5)·(n+1)/max(n,1):
         # n=0: log .5; n=1: 2 log .5; strictly worse, so n=0 by argmax anyway.
-        task = TsTask("u", TokenSeq((2,), "source"), TokenSeq((), "prefix"), TokenSeq((), "suffix"))
+        task = TsTask("u", TokenSeq((2,)), TokenSeq(()), TokenSeq(()))
         n, _ = exhaustive_best_prefix(model, task, (2, 2))
         assert n == 0
 

@@ -33,7 +33,7 @@ def peaked_model():
 class TestEmptySpanOptimum:
     def test_returns_empty_span_after_exactly_pt_steps(self, peaked_model):
         vocab, model = peaked_model
-        task = TsTask("peak", TokenSeq((2,), "source"), TokenSeq((2,), "prefix"), TokenSeq((3,), "suffix"))
+        task = TsTask("peak", TokenSeq((2,)), TokenSeq((2,)), TokenSeq((3,)))
         # The un-filled sentence is already the modal one.
         oracle = exhaustive_best_span(model, task, 3)
         assert oracle.best_span.tokens == ()
@@ -168,9 +168,9 @@ def _affix_tasks(order: int, vocab: Vocab, seed: int):
             suffix = tuple(stream.choice(content) for _ in range(n_suffix))
             yield TsTask(
                 f"p{n_prefix}s{n_suffix}",
-                TokenSeq(source, "source"),
-                TokenSeq(prefix, "prefix"),
-                TokenSeq(suffix, "suffix"),
+                TokenSeq(source),
+                TokenSeq(prefix),
+                TokenSeq(suffix),
             )
 
 
@@ -191,14 +191,38 @@ class TestTwoPassReference:
                 include_eos_in_len=bool(i % 3 == 1),
             )
             single, trace = psgd_with_trace(model, task, params)
-            two_trace = []
-            double = decode._psgd_run(model, task, params, two_pass=True, trace=two_trace)
+            _, two_trace = decode._psgd_run(model, task, params, decode._forced_pass_scorer)
+            double = psgd_two_pass(model, task, params)
             assert single.span.tokens == double.span.tokens, task.task_id
             assert single.whole_seq_score == double.whole_seq_score, task.task_id
             assert trace == two_trace, task.task_id
             assert single.stats.emitted_steps == double.stats.emitted_steps
             assert single.stats.stop_reason == double.stats.stop_reason
             assert double.stats.forward_passes == 2 * single.stats.forward_passes
+
+    def test_counts_exactly_the_forced_passes_it_makes(self, monkeypatch, pinned_setup):
+        # psgd_two_pass derives its counts from the search's one pass per
+        # item; they must equal the forced passes it runs and their rows.
+        made = []
+        forced_pass = SequenceModel.forced_pass
+
+        def counted(self, source, target):
+            result = forced_pass(self, source, target)
+            made.append(len(result.log_rows))
+            return result
+
+        monkeypatch.setattr(SequenceModel, "forced_pass", counted)
+        vocab = Vocab(7)
+        cases = [
+            (NgramGenModel(vocab, order, seed=11 + order, concentration=0.3), task)
+            for order in (1, 2, 3)
+            for task in _affix_tasks(order, vocab, seed=5)
+        ]
+        for i, (model, task) in enumerate(cases + [pinned_setup]):
+            params = PsgdParams(beam_width=1 + i % 3, patience=i % 4, max_span_len=2 + i % 4)
+            made.clear()
+            got = psgd_two_pass(model, task, params)
+            assert (got.stats.forward_passes, got.stats.positions_scored) == (len(made), sum(made)), task.task_id
 
     def test_bit_identical_with_double_passes(self):
         for seed in range(15):
@@ -267,7 +291,7 @@ class TestNoForcedPass:
     def test_psgd_checks_the_task_once(self, monkeypatch):
         checked = record_token_checks(monkeypatch)
         model = NgramGenModel(Vocab(9), 2, seed=4, concentration=0.3)
-        task = TsTask("t", TokenSeq((2, 5), "source"), TokenSeq((3,), "prefix"), TokenSeq((6, 2), "suffix"))
+        task = TsTask("t", TokenSeq((2, 5)), TokenSeq((3,)), TokenSeq((6, 2)))
         got = psgd(model, task, PsgdParams(beam_width=3, patience=3, max_span_len=5))
         assert got.stats.forward_passes > 3
         assert checked == ["task t source", "task t prefix", "task t suffix"]
@@ -308,7 +332,7 @@ PINNED_RUNS = [
 @pytest.fixture(scope="module")
 def pinned_setup():
     model = NgramGenModel(Vocab(8), 2, seed=3, concentration=0.5)
-    task = TsTask("pin", TokenSeq((2, 5, 4), "source"), TokenSeq((3,), "prefix"), TokenSeq((6, 2), "suffix"))
+    task = TsTask("pin", TokenSeq((2, 5, 4)), TokenSeq((3,)), TokenSeq((6, 2)))
     return model, task
 
 

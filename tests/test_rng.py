@@ -10,7 +10,6 @@ from tsdecode.rng import (
     _ROW_EXTRA_DRAWS,
     BLOCK,
     Stream,
-    fold,
     hash_key,
     mix64,
 )
@@ -52,23 +51,6 @@ def reference_dirichlet(stream, concentration, n):
 def test_hash_key_respects_sequence_boundaries():
     assert hash_key((1, 2), (3,)) != hash_key((1,), (2, 3))
     assert hash_key(5, (1,)) != hash_key(5, (1, 0))
-
-
-KEY_PARTS = st.lists(
-    st.one_of(
-        st.integers(-(2**70), 2**70),
-        st.lists(st.integers(-(2**70), 2**70), max_size=5).map(tuple),
-    ),
-    max_size=6,
-)
-
-
-@given(KEY_PARTS)
-@settings(max_examples=100, deadline=None)
-def test_fold_continues_hash_key_at_every_split(parts):
-    key = hash_key(*parts)
-    for k in range(len(parts) + 1):
-        assert fold(hash_key(*parts[:k]), *parts[k:]) == key
 
 
 def test_mix64_is_stable():

@@ -7,7 +7,7 @@ from tsdecode.scoring import (
     SCORING_PROB_OVER_LENGTH,
     filled_score,
     normalized_score,
-    prefer,
+    rank,
 )
 
 
@@ -42,17 +42,19 @@ def test_filled_score_matches_manual(m1, m1_task):
 
 
 class TestPrefer:
+    """A candidate is preferred to another when its ``rank`` is smaller."""
+
     def test_higher_score_wins(self):
-        assert prefer(-1.0, (5, 5), -2.0, ())
-        assert not prefer(-2.0, (), -1.0, (5, 5))
+        assert rank((-1.0, (5, 5))) < rank((-2.0, ()))
+        assert not rank((-2.0, ())) < rank((-1.0, (5, 5)))
 
     def test_tie_shorter_wins(self):
-        assert prefer(-1.0, (2,), -1.0, (2, 3))
-        assert not prefer(-1.0, (2, 3), -1.0, (2,))
+        assert rank((-1.0, (2,))) < rank((-1.0, (2, 3)))
+        assert not rank((-1.0, (2, 3))) < rank((-1.0, (2,)))
 
     def test_tie_lexicographic(self):
-        assert prefer(-1.0, (2, 3), -1.0, (2, 4))
-        assert not prefer(-1.0, (2, 4), -1.0, (2, 3))
+        assert rank((-1.0, (2, 3))) < rank((-1.0, (2, 4)))
+        assert not rank((-1.0, (2, 4))) < rank((-1.0, (2, 3)))
 
     def test_identical_does_not_beat(self):
-        assert not prefer(-1.0, (2,), -1.0, (2,))
+        assert not rank((-1.0, (2,))) < rank((-1.0, (2,)))

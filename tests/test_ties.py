@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_search, dba_decode, psgd
 from tsdecode.lm import TableModel, UniformModel
-from tsdecode.scoring import prefer, rank
+from tsdecode.scoring import rank
 
 from util import reference_beam_core
 
@@ -146,7 +146,7 @@ def test_tied_eos_candidate_ranks_before_longer_content():
     # ranks first even where a content candidate is lexicographically smaller.
     eos_cand, content_cand = (-1.0, (3,)), (-1.0, (2, 2))
     assert sorted([content_cand, eos_cand], key=rank) == [eos_cand, content_cand]
-    assert prefer(*eos_cand, *content_cand)
+    assert rank(eos_cand) < rank(content_cand)
 
 
 def _beams():
@@ -270,7 +270,7 @@ def test_beam_core_equals_per_bank_sort_reference(case):
 
 
 def _branchy_prefer(score, span, best_score, best_span):
-    """The tie-break as once written out in ``scoring.prefer``."""
+    """The tie-break spelled out case by case, as a strict preference."""
     if score != best_score:
         return score > best_score
     return (len(span), span) < (len(best_span), best_span)
@@ -284,4 +284,4 @@ def test_prefer_agrees_with_branchy_definition():
             (gen.choice(scores), tuple(gen.randint(2, 4) for _ in range(gen.randint(0, 3))))
             for _ in range(2)
         )
-        assert prefer(*a, *b) == _branchy_prefer(*a, *b), (a, b)
+        assert (rank(a) < rank(b)) == _branchy_prefer(*a, *b), (a, b)

@@ -15,7 +15,7 @@ from tsdecode import core, decode, lm, rng
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel, seq_logprob
 from tsdecode.rng import Stream, hash_key
-from tsdecode.scoring import normalized_score, prefer, rank
+from tsdecode.scoring import normalized_score, rank
 
 
 def random_table_model(seed, vocab_size=4, order=1, concentration=0.8, max_src_len=2):
@@ -68,14 +68,17 @@ def enumerate_best(model, source, max_len, phrases=()):
     """Independent oracle: the best content sequence up to ``max_len`` by
     length-normalized score among those containing every phrase; None when
     there is none."""
-    best_tokens, best_score = None, float("-inf")
-    for length in range(max_len + 1):
-        for seq in itertools.product(model.vocab.content_ids, repeat=length):
-            if not all(contains_phrase(seq, phrase) for phrase in phrases):
-                continue
-            score = normalized_score(seq_logprob(model, source, seq, include_eos=True), len(seq))
-            if best_tokens is None or prefer(score, seq, best_score, best_tokens):
-                best_tokens, best_score = seq, score
+    seqs = (
+        seq
+        for length in range(max_len + 1)
+        for seq in itertools.product(model.vocab.content_ids, repeat=length)
+        if all(contains_phrase(seq, phrase) for phrase in phrases)
+    )
+    best_score, best_tokens = min(
+        ((normalized_score(seq_logprob(model, source, seq, include_eos=True), len(seq)), seq) for seq in seqs),
+        key=rank,
+        default=(float("-inf"), None),
+    )
     return best_tokens, best_score
 
 
