@@ -42,7 +42,6 @@ ties included, so the cut never changes which candidates win.
 
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass, replace
 
@@ -113,27 +112,26 @@ def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
 
     ``content`` is the vocabulary's content ids, a run of consecutive ids.
     All B x |content| scores ``lp + row[tok]`` come from one numpy add, the
-    same IEEE float64 operation as Python's ``+``. ``np.partition`` finds the
-    k-th best score, and only candidates scoring at least that much become
-    tuples. The cut is exact: a candidate below it has k candidates ranked
-    before it, and every candidate tied with the k-th score is kept, so
-    ``rank`` picks and orders the winners as it would over the full set.
-    Every child of one step has the same length, so ``rank`` breaks a score
-    tie on (parent tokens, tok).
+    same IEEE float64 operation as Python's ``+``. Partitioning a copy finds
+    the k-th best score, and only candidates scoring at least that much
+    become tuples. The cut is exact: a candidate below it has k candidates
+    ranked before it, and every candidate tied with the k-th score is kept,
+    so sorting the survivors by ``rank`` and keeping k picks and orders the
+    winners as over the full set. Every child of one step has the same
+    length, so ``rank`` breaks a score tie on (parent tokens, tok).
     """
     lo = content[0]
     width = content[-1] + 1 - lo
     lps = np.array([entry[1] for entry in beam])
     flat = (np.asarray(rows)[:, lo : lo + width] + lps[:, None]).ravel()
-    keep = np.arange(flat.size)
+    keep = range(flat.size)
     if k < flat.size:
-        kth = np.partition(flat, flat.size - k)[flat.size - k]
-        keep = (flat >= kth).nonzero()[0]
-    candidates = []
-    for i, score in zip(keep.tolist(), flat[keep].tolist()):
-        entry = beam[i // width]
-        candidates.append((score, entry[0] + (lo + i % width,), entry))
-    return heapq.nsmallest(k, candidates, key=rank)
+        kth = flat.copy()
+        kth.partition(flat.size - k)
+        keep = (flat >= kth.item(flat.size - k)).nonzero()[0].tolist()
+    candidates = [(flat.item(i), beam[i // width][0] + (lo + i % width,), beam[i // width]) for i in keep]
+    candidates.sort(key=rank)
+    return candidates[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -428,36 +426,34 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         fw += len(beam)
         pos_scored += len(beam) * (step + 1)  # every hypothesis holds step tokens
         # EOS candidates of the complete hypotheses, which never enter the
-        # alive beam. A complete hypothesis finishes when EOS is its argmax
-        # and, under constraints, at the length budget (a forced finish,
-        # rather than return nothing).
-        cands = []
-        eos_lps, argmaxes = rows[:, eos].tolist(), rows.argmax(axis=1).tolist()
-        for (tokens, lp, progress, bank), eos_lp, best in zip(beam, eos_lps, argmaxes):
+        # alive beam, and the forced child of every unfinished phrase, as
+        # _expand's (score, child, parent); a complete hypothesis finishes
+        # when EOS is its argmax and, under constraints, at the length
+        # budget (a forced finish, rather than return nothing).
+        cands, forced = [], []
+        argmaxes = rows.argmax(axis=1).tolist()
+        for b, (tokens, lp, progress, bank) in enumerate(beam):
             if bank == complete:
-                cands.append((lp + eos_lp, tokens, progress, bank, True))
-                if best == eos or (constraints and last):
+                cands.append((lp + rows.item(b, eos), tokens, progress, bank, True))
+                if argmaxes[b] == eos or (constraints and last):
                     finished.setdefault(tokens, cands[-1][0])
+            for pos, phrase in zip(progress, constraints):
+                if pos < len(phrase):
+                    forced.append((lp + rows.item(b, phrase[pos]), tokens + (phrase[pos],), beam[b]))
         if last:
             break
 
-        # The candidates: the EOS candidates, the top-k content expansions
-        # and each hypothesis's forced next token of every unfinished phrase
-        # (the content pool, keyed by child), each with its new progress and
-        # bank.
-        top = _expand(beam, rows, content, beam_width)
-        pool = {child: (lp_c, child, parent[2]) for lp_c, child, parent in top}
-        for (tokens, lp, progress, _), row in zip(beam, rows):
-            for pos, phrase in zip(progress, constraints):
-                if pos < len(phrase):
-                    child = tokens + (phrase[pos],)
-                    if child not in pool:
-                        pool[child] = (lp + float(row[phrase[pos]]), child, progress)
-        for lp_c, child, progress in pool.values():
-            key = (progress, child[-1])
+        # The content pool: the top-k expansions and the forced children,
+        # each child once, with its new progress and bank.
+        pool = set()
+        for lp_c, child, parent in _expand(beam, rows, content, beam_width) + forced:
+            if child in pool:
+                continue
+            pool.add(child)
+            key = (parent[2], child[-1])
             moved = advanced.get(key)
             if moved is None:
-                new_progress = _advance_progress(progress, constraints, child[-1])
+                new_progress = _advance_progress(parent[2], constraints, child[-1])
                 moved = advanced[key] = (new_progress, sum(new_progress))
             cands.append((lp_c, child, *moved, False))
         cands.sort(key=rank)  # the one sort of the step (see dba_decode)
@@ -475,6 +471,8 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         seen = dict.fromkeys(banks, 0)
         kept = dict.fromkeys(banks, 0)
         alive = []
+        # Slots a bank cannot fill go to the best leftover candidates.
+        spare = beam_width
         for i, cand in enumerate(cands):
             bank = cand[3]
             if cand[4]:
@@ -482,14 +480,14 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
                     finished.setdefault(cand[1], cand[0])
                     hard_finishes += 1
             else:
-                alive.append((cand, kept[bank] < slots[bank]))
+                in_slot = kept[bank] < slots[bank]
+                spare -= in_slot
+                alive.append((cand, in_slot))
                 kept[bank] += 1
             seen[bank] += 1
         if hard_finishes >= beam_width:
             stop_reason = STOP_EMPTY_BEAM
             break
-        # Slots a bank cannot fill go to the best leftover candidates.
-        spare = beam_width - sum(in_slot for _, in_slot in alive)
         beam = []
         for (lp_c, child, progress, bank, _), in_slot in alive:
             if not in_slot:

@@ -135,7 +135,7 @@ def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> np.n
     (1.5%)."""
     rows = np.asarray(raws, dtype=np.float64)
     rows[:, bos_id] = 0.0
-    total = rows.sum(axis=1)
+    total = np.add.reduce(rows, axis=1)
     if min(total.tolist()) <= 0.0:
         raise ValueError("row has no probability mass outside BOS")
     rows /= total[:, None]

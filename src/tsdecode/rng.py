@@ -189,13 +189,14 @@ _kernel_lock = threading.Lock()
 
 
 def _loaded_kernel():
-    """``_kernel``, loaded first if no row has been drawn yet."""
+    """``_kernel``, loaded first (under the lock) if no row has been drawn yet."""
     global _kernel
-    with _kernel_lock:
-        if _kernel is None:
-            from . import rowkernel
+    if _kernel is None:
+        with _kernel_lock:
+            if _kernel is None:
+                from . import rowkernel
 
-            _kernel = rowkernel.load() or False
+                _kernel = rowkernel.load() or False
     return _kernel
 
 
@@ -211,7 +212,7 @@ def dirichlet_rows(keys: Sequence[int], concentration: float, n: int, counters: 
     kernel, the uniforms every row expects to need are computed in one
     block; ``counters`` is ``row_counters(n)``, kept by a caller that draws
     many blocks."""
-    if row_path() == "kernel":
+    if _loaded_kernel():
         return [Stream(key).dirichlet(concentration, n) for key in keys]
     block = _uniform_block(keys, counters)
     return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
@@ -256,26 +257,27 @@ class Stream:
         ``concentration``, in the same order. The compiled kernel draws the
         variates when it is loaded (``row_path()``), ``_gammas`` otherwise.
         ``uniforms``, when given, is the list ``_gammas`` reads: this
-        stream's next draws, as ``dirichlet_rows`` hands them over.
+        stream's next draws, as ``dirichlet_rows`` hands them over. The row
+        is normalized in place in its own buffer, summed by ``np.add.reduce``
+        (``ndarray.sum`` without its Python wrapper, so the same bytes).
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
         if not 0.0 < concentration < math.inf:
             raise ValueError(f"dirichlet concentration must be finite and > 0, got {concentration}")
-        kernel = _kernel
-        if kernel is None:
-            kernel = _loaded_kernel()
+        kernel = _kernel if _kernel is not None else _loaded_kernel()
         if kernel:
             gammas = (c_double * n)()
             self._counter += kernel(self._key, self._counter, n, concentration, gammas)
             row = np.frombuffer(gammas)
         else:
             row = np.array(self._gammas(concentration, n, uniforms), dtype=np.float64)
-        total = row.sum()
+        total = np.add.reduce(row)
         if total <= 0.0:
             # All-zero underflow is possible for very small concentrations.
             return np.full(n, 1.0 / n, dtype=np.float64)
-        return row / total
+        row /= total
+        return row
 
     def _gammas(self, concentration: float, n: int, uniforms: list[float] | None) -> list[float]:
         """The ``n`` gamma variates of a row, drawn by the pure-Python loop

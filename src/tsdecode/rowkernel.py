@@ -10,8 +10,9 @@ with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
 operation as the source writes it: never fast-math or ``-march=native``,
 as a fused multiply-add or a reordered sum changes bytes. The shared object
 is cached in ``cache_dir()``, a directory only its owner may write, under a
-name that is the SHA-256 of the source, the compile command and the
-platform, so a changed source or compiler builds a new file. It is written
+name that is a 64-bit ``rng.hash_key`` of the source, the compile command
+and the platform, so a changed source or compiler builds a new file; the
+name needs no ``hashlib``, which loads OpenSSL into the process. It is written
 to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
@@ -27,13 +28,14 @@ reads.
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
 import shlex
 import shutil
 import sysconfig
 import warnings
 from pathlib import Path
+
+from .rng import Stream, hash_key
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -79,9 +81,9 @@ def load(directory: Path | None = None):
         directory = cache_dir() if directory is None else directory
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         _check_private(directory)
-        source = SOURCE.read_bytes()
-        name = "\0".join([*command, sysconfig.get_platform()]).encode()
-        path = directory / f"rowkernel-{hashlib.sha256(source + name).hexdigest()[:32]}.so"
+        data = SOURCE.read_bytes() + "\0".join([*command, sysconfig.get_platform()]).encode()
+        words = memoryview(data + bytes(-len(data) % 8)).cast("Q")
+        path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
         kernel = _open(path)
@@ -129,8 +131,6 @@ def _open(path: Path):
 def self_check(kernel) -> bool:
     """Whether ``kernel`` draws every row of ``CHECK_ROWS`` with the bytes
     and the draw count of ``rng.Stream._gammas``."""
-    from .rng import Stream
-
     for key, start, concentration, n in CHECK_ROWS:
         stream = Stream(key)
         stream._counter = start

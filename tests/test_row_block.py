@@ -151,6 +151,19 @@ def test_block_with_an_overrunning_row_matches_single_rows():
         assert counters == single_counters
 
 
+def test_block_rows_share_no_memory_and_match_single_rows():
+    # Each row is normalized in place, in a buffer of its own.
+    n = 20
+    keys = [hash_key(31, n, k) for k in range(6)]
+    for path in row_paths():
+        with rows_drawn_by(path):
+            block = dirichlet_rows(keys, 0.2, n, row_counters(n))
+            single = [Stream(key).dirichlet(0.2, n) for key in keys]
+        assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
+        rows = block + single
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
+
+
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)

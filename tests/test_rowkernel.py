@@ -185,3 +185,32 @@ def test_importing_the_program_loads_no_kernel():
     code = "import sys, tsdecode.cli; print('tsdecode.rowkernel' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_drawing_a_row_loads_no_openssl():
+    # The cached kernel's name is folded with rng.hash_key: hashlib would load
+    # OpenSSL's _hashlib into every process that draws a row.
+    src = str(Path(rng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, tsdecode.cli\n"
+        "from tsdecode import rng\n"
+        "rng.Stream(1).dirichlet(0.2, 19)\n"
+        "print(rng.row_path(), '_hashlib' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [rng.row_path(), "False"]
+
+
+@needs_compiler
+def test_the_cached_name_changes_with_the_source_and_the_platform(tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    assert rowkernel.load(cache) is not None
+    changed = tmp_path / "_rowkernel.c"
+    changed.write_bytes(rowkernel.SOURCE.read_bytes() + b"\n")
+    monkeypatch.setattr(rowkernel, "SOURCE", changed)
+    assert rowkernel.load(cache) is not None
+    platform = sysconfig.get_platform()
+    monkeypatch.setattr(sysconfig, "get_platform", lambda: platform + "-other")
+    assert rowkernel.load(cache) is not None
+    assert len(list(cache.glob("rowkernel-*.so"))) == 3

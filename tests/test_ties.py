@@ -23,7 +23,7 @@ from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_sea
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import rank
 
-from util import reference_beam_core
+from util import ranked_expansions, reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -161,23 +161,11 @@ def _beams():
     yield tied, (3,), [((3, 2), -1.5, (1,)), ((2, 3), -1.5, (0,)), ((5, 4), -1.5, (2,))]
 
 
-def _full_sort(beam, rows, content):
-    """Every one-token content expansion of ``beam``, sorted by ``rank``."""
-    return sorted(
-        (
-            (entry[1] + float(row[tok]), entry[0] + (tok,), entry)
-            for entry, row in zip(beam, rows)
-            for tok in content
-        ),
-        key=rank,
-    )
-
-
 @pytest.mark.parametrize("model, src, beam", list(_beams()))
 def test_expand_equals_full_sort(model, src, beam):
     rows = [model.rows_after(src, [entry[0]])[0] for entry in beam]
     content = model.vocab.content_ids
-    full = _full_sort(beam, rows, content)
+    full = ranked_expansions(beam, rows, content)
     for k in range(1, len(full) + 2):
         assert _expand(beam, rows, content, k) == full[:k]
 
@@ -208,7 +196,7 @@ def _tied_steps(draw):
 @settings(max_examples=300, deadline=None)
 def test_expand_equals_full_sort_under_ties(step):
     beam, rows, content, k = step
-    assert _expand(beam, rows, content, k) == _full_sort(beam, rows, content)[:k]
+    assert _expand(beam, rows, content, k) == ranked_expansions(beam, rows, content)[:k]
     assert _expand(beam, np.array(rows), content, k) == _expand(beam, rows, content, k)
 
 

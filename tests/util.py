@@ -147,10 +147,27 @@ def record_token_checks(monkeypatch) -> list[str]:
     return checked
 
 
+def ranked_expansions(beam, rows, content):
+    """Every one-token content expansion of ``beam`` (entries ``(tokens, lp,
+    ...)``, ``rows[i]`` the log next-token row of ``beam[i]``) as ``(score,
+    child, parent entry)``, sorted by ``rank``: what ``decode._expand``'s top
+    k must be a prefix of."""
+    return sorted(
+        (
+            (entry[1] + float(row[tok]), entry[0] + (tok,), entry)
+            for entry, row in zip(beam, rows)
+            for tok in content
+        ),
+        key=rank,
+    )
+
+
 def reference_beam_core(model, source, params):
     """The full-sentence beam search as written before ``decode._beam_core``
     ranked each step's candidates in one sorted list: the global window,
-    each bank, the leftovers and the next beam are each sorted on their own.
+    each bank, the leftovers and the next beam are each sorted on their own,
+    and the top-k expansions are cut from a full sort of every candidate
+    (``ranked_expansions``), not taken from ``decode._expand``.
     Inputs must be valid; returns ``(finished, beam, stats)`` with the beam
     as (tokens, raw score, progress) triples and ``wall_time_us`` 0."""
     src = tuple(source)
@@ -184,7 +201,7 @@ def reference_beam_core(model, source, params):
 
         top = [
             (lp_c, child, parent[2], child[-1])
-            for lp_c, child, parent in decode._expand(beam, rows, content, beam_width)
+            for lp_c, child, parent in ranked_expansions(beam, rows, content)[:beam_width]
         ]
         finishes_this_round = set()
         for cand in sorted(top + eos_cands, key=rank)[:beam_width]:
