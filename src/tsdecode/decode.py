@@ -429,11 +429,14 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         # alive beam, and the forced child of every unfinished phrase, as
         # _expand's (score, child, parent); a complete hypothesis finishes
         # when EOS is its argmax and, under constraints, at the length
-        # budget (a forced finish, rather than return nothing).
+        # budget (a forced finish, rather than return nothing). Only complete
+        # hypotheses read the argmaxes, so a step without one skips them.
         cands, forced = [], []
-        argmaxes = rows.argmax(axis=1).tolist()
+        argmaxes = None
         for b, (tokens, lp, progress, bank) in enumerate(beam):
             if bank == complete:
+                if argmaxes is None:
+                    argmaxes = rows.argmax(axis=1).tolist()
                 cands.append((lp + rows.item(b, eos), tokens, progress, bank, True))
                 if argmaxes[b] == eos or (constraints and last):
                     finished.setdefault(tokens, cands[-1][0])

@@ -17,10 +17,9 @@ context: every decoder scores with log-probabilities only. Row bytes do not
 depend on the block: ``NgramGenModel`` rows are drawn with
 ``rng.dirichlet_rows``, and finalizing acts on each row alone, in place in
 the block. What a cold row costs beyond its Dirichlet loop is kept small by
-constants each ``NgramGenModel`` computes once: its rows' mixed counter
-column (``rng.row_counters``) and the tables of ``mix64`` of every token id
-and of every context length up to the longest drawn, which its key fold
-reads.
+the tables each ``NgramGenModel`` computes once, of ``mix64`` of every
+token id and of every context length up to the longest drawn, which its
+key fold reads.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
@@ -50,7 +49,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
-from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length, row_counters
+from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length
 
 EPS_FLOOR = 1e-12
 
@@ -334,12 +333,11 @@ class NgramGenModel(SequenceModel):
         self._source_keys: dict[tuple[int, int, Tokens], int] = {}
         # What rng.hash_key mixes for each token id and each context length, so
         # a context folds with one mix64 call per token and one for its
-        # length; and the counter column every row reads. The length table
-        # is replaced by a longer one when a longer context is drawn, so a
-        # large ``order`` costs nothing until contexts that long occur.
+        # length. The length table is replaced by a longer one when a longer
+        # context is drawn, so a large ``order`` costs nothing until contexts
+        # that long occur.
         self._mixed_tokens = [mix64(t) for t in range(vocab.size)]
         self._mixed_lengths: list[int] = []
-        self._counters = row_counters(vocab.size - 1)
 
     def _key(self, seed: int, tag: int, source: Tokens, context: Tokens) -> int:
         """``hash_key(seed, tag, source, context)``, for a context of at most
@@ -370,7 +368,7 @@ class NgramGenModel(SequenceModel):
             keys.append(self._key(seed, _ROW_TAG, source, context))
         rows = np.zeros((len(keys), self.vocab.size), dtype=np.float64)
         # Every id but Vocab.bos_id, which is 0.
-        rows[:, 1:] = dirichlet_rows(keys, self.concentration, self.vocab.size - 1, self._counters)
+        rows[:, 1:] = dirichlet_rows(keys, self.concentration, self.vocab.size - 1)
         return rows
 
 

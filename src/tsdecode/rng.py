@@ -14,7 +14,8 @@ Draw ``i`` of a stream depends only on (key, i), as in the counter-based
 generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC 2011), so a ``Stream`` holds nothing but its key and counter, and a
 Dirichlet row is a pure function of its key, its starting counter, its
-concentration and its length. The scalar methods compute each draw alone.
+concentration and its length. Every draw is computed alone, a uniform
+always by ``_uniform``.
 
 A row's gamma variates are drawn by one of two loops that give the same
 bytes and consume the same draws. The compiled row kernel (``rowkernel``,
@@ -29,36 +30,20 @@ round like ``math.log`` on every input, and rows must not depend on which
 is used. The kernel is compiled without floating-point contraction or
 fast-math for the same reason.
 
-Without the kernel, Dirichlet rows take their uniforms from the one numpy
-path, ``_uniform_block``: a run of counters for several keys as one
-``uint64`` block. Draw i is ``mix64(key ^ mix64(i))``, so the block is given
-the mixed counter column ``mix64(i)`` (``counter_column``) as data and only
-XORs in each key and mixes. A row of n entries needs about 4n draws, while a
-harness stream needs about a dozen, too few for a numpy pass to pay for
-itself. ``dirichlet_rows`` draws the rows of many fresh streams from one
-block; a caller that draws many rows of one length, like
-``lm.NgramGenModel``, keeps their column (``row_counters(n)``) and hands it
-over. ``Stream.dirichlet`` alone, and a row's extension on overrun, are
-blocks of one that compute their own column. The block math uses the same
-integer and IEEE float64 operations as ``mix64`` and the scalar uniform
-formula, so every draw is bit-identical to the scalar definition, whatever
-block it is drawn in. The kernel computes each draw on its own, in C, with
-the same operations, and needs no block.
-
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
 sequences of small ids, like ``lm.NgramGenModel``, can keep those mixes in
 a table and fold with them, bit for bit the same.
 
-``Stream._gammas`` fuses the ``n`` gamma variates of a row into one loop.
-It reads the uniforms it expects to need from one list computed up front,
-extends that list when a run of rejections overruns it, and indexes it
-directly. Per variate the loop does exactly what the one-variate sampler
-does, in the same order: the boost uniform, then per attempt two uniforms
-for the normal and one for the squeeze, and the same ``math`` calls on the
-same operands. So its rows are bit-identical to ``n`` calls of that
-sampler, ``gamma`` in ``tests/util.py``, which the tests keep as the
-reference.
+``Stream._gammas`` fuses the ``n`` gamma variates of a row into one loop,
+the kernel's loop written in Python. It computes each uniform when it
+needs it, from the key and the draw's counter, as the kernel does, so a
+run of rejections of any length needs no special case. Per variate the
+loop does exactly what the one-variate sampler does, in the same order:
+the boost uniform, then per attempt two uniforms for the normal and one
+for the squeeze, and the same ``math`` calls on the same operands. So its
+rows are bit-identical to ``n`` calls of that sampler, ``gamma`` in
+``tests/util.py``, which the tests keep as the reference.
 Vectorising the transcendentals would cost more, not less: which draw
 starts an attempt depends on every earlier rejection, so a vectorised pass
 must score an attempt at every counter or restart after each rejection.
@@ -80,26 +65,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _ULP = 2.0 ** -53
 
-# Draws by which ``dirichlet`` extends its uniform list when a run of
-# rejections overruns it.
-BLOCK = 128
-
-# Draws a Dirichlet row of n variates computes up front: 4n + 16, extended
-# by BLOCK when a run of rejections overruns it. At concentration 0.2 the
-# boosted Marsaglia-Tsang sampler takes ~4.11 draws per variate (407.23 per
-# vocab-100 row of 99): the boost uniform, then three per attempt, two when
-# v <= 0. So 1 in 3000 vocab-20 rows extends, and about 1 vocab-100 row in 6.
-_ROW_DRAWS_PER_VARIATE = 4
-_ROW_EXTRA_DRAWS = 16
-
-# numpy scalar constants, so uint64 arrays stay uint64 under any numpy's
-# casting rules. The arithmetic runs on arrays, which wrap mod 2**64
-# silently (numpy scalars would warn on overflow).
-_U11, _U27, _U30, _U31 = (np.uint64(n) for n in (11, 27, 30, 31))
-_GOLDEN_U64 = np.uint64(_GOLDEN)
-_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_M2 = np.uint64(0x94D049BB133111EB)
-
 
 def mix64(x: int) -> int:
     """splitmix64 finalizer: a fixed 64-bit bijective mixer."""
@@ -111,14 +76,10 @@ def mix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _mix64_block(x: np.ndarray) -> None:
-    """``mix64`` over a ``uint64`` array, in place."""
-    x += _GOLDEN_U64
-    x ^= x >> _U30
-    x *= _M1
-    x ^= x >> _U27
-    x *= _M2
-    x ^= x >> _U31
+def _uniform(key: int, i: int) -> float:
+    """Draw ``i`` of the stream keyed by ``key`` as a uniform in (0, 1): its
+    top 53 bits, offset by half a step."""
+    return ((mix64(key ^ mix64(i)) >> 11) + 0.5) * _ULP
 
 
 def mix_length(n: int) -> int:
@@ -142,44 +103,6 @@ def hash_key(*parts: int | Iterable[int]) -> int:
             for v in items:
                 h = mix64(h ^ mix64(int(v) & _MASK64))
     return h
-
-
-def counter_column(start: int, count: int) -> np.ndarray:
-    """``mix64(i)`` for draws i = ``start + 1 .. start + count``: the mixed
-    counter column of a block, shared by every key, as ``uint64``."""
-    counters = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    _mix64_block(counters)
-    return counters
-
-
-def row_counters(n: int) -> np.ndarray:
-    """The counter column a fresh Dirichlet row of ``n`` variates reads up
-    front: ``mix64(i)`` for i = 1 .. 4n + 16, read-only."""
-    counters = counter_column(0, _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS)
-    counters.setflags(write=False)
-    return counters
-
-
-def _uniform_block(keys: Sequence[int], counters: np.ndarray) -> np.ndarray:
-    """The draws at ``counters`` (a ``counter_column``) of the stream of each
-    key, as uniforms: a (keys, len(counters)) float64 array computed as one
-    ``uint64`` block.
-
-    Draw i is ``mix64(key ^ mix64(i))``, so each key is XORed into the mixed
-    counter column and the block mixed. Each draw's top 53 bits are shifted
-    into (0, 1); int -> float64 is exact below 2**53, so this is the scalar
-    formula's rounding, one IEEE operation at a time. Callers turn a row into
-    Python floats (``tolist``) just before they read it, so only one row's
-    floats are alive at a time: converting a whole block at once raised the
-    wide-mt benchmark's peak RSS by about 0.3 MB.
-    """
-    block = np.array(keys, dtype=np.uint64)[:, None] ^ counters
-    _mix64_block(block)
-    block >>= _U11
-    uniforms = block.astype(np.float64)
-    uniforms += 0.5
-    uniforms *= _ULP
-    return uniforms
 
 
 # The compiled row kernel's function once the first row is drawn, or False
@@ -207,15 +130,10 @@ def row_path() -> str:
     return "kernel" if _loaded_kernel() else "python"
 
 
-def dirichlet_rows(keys: Sequence[int], concentration: float, n: int, counters: np.ndarray) -> list[np.ndarray]:
-    """``Stream(key).dirichlet(concentration, n)`` for each key. Without the
-    kernel, the uniforms every row expects to need are computed in one
-    block; ``counters`` is ``row_counters(n)``, kept by a caller that draws
-    many blocks."""
-    if _loaded_kernel():
-        return [Stream(key).dirichlet(concentration, n) for key in keys]
-    block = _uniform_block(keys, counters)
-    return [Stream(key).dirichlet(concentration, n, us.tolist()) for key, us in zip(keys, block)]
+def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
+    """``Stream(key).dirichlet(concentration, n)`` for each key: the one
+    entry point for a block of rows."""
+    return [Stream(key).dirichlet(concentration, n) for key in keys]
 
 
 class Stream:
@@ -236,7 +154,8 @@ class Stream:
         return mix64(self._key ^ mix64(self._counter))
 
     def uniform(self) -> float:
-        return ((self.next_u64() >> 11) + 0.5) * _ULP
+        self._counter += 1
+        return _uniform(self._key, self._counter)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi] inclusive."""
@@ -248,7 +167,7 @@ class Stream:
     def choice(self, items):
         return items[self.randint(0, len(items) - 1)]
 
-    def dirichlet(self, concentration: float, n: int, uniforms: list[float] | None = None) -> np.ndarray:
+    def dirichlet(self, concentration: float, n: int) -> np.ndarray:
         """Symmetric Dirichlet draw of length ``n``: ``n`` unit-scale gamma
         variates, normalized.
 
@@ -256,10 +175,10 @@ class Stream:
         of the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
         ``concentration``, in the same order. The compiled kernel draws the
         variates when it is loaded (``row_path()``), ``_gammas`` otherwise.
-        ``uniforms``, when given, is the list ``_gammas`` reads: this
-        stream's next draws, as ``dirichlet_rows`` hands them over. The row
-        is normalized in place in its own buffer, summed by ``np.add.reduce``
-        (``ndarray.sum`` without its Python wrapper, so the same bytes).
+        The row is normalized in place in its own buffer, summed by
+        ``np.add.reduce`` (``ndarray.sum`` without its Python wrapper, so
+        the same bytes). If every variate underflows to 0, as at very small
+        concentrations, the row is uniform.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
@@ -271,21 +190,19 @@ class Stream:
             self._counter += kernel(self._key, self._counter, n, concentration, gammas)
             row = np.frombuffer(gammas)
         else:
-            row = np.array(self._gammas(concentration, n, uniforms), dtype=np.float64)
+            row = np.array(self._gammas(concentration, n), dtype=np.float64)
         total = np.add.reduce(row)
         if total <= 0.0:
-            # All-zero underflow is possible for very small concentrations.
             return np.full(n, 1.0 / n, dtype=np.float64)
         row /= total
         return row
 
-    def _gammas(self, concentration: float, n: int, uniforms: list[float] | None) -> list[float]:
-        """The ``n`` gamma variates of a row, drawn by the pure-Python loop
-        that ``_rowkernel.c`` compiles: the reference the kernel is checked
-        against, and the path taken when the kernel is not loaded. It reads
-        ``uniforms``, or computes the 4n + 16 draws a row expects to need,
-        and extends the list by ``BLOCK`` when a run of rejections overruns
-        it."""
+    def _gammas(self, concentration: float, n: int) -> list[float]:
+        """The ``n`` gamma variates of a row: ``_rowkernel.c``'s loop written
+        in Python, the reference the kernel is checked against and the path
+        taken when the kernel is not loaded. Like the kernel, it draws each
+        uniform when it needs it, ``_uniform(key, i)`` at the same counter
+        ``i``."""
         # Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a).
         boost = 1 if concentration < 1.0 else 0
         shape = concentration + 1.0 if boost else concentration
@@ -293,35 +210,24 @@ class Stream:
         d = shape - 1.0 / 3.0
         c = 1.0 / math.sqrt(9.0 * d)
         two_pi = 2.0 * math.pi
-        log, cos, sqrt = math.log, math.cos, math.sqrt
-        start = self._counter
-        key = (self._key,)
-        us = uniforms
-        if us is None:
-            size = _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
-            us = _uniform_block(key, counter_column(start, size))[0].tolist()
-        size = len(us)
+        log, cos, sqrt, uniform = math.log, math.cos, math.sqrt, _uniform
+        key, i = self._key, self._counter
         draws: list[float] = []
         append = draws.append
-        i = 0
         for _ in range(n):
-            b = i  # the boost uniform precedes the variate's attempts
+            b = uniform(key, i + 1) if boost else 0.0  # precedes the attempts
             i += boost
             while True:
-                if i + 3 > size:
-                    us = us + _uniform_block(key, counter_column(start + size, BLOCK))[0].tolist()
-                    size += BLOCK
-                x = sqrt(-2.0 * log(us[i])) * cos(two_pi * us[i + 1])
+                x = sqrt(-2.0 * log(uniform(key, i + 1))) * cos(two_pi * uniform(key, i + 2))
                 v = 1.0 + c * x
                 if v <= 0.0:
                     i += 2
                     continue
                 v = v * v * v
-                u = us[i + 2]
+                u = uniform(key, i + 3)
                 i += 3
                 if u < 1.0 - 0.0331 * x * x * x * x or log(u) < 0.5 * x * x + d * (1.0 - v + log(v)):
                     break
-            append(d * v * us[b] ** power if boost else d * v)
-        # The list's unread tail is dropped: draws consumed are start + i.
-        self._counter = start + i
+            append(d * v * b ** power if boost else d * v)
+        self._counter = i
         return draws

@@ -1,9 +1,10 @@
 """The compiled row kernel: build, cache, load and check ``_rowkernel.c``.
 
 ``_rowkernel.c`` is ``rng.Stream._gammas``, the loop that draws the gamma
-variates of a Dirichlet row, in C. ``rng`` calls ``load`` when a process
-draws its first row, never at import, and draws every row with the kernel
-if ``load`` returns it, with ``_gammas`` otherwise.
+variates of a Dirichlet row, in C, statement for statement. ``rng`` calls
+``load`` when a process draws its first row, never at import, and draws
+every row with the kernel if ``load`` returns it, with the much slower
+``_gammas`` otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -42,15 +43,16 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 # (key, draws consumed before the row, concentration, n): rows the kernel
 # must reproduce, byte for byte, before it is used. A boosted vocab-20 row
-# whose rejections overrun the 4n + 16 draws ``_gammas`` computes up front
-# (key hash_key(29, 20, 1098)), an unboosted row after three draws, the
-# shape 1.0 edge that does not boost, and a vocab-100 row at concentration
-# 0.05.
+# with a long run of rejections, more than 4n + 16 draws (key
+# hash_key(29, 20, 1098)), an unboosted row after three draws, the shape
+# 1.0 edge that does not boost, a vocab-100 row at concentration 0.05, and
+# a row whose every boost ``pow`` underflows to 0 (key hash_key(31, 8)).
 CHECK_ROWS = (
     (0x863357EB4D8456EF, 0, 0.2, 20),
     (0x243F6A8885A308D3, 3, 2.5, 19),
     (0x13198A2E03707344, 0, 1.0, 7),
     (0xA4093822299F31D0, 1, 0.05, 99),
+    (0x0E8764AD5652F529, 0, 0.001, 3),
 )
 
 
@@ -134,7 +136,7 @@ def self_check(kernel) -> bool:
     for key, start, concentration, n in CHECK_ROWS:
         stream = Stream(key)
         stream._counter = start
-        want = stream._gammas(concentration, n, None)
+        want = stream._gammas(concentration, n)
         got = (ctypes.c_double * n)()
         drawn = kernel(key, start, n, concentration, got)
         if bytes(got) != bytes((ctypes.c_double * n)(*want)) or start + drawn != stream._counter:

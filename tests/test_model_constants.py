@@ -1,9 +1,10 @@
 """The constants an n-gram model computes once must change no row.
 
 ``NgramGenModel`` folds its row keys from a table of mixed token ids and
-context lengths, and hands every block its rows' mixed counter column; both
-must give exactly what ``rng.hash_key`` and a fresh ``Stream`` give. Blocks
-are finalized in place, which must never write a row a model keeps.
+context lengths, which must give exactly what ``rng.hash_key`` gives, and
+draws its rows in blocks, which must give exactly what a fresh ``Stream``
+gives. Blocks are finalized in place, which must never write a row a model
+keeps.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode.core import Vocab
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, TableModel, UniformModel, make_perturbed_sibling
-from tsdecode.rng import Stream, dirichlet_rows, hash_key, mix64, row_counters
+from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
 from test_row_block import recorded_counters
 
@@ -43,36 +44,25 @@ def test_key_equals_hash_key(vocab_size, order, perturbed, seed, data):
                 assert model._key(s, tag, source, context) == hash_key(s, tag, source, context)
 
 
-@pytest.mark.parametrize("vocab_size", [3, 20, 100])
-def test_model_column_is_the_mixed_counters(vocab_size):
-    n = vocab_size - 1
-    column = NgramGenModel(Vocab(vocab_size), 2, seed=37, concentration=0.2)._counters
-    assert column.dtype == np.uint64
-    assert column.tolist() == [mix64(i) for i in range(1, 4 * n + 17)]
-    assert not column.flags.writeable
-
-
 @pytest.mark.parametrize(
     "keys, n",
     [
         ([hash_key(3, 2)], 2),
         ([hash_key(5, 19, k) for k in range(5)], 19),
         ([hash_key(7, 99, k) for k in range(3)], 99),
-        # The middle row runs past the column (test_rng's
-        # test_dirichlet_extends_its_uniform_list) and extends alone.
+        # The middle row has a long run of rejections (test_rng's
+        # test_dirichlet_extends_its_uniform_list).
         ([hash_key(29, 20, 1097), hash_key(29, 20, 1098), hash_key(29, 20, 1099)], 20),
     ],
 )
 def test_rows_with_a_kept_column_match_single_streams(keys, n):
-    column = row_counters(n)
     with recorded_counters() as counters:
-        block = dirichlet_rows(keys, 0.2, n, column)
+        block = dirichlet_rows(keys, 0.2, n)
         block_counters = dict(counters)
         counters.clear()
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
     assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
     assert block_counters == counters
-    assert column.tolist() == row_counters(n).tolist()
 
 
 def _draw_everything(model):

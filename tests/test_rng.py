@@ -5,14 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode.rng import (
-    _ROW_DRAWS_PER_VARIATE,
-    _ROW_EXTRA_DRAWS,
-    BLOCK,
-    Stream,
-    hash_key,
-    mix64,
-)
+from tsdecode.rng import Stream, hash_key, mix64
 
 from util import gamma, row_paths, rows_drawn_by
 
@@ -122,7 +115,7 @@ DRAWS = st.one_of(
 )
 
 
-@given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * BLOCK + 2))
+@given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * 128 + 2))
 @settings(max_examples=60, deadline=None)
 def test_any_interleaving_matches_scalar_reference(key, draws):
     for path in row_paths():
@@ -155,10 +148,10 @@ def assert_interleaving_matches_scalar_reference(key, draws):
     assert s._counter == drawn
 
 
-@pytest.mark.parametrize("n", [1, 2, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 2 * BLOCK + 2])
+@pytest.mark.parametrize("n", [1, 2, 128, 129, 130, 257, 258])
 def test_draws_at_block_edges(n):
-    # Each scalar draw is computed alone; these counts straddle the multiples
-    # of BLOCK, the step by which dirichlet extends its uniform list.
+    # Each scalar draw is computed alone, so counts that straddle multiples
+    # of a block size (128 here) draw what the reference draws.
     key = hash_key(19, n)
     s = Stream(key)
     got = [s.uniform() for _ in range(n - 1)]
@@ -169,7 +162,7 @@ def test_draws_at_block_edges(n):
 def test_counter_counts_draws_consumed():
     key = hash_key(23)
     s = Stream(key)
-    for n in range(1, 2 * BLOCK + 3):
+    for n in range(1, 2 * 128 + 3):
         if n % 5 == 0:
             assert s.next_u64() == reference_u64(key, n)
         else:
@@ -209,7 +202,7 @@ def assert_dirichlet_matches_reference(key, shape, n, prior=()):
 @given(
     st.integers(0, 2**64 - 1),
     SHAPES,
-    st.integers(1, 3 * BLOCK),
+    st.integers(1, 3 * 128),
     st.lists(st.sampled_from(["uniform", "next_u64"]), max_size=3),
 )
 @settings(max_examples=60, deadline=None)
@@ -218,8 +211,20 @@ def test_dirichlet_matches_scalar_gamma_reference(key, shape, n, prior):
 
 
 def test_dirichlet_extends_its_uniform_list():
-    # Found by search: this row's rejections run past the 4n + 16 draws
-    # computed up front.
+    # Found by search: a row with a long run of rejections, which takes more
+    # than 4n + 16 draws (about 4.11 per variate is typical at 0.2).
     n = 20
     drawn = assert_dirichlet_matches_reference(hash_key(29, n, 1098), 0.2, n)
-    assert drawn > _ROW_DRAWS_PER_VARIATE * n + _ROW_EXTRA_DRAWS
+    assert drawn > 4 * n + 16
+
+
+def test_dirichlet_of_all_underflowing_variates_is_uniform():
+    # At concentration 0.001 every boost U ** 1000 of this row underflows
+    # to 0, so the row sums to 0 and is uniform instead.
+    key = hash_key(31, 8)
+    for path in row_paths():
+        s, ref = Stream(key), Stream(key)
+        with rows_drawn_by(path):
+            assert s.dirichlet(0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
+        assert reference_dirichlet(ref, 0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
+        assert s._counter == ref._counter == 15

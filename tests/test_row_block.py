@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 from tsdecode import decode, harness
 from tsdecode.core import Vocab
 from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
-from tsdecode.rng import Stream, dirichlet_rows, hash_key, row_counters
+from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
 from util import row_paths, rows_drawn_by
 
@@ -135,9 +135,9 @@ def test_any_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefi
 
 
 def test_block_with_an_overrunning_row_matches_single_rows():
-    # The middle key's row runs past the 4n + 16 draws of the block (see
-    # test_rng.test_dirichlet_extends_its_uniform_list) and extends alone.
-    # The kernel draws the same rows and counts without the block.
+    # The middle key's row has a long run of rejections, more than 4n + 16
+    # draws (see test_rng.test_dirichlet_extends_its_uniform_list). Both
+    # loops draw the same rows and counts in a block as one at a time.
     n = 20
     keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
     with recorded_counters() as counters, rows_drawn_by("python"):
@@ -146,7 +146,7 @@ def test_block_with_an_overrunning_row_matches_single_rows():
     assert single_counters[keys[1]] > 4 * n + 16
     for path in row_paths():
         with recorded_counters() as counters, rows_drawn_by(path):
-            block = dirichlet_rows(keys, 0.2, n, row_counters(n))
+            block = dirichlet_rows(keys, 0.2, n)
         assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
         assert counters == single_counters
 
@@ -157,7 +157,7 @@ def test_block_rows_share_no_memory_and_match_single_rows():
     keys = [hash_key(31, n, k) for k in range(6)]
     for path in row_paths():
         with rows_drawn_by(path):
-            block = dirichlet_rows(keys, 0.2, n, row_counters(n))
+            block = dirichlet_rows(keys, 0.2, n)
             single = [Stream(key).dirichlet(0.2, n) for key in keys]
         assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
         rows = block + single

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsdecode import rng, rowkernel
-from tsdecode.rng import Stream, dirichlet_rows, hash_key, row_counters
+from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
 from util import gamma, row_paths, rows_drawn_by
 
@@ -26,8 +26,8 @@ HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
 needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
 needs_kernel = pytest.mark.skipif("kernel" not in row_paths(), reason="the row kernel cannot be built here")
 
-# Keys of vocab-20 rows at concentration 0.2; the second overruns the 4n + 16
-# draws the Python loop computes up front.
+# Keys of vocab-20 rows at concentration 0.2; the second has a long run of
+# rejections, more than 4n + 16 draws.
 KEYS = [hash_key(29, 20, 1097), hash_key(29, 20, 1098)] + [hash_key(k, 2) for k in range(10)]
 
 
@@ -164,7 +164,7 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(rng, "_kernel", None)
     with warnings.catch_warnings(record=True):
-        rows = dirichlet_rows(KEYS, 0.2, 20, row_counters(20))
+        rows = dirichlet_rows(KEYS, 0.2, 20)
     assert rng.row_path() == "python"
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
