@@ -1,17 +1,26 @@
-/* The gamma variates of one Dirichlet row, compiled.
+/* The compiled kernel: the gamma variates of a Dirichlet row, and one step
+   of the full-sentence beam search.
 
-   This is ``rng.Stream._gammas`` statement for statement:
+   ``tsd_gammas`` is ``rng.Stream._gammas`` statement for statement:
    draw i of the stream keyed by ``key`` is mix64(key ^ mix64(i)), and each
    variate is one boosted Marsaglia-Tsang sample. The transcendentals are
    the libm functions CPython's ``math.log``, ``math.cos``, ``math.sqrt``
    and float ``**`` call, on the same operands in the same order, and the
    file must be compiled without floating-point contraction
    (-ffp-contract=off) or fast-math, so every variate has the bytes the
-   Python loop gives. ``rowkernel.load`` checks that it does before ``rng``
-   uses it. */
+   Python loop gives.
+
+   ``tsd_beam_step`` is ``decode._PythonStep``: it picks the same finishes
+   and the same next beam, in the same order, with the same scores. A
+   candidate's score is one IEEE add, ``lp + row[tok]``, as in Python; no
+   transcendental is called.
+
+   ``rowkernel.load`` checks each function against its Python twin before
+   either is used. */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 uint64_t tsd_gammas(uint64_t key, uint64_t start, int64_t n,
                     double concentration, double *out);
@@ -62,4 +71,236 @@ uint64_t tsd_gammas(uint64_t key, uint64_t start, int64_t n,
         out[k] = boost ? d * v * pow(b, power) : d * v;
     }
     return i - start;
+}
+
+/* One decode's beam and buffers, allocated by ``rowkernel.CompiledStep``.
+   The beam lives on side ``cur`` of each two-sided buffer; a step writes
+   the next beam to the other side, and the caller flips ``cur`` to take
+   it. Every hypothesis of a beam has the same length, and no two have the
+   same tokens. */
+struct tsd_beam {
+    int64_t vocab;          /* entries per row */
+    int64_t width;          /* the beam width: hypotheses per side, at most */
+    int64_t eos;            /* the EOS id */
+    int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
+    int64_t n_phrases;
+    int64_t complete;       /* the bank of a constraint-complete hypothesis */
+    int64_t cur;
+    int64_t n_finished;     /* outputs of the last step: finishes marked */
+    int64_t hard;           /* ... and how many ranked in a window or slot */
+    const int64_t *phrases; /* the phrases' tokens, one phrase after another */
+    const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
+    const double *rows;     /* the step's log row per hypothesis, width x vocab */
+    int64_t *parent;        /* the next beam in rank order: parent index */
+    int64_t *token;         /* ... and new token */
+    int64_t *finished;      /* the parent index of each finish, in order */
+    double *finish_score;   /* ... and its EOS score */
+    int64_t size[2];        /* hypotheses on each side */
+    double *lp[2];          /* raw score per hypothesis */
+    int64_t *progress[2];   /* per hypothesis, its position in each phrase */
+    int64_t *bank[2];       /* per hypothesis, its summed progress */
+    int64_t *order[2];      /* per hypothesis, the rank of its tokens among
+                               the side's tokens in lexicographic order */
+};
+
+int64_t tsd_beam_step(struct tsd_beam *s, int64_t last);
+
+/* A candidate: an EOS completion (token -1) or a one-token child. */
+struct cand {
+    double score;
+    int64_t parent, token, bank;
+    const int64_t *progress;
+};
+
+/* Whether ``a`` ranks before ``b`` under ``scoring.rank``: the higher
+   score, then the shorter tokens (an EOS completion keeps its parent's
+   tokens, one fewer than a child's), then the lexicographically smaller. */
+static int precedes(const int64_t *order, const struct cand *a, const struct cand *b)
+{
+    if (a->score != b->score)
+        return a->score > b->score;
+    if ((a->token < 0) != (b->token < 0))
+        return a->token < 0;
+    if (a->parent != b->parent)
+        return order[a->parent] < order[b->parent];
+    return a->token < b->token;
+}
+
+/* The first index of the maximum, as ``ndarray.argmax`` picks it. */
+static int64_t argmax(const double *row, int64_t n)
+{
+    int64_t best = 0;
+    for (int64_t i = 1; i < n; i++)
+        if (row[i] > row[best])
+            best = i;
+    return best;
+}
+
+static void finish(struct tsd_beam *s, int64_t parent, double score)
+{
+    s->finished[s->n_finished] = parent;
+    s->finish_score[s->n_finished++] = score;
+}
+
+/* One step from the beam on side ``cur`` and its ``rows``: marks the
+   finishes and, unless ``last``, writes the next beam to the other side.
+   Returns the next beam's size, or -1 when memory runs out. */
+int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
+{
+    const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in];
+    const int64_t width = s->width, vocab = s->vocab, n_phrases = s->n_phrases;
+    const double *lp = s->lp[in];
+    const int64_t *progress = s->progress[in], *bank = s->bank[in], *order = s->order[in];
+    const int64_t max_cands = n_beam + width + n_phrases * n_beam;
+    struct cand *cands = malloc(max_cands * sizeof *cands);
+    int64_t *ranked = malloc(max_cands * sizeof *ranked);
+    int64_t *in_slot = malloc(max_cands * sizeof *in_slot);
+    int64_t *moved = malloc((max_cands * n_phrases + 1) * sizeof *moved);
+    int64_t *counts = calloc(3 * (s->complete + 1), sizeof *counts);
+    int64_t n = 0, next = 0;
+    s->n_finished = 0;
+    s->hard = 0;
+    if (!cands || !ranked || !in_slot || !moved || !counts) {
+        next = -1;
+        goto done;
+    }
+
+    /* EOS candidates of the complete hypotheses; one finishes when EOS is
+       its argmax and, under constraints, at the length budget. */
+    for (int64_t b = 0; b < n_beam; b++) {
+        if (bank[b] != s->complete)
+            continue;
+        const double *row = s->rows + b * vocab;
+        struct cand eos = {lp[b] + row[s->eos], b, -1, bank[b], progress + b * n_phrases};
+        cands[n++] = eos;
+        if (argmax(row, vocab) == s->eos || (n_phrases && last))
+            finish(s, b, eos.score);
+    }
+    if (last)
+        goto done;
+
+    /* The top ``width`` content expansions, kept in rank order. */
+    const int64_t first_child = n;
+    struct cand *top = cands + n;
+    int64_t k = 0;
+    for (int64_t b = 0; b < n_beam; b++) {
+        const double *row = s->rows + b * vocab;
+        for (int64_t tok = s->lo; tok < s->lo + s->n_content; tok++) {
+            struct cand child = {lp[b] + row[tok], b, tok, 0, NULL};
+            if (k == width && !precedes(order, &child, &top[k - 1]))
+                continue;
+            int64_t i = k < width ? k++ : width - 1;
+            for (; i > 0 && precedes(order, &child, &top[i - 1]); i--)
+                top[i] = top[i - 1];
+            top[i] = child;
+        }
+    }
+    n += k;
+
+    /* The forced child of every unfinished phrase, each child once. */
+    for (int64_t b = 0; b < n_beam; b++) {
+        for (int64_t j = 0; j < n_phrases; j++) {
+            int64_t pos = progress[b * n_phrases + j];
+            if (pos == s->starts[j + 1] - s->starts[j])
+                continue;
+            int64_t tok = s->phrases[s->starts[j] + pos];
+            int dup = 0;
+            for (int64_t i = first_child; i < n && !dup; i++)
+                dup = cands[i].parent == b && cands[i].token == tok;
+            if (!dup) {
+                struct cand child = {lp[b] + s->rows[b * vocab + tok], b, tok, 0, NULL};
+                cands[n++] = child;
+            }
+        }
+    }
+
+    /* Each child's progress and bank (decode._advance_progress). */
+    for (int64_t i = first_child; i < n; i++) {
+        const int64_t *from = progress + cands[i].parent * n_phrases;
+        int64_t *to = moved + i * n_phrases, tok = cands[i].token, sum = 0;
+        for (int64_t j = 0; j < n_phrases; j++) {
+            const int64_t *phrase = s->phrases + s->starts[j];
+            int64_t pos = from[j], len = s->starts[j + 1] - s->starts[j];
+            to[j] = pos == len ? pos : tok == phrase[pos] ? pos + 1 : tok == phrase[0] ? 1 : 0;
+            sum += to[j];
+        }
+        cands[i].progress = to;
+        cands[i].bank = sum;
+    }
+
+    /* The one rank order of the step. */
+    for (int64_t i = 0; i < n; i++) {
+        int64_t j = i;
+        for (; j > 0 && precedes(order, &cands[i], &cands[ranked[j - 1]]); j--)
+            ranked[j] = ranked[j - 1];
+        ranked[j] = i;
+    }
+
+    /* Slots shared evenly over the non-empty banks, remainders to higher
+       banks. */
+    int64_t *slots = counts, *seen = slots + s->complete + 1;
+    int64_t *kept = seen + s->complete + 1;
+    int64_t n_banks = 0;
+    for (int64_t i = 0; i < n; i++)
+        n_banks += !slots[cands[i].bank]++;
+    for (int64_t b = s->complete, i = 0; b >= 0; b--)
+        if (slots[b]) {
+            slots[b] = width / n_banks + (i < width % n_banks);
+            i++;
+        }
+
+    /* EOS candidates in the global window or their bank's slots finish;
+       content candidates take their bank's slots in rank order. ``ranked``
+       keeps the content candidates, ``in_slot`` their flags. */
+    int64_t spare = width, n_alive = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const struct cand *c = &cands[ranked[i]];
+        if (c->token < 0) {
+            if (i < width || seen[c->bank] < slots[c->bank]) {
+                finish(s, c->parent, c->score);
+                s->hard++;
+            }
+        } else {
+            int64_t slot = kept[c->bank]++ < slots[c->bank];
+            spare -= slot;
+            in_slot[n_alive] = slot;
+            ranked[n_alive++] = ranked[i];
+        }
+        seen[c->bank]++;
+    }
+
+    /* The next beam: in-slot candidates, and the best leftovers in the
+       slots no bank filled. */
+    for (int64_t a = 0; a < n_alive; a++) {
+        if (!in_slot[a]) {
+            if (spare == 0)
+                continue;
+            spare--;
+        }
+        const struct cand *c = &cands[ranked[a]];
+        s->parent[next] = c->parent;
+        s->token[next] = c->token;
+        s->lp[out][next] = c->score;
+        s->bank[out][next] = c->bank;
+        for (int64_t j = 0; j < n_phrases; j++)
+            s->progress[out][next * n_phrases + j] = c->progress[j];
+        next++;
+    }
+    for (int64_t i = 0; i < next; i++) {
+        int64_t rank = 0;
+        for (int64_t j = 0; j < next; j++) {
+            int64_t a = order[s->parent[j]], b = order[s->parent[i]];
+            rank += a < b || (a == b && s->token[j] < s->token[i]);
+        }
+        s->order[out][i] = rank;
+    }
+    s->size[out] = next;
+
+done:
+    free(cands);
+    free(ranked);
+    free(in_slot);
+    free(moved);
+    free(counts);
+    return next;
 }

@@ -27,17 +27,25 @@ ranks every candidate once, in one list sorted by ``scoring.rank``, and
 reads the global window, each bank's slots, the backfill and the next beam
 from that one order.
 
+The beam loop takes each step with one of two steps that give the same
+results: ``rowkernel.CompiledStep``, ``_rowkernel.c``'s ``tsd_beam_step``
+on buffers each decode allocates once, when the kernel builds, loads and
+passes its check, and ``_PythonStep`` otherwise, which is also the
+reference the compiled step is checked against. The loop itself holds the
+tokens, the finishes, the counts and the stop reasons, the same for both.
+
 Every decoder checks its inputs once per decode and then reads memoised
 log rows through the model's one unchecked batched lookup,
 ``SequenceModel.rows_after``, which draws the rows a batch misses in one
 block: PSGD makes one call per scoring round, the beam loop one per step.
 
-PSGD and the beam loop order all candidates with ``scoring.rank`` and extend
-their beams with one expansion step, ``_expand``. It works on arrays, like
-the vectorised DBA of Hu et al. (NAACL 2019), which builds on Post & Vilar
-(NAACL 2018): it scores all beam x content candidates in one numpy add and
-builds candidate tuples only for those scoring at least the k-th best score,
-ties included, so the cut never changes which candidates win.
+PSGD and the Python beam step order all candidates with ``scoring.rank``
+and extend their beams with one expansion step, ``_expand``. It works on
+arrays, like the vectorised DBA of Hu et al. (NAACL 2019), which builds on
+Post & Vilar (NAACL 2018): it scores all beam x content candidates in one
+numpy add and builds candidate tuples only for those scoring at least the
+k-th best score, ties included, so the cut never changes which candidates
+win. The compiled step keeps the same top k in C.
 """
 
 from __future__ import annotations
@@ -377,88 +385,78 @@ def _pick_best(entries) -> tuple[float, Tokens]:
     return min(((normalized_score(raw, len(tokens)), tokens) for tokens, raw in entries), key=rank)
 
 
-def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
-    """Full-sentence beam search from BOS under ``params.constraints``.
+class _PythonStep:
+    """One decode's beam step in Python: the step taken when the compiled
+    ``tsd_beam_step`` is not loaded, and the reference it is checked against.
 
-    Returns the finished sequences with their raw scores (EOS included), the
-    final beam as (tokens, raw score, constraint progress, bank) entries, and
-    the decode statistics. See ``dba_decode`` for the search itself.
+    It holds the beam's (raw score, constraint progress, bank) entries; the
+    caller holds their tokens. Called with each hypothesis's log row, the
+    beam's tokens and whether this is the step at the length budget, it
+    returns ``(survivors, finishes, hard)``:
+    - ``survivors``, the next beam as (parent index, token) pairs in ``rank``
+      order, none when ``last``;
+    - ``finishes``, the (parent index, EOS score) of each finish in the order
+      it was marked, a parent possibly twice;
+    - ``hard``, how many EOS candidates ranked inside the global window or
+      their bank's slots (0 when ``last``).
+    ``advance()`` makes the survivors the beam; ``beam(tokens)`` gives the
+    beam's (tokens, raw score, progress, bank) entries.
     """
-    if params.beam_width < 1:
-        raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
-    if params.max_len < 0:
-        raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
-    # Inputs are checked once here: every later row is read unchecked, and
-    # hypotheses hold only content ids and constraint tokens.
-    src = as_tokens(source)
-    check_tokens(src, model.vocab, "source", content=False)
-    constraints = tuple(as_tokens(c) for c in params.constraints)
-    for c in constraints:
-        if len(c) == 0:
-            raise InvalidParams("constraint phrases must be non-empty")
-        check_tokens(c, model.vocab, "constraint")
-    rows_after = model.rows_after
-    eos = model.vocab.eos_id
-    content = model.vocab.content_ids
-    beam_width = params.beam_width
-    # A hypothesis's bank is its summed progress; it is constraint-complete
-    # exactly in the bank of every phrase token.
-    complete = sum(len(c) for c in constraints)
-    # (progress, token) -> (progress after token, its bank), for this decode.
-    advanced: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
-    t0 = time.perf_counter()
-    fw = 0
-    pos_scored = 0
-    emitted = 0
-    stop_reason = STOP_MAX_LEN
-    hard_finishes = 0
+    def __init__(self, vocab, constraints: tuple[Tokens, ...], beam_width: int, beam: Beam) -> None:
+        self.eos = vocab.eos_id
+        self.content = vocab.content_ids
+        self.constraints = constraints
+        # A hypothesis's bank is its summed progress; it is constraint-complete
+        # exactly in the bank of every phrase token.
+        self.complete = sum(len(c) for c in constraints)
+        self.beam_width = beam_width
+        self.state = [entry[1:] for entry in beam]
+        self.next: list[tuple[float, tuple[int, ...], int]] = []
+        # (progress, token) -> (progress after token, its bank), for this decode.
+        self.advanced: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
-    beam: Beam = [((), 0.0, tuple(0 for _ in constraints), 0)]
-    finished: dict[Tokens, float] = {}
-
-    for step in range(params.max_len + 1):
-        last = step == params.max_len
-        # One memoised row per hypothesis, from one batched lookup; the
-        # statistics still count the logical forced pass over BOS + tokens
-        # that each row ends.
-        rows = np.array(rows_after(src, [entry[0] for entry in beam]))
-        fw += len(beam)
-        pos_scored += len(beam) * (step + 1)  # every hypothesis holds step tokens
+    def __call__(self, rows, tokens: list[Tokens], last: bool):
+        eos, constraints, complete, beam_width = self.eos, self.constraints, self.complete, self.beam_width
+        rows = np.array(rows)
+        beam = [(t, lp, progress, bank, b) for b, (t, (lp, progress, bank)) in enumerate(zip(tokens, self.state))]
         # EOS candidates of the complete hypotheses, which never enter the
         # alive beam, and the forced child of every unfinished phrase, as
         # _expand's (score, child, parent); a complete hypothesis finishes
         # when EOS is its argmax and, under constraints, at the length
         # budget (a forced finish, rather than return nothing). Only complete
         # hypotheses read the argmaxes, so a step without one skips them.
-        cands, forced = [], []
+        cands, forced, finishes = [], [], []
         argmaxes = None
-        for b, (tokens, lp, progress, bank) in enumerate(beam):
+        for t, lp, progress, bank, b in beam:
             if bank == complete:
                 if argmaxes is None:
                     argmaxes = rows.argmax(axis=1).tolist()
-                cands.append((lp + rows.item(b, eos), tokens, progress, bank, True))
+                score = lp + rows.item(b, eos)
+                cands.append((score, t, progress, bank, b, None))
                 if argmaxes[b] == eos or (constraints and last):
-                    finished.setdefault(tokens, cands[-1][0])
+                    finishes.append((b, score))
             for pos, phrase in zip(progress, constraints):
                 if pos < len(phrase):
-                    forced.append((lp + rows.item(b, phrase[pos]), tokens + (phrase[pos],), beam[b]))
+                    forced.append((lp + rows.item(b, phrase[pos]), t + (phrase[pos],), beam[b]))
         if last:
-            break
+            return [], finishes, 0
 
         # The content pool: the top-k expansions and the forced children,
         # each child once, with its new progress and bank.
         pool = set()
-        for lp_c, child, parent in _expand(beam, rows, content, beam_width) + forced:
+        advanced = self.advanced
+        for lp_c, child, parent in _expand(beam, rows, self.content, beam_width) + forced:
             if child in pool:
                 continue
             pool.add(child)
-            key = (parent[2], child[-1])
+            tok = child[-1]
+            key = (parent[2], tok)
             moved = advanced.get(key)
             if moved is None:
-                new_progress = _advance_progress(parent[2], constraints, child[-1])
+                new_progress = _advance_progress(parent[2], constraints, tok)
                 moved = advanced[key] = (new_progress, sum(new_progress))
-            cands.append((lp_c, child, *moved, False))
+            cands.append((lp_c, child, *moved, parent[4], tok))
         cands.sort(key=rank)  # the one sort of the step (see dba_decode)
 
         # EOS candidates finish by ranking inside the global window, the
@@ -474,30 +472,118 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         seen = dict.fromkeys(banks, 0)
         kept = dict.fromkeys(banks, 0)
         alive = []
+        hard = 0
         # Slots a bank cannot fill go to the best leftover candidates.
         spare = beam_width
         for i, cand in enumerate(cands):
             bank = cand[3]
-            if cand[4]:
+            if cand[5] is None:
                 if i < beam_width or seen[bank] < slots[bank]:
-                    finished.setdefault(cand[1], cand[0])
-                    hard_finishes += 1
+                    finishes.append((cand[4], cand[0]))
+                    hard += 1
             else:
                 in_slot = kept[bank] < slots[bank]
                 spare -= in_slot
                 alive.append((cand, in_slot))
                 kept[bank] += 1
             seen[bank] += 1
-        if hard_finishes >= beam_width:
-            stop_reason = STOP_EMPTY_BEAM
-            break
-        beam = []
-        for (lp_c, child, progress, bank, _), in_slot in alive:
+        survivors, self.next = [], []
+        for (lp_c, _, progress, bank, parent, tok), in_slot in alive:
             if not in_slot:
                 if spare == 0:
                     continue
                 spare -= 1
-            beam.append((child, lp_c, progress, bank))
+            survivors.append((parent, tok))
+            self.next.append((lp_c, progress, bank))
+        return survivors, finishes, hard
+
+    def advance(self) -> None:
+        self.state = self.next
+
+    def beam(self, tokens: list[Tokens]) -> Beam:
+        return [(t, *entry) for t, entry in zip(tokens, self.state)]
+
+
+# The compiled beam step once the first beam step is taken, or False when it
+# is unavailable; None before.
+_beam_kernel = None
+
+
+def _loaded_beam_kernel():
+    """``_beam_kernel``, loaded first (``rowkernel.loaded``) if no beam step
+    has been taken yet."""
+    global _beam_kernel
+    if _beam_kernel is None:
+        from . import rowkernel
+
+        _beam_kernel = rowkernel.loaded().beam_step or False
+    return _beam_kernel
+
+
+def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
+    """Full-sentence beam search from BOS under ``params.constraints``.
+
+    Returns the finished sequences with their raw scores (EOS included), the
+    final beam as (tokens, raw score, constraint progress, bank) entries, and
+    the decode statistics. See ``dba_decode`` for the search itself. Each
+    step's selection is ``rowkernel.CompiledStep``'s or ``_PythonStep``'s,
+    which give the same results; this loop holds the tokens, the finishes, the counts
+    and the stop reasons.
+    """
+    if params.beam_width < 1:
+        raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
+    if params.max_len < 0:
+        raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
+    # Inputs are checked once here: every later row is read unchecked, and
+    # hypotheses hold only content ids and constraint tokens.
+    src = as_tokens(source)
+    check_tokens(src, model.vocab, "source", content=False)
+    constraints = tuple(as_tokens(c) for c in params.constraints)
+    for c in constraints:
+        if len(c) == 0:
+            raise InvalidParams("constraint phrases must be non-empty")
+        check_tokens(c, model.vocab, "constraint")
+    rows_after = model.rows_after
+    beam_width = params.beam_width
+    # The step, compiled when the kernel loads and passes its check.
+    kernel = _loaded_beam_kernel()
+    start = [((), 0.0, tuple(0 for _ in constraints), 0)]
+    if kernel:
+        from .rowkernel import CompiledStep
+
+        take = CompiledStep(kernel, model.vocab, constraints, beam_width, start)
+    else:
+        take = _PythonStep(model.vocab, constraints, beam_width, start)
+
+    t0 = time.perf_counter()
+    fw = 0
+    pos_scored = 0
+    emitted = 0
+    stop_reason = STOP_MAX_LEN
+    hard_finishes = 0
+
+    tokens: list[Tokens] = [()]
+    finished: dict[Tokens, float] = {}
+
+    for step in range(params.max_len + 1):
+        last = step == params.max_len
+        # One memoised row per hypothesis, from one batched lookup; the
+        # statistics still count the logical forced pass over BOS + tokens
+        # that each row ends.
+        rows = rows_after(src, tokens)
+        fw += len(tokens)
+        pos_scored += len(tokens) * (step + 1)  # every hypothesis holds step tokens
+        survivors, finishes, hard = take(rows, tokens, last)
+        for parent, score in finishes:
+            finished.setdefault(tokens[parent], score)
+        if last:
+            break
+        hard_finishes += hard
+        if hard_finishes >= beam_width:
+            stop_reason = STOP_EMPTY_BEAM
+            break
+        tokens = [tokens[parent] + (tok,) for parent, tok in survivors]
+        take.advance()
         emitted += 1
 
     stats = DecodeStats(
@@ -507,7 +593,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return finished, beam, stats
+    return finished, take.beam(tokens), stats
 
 
 def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> BeamSearchResult:

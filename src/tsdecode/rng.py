@@ -19,16 +19,16 @@ always by ``_uniform``.
 
 A row's gamma variates are drawn by one of two loops that give the same
 bytes and consume the same draws. The compiled row kernel (``rowkernel``,
-``_rowkernel.c``) is built and loaded when a process draws its first row,
-and used only if it draws a fixed set of rows exactly as the Python loop
-does. Otherwise ``Stream._gammas``, the Python loop and the reference the
-kernel is checked against, draws every row; ``row_path()`` says which. The
-transcendentals of both loops are scalar libm calls, the ones CPython's
-``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` make, on the
-same operands in the same order, and never numpy's: ``np.log`` does not
-round like ``math.log`` on every input, and rows must not depend on which
-is used. The kernel is compiled without floating-point contraction or
-fast-math for the same reason.
+``_rowkernel.c``) is built and loaded when a process first draws a row or
+takes a beam step, and used only if it draws a fixed set of rows exactly as
+the Python loop does. Otherwise ``Stream._gammas``, the Python loop and the
+reference the kernel is checked against, draws every row; ``row_path()``
+says which. The transcendentals of both loops are scalar libm calls, the
+ones CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**``
+make, on the same operands in the same order, and never numpy's:
+``np.log`` does not round like ``math.log`` on every input, and rows must
+not depend on which is used. The kernel is compiled without floating-point
+contraction or fast-math for the same reason.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
@@ -55,7 +55,6 @@ same scalar loop, without the interpreter.
 from __future__ import annotations
 
 import math
-import threading
 from ctypes import c_double
 from typing import Iterable, Sequence
 
@@ -108,18 +107,16 @@ def hash_key(*parts: int | Iterable[int]) -> int:
 # The compiled row kernel's function once the first row is drawn, or False
 # when it is unavailable; None before.
 _kernel = None
-_kernel_lock = threading.Lock()
 
 
 def _loaded_kernel():
-    """``_kernel``, loaded first (under the lock) if no row has been drawn yet."""
+    """``_kernel``, loaded first (``rowkernel.loaded``) if no row has been
+    drawn yet."""
     global _kernel
     if _kernel is None:
-        with _kernel_lock:
-            if _kernel is None:
-                from . import rowkernel
+        from . import rowkernel
 
-                _kernel = rowkernel.load() or False
+        _kernel = rowkernel.loaded().gammas or False
     return _kernel
 
 

@@ -1,10 +1,13 @@
-"""The compiled row kernel: build, cache, load and check ``_rowkernel.c``.
+"""The compiled kernel: build, cache, load and check ``_rowkernel.c``.
 
-``_rowkernel.c`` is ``rng.Stream._gammas``, the loop that draws the gamma
-variates of a Dirichlet row, in C, statement for statement. ``rng`` calls
-``load`` when a process draws its first row, never at import, and draws
-every row with the kernel if ``load`` returns it, with the much slower
-``_gammas`` otherwise.
+``_rowkernel.c`` holds two functions, each the C twin of a Python loop:
+``tsd_gammas`` is ``rng.Stream._gammas``, which draws the gamma variates of
+a Dirichlet row, statement for statement, and ``tsd_beam_step`` is
+``decode._PythonStep``, one step of the full-sentence beam search. The
+first row draw or beam step of a process calls ``loaded``, never the
+import: it builds or finds the shared object and opens it once, for both
+functions. ``rng`` and ``decode`` then use each function that passed its
+check, and the much slower Python loop or step otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -17,24 +20,33 @@ name needs no ``hashlib``, which loads OpenSSL into the process. It is written
 to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
-Before the kernel is used, ``self_check`` draws ``CHECK_ROWS`` through both
-loops and requires every variate's bytes and every draw count to match. No
-compiler, a failed build or load, or a mismatch gives None, and rows are
-drawn by ``_gammas`` exactly as without the kernel. Without a compiler that
-is silent; any other failure is reported by one ``RuntimeWarning``. The
-cache holds code, never rows: every command still draws every row it
-reads.
+Each function is checked on its own before it is used. ``self_check`` draws
+``CHECK_ROWS`` through both row loops and requires every variate's bytes
+and every draw count to match; ``beam_self_check`` takes the ``CHECK_STEPS``
+steps of a small fixed decode with both steps and requires the same
+survivors, finishes and scores, byte for byte. A function that fails its
+check is replaced by its Python twin alone, so a row mismatch leaves the
+compiled beam step in use and the other way round. No compiler, or a failed
+build or load, leaves both to Python, exactly as without the kernel.
+Without a compiler that is silent; any other failure is reported by one
+``RuntimeWarning``. The cache holds code, never rows: every command still
+draws every row it reads.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import shlex
 import shutil
 import sysconfig
+import threading
 import warnings
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 from .rng import Stream, hash_key
 
@@ -45,13 +57,14 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 # must reproduce, byte for byte, before it is used. A boosted vocab-20 row
 # with a long run of rejections, more than 4n + 16 draws (key
 # hash_key(29, 20, 1098)), an unboosted row after three draws, the shape
-# 1.0 edge that does not boost, a vocab-100 row at concentration 0.05, and
-# a row whose every boost ``pow`` underflows to 0 (key hash_key(31, 8)).
+# 1.0 edge that does not boost, a short row at concentration 0.05 (a boost
+# power of 20), and a row whose every boost ``pow`` underflows to 0 (key
+# hash_key(31, 8)).
 CHECK_ROWS = (
     (0x863357EB4D8456EF, 0, 0.2, 20),
     (0x243F6A8885A308D3, 3, 2.5, 19),
     (0x13198A2E03707344, 0, 1.0, 7),
-    (0xA4093822299F31D0, 1, 0.05, 99),
+    (0xA4093822299F31D0, 1, 0.05, 9),
     (0x0E8764AD5652F529, 0, 0.001, 3),
 )
 
@@ -70,14 +83,23 @@ def cache_dir() -> Path:
     return (Path(base) if os.path.isabs(base) else Path.home() / ".cache") / "tsdecode"
 
 
-def load(directory: Path | None = None):
-    """The kernel's ``tsd_gammas`` from ``directory`` (``cache_dir()`` by
-    default), built there first if it is not there yet; None when there is
-    no compiler, or when the kernel cannot be built or loaded or fails
-    ``self_check``, which is reported as a warning."""
+class Functions(NamedTuple):
+    """The kernel's functions that passed their checks; None for each that
+    did not, or when the kernel could not be built or loaded."""
+
+    gammas: object = None
+    beam_step: object = None
+
+
+def load(directory: Path | None = None) -> Functions:
+    """The kernel's functions from ``directory`` (``cache_dir()`` by
+    default), built there first if it is not there yet, each kept only if it
+    passes its own check: ``self_check`` for ``tsd_gammas`` and
+    ``beam_self_check`` for ``tsd_beam_step``. Each failure is reported as
+    one warning, except a missing compiler."""
     cc = compiler()
     if cc is None or shutil.which(cc[0]) is None:
-        return None
+        return Functions()
     try:
         command = [*cc, *FLAGS]
         directory = cache_dir() if directory is None else directory
@@ -88,14 +110,47 @@ def load(directory: Path | None = None):
         path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
-        kernel = _open(path)
-        if self_check(kernel):
-            return kernel
-        problem = "its rows differ from the Python loop's"
-    except Exception as exc:  # whatever fails, rows are drawn by the Python loop
+        gammas, beam_step = _open(path)
+    except Exception as exc:  # whatever fails, rows are drawn and beams stepped in Python
+        _warn("kernel", repr(exc), "rows are drawn and beams are stepped in Python")
+        return Functions()
+    return Functions(
+        _checked(gammas, self_check, "row kernel", "rows are drawn in Python"),
+        _checked(beam_step, beam_self_check, "beam step", "beams are stepped in Python"),
+    )
+
+
+def _checked(function, check, name: str, fallback: str):
+    """``function`` if ``check(function)`` holds; otherwise None, with one
+    warning."""
+    try:
+        if check(function):
+            return function
+        problem = "it differs from the Python reference"
+    except Exception as exc:  # a check that cannot run rejects the function
         problem = repr(exc)
-    warnings.warn(f"the row kernel is not used ({problem}); rows are drawn in Python", RuntimeWarning, stacklevel=2)
+    _warn(name, problem, fallback)
     return None
+
+
+def _warn(name: str, problem: str, fallback: str) -> None:
+    warnings.warn(f"the compiled {name} is not used ({problem}); {fallback}", RuntimeWarning, stacklevel=4)
+
+
+# This process's functions, once loaded.
+_loaded: Functions | None = None
+_lock = threading.Lock()
+
+
+def loaded() -> Functions:
+    """``load()``'s functions for this process: the first call, from the
+    first row draw or beam step, builds or finds the kernel and opens it;
+    every later call returns the same functions."""
+    global _loaded
+    with _lock:
+        if _loaded is None:
+            _loaded = load()
+        return _loaded
 
 
 def _check_private(directory: Path) -> None:
@@ -122,12 +177,17 @@ def _compile(command: list[str], path: Path) -> None:
         raise
 
 
-def _open(path: Path):
-    kernel = ctypes.CDLL(str(path)).tsd_gammas
-    kernel.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
+def _open(path: Path) -> tuple:
+    """``tsd_gammas`` and ``tsd_beam_step`` from the shared object at
+    ``path``, with their argument and result types."""
+    library = ctypes.CDLL(str(path))
+    gammas, beam_step = library.tsd_gammas, library.tsd_beam_step
+    gammas.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
                        ctypes.POINTER(ctypes.c_double))
-    kernel.restype = ctypes.c_uint64
-    return kernel
+    gammas.restype = ctypes.c_uint64
+    beam_step.argtypes = (ctypes.c_void_p, ctypes.c_int64)
+    beam_step.restype = ctypes.c_int64
+    return gammas, beam_step
 
 
 def self_check(kernel) -> bool:
@@ -141,4 +201,179 @@ def self_check(kernel) -> bool:
         drawn = kernel(key, start, n, concentration, got)
         if bytes(got) != bytes((ctypes.c_double * n)(*want)) or start + drawn != stream._counter:
             return False
+    return True
+
+
+class _BeamBuffers(ctypes.Structure):
+    """``struct tsd_beam`` of ``_rowkernel.c``."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "vocab", "width", "eos", "lo", "n_content", "n_phrases", "complete", "cur", "n_finished", "hard"
+        )]
+        + [(name, ctypes.c_void_p) for name in (
+            "phrases", "starts", "rows", "parent", "token", "finished", "finish_score"
+        )]
+        + [("size", ctypes.c_int64 * 2)]
+        + [(name, ctypes.c_void_p * 2) for name in ("lp", "progress", "bank", "order")]
+    )
+
+
+class CompiledStep:
+    """``decode._PythonStep``'s interface and results through
+    ``tsd_beam_step``.
+
+    The beam lives in two buffers, one of doubles and one of 64-bit
+    integers, that each decode allocates once and the kernel reads and
+    writes at addresses taken once (``_BeamBuffers``); per step Python
+    copies the rows in and reads the survivors and finishes out, and the
+    tokens, which the kernel never reads, stay with the caller. The kernel
+    breaks token ties by each hypothesis's rank among the beam's tokens in
+    lexicographic order, computed here for the first beam and by the kernel
+    for every next one.
+    """
+
+    def __init__(self, kernel, vocab, constraints: tuple[tuple[int, ...], ...], beam_width: int, beam: list) -> None:
+        width, size, n = beam_width, vocab.size, len(constraints)
+        content = vocab.content_ids
+        flat = [tok for phrase in constraints for tok in phrase]
+        # The kernel indexes its buffers with these without checking them.
+        if len(beam) > width or any(tok not in content for tok in flat):
+            raise ValueError("the beam is wider than its width, or a phrase holds a non-content id")
+        for _, _, progress, bank in beam:
+            if len(progress) != n or bank != sum(progress) or any(
+                not 0 <= pos <= len(phrase) for pos, phrase in zip(progress, constraints)
+            ):
+                raise ValueError(f"progress {progress} and bank {bank} do not fit the phrases {constraints}")
+        starts = [0]
+        for phrase in constraints:
+            starts.append(starts[-1] + len(phrase))
+        # The doubles: the rows, then the scores (two sides), then the
+        # finishes' scores. The integers: the phrases and their starts, then
+        # progress, bank and order (two sides each), then the survivors'
+        # parents and tokens, then the finishes' parents. Each ``*_at`` is a
+        # section's first index.
+        self.lp_at = width * size
+        self.score_at = self.lp_at + 2 * width
+        self.progress_at = len(flat) + n + 1
+        self.bank_at = self.progress_at + 2 * width * n
+        order_at = self.bank_at + 2 * width
+        self.parent_at = order_at + 2 * width
+        self.token_at = self.parent_at + width
+        self.finished_at = self.token_at + width
+        # numpy buffers, not ctypes arrays: each ctypes array length is a new
+        # type that ctypes keeps for the life of the process.
+        reals = self.reals = np.zeros(self.score_at + 2 * width)
+        ints = self.ints = np.zeros(self.finished_at + 2 * width, dtype=np.int64)
+        ints[: self.progress_at] = flat + starts
+        for b, (_, lp, progress, bank) in enumerate(beam):
+            reals[self.lp_at + b] = lp
+            ints[self.progress_at + b * n : self.progress_at + (b + 1) * n] = progress
+            ints[self.bank_at + b] = bank
+        for rank_, b in enumerate(sorted(range(len(beam)), key=lambda b: beam[b][0])):
+            ints[order_at + b] = rank_
+
+        reals_at, ints_at = reals.__array_interface__["data"][0], ints.__array_interface__["data"][0]
+
+        def real(i):
+            return reals_at + 8 * i
+
+        def integer(i):
+            return ints_at + 8 * i
+
+        buffers = self.buffers = _BeamBuffers(
+            size, width, vocab.eos_id, content[0], len(content), n, len(flat), 0, 0, 0,
+            integer(0), integer(len(flat)), real(0), integer(self.parent_at), integer(self.token_at),
+            integer(self.finished_at), real(self.score_at), (len(beam), 0),
+            (real(self.lp_at), real(self.lp_at + width)),
+            (integer(self.progress_at), integer(self.progress_at + width * n)),
+            (integer(self.bank_at), integer(self.bank_at + width)),
+            (integer(order_at), integer(order_at + width)),
+        )
+        self.kernel, self.address, self.width, self.n_phrases = kernel, ctypes.addressof(buffers), width, n
+        self.block = reals[: width * size].reshape(width, size)
+
+    def __call__(self, rows, tokens: list[tuple[int, ...]], last: bool):
+        self.block[: len(rows)] = rows
+        n = self.kernel(self.address, last)
+        if n < 0:
+            raise MemoryError("tsd_beam_step could not allocate its candidates")
+        ints, buffers = self.ints, self.buffers
+        finishes = ()
+        if buffers.n_finished:
+            f, s, k = self.finished_at, self.score_at, buffers.n_finished
+            finishes = zip(ints[f : f + k].tolist(), self.reals[s : s + k].tolist())
+        parents, new = ints[self.parent_at : self.parent_at + n], ints[self.token_at : self.token_at + n]
+        return zip(parents.tolist(), new.tolist()), finishes, buffers.hard
+
+    def advance(self) -> None:
+        self.buffers.cur ^= 1
+
+    def beam(self, tokens: list[tuple[int, ...]]) -> list:
+        side, n, m = self.buffers.cur, self.n_phrases, len(tokens)
+        lp_at = self.lp_at + side * self.width
+        bank_at = self.bank_at + side * self.width
+        progress_at = self.progress_at + side * self.width * n
+        lps, banks = self.reals[lp_at : lp_at + m].tolist(), self.ints[bank_at : bank_at + m].tolist()
+        progress = self.ints[progress_at : progress_at + m * n].tolist()
+        return [(t, lps[b], tuple(progress[b * n : (b + 1) * n]), banks[b]) for b, t in enumerate(tokens)]
+
+
+# A decode the compiled beam step must reproduce, byte for byte, before it
+# is used: vocab 6 (content ids 2-5), the phrases (3, 4) and (2,), beam
+# width 3, four steps from a beam of three two-token hypotheses, the fourth
+# at the length budget. A hypothesis's row is CHECK_TABLE's row for its last
+# token. Row values repeat, so children tie with each other and with EOS
+# candidates; a bank between two non-empty ones stays empty; EOS candidates
+# finish inside the window and their bank's slots; and a complete
+# hypothesis whose argmax is not EOS is forced to finish at the budget.
+# Found by search: it tells the step from copies with the token tie-break,
+# the EOS tie-break, the slot remainder, the next beam's token order, the
+# argmax, the window, the backfill or the forced children's dedup changed.
+CHECK_PHRASES = ((3, 4), (2,))
+CHECK_BEAM = [((2, 3), -0.5, (1, 1), 2), ((4, 4), -1.0, (0, 0), 0), ((4, 5), -1.0, (0, 0), 0)]
+_NO = -math.inf  # BOS, never a next token
+CHECK_TABLE = {
+    2: [_NO, -0.5, -0.5, -0.5, -1.0, -1.0],
+    3: [_NO, -0.5, -2.0, -2.0, -0.5, -0.5],
+    4: [_NO, -1.0, -0.5, -1.0, -1.0, -0.5],
+    5: [_NO, -2.0, -1.0, -2.0, -2.0, -2.0],
+}
+CHECK_STEPS = 4
+
+
+def step_outputs(take, rows, tokens, last: bool):
+    """One step of ``take`` (a ``decode._PythonStep`` or a
+    ``CompiledStep``) as plain data, each score as its ``float.hex``:
+    the survivors, the finishes, the count of window and slot finishes, and
+    the next beam's entries, to which ``take`` advances."""
+    survivors, finishes, hard = take(rows, tokens, last)
+    survivors = list(survivors)
+    finishes = [(parent, score.hex()) for parent, score in finishes]
+    beam = []
+    if not last:
+        take.advance()
+        beam = take.beam([tokens[parent] + (tok,) for parent, tok in survivors])
+        beam = [(t, lp.hex(), progress, bank) for t, lp, progress, bank in beam]
+    return survivors, finishes, hard, beam
+
+
+def beam_self_check(beam_step) -> bool:
+    """Whether ``beam_step`` takes ``CHECK_STEPS`` steps exactly as
+    ``decode._PythonStep`` does."""
+    from .core import Vocab
+    from .decode import _PythonStep
+
+    vocab = Vocab(6)
+    steps = [
+        _PythonStep(vocab, CHECK_PHRASES, 3, CHECK_BEAM),
+        CompiledStep(beam_step, vocab, CHECK_PHRASES, 3, CHECK_BEAM),
+    ]
+    tokens = [entry[0] for entry in CHECK_BEAM]
+    for step in range(CHECK_STEPS):
+        rows = [CHECK_TABLE[t[-1]] for t in tokens]
+        want, got = (step_outputs(take, rows, tokens, step == CHECK_STEPS - 1) for take in steps)
+        if want != got:
+            return False
+        tokens = [entry[0] for entry in want[3]]
     return True

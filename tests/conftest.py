@@ -8,6 +8,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel
 
+from util import beam_steps_by
+
 
 # The four-token lookup fixture used throughout: bos=0, eos=1, a=2, b=3,
 # order 1, single source [a]. Rows chosen so the modal sentence is "a b".
@@ -43,3 +45,11 @@ def m1_task(m1_src):
 def m1_task_empty(m1_src):
     """Unconstrained task: both prefix and suffix empty."""
     return TsTask("m1e", m1_src, TokenSeq(()), TokenSeq(()))
+
+
+@pytest.fixture
+def beam_path(request):
+    """Takes the test's beam-search steps with the step named by its
+    parameter, ``"python"`` or ``"kernel"`` (``util.beam_paths``)."""
+    with beam_steps_by(request.param):
+        yield request.param

@@ -51,11 +51,11 @@ def test_key_equals_hash_key(vocab_size, order, perturbed, seed, data):
         ([hash_key(5, 19, k) for k in range(5)], 19),
         ([hash_key(7, 99, k) for k in range(3)], 99),
         # The middle row has a long run of rejections (test_rng's
-        # test_dirichlet_extends_its_uniform_list).
+        # test_dirichlet_row_with_a_long_rejection_run_matches_reference).
         ([hash_key(29, 20, 1097), hash_key(29, 20, 1098), hash_key(29, 20, 1099)], 20),
     ],
 )
-def test_rows_with_a_kept_column_match_single_streams(keys, n):
+def test_row_blocks_match_single_streams(keys, n):
     with recorded_counters() as counters:
         block = dirichlet_rows(keys, 0.2, n)
         block_counters = dict(counters)

@@ -149,7 +149,7 @@ def assert_interleaving_matches_scalar_reference(key, draws):
 
 
 @pytest.mark.parametrize("n", [1, 2, 128, 129, 130, 257, 258])
-def test_draws_at_block_edges(n):
+def test_scalar_draws_match_the_reference_at_any_count(n):
     # Each scalar draw is computed alone, so counts that straddle multiples
     # of a block size (128 here) draw what the reference draws.
     key = hash_key(19, n)
@@ -210,7 +210,7 @@ def test_dirichlet_matches_scalar_gamma_reference(key, shape, n, prior):
     assert_dirichlet_matches_reference(key, shape, n, prior)
 
 
-def test_dirichlet_extends_its_uniform_list():
+def test_dirichlet_row_with_a_long_rejection_run_matches_reference():
     # Found by search: a row with a long run of rejections, which takes more
     # than 4n + 16 draws (about 4.11 per variate is typical at 0.2).
     n = 20

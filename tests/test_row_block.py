@@ -136,7 +136,8 @@ def test_any_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefi
 
 def test_block_with_an_overrunning_row_matches_single_rows():
     # The middle key's row has a long run of rejections, more than 4n + 16
-    # draws (see test_rng.test_dirichlet_extends_its_uniform_list). Both
+    # draws (see test_rng's
+    # test_dirichlet_row_with_a_long_rejection_run_matches_reference). Both
     # loops draw the same rows and counts in a block as one at a time.
     n = 20
     keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]

@@ -10,16 +10,20 @@ import subprocess
 import sys
 import sysconfig
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode import rng, rowkernel
+from tsdecode import decode, rng, rowkernel
+from tsdecode.core import Vocab
+from tsdecode.decode import DbaParams
+from tsdecode.lm import NgramGenModel
 from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
-from util import gamma, row_paths, rows_drawn_by
+from util import gamma, reference_beam_core, row_paths, rows_drawn_by
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
@@ -51,7 +55,7 @@ def reference_row(key, concentration, n):
 @needs_compiler
 def test_kernel_loads_where_a_compiler_runs(tmp_path):
     directory = tmp_path / "cache"
-    assert rowkernel.load(directory) is not None
+    assert all(rowkernel.load(directory))
     assert directory.stat().st_mode & 0o777 == 0o700
     (built,) = directory.iterdir()
     assert built.name.startswith("rowkernel-") and built.suffix == ".so"
@@ -70,7 +74,7 @@ def test_kernel_rows_equal_python_rows(key, start, concentration, n):
 
 
 @needs_kernel
-def test_kernel_rows_match_past_the_draws_computed_up_front():
+def test_kernel_row_with_a_long_rejection_run_matches_python():
     got = drawn_row("kernel", KEYS[1], 0, 0.2, 20)
     assert got == drawn_row("python", KEYS[1], 0, 0.2, 20)
     assert got[1] > 4 * 20 + 16
@@ -86,12 +90,12 @@ def test_a_cached_kernel_is_loaded_without_compiling(tmp_path, monkeypatch):
         compile_(command, path)
 
     monkeypatch.setattr(rowkernel, "_compile", recorded)
-    assert rowkernel.load(tmp_path) is not None
-    assert rowkernel.load(tmp_path) is not None
+    assert all(rowkernel.load(tmp_path))
+    assert all(rowkernel.load(tmp_path))
     assert len(compiled) == 1
     # Another compile command names another file, built afresh.
     monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + ("-g",))
-    assert rowkernel.load(tmp_path) is not None
+    assert all(rowkernel.load(tmp_path))
     assert len(compiled) == 2 and compiled[0] != compiled[1]
     assert sorted(tmp_path.iterdir()) == sorted(compiled)
 
@@ -101,15 +105,15 @@ def test_a_cache_directory_others_may_write_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(rowkernel, "_compile", lambda command, path: pytest.fail("compiled"))
     tmp_path.chmod(0o777)
     with pytest.warns(RuntimeWarning, match="not private to this user"):
-        assert rowkernel.load(tmp_path) is None
+        assert rowkernel.load(tmp_path) == (None, None)
 
 
 def loaded_with_warnings(directory):
     """``rowkernel.load(directory)`` and the categories of the warnings it gave."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        kernel = rowkernel.load(directory)
-    return kernel, [w.category for w in caught]
+        functions = rowkernel.load(directory)
+    return functions, [w.category for w in caught]
 
 
 def _refuse(*args, **kwargs):
@@ -133,42 +137,84 @@ def _one_draw_short(kernel):
     return lambda key, start, n, concentration, out: kernel(key, start, n, concentration, out) - 1
 
 
-def _opened_as(wrap):
+def _step_one_short(beam_step):
+    return lambda at, last: max(beam_step(at, last) - 1, 0)
+
+
+def _score_one_ulp_off(beam_step):
+    def wrong(at, last):
+        n = beam_step(at, last)
+        buffers = rowkernel._BeamBuffers.from_address(at)
+        if n:
+            scores = (ctypes.c_double * n).from_address(buffers.lp[1 - buffers.cur])
+            scores[n - 1] = math.nextafter(scores[n - 1], -math.inf)
+        return n
+
+    return wrong
+
+
+def _opened_as(wrap, which):
+    """``rowkernel._open`` with its ``which``-th function wrapped by ``wrap``."""
     open_ = rowkernel._open
-    return lambda path: wrap(open_(path))
+
+    def opened(path):
+        functions = list(open_(path))
+        functions[which] = wrap(functions[which])
+        return tuple(functions)
+
+    return opened
 
 
-# Without a compiler the Python loop is taken silently; any other failure
-# is reported.
+# Without a compiler the Python loop and step are taken silently; any other
+# failure is reported. A row kernel that fails its check leaves the compiled
+# beam step in use, and a beam step that fails its check the row kernel.
 SILENT = {"no-compiler-named", "compiler-missing"}
+ROWS_ONLY = {"wrong-bytes", "wrong-count"}
+STEPS_ONLY = {"step-one-short", "step-score-wrong"}
 FALLBACKS = {
     "no-compiler-named": (sysconfig, "get_config_var", lambda name: None),
     "compiler-missing": (sysconfig, "get_config_var", lambda name: "/nonexistent/cc"),
     "compiler-fails": (sysconfig, "get_config_var", lambda name: "false"),
     "compile-step-fails": (rowkernel, "_compile", _fail_to_compile),
     "load-fails": (ctypes, "CDLL", _refuse),
-    "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off)),
-    "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short)),
+    "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, 0)),
+    "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short, 0)),
+    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, 1)),
+    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 1)),
 }
+# A constrained decode whose beams the Python step must take as the
+# reference does.
+PARAMS = DbaParams(4, 10, ((4,), (6, 2)))
 
 
 @pytest.mark.parametrize("fallback", sorted(FALLBACKS))
 def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch):
     monkeypatch.setattr(*FALLBACKS[fallback])
-    kernel, warned = loaded_with_warnings(tmp_path / "cache")
-    assert kernel is None
+    functions, warned = loaded_with_warnings(tmp_path / "cache")
+    assert (functions.gammas is None) == (fallback not in STEPS_ONLY)
+    assert (functions.beam_step is None) == (fallback not in ROWS_ONLY)
     assert warned == ([] if fallback in SILENT else [RuntimeWarning])
     assert not list(tmp_path.glob("cache/.build-*"))
     # A process that draws its first row now draws every row with the Python
-    # loop: the reference's bytes and draw counts, block or not.
+    # loop, unless only the beam step failed: the reference's bytes and draw
+    # counts, block or not. Its beams are taken by the Python step unless
+    # only the row kernel failed.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(rowkernel, "_loaded", None)
     monkeypatch.setattr(rng, "_kernel", None)
+    monkeypatch.setattr(decode, "_beam_kernel", None)
     with warnings.catch_warnings(record=True):
         rows = dirichlet_rows(KEYS, 0.2, 20)
-    assert rng.row_path() == "python"
+    assert rng.row_path() == ("kernel" if fallback in STEPS_ONLY else "python")
+    assert bool(decode._loaded_beam_kernel()) == (fallback in ROWS_ONLY)
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
+    want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
+    assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
+    assert replace(stats, wall_time_us=0) == want_stats
 
 
 @needs_compiler
@@ -205,12 +251,12 @@ def test_drawing_a_row_loads_no_openssl():
 @needs_compiler
 def test_the_cached_name_changes_with_the_source_and_the_platform(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
-    assert rowkernel.load(cache) is not None
+    assert all(rowkernel.load(cache))
     changed = tmp_path / "_rowkernel.c"
     changed.write_bytes(rowkernel.SOURCE.read_bytes() + b"\n")
     monkeypatch.setattr(rowkernel, "SOURCE", changed)
-    assert rowkernel.load(cache) is not None
+    assert all(rowkernel.load(cache))
     platform = sysconfig.get_platform()
     monkeypatch.setattr(sysconfig, "get_platform", lambda: platform + "-other")
-    assert rowkernel.load(cache) is not None
+    assert all(rowkernel.load(cache))
     assert len(list(cache.glob("rowkernel-*.so"))) == 3

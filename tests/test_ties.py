@@ -16,14 +16,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_search, dba_decode, psgd
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import rank
 
-from util import ranked_expansions, reference_beam_core
+from util import beam_paths, over_beam_paths, ranked_expansions, reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -118,14 +118,14 @@ _BEAM_ARGS = "name, src, width, max_len, tokens, score, finished"
 _DBA_ARGS = "name, src, constraints, width, max_len, tokens, score, fw, emitted, stop"
 
 
-@pytest.mark.parametrize(_BEAM_ARGS, BEAM_SEARCH, ids=pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
-def test_beam_search_ties_pinned(name, src, width, max_len, tokens, score, finished):
+@over_beam_paths(_BEAM_ARGS, BEAM_SEARCH, pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
+def test_beam_search_ties_pinned(beam_path, name, src, width, max_len, tokens, score, finished):
     got = beam_search(MODELS[name], src, width, max_len)
     assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
 
 
-@pytest.mark.parametrize(_DBA_ARGS, DBA, ids=pinned_ids(_DBA_ARGS, DBA, 8))
-def test_dba_decode_ties_pinned(name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
+@over_beam_paths(_DBA_ARGS, DBA, pinned_ids(_DBA_ARGS, DBA, 8))
+def test_dba_decode_ties_pinned(beam_path, name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
     got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints))
     assert (got.tokens, sel) == (tokens, score)
     assert (stats.forward_passes, stats.emitted_steps, stats.stop_reason) == (fw, emitted, stop)
@@ -242,10 +242,11 @@ _WINDOW_DECIDES = (
 )
 
 
+@pytest.mark.parametrize("beam_path", beam_paths(), indirect=True)
 @given(_beam_core_cases())
 @example(_WINDOW_DECIDES)
-@settings(max_examples=300, deadline=None)
-def test_beam_core_equals_per_bank_sort_reference(case):
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_beam_core_equals_per_bank_sort_reference(beam_path, case):
     # The one ranked list per step must pick exactly what sorting the window,
     # each bank, the leftovers and the next beam on their own picked.
     model, params = case

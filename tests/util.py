@@ -10,6 +10,7 @@ import math
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 from tsdecode import core, decode, lm, rng
 from tsdecode.core import TokenSeq, TsTask, Vocab
@@ -130,6 +131,40 @@ def rows_drawn_by(path):
         yield
     finally:
         rng._kernel = loaded
+
+
+def beam_paths():
+    """The steps that can take a beam-search step here: ``"python"`` always,
+    and ``"kernel"`` where the compiled beam step builds, loads and passes
+    its check."""
+    return ("python", "kernel") if decode._loaded_beam_kernel() else ("python",)
+
+
+@contextmanager
+def beam_steps_by(path):
+    """Take every beam-search step with ``path``'s step while the block is open."""
+    loaded = decode._loaded_beam_kernel()
+    assert path == "python" or loaded, "the compiled beam step is not loaded"
+    decode._beam_kernel = loaded if path == "kernel" else False
+    try:
+        yield
+    finally:
+        decode._beam_kernel = loaded
+
+
+def over_beam_paths(argnames, table, ids):
+    """``pytest.mark.parametrize`` of ``argnames`` over ``table``, each row
+    on every beam path (the ``beam_path`` fixture): the Python step's ids
+    are ``ids``, the compiled step's end in ``-kernel``."""
+    return pytest.mark.parametrize(
+        "beam_path, " + argnames,
+        [
+            pytest.param(path, *row, id=row_id if path == "python" else f"{row_id}-{path}")
+            for path in beam_paths()
+            for row, row_id in zip(table, ids)
+        ],
+        indirect=["beam_path"],
+    )
 
 
 def record_token_checks(monkeypatch) -> list[str]:
