@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import ClassVar, Iterable, Iterator
 
@@ -49,9 +50,9 @@ class Vocab:
         if self.size < 3:
             raise ValueError(f"vocab size must be >= 3, got {self.size}")
 
-    @property
+    @cached_property
     def content_ids(self) -> tuple[int, ...]:
-        """All ids except BOS and EOS, ascending."""
+        """All ids except BOS and EOS, ascending; computed once per vocabulary."""
         return tuple(
             i for i in range(self.size) if i != self.bos_id and i != self.eos_id
         )
@@ -63,7 +64,7 @@ class TokenSeq:
     says what it is."""
 
     tokens: tuple[int, ...] = ()
-    role: InitVar[str | None] = None  # accepted and dropped until bench/ stops passing one (ROADMAP item 3)
+    role: InitVar[str | None] = None  # accepted and dropped; deleted (ROADMAP item 6) once item 1 stops bench/ passing one
 
     def __post_init__(self, role: str | None) -> None:
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))

@@ -30,9 +30,10 @@ from that one order.
 The beam loop takes each step with one of two steps that give the same
 results: ``rowkernel.CompiledStep``, ``_rowkernel.c``'s ``tsd_beam_step``
 on buffers each decode allocates once, when the kernel builds, loads and
-passes its check, and ``_PythonStep`` otherwise, which is also the
-reference the compiled step is checked against. The loop itself holds the
-tokens, the finishes, the counts and the stop reasons, the same for both.
+passes its check (``rng.compiled().beam_step``), and ``_PythonStep``
+otherwise, which is also the reference the compiled step is checked
+against. The loop itself holds the tokens, the finishes, the counts and the
+stop reasons, the same for both.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows through the model's one unchecked batched lookup,
@@ -55,6 +56,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rng
 from .core import (
     STOP_EMPTY_BEAM,
     STOP_MAX_LEN,
@@ -504,22 +506,6 @@ class _PythonStep:
         return [(t, *entry) for t, entry in zip(tokens, self.state)]
 
 
-# The compiled beam step once the first beam step is taken, or False when it
-# is unavailable; None before.
-_beam_kernel = None
-
-
-def _loaded_beam_kernel():
-    """``_beam_kernel``, loaded first (``rowkernel.loaded``) if no beam step
-    has been taken yet."""
-    global _beam_kernel
-    if _beam_kernel is None:
-        from . import rowkernel
-
-        _beam_kernel = rowkernel.loaded().beam_step or False
-    return _beam_kernel
-
-
 def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
     """Full-sentence beam search from BOS under ``params.constraints``.
 
@@ -546,7 +532,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
     rows_after = model.rows_after
     beam_width = params.beam_width
     # The step, compiled when the kernel loads and passes its check.
-    kernel = _loaded_beam_kernel()
+    kernel = rng.compiled().beam_step
     start = [((), 0.0, tuple(0 for _ in constraints), 0)]
     if kernel:
         from .rowkernel import CompiledStep

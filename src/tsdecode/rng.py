@@ -22,13 +22,14 @@ bytes and consume the same draws. The compiled row kernel (``rowkernel``,
 ``_rowkernel.c``) is built and loaded when a process first draws a row or
 takes a beam step, and used only if it draws a fixed set of rows exactly as
 the Python loop does. Otherwise ``Stream._gammas``, the Python loop and the
-reference the kernel is checked against, draws every row; ``row_path()``
-says which. The transcendentals of both loops are scalar libm calls, the
-ones CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**``
-make, on the same operands in the same order, and never numpy's:
-``np.log`` does not round like ``math.log`` on every input, and rows must
-not depend on which is used. The kernel is compiled without floating-point
-contraction or fast-math for the same reason.
+reference the kernel is checked against, draws every row. ``compiled()``
+loads the kernel once per process, for rows and beam steps alike. The
+transcendentals of both loops are scalar libm calls, the ones CPython's
+``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` make, on the same
+operands in the same order, and never numpy's: ``np.log`` does not round
+like ``math.log`` on every input, and rows must not depend on which is used.
+The kernel is compiled without floating-point contraction or fast-math for
+the same reason.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
@@ -55,6 +56,7 @@ same scalar loop, without the interpreter.
 from __future__ import annotations
 
 import math
+import threading
 from ctypes import c_double
 from typing import Iterable, Sequence
 
@@ -104,27 +106,24 @@ def hash_key(*parts: int | Iterable[int]) -> int:
     return h
 
 
-# The compiled row kernel's function once the first row is drawn, or False
-# when it is unavailable; None before.
-_kernel = None
+# This process's compiled kernel, a ``rowkernel.Functions``, once the first
+# row draw or beam step has loaded it; None before.
+_compiled = None
+_lock = threading.Lock()
 
 
-def _loaded_kernel():
-    """``_kernel``, loaded first (``rowkernel.loaded``) if no row has been
-    drawn yet."""
-    global _kernel
-    if _kernel is None:
-        from . import rowkernel
+def compiled():
+    """The compiled kernel's functions for this process, None for each that
+    runs in Python: the first call, from the first row draw or beam step,
+    builds or finds the kernel and opens it (``rowkernel.load``); every later
+    call returns the same functions."""
+    global _compiled
+    with _lock:
+        if _compiled is None:
+            from . import rowkernel
 
-        _kernel = rowkernel.loaded().gammas or False
-    return _kernel
-
-
-def row_path() -> str:
-    """Which loop draws Dirichlet rows in this process: ``"kernel"``, the
-    compiled ``_rowkernel.c``, or ``"python"``, ``Stream._gammas``. Loads
-    the kernel if no row has been drawn yet."""
-    return "kernel" if _loaded_kernel() else "python"
+            _compiled = rowkernel.load()
+        return _compiled
 
 
 def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
@@ -168,20 +167,20 @@ class Stream:
         """Symmetric Dirichlet draw of length ``n``: ``n`` unit-scale gamma
         variates, normalized.
 
-        Each variate takes the draws, and does the arithmetic, of one call
-        of the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
+        Each variate takes the draws, and does the arithmetic, of one call of
+        the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
         ``concentration``, in the same order. The compiled kernel draws the
-        variates when it is loaded (``row_path()``), ``_gammas`` otherwise.
-        The row is normalized in place in its own buffer, summed by
-        ``np.add.reduce`` (``ndarray.sum`` without its Python wrapper, so
-        the same bytes). If every variate underflows to 0, as at very small
+        variates when it passed its check (``compiled().gammas``), ``_gammas``
+        otherwise. The row is normalized in place in its own buffer, summed by
+        ``np.add.reduce`` (``ndarray.sum`` without its Python wrapper, so the
+        same bytes). If every variate underflows to 0, as at very small
         concentrations, the row is uniform.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
         if not 0.0 < concentration < math.inf:
             raise ValueError(f"dirichlet concentration must be finite and > 0, got {concentration}")
-        kernel = _kernel if _kernel is not None else _loaded_kernel()
+        kernel = (_compiled or compiled()).gammas
         if kernel:
             gammas = (c_double * n)()
             self._counter += kernel(self._key, self._counter, n, concentration, gammas)

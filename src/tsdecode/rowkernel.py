@@ -3,11 +3,11 @@
 ``_rowkernel.c`` holds two functions, each the C twin of a Python loop:
 ``tsd_gammas`` is ``rng.Stream._gammas``, which draws the gamma variates of
 a Dirichlet row, statement for statement, and ``tsd_beam_step`` is
-``decode._PythonStep``, one step of the full-sentence beam search. The
-first row draw or beam step of a process calls ``loaded``, never the
-import: it builds or finds the shared object and opens it once, for both
-functions. ``rng`` and ``decode`` then use each function that passed its
-check, and the much slower Python loop or step otherwise.
+``decode._PythonStep``, one step of the full-sentence beam search. This
+module holds no state: ``rng.compiled()`` calls ``load`` once per process,
+on the first row draw or beam step, never on import, for both functions.
+``rng`` and ``decode`` then use each function that passed its check, and
+the much slower Python loop or step otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -41,7 +41,6 @@ import os
 import shlex
 import shutil
 import sysconfig
-import threading
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -135,22 +134,6 @@ def _checked(function, check, name: str, fallback: str):
 
 def _warn(name: str, problem: str, fallback: str) -> None:
     warnings.warn(f"the compiled {name} is not used ({problem}); {fallback}", RuntimeWarning, stacklevel=4)
-
-
-# This process's functions, once loaded.
-_loaded: Functions | None = None
-_lock = threading.Lock()
-
-
-def loaded() -> Functions:
-    """``load()``'s functions for this process: the first call, from the
-    first row draw or beam step, builds or finds the kernel and opens it;
-    every later call returns the same functions."""
-    global _loaded
-    with _lock:
-        if _loaded is None:
-            _loaded = load()
-        return _loaded
 
 
 def _check_private(directory: Path) -> None:

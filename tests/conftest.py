@@ -8,7 +8,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import TableModel
 
-from util import beam_steps_by
+from util import run_by
 
 
 # The four-token lookup fixture used throughout: bos=0, eos=1, a=2, b=3,
@@ -50,6 +50,6 @@ def m1_task_empty(m1_src):
 @pytest.fixture
 def beam_path(request):
     """Takes the test's beam-search steps with the step named by its
-    parameter, ``"python"`` or ``"kernel"`` (``util.beam_paths``)."""
-    with beam_steps_by(request.param):
+    parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
+    with run_by("beam_step", request.param):
         yield request.param

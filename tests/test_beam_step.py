@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsdecode import decode
+from tsdecode import decode, rng
 from tsdecode.core import Vocab
 from tsdecode.rowkernel import CompiledStep, step_outputs
 
-from util import beam_paths
+from util import kernel_paths
 
 needs_beam_kernel = pytest.mark.skipif(
-    "kernel" not in beam_paths(), reason="the compiled beam step cannot be built here"
+    "kernel" not in kernel_paths("beam_step"), reason="the compiled beam step cannot be built here"
 )
 
 # Few distinct values, so scores tie across parents, tokens and EOS.
@@ -69,7 +69,7 @@ def _every_candidate_eos():
 @settings(max_examples=300, deadline=None)
 def test_compiled_step_equals_python_step(case):
     vocab, phrases, width, beam, rows, last = case
-    kernel = decode._loaded_beam_kernel()
+    kernel = rng.compiled().beam_step
     takes = [
         decode._PythonStep(vocab, phrases, width, beam),
         CompiledStep(kernel, vocab, phrases, width, beam),
@@ -85,7 +85,7 @@ def test_compiled_step_equals_python_step(case):
 @needs_beam_kernel
 def test_every_candidate_eos_fills_the_window():
     vocab, phrases, width, beam, rows, _ = _every_candidate_eos()
-    take = CompiledStep(decode._loaded_beam_kernel(), vocab, phrases, width, beam)
+    take = CompiledStep(rng.compiled().beam_step, vocab, phrases, width, beam)
     survivors, finishes, hard, _ = step_outputs(take, list(rows[0]), [entry[0] for entry in beam], False)
     assert hard == width
     assert [parent for parent, _ in finishes] == [0, 1, 2, 3, 0, 1, 2, 3]

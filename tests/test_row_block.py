@@ -26,7 +26,7 @@ from tsdecode.core import Vocab
 from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
-from util import row_paths, rows_drawn_by
+from util import kernel_paths, run_by
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -84,8 +84,8 @@ def assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixe
     """The batch matches one lookup at a time under each row loop, and
     both loops give the same rows, memo keys and draws."""
     seen = []
-    for path in row_paths():
-        with recorded_counters() as counters, rows_drawn_by(path):
+    for path in kernel_paths("gammas"):
+        with recorded_counters() as counters, run_by("gammas", path):
             got = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=True)
             want = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=False)
         assert len(got[0]) == len(prefixes)
@@ -141,12 +141,12 @@ def test_block_with_an_overrunning_row_matches_single_rows():
     # loops draw the same rows and counts in a block as one at a time.
     n = 20
     keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
-    with recorded_counters() as counters, rows_drawn_by("python"):
+    with recorded_counters() as counters, run_by("gammas", "python"):
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
     single_counters = dict(counters)
     assert single_counters[keys[1]] > 4 * n + 16
-    for path in row_paths():
-        with recorded_counters() as counters, rows_drawn_by(path):
+    for path in kernel_paths("gammas"):
+        with recorded_counters() as counters, run_by("gammas", path):
             block = dirichlet_rows(keys, 0.2, n)
         assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
         assert counters == single_counters
@@ -156,8 +156,8 @@ def test_block_rows_share_no_memory_and_match_single_rows():
     # Each row is normalized in place, in a buffer of its own.
     n = 20
     keys = [hash_key(31, n, k) for k in range(6)]
-    for path in row_paths():
-        with rows_drawn_by(path):
+    for path in kernel_paths("gammas"):
+        with run_by("gammas", path):
             block = dirichlet_rows(keys, 0.2, n)
             single = [Stream(key).dirichlet(0.2, n) for key in keys]
         assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
@@ -212,12 +212,12 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     once per memoised row, and both sums equal the one-at-a-time path's,
     whichever loop draws the rows."""
     tracer_module = _load_tracer()
-    with rows_drawn_by("python"):
+    with run_by("gammas", "python"):
         rows, u64, blocks = traced_rows(tracer_module)
     assert rows == sum(blocks) and max(blocks) > 1
     rows_after = vars(SequenceModel)["rows_after"]
-    for path in row_paths():
-        with rows_drawn_by(path):
+    for path in kernel_paths("gammas"):
+        with run_by("gammas", path):
             assert traced_rows(tracer_module) == (rows, u64, blocks)
             with monkeypatch.context() as patch:
                 patch.setattr(

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -23,12 +25,12 @@ from tsdecode.decode import DbaParams
 from tsdecode.lm import NgramGenModel
 from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
-from util import gamma, reference_beam_core, row_paths, rows_drawn_by
+from util import gamma, kernel_paths, reference_beam_core, run_by
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
 needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
-needs_kernel = pytest.mark.skipif("kernel" not in row_paths(), reason="the row kernel cannot be built here")
+needs_kernel = pytest.mark.skipif("kernel" not in kernel_paths("gammas"), reason="the row kernel cannot be built here")
 
 # Keys of vocab-20 rows at concentration 0.2; the second has a long run of
 # rejections, more than 4n + 16 draws.
@@ -40,7 +42,7 @@ def drawn_row(path, key, start, concentration, n):
     the stream keyed by ``key``, and the draws consumed by then."""
     stream = Stream(key)
     stream._counter = start
-    with rows_drawn_by(path):
+    with run_by("gammas", path):
         row = stream.dirichlet(concentration, n)
     return row.tobytes(), stream._counter
 
@@ -200,13 +202,11 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     # counts, block or not. Its beams are taken by the Python step unless
     # only the row kernel failed.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
-    monkeypatch.setattr(rowkernel, "_loaded", None)
-    monkeypatch.setattr(rng, "_kernel", None)
-    monkeypatch.setattr(decode, "_beam_kernel", None)
+    monkeypatch.setattr(rng, "_compiled", None)
     with warnings.catch_warnings(record=True):
         rows = dirichlet_rows(KEYS, 0.2, 20)
-    assert rng.row_path() == ("kernel" if fallback in STEPS_ONLY else "python")
-    assert bool(decode._loaded_beam_kernel()) == (fallback in ROWS_ONLY)
+    assert (rng.compiled().gammas is None) == (fallback not in STEPS_ONLY)
+    assert (rng.compiled().beam_step is None) == (fallback not in ROWS_ONLY)
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
@@ -233,6 +233,58 @@ def test_importing_the_program_loads_no_kernel():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("order", [("rows", "beams"), ("beams", "rows")], ids=["rows", "beams"])
+def test_a_process_loads_the_kernel_once(order, monkeypatch):
+    # Rows and beam steps share one load, whichever comes first.
+    monkeypatch.setattr(rng, "_compiled", None)
+    calls = []
+    load = rowkernel.load
+
+    def counted():
+        calls.append(1)
+        return load()
+
+    monkeypatch.setattr(rowkernel, "load", counted)
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    uses = {
+        "rows": lambda: dirichlet_rows(KEYS, 0.2, 20),
+        "beams": lambda: decode.beam_search(model, (3, 7, 5, 9), 4, 10),
+    }
+    for name in order:
+        uses[name]()
+    assert len(calls) == 1
+    assert rng.compiled() is rng.compiled()
+
+
+def test_threads_that_first_use_the_kernel_at_once_load_it_once(monkeypatch):
+    # Without rng's lock every thread would see no kernel during the slow
+    # load and load its own.
+    monkeypatch.setattr(rng, "_compiled", None)
+    calls = []
+
+    def slow_load():
+        calls.append(1)
+        time.sleep(0.05)
+        return rowkernel.Functions()
+
+    monkeypatch.setattr(rowkernel, "load", slow_load)
+    start = threading.Barrier(3)
+    got = [None] * 3
+
+    def first_use(i):
+        start.wait(timeout=10)
+        got[i] = rng.compiled()
+
+    threads = [threading.Thread(target=first_use, args=(i,)) for i in range(3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(calls) == 1
+    assert got[0] == rowkernel.Functions() and all(functions is got[0] for functions in got)
+
+
 def test_drawing_a_row_loads_no_openssl():
     # The cached kernel's name is folded with rng.hash_key: hashlib would load
     # OpenSSL's _hashlib into every process that draws a row.
@@ -242,10 +294,10 @@ def test_drawing_a_row_loads_no_openssl():
         "import sys, tsdecode.cli\n"
         "from tsdecode import rng\n"
         "rng.Stream(1).dirichlet(0.2, 19)\n"
-        "print(rng.row_path(), '_hashlib' in sys.modules)"
+        "print(rng.compiled().gammas is not None, '_hashlib' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == [rng.row_path(), "False"]
+    assert out.stdout.split() == [str(rng.compiled().gammas is not None), "False"]
 
 
 @needs_compiler

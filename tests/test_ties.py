@@ -23,7 +23,7 @@ from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_sea
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import rank
 
-from util import beam_paths, over_beam_paths, ranked_expansions, reference_beam_core
+from util import kernel_paths, over_beam_paths, ranked_expansions, reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -242,7 +242,7 @@ _WINDOW_DECIDES = (
 )
 
 
-@pytest.mark.parametrize("beam_path", beam_paths(), indirect=True)
+@pytest.mark.parametrize("beam_path", kernel_paths("beam_step"), indirect=True)
 @given(_beam_core_cases())
 @example(_WINDOW_DECIDES)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -114,42 +114,26 @@ def gamma(stream, shape):
             return d * v
 
 
-def row_paths():
-    """The loops that can draw Dirichlet rows here: ``"python"`` always,
-    and ``"kernel"`` where the compiled row kernel builds and loads."""
-    return ("python", "kernel") if rng.row_path() == "kernel" else ("python",)
+def kernel_paths(function):
+    """The ways to run the kernel function ``function`` (``"gammas"``, the
+    row draw, or ``"beam_step"``) here: ``"python"`` always, and
+    ``"kernel"`` where the compiled function builds, loads and passes its
+    check."""
+    return ("python", "kernel") if getattr(rng.compiled(), function) else ("python",)
 
 
 @contextmanager
-def rows_drawn_by(path):
-    """Draw every Dirichlet row with ``path``'s loop while the block is open."""
-    rng.row_path()
-    loaded = rng._kernel
-    assert path == "python" or loaded, "the row kernel is not loaded"
-    rng._kernel = loaded if path == "kernel" else False
+def run_by(function, path):
+    """Run ``function`` (``"gammas"`` or ``"beam_step"``) the ``path`` way
+    while the block is open: the loaded kernel's function, or in its place
+    the Python loop or step."""
+    loaded = rng.compiled()
+    assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
+    rng._compiled = loaded if path == "kernel" else loaded._replace(**{function: None})
     try:
         yield
     finally:
-        rng._kernel = loaded
-
-
-def beam_paths():
-    """The steps that can take a beam-search step here: ``"python"`` always,
-    and ``"kernel"`` where the compiled beam step builds, loads and passes
-    its check."""
-    return ("python", "kernel") if decode._loaded_beam_kernel() else ("python",)
-
-
-@contextmanager
-def beam_steps_by(path):
-    """Take every beam-search step with ``path``'s step while the block is open."""
-    loaded = decode._loaded_beam_kernel()
-    assert path == "python" or loaded, "the compiled beam step is not loaded"
-    decode._beam_kernel = loaded if path == "kernel" else False
-    try:
-        yield
-    finally:
-        decode._beam_kernel = loaded
+        rng._compiled = loaded
 
 
 def over_beam_paths(argnames, table, ids):
@@ -160,7 +144,7 @@ def over_beam_paths(argnames, table, ids):
         "beam_path, " + argnames,
         [
             pytest.param(path, *row, id=row_id if path == "python" else f"{row_id}-{path}")
-            for path in beam_paths()
+            for path in kernel_paths("beam_step")
             for row, row_id in zip(table, ids)
         ],
         indirect=["beam_path"],
