@@ -1,5 +1,5 @@
-/* The compiled kernel: the gamma variates of a Dirichlet row, and one step
-   of the full-sentence beam search.
+/* The compiled kernel: the gamma variates of a Dirichlet row, one step of
+   the full-sentence beam search and one PSGD scoring round.
 
    ``tsd_gammas`` is ``rng.Stream._gammas`` statement for statement:
    draw i of the stream keyed by ``key`` is mix64(key ^ mix64(i)), and each
@@ -15,8 +15,15 @@
    candidate's score is one IEEE add, ``lp + row[tok]``, as in Python; no
    transcendental is called.
 
+   ``tsd_psgd_round`` is ``decode._PythonRound`` over a
+   ``decode._SpanScorer``: each item's whole-sequence total, added in the
+   scorer's order, its normalised score, the round's first-ranked item and
+   the top children. The caller passes the length term of the
+   normalisation, so no transcendental is called here either. Both search
+   functions keep their top k with one helper, ``top_children``.
+
    ``rowkernel.load`` checks each function against its Python twin before
-   either is used. */
+   any is used. */
 
 #include <math.h>
 #include <stdint.h>
@@ -142,6 +149,46 @@ static void finish(struct tsd_beam *s, int64_t parent, double score)
     s->finish_score[s->n_finished++] = score;
 }
 
+/* Writes to ``top`` the first ``width`` one-token content children of the
+   ``n_beam`` hypotheses in rank order, and returns how many it wrote.
+   Hypothesis b has score ``lp[b]``, log row ``rows + b * stride`` and tie
+   rank ``order[b]``. */
+static int64_t top_children(const double *lp, const double *rows, int64_t stride, int64_t n_beam,
+                            int64_t lo, int64_t n_content, const int64_t *order, int64_t width,
+                            struct cand *top)
+{
+    int64_t k = 0;
+    for (int64_t b = 0; b < n_beam; b++) {
+        const double *row = rows + b * stride;
+        for (int64_t tok = lo; tok < lo + n_content; tok++) {
+            struct cand child = {lp[b] + row[tok], b, tok, 0, NULL};
+            if (k == width && !precedes(order, &child, &top[k - 1]))
+                continue;
+            int64_t i = k < width ? k++ : width - 1;
+            for (; i > 0 && precedes(order, &child, &top[i - 1]); i--)
+                top[i] = top[i - 1];
+            top[i] = child;
+        }
+    }
+    return k;
+}
+
+/* Writes to ``to`` the tie rank of each of ``n`` children, the rank of its
+   tokens among theirs in lexicographic order: its parent's rank in
+   ``order``, then its new token. */
+static void next_order(const int64_t *order, const int64_t *parent, const int64_t *token, int64_t n,
+                       int64_t *to)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t rank = 0;
+        for (int64_t j = 0; j < n; j++) {
+            int64_t a = order[parent[j]], b = order[parent[i]];
+            rank += a < b || (a == b && token[j] < token[i]);
+        }
+        to[i] = rank;
+    }
+}
+
 /* One step from the beam on side ``cur`` and its ``rows``: marks the
    finishes and, unless ``last``, writes the next beam to the other side.
    Returns the next beam's size, or -1 when memory runs out. */
@@ -181,21 +228,7 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
 
     /* The top ``width`` content expansions, kept in rank order. */
     const int64_t first_child = n;
-    struct cand *top = cands + n;
-    int64_t k = 0;
-    for (int64_t b = 0; b < n_beam; b++) {
-        const double *row = s->rows + b * vocab;
-        for (int64_t tok = s->lo; tok < s->lo + s->n_content; tok++) {
-            struct cand child = {lp[b] + row[tok], b, tok, 0, NULL};
-            if (k == width && !precedes(order, &child, &top[k - 1]))
-                continue;
-            int64_t i = k < width ? k++ : width - 1;
-            for (; i > 0 && precedes(order, &child, &top[i - 1]); i--)
-                top[i] = top[i - 1];
-            top[i] = child;
-        }
-    }
-    n += k;
+    n += top_children(lp, s->rows, vocab, n_beam, s->lo, s->n_content, order, width, cands + n);
 
     /* The forced child of every unfinished phrase, each child once. */
     for (int64_t b = 0; b < n_beam; b++) {
@@ -286,14 +319,7 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
             s->progress[out][next * n_phrases + j] = c->progress[j];
         next++;
     }
-    for (int64_t i = 0; i < next; i++) {
-        int64_t rank = 0;
-        for (int64_t j = 0; j < next; j++) {
-            int64_t a = order[s->parent[j]], b = order[s->parent[i]];
-            rank += a < b || (a == b && s->token[j] < s->token[i]);
-        }
-        s->order[out][i] = rank;
-    }
+    next_order(order, s->parent, s->token, next, s->order[out]);
     s->size[out] = next;
 
 done:
@@ -303,4 +329,106 @@ done:
     free(moved);
     free(counts);
     return next;
+}
+
+/* One PSGD decode's beam and buffers, allocated by ``rowkernel.CompiledRound``
+   for one ``decode._SpanScorer``. As in ``struct tsd_beam``, the beam lives on
+   side ``cur``; a round that expands writes the children to the other side.
+   Every item of a beam holds a span of ``n_terms`` tokens, and no two hold
+   the same span. */
+struct tsd_psgd {
+    int64_t vocab;          /* entries per row */
+    int64_t width;          /* the beam width: items per side, at most */
+    int64_t eos;            /* the EOS id */
+    int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
+    int64_t per_item;       /* rows per item: its next-token row, the rows of
+                               the suffix terms the span changes, then its EOS
+                               row unless that is fixed */
+    int64_t n_suffix;       /* suffix terms the span changes */
+    int64_t n_prefix, n_tail;
+    int64_t fixed_eos;      /* the carry: a partial sum (1) or the span's
+                               terms (0) */
+    int64_t mean;           /* the score: total / norm (1) or total - norm (0) */
+    int64_t capacity;       /* carry doubles per item */
+    int64_t n_terms;        /* span tokens per item of side ``cur`` */
+    int64_t cur;
+    int64_t best;           /* output of the last round: its first-ranked item */
+    const int64_t *suffix;  /* the suffix tokens the span changes */
+    const double *prefix_terms, *tail_terms;
+    const double *rows;     /* the round's rows, per_item per item */
+    double *score;          /* per item, its normalised score */
+    int64_t *parent;        /* the children in rank order: parent index */
+    int64_t *token;         /* ... and new token */
+    int64_t size[2];        /* items on each side */
+    double *lp[2];          /* per item, its span's summed log-probability */
+    double *carry[2];       /* per item, ``capacity`` doubles of carry */
+    int64_t *order[2];      /* per item, the rank of its span among the
+                               side's spans in lexicographic order */
+};
+
+int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand);
+
+/* Scores the items on side ``cur`` from their ``rows``, ``norm`` being the
+   length or its log, and marks the first-ranked. When ``expand`` is 2, or
+   1 and that item scores above ``best``, writes the top ``width`` children
+   to the other side. Returns how many children it wrote, or -1 when memory
+   runs out. */
+int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand)
+{
+    const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity;
+    const int64_t stride = s->per_item * s->vocab;
+    const int64_t *order = s->order[in];
+    const double *carry = s->carry[in];
+    int64_t top = 0;
+    for (int64_t b = 0; b < n_beam; b++) {
+        /* The order ``_SpanScorer.total`` adds in: EOS, prefix, span,
+           changed suffix terms, then the tail. */
+        const double *rows = s->rows + b * stride;
+        double total;
+        if (s->fixed_eos) {
+            total = carry[b * cap];
+        } else {
+            total = rows[(s->per_item - 1) * s->vocab + s->eos];
+            for (int64_t j = 0; j < s->n_prefix; j++)
+                total += s->prefix_terms[j];
+            for (int64_t j = 0; j < s->n_terms; j++)
+                total += carry[b * cap + j];
+        }
+        for (int64_t j = 0; j < s->n_suffix; j++)
+            total += rows[j * s->vocab + s->suffix[j]];
+        for (int64_t j = 0; j < s->n_tail; j++)
+            total += s->tail_terms[j];
+        double score = s->score[b] = s->mean ? total / norm : total - norm;
+        if (b == 0 || score > s->score[top] || (score == s->score[top] && order[b] < order[top]))
+            top = b;
+    }
+    s->best = top;
+    if (!(expand == 2 || (expand == 1 && s->score[top] > best)))
+        return 0;
+
+    struct cand *children = malloc(s->width * sizeof *children);
+    if (!children)
+        return -1;
+    int64_t k = top_children(s->lp[in], s->rows, stride, n_beam, s->lo, s->n_content, order, s->width,
+                             children);
+    for (int64_t i = 0; i < k; i++) {
+        const int64_t parent = children[i].parent, tok = children[i].token;
+        const double term = s->rows[parent * stride + tok];
+        double *to = s->carry[out] + i * cap;
+        const double *from = carry + parent * cap;
+        s->parent[i] = parent;
+        s->token[i] = tok;
+        s->lp[out][i] = children[i].score;
+        if (s->fixed_eos) {
+            to[0] = from[0] + term;
+        } else {
+            for (int64_t j = 0; j < s->n_terms; j++)
+                to[j] = from[j];
+            to[s->n_terms] = term;
+        }
+    }
+    next_order(order, s->parent, s->token, k, s->order[out]);
+    s->size[out] = k;
+    free(children);
+    return k;
 }

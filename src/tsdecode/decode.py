@@ -15,8 +15,19 @@ is the span prefix at the best-scoring step. The step that trips the
 patience rule counts in ``emitted_steps`` but is never expanded, since it
 would never be scored. ``forward_passes`` and ``positions_scored`` count
 the logical forced passes over each scored sequence all the same. The
-reference ``psgd_two_pass`` runs the same loop with ``_forced_pass_scorer``,
+reference ``psgd_two_pass`` runs the same loop with ``_ForcedPassScorer``,
 which gets both values from forced passes.
+
+The PSGD loop, ``_psgd_run``, holds the spans, the counts, the best so far
+and the stopping rule, and looks up each round's rows. It scores each round
+with one of two rounds that give the same results:
+``rowkernel.CompiledRound``, ``_rowkernel.c``'s ``tsd_psgd_round`` on
+buffers each decode allocates once, when the scorer is ``_SpanScorer`` and
+the compiled round is loaded and passed its check
+(``rng.compiled().psgd_round``), and ``_PythonRound`` otherwise, which is
+also the reference the compiled round is checked against. A round gives
+each item's score, the first-ranked item and, only when the loop will score
+another round, the children.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -40,13 +51,13 @@ log rows through the model's one unchecked batched lookup,
 ``SequenceModel.rows_after``, which draws the rows a batch misses in one
 block: PSGD makes one call per scoring round, the beam loop one per step.
 
-PSGD and the Python beam step order all candidates with ``scoring.rank``
-and extend their beams with one expansion step, ``_expand``. It works on
+The Python round and step order all candidates with ``scoring.rank`` and
+extend their beams with one expansion step, ``_expand``. It works on
 arrays, like the vectorised DBA of Hu et al. (NAACL 2019), which builds on
 Post & Vilar (NAACL 2018): it scores all beam x content candidates in one
 numpy add and builds candidate tuples only for those scoring at least the
 k-th best score, ties included, so the cut never changes which candidates
-win. The compiled step keeps the same top k in C.
+win. The compiled round and step keep the same top k in C, with one helper.
 """
 
 from __future__ import annotations
@@ -167,17 +178,19 @@ def _resolve_psgd_params(params: PsgdParams, source_len: int) -> tuple[int, int,
     return params.beam_width, params.patience, max_span
 
 
-def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
+class _SpanScorer:
     """Incremental scoring of prefix + span + suffix for one task.
 
-    Returns ``(root, extend, score)``: ``root`` is the carry of the empty
-    span, ``extend(carry, term)`` the carry of a child whose last token
-    scored ``term`` in its parent's next-token row, and ``score(beam)``, for
-    beam entries ``(span, lp, carry)``, gives per entry (summed
-    log-probability of the whole sequence with its EOS, next-token row after
-    prefix + span), from one batched row lookup.
+    ``pieces`` are what each item's heads append to prefix + span: the rows
+    after them are its next-token row (the first), the rows of the suffix
+    terms the span changes and its EOS row (the last) unless that is fixed;
+    with no suffix the EOS row is the next-token row. ``root`` is the carry
+    of the empty span, ``extend(carry, term)`` the carry of a child whose
+    last token scored ``term`` in its parent's next-token row, and
+    ``total(rows, span, carry)`` an item's summed log-probability of the
+    whole sequence with its EOS, from its rows, with its next-token row.
 
-    The sum is added in the order ``_forced_pass_scorer`` sums its forced
+    The sum is added in the order ``_ForcedPassScorer`` sums its forced
     pass, EOS term first and then the target left to right, so both give the
     same float. Under an order-k model the prefix rows and the suffix rows from
     position k on never see the span, so their terms are read once here, in
@@ -185,120 +198,187 @@ def _span_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
     too and the carry is the partial sum EOS + prefix + span terms;
     otherwise it is the span terms, re-summed after each item's own EOS term.
     """
-    rows_after = model.rows_after
-    eos = model.vocab.eos_id
-    k = min(model.order, len(s))
-    fixed_eos = len(s) >= model.order
-    fixed = (
-        [p[:t] for t in range(len(p))]
-        + [p + s[:j] for j in range(k, len(s))]
-        + ([p + s] if fixed_eos else [])
-    )
-    fixed_rows = rows_after(src, fixed)
-    prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
-    tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
-    root = ()
-    if fixed_eos:
-        root = float(fixed_rows[-1][eos])
-        for term in prefix_terms:
-            root += term
-    # Each head's rows, after head + piece: its next-token row, the rows of
-    # the suffix terms it changes, and its EOS row (the last) unless that is
-    # fixed; with no suffix the EOS row is the next-token row.
-    pieces = [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else [])
-    per_head = len(pieces)
-    span_suffix = s[:k]
 
-    def extend(carry, term: float):
-        return carry + term if fixed_eos else carry + (term,)
+    def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
+        self.eos = eos = model.vocab.eos_id
+        k = min(model.order, len(s))
+        self.fixed_eos = fixed_eos = len(s) >= model.order
+        fixed = (
+            [p[:t] for t in range(len(p))]
+            + [p + s[:j] for j in range(k, len(s))]
+            + ([p + s] if fixed_eos else [])
+        )
+        fixed_rows = model.rows_after(src, fixed)
+        self.prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
+        self.tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
+        self.root = ()
+        if fixed_eos:
+            self.root = float(fixed_rows[-1][eos])
+            for term in self.prefix_terms:
+                self.root += term
+        self.pieces = [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else [])
+        self.suffix = s[:k]
 
-    def score(beam) -> list[tuple[float, np.ndarray]]:
-        heads = [p + entry[0] + piece for entry in beam for piece in pieces]
-        rows = rows_after(src, heads)
-        out = []
-        i = 0
-        for entry in beam:
-            carry = entry[2]
-            if fixed_eos:
-                total = carry
-            else:
-                total = float(rows[i + per_head - 1][eos])
-                for term in prefix_terms:
-                    total += term
-                for term in carry:
-                    total += term
-            for log_row, tok in zip(rows[i : i + k], span_suffix):
-                total += float(log_row[tok])
-            for term in tail_terms:
+    def extend(self, carry, term: float):
+        return carry + term if self.fixed_eos else carry + (term,)
+
+    def total(self, rows, span: Tokens, carry) -> tuple[float, np.ndarray]:
+        if self.fixed_eos:
+            total = carry
+        else:
+            total = float(rows[-1][self.eos])
+            for term in self.prefix_terms:
                 total += term
-            out.append((total, rows[i]))
-            i += per_head
-        return out
+            for term in carry:
+                total += term
+        for log_row, tok in zip(rows, self.suffix):
+            total += float(log_row[tok])
+        for term in self.tail_terms:
+            total += term
+        return total, rows[0]
 
-    return root, extend, score
+
+class _ForcedPassScorer:
+    """``_SpanScorer``'s interface with no carry and no pieces: per item, one
+    forced pass over prefix + span + suffix for the score and one over
+    prefix + span for the next-token row."""
+
+    pieces = ()
+    root = ()
+
+    def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
+        self.model, self.src, self.p, self.s = model, src, p, s
+
+    def extend(self, carry, term: float):
+        return carry
+
+    def total(self, rows, span: Tokens, carry) -> tuple[float, np.ndarray]:
+        head = self.p + span
+        target = head + self.s
+        log_rows = self.model.forced_pass(self.src, target).log_rows
+        total = float(log_rows[-1][self.model.vocab.eos_id])
+        for log_row, tok in zip(log_rows, target):
+            total += float(log_row[tok])
+        return total, self.model.forced_pass(self.src, head).log_rows[-1]
 
 
-def _forced_pass_scorer(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens):
-    """``_span_scorer``'s shape with no carry: per beam entry, one forced
-    pass over prefix + span + suffix for the score and one over prefix + span
-    for the next-token row."""
-    eos = model.vocab.eos_id
+# Whether a scoring round expands its items: never, only when its
+# first-ranked item scores above the best so far, or always.
+EXPAND_NEVER, EXPAND_IF_BETTER, EXPAND_ALWAYS = 0, 1, 2
 
-    def score(beam) -> list[tuple[float, np.ndarray]]:
-        out = []
-        for entry in beam:
-            head = p + entry[0]
-            target = head + s
-            log_rows = model.forced_pass(src, target).log_rows
-            total = float(log_rows[-1][eos])
-            for log_row, tok in zip(log_rows, target):
-                total += float(log_row[tok])
-            out.append((total, model.forced_pass(src, head).log_rows[-1]))
-        return out
 
-    return (), lambda carry, term: carry, score
+class _PythonRound:
+    """One decode's PSGD scoring round in Python: the round taken when the
+    compiled ``tsd_psgd_round`` is not loaded or the scorer is not a
+    ``_SpanScorer``, and the reference the compiled round is checked
+    against.
+
+    It holds each item's (span log-prob, scorer carry); the caller holds
+    their spans. Called with the items' rows (``len(scorer.pieces)`` per
+    item), their spans, their whole-sequence length, an ``EXPAND_*`` and the
+    best score so far, it returns ``(top, score, children)``: the index and
+    normalised score of the round's first-ranked item, and, when the round
+    expands, the ``beam_width`` best children as (parent index, token)
+    pairs in ``rank`` order, else none. ``scores()`` gives every item's
+    score, ``advance()`` makes the children the beam and ``beam()`` gives
+    its (span log-prob, carry) entries.
+    """
+
+    def __init__(self, scorer, vocab, params: PsgdParams) -> None:
+        self.scorer = scorer
+        self.content = vocab.content_ids
+        self.params = params
+        self.state = [(0.0, scorer.root)]
+        self.next: list = []
+        self.round_scores: list[float] = []
+
+    def __call__(self, rows, spans: list[Tokens], length: int, expand: int, best: float):
+        scorer, params = self.scorer, self.params
+        per_item = len(scorer.pieces)
+        entries = []
+        scores = self.round_scores = []
+        for i, (span, (lp, carry)) in enumerate(zip(spans, self.state)):
+            total, row = scorer.total(rows[i * per_item : (i + 1) * per_item], span, carry)
+            scores.append(normalized_score(total, length, params.scoring, params.include_eos_in_len))
+            entries.append((span, lp, carry, row, i))
+        score, _, top = min(zip(scores, spans, range(len(spans))), key=rank)
+        if not (expand == EXPAND_ALWAYS or (expand == EXPAND_IF_BETTER and score > best)):
+            return top, score, []
+        children = _expand(entries, [entry[3] for entry in entries], self.content, params.beam_width)
+        self.next = [
+            (lp_c, scorer.extend(parent[2], float(parent[3][child[-1]]))) for lp_c, child, parent in children
+        ]
+        return top, score, [(parent[4], child[-1]) for _, child, parent in children]
+
+    def scores(self) -> list[float]:
+        return self.round_scores
+
+    def advance(self) -> None:
+        self.state = self.next
+
+    def beam(self) -> list:
+        return self.state
 
 
 def _psgd_run(
-    model: SequenceModel, task: TsTask, params: PsgdParams, scorer
-) -> tuple[Suggestion, list[list[tuple[Tokens, float]]]]:
-    """The PSGD search, scoring with ``scorer``; returns the suggestion and,
-    per scoring round, the (span, score) pairs examined."""
+    model: SequenceModel, task: TsTask, params: PsgdParams, scorer, trace: list | None = None
+) -> Suggestion:
+    """The PSGD search, scoring with ``scorer`` (``_SpanScorer`` or
+    ``_ForcedPassScorer``); appends to ``trace``, when given, each scoring
+    round's (span, score) pairs.
+
+    Each round goes to ``rowkernel.CompiledRound`` when the scorer is a
+    ``_SpanScorer`` and the compiled round is loaded
+    (``rng.compiled().psgd_round``), and to ``_PythonRound`` otherwise; both
+    give the same results. This loop holds the spans, the counts, the best
+    and the stopping rule."""
     validate_task(task, model.vocab)
     beam_width, patience, max_span = _resolve_psgd_params(params, len(task.source))
     src = as_tokens(task.source)
     p = as_tokens(task.prefix)
     s = as_tokens(task.suffix)
-    content = model.vocab.content_ids
 
     t0 = time.perf_counter()
-    root, extend, score_items = scorer(model, src, p, s)
+    scorer = scorer(model, src, p, s)
+    kernel = rng.compiled().psgd_round if isinstance(scorer, _SpanScorer) else None
+    if kernel:
+        from .rowkernel import CompiledRound
+
+        take = CompiledRound(kernel, scorer, model.vocab, params)
+    else:
+        take = _PythonRound(scorer, model.vocab, params)
+    rows_after, pieces = model.rows_after, scorer.pieces
     fw = 0
     pos_scored = 0
     emitted = 0
     stop_reason = STOP_PATIENCE
-    trace: list[list[tuple[Tokens, float]]] = []
     # The first-ranked (whole-sequence score, span, step) so far.
     best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
-    # (span, span log-prob, scorer carry) per item.
-    beam: list[tuple[Tokens, float, object]] = [((), 0.0, root)]
+    spans: list[Tokens] = [()]
     n = 0
     while True:
-        # One scoring round: each item's whole-sequence score and its
-        # next-token row.
-        scored = []
-        entries = []
-        rows = []
-        for (span, lp, carry), (total, row) in zip(beam, score_items(beam)):
-            length = len(p) + len(span) + len(s)
-            fw += 1
-            pos_scored += length + 1
-            score = normalized_score(total, length, params.scoring, params.include_eos_in_len)
-            best = min(best, (score, span, n), key=rank)
-            scored.append((span, score))
-            entries.append((span, lp, carry, row))
-            rows.append(row)
-        trace.append(scored)
+        # Round n + 1 is scored unless the cap or the patience rule stops
+        # first; the rule stops after round n unless round n beats the best
+        # (and round n + 1 then comes 1 round after the best).
+        if n == max_span or patience <= 1:
+            expand = EXPAND_NEVER
+        elif n + 1 - best[2] < patience:
+            expand = EXPAND_ALWAYS
+        else:
+            expand = EXPAND_IF_BETTER
+        # One scoring round: each item's whole-sequence score, the best and,
+        # if the search goes on, the children.
+        length = len(p) + n + len(s)
+        rows = rows_after(src, [head + piece for head in [p + span for span in spans] for piece in pieces])
+        top, score, children = take(rows, spans, length, expand, best[0])
+        fw += len(spans)
+        pos_scored += (length + 1) * len(spans)
+        # Spans grow by one token a round, so on a tie the earlier best
+        # ranks first.
+        if score > best[0]:
+            best = (score, spans[top], n)
+        if trace is not None:
+            trace.append(list(zip(spans, take.scores())))
         if patience == 0:  # the empty span's score only, no expansion
             break
         if n == max_span:
@@ -310,10 +390,8 @@ def _psgd_run(
         if n + 1 - best[2] >= patience:
             break
         # Never empty: every vocabulary has a content id.
-        beam = [
-            (child, lp_c, extend(parent[2], float(parent[3][child[-1]])))
-            for lp_c, child, parent in _expand(entries, rows, content, beam_width)
-        ]
+        spans = [spans[parent] + (tok,) for parent, tok in children]
+        take.advance()
         n += 1
 
     stats = DecodeStats(
@@ -323,7 +401,7 @@ def _psgd_run(
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return Suggestion(span=TokenSeq(best[1]), whole_seq_score=best[0], stats=stats), trace
+    return Suggestion(span=TokenSeq(best[1]), whole_seq_score=best[0], stats=stats)
 
 
 def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -332,7 +410,7 @@ def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -
     from the memo rows the span changes plus terms computed once per task,
     with no forced pass; the statistics count one logical forced pass per
     item all the same."""
-    return _psgd_run(model, task, params or PsgdParams(), _span_scorer)[0]
+    return _psgd_run(model, task, params or PsgdParams(), _SpanScorer)
 
 
 def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -341,7 +419,7 @@ def psgd_two_pass(model: SequenceModel, task: TsTask, params: PsgdParams | None 
     forced pass, over prefix + span, per beam item. Must produce
     bit-identical spans and scores to ``psgd`` with exactly twice the forward
     passes."""
-    suggestion, _trace = _psgd_run(model, task, params or PsgdParams(), _forced_pass_scorer)
+    suggestion = _psgd_run(model, task, params or PsgdParams(), _ForcedPassScorer)
     # The search counts one pass per item; the second, over prefix + span,
     # covers len(suffix) fewer positions.
     fw, pos = suggestion.stats.forward_passes, suggestion.stats.positions_scored
@@ -354,7 +432,8 @@ def psgd_with_trace(
 ) -> tuple[Suggestion, list[list[tuple[Tokens, float]]]]:
     """Like ``psgd`` but also returns, per scoring round, the (span, score)
     pairs examined. Useful for verifying the stopping rule against oracles."""
-    return _psgd_run(model, task, params or PsgdParams(), _span_scorer)
+    trace: list[list[tuple[Tokens, float]]] = []
+    return _psgd_run(model, task, params or PsgdParams(), _SpanScorer, trace), trace
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """The compiled kernel: build, cache, load and check ``_rowkernel.c``.
 
-``_rowkernel.c`` holds two functions, each the C twin of a Python loop:
+``_rowkernel.c`` holds three functions, each the C twin of a Python loop:
 ``tsd_gammas`` is ``rng.Stream._gammas``, which draws the gamma variates of
-a Dirichlet row, statement for statement, and ``tsd_beam_step`` is
-``decode._PythonStep``, one step of the full-sentence beam search. This
+a Dirichlet row, statement for statement, ``tsd_beam_step`` is
+``decode._PythonStep``, one step of the full-sentence beam search, and
+``tsd_psgd_round`` is ``decode._PythonRound``, one PSGD scoring round. This
 module holds no state: ``rng.compiled()`` calls ``load`` once per process,
-on the first row draw or beam step, never on import, for both functions.
-``rng`` and ``decode`` then use each function that passed its check, and
-the much slower Python loop or step otherwise.
+on the first row draw, beam step or PSGD round, never on import, for all
+three functions. ``rng`` and ``decode`` then use each function that passed
+its check, and the much slower Python loop, step or round otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -24,10 +25,12 @@ Each function is checked on its own before it is used. ``self_check`` draws
 ``CHECK_ROWS`` through both row loops and requires every variate's bytes
 and every draw count to match; ``beam_self_check`` takes the ``CHECK_STEPS``
 steps of a small fixed decode with both steps and requires the same
-survivors, finishes and scores, byte for byte. A function that fails its
+survivors, finishes and scores, byte for byte; ``psgd_self_check`` scores
+the ``CHECK_ROUNDS`` with both rounds and requires the same scores, best
+items, children and carries, byte for byte. A function that fails its
 check is replaced by its Python twin alone, so a row mismatch leaves the
-compiled beam step in use and the other way round. No compiler, or a failed
-build or load, leaves both to Python, exactly as without the kernel.
+compiled beam step and round in use, and so on. No compiler, or a failed
+build or load, leaves all three to Python, exactly as without the kernel.
 Without a compiler that is silent; any other failure is reported by one
 ``RuntimeWarning``. The cache holds code, never rows: every command still
 draws every row it reads.
@@ -48,6 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .rng import Stream, hash_key
+from .scoring import SCORING_MEAN_LOGPROB, length_term
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -88,6 +92,7 @@ class Functions(NamedTuple):
 
     gammas: object = None
     beam_step: object = None
+    psgd_round: object = None
 
 
 def load(directory: Path | None = None) -> Functions:
@@ -109,13 +114,14 @@ def load(directory: Path | None = None) -> Functions:
         path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
-        gammas, beam_step = _open(path)
-    except Exception as exc:  # whatever fails, rows are drawn and beams stepped in Python
-        _warn("kernel", repr(exc), "rows are drawn and beams are stepped in Python")
+        gammas, beam_step, psgd_round = _open(path)
+    except Exception as exc:  # whatever fails, rows are drawn, beams stepped and rounds scored in Python
+        _warn("kernel", repr(exc), "rows are drawn, beams stepped and PSGD rounds scored in Python")
         return Functions()
     return Functions(
         _checked(gammas, self_check, "row kernel", "rows are drawn in Python"),
         _checked(beam_step, beam_self_check, "beam step", "beams are stepped in Python"),
+        _checked(psgd_round, psgd_self_check, "PSGD round", "PSGD rounds are scored in Python"),
     )
 
 
@@ -161,16 +167,18 @@ def _compile(command: list[str], path: Path) -> None:
 
 
 def _open(path: Path) -> tuple:
-    """``tsd_gammas`` and ``tsd_beam_step`` from the shared object at
-    ``path``, with their argument and result types."""
+    """``tsd_gammas``, ``tsd_beam_step`` and ``tsd_psgd_round`` from the
+    shared object at ``path``, with their argument and result types."""
     library = ctypes.CDLL(str(path))
-    gammas, beam_step = library.tsd_gammas, library.tsd_beam_step
+    gammas, beam_step, psgd_round = library.tsd_gammas, library.tsd_beam_step, library.tsd_psgd_round
     gammas.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
                        ctypes.POINTER(ctypes.c_double))
     gammas.restype = ctypes.c_uint64
     beam_step.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     beam_step.restype = ctypes.c_int64
-    return gammas, beam_step
+    psgd_round.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64)
+    psgd_round.restype = ctypes.c_int64
+    return gammas, beam_step, psgd_round
 
 
 def self_check(kernel) -> bool:
@@ -359,4 +367,199 @@ def beam_self_check(beam_step) -> bool:
         if want != got:
             return False
         tokens = [entry[0] for entry in want[3]]
+    return True
+
+
+class _RoundBuffers(ctypes.Structure):
+    """``struct tsd_psgd`` of ``_rowkernel.c``."""
+
+    _fields_ = (
+        [(name, ctypes.c_int64) for name in (
+            "vocab", "width", "eos", "lo", "n_content", "per_item", "n_suffix", "n_prefix", "n_tail",
+            "fixed_eos", "mean", "capacity", "n_terms", "cur", "best",
+        )]
+        + [(name, ctypes.c_void_p) for name in (
+            "suffix", "prefix_terms", "tail_terms", "rows", "score", "parent", "token"
+        )]
+        + [("size", ctypes.c_int64 * 2)]
+        + [(name, ctypes.c_void_p * 2) for name in ("lp", "carry", "order")]
+    )
+
+
+class CompiledRound:
+    """``decode._PythonRound``'s interface and results through
+    ``tsd_psgd_round``, for a ``decode._SpanScorer``.
+
+    As in ``CompiledStep``, the beam lives in buffers each decode allocates
+    once, two sides each, at addresses taken once, and the spans, which the
+    kernel never reads, stay with the caller; the kernel breaks ties by each
+    item's rank among the beam's spans. The carries have their own buffer,
+    one partial sum per item or, when the EOS row is not fixed, the span's
+    terms, in room that doubles as the spans grow: it is sized by the
+    rounds the decode runs, never by ``max_span_len``.
+    """
+
+    def __init__(self, kernel, scorer, vocab, params) -> None:
+        width, size = params.beam_width, vocab.size
+        per_item, content = len(scorer.pieces), vocab.content_ids
+        prefix, tail, suffix = scorer.prefix_terms, scorer.tail_terms, scorer.suffix
+        # The kernel reads each item's suffix rows and, unless it is fixed, its
+        # EOS row, and indexes them with the suffix ids, checking neither.
+        if len(suffix) + (not scorer.fixed_eos) > per_item or any(not 0 <= tok < size for tok in suffix):
+            raise ValueError(f"the suffix {suffix} does not fit {per_item} rows of {size} per item")
+        self.scoring, self.include_eos_in_len = params.scoring, params.include_eos_in_len
+        self.fixed_eos, self.n_terms = scorer.fixed_eos, 0
+        # The doubles: the rows, the prefix and tail terms, the scores and
+        # the span log-probs (two sides). The integers: the changed suffix
+        # tokens, the children's parents and tokens, and the tie ranks (two
+        # sides). Each ``*_at`` is a section's first index.
+        terms_at = width * per_item * size
+        self.score_at = terms_at + len(prefix) + len(tail)
+        lp_at = self.score_at + width
+        self.parent_at = len(suffix)
+        self.token_at = self.parent_at + width
+        order_at = self.token_at + width
+        reals = self.reals = np.zeros(lp_at + 2 * width)
+        reals[terms_at : self.score_at] = prefix + tail
+        ints = self.ints = np.zeros(order_at + 2 * width, dtype=np.int64)
+        ints[: self.parent_at] = suffix
+        # The root: one item, the empty span, log-prob 0.0, tie rank 0.
+        self.carries = np.zeros((2, width, 1 if scorer.fixed_eos else 8))
+        if scorer.fixed_eos:
+            self.carries[0, 0, 0] = scorer.root
+
+        reals_at, ints_at = reals.__array_interface__["data"][0], ints.__array_interface__["data"][0]
+        buffers = self.buffers = _RoundBuffers(
+            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(prefix), len(tail),
+            scorer.fixed_eos, params.scoring == SCORING_MEAN_LOGPROB, 0, 0, 0, 0,
+            ints_at, reals_at + 8 * terms_at, reals_at + 8 * (terms_at + len(prefix)), reals_at,
+            reals_at + 8 * self.score_at, ints_at + 8 * self.parent_at, ints_at + 8 * self.token_at, (1, 0),
+            (reals_at + 8 * lp_at, reals_at + 8 * (lp_at + width)), (0, 0),
+            (ints_at + 8 * order_at, ints_at + 8 * (order_at + width)),
+        )
+        self._carry_at()
+        self.kernel, self.address = kernel, ctypes.addressof(buffers)
+        self.block = reals[:terms_at].reshape(width * per_item, size)
+
+    def _carry_at(self) -> None:
+        carries, buffers = self.carries, self.buffers
+        at = carries.__array_interface__["data"][0]
+        buffers.capacity = carries.shape[2]
+        buffers.carry = (at, at + 8 * carries[0].size)
+
+    def __call__(self, rows, spans: list[tuple[int, ...]], length: int, expand: int, best: float):
+        self.block[: len(rows)] = rows
+        k = self.kernel(self.address, length_term(length, self.scoring, self.include_eos_in_len), best, expand)
+        if k < 0:
+            raise MemoryError("tsd_psgd_round could not allocate its children")
+        top = self.buffers.best
+        children = []
+        if k:
+            ints = self.ints
+            parents, tokens = ints[self.parent_at : self.parent_at + k], ints[self.token_at : self.token_at + k]
+            children = list(zip(parents.tolist(), tokens.tolist()))
+        return top, self.reals.item(self.score_at + top), children
+
+    def scores(self) -> list[float]:
+        return self.reals[self.score_at : self.score_at + self.buffers.size[self.buffers.cur]].tolist()
+
+    def advance(self) -> None:
+        buffers = self.buffers
+        buffers.cur ^= 1
+        self.n_terms = buffers.n_terms = self.n_terms + 1
+        capacity = self.carries.shape[2]
+        if not self.fixed_eos and self.n_terms == capacity:
+            grown = np.zeros((2, buffers.width, 2 * capacity))
+            grown[:, :, :capacity] = self.carries
+            self.carries = grown
+            self._carry_at()
+
+    def beam(self) -> list:
+        buffers = self.buffers
+        side, m = buffers.cur, buffers.size[buffers.cur]
+        lp_at = self.score_at + (1 + side) * buffers.width
+        lps = self.reals[lp_at : lp_at + m].tolist()
+        carries = self.carries[side, :m].tolist()
+        if self.fixed_eos:
+            return [(lp, carry[0]) for lp, carry in zip(lps, carries)]
+        return [(lp, tuple(carry[: self.n_terms])) for lp, carry in zip(lps, carries)]
+
+
+def round_outputs(take, rows, spans, length: int, expand: int, best: float):
+    """One round of ``take`` (a ``decode._PythonRound`` or a
+    ``CompiledRound``) as plain data, each float as its ``float.hex``: every
+    item's score, the first-ranked item and its score, the children, and
+    their (span log-prob, carry) entries, to which ``take`` advances."""
+    top, score, children = take(rows, spans, length, expand, best)
+    scores = [x.hex() for x in take.scores()]
+    beam = []
+    if children:
+        take.advance()
+        for lp, carry in take.beam():
+            beam.append((lp.hex(), carry.hex() if isinstance(carry, float) else tuple(t.hex() for t in carry)))
+    return scores, top, score.hex(), children, beam
+
+
+class _CheckModel:
+    """The model of ``psgd_self_check``'s rounds: vocab 6 (content ids 2-5)
+    and order ``order``; the row after BOS + a prefix is CHECK_ROUND_TABLE's
+    row for the prefix's last token (BOS for the empty prefix)."""
+
+    def __init__(self, order: int) -> None:
+        from .core import Vocab
+
+        self.vocab, self.order = Vocab(6), order
+        self.table = {tok: np.array(row) for tok, row in CHECK_ROUND_TABLE.items()}
+
+    def rows_after(self, source, prefixes) -> list:
+        return [self.table[prefix[-1] if prefix else 0] for prefix in prefixes]
+
+
+# Rounds the compiled PSGD round must reproduce, byte for byte, before it is
+# used: (order, prefix, suffix, scoring, include_eos_in_len, rounds), each
+# at beam width 3. Every round but the last expands (the odd ones only if
+# they beat a best of -inf); the last is told that its own best score is the
+# best so far, so it must not expand. The first keeps each span's terms
+# (its suffix is shorter than the order), the second a partial sum; both
+# read a suffix term the span changes. Row values repeat, so scores tie in
+# the expansion and in the best, and some are not short binary fractions,
+# so a sum added in another order changes bytes. Found by search: it tells
+# the round from copies with the item tie-break, the tie going to the last
+# item, the strict best (in the round or against the best so far), the
+# EOS-first addition order, the carry kind, the children's token tie-break
+# or the next beam's tie ranks changed.
+CHECK_ROUND_TABLE = {
+    0: [_NO, -0.3, -0.3, -0.7, -1.0, -1.0],
+    2: [_NO, -0.5, -1.1, -0.7, -0.5, -0.7],
+    3: [_NO, -1.0, -0.3, -0.7, -1.1, -0.3],
+    4: [_NO, -0.75, -0.7, -0.25, -1.1, -0.25],
+    5: [_NO, -0.3, -0.5, -0.7, -0.3, -0.75],
+}
+CHECK_ROUNDS = (
+    (3, (4, 3), (3,), "mean_logprob", True, 3),
+    (1, (5, 5), (3, 3, 4), "prob_over_length", True, 3),
+)
+
+
+def psgd_self_check(psgd_round) -> bool:
+    """Whether ``psgd_round`` scores and expands every round of
+    ``CHECK_ROUNDS`` exactly as ``decode._PythonRound`` does."""
+    from .decode import EXPAND_ALWAYS, EXPAND_IF_BETTER, EXPAND_NEVER, PsgdParams, _PythonRound, _SpanScorer
+
+    for order, p, s, scoring, include_eos_in_len, rounds in CHECK_ROUNDS:
+        model = _CheckModel(order)
+        scorer = _SpanScorer(model, (), p, s)
+        params = PsgdParams(beam_width=3, scoring=scoring, include_eos_in_len=include_eos_in_len)
+        takes = [_PythonRound(scorer, model.vocab, params), CompiledRound(psgd_round, scorer, model.vocab, params)]
+        spans = [()]
+        for n in range(rounds):
+            rows = model.rows_after((), [p + span + piece for span in spans for piece in scorer.pieces])
+            length = len(p) + n + len(s)
+            expand, best = (EXPAND_IF_BETTER, -math.inf) if n % 2 else (EXPAND_ALWAYS, -math.inf)
+            if n == rounds - 1:
+                expand, best = EXPAND_IF_BETTER, takes[0](rows, spans, length, EXPAND_NEVER, best)[1]
+            want, got = (round_outputs(take, rows, spans, length, expand, best) for take in takes)
+            if want != got:
+                return False
+            spans = [spans[parent] + (tok,) for parent, tok in want[3]]
     return True

@@ -45,11 +45,17 @@ def normalized_score(
     """
     if scoring not in SCORING_MODES:
         raise ValueError(f"unknown scoring mode {scoring!r}")
-    length = content_len + (1 if include_eos_in_len else 0)
-    length = max(length, 1)
+    term = length_term(content_len, scoring, include_eos_in_len)
     if scoring == SCORING_MEAN_LOGPROB:
-        return total_logprob / length
-    return total_logprob - math.log(length)
+        return total_logprob / term
+    return total_logprob - term
+
+
+def length_term(content_len: int, scoring: str, include_eos_in_len: bool) -> float:
+    """What ``normalized_score`` divides the total by (``mean_logprob``, the
+    length) or subtracts from it (``prob_over_length``, the length's log)."""
+    length = max(content_len + (1 if include_eos_in_len else 0), 1)
+    return length if scoring == SCORING_MEAN_LOGPROB else math.log(length)
 
 
 def filled_score(

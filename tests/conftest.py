@@ -53,3 +53,11 @@ def beam_path(request):
     parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
     with run_by("beam_step", request.param):
         yield request.param
+
+
+@pytest.fixture
+def round_path(request):
+    """Scores the test's PSGD rounds with the round named by its parameter,
+    ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
+    with run_by("psgd_round", request.param):
+        yield request.param

@@ -20,7 +20,7 @@ from tsdecode.scoring import filled_score
 from util import (
     contains_phrase,
     enumerate_best,
-    over_beam_paths,
+    over_paths,
     random_phrases,
     random_table_model,
     random_task,
@@ -192,7 +192,9 @@ PINNED_BEAM_CORE = {
 
 
 # Ids as pytest gave them when the keys also held the raw-score mode.
-@over_beam_paths("constraints", [(c,) for c in sorted(PINNED_BEAM_CORE)], ["constraints1-True", "constraints3-True"])
+@over_paths(
+    "beam_step", "constraints", [(c,) for c in sorted(PINNED_BEAM_CORE)], ["constraints1-True", "constraints3-True"]
+)
 def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, beam_path, constraints):
     # The beam core reads one row per hypothesis per step through the
     # unchecked batched lookup; forward_passes and positions_scored stay

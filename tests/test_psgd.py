@@ -1,6 +1,9 @@
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 
-from tsdecode import decode
+from tsdecode import decode, harness, rowkernel
 from tsdecode.core import STOP_MAX_LEN, STOP_PATIENCE, TokenSeq, TsTask, Vocab
 from tsdecode.decode import (
     InvalidParams,
@@ -10,12 +13,12 @@ from tsdecode.decode import (
     psgd_two_pass,
     psgd_with_trace,
 )
-from tsdecode.lm import NgramGenModel, SequenceModel, TableModel
+from tsdecode.lm import NgramGenModel, SequenceModel, TableModel, model_from_spec
 from tsdecode.oracle import exhaustive_best_prefix, exhaustive_best_span
 from tsdecode.rng import Stream, hash_key
 from tsdecode.scoring import SCORING_MODES, SCORING_PROB_OVER_LENGTH, filled_score
 
-from util import random_table_model, random_task, record_token_checks
+from util import on_every_path, over_paths, random_table_model, random_task, record_token_checks
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,7 @@ def test_greedy_emitted_path_matches_greedy_argmax(m1, m1_task_empty, m1_src):
     assert path == tuple(want)
 
 
+@on_every_path("psgd_round")
 class TestStopping:
     def test_patience_accounting(self):
         for seed in range(10):
@@ -98,10 +102,21 @@ class TestStopping:
 
     def test_expands_only_before_a_scoring_round(self, monkeypatch):
         # A patience stop counts its last step in emitted_steps but does not
-        # expand the beam for it: one _expand per scoring round but the last.
+        # expand the beam for it: one expansion per scoring round but the
+        # last, by whichever round runs.
         calls = []
-        real = decode._expand
-        monkeypatch.setattr(decode, "_expand", lambda *args: calls.append(args) or real(*args))
+
+        def counted(real):
+            def call(self, *args):
+                top, score, children = real(self, *args)
+                if children:
+                    calls.append(args)
+                return top, score, children
+
+            return call
+
+        for round_class in (decode._PythonRound, rowkernel.CompiledRound):
+            monkeypatch.setattr(round_class, "__call__", counted(round_class.__call__))
         stops = set()
         for seed in range(10):
             vocab, src, model = random_table_model(seed + 50)
@@ -145,6 +160,40 @@ class TestStopping:
         assert got.stats.stop_reason == STOP_MAX_LEN
         assert got.stats.emitted_steps == 3
 
+    def test_a_decode_to_the_cap_holds_only_its_beam(self):
+        # Task r0.80_n0000 of `gen --vocab-size 20 --n-tasks 2 --seed 3`
+        # grows its span to the cap. Had psgd kept every round's spans, as
+        # psgd_with_trace does, its peak would grow with the square of the
+        # cap: about 3.5 MB at 400.
+        cfg = harness.GenConfig(vocab_size=20, n_tasks=2, seed=3)
+        model = model_from_spec(cfg.resolved_model_spec())
+        task = {t.task_id: t for t in harness.gen_dataset(cfg, model)}["r0.80_n0000"]
+        params = PsgdParams(max_span_len=400)
+        psgd(model, task, params)  # draws the rows before measuring
+        tracemalloc.start()
+        try:
+            got = psgd(model, task, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.stats.stop_reason == STOP_MAX_LEN
+        assert peak < 300_000
+
+    def test_a_huge_cap_changes_nothing_when_patience_stops(self, pinned_setup):
+        # Nothing is sized by the cap, so a cap never reached costs nothing;
+        # the suffix (6,) keeps each span's terms, past 8 of them.
+        model, task = pinned_setup
+        for suffix, patience in (((6, 2), 3), ((6,), 3), ((), 2)):
+            task = replace(task, suffix=TokenSeq(suffix))
+            default, huge = (
+                psgd(model, task, PsgdParams(beam_width=3, patience=patience, max_span_len=cap))
+                for cap in (None, 10**9)
+            )
+            assert default.stats.stop_reason == STOP_PATIENCE
+            assert replace(huge, stats=replace(huge.stats, wall_time_us=0)) == replace(
+                default, stats=replace(default.stats, wall_time_us=0)
+            )
+
 
 class TestScoreConsistency:
     def test_reported_score_recomputable(self):
@@ -174,6 +223,7 @@ def _affix_tasks(order: int, vocab: Vocab, seed: int):
             )
 
 
+@on_every_path("psgd_round")
 class TestTwoPassReference:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_incremental_scores_equal_forced_passes_bit_for_bit(self, order):
@@ -191,7 +241,8 @@ class TestTwoPassReference:
                 include_eos_in_len=bool(i % 3 == 1),
             )
             single, trace = psgd_with_trace(model, task, params)
-            _, two_trace = decode._psgd_run(model, task, params, decode._forced_pass_scorer)
+            two_trace = []
+            decode._psgd_run(model, task, params, decode._ForcedPassScorer, two_trace)
             double = psgd_two_pass(model, task, params)
             assert single.span.tokens == double.span.tokens, task.task_id
             assert single.whole_seq_score == double.whole_seq_score, task.task_id
@@ -336,8 +387,8 @@ def pinned_setup():
     return model, task
 
 
-@pytest.mark.parametrize("run", PINNED_RUNS, ids=[r[0] for r in PINNED_RUNS])
-def test_entry_points_are_pinned(pinned_setup, run):
+@over_paths("psgd_round", "run", [(r,) for r in PINNED_RUNS], [r[0] for r in PINNED_RUNS])
+def test_entry_points_are_pinned(round_path, pinned_setup, run):
     model, task = pinned_setup
     _label, params, span, one, two, emitted, stop, trace_spans = run
     single = psgd(model, task, params)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsdecode import decode, rng, rowkernel
-from tsdecode.core import Vocab
+from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams
 from tsdecode.lm import NgramGenModel
 from tsdecode.rng import Stream, dirichlet_rows, hash_key
@@ -107,7 +107,7 @@ def test_a_cache_directory_others_may_write_is_refused(tmp_path, monkeypatch):
     monkeypatch.setattr(rowkernel, "_compile", lambda command, path: pytest.fail("compiled"))
     tmp_path.chmod(0o777)
     with pytest.warns(RuntimeWarning, match="not private to this user"):
-        assert rowkernel.load(tmp_path) == (None, None)
+        assert rowkernel.load(tmp_path) == rowkernel.Functions()
 
 
 def loaded_with_warnings(directory):
@@ -155,6 +155,28 @@ def _score_one_ulp_off(beam_step):
     return wrong
 
 
+def _round_score_one_ulp_off(psgd_round):
+    def wrong(at, norm, best, expand):
+        k = psgd_round(at, norm, best, expand)
+        score = ctypes.c_double.from_address(rowkernel._RoundBuffers.from_address(at).score)
+        score.value = math.nextafter(score.value, -math.inf)
+        return k
+
+    return wrong
+
+
+def _round_tie_to_the_last(psgd_round):
+    # Of the items tied with the first-ranked, marks the last in beam order.
+    def wrong(at, norm, best, expand):
+        k = psgd_round(at, norm, best, expand)
+        buffers = rowkernel._RoundBuffers.from_address(at)
+        scores = (ctypes.c_double * buffers.size[buffers.cur]).from_address(buffers.score)
+        buffers.best = max(b for b, score in enumerate(scores) if score == scores[buffers.best])
+        return k
+
+    return wrong
+
+
 def _opened_as(wrap, which):
     """``rowkernel._open`` with its ``which``-th function wrapped by ``wrap``."""
     open_ = rowkernel._open
@@ -167,12 +189,18 @@ def _opened_as(wrap, which):
     return opened
 
 
-# Without a compiler the Python loop and step are taken silently; any other
-# failure is reported. A row kernel that fails its check leaves the compiled
-# beam step in use, and a beam step that fails its check the row kernel.
+# Without a compiler the Python loop, step and round are taken silently; any
+# other failure is reported. A function that fails its check leaves the
+# other two compiled: ONLY names it.
 SILENT = {"no-compiler-named", "compiler-missing"}
-ROWS_ONLY = {"wrong-bytes", "wrong-count"}
-STEPS_ONLY = {"step-one-short", "step-score-wrong"}
+ONLY = {
+    "wrong-bytes": "gammas",
+    "wrong-count": "gammas",
+    "step-one-short": "beam_step",
+    "step-score-wrong": "beam_step",
+    "round-score-wrong": "psgd_round",
+    "round-tie-wrong": "psgd_round",
+}
 FALLBACKS = {
     "no-compiler-named": (sysconfig, "get_config_var", lambda name: None),
     "compiler-missing": (sysconfig, "get_config_var", lambda name: "/nonexistent/cc"),
@@ -183,30 +211,35 @@ FALLBACKS = {
     "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short, 0)),
     "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, 1)),
     "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 1)),
+    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, 2)),
+    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, 2)),
 }
 # A constrained decode whose beams the Python step must take as the
 # reference does.
 PARAMS = DbaParams(4, 10, ((4,), (6, 2)))
 
 
+def fallen_back(functions) -> set[str]:
+    return {name for name, function in functions._asdict().items() if function is None}
+
+
 @pytest.mark.parametrize("fallback", sorted(FALLBACKS))
 def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch):
     monkeypatch.setattr(*FALLBACKS[fallback])
     functions, warned = loaded_with_warnings(tmp_path / "cache")
-    assert (functions.gammas is None) == (fallback not in STEPS_ONLY)
-    assert (functions.beam_step is None) == (fallback not in ROWS_ONLY)
+    failed = {ONLY[fallback]} if fallback in ONLY else set(rowkernel.Functions._fields)
+    assert fallen_back(functions) == failed
     assert warned == ([] if fallback in SILENT else [RuntimeWarning])
     assert not list(tmp_path.glob("cache/.build-*"))
     # A process that draws its first row now draws every row with the Python
-    # loop, unless only the beam step failed: the reference's bytes and draw
-    # counts, block or not. Its beams are taken by the Python step unless
-    # only the row kernel failed.
+    # loop, unless only another function failed: the reference's bytes and
+    # draw counts, block or not. Its beams are taken by the Python step and
+    # its PSGD rounds scored by the Python round when those failed.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(rng, "_compiled", None)
     with warnings.catch_warnings(record=True):
         rows = dirichlet_rows(KEYS, 0.2, 20)
-    assert (rng.compiled().gammas is None) == (fallback not in STEPS_ONLY)
-    assert (rng.compiled().beam_step is None) == (fallback not in ROWS_ONLY)
+    assert fallen_back(rng.compiled()) == failed
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
@@ -215,6 +248,9 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
     assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
     assert replace(stats, wall_time_us=0) == want_stats
+    task = TsTask("t", TokenSeq((3, 7, 5, 9)), TokenSeq((4,)), TokenSeq((6, 2)))
+    got, want = decode.psgd(model, task), decode.psgd_two_pass(model, task)
+    assert (got.span, got.whole_seq_score) == (want.span, want.whole_seq_score)
 
 
 @needs_compiler
@@ -233,9 +269,12 @@ def test_importing_the_program_loads_no_kernel():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("order", [("rows", "beams"), ("beams", "rows")], ids=["rows", "beams"])
+@pytest.mark.parametrize(
+    "order", [("rows", "beams", "psgd"), ("beams", "rows", "psgd"), ("psgd", "beams", "rows")],
+    ids=["rows", "beams", "psgd"],
+)
 def test_a_process_loads_the_kernel_once(order, monkeypatch):
-    # Rows and beam steps share one load, whichever comes first.
+    # Rows, beam steps and PSGD rounds share one load, whichever comes first.
     monkeypatch.setattr(rng, "_compiled", None)
     calls = []
     load = rowkernel.load
@@ -249,6 +288,7 @@ def test_a_process_loads_the_kernel_once(order, monkeypatch):
     uses = {
         "rows": lambda: dirichlet_rows(KEYS, 0.2, 20),
         "beams": lambda: decode.beam_search(model, (3, 7, 5, 9), 4, 10),
+        "psgd": lambda: decode.psgd(model, TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6, 2)))),
     }
     for name in order:
         uses[name]()

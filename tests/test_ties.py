@@ -23,7 +23,7 @@ from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_sea
 from tsdecode.lm import TableModel, UniformModel
 from tsdecode.scoring import rank
 
-from util import kernel_paths, over_beam_paths, ranked_expansions, reference_beam_core
+from util import kernel_paths, over_paths, ranked_expansions, reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -118,21 +118,34 @@ _BEAM_ARGS = "name, src, width, max_len, tokens, score, finished"
 _DBA_ARGS = "name, src, constraints, width, max_len, tokens, score, fw, emitted, stop"
 
 
-@over_beam_paths(_BEAM_ARGS, BEAM_SEARCH, pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
+@over_paths("beam_step", _BEAM_ARGS, BEAM_SEARCH, pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
 def test_beam_search_ties_pinned(beam_path, name, src, width, max_len, tokens, score, finished):
     got = beam_search(MODELS[name], src, width, max_len)
     assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
 
 
-@over_beam_paths(_DBA_ARGS, DBA, pinned_ids(_DBA_ARGS, DBA, 8))
+@over_paths("beam_step", _DBA_ARGS, DBA, pinned_ids(_DBA_ARGS, DBA, 8))
 def test_dba_decode_ties_pinned(beam_path, name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
     got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints))
     assert (got.tokens, sel) == (tokens, score)
     assert (stats.forward_passes, stats.emitted_steps, stats.stop_reason) == (fw, emitted, stop)
 
 
-@pytest.mark.parametrize("name, src, prefix, suffix, width, span, score, emitted", PSGD)
-def test_psgd_ties_pinned(name, src, prefix, suffix, width, span, score, emitted):
+_PSGD_ARGS = "name, src, prefix, suffix, width, span, score, emitted"
+
+
+def default_ids(argnames, table):
+    """The ids pytest gives ``table``'s rows by default: a str, int or float
+    as itself, anything else as its argument name and row index."""
+    names = [a.strip() for a in argnames.split(",")]
+    return [
+        "-".join(str(v) if isinstance(v, (str, int, float)) else f"{a}{i}" for a, v in zip(names, row))
+        for i, row in enumerate(table)
+    ]
+
+
+@over_paths("psgd_round", _PSGD_ARGS, PSGD, default_ids(_PSGD_ARGS, PSGD))
+def test_psgd_ties_pinned(round_path, name, src, prefix, suffix, width, span, score, emitted):
     task = TsTask(
         "t", TokenSeq(src), TokenSeq(prefix), TokenSeq(suffix)
     )

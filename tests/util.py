@@ -116,17 +116,17 @@ def gamma(stream, shape):
 
 def kernel_paths(function):
     """The ways to run the kernel function ``function`` (``"gammas"``, the
-    row draw, or ``"beam_step"``) here: ``"python"`` always, and
-    ``"kernel"`` where the compiled function builds, loads and passes its
-    check."""
+    row draw, ``"beam_step"`` or ``"psgd_round"``) here: ``"python"``
+    always, and ``"kernel"`` where the compiled function builds, loads and
+    passes its check."""
     return ("python", "kernel") if getattr(rng.compiled(), function) else ("python",)
 
 
 @contextmanager
 def run_by(function, path):
-    """Run ``function`` (``"gammas"`` or ``"beam_step"``) the ``path`` way
-    while the block is open: the loaded kernel's function, or in its place
-    the Python loop or step."""
+    """Run ``function`` (``"gammas"``, ``"beam_step"`` or ``"psgd_round"``)
+    the ``path`` way while the block is open: the loaded kernel's function,
+    or in its place the Python loop, step or round."""
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
     rng._compiled = loaded if path == "kernel" else loaded._replace(**{function: None})
@@ -136,19 +136,38 @@ def run_by(function, path):
         rng._compiled = loaded
 
 
-def over_beam_paths(argnames, table, ids):
+# The fixture that runs a test on one path of each kernel function.
+PATH_FIXTURES = {"beam_step": "beam_path", "psgd_round": "round_path"}
+
+
+def over_paths(function, argnames, table, ids):
     """``pytest.mark.parametrize`` of ``argnames`` over ``table``, each row
-    on every beam path (the ``beam_path`` fixture): the Python step's ids
-    are ``ids``, the compiled step's end in ``-kernel``."""
+    on every path of ``function`` (the ``beam_path`` or ``round_path``
+    fixture): the Python path's ids are ``ids``, the compiled path's end in
+    ``-kernel``."""
+    fixture = PATH_FIXTURES[function]
     return pytest.mark.parametrize(
-        "beam_path, " + argnames,
+        f"{fixture}, {argnames}",
         [
             pytest.param(path, *row, id=row_id if path == "python" else f"{row_id}-{path}")
-            for path in kernel_paths("beam_step")
+            for path in kernel_paths(function)
             for row, row_id in zip(table, ids)
         ],
-        indirect=["beam_path"],
+        indirect=[fixture],
     )
+
+
+def on_every_path(function):
+    """Marks a test or class to run once on each path of ``function``, as
+    its ``beam_path`` or ``round_path`` fixture, with ids ``[python]`` and
+    ``[kernel]``."""
+    fixture = PATH_FIXTURES[function]
+
+    def mark(test):
+        test = pytest.mark.usefixtures(fixture)(test)
+        return pytest.mark.parametrize(fixture, kernel_paths(function), indirect=True)(test)
+
+    return mark
 
 
 def record_token_checks(monkeypatch) -> list[str]:
