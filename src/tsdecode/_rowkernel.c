@@ -1,14 +1,21 @@
-/* The compiled kernel: the gamma variates of a Dirichlet row, one step of
-   the full-sentence beam search and one PSGD scoring round.
+/* The compiled kernel: a Dirichlet row, the finalisation of a block of
+   rows, one step of the full-sentence beam search and one PSGD scoring
+   round.
 
-   ``tsd_gammas`` is ``rng.Stream._gammas`` statement for statement:
-   draw i of the stream keyed by ``key`` is mix64(key ^ mix64(i)), and each
-   variate is one boosted Marsaglia-Tsang sample. The transcendentals are
-   the libm functions CPython's ``math.log``, ``math.cos``, ``math.sqrt``
-   and float ``**`` call, on the same operands in the same order, and the
-   file must be compiled without floating-point contraction
-   (-ffp-contract=off) or fast-math, so every variate has the bytes the
-   Python loop gives.
+   ``tsd_dirichlet`` is ``rng.Stream.dirichlet``: its gamma variates are
+   ``rng.Stream._gammas`` statement for statement, then the row is divided
+   by its sum. Draw i of the stream keyed by ``key`` is
+   mix64(key ^ mix64(i)), and each variate is one boosted Marsaglia-Tsang
+   sample. The transcendentals are the libm functions CPython's
+   ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` call, on the
+   same operands in the same order, and the file must be compiled without
+   floating-point contraction (-ffp-contract=off) or fast-math, so every
+   variate has the bytes the Python loop gives.
+
+   ``tsd_finalize`` is ``lm._finalize_rows``'s numpy body on a C-contiguous
+   block. Both sum a row as numpy's ``add.reduce`` does, in the same order
+   (``add_reduce``), and every other step is one IEEE operation per entry,
+   as numpy's elementwise loops are.
 
    ``tsd_beam_step`` is ``decode._PythonStep``: it picks the same finishes
    and the same next beam, in the same order, with the same scores. A
@@ -23,14 +30,17 @@
    functions keep their top k with one helper, ``top_children``.
 
    ``rowkernel.load`` checks each function against its Python twin before
-   any is used. */
+   any is used; the summation order of numpy is reproduced, and checked
+   there, not assumed. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-uint64_t tsd_gammas(uint64_t key, uint64_t start, int64_t n,
-                    double concentration, double *out);
+uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
+                       double concentration, double *out);
+int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
+                     double scale, double eps);
 
 static uint64_t mix64(uint64_t x)
 {
@@ -48,8 +58,8 @@ static double uniform(uint64_t key, uint64_t i)
 
 /* Writes ``n`` gamma variates of shape ``concentration`` to ``out`` from
    the draws after ``start``, and returns the number of draws consumed. */
-uint64_t tsd_gammas(uint64_t key, uint64_t start, int64_t n,
-                    double concentration, double *out)
+static uint64_t gammas(uint64_t key, uint64_t start, int64_t n,
+                       double concentration, double *out)
 {
     /* Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a). */
     int boost = concentration < 1.0;
@@ -78,6 +88,79 @@ uint64_t tsd_gammas(uint64_t key, uint64_t start, int64_t n,
         out[k] = boost ? d * v * pow(b, power) : d * v;
     }
     return i - start;
+}
+
+/* numpy's pairwise sum of ``n`` contiguous doubles (``pairwise_sum`` of
+   its ``loops_utils.h``): a sequential loop below 8 entries; up to 128,
+   eight accumulators, combined in a fixed tree, then the remainder; above
+   128, the sums of two parts split at half of ``n`` rounded down to a
+   multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* ``np.add.reduce`` of a contiguous float64 row, or of one row of a
+   C-contiguous block along its last axis: the identity 0.0 plus the
+   pairwise sum. */
+static double add_reduce(const double *a, int64_t n)
+{
+    return 0.0 + pairwise_sum(a, n);
+}
+
+/* Writes the Dirichlet row of ``n`` gamma variates of shape
+   ``concentration`` drawn after ``start`` to ``out``, each divided by
+   their sum, or ``1.0 / n`` everywhere when the sum is not positive; returns
+   the number of draws consumed. */
+uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
+                       double concentration, double *out)
+{
+    uint64_t drawn = gammas(key, start, n, concentration, out);
+    double total = add_reduce(out, n);
+    for (int64_t k = 0; k < n; k++)
+        out[k] = total <= 0.0 ? 1.0 / n : out[k] / total;
+    return drawn;
+}
+
+/* Finalizes the ``n_rows`` x ``vocab`` block ``rows`` in place, row by
+   row: zero BOS, divide by the sum, times ``scale``, plus ``eps``, zero
+   BOS. Returns the index of the first row with no mass outside BOS, which
+   is left unfinished with the rows after it, or -1. */
+int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
+                     double scale, double eps)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        double *row = rows + r * vocab;
+        row[bos] = 0.0;
+        double total = add_reduce(row, vocab);
+        if (total <= 0.0)
+            return r;
+        for (int64_t v = 0; v < vocab; v++)
+            row[v] = row[v] / total * scale + eps;
+        row[bos] = 0.0;
+    }
+    return -1;
 }
 
 /* One decode's beam and buffers, allocated by ``rowkernel.CompiledStep``.

@@ -11,15 +11,20 @@ A model maps (source sequence, target prefix) to a normalized next-token
 distribution. Every query is served from one memo of finalized log rows,
 one dict per source keyed by context, read by one lookup that checks
 nothing, ``rows_after``: the log rows after each of a batch of prefixes of
-one source. Its one miss path, ``_draw``, draws the rows a batch misses as
-one block, each distinct context once, and keeps one read-only log row per
-context: every decoder scores with log-probabilities only. Row bytes do not
-depend on the block: ``NgramGenModel`` rows are drawn with
-``rng.dirichlet_rows``, and finalizing acts on each row alone, in place in
-the block. What a cold row costs beyond its Dirichlet loop is kept small by
-the tables each ``NgramGenModel`` computes once, of ``mix64`` of every
-token id and of every context length up to the longest drawn, which its
-key fold reads.
+one source, whose contexts one ``_contexts`` call computes. Its one miss
+path, ``_draw``, draws the rows a batch misses as one block, each distinct
+context once, and keeps one read-only log row per context: every decoder
+scores with log-probabilities only. Row bytes do not depend on the block:
+``NgramGenModel`` rows are drawn with ``rng.dirichlet_rows``, and
+finalizing acts on each row alone, in place in the block. The compiled
+kernel finalizes a block in one call (``tsd_finalize``) when it passed its
+check (``finalize_self_check``), and numpy does otherwise
+(``_numpy_finalize``); the kernel adds each row up in the order numpy's
+``add.reduce`` does, and the check compares the bytes of both rather than
+assume they match. What a cold row costs beyond its Dirichlet draw is kept
+small by the tables each ``NgramGenModel`` computes once, of ``mix64`` of
+every token id and of every context length up to the longest drawn, which
+its key fold reads.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
@@ -41,6 +46,7 @@ from __future__ import annotations
 
 import json
 import math
+from ctypes import c_double
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from pathlib import Path
@@ -49,9 +55,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
+from . import rng
 from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length
 
 EPS_FLOOR = 1e-12
+_NO_MASS = "row has no probability mass outside BOS"
 
 _KIND_UNIFORM = "uniform"
 _KIND_TABLE = "table"
@@ -126,23 +134,89 @@ def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> np.n
     floor. Returns the (R, V) block of probability rows, BOS exactly 0.
 
     An (R, V) float64 array is finalized in place; a list of rows is first
-    stacked into a fresh array, so the rows it holds are never written. Each
-    row comes out as it would alone: the sum runs along the contiguous axis,
-    as a 1-D row's does, and every other step is elementwise. ``_draw``
+    stacked into a fresh array, so the rows it holds are never written. The
+    compiled kernel finalizes a C-contiguous block when it passed its check
+    (``rng.compiled().finalize``, through ``_compiled_finalize``), and
+    ``_numpy_finalize`` does otherwise; both give the same bytes. ``_draw``
     copies each memo row out of its block: memo rows kept as views of their
     blocks raised the ratio-sweep benchmark's peak RSS by about 0.6 MB
     (1.5%)."""
     rows = np.asarray(raws, dtype=np.float64)
+    finalize = (rng._compiled or rng.compiled()).finalize
+    if finalize and rows.flags.c_contiguous:
+        return _compiled_finalize(finalize, rows, bos_id)
+    return _numpy_finalize(rows, bos_id)
+
+
+def _numpy_finalize(rows: np.ndarray, bos_id: int) -> np.ndarray:
+    """``_finalize_rows`` of an (R, V) float64 block in numpy, in place: the
+    reference ``tsd_finalize`` is checked against. Each row comes out as it
+    would alone: the sum runs along the contiguous axis, as a 1-D row's
+    does, and every other step is elementwise."""
     rows[:, bos_id] = 0.0
     total = np.add.reduce(rows, axis=1)
     if min(total.tolist()) <= 0.0:
-        raise ValueError("row has no probability mass outside BOS")
+        raise ValueError(_NO_MASS)
     rows /= total[:, None]
     k = rows.shape[1] - 1
     rows *= 1.0 - k * EPS_FLOOR
     rows += EPS_FLOOR
     rows[:, bos_id] = 0.0
     return rows
+
+
+def _compiled_finalize(finalize, rows: np.ndarray, bos_id: int) -> np.ndarray:
+    """``_numpy_finalize`` of a C-contiguous (R, V) float64 block by the
+    compiled ``finalize`` (``tsd_finalize``), in place, with the same
+    bytes and the same ``ValueError``."""
+    n_rows, size = rows.shape
+    # ``from_buffer`` takes the block's address faster than ``ndarray.ctypes``.
+    if finalize(c_double.from_buffer(rows), n_rows, size, bos_id, 1.0 - (size - 1) * EPS_FLOOR, EPS_FLOOR) >= 0:
+        raise ValueError(_NO_MASS)
+    return rows
+
+
+# Widths of the blocks the compiled ``tsd_finalize`` must reproduce, byte
+# for byte: every branch of numpy's pairwise sum (below 8 entries, 8
+# accumulators with and without a remainder, parts split once and twice),
+# odd widths and 8k +- 1, and the rows of vocab 20 and vocab 100.
+CHECK_WIDTHS = (2, 7, 9, 17, 20, 100, 127, 128, 129, 300)
+
+
+def check_blocks() -> list[np.ndarray]:
+    """A raw block of three rows for each width in ``CHECK_WIDTHS``, BOS
+    (column 0) included, whose sums depend on the order they are added in;
+    the middle row has no mass outside BOS. The values are Python floats:
+    numpy's remainder and power loops would page in code that nothing else
+    runs, about 0.2 MB of peak RSS."""
+    values = [(k * 0.6180339887498949 % 1.0) ** 4 for k in range(1, 3 * max(CHECK_WIDTHS) + 1)]
+    blocks = []
+    for width in CHECK_WIDTHS:
+        block = np.array(values[: 3 * width]).reshape(3, width)
+        block[1, 1:] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+def finalize_self_check(finalize) -> bool:
+    """Whether the compiled ``finalize`` (``tsd_finalize``) finalizes a block
+    of every width in ``CHECK_WIDTHS`` as ``_numpy_finalize`` does: the
+    first and last rows of each of ``check_blocks`` to the same bytes, and
+    all three to the same ``ValueError``."""
+    compiled = partial(_compiled_finalize, finalize)
+    for block in check_blocks():
+        for rows in (block[::2], block):
+            if _outcome(_numpy_finalize, rows) != _outcome(compiled, rows):
+                return False
+    return True
+
+
+def _outcome(finalize, rows: np.ndarray) -> bytes | str:
+    """The bytes ``finalize`` makes of a copy of ``rows``, or its error."""
+    try:
+        return finalize(rows.copy(), 0).tobytes()
+    except ValueError as exc:
+        return repr(exc)
 
 
 class SequenceModel:
@@ -163,15 +237,15 @@ class SequenceModel:
         self.order = order
         self._row_cache: dict[Tokens, dict[Tokens, np.ndarray]] = {}
 
-    def _context(self, target_prefix: Tokens) -> Tokens:
-        """The conditioning context: last ``order`` tokens of BOS + prefix.
+    def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
+        """The conditioning context of each target prefix: the last
+        ``order`` tokens of BOS + prefix.
 
         A subclass may condition on less, but never on more: rows that only
         depend on the last ``order`` tokens are what lets PSGD score a span
         without re-reading the rows it cannot change."""
-        if len(target_prefix) >= self.order:
-            return target_prefix[-self.order:]
-        return (self.vocab.bos_id,) + target_prefix
+        order, bos = self.order, (self.vocab.bos_id,)
+        return [prefix[-order:] if len(prefix) >= order else bos + prefix for prefix in prefixes]
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray | Sequence[np.ndarray]:
         """The raw rows of ``contexts`` of one source: an (R, V) float64
@@ -182,10 +256,14 @@ class SequenceModel:
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
         """Build, finalize and memoise the log rows of distinct uncached
         contexts of one source, as one block: the memo's one miss path."""
-        rows = _finalize_rows(self._raw_rows(source, contexts), self.vocab.bos_id)
-        # The log of BOS's exact 0 is -inf.
-        with np.errstate(divide="ignore"):
-            np.log(rows, out=rows)
+        bos = self.vocab.bos_id
+        rows = _finalize_rows(self._raw_rows(source, contexts), bos)
+        # The log of BOS's exact 0 is -inf, written after the log: with a
+        # 1.0 there, np.log meets no zero (every other entry is at least
+        # EPS_FLOOR) and needs no np.errstate.
+        rows[:, bos] = 1.0
+        np.log(rows, out=rows)
+        rows[:, bos] = -math.inf
         memo = self._row_cache.setdefault(source, {})
         for context, row in zip(contexts, rows):
             row = row.copy()
@@ -200,8 +278,7 @@ class SequenceModel:
         checked: the source and prefixes must be int tuples whose ids
         ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
         memo = self._row_cache.get(source, {})
-        context = self._context
-        contexts = [context(prefix) for prefix in prefixes]
+        contexts = self._contexts(prefixes)
         try:
             return [memo[c] for c in contexts]
         except KeyError:
@@ -212,8 +289,7 @@ class SequenceModel:
     def _prob_rows(self, source: Tokens, prefixes: Sequence[Tokens]) -> np.ndarray:
         """The probability rows after each of ``prefixes``, finalized again
         from the raw rows; the memo is neither read nor written."""
-        contexts = [self._context(prefix) for prefix in prefixes]
-        return _finalize_rows(self._raw_rows(source, contexts), self.vocab.bos_id)
+        return _finalize_rows(self._raw_rows(source, self._contexts(prefixes)), self.vocab.bos_id)
 
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
         """The rows at every position of ``target``, from one ``rows_after``
@@ -247,9 +323,9 @@ class UniformModel(SequenceModel):
         row[vocab.bos_id] = 0.0
         self._row = row
 
-    def _context(self, target_prefix: Tokens) -> Tokens:
+    def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
         # Position-independent model: one cache entry per source.
-        return ()
+        return [()] * len(prefixes)
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> list[np.ndarray]:
         return [self._row] * len(contexts)

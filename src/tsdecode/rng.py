@@ -17,19 +17,24 @@ Dirichlet row is a pure function of its key, its starting counter, its
 concentration and its length. Every draw is computed alone, a uniform
 always by ``_uniform``.
 
-A row's gamma variates are drawn by one of two loops that give the same
-bytes and consume the same draws. The compiled row kernel (``rowkernel``,
-``_rowkernel.c``) is built and loaded when a process first draws a row or
-takes a beam step, and used only if it draws a fixed set of rows exactly as
-the Python loop does. Otherwise ``Stream._gammas``, the Python loop and the
-reference the kernel is checked against, draws every row. ``compiled()``
-loads the kernel once per process, for rows and beam steps alike. The
-transcendentals of both loops are scalar libm calls, the ones CPython's
-``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` make, on the same
-operands in the same order, and never numpy's: ``np.log`` does not round
-like ``math.log`` on every input, and rows must not depend on which is used.
-The kernel is compiled without floating-point contraction or fast-math for
-the same reason.
+A Dirichlet row is drawn by one of two paths that give the same bytes and
+consume the same draws. The compiled kernel's ``tsd_dirichlet``
+(``rowkernel``, ``_rowkernel.c``) draws the gamma variates and divides them
+by their sum in one call. It is built and loaded when a process first draws
+a row or takes a beam step, and used only if it draws a fixed set of rows
+exactly as the Python path does. Otherwise ``Stream._gammas``, the Python
+loop, draws the variates and ``_normalized`` divides them by numpy's
+``add.reduce`` sum; together they are the reference the kernel is checked
+against, by ``dirichlet_self_check`` on ``CHECK_ROWS``. The kernel adds a
+row up in the order numpy's pairwise sum does, and its check compares bytes,
+so a numpy that sums otherwise only sends rows back to Python.
+``compiled()`` loads the kernel once per process, for rows, finalisation,
+beam steps and PSGD rounds alike. The transcendentals of both loops are
+scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
+``math.sqrt`` and float ``**`` make, on the same operands in the same order,
+and never numpy's: ``np.log`` does not round like ``math.log`` on every
+input, and rows must not depend on which is used. The kernel is compiled
+without floating-point contraction or fast-math for the same reason.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 (``mix_length``) before its items, so a caller that folds many short
@@ -132,6 +137,19 @@ def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np
     return [Stream(key).dirichlet(concentration, n) for key in keys]
 
 
+def _normalized(gammas: list[float]) -> np.ndarray:
+    """The Dirichlet row of the variates ``gammas``: each divided by their
+    ``np.add.reduce`` sum (``ndarray.sum`` without its Python wrapper, so the
+    same bytes), in place in a new array, or uniform if every variate
+    underflowed to 0, as at very small concentrations."""
+    row = np.array(gammas, dtype=np.float64)
+    total = np.add.reduce(row)
+    if total <= 0.0:
+        return np.full(len(row), 1.0 / len(row), dtype=np.float64)
+    row /= total
+    return row
+
+
 class Stream:
     """Deterministic random stream for a fixed 64-bit key.
 
@@ -169,12 +187,11 @@ class Stream:
 
         Each variate takes the draws, and does the arithmetic, of one call of
         the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
-        ``concentration``, in the same order. The compiled kernel draws the
-        variates when it passed its check (``compiled().gammas``), ``_gammas``
-        otherwise. The row is normalized in place in its own buffer, summed by
-        ``np.add.reduce`` (``ndarray.sum`` without its Python wrapper, so the
-        same bytes). If every variate underflows to 0, as at very small
-        concentrations, the row is uniform.
+        ``concentration``, in the same order. The compiled kernel draws and
+        normalizes the row in one call when it passed its check
+        (``compiled().gammas``); otherwise ``_gammas`` draws the variates
+        and ``_normalized`` divides them by their sum. If every variate
+        underflows to 0, as at very small concentrations, the row is uniform.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
@@ -182,23 +199,17 @@ class Stream:
             raise ValueError(f"dirichlet concentration must be finite and > 0, got {concentration}")
         kernel = (_compiled or compiled()).gammas
         if kernel:
-            gammas = (c_double * n)()
-            self._counter += kernel(self._key, self._counter, n, concentration, gammas)
-            row = np.frombuffer(gammas)
-        else:
-            row = np.array(self._gammas(concentration, n), dtype=np.float64)
-        total = np.add.reduce(row)
-        if total <= 0.0:
-            return np.full(n, 1.0 / n, dtype=np.float64)
-        row /= total
-        return row
+            row = (c_double * n)()
+            self._counter += kernel(self._key, self._counter, n, concentration, row)
+            return np.frombuffer(row)
+        return _normalized(self._gammas(concentration, n))
 
     def _gammas(self, concentration: float, n: int) -> list[float]:
         """The ``n`` gamma variates of a row: ``_rowkernel.c``'s loop written
         in Python, the reference the kernel is checked against and the path
-        taken when the kernel is not loaded. Like the kernel, it draws each
-        uniform when it needs it, ``_uniform(key, i)`` at the same counter
-        ``i``."""
+        taken when the kernel's row function is not loaded. Like the kernel,
+        it draws each uniform when it needs it, ``_uniform(key, i)`` at the
+        same counter ``i``."""
         # Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a).
         boost = 1 if concentration < 1.0 else 0
         shape = concentration + 1.0 if boost else concentration
@@ -227,3 +238,40 @@ class Stream:
             append(d * v * b ** power if boost else d * v)
         self._counter = i
         return draws
+
+
+# (key, draws consumed before the row, concentration, n): rows the compiled
+# ``tsd_dirichlet`` must reproduce, byte for byte, before it is used. A
+# boosted vocab-20 row with a long run of rejections, more than 4n + 16
+# draws (key hash_key(29, 20, 1098)), an unboosted row after three draws,
+# the shape 1.0 edge that does not boost, a short row at concentration 0.05
+# (a boost power of 20), a row whose every boost ``pow`` underflows to 0
+# (key hash_key(31, 8)), so it comes out uniform, and a 131-wide row (key
+# hash_key(41, 131, 3)), which numpy sums in two parts of 64 and 67 entries.
+# Summed left to right, the first row and the last come out with other
+# bytes; the last also does when summed with any one other rule of numpy's
+# sum changed (the block size, the split, the accumulators' order, the
+# remainder's place).
+CHECK_ROWS = (
+    (0x863357EB4D8456EF, 0, 0.2, 20),
+    (0x243F6A8885A308D3, 3, 2.5, 19),
+    (0x13198A2E03707344, 0, 1.0, 7),
+    (0xA4093822299F31D0, 1, 0.05, 9),
+    (0x0E8764AD5652F529, 0, 0.001, 3),
+    (0x59B7B24ECFDFB96A, 0, 3.0, 131),
+)
+
+
+def dirichlet_self_check(dirichlet) -> bool:
+    """Whether the compiled ``dirichlet`` (``tsd_dirichlet``) draws every row
+    of ``CHECK_ROWS`` with the bytes and the draw count of ``Stream._gammas``
+    and ``_normalized``."""
+    for key, start, concentration, n in CHECK_ROWS:
+        stream = Stream(key)
+        stream._counter = start
+        want = _normalized(stream._gammas(concentration, n))
+        got = (c_double * n)()
+        drawn = dirichlet(key, start, n, concentration, got)
+        if bytes(got) != want.tobytes() or start + drawn != stream._counter:
+            return False
+    return True

@@ -1,14 +1,17 @@
 """The compiled kernel: build, cache, load and check ``_rowkernel.c``.
 
-``_rowkernel.c`` holds three functions, each the C twin of a Python loop:
-``tsd_gammas`` is ``rng.Stream._gammas``, which draws the gamma variates of
-a Dirichlet row, statement for statement, ``tsd_beam_step`` is
+``_rowkernel.c`` holds four functions, each the C twin of Python code:
+``tsd_dirichlet`` is ``rng.Stream.dirichlet`` (the variates of
+``rng.Stream._gammas`` divided by their sum, ``rng._normalized``),
+``tsd_finalize`` is ``lm._numpy_finalize``, ``tsd_beam_step`` is
 ``decode._PythonStep``, one step of the full-sentence beam search, and
-``tsd_psgd_round`` is ``decode._PythonRound``, one PSGD scoring round. This
-module holds no state: ``rng.compiled()`` calls ``load`` once per process,
-on the first row draw, beam step or PSGD round, never on import, for all
-three functions. ``rng`` and ``decode`` then use each function that passed
-its check, and the much slower Python loop, step or round otherwise.
+``tsd_psgd_round`` is ``decode._PythonRound``, one PSGD scoring round. The
+two row functions add a row up in numpy's ``add.reduce`` order, which their
+checks compare rather than assume. This module holds no state:
+``rng.compiled()`` calls ``load`` once per process, on the first row draw,
+beam step or PSGD round, never on import, for all four functions. ``rng``,
+``lm`` and ``decode`` then use each function that passed its check, and the
+much slower Python code otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -21,17 +24,23 @@ name needs no ``hashlib``, which loads OpenSSL into the process. It is written
 to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
-Each function is checked on its own before it is used. ``self_check`` draws
-``CHECK_ROWS`` through both row loops and requires every variate's bytes
-and every draw count to match; ``beam_self_check`` takes the ``CHECK_STEPS``
-steps of a small fixed decode with both steps and requires the same
-survivors, finishes and scores, byte for byte; ``psgd_self_check`` scores
-the ``CHECK_ROUNDS`` with both rounds and requires the same scores, best
-items, children and carries, byte for byte. A function that fails its
-check is replaced by its Python twin alone, so a row mismatch leaves the
-compiled beam step and round in use, and so on. No compiler, or a failed
-build or load, leaves all three to Python, exactly as without the kernel.
-Without a compiler that is silent; any other failure is reported by one
+Each function is checked on its own before it is used, the row functions
+next to their Python twins. ``rng.dirichlet_self_check`` draws
+``rng.CHECK_ROWS`` through both row paths and requires every entry's bytes
+and every draw count to match; ``lm.finalize_self_check`` finalizes a block
+of every width in ``lm.CHECK_WIDTHS`` both ways and requires the same
+bytes, and the same ``ValueError`` for a row with no mass;
+``beam_self_check`` takes the ``CHECK_STEPS`` steps of a small fixed decode
+with both steps and requires the same survivors, finishes and scores, byte
+for byte; ``psgd_self_check`` scores the ``CHECK_ROUNDS`` with both rounds
+and requires the same scores, best items, children and carries, byte for
+byte. The checks run inside ``rng.compiled()``'s lock, so they call the
+Python twins, never ``Stream.dirichlet`` or ``lm._finalize_rows``, which
+would wait for it. A function that fails its check is replaced by its
+Python twin alone, so a row mismatch leaves the compiled finalisation, beam
+step and round in use, and so on. No compiler, or a failed build or load,
+leaves all four to Python, exactly as without the kernel. Without a
+compiler that is silent; any other failure is reported by one
 ``RuntimeWarning``. The cache holds code, never rows: every command still
 draws every row it reads.
 """
@@ -50,27 +59,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import Stream, hash_key
+from .lm import finalize_self_check
+from .rng import dirichlet_self_check, hash_key
 from .scoring import SCORING_MEAN_LOGPROB, length_term
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
-# (key, draws consumed before the row, concentration, n): rows the kernel
-# must reproduce, byte for byte, before it is used. A boosted vocab-20 row
-# with a long run of rejections, more than 4n + 16 draws (key
-# hash_key(29, 20, 1098)), an unboosted row after three draws, the shape
-# 1.0 edge that does not boost, a short row at concentration 0.05 (a boost
-# power of 20), and a row whose every boost ``pow`` underflows to 0 (key
-# hash_key(31, 8)).
-CHECK_ROWS = (
-    (0x863357EB4D8456EF, 0, 0.2, 20),
-    (0x243F6A8885A308D3, 3, 2.5, 19),
-    (0x13198A2E03707344, 0, 1.0, 7),
-    (0xA4093822299F31D0, 1, 0.05, 9),
-    (0x0E8764AD5652F529, 0, 0.001, 3),
-)
-
 
 def compiler() -> list[str] | None:
     """The C compiler this Python was built with, as a command; None when
@@ -88,9 +82,12 @@ def cache_dir() -> Path:
 
 class Functions(NamedTuple):
     """The kernel's functions that passed their checks; None for each that
-    did not, or when the kernel could not be built or loaded."""
+    did not, or when the kernel could not be built or loaded. ``gammas``
+    holds ``tsd_dirichlet``, which draws and normalizes a whole row; the
+    field keeps the name of the gamma loop it held first."""
 
     gammas: object = None
+    finalize: object = None
     beam_step: object = None
     psgd_round: object = None
 
@@ -98,9 +95,10 @@ class Functions(NamedTuple):
 def load(directory: Path | None = None) -> Functions:
     """The kernel's functions from ``directory`` (``cache_dir()`` by
     default), built there first if it is not there yet, each kept only if it
-    passes its own check: ``self_check`` for ``tsd_gammas`` and
-    ``beam_self_check`` for ``tsd_beam_step``. Each failure is reported as
-    one warning, except a missing compiler."""
+    passes its own check: ``rng.dirichlet_self_check`` for ``tsd_dirichlet``,
+    ``lm.finalize_self_check`` for ``tsd_finalize``, ``beam_self_check`` for
+    ``tsd_beam_step`` and ``psgd_self_check`` for ``tsd_psgd_round``. Each
+    failure is reported as one warning, except a missing compiler."""
     cc = compiler()
     if cc is None or shutil.which(cc[0]) is None:
         return Functions()
@@ -114,12 +112,13 @@ def load(directory: Path | None = None) -> Functions:
         path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
-        gammas, beam_step, psgd_round = _open(path)
+        dirichlet, finalize, beam_step, psgd_round = _open(path)
     except Exception as exc:  # whatever fails, rows are drawn, beams stepped and rounds scored in Python
-        _warn("kernel", repr(exc), "rows are drawn, beams stepped and PSGD rounds scored in Python")
+        _warn("kernel", repr(exc), "rows are drawn and finalized, beams stepped and PSGD rounds scored in Python")
         return Functions()
     return Functions(
-        _checked(gammas, self_check, "row kernel", "rows are drawn in Python"),
+        _checked(dirichlet, dirichlet_self_check, "row kernel", "rows are drawn in Python"),
+        _checked(finalize, finalize_self_check, "row finalisation", "rows are finalized in Python"),
         _checked(beam_step, beam_self_check, "beam step", "beams are stepped in Python"),
         _checked(psgd_round, psgd_self_check, "PSGD round", "PSGD rounds are scored in Python"),
     )
@@ -167,32 +166,23 @@ def _compile(command: list[str], path: Path) -> None:
 
 
 def _open(path: Path) -> tuple:
-    """``tsd_gammas``, ``tsd_beam_step`` and ``tsd_psgd_round`` from the
-    shared object at ``path``, with their argument and result types."""
+    """``tsd_dirichlet``, ``tsd_finalize``, ``tsd_beam_step`` and
+    ``tsd_psgd_round`` from the shared object at ``path``, with their
+    argument and result types."""
     library = ctypes.CDLL(str(path))
-    gammas, beam_step, psgd_round = library.tsd_gammas, library.tsd_beam_step, library.tsd_psgd_round
-    gammas.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
-                       ctypes.POINTER(ctypes.c_double))
-    gammas.restype = ctypes.c_uint64
+    dirichlet, finalize = library.tsd_dirichlet, library.tsd_finalize
+    beam_step, psgd_round = library.tsd_beam_step, library.tsd_psgd_round
+    dirichlet.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
+                          ctypes.POINTER(ctypes.c_double))
+    dirichlet.restype = ctypes.c_uint64
+    finalize.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+                         ctypes.c_double, ctypes.c_double)
+    finalize.restype = ctypes.c_int64
     beam_step.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     beam_step.restype = ctypes.c_int64
     psgd_round.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64)
     psgd_round.restype = ctypes.c_int64
-    return gammas, beam_step, psgd_round
-
-
-def self_check(kernel) -> bool:
-    """Whether ``kernel`` draws every row of ``CHECK_ROWS`` with the bytes
-    and the draw count of ``rng.Stream._gammas``."""
-    for key, start, concentration, n in CHECK_ROWS:
-        stream = Stream(key)
-        stream._counter = start
-        want = stream._gammas(concentration, n)
-        got = (ctypes.c_double * n)()
-        drawn = kernel(key, start, n, concentration, got)
-        if bytes(got) != bytes((ctypes.c_double * n)(*want)) or start + drawn != stream._counter:
-            return False
-    return True
+    return dirichlet, finalize, beam_step, psgd_round
 
 
 class _BeamBuffers(ctypes.Structure):

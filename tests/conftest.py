@@ -48,6 +48,14 @@ def m1_task_empty(m1_src):
 
 
 @pytest.fixture
+def finalize_path(request):
+    """Finalizes the test's rows with the finalisation named by its
+    parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
+    with run_by("finalize", request.param):
+        yield request.param
+
+
+@pytest.fixture
 def beam_path(request):
     """Takes the test's beam-search steps with the step named by its
     parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""

@@ -26,7 +26,7 @@ from tsdecode.lm import (
 )
 from tsdecode.rng import hash_key
 
-from util import random_table_model
+from util import over_paths, random_table_model
 
 
 def test_as_tokens_gives_plain_ints():
@@ -224,7 +224,7 @@ ROW_BYTES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ROW_BYTES))
+@over_paths("finalize", "name", [(name,) for name in sorted(ROW_BYTES)], sorted(ROW_BYTES))
 def test_finalized_row_bytes_are_pinned(name):
     make, queries, want = ROW_BYTES[name]
     model = make()
@@ -277,7 +277,7 @@ class TestTableModel:
         model = TableModel(Vocab(9), order, {})
         for n in range(order + 3):
             prefix = tuple(range(2, 2 + n))
-            assert model._context(prefix) == ((model.vocab.bos_id,) + prefix)[-order:]
+            assert model._contexts([prefix]) == [((model.vocab.bos_id,) + prefix)[-order:]]
 
 
 class TestNgramGenModel:

@@ -37,7 +37,7 @@ def test_key_equals_hash_key(vocab_size, order, perturbed, seed, data):
     prefix = tuple(data.draw(st.lists(st.integers(2, vocab_size - 1), max_size=4)))
     # The context a lookup folds (it starts with BOS after a short prefix),
     # and any context of at most ``order`` ids.
-    contexts = [model._context(prefix), tuple(data.draw(st.lists(ids, max_size=order)))]
+    contexts = [*model._contexts([prefix]), tuple(data.draw(st.lists(ids, max_size=order)))]
     for s in seeds:
         for tag in (_ROW_TAG, _COIN_TAG):
             for context in contexts:

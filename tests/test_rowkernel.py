@@ -1,6 +1,7 @@
 """The compiled row kernel: the same rows and draw counts as the Python
-loop, a cache that is built once and checked, and every failure to build,
-load or match falling back to the Python loop with the same rows."""
+loop, the same finalized rows as numpy, a cache that is built once and
+checked, and every failure to build, load or match falling back to Python
+with the same rows."""
 
 import ctypes
 import math
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode import decode, rng, rowkernel
+from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams
 from tsdecode.lm import NgramGenModel
@@ -67,12 +68,60 @@ def test_kernel_loads_where_a_compiler_runs(tmp_path):
 @given(
     st.integers(0, 2**64 - 1),
     st.integers(0, 2**40),
-    st.one_of(st.sampled_from([0.05, 0.2, 1.0, 2.5, 3.0]), st.floats(0.05, 3.0)),
-    st.sampled_from([1, 2, 19, 99, 300]),
+    st.one_of(st.sampled_from([0.001, 0.05, 0.2, 1.0, 2.5, 3.0]), st.floats(0.05, 3.0)),
+    st.one_of(st.sampled_from([1, 2, 3, 19, 99, 128, 129, 300]), st.integers(1, 300)),
 )
 @settings(max_examples=150, deadline=None)
 def test_kernel_rows_equal_python_rows(key, start, concentration, n):
-    assert drawn_row("kernel", key, start, concentration, n) == drawn_row("python", key, start, concentration, n)
+    got = drawn_row("kernel", key, start, concentration, n)
+    assert got == drawn_row("python", key, start, concentration, n)
+    # A row whose every variate underflows (often so at concentration 0.001
+    # and a few entries) is uniform.
+    stream = Stream(key)
+    stream._counter = start
+    if not any(stream._gammas(concentration, n)):
+        assert got[0] == np.full(n, 1.0 / n).tobytes()
+
+
+needs_finalize = pytest.mark.skipif(
+    "kernel" not in kernel_paths("finalize"), reason="the compiled row finalisation cannot be built here"
+)
+
+
+def finalized(path, raw):
+    """The bytes ``lm._finalize_rows`` gives on the ``path`` way for a copy
+    of the raw block ``raw``, or its ``ValueError``."""
+    with run_by("finalize", path):
+        return lm._outcome(lm._finalize_rows, raw)
+
+
+@needs_finalize
+@given(
+    st.integers(1, 4),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
+    st.one_of(st.sampled_from([0.001, 0.05, 0.2, 1.0, 2.5]), st.floats(0.001, 3.0)),
+    st.sets(st.integers(0, 3)),
+)
+@settings(max_examples=150, deadline=None)
+def test_compiled_finalisation_equals_numpy(n_rows, width, key, concentration, massless):
+    # Raw rows: a nonzero BOS entry (a table row may hold one), which
+    # finalisation must drop, and Dirichlet variates, some of which
+    # underflow to 0; the rows in ``massless`` have no mass outside BOS.
+    stream = Stream(key)
+    raw = np.array([[stream.uniform(), *stream._gammas(concentration, width - 1)] for _ in range(n_rows)])
+    for r in massless & set(range(n_rows)):
+        raw[r, 1:] = 0.0
+    got = finalized("kernel", raw)
+    assert got == finalized("python", raw)
+    if not raw[:, 1:].sum(axis=1).all():
+        assert got == repr(ValueError("row has no probability mass outside BOS"))
+    elif n_rows > 1:
+        # A block that is not C-contiguous is finalized in numpy, whose sums
+        # depend on the layout.
+        with run_by("finalize", "kernel"):
+            strided = lm._finalize_rows(np.asfortranarray(raw), 0)
+        assert strided.tobytes() == lm._numpy_finalize(np.asfortranarray(raw), 0).tobytes()
 
 
 @needs_kernel
@@ -139,6 +188,40 @@ def _one_draw_short(kernel):
     return lambda key, start, n, concentration, out: kernel(key, start, n, concentration, out) - 1
 
 
+def _summed_in_order(dirichlet):
+    # Divides the row by its variates added left to right, not pairwise.
+    def wrong(key, start, n, concentration, out):
+        drawn = dirichlet(key, start, n, concentration, out)
+        stream = Stream(key)
+        stream._counter = start
+        variates = stream._gammas(concentration, n)
+        total = 0.0
+        for variate in variates:
+            total += variate
+        for k, variate in enumerate(variates):
+            out[k] = variate / total if total > 0.0 else 1.0 / n
+        return drawn
+
+    return wrong
+
+
+def _bos_summed(finalize):
+    # Sums each row before zeroing its BOS entry.
+    def wrong(first, n_rows, size, bos, scale, eps):
+        block = (ctypes.c_double * (n_rows * size)).from_address(ctypes.addressof(first))
+        rows = np.ctypeslib.as_array(block).reshape(n_rows, size)
+        total = np.add.reduce(rows, axis=1)
+        if min(total.tolist()) <= 0.0:
+            return int(np.argmin(total))
+        rows /= total[:, None]
+        rows *= scale
+        rows += eps
+        rows[:, bos] = 0.0
+        return -1
+
+    return wrong
+
+
 def _step_one_short(beam_step):
     return lambda at, last: max(beam_step(at, last) - 1, 0)
 
@@ -189,13 +272,15 @@ def _opened_as(wrap, which):
     return opened
 
 
-# Without a compiler the Python loop, step and round are taken silently; any
-# other failure is reported. A function that fails its check leaves the
-# other two compiled: ONLY names it.
+# Without a compiler the Python row draw, finalisation, step and round are
+# taken silently; any other failure is reported. A function that fails its
+# check leaves the other three compiled: ONLY names it.
 SILENT = {"no-compiler-named", "compiler-missing"}
 ONLY = {
     "wrong-bytes": "gammas",
     "wrong-count": "gammas",
+    "sequential-sum": "gammas",
+    "bos-summed": "finalize",
     "step-one-short": "beam_step",
     "step-score-wrong": "beam_step",
     "round-score-wrong": "psgd_round",
@@ -209,10 +294,12 @@ FALLBACKS = {
     "load-fails": (ctypes, "CDLL", _refuse),
     "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, 0)),
     "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short, 0)),
-    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, 1)),
-    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 1)),
-    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, 2)),
-    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, 2)),
+    "sequential-sum": (rowkernel, "_open", _opened_as(_summed_in_order, 0)),
+    "bos-summed": (rowkernel, "_open", _opened_as(_bos_summed, 1)),
+    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, 2)),
+    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 2)),
+    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, 3)),
+    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, 3)),
 }
 # A constrained decode whose beams the Python step must take as the
 # reference does.
@@ -233,8 +320,9 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     assert not list(tmp_path.glob("cache/.build-*"))
     # A process that draws its first row now draws every row with the Python
     # loop, unless only another function failed: the reference's bytes and
-    # draw counts, block or not. Its beams are taken by the Python step and
-    # its PSGD rounds scored by the Python round when those failed.
+    # draw counts, block or not. It finalizes rows in numpy, takes its beams
+    # by the Python step and scores its PSGD rounds by the Python round when
+    # those failed, with the same bytes.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(rng, "_compiled", None)
     with warnings.catch_warnings(record=True):
@@ -243,6 +331,8 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
+    raw = lm.check_blocks()[-1][::2]
+    assert lm._finalize_rows(raw.copy(), 0).tobytes() == lm._numpy_finalize(raw.copy(), 0).tobytes()
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
@@ -336,7 +426,9 @@ def test_drawing_a_row_loads_no_openssl():
         "rng.Stream(1).dirichlet(0.2, 19)\n"
         "print(rng.compiled().gammas is not None, '_hashlib' in sys.modules)"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    # A first draw that waits for rng's lock forever fails here, not hangs.
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                         timeout=120)
     assert out.stdout.split() == [str(rng.compiled().gammas is not None), "False"]
 
 

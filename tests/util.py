@@ -116,17 +116,18 @@ def gamma(stream, shape):
 
 def kernel_paths(function):
     """The ways to run the kernel function ``function`` (``"gammas"``, the
-    row draw, ``"beam_step"`` or ``"psgd_round"``) here: ``"python"``
-    always, and ``"kernel"`` where the compiled function builds, loads and
-    passes its check."""
+    row draw, ``"finalize"``, the row finalisation, ``"beam_step"`` or
+    ``"psgd_round"``) here: ``"python"`` always, and ``"kernel"`` where the
+    compiled function builds, loads and passes its check."""
     return ("python", "kernel") if getattr(rng.compiled(), function) else ("python",)
 
 
 @contextmanager
 def run_by(function, path):
-    """Run ``function`` (``"gammas"``, ``"beam_step"`` or ``"psgd_round"``)
-    the ``path`` way while the block is open: the loaded kernel's function,
-    or in its place the Python loop, step or round."""
+    """Run ``function`` (``"gammas"``, ``"finalize"``, ``"beam_step"`` or
+    ``"psgd_round"``) the ``path`` way while the block is open: the loaded
+    kernel's function, or in its place the Python row draw, finalisation,
+    step or round."""
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
     rng._compiled = loaded if path == "kernel" else loaded._replace(**{function: None})
@@ -137,16 +138,16 @@ def run_by(function, path):
 
 
 # The fixture that runs a test on one path of each kernel function.
-PATH_FIXTURES = {"beam_step": "beam_path", "psgd_round": "round_path"}
+PATH_FIXTURES = {"finalize": "finalize_path", "beam_step": "beam_path", "psgd_round": "round_path"}
 
 
 def over_paths(function, argnames, table, ids):
     """``pytest.mark.parametrize`` of ``argnames`` over ``table``, each row
-    on every path of ``function`` (the ``beam_path`` or ``round_path``
-    fixture): the Python path's ids are ``ids``, the compiled path's end in
-    ``-kernel``."""
+    on every path of ``function`` (the ``finalize_path``, ``beam_path`` or
+    ``round_path`` fixture, which the test need not take): the Python
+    path's ids are ``ids``, the compiled path's end in ``-kernel``."""
     fixture = PATH_FIXTURES[function]
-    return pytest.mark.parametrize(
+    parametrize = pytest.mark.parametrize(
         f"{fixture}, {argnames}",
         [
             pytest.param(path, *row, id=row_id if path == "python" else f"{row_id}-{path}")
@@ -155,12 +156,13 @@ def over_paths(function, argnames, table, ids):
         ],
         indirect=[fixture],
     )
+    return lambda test: parametrize(pytest.mark.usefixtures(fixture)(test))
 
 
 def on_every_path(function):
     """Marks a test or class to run once on each path of ``function``, as
-    its ``beam_path`` or ``round_path`` fixture, with ids ``[python]`` and
-    ``[kernel]``."""
+    its ``finalize_path``, ``beam_path`` or ``round_path`` fixture, with ids
+    ``[python]`` and ``[kernel]``."""
     fixture = PATH_FIXTURES[function]
 
     def mark(test):
