@@ -1,6 +1,6 @@
-/* The compiled kernel: a Dirichlet row, the finalisation of a block of
-   rows, one step of the full-sentence beam search and one PSGD scoring
-   round.
+/* The compiled kernel: a Dirichlet row, the raw rows of a block of
+   contexts, the finalisation of a block of rows, one step of the
+   full-sentence beam search and one PSGD scoring round.
 
    ``tsd_dirichlet`` is ``rng.Stream.dirichlet``: its gamma variates are
    ``rng.Stream._gammas`` statement for statement, then the row is divided
@@ -11,6 +11,14 @@
    same operands in the same order, and the file must be compiled without
    floating-point contraction (-ffp-contract=off) or fast-math, so every
    variate has the bytes the Python loop gives.
+
+   ``tsd_block`` is ``lm.NgramGenModel._raw_rows``'s per-row loop in one
+   call: for each context it folds the row key as ``rng.hash_key`` does,
+   onto the source's key that Python folded once, tosses a perturbed
+   sibling's coin the same way, and draws the row with ``tsd_dirichlet``.
+   A row is a pure function of its key, so where it is drawn changes no
+   byte. It is the one compiled row path: Python calls ``tsd_dirichlet``
+   only to check it.
 
    ``tsd_finalize`` is ``lm._finalize_rows``'s numpy body on a C-contiguous
    block. Both sum a row as numpy's ``add.reduce`` does, in the same order
@@ -39,6 +47,9 @@
 
 uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
                        double concentration, double *out);
+void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
+               const int64_t *tokens, const int64_t *lengths, int64_t n_rows,
+               int64_t vocab, double concentration, double *rows);
 int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
                      double scale, double eps);
 
@@ -141,6 +152,36 @@ uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
     for (int64_t k = 0; k < n; k++)
         out[k] = total <= 0.0 ? 1.0 / n : out[k] / total;
     return drawn;
+}
+
+/* ``rng.hash_key``'s fold of a sequence part of ``n`` ids onto the key
+   ``h``: its length, mixed with 0xA5A5A5A5, then each id. */
+static uint64_t fold(uint64_t h, const int64_t *ids, int64_t n)
+{
+    h = mix64(h ^ mix64((uint64_t)n ^ UINT64_C(0xA5A5A5A5)));
+    for (int64_t k = 0; k < n; k++)
+        h = mix64(h ^ mix64((uint64_t)ids[k]));
+    return h;
+}
+
+/* Draws the raw rows of ``n_rows`` contexts of one source into columns
+   1 .. ``vocab`` - 1 of the zeroed ``n_rows`` x ``vocab`` block ``rows``.
+   Context r is the next ``lengths[r]`` ids of ``tokens``. Its row is the
+   Dirichlet row keyed by the context folded onto ``h_row``, or onto
+   ``h_alt`` when ``rate`` > 0 and the first draw keyed by the context
+   folded onto ``h_coin`` is below ``rate``. */
+void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
+               const int64_t *tokens, const int64_t *lengths, int64_t n_rows,
+               int64_t vocab, double concentration, double *rows)
+{
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t n = lengths[r];
+        uint64_t h = h_row;
+        if (rate > 0.0 && uniform(fold(h_coin, tokens, n), 1) < rate)
+            h = h_alt;
+        tsd_dirichlet(fold(h, tokens, n), 0, vocab - 1, concentration, rows + r * vocab + 1);
+        tokens += n;
+    }
 }
 
 /* Finalizes the ``n_rows`` x ``vocab`` block ``rows`` in place, row by

@@ -1,7 +1,9 @@
 """Command-line front end: gen, suggest, eval, sweep-pt, sweep-ratio.
 
 Exit codes: 0 success, 1 runtime/I-O error, 2 usage or configuration error,
-including a malformed task, result or model spec file.
+including a malformed task, result or model spec file, and a vocabulary
+size outside [3, ``core.MAX_VOCAB_SIZE``] = [3, 1048576] in a model spec's
+``vocab_size``, a config's ``vocab_size`` or ``gen --vocab-size``.
 Flags override config-file values. Per-task decode failures are recorded as
 error rows in the output, not process failures.
 

@@ -37,18 +37,26 @@ STOP_EMPTY_BEAM = "empty_beam"
 STOP_REASONS = (STOP_PATIENCE, STOP_MAX_LEN, STOP_EMPTY_BEAM)
 
 
+# The largest vocabulary: a row is 8 MiB, and every id and R x V block size
+# stays far inside the kernel's int64 arguments. The memo keeps every row a
+# command draws, so memory, not this bound, limits what a host can serve
+# near it.
+MAX_VOCAB_SIZE = 2**20
+
+
 @dataclass(frozen=True)
 class Vocab:
-    """An integer vocabulary of ``size`` ids; id 0 is BOS and id 1 is EOS in
-    every vocabulary, and the ids from 2 up are content tokens."""
+    """An integer vocabulary of ``size`` ids, from 3 to ``MAX_VOCAB_SIZE``;
+    id 0 is BOS and id 1 is EOS in every vocabulary, and the ids from 2 up
+    are content tokens."""
 
     size: int
     bos_id: ClassVar[int] = 0
     eos_id: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
-        if self.size < 3:
-            raise ValueError(f"vocab size must be >= 3, got {self.size}")
+        if not 3 <= self.size <= MAX_VOCAB_SIZE:
+            raise ValueError(f"vocab_size must be in [3, {MAX_VOCAB_SIZE}], got {self.size}")
 
     @cached_property
     def content_ids(self) -> tuple[int, ...]:

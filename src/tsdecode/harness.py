@@ -24,6 +24,7 @@ from .core import (
     TokenSeq,
     TsError,
     TsTask,
+    Vocab,
     check_int,
     check_str,
 )
@@ -55,7 +56,7 @@ class GenConfig:
     constraint_source: str = CONSTRAINT_GOLD
 
     def __post_init__(self) -> None:
-        check_int("vocab_size", self.vocab_size)
+        Vocab(check_int("vocab_size", self.vocab_size))  # in range before any row of that size
         check_int("seed", self.seed)
         check_int("n_tasks", self.n_tasks, 1)
         if len(self.source_len_range) != 2:

@@ -15,16 +15,18 @@ one source, whose contexts one ``_contexts`` call computes. Its one miss
 path, ``_draw``, draws the rows a batch misses as one block, each distinct
 context once, and keeps one read-only log row per context: every decoder
 scores with log-probabilities only. Row bytes do not depend on the block:
-``NgramGenModel`` rows are drawn with ``rng.dirichlet_rows``, and
-finalizing acts on each row alone, in place in the block. The compiled
-kernel finalizes a block in one call (``tsd_finalize``) when it passed its
-check (``finalize_self_check``), and numpy does otherwise
-(``_numpy_finalize``); the kernel adds each row up in the order numpy's
-``add.reduce`` does, and the check compares the bytes of both rather than
-assume they match. What a cold row costs beyond its Dirichlet draw is kept
-small by the tables each ``NgramGenModel`` computes once, of ``mix64`` of
-every token id and of every context length up to the longest drawn, which
-its key fold reads.
+an ``NgramGenModel`` row is a pure function of its key, ``hash_key(seed,
+tag, source, context)``, and finalizing acts on each row alone, in place in
+the block. The compiled kernel draws an ``NgramGenModel`` block in one call
+(``tsd_block``), which folds each context onto the source's keys, tosses a
+sibling's coins and draws the rows, when it passed its checks
+(``rng.dirichlet_self_check`` and ``block_self_check``); otherwise
+``_row_keys`` folds each key in Python and ``rng.dirichlet_rows`` draws
+each row with the Python loop. The kernel finalizes a
+block in one call (``tsd_finalize``) when it passed its check
+(``finalize_self_check``), and numpy does otherwise (``_numpy_finalize``);
+the kernel adds each row up in the order numpy's ``add.reduce`` does, and
+each check compares the bytes of both paths rather than assume they match.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
@@ -49,14 +51,16 @@ import math
 from ctypes import c_double
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from pathlib import Path
+from struct import pack
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
 from . import rng
-from .rng import Stream, dirichlet_rows, hash_key, mix64, mix_length
+from .rng import Stream, _normalized, dirichlet_rows, hash_key, mix64
 
 EPS_FLOOR = 1e-12
 _NO_MASS = "row has no probability mass outside BOS"
@@ -402,49 +406,59 @@ class NgramGenModel(SequenceModel):
         self.concentration = float(concentration)
         self.perturb_seed = perturb_seed
         self.perturb_rate = float(perturb_rate)
+        # A sibling tosses a coin per context, keyed by ``perturb_seed``, and
+        # redraws the row under ``_perturbed_seed`` when it lands below the rate.
+        self._rate = self.perturb_rate if perturb_seed is not None else 0.0
         if perturb_seed is not None:
             self._perturbed_seed = mix64(seed ^ mix64(perturb_seed))
-        # hash_key(seed, tag, source) for each one seen, so that a row's key
-        # folds only its context.
-        self._source_keys: dict[tuple[int, int, Tokens], int] = {}
-        # What rng.hash_key mixes for each token id and each context length, so
-        # a context folds with one mix64 call per token and one for its
-        # length. The length table is replaced by a longer one when a longer
-        # context is drawn, so a large ``order`` costs nothing until contexts
-        # that long occur.
-        self._mixed_tokens = [mix64(t) for t in range(vocab.size)]
-        self._mixed_lengths: list[int] = []
-
-    def _key(self, seed: int, tag: int, source: Tokens, context: Tokens) -> int:
-        """``hash_key(seed, tag, source, context)``, for a context of at most
-        ``order`` ids of the vocabulary."""
-        prefix = (seed, tag, source)
-        h = self._source_keys.get(prefix)
-        if h is None:
-            h = self._source_keys[prefix] = hash_key(*prefix)
-        mixed = self._mixed_tokens
-        try:
-            h = mix64(h ^ self._mixed_lengths[len(context)])
-        except IndexError:  # a longer context than any before: a new, longer table
-            size = max(2 * len(self._mixed_lengths), len(context) + 1)
-            lengths = self._mixed_lengths = [mix_length(n) for n in range(size)]
-            h = mix64(h ^ lengths[len(context)])
-        for t in context:
-            h = mix64(h ^ mixed[t])
-        return h
+        # Per source seen, hash_key(seed, tag, source) for its rows, its
+        # sibling's rows and its coins (0 for a model with no sibling): the
+        # compiled block folds each context onto these.
+        self._source_keys: dict[Tokens, tuple[int, int, int]] = {}
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
+        """The contexts' rows in one ``tsd_block`` call when the compiled
+        block passed its checks, otherwise one ``Stream.dirichlet`` per row,
+        keyed by ``_row_keys``."""
+        rows = np.zeros((len(contexts), self.vocab.size), dtype=np.float64)
+        block = (rng._compiled or rng.compiled()).block
+        if block:
+            return self._block_rows(block, source, contexts, rows)
+        # Every id but Vocab.bos_id, which is 0.
+        rows[:, 1:] = dirichlet_rows(self._row_keys(source, contexts), self.concentration, self.vocab.size - 1)
+        return rows
+
+    def _row_keys(self, source: Tokens, contexts: Sequence[Tokens]) -> list[int]:
+        """Each context's row key: ``hash_key(seed, _ROW_TAG, source,
+        context)``, under ``_perturbed_seed`` where a sibling's coin lands
+        below the rate. The Python twin of ``tsd_block``'s fold."""
         keys = []
         for context in contexts:
             seed = self.seed
-            if self.perturb_seed is not None and self.perturb_rate > 0.0:
-                coin = Stream(self._key(self.perturb_seed, _COIN_TAG, source, context)).uniform()
-                if coin < self.perturb_rate:
+            if self._rate > 0.0:
+                if Stream(hash_key(self.perturb_seed, _COIN_TAG, source, context)).uniform() < self._rate:
                     seed = self._perturbed_seed
-            keys.append(self._key(seed, _ROW_TAG, source, context))
-        rows = np.zeros((len(keys), self.vocab.size), dtype=np.float64)
-        # Every id but Vocab.bos_id, which is 0.
-        rows[:, 1:] = dirichlet_rows(keys, self.concentration, self.vocab.size - 1)
+            keys.append(hash_key(seed, _ROW_TAG, source, context))
+        return keys
+
+    def _block_rows(self, block, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray) -> np.ndarray:
+        """The contexts' raw rows drawn into the zeroed block ``rows`` by the
+        compiled ``block`` (``tsd_block``), which folds each context onto the
+        source's keys."""
+        keys = self._source_keys.get(source)
+        if keys is None:
+            alt = coin = 0
+            if self.perturb_seed is not None:
+                alt = hash_key(self._perturbed_seed, _ROW_TAG, source)
+                coin = hash_key(self.perturb_seed, _COIN_TAG, source)
+            keys = self._source_keys[source] = (hash_key(self.seed, _ROW_TAG, source), alt, coin)
+        # The contexts' ids one after another, and their lengths, as int64
+        # bytes: ``struct`` packs them faster than a ctypes array is built.
+        lengths = [*map(len, contexts)]
+        tokens = pack(f"{sum(lengths)}q", *chain.from_iterable(contexts))
+        n = len(lengths)
+        block(*keys, self._rate, tokens, pack(f"{n}q", *lengths), n, self.vocab.size, self.concentration,
+              c_double.from_buffer(rows))
         return rows
 
 
@@ -458,6 +472,33 @@ def make_perturbed_sibling(model: NgramGenModel, perturb_seed: int, rate: float 
         perturb_seed=perturb_seed,
         perturb_rate=rate,
     )
+
+
+# Blocks the compiled ``tsd_block`` must draw byte for byte as ``_row_keys``
+# and the Python row loop do: (rate, source, contexts) of a vocab-3 sibling
+# (seed 41, perturb_seed 7, concentration 2.5). The first holds a context of
+# every length from 0 to 6 on the empty source; at rate 0.5 three of its
+# coins land below the rate and four above, and three would land otherwise
+# if drawn at counter 0. At rate 1.0 every coin lands below. The rows are
+# narrow: ``tsd_block`` draws them with ``tsd_dirichlet``, whose own check
+# covers wide rows.
+CHECK_BLOCKS = (
+    (0.5, (), ((), (0,), (0, 2), (2, 2, 0), (0, 2, 2, 2), (2, 0, 2, 2, 0), (2, 2, 2, 0, 0, 2))),
+    (1.0, (2,), ((0, 2),)),
+)
+
+
+def block_self_check(block) -> bool:
+    """Whether the compiled ``block`` (``tsd_block``) draws every block of
+    ``CHECK_BLOCKS`` with the bytes of ``_row_keys``, ``Stream._gammas``
+    and ``rng._normalized``."""
+    for rate, source, contexts in CHECK_BLOCKS:
+        model = NgramGenModel(Vocab(3), 6, 41, 2.5, 7, rate)
+        want = np.zeros((len(contexts), 3))
+        want[:, 1:] = [_normalized(Stream(key)._gammas(2.5, 2)) for key in model._row_keys(source, contexts)]
+        if model._block_rows(block, source, contexts, np.zeros_like(want)).tobytes() != want.tobytes():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

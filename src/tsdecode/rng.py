@@ -17,29 +17,32 @@ Dirichlet row is a pure function of its key, its starting counter, its
 concentration and its length. Every draw is computed alone, a uniform
 always by ``_uniform``.
 
-A Dirichlet row is drawn by one of two paths that give the same bytes and
-consume the same draws. The compiled kernel's ``tsd_dirichlet``
-(``rowkernel``, ``_rowkernel.c``) draws the gamma variates and divides them
-by their sum in one call. It is built and loaded when a process first draws
-a row or takes a beam step, and used only if it draws a fixed set of rows
-exactly as the Python path does. Otherwise ``Stream._gammas``, the Python
+A Dirichlet row is drawn by one of two paths that give the same bytes.
+``Stream.dirichlet`` is the Python path: ``Stream._gammas``, the Python
 loop, draws the variates and ``_normalized`` divides them by numpy's
-``add.reduce`` sum; together they are the reference the kernel is checked
-against, by ``dirichlet_self_check`` on ``CHECK_ROWS``. The kernel adds a
-row up in the order numpy's pairwise sum does, and its check compares bytes,
-so a numpy that sums otherwise only sends rows back to Python.
-``compiled()`` loads the kernel once per process, for rows, finalisation,
-beam steps and PSGD rounds alike. The transcendentals of both loops are
-scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
-``math.sqrt`` and float ``**`` make, on the same operands in the same order,
-and never numpy's: ``np.log`` does not round like ``math.log`` on every
-input, and rows must not depend on which is used. The kernel is compiled
-without floating-point contraction or fast-math for the same reason.
+``add.reduce`` sum. The compiled kernel (``rowkernel``, ``_rowkernel.c``)
+draws whole blocks of an n-gram model's rows in one call, ``tsd_block``,
+which folds each row's key and draws the row with ``tsd_dirichlet``, the
+gamma variates divided by their sum. The kernel is built and loaded when a
+process first draws an n-gram model's rows or takes a beam step, and its
+block is used only if ``tsd_dirichlet`` draws a fixed set of rows
+(``dirichlet_self_check`` on ``CHECK_ROWS``) and ``tsd_block`` a fixed set
+of blocks exactly as the Python path does. The kernel adds a row up in the
+order numpy's pairwise sum does, and its checks compare bytes, so a numpy
+that sums otherwise only sends rows back to Python. ``compiled()`` loads
+the kernel once per process, for row blocks, finalisation, beam steps and
+PSGD rounds alike. The transcendentals of both loops are scalar libm
+calls, the ones CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and
+float ``**`` make, on the same operands in the same order, and never
+numpy's: ``np.log`` does not round like ``math.log`` on every input, and
+rows must not depend on which is used. The kernel is compiled without
+floating-point contraction or fast-math for the same reason.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
-(``mix_length``) before its items, so a caller that folds many short
-sequences of small ids, like ``lm.NgramGenModel``, can keep those mixes in
-a table and fold with them, bit for bit the same.
+before its items, so a key can be folded in steps: ``lm.NgramGenModel``
+folds a row key's (seed, tag, source) part once per source in Python, and
+the kernel's ``tsd_block`` folds each context onto it, bit for bit as
+``hash_key`` would.
 
 ``Stream._gammas`` fuses the ``n`` gamma variates of a row into one loop,
 the kernel's loop written in Python. It computes each uniform when it
@@ -88,11 +91,6 @@ def _uniform(key: int, i: int) -> float:
     return ((mix64(key ^ mix64(i)) >> 11) + 0.5) * _ULP
 
 
-def mix_length(n: int) -> int:
-    """What ``hash_key`` folds in for the length ``n`` of a sequence part."""
-    return mix64(n ^ 0xA5A5A5A5)
-
-
 def hash_key(*parts: int | Iterable[int]) -> int:
     """Fold integers (or iterables of integers) into one 64-bit key.
 
@@ -105,23 +103,23 @@ def hash_key(*parts: int | Iterable[int]) -> int:
             h = mix64(h ^ mix64(part & _MASK64))
         else:
             items = tuple(part)
-            h = mix64(h ^ mix_length(len(items)))
+            h = mix64(h ^ mix64(len(items) ^ 0xA5A5A5A5))
             for v in items:
                 h = mix64(h ^ mix64(int(v) & _MASK64))
     return h
 
 
 # This process's compiled kernel, a ``rowkernel.Functions``, once the first
-# row draw or beam step has loaded it; None before.
+# n-gram row block, beam step or PSGD round has loaded it; None before.
 _compiled = None
 _lock = threading.Lock()
 
 
 def compiled():
     """The compiled kernel's functions for this process, None for each that
-    runs in Python: the first call, from the first row draw or beam step,
-    builds or finds the kernel and opens it (``rowkernel.load``); every later
-    call returns the same functions."""
+    runs in Python: the first call, from the first n-gram row block, beam
+    step or PSGD round, builds or finds the kernel and opens it
+    (``rowkernel.load``); every later call returns the same functions."""
     global _compiled
     with _lock:
         if _compiled is None:
@@ -132,8 +130,9 @@ def compiled():
 
 
 def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
-    """``Stream(key).dirichlet(concentration, n)`` for each key: the one
-    entry point for a block of rows."""
+    """``Stream(key).dirichlet(concentration, n)`` for each key: a block of
+    rows drawn by the Python loop, where the kernel's ``tsd_block`` is not
+    used."""
     return [Stream(key).dirichlet(concentration, n) for key in keys]
 
 
@@ -187,27 +186,22 @@ class Stream:
 
         Each variate takes the draws, and does the arithmetic, of one call of
         the one-variate sampler (``gamma`` in ``tests/util.py``) at shape
-        ``concentration``, in the same order. The compiled kernel draws and
-        normalizes the row in one call when it passed its check
-        (``compiled().gammas``); otherwise ``_gammas`` draws the variates
-        and ``_normalized`` divides them by their sum. If every variate
-        underflows to 0, as at very small concentrations, the row is uniform.
+        ``concentration``, in the same order: ``_gammas`` draws the
+        variates and ``_normalized`` divides them by their sum. If every
+        variate underflows to 0, as at very small concentrations, the row is
+        uniform. The compiled kernel's ``tsd_dirichlet`` is checked against
+        this loop, and draws the rows of ``tsd_block``.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
         if not 0.0 < concentration < math.inf:
             raise ValueError(f"dirichlet concentration must be finite and > 0, got {concentration}")
-        kernel = (_compiled or compiled()).gammas
-        if kernel:
-            row = (c_double * n)()
-            self._counter += kernel(self._key, self._counter, n, concentration, row)
-            return np.frombuffer(row)
         return _normalized(self._gammas(concentration, n))
 
     def _gammas(self, concentration: float, n: int) -> list[float]:
         """The ``n`` gamma variates of a row: ``_rowkernel.c``'s loop written
         in Python, the reference the kernel is checked against and the path
-        taken when the kernel's row function is not loaded. Like the kernel,
+        taken when the kernel's row block is not loaded. Like the kernel,
         it draws each uniform when it needs it, ``_uniform(key, i)`` at the
         same counter ``i``."""
         # Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a).

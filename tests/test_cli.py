@@ -10,7 +10,7 @@ import pytest
 from tsdecode import cli, harness
 from tsdecode.cli import main
 from tsdecode.core import read_results_jsonl, read_tasks_jsonl, write_results_jsonl, write_tasks_jsonl
-from tsdecode.core import ResultRow, TokenSeq, TsTask
+from tsdecode.core import MAX_VOCAB_SIZE, ResultRow, TokenSeq, TsTask
 from tsdecode.decode import PsgdParams
 from tsdecode.harness import (
     gen_config_from_dict,
@@ -153,6 +153,42 @@ class TestGen:
         code = main(["gen", "--config", cfg, "--out", str(tmp_path / "t.jsonl")])
         assert code == 2
         assert "model spec lacks key 'vocab_size'" in capsys.readouterr().err
+
+
+# Runs ``main`` on its arguments in a process whose address space is then
+# limited to 1 GiB, so an input that makes the program allocate without
+# bound fails the test rather than exhaust the runner's memory.
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "from tsdecode.cli import main\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize("given", ["spec", "flag", "config"])
+def test_vocab_size_above_the_bound_exits_2_naming_it(tmp_path, given):
+    # 10**12 ids would be 8 TB per row; the bound refuses the size first.
+    size = 10**12
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({"task_id": "a", "source": [2], "prefix": [], "suffix": []}) + "\n")
+    spec = tmp_path / "model.json"
+    spec.write_text(json.dumps(dict(GEN_CONFIG["model_spec"], vocab_size=size)))
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "spec": ["suggest", "--tasks", str(tasks), "--model-spec", str(spec)],
+        "flag": ["gen", "--vocab-size", str(size)],
+        "config": ["gen", "--config", write_config(tmp_path, {"vocab_size": size})],
+    }[given] + ["--out", str(out)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count("\n") == 1
+    assert "vocab_size" in proc.stderr and f"[3, {MAX_VOCAB_SIZE}], got {size}" in proc.stderr
+    assert not out.exists()
 
 
 class TestSuggest:

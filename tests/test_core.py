@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import tsdecode
 from tsdecode.core import (
+    MAX_VOCAB_SIZE,
     ReservedTokenInContent,
     ResultRow,
     TokenOutOfRange,
@@ -42,6 +43,11 @@ class TestVocab:
     def test_too_small(self):
         with pytest.raises(ValueError):
             Vocab(2)
+
+    def test_too_large(self):
+        assert Vocab(MAX_VOCAB_SIZE).size == 2**20
+        with pytest.raises(ValueError, match="vocab_size must be in"):
+            Vocab(MAX_VOCAB_SIZE + 1)
 
     def test_bos_and_eos_ids_are_fixed(self):
         assert [f.name for f in fields(Vocab)] == ["size"]

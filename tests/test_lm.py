@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, TokenSeq, Vocab
 from tsdecode.lm import (
+    _ROW_TAG,
     EPS_FLOOR,
     ForcedPassResult,
     InvalidModelSpec,
@@ -24,9 +25,9 @@ from tsdecode.lm import (
     save_model_spec,
     seq_logprob,
 )
-from tsdecode.rng import hash_key
+from tsdecode.rng import Stream, hash_key
 
-from util import over_paths, random_table_model
+from util import kernel_paths, over_paths, random_table_model, run_by
 
 
 def test_as_tokens_gives_plain_ints():
@@ -236,6 +237,15 @@ def test_finalized_row_bytes_are_pinned(name):
     assert digest.hexdigest() == want
 
 
+@pytest.mark.parametrize("name", sorted(ROW_BYTES))
+def test_pinned_row_bytes_on_every_row_path(name):
+    # The pins above hold however the raw rows are drawn: by the Python loop
+    # or by the compiled block.
+    for path in kernel_paths("block"):
+        with run_by("block", path):
+            test_finalized_row_bytes_are_pinned(name)
+
+
 class TestSeqLogprob:
     def test_uniform_length_three_with_eos(self):
         model = UniformModel(Vocab(5))
@@ -324,15 +334,17 @@ class TestNgramGenModel:
         assert differ > 0 and same > 0
 
     def test_huge_order_builds_at_once_and_folds_keys_as_hash_key(self):
-        # The key fold tabulates context lengths only as contexts that long
-        # are drawn, so an order of 10**9 costs nothing before its first row.
+        # Nothing is tabulated by context length, so an order of 10**9 costs
+        # nothing before its first row, and a context of any length is keyed
+        # by hash_key.
         spec = {"kind": "ngram_gen", "vocab_size": 9, "order": 10**9, "seed": 5, "concentration": 0.3, "table": None}
         start = time.perf_counter()
         huge = model_from_spec(spec)
         assert time.perf_counter() - start < 0.5
         for n in (0, 1, 5, 40, 3, 100, 2):
             context = tuple(2 + (5 * i) % 7 for i in range(n))
-            assert huge._key(5, 7, (2, 3), context) == hash_key(5, 7, (2, 3), context)
+            key = hash_key(5, _ROW_TAG, (2, 3), context)
+            assert huge._raw_rows((2, 3), [context])[0, 1:].tobytes() == Stream(key).dirichlet(0.3, 8).tobytes()
         # A forced pass draws contexts of every length up to the target's,
         # each keyed as under any order longer than the target.
         target = tuple(2 + (3 * i) % 7 for i in range(40))

@@ -1,10 +1,12 @@
-"""The constants an n-gram model computes once must change no row.
+"""An n-gram model's rows must not depend on how they are drawn.
 
-``NgramGenModel`` folds its row keys from a table of mixed token ids and
-context lengths, which must give exactly what ``rng.hash_key`` gives, and
-draws its rows in blocks, which must give exactly what a fresh ``Stream``
-gives. Blocks are finalized in place, which must never write a row a model
-keeps.
+A row is a pure function of its key, ``rng.hash_key(seed, tag, source,
+context)``, under the sibling's seed where its coin lands below the rate.
+``NgramGenModel`` folds the (seed, tag, source) part once per source and
+the compiled block (``tsd_block``) folds each context onto it, or the
+Python path folds each whole key, and draws its rows in blocks; each path
+must give exactly the rows of a fresh ``Stream`` per key. Blocks are
+finalized in place, which must never write a row a model keeps.
 """
 
 import numpy as np
@@ -13,35 +15,48 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode.core import Vocab
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, TableModel, UniformModel, make_perturbed_sibling
-from tsdecode.rng import Stream, dirichlet_rows, hash_key
+from tsdecode.rng import Stream, _normalized, dirichlet_rows, hash_key
 
 from test_row_block import recorded_counters
+from util import kernel_paths, run_by
+
+
+def reference_rows(model, source, contexts):
+    """Each context's raw row from its definition: the coin and the row key
+    each by one ``hash_key`` call, and one Python-loop row per key."""
+    rows = []
+    for context in contexts:
+        seed = model.seed
+        if model.perturb_seed is not None and model.perturb_rate > 0.0:
+            if Stream(hash_key(model.perturb_seed, _COIN_TAG, source, context)).uniform() < model.perturb_rate:
+                seed = model._perturbed_seed
+        stream = Stream(hash_key(seed, _ROW_TAG, source, context))
+        rows.append([0.0, *_normalized(stream._gammas(model.concentration, model.vocab.size - 1))])
+    return np.array(rows)
 
 
 @given(
     st.sampled_from([3, 20, 100]),
     st.integers(1, 3),
-    st.booleans(),
+    st.sampled_from([None, 0.0, 0.5, 1.0]),
     st.integers(0, 2**64 - 1),
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_key_equals_hash_key(vocab_size, order, perturbed, seed, data):
+def test_rows_are_keyed_by_hash_key(vocab_size, order, rate, seed, data):
     model = NgramGenModel(Vocab(vocab_size), order, seed=seed, concentration=0.2)
-    seeds = [seed]
-    if perturbed:
-        model = make_perturbed_sibling(model, perturb_seed=data.draw(st.integers(0, 2**64 - 1)))
-        seeds += [model.perturb_seed, model._perturbed_seed]
+    if rate is not None:
+        model = make_perturbed_sibling(model, data.draw(st.integers(0, 2**64 - 1)), rate)
     ids = st.integers(0, vocab_size - 1)
     source = tuple(data.draw(st.lists(ids, max_size=12)))
     prefix = tuple(data.draw(st.lists(st.integers(2, vocab_size - 1), max_size=4)))
     # The context a lookup folds (it starts with BOS after a short prefix),
     # and any context of at most ``order`` ids.
     contexts = [*model._contexts([prefix]), tuple(data.draw(st.lists(ids, max_size=order)))]
-    for s in seeds:
-        for tag in (_ROW_TAG, _COIN_TAG):
-            for context in contexts:
-                assert model._key(s, tag, source, context) == hash_key(s, tag, source, context)
+    want = reference_rows(model, source, contexts).tobytes()
+    for path in kernel_paths("block"):
+        with run_by("block", path):
+            assert model._raw_rows(source, contexts).tobytes() == want
 
 
 @pytest.mark.parametrize(
@@ -62,7 +77,7 @@ def test_row_blocks_match_single_streams(keys, n):
         counters.clear()
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
     assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-    assert block_counters == counters
+    assert block_counters == counters and len(counters) == len(keys)
 
 
 def _draw_everything(model):

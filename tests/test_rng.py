@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode.rng import Stream, hash_key, mix64
 
-from util import gamma, kernel_paths, run_by
+from util import gamma
 
 
 def reference_u64(key, i):
@@ -75,13 +75,11 @@ def test_gamma_moments():
 
 
 def test_dirichlet_normalized():
-    for path in kernel_paths("gammas"):
-        s = Stream(hash_key(13))
-        with run_by("gammas", path):
-            for _ in range(50):
-                row = s.dirichlet(0.4, 7)
-                assert abs(float(row.sum()) - 1.0) < 1e-12
-                assert (row >= 0).all()
+    s = Stream(hash_key(13))
+    for _ in range(50):
+        row = s.dirichlet(0.4, 7)
+        assert abs(float(row.sum()) - 1.0) < 1e-12
+        assert (row >= 0).all()
 
 
 @pytest.mark.parametrize(
@@ -89,11 +87,10 @@ def test_dirichlet_normalized():
     [(0.2, 0), (0.2, -3), (0.0, 5), (-1.0, 5), (-1.0, 0), (math.nan, 5), (math.inf, 5)],
 )
 def test_dirichlet_rejects_bad_arguments_before_drawing(concentration, n):
-    for path in kernel_paths("gammas"):
-        s = Stream(hash_key(13))
-        with run_by("gammas", path), pytest.raises(ValueError):
-            s.dirichlet(concentration, n)
-        assert s._counter == 0
+    s = Stream(hash_key(13))
+    with pytest.raises(ValueError):
+        s.dirichlet(concentration, n)
+    assert s._counter == 0
 
 
 @pytest.mark.parametrize("shape", [0.0, -1.0, math.nan, math.inf])
@@ -118,12 +115,6 @@ DRAWS = st.one_of(
 @given(st.integers(0, 2**64 - 1), st.lists(DRAWS, max_size=3 * 128 + 2))
 @settings(max_examples=60, deadline=None)
 def test_any_interleaving_matches_scalar_reference(key, draws):
-    for path in kernel_paths("gammas"):
-        with run_by("gammas", path):
-            assert_interleaving_matches_scalar_reference(key, draws)
-
-
-def assert_interleaving_matches_scalar_reference(key, draws):
     s, twin = Stream(key), Stream(key)
     drawn = 0
     for kind, *args in draws:
@@ -173,29 +164,25 @@ def test_counter_counts_draws_consumed():
 def test_golden_dirichlet_rows():
     # Rows pinned before the stream drew in blocks: shape 0.2 takes the
     # boost path of gamma, shape 2.5 the direct one.
-    for path in kernel_paths("gammas"):
-        digest = hashlib.sha256()
-        with run_by("gammas", path):
-            for shape in (0.2, 2.5):
-                for k in range(200):
-                    digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
-        assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618", path
+    digest = hashlib.sha256()
+    for shape in (0.2, 2.5):
+        for k in range(200):
+            digest.update(Stream(hash_key(k, int(shape * 10))).dirichlet(shape, 20).tobytes())
+    assert digest.hexdigest() == "e0d3771faf88004efc2d8ac8859c53d58676772b7c7446ce9ecbe61ad0953618"
 
 
 def assert_dirichlet_matches_reference(key, shape, n, prior=()):
     """Row bytes, draws consumed and the next two draws all match ``n``
-    scalar ``gamma`` calls on a twin stream, whichever loop draws the row."""
-    for path in kernel_paths("gammas"):
-        got, ref = Stream(key), Stream(key)
-        for kind in prior:
-            assert getattr(got, kind)() == getattr(ref, kind)()
-        with run_by("gammas", path):
-            row = got.dirichlet(shape, n)
-        assert row.tobytes() == reference_dirichlet(ref, shape, n).tobytes()
-        assert got._counter == ref._counter
-        drawn = got._counter
-        assert got.uniform() == reference_uniform(key, drawn + 1)
-        assert got.uniform() == reference_uniform(key, drawn + 2)
+    scalar ``gamma`` calls on a twin stream."""
+    got, ref = Stream(key), Stream(key)
+    for kind in prior:
+        assert getattr(got, kind)() == getattr(ref, kind)()
+    row = got.dirichlet(shape, n)
+    assert row.tobytes() == reference_dirichlet(ref, shape, n).tobytes()
+    assert got._counter == ref._counter
+    drawn = got._counter
+    assert got.uniform() == reference_uniform(key, drawn + 1)
+    assert got.uniform() == reference_uniform(key, drawn + 2)
     return drawn
 
 
@@ -222,9 +209,7 @@ def test_dirichlet_of_all_underflowing_variates_is_uniform():
     # At concentration 0.001 every boost U ** 1000 of this row underflows
     # to 0, so the row sums to 0 and is uniform instead.
     key = hash_key(31, 8)
-    for path in kernel_paths("gammas"):
-        s, ref = Stream(key), Stream(key)
-        with run_by("gammas", path):
-            assert s.dirichlet(0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
-        assert reference_dirichlet(ref, 0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
-        assert s._counter == ref._counter == 15
+    s, ref = Stream(key), Stream(key)
+    assert s.dirichlet(0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
+    assert reference_dirichlet(ref, 0.001, 3).tolist() == [1 / 3, 1 / 3, 1 / 3]
+    assert s._counter == ref._counter == 15

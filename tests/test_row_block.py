@@ -2,10 +2,12 @@
 
 ``SequenceModel.rows_after`` over a batch of prefixes must give exactly what
 one ``rows_after`` call per prefix gives on a fresh model: the same
-probability and log row bytes, the same memo keys, and the same draws from
-every stream, whichever loop draws the rows. The benchmark's tracer counts
-rows and draws through ``Stream.dirichlet``, so a batched decode must call
-it once per drawn row and consume as many draws.
+probability and log row bytes and the same memo keys, whichever path draws
+the rows, and, on the Python path, the same draws from every stream. The
+benchmark's tracer counts rows and draws through ``Stream.dirichlet``. The
+Python path calls it once per drawn row and consumes as many draws; the
+compiled block (``tsd_block``) draws a whole block in one call and calls it
+for no row, so there the tracer counts none.
 The memo the block fills holds one read-only log row per context, one dict
 per source, and reading a forced pass's probabilities leaves it alone.
 """
@@ -23,7 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode import decode, harness
 from tsdecode.core import Vocab
-from tsdecode.lm import NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
+from tsdecode.lm import _ROW_TAG, NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, dirichlet_rows, hash_key
 
 from util import kernel_paths, run_by
@@ -81,17 +83,21 @@ def lookups(model, counters, src, warm, prefixes, batched):
 
 
 def assert_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefixes):
-    """The batch matches one lookup at a time under each row loop, and
-    both loops give the same rows, memo keys and draws."""
+    """The batch matches one lookup at a time on each row path, and every
+    path gives the same rows and memo keys. The Python path also consumes
+    the same draws, which the recorder sees; the block makes no ``Stream``
+    call, so it records none."""
     seen = []
-    for path in kernel_paths("gammas"):
-        with recorded_counters() as counters, run_by("gammas", path):
+    for path in kernel_paths("block"):
+        with recorded_counters() as counters, run_by("block", path):
             got = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=True)
             want = lookups(make_model(vocab_size, perturbed), counters, src, warm, prefixes, batched=False)
         assert len(got[0]) == len(prefixes)
         assert got == want
+        assert bool(got[2]) == (path == "python")
         seen.append(got)
-    assert all(got == seen[0] for got in seen)
+    assert all(got[:2] + got[3:] == seen[0][:2] + seen[0][3:] for got in seen)
+    assert all(got[2] == seen[0][2] for got in seen if got[2])
 
 
 SRC = (2, 2, 2)
@@ -135,34 +141,34 @@ def test_any_batch_matches_one_at_a_time(vocab_size, perturbed, src, warm, prefi
 
 
 def test_block_with_an_overrunning_row_matches_single_rows():
-    # The middle key's row has a long run of rejections, more than 4n + 16
-    # draws (see test_rng's
-    # test_dirichlet_row_with_a_long_rejection_run_matches_reference). Both
-    # loops draw the same rows and counts in a block as one at a time.
-    n = 20
-    keys = [hash_key(29, n, 1097), hash_key(29, n, 1098), hash_key(29, n, 1099)]
-    with recorded_counters() as counters, run_by("gammas", "python"):
+    # The middle context's row has a long run of rejections, more than
+    # 4n + 16 draws (n = 20; found by search, as in test_rng's
+    # test_dirichlet_row_with_a_long_rejection_run_matches_reference). Every
+    # path draws the same rows in a block as one at a time, and the Python
+    # path the same draws.
+    n, source, contexts = 20, (3, 15), [(2, 3), (17, 15), (4, 5)]
+    keys = [hash_key(29, _ROW_TAG, source, context) for context in contexts]
+    with recorded_counters() as counters:
         single = [Stream(key).dirichlet(0.2, n) for key in keys]
     single_counters = dict(counters)
     assert single_counters[keys[1]] > 4 * n + 16
-    for path in kernel_paths("gammas"):
-        with recorded_counters() as counters, run_by("gammas", path):
-            block = dirichlet_rows(keys, 0.2, n)
-        assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-        assert counters == single_counters
+    for path in kernel_paths("block"):
+        with recorded_counters() as counters, run_by("block", path):
+            block = NgramGenModel(Vocab(n + 1), 2, seed=29, concentration=0.2)._raw_rows(source, contexts)
+        assert not block[:, 0].any()
+        assert [row[1:].tobytes() for row in block] == [row.tobytes() for row in single]
+        assert counters == ({} if path == "kernel" else single_counters)
 
 
 def test_block_rows_share_no_memory_and_match_single_rows():
     # Each row is normalized in place, in a buffer of its own.
     n = 20
     keys = [hash_key(31, n, k) for k in range(6)]
-    for path in kernel_paths("gammas"):
-        with run_by("gammas", path):
-            block = dirichlet_rows(keys, 0.2, n)
-            single = [Stream(key).dirichlet(0.2, n) for key in keys]
-        assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-        rows = block + single
-        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
+    block = dirichlet_rows(keys, 0.2, n)
+    single = [Stream(key).dirichlet(0.2, n) for key in keys]
+    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
+    rows = block + single
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
 
 
 def _load_tracer():
@@ -208,26 +214,32 @@ def traced_rows(tracer_module):
 
 def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     """``rng.rows_drawn`` counts ``Stream.dirichlet`` calls and
-    ``rng.u64_per_row`` their counter advance. Batched, ``dirichlet`` runs
-    once per memoised row, and both sums equal the one-at-a-time path's,
-    whichever loop draws the rows."""
+    ``rng.u64_per_row`` their counter advance. With the block off, batched,
+    ``dirichlet`` runs once per memoised row, and both sums equal the
+    one-at-a-time path's. The compiled block draws the same blocks and
+    calls ``dirichlet`` for no row, so the tracer reads 0 rows there: its
+    blind spot until it counts rows at ``_draw``."""
     tracer_module = _load_tracer()
-    with run_by("gammas", "python"):
+    with run_by("block", "python"):
         rows, u64, blocks = traced_rows(tracer_module)
     assert rows == sum(blocks) and max(blocks) > 1
     rows_after = vars(SequenceModel)["rows_after"]
-    for path in kernel_paths("gammas"):
-        with run_by("gammas", path):
-            assert traced_rows(tracer_module) == (rows, u64, blocks)
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    SequenceModel,
-                    "rows_after",
-                    lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
-                )
-                single_rows, single_u64, single_blocks = traced_rows(tracer_module)
-        assert single_rows == sum(single_blocks) and max(single_blocks) == 1
-        assert (rows, u64) == (single_rows, single_u64)
+    with run_by("block", "python"):
+        assert traced_rows(tracer_module) == (rows, u64, blocks)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                SequenceModel,
+                "rows_after",
+                lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
+            )
+            single_rows, single_u64, single_blocks = traced_rows(tracer_module)
+    assert single_rows == sum(single_blocks) and max(single_blocks) == 1
+    assert (rows, u64) == (single_rows, single_u64)
+    if "kernel" in kernel_paths("block"):
+        with run_by("block", "kernel"):
+            block_rows, _, block_sizes = traced_rows(tracer_module)
+        assert block_sizes == blocks
+        assert block_rows == 0
 
 
 def test_cold_forced_pass_draws_one_block(monkeypatch):

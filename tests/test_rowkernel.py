@@ -7,6 +7,7 @@ import ctypes
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import sysconfig
@@ -23,29 +24,32 @@ from hypothesis import given, settings, strategies as st
 from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams
-from tsdecode.lm import NgramGenModel
-from tsdecode.rng import Stream, dirichlet_rows, hash_key
+from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, make_perturbed_sibling
+from tsdecode.rng import Stream, dirichlet_rows, hash_key, mix64
 
 from util import gamma, kernel_paths, reference_beam_core, run_by
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
 needs_compiler = pytest.mark.skipif(not HAS_COMPILER, reason="no C compiler")
-needs_kernel = pytest.mark.skipif("kernel" not in kernel_paths("gammas"), reason="the row kernel cannot be built here")
+needs_kernel = pytest.mark.skipif("kernel" not in kernel_paths("block"), reason="the row kernel cannot be built here")
 
 # Keys of vocab-20 rows at concentration 0.2; the second has a long run of
 # rejections, more than 4n + 16 draws.
 KEYS = [hash_key(29, 20, 1097), hash_key(29, 20, 1098)] + [hash_key(k, 2) for k in range(10)]
 
 
-def drawn_row(path, key, start, concentration, n):
-    """The bytes of the row ``path``'s loop draws after ``start`` draws of
-    the stream keyed by ``key``, and the draws consumed by then."""
-    stream = Stream(key)
-    stream._counter = start
-    with run_by("gammas", path):
-        row = stream.dirichlet(concentration, n)
-    return row.tobytes(), stream._counter
+def drawn_row(key, start, concentration, n, dirichlet=None):
+    """The bytes of the row drawn after ``start`` draws of the stream keyed
+    by ``key``, by the compiled ``dirichlet`` (``tsd_dirichlet``) or, when
+    it is None, by the Python loop, and the draws consumed by then."""
+    if dirichlet is None:
+        stream = Stream(key)
+        stream._counter = start
+        return stream.dirichlet(concentration, n).tobytes(), stream._counter
+    row = (ctypes.c_double * n)()
+    drawn = dirichlet(key, start, n, concentration, row)
+    return bytes(row), start + drawn
 
 
 def reference_row(key, concentration, n):
@@ -53,6 +57,22 @@ def reference_row(key, concentration, n):
     stream = Stream(key)
     draws = np.array([gamma(stream, concentration) for _ in range(n)])
     return (draws / draws.sum()).tobytes(), stream._counter
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """One build of the kernel, made before any case patches the build."""
+    directory = tmp_path_factory.mktemp("built")
+    rowkernel.load(directory)
+    (path,) = directory.glob("rowkernel-*.so")
+    return path
+
+
+@pytest.fixture(scope="module")
+def dirichlet(built):
+    """``tsd_dirichlet`` from ``built``, which rows are drawn with only
+    inside ``tsd_block``."""
+    return rowkernel._open(built)[0]
 
 
 @needs_compiler
@@ -72,9 +92,9 @@ def test_kernel_loads_where_a_compiler_runs(tmp_path):
     st.one_of(st.sampled_from([1, 2, 3, 19, 99, 128, 129, 300]), st.integers(1, 300)),
 )
 @settings(max_examples=150, deadline=None)
-def test_kernel_rows_equal_python_rows(key, start, concentration, n):
-    got = drawn_row("kernel", key, start, concentration, n)
-    assert got == drawn_row("python", key, start, concentration, n)
+def test_kernel_rows_equal_python_rows(dirichlet, key, start, concentration, n):
+    got = drawn_row(key, start, concentration, n, dirichlet)
+    assert got == drawn_row(key, start, concentration, n)
     # A row whose every variate underflows (often so at concentration 0.001
     # and a few entries) is uniform.
     stream = Stream(key)
@@ -125,10 +145,50 @@ def test_compiled_finalisation_equals_numpy(n_rows, width, key, concentration, m
 
 
 @needs_kernel
-def test_kernel_row_with_a_long_rejection_run_matches_python():
-    got = drawn_row("kernel", KEYS[1], 0, 0.2, 20)
-    assert got == drawn_row("python", KEYS[1], 0, 0.2, 20)
+def test_kernel_row_with_a_long_rejection_run_matches_python(dirichlet):
+    got = drawn_row(KEYS[1], 0, 0.2, 20, dirichlet)
+    assert got == drawn_row(KEYS[1], 0, 0.2, 20)
     assert got[1] > 4 * 20 + 16
+
+
+def drawn_block(path, model, source, contexts):
+    """The bytes of the raw block ``model`` draws for ``contexts`` of
+    ``source``, the ``path`` way: by the compiled block or by the Python
+    loop."""
+    with run_by("block", path):
+        return model._raw_rows(source, contexts).tobytes()
+
+
+@needs_kernel
+@given(
+    st.sampled_from([7, 20, 100, 131]),
+    st.integers(1, 4),
+    st.sampled_from([None, 0.0, 0.3, 0.5, 1.0]),
+    st.sampled_from([0.05, 0.2, 1.0, 2.5]),
+    st.integers(0, 2**64 - 1),
+    st.data(),
+)
+@settings(max_examples=120, deadline=None)
+def test_kernel_blocks_equal_python_blocks(vocab_size, order, rate, concentration, seed, data):
+    model = NgramGenModel(Vocab(vocab_size), order, seed, concentration)
+    if rate is not None:
+        model = make_perturbed_sibling(model, data.draw(st.integers(0, 2**64 - 1)), rate)
+    ids = st.integers(0, vocab_size - 1)
+    source = tuple(data.draw(st.lists(ids, max_size=8)))
+    prefixes = data.draw(st.lists(st.lists(st.integers(2, vocab_size - 1), max_size=order + 2).map(tuple),
+                                  min_size=1, max_size=6))
+    contexts = list(dict.fromkeys(model._contexts(prefixes)))
+    assert drawn_block("kernel", model, source, contexts) == drawn_block("python", model, source, contexts)
+
+
+def test_the_block_check_covers_every_context_length_and_both_coin_sides():
+    (rate, source, contexts), (full_rate, _, _) = lm.CHECK_BLOCKS
+    assert (rate, source, full_rate) == (0.5, (), 1.0)
+    assert sorted(map(len, contexts)) == list(range(7))
+    coins = [hash_key(7, _COIN_TAG, source, context) for context in contexts]
+    below = [rng._uniform(coin, 1) < rate for coin in coins]
+    assert 0 < sum(below) < len(contexts)
+    assert any((rng._uniform(coin, 0) < rate) != side for coin, side in zip(coins, below))
 
 
 @needs_compiler
@@ -260,6 +320,49 @@ def _round_tie_to_the_last(psgd_round):
     return wrong
 
 
+def _fold(h, context, length=True):
+    # rng.hash_key's fold of a sequence part, or with its length left out.
+    if length:
+        h = mix64(h ^ mix64(len(context) ^ 0xA5A5A5A5))
+    for t in context:
+        h = mix64(h ^ mix64(t))
+    return h
+
+
+def _python_block(length=True, coin_at=1, inverted=False):
+    """``tsd_block`` written in Python, with one rule changed unless every
+    argument keeps its default: the length left out of the fold, the coin
+    drawn at another counter, or the coin's choice inverted."""
+
+    def block(h_row, h_alt, h_coin, rate, tokens, lengths, n_rows, vocab, concentration, rows):
+        lengths = struct.unpack(f"{n_rows}q", lengths)
+        ids = iter(struct.unpack(f"{sum(lengths)}q", tokens))
+        out = (ctypes.c_double * (n_rows * vocab)).from_address(ctypes.addressof(rows))
+        for r, n in enumerate(lengths):
+            context = tuple(next(ids) for _ in range(n))
+            h = h_row
+            if rate > 0.0 and (rng._uniform(_fold(h_coin, context, length), coin_at) < rate) != inverted:
+                h = h_alt
+            row = rng._normalized(Stream(_fold(h, context, length))._gammas(concentration, vocab - 1))
+            out[r * vocab + 1 : (r + 1) * vocab] = row.tolist()
+
+    return block
+
+
+BLOCK_MUTANTS = {
+    "block-length-unmixed": _python_block(length=False),
+    "block-coin-at-0": _python_block(coin_at=0),
+    "block-coin-inverted": _python_block(inverted=True),
+}
+
+
+def test_the_block_check_passes_the_python_block_and_rejects_each_mutant():
+    # Each mutant is the Python block with one rule changed, so the check
+    # rejects it for that rule alone.
+    assert lm.block_self_check(_python_block())
+    assert not any(lm.block_self_check(mutant) for mutant in BLOCK_MUTANTS.values())
+
+
 def _opened_as(wrap, which):
     """``rowkernel._open`` with its ``which``-th function wrapped by ``wrap``."""
     open_ = rowkernel._open
@@ -272,19 +375,21 @@ def _opened_as(wrap, which):
     return opened
 
 
-# Without a compiler the Python row draw, finalisation, step and round are
+# Without a compiler the Python row loop, finalisation, step and round are
 # taken silently; any other failure is reported. A function that fails its
-# check leaves the other three compiled: ONLY names it.
+# check leaves the others compiled: ONLY names what falls back. The block
+# falls back when the row function it draws with fails its check.
 SILENT = {"no-compiler-named", "compiler-missing"}
 ONLY = {
-    "wrong-bytes": "gammas",
-    "wrong-count": "gammas",
-    "sequential-sum": "gammas",
+    "wrong-bytes": "block",
+    "wrong-count": "block",
+    "sequential-sum": "block",
     "bos-summed": "finalize",
     "step-one-short": "beam_step",
     "step-score-wrong": "beam_step",
     "round-score-wrong": "psgd_round",
     "round-tie-wrong": "psgd_round",
+    **dict.fromkeys(BLOCK_MUTANTS, "block"),
 }
 FALLBACKS = {
     "no-compiler-named": (sysconfig, "get_config_var", lambda name: None),
@@ -300,7 +405,12 @@ FALLBACKS = {
     "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 2)),
     "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, 3)),
     "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, 3)),
+    **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, 4))
+       for name, mutant in BLOCK_MUTANTS.items()},
 }
+# The cases that fail after the kernel is built load one build, copied into
+# their cache directories, rather than compile it afresh.
+PREBUILT = {name for name, (_, attr, _) in FALLBACKS.items() if attr in ("_open", "CDLL")}
 # A constrained decode whose beams the Python step must take as the
 # reference does.
 PARAMS = DbaParams(4, 10, ((4,), (6, 2)))
@@ -311,29 +421,39 @@ def fallen_back(functions) -> set[str]:
 
 
 @pytest.mark.parametrize("fallback", sorted(FALLBACKS))
-def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch):
+def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch, request):
+    if fallback in PREBUILT:
+        built = request.getfixturevalue("built")
+        for directory in (tmp_path / "cache", tmp_path / "xdg" / "tsdecode"):
+            directory.mkdir(mode=0o700, parents=True)
+            shutil.copy(built, directory)
     monkeypatch.setattr(*FALLBACKS[fallback])
     functions, warned = loaded_with_warnings(tmp_path / "cache")
     failed = {ONLY[fallback]} if fallback in ONLY else set(rowkernel.Functions._fields)
     assert fallen_back(functions) == failed
     assert warned == ([] if fallback in SILENT else [RuntimeWarning])
     assert not list(tmp_path.glob("cache/.build-*"))
-    # A process that draws its first row now draws every row with the Python
-    # loop, unless only another function failed: the reference's bytes and
-    # draw counts, block or not. It finalizes rows in numpy, takes its beams
-    # by the Python step and scores its PSGD rounds by the Python round when
-    # those failed, with the same bytes.
+    # A process that draws its first block of rows now draws every row with
+    # the Python loop, unless only another function failed: the reference's
+    # bytes, block or not, and the reference's draw counts row by row. It
+    # finalizes rows in numpy, takes its beams by the Python step and scores
+    # its PSGD rounds by the Python round when those failed, with the same
+    # bytes.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(rng, "_compiled", None)
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    contexts = [(0,), (0, 3), (3, 7), (7, 5)]
     with warnings.catch_warnings(record=True):
-        rows = dirichlet_rows(KEYS, 0.2, 20)
+        block = model._raw_rows((3, 7, 5, 9), contexts)
     assert fallen_back(rng.compiled()) == failed
+    want = [reference_row(hash_key(9, _ROW_TAG, (3, 7, 5, 9), context), 0.2, 11)[0] for context in contexts]
+    assert block[:, 1:].tobytes() == b"".join(want)
+    rows = dirichlet_rows(KEYS, 0.2, 20)
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
-    assert [drawn_row("python", key, 0, 0.2, 20) for key in KEYS] == want
+    assert [drawn_row(key, 0, 0.2, 20) for key in KEYS] == want
     raw = lm.check_blocks()[-1][::2]
     assert lm._finalize_rows(raw.copy(), 0).tobytes() == lm._numpy_finalize(raw.copy(), 0).tobytes()
-    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
     assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
@@ -364,7 +484,8 @@ def test_importing_the_program_loads_no_kernel():
     ids=["rows", "beams", "psgd"],
 )
 def test_a_process_loads_the_kernel_once(order, monkeypatch):
-    # Rows, beam steps and PSGD rounds share one load, whichever comes first.
+    # Row blocks, beam steps and PSGD rounds share one load, whichever comes
+    # first.
     monkeypatch.setattr(rng, "_compiled", None)
     calls = []
     load = rowkernel.load
@@ -376,7 +497,7 @@ def test_a_process_loads_the_kernel_once(order, monkeypatch):
     monkeypatch.setattr(rowkernel, "load", counted)
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     uses = {
-        "rows": lambda: dirichlet_rows(KEYS, 0.2, 20),
+        "rows": lambda: model._raw_rows((3, 7, 5, 9), [(0,), (0, 3)]),
         "beams": lambda: decode.beam_search(model, (3, 7, 5, 9), 4, 10),
         "psgd": lambda: decode.psgd(model, TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6, 2)))),
     }
@@ -422,14 +543,14 @@ def test_drawing_a_row_loads_no_openssl():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, tsdecode.cli\n"
-        "from tsdecode import rng\n"
-        "rng.Stream(1).dirichlet(0.2, 19)\n"
-        "print(rng.compiled().gammas is not None, '_hashlib' in sys.modules)"
+        "from tsdecode import core, lm, rng\n"
+        "lm.NgramGenModel(core.Vocab(20), 2, 1, 0.2)._raw_rows((2,), [()])\n"
+        "print(rng._compiled.block is not None, '_hashlib' in sys.modules)"
     )
     # A first draw that waits for rng's lock forever fails here, not hangs.
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                          timeout=120)
-    assert out.stdout.split() == [str(rng.compiled().gammas is not None), "False"]
+    assert out.stdout.split() == [str(rng.compiled().block is not None), "False"]
 
 
 @needs_compiler

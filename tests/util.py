@@ -115,18 +115,19 @@ def gamma(stream, shape):
 
 
 def kernel_paths(function):
-    """The ways to run the kernel function ``function`` (``"gammas"``, the
-    row draw, ``"finalize"``, the row finalisation, ``"beam_step"`` or
-    ``"psgd_round"``) here: ``"python"`` always, and ``"kernel"`` where the
-    compiled function builds, loads and passes its check."""
+    """The ways to run the kernel function ``function`` (``"block"``, an
+    n-gram model's block of rows, ``"finalize"``, the row finalisation,
+    ``"beam_step"`` or ``"psgd_round"``) here: ``"python"`` always, and
+    ``"kernel"`` where the compiled function builds, loads and passes its
+    check."""
     return ("python", "kernel") if getattr(rng.compiled(), function) else ("python",)
 
 
 @contextmanager
 def run_by(function, path):
-    """Run ``function`` (``"gammas"``, ``"finalize"``, ``"beam_step"`` or
+    """Run ``function`` (``"block"``, ``"finalize"``, ``"beam_step"`` or
     ``"psgd_round"``) the ``path`` way while the block is open: the loaded
-    kernel's function, or in its place the Python row draw, finalisation,
+    kernel's function, or in its place the Python row loop, finalisation,
     step or round."""
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
