@@ -1,29 +1,28 @@
-/* The compiled kernel: a Dirichlet row, the raw rows of a block of
-   contexts, the finalisation of a block of rows, one step of the
-   full-sentence beam search and one PSGD scoring round.
-
-   ``tsd_dirichlet`` is ``rng.Stream.dirichlet``: its gamma variates are
-   ``rng.Stream._gammas`` statement for statement, then the row is divided
-   by its sum. Draw i of the stream keyed by ``key`` is
-   mix64(key ^ mix64(i)), and each variate is one boosted Marsaglia-Tsang
-   sample. The transcendentals are the libm functions CPython's
-   ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**`` call, on the
-   same operands in the same order, and the file must be compiled without
-   floating-point contraction (-ffp-contract=off) or fast-math, so every
-   variate has the bytes the Python loop gives.
+/* The compiled kernel: the raw rows of a block of contexts, the
+   finalisation of a block of rows, one step of the full-sentence beam
+   search and one PSGD scoring round. Each exported function is named
+   ``tsd_`` and its ``rowkernel.Functions`` field.
 
    ``tsd_block`` is ``lm.NgramGenModel._raw_rows``'s per-row loop in one
    call: for each context it folds the row key as ``rng.hash_key`` does,
    onto the source's key that Python folded once, tosses a perturbed
-   sibling's coin the same way, and draws the row with ``tsd_dirichlet``.
-   A row is a pure function of its key, so where it is drawn changes no
-   byte. It is the one compiled row path: Python calls ``tsd_dirichlet``
-   only to check it.
+   sibling's coin the same way, and draws the row with ``dirichlet``, which
+   is ``rng.Stream.dirichlet`` on a fresh stream: its gamma variates are
+   ``rng.Stream._gammas`` statement for statement, then the row is divided
+   by its sum (``rng._normalized``). Draw i of the stream keyed by ``key``
+   is mix64(key ^ mix64(i)), and each variate is one boosted
+   Marsaglia-Tsang sample. The transcendentals are the libm functions
+   CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**``
+   call, on the same operands in the same order, and the file must be
+   compiled without floating-point contraction (-ffp-contract=off) or
+   fast-math, so every variate has the bytes the Python loop gives. A row
+   is a pure function of its key and starts at draw 1, so where it is
+   drawn changes no byte, and nothing outside this file sees a row's draws.
 
    ``tsd_finalize`` is ``lm._finalize_rows``'s numpy body on a C-contiguous
-   block. Both sum a row as numpy's ``add.reduce`` does, in the same order
-   (``add_reduce``), and every other step is one IEEE operation per entry,
-   as numpy's elementwise loops are.
+   block. Both row functions sum a row as numpy's ``add.reduce`` does, in
+   the same order (``add_reduce``), and every other step is one IEEE
+   operation per entry, as numpy's elementwise loops are.
 
    ``tsd_beam_step`` is ``decode._PythonStep``: it picks the same finishes
    and the same next beam, in the same order, with the same scores. A
@@ -37,16 +36,14 @@
    normalisation, so no transcendental is called here either. Both search
    functions keep their top k with one helper, ``top_children``.
 
-   ``rowkernel.load`` checks each function against its Python twin before
-   any is used; the summation order of numpy is reproduced, and checked
-   there, not assumed. */
+   ``rowkernel.load`` checks each exported function against its Python
+   twin before any is used; the summation order of numpy is reproduced,
+   and checked there, not assumed. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
-                       double concentration, double *out);
 void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
                const int64_t *tokens, const int64_t *lengths, int64_t n_rows,
                int64_t vocab, double concentration, double *rows);
@@ -67,10 +64,9 @@ static double uniform(uint64_t key, uint64_t i)
     return ((double)(mix64(key ^ mix64(i)) >> 11) + 0.5) * 0x1p-53;
 }
 
-/* Writes ``n`` gamma variates of shape ``concentration`` to ``out`` from
-   the draws after ``start``, and returns the number of draws consumed. */
-static uint64_t gammas(uint64_t key, uint64_t start, int64_t n,
-                       double concentration, double *out)
+/* Writes ``n`` gamma variates of shape ``concentration`` to ``out``, from
+   the first draws of the stream keyed by ``key``. */
+static void gammas(uint64_t key, int64_t n, double concentration, double *out)
 {
     /* Boost for shape < 1: Gamma(a) = Gamma(a + 1) * U^(1/a). */
     int boost = concentration < 1.0;
@@ -79,7 +75,7 @@ static uint64_t gammas(uint64_t key, uint64_t start, int64_t n,
     double d = shape - 1.0 / 3.0;
     double c = 1.0 / sqrt(9.0 * d);
     double two_pi = 2.0 * 3.141592653589793; /* 2.0 * math.pi */
-    uint64_t i = start;
+    uint64_t i = 0;
     for (int64_t k = 0; k < n; k++) {
         double b = boost ? uniform(key, ++i) : 0.0;
         double x, v, u;
@@ -98,7 +94,6 @@ static uint64_t gammas(uint64_t key, uint64_t start, int64_t n,
         }
         out[k] = boost ? d * v * pow(b, power) : d * v;
     }
-    return i - start;
 }
 
 /* numpy's pairwise sum of ``n`` contiguous doubles (``pairwise_sum`` of
@@ -141,17 +136,14 @@ static double add_reduce(const double *a, int64_t n)
 }
 
 /* Writes the Dirichlet row of ``n`` gamma variates of shape
-   ``concentration`` drawn after ``start`` to ``out``, each divided by
-   their sum, or ``1.0 / n`` everywhere when the sum is not positive; returns
-   the number of draws consumed. */
-uint64_t tsd_dirichlet(uint64_t key, uint64_t start, int64_t n,
-                       double concentration, double *out)
+   ``concentration`` keyed by ``key`` to ``out``, each divided by their sum,
+   or ``1.0 / n`` everywhere when the sum is not positive. */
+static void dirichlet(uint64_t key, int64_t n, double concentration, double *out)
 {
-    uint64_t drawn = gammas(key, start, n, concentration, out);
+    gammas(key, n, concentration, out);
     double total = add_reduce(out, n);
     for (int64_t k = 0; k < n; k++)
         out[k] = total <= 0.0 ? 1.0 / n : out[k] / total;
-    return drawn;
 }
 
 /* ``rng.hash_key``'s fold of a sequence part of ``n`` ids onto the key
@@ -179,7 +171,7 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
         uint64_t h = h_row;
         if (rate > 0.0 && uniform(fold(h_coin, tokens, n), 1) < rate)
             h = h_alt;
-        tsd_dirichlet(fold(h, tokens, n), 0, vocab - 1, concentration, rows + r * vocab + 1);
+        dirichlet(fold(h, tokens, n), vocab - 1, concentration, rows + r * vocab + 1);
         tokens += n;
     }
 }

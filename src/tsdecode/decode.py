@@ -140,6 +140,13 @@ def _expand(beam, rows, content, k: int) -> list[tuple[float, Tokens, tuple]]:
     so sorting the survivors by ``rank`` and keeping k picks and orders the
     winners as over the full set. Every child of one step has the same
     length, so ``rank`` breaks a score tie on (parent tokens, tok).
+
+    The cut is kept for memory, not speed. A full sort by ``rank`` gives the
+    same order (``tests/test_ties.py`` checks that), but it builds a child
+    tuple for every one of the B x |content| candidates: a vocab-20 PSGD
+    decode grown to a 400-token cap then peaked at about 342,000 traced
+    bytes instead of 43,000, over the 300,000 that ``tests/test_psgd.py``'s
+    ``test_a_decode_to_the_cap_holds_only_its_beam`` allows.
     """
     lo = content[0]
     width = content[-1] + 1 - lo
@@ -494,8 +501,6 @@ class _PythonStep:
         self.beam_width = beam_width
         self.state = [entry[1:] for entry in beam]
         self.next: list[tuple[float, tuple[int, ...], int]] = []
-        # (progress, token) -> (progress after token, its bank), for this decode.
-        self.advanced: dict[tuple[tuple[int, ...], int], tuple[tuple[int, ...], int]] = {}
 
     def __call__(self, rows, tokens: list[Tokens], last: bool):
         eos, constraints, complete, beam_width = self.eos, self.constraints, self.complete, self.beam_width
@@ -505,17 +510,13 @@ class _PythonStep:
         # alive beam, and the forced child of every unfinished phrase, as
         # _expand's (score, child, parent); a complete hypothesis finishes
         # when EOS is its argmax and, under constraints, at the length
-        # budget (a forced finish, rather than return nothing). Only complete
-        # hypotheses read the argmaxes, so a step without one skips them.
+        # budget (a forced finish, rather than return nothing).
         cands, forced, finishes = [], [], []
-        argmaxes = None
         for t, lp, progress, bank, b in beam:
             if bank == complete:
-                if argmaxes is None:
-                    argmaxes = rows.argmax(axis=1).tolist()
                 score = lp + rows.item(b, eos)
                 cands.append((score, t, progress, bank, b, None))
-                if argmaxes[b] == eos or (constraints and last):
+                if rows[b].argmax() == eos or (constraints and last):
                     finishes.append((b, score))
             for pos, phrase in zip(progress, constraints):
                 if pos < len(phrase):
@@ -526,18 +527,13 @@ class _PythonStep:
         # The content pool: the top-k expansions and the forced children,
         # each child once, with its new progress and bank.
         pool = set()
-        advanced = self.advanced
         for lp_c, child, parent in _expand(beam, rows, self.content, beam_width) + forced:
             if child in pool:
                 continue
             pool.add(child)
             tok = child[-1]
-            key = (parent[2], tok)
-            moved = advanced.get(key)
-            if moved is None:
-                new_progress = _advance_progress(parent[2], constraints, tok)
-                moved = advanced[key] = (new_progress, sum(new_progress))
-            cands.append((lp_c, child, *moved, parent[4], tok))
+            progress = _advance_progress(parent[2], constraints, tok)
+            cands.append((lp_c, child, progress, sum(progress), parent[4], tok))
         cands.sort(key=rank)  # the one sort of the step (see dba_decode)
 
         # EOS candidates finish by ranking inside the global window, the

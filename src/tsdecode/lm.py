@@ -19,8 +19,8 @@ an ``NgramGenModel`` row is a pure function of its key, ``hash_key(seed,
 tag, source, context)``, and finalizing acts on each row alone, in place in
 the block. The compiled kernel draws an ``NgramGenModel`` block in one call
 (``tsd_block``), which folds each context onto the source's keys, tosses a
-sibling's coins and draws the rows, when it passed its checks
-(``rng.dirichlet_self_check`` and ``block_self_check``); otherwise
+sibling's coins and draws the rows, when it passed its check
+(``block_self_check``); otherwise
 ``_row_keys`` folds each key in Python and ``rng.dirichlet_rows`` draws
 each row with the Python loop. The kernel finalizes a
 block in one call (``tsd_finalize``) when it passed its check
@@ -418,7 +418,7 @@ class NgramGenModel(SequenceModel):
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
         """The contexts' rows in one ``tsd_block`` call when the compiled
-        block passed its checks, otherwise one ``Stream.dirichlet`` per row,
+        block passed its check, otherwise one ``Stream.dirichlet`` per row,
         keyed by ``_row_keys``."""
         rows = np.zeros((len(contexts), self.vocab.size), dtype=np.float64)
         block = (rng._compiled or rng.compiled()).block
@@ -475,16 +475,26 @@ def make_perturbed_sibling(model: NgramGenModel, perturb_seed: int, rate: float 
 
 
 # Blocks the compiled ``tsd_block`` must draw byte for byte as ``_row_keys``
-# and the Python row loop do: (rate, source, contexts) of a vocab-3 sibling
-# (seed 41, perturb_seed 7, concentration 2.5). The first holds a context of
-# every length from 0 to 6 on the empty source; at rate 0.5 three of its
-# coins land below the rate and four above, and three would land otherwise
-# if drawn at counter 0. At rate 1.0 every coin lands below. The rows are
-# narrow: ``tsd_block`` draws them with ``tsd_dirichlet``, whose own check
-# covers wide rows.
+# and the Python row loop do: (vocab size, concentration, rate, source,
+# contexts) of a sibling with seed 41 and perturb_seed 7 at that rate. The
+# first holds a context of every length from 0 to 6 on the empty source; at
+# rate 0.5 three of its coins land below the rate and four above, and three
+# would land otherwise if drawn at counter 0. In the second every coin lands
+# below rate 1.0, and the row's boost power is 20. The last three rows were
+# found by search: a boosted row with a long run of rejections, 98 draws
+# where 4n + 16 is 96; a row whose every variate underflows to 0, so it
+# comes out uniform; and a 131-wide row at the shape 1.0 edge, which does
+# not boost. numpy sums that row in two parts of 64 and 67 entries, and its
+# bytes change with any one rule of that sum changed (added left to right,
+# in one part up to 256 entries, split off a multiple of 8, the accumulators
+# added in order, the remainder added first) and when it is multiplied by
+# the reciprocal of its sum.
 CHECK_BLOCKS = (
-    (0.5, (), ((), (0,), (0, 2), (2, 2, 0), (0, 2, 2, 2), (2, 0, 2, 2, 0), (2, 2, 2, 0, 0, 2))),
-    (1.0, (2,), ((0, 2),)),
+    (3, 2.5, 0.5, (), ((), (0,), (0, 2), (2, 2, 0), (0, 2, 2, 2), (2, 0, 2, 2, 0), (2, 2, 2, 0, 0, 2))),
+    (10, 0.05, 1.0, (2,), ((0, 2),)),
+    (21, 0.2, 0.0, (), ((10, 13, 4),)),
+    (4, 0.001, 0.0, (), ((0, 2, 2, 2),)),
+    (132, 1.0, 0.0, (), ((82,),)),
 )
 
 
@@ -492,10 +502,11 @@ def block_self_check(block) -> bool:
     """Whether the compiled ``block`` (``tsd_block``) draws every block of
     ``CHECK_BLOCKS`` with the bytes of ``_row_keys``, ``Stream._gammas``
     and ``rng._normalized``."""
-    for rate, source, contexts in CHECK_BLOCKS:
-        model = NgramGenModel(Vocab(3), 6, 41, 2.5, 7, rate)
-        want = np.zeros((len(contexts), 3))
-        want[:, 1:] = [_normalized(Stream(key)._gammas(2.5, 2)) for key in model._row_keys(source, contexts)]
+    for size, concentration, rate, source, contexts in CHECK_BLOCKS:
+        model = NgramGenModel(Vocab(size), 6, 41, concentration, 7, rate)
+        want = np.zeros((len(contexts), size))
+        want[:, 1:] = [_normalized(Stream(key)._gammas(concentration, size - 1))
+                       for key in model._row_keys(source, contexts)]
         if model._block_rows(block, source, contexts, np.zeros_like(want)).tobytes() != want.tobytes():
             return False
     return True

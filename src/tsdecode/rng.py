@@ -14,23 +14,25 @@ Draw ``i`` of a stream depends only on (key, i), as in the counter-based
 generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 (SC 2011), so a ``Stream`` holds nothing but its key and counter, and a
 Dirichlet row is a pure function of its key, its starting counter, its
-concentration and its length. Every draw is computed alone, a uniform
-always by ``_uniform``.
+concentration and its length; an n-gram model's row always starts at
+counter 0. Every draw is computed alone, a uniform always by ``_uniform``.
 
 A Dirichlet row is drawn by one of two paths that give the same bytes.
 ``Stream.dirichlet`` is the Python path: ``Stream._gammas``, the Python
 loop, draws the variates and ``_normalized`` divides them by numpy's
 ``add.reduce`` sum. The compiled kernel (``rowkernel``, ``_rowkernel.c``)
 draws whole blocks of an n-gram model's rows in one call, ``tsd_block``,
-which folds each row's key and draws the row with ``tsd_dirichlet``, the
-gamma variates divided by their sum. The kernel is built and loaded when a
+which folds each row's key and draws the row on a fresh stream, the gamma
+variates divided by their sum. The kernel is built and loaded when a
 process first draws an n-gram model's rows or takes a beam step, and its
-block is used only if ``tsd_dirichlet`` draws a fixed set of rows
-(``dirichlet_self_check`` on ``CHECK_ROWS``) and ``tsd_block`` a fixed set
-of blocks exactly as the Python path does. The kernel adds a row up in the
-order numpy's pairwise sum does, and its checks compare bytes, so a numpy
-that sums otherwise only sends rows back to Python. ``compiled()`` loads
-the kernel once per process, for row blocks, finalisation, beam steps and
+block is used only if it draws a fixed set of blocks (``lm.CHECK_BLOCKS``)
+exactly as the Python path does; their rows cover a long run of
+rejections, the shape 1.0 edge, a boost power of 20, a row whose every
+variate underflows and a row wide enough to tell numpy's pairwise sum from
+any one of its rules changed. The kernel adds a row up in the order
+numpy's pairwise sum does, and its checks compare bytes, so a numpy that
+sums otherwise only sends rows back to Python. ``compiled()`` loads the
+kernel once per process, for row blocks, finalisation, beam steps and
 PSGD rounds alike. The transcendentals of both loops are scalar libm
 calls, the ones CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and
 float ``**`` make, on the same operands in the same order, and never
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import math
 import threading
-from ctypes import c_double
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -189,8 +190,8 @@ class Stream:
         ``concentration``, in the same order: ``_gammas`` draws the
         variates and ``_normalized`` divides them by their sum. If every
         variate underflows to 0, as at very small concentrations, the row is
-        uniform. The compiled kernel's ``tsd_dirichlet`` is checked against
-        this loop, and draws the rows of ``tsd_block``.
+        uniform. The compiled ``tsd_block`` draws each row of a block as
+        this does on a fresh stream, and is checked against it.
         """
         if n < 1:
             raise ValueError(f"dirichlet length must be >= 1, got {n}")
@@ -233,39 +234,3 @@ class Stream:
         self._counter = i
         return draws
 
-
-# (key, draws consumed before the row, concentration, n): rows the compiled
-# ``tsd_dirichlet`` must reproduce, byte for byte, before it is used. A
-# boosted vocab-20 row with a long run of rejections, more than 4n + 16
-# draws (key hash_key(29, 20, 1098)), an unboosted row after three draws,
-# the shape 1.0 edge that does not boost, a short row at concentration 0.05
-# (a boost power of 20), a row whose every boost ``pow`` underflows to 0
-# (key hash_key(31, 8)), so it comes out uniform, and a 131-wide row (key
-# hash_key(41, 131, 3)), which numpy sums in two parts of 64 and 67 entries.
-# Summed left to right, the first row and the last come out with other
-# bytes; the last also does when summed with any one other rule of numpy's
-# sum changed (the block size, the split, the accumulators' order, the
-# remainder's place).
-CHECK_ROWS = (
-    (0x863357EB4D8456EF, 0, 0.2, 20),
-    (0x243F6A8885A308D3, 3, 2.5, 19),
-    (0x13198A2E03707344, 0, 1.0, 7),
-    (0xA4093822299F31D0, 1, 0.05, 9),
-    (0x0E8764AD5652F529, 0, 0.001, 3),
-    (0x59B7B24ECFDFB96A, 0, 3.0, 131),
-)
-
-
-def dirichlet_self_check(dirichlet) -> bool:
-    """Whether the compiled ``dirichlet`` (``tsd_dirichlet``) draws every row
-    of ``CHECK_ROWS`` with the bytes and the draw count of ``Stream._gammas``
-    and ``_normalized``."""
-    for key, start, concentration, n in CHECK_ROWS:
-        stream = Stream(key)
-        stream._counter = start
-        want = _normalized(stream._gammas(concentration, n))
-        got = (c_double * n)()
-        drawn = dirichlet(key, start, n, concentration, got)
-        if bytes(got) != want.tobytes() or start + drawn != stream._counter:
-            return False
-    return True

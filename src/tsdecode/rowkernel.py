@@ -1,20 +1,18 @@
 """The compiled kernel: build, cache, load and check ``_rowkernel.c``.
 
-``_rowkernel.c`` holds five functions, each the C twin of Python code:
-``tsd_dirichlet`` is ``rng.Stream.dirichlet`` (the variates of
-``rng.Stream._gammas`` divided by their sum, ``rng._normalized``),
-``tsd_block`` is ``lm.NgramGenModel``'s Python row loop over a block of
-contexts (``_row_keys``, then one such row per key), ``tsd_finalize`` is
-``lm._numpy_finalize``, ``tsd_beam_step`` is ``decode._PythonStep``, one
-step of the full-sentence beam search, and ``tsd_psgd_round`` is
-``decode._PythonRound``, one PSGD scoring round. ``tsd_dirichlet`` is
-called from Python only by its check: rows are drawn by ``tsd_block``,
-which calls it for each row. The row functions add a row up in numpy's
-``add.reduce`` order, which their checks compare rather than assume. This
-module holds no state: ``rng.compiled()`` calls ``load`` once per process,
-on the first n-gram row block, beam step or PSGD round, never on import.
-``lm`` and ``decode`` then use each function that passed its check, and
-the much slower Python code otherwise.
+``_rowkernel.c`` exports four functions, each named ``tsd_`` and its
+``Functions`` field and each the C twin of Python code: ``tsd_block`` is
+``lm.NgramGenModel``'s Python row loop over a block of contexts
+(``_row_keys``, then one ``rng.Stream.dirichlet`` row per key),
+``tsd_finalize`` is ``lm._numpy_finalize``, ``tsd_beam_step`` is
+``decode._PythonStep``, one step of the full-sentence beam search, and
+``tsd_psgd_round`` is ``decode._PythonRound``, one PSGD scoring round. The
+row functions add a row up in numpy's ``add.reduce`` order, which their
+checks compare rather than assume. This module holds no state:
+``rng.compiled()`` calls ``load`` once per process, on the first n-gram row
+block, beam step or PSGD round, never on import. ``lm`` and ``decode`` then
+use each function that passed its check, and the much slower Python code
+otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -27,11 +25,11 @@ name needs no ``hashlib``, which loads OpenSSL into the process. It is written
 to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
-Each function is checked before it is used, next to its Python twin.
-``rng.dirichlet_self_check`` draws ``rng.CHECK_ROWS`` both ways and
-requires every entry's bytes and every draw count to match, and
-``lm.block_self_check`` draws ``lm.CHECK_BLOCKS`` both ways and requires
-the same bytes: the block is used only if both pass.
+Each function is checked before it is used, next to its Python twin, by a
+check of its own. ``lm.block_self_check`` draws ``lm.CHECK_BLOCKS`` both
+ways and requires the same bytes: blocks of several vocabularies and
+concentrations, whose rows cover the Dirichlet row's branches and tell
+numpy's sum from any one of its rules changed.
 ``lm.finalize_self_check`` finalizes a block of every width in
 ``lm.CHECK_WIDTHS`` both ways and requires the same bytes, and the same
 ``ValueError`` for a row with no mass; ``beam_self_check`` takes the ``CHECK_STEPS`` steps of a small fixed
@@ -64,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lm import block_self_check, finalize_self_check
-from .rng import dirichlet_self_check, hash_key
+from .rng import hash_key
 from .scoring import SCORING_MEAN_LOGPROB, length_term
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
@@ -86,9 +84,10 @@ def cache_dir() -> Path:
 
 class Functions(NamedTuple):
     """The kernel's functions that passed their checks; None for each that
-    did not, or when the kernel could not be built or loaded. ``block``
-    holds ``tsd_block``, which draws a block of an n-gram model's rows, each
-    with ``tsd_dirichlet``; it passed only if both passed their checks."""
+    did not, or when the kernel could not be built or loaded. Field
+    ``name`` holds ``tsd_<name>``: ``block`` draws a block of an n-gram
+    model's rows, ``finalize`` finalizes a block of rows, ``beam_step``
+    takes a beam step and ``psgd_round`` scores a PSGD round."""
 
     block: object = None
     finalize: object = None
@@ -99,8 +98,7 @@ class Functions(NamedTuple):
 def load(directory: Path | None = None) -> Functions:
     """The kernel's functions from ``directory`` (``cache_dir()`` by
     default), built there first if it is not there yet, each kept only if it
-    passes its own check: ``rng.dirichlet_self_check`` of ``tsd_dirichlet``
-    and then ``lm.block_self_check`` for ``tsd_block``,
+    passes its own check: ``lm.block_self_check`` for ``tsd_block``,
     ``lm.finalize_self_check`` for ``tsd_finalize``, ``beam_self_check`` for
     ``tsd_beam_step`` and ``psgd_self_check`` for ``tsd_psgd_round``. Each
     failure is reported as one warning, except a missing compiler."""
@@ -117,17 +115,13 @@ def load(directory: Path | None = None) -> Functions:
         path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
-        dirichlet, finalize, beam_step, psgd_round, block = _open(path)
+        block, finalize, beam_step, psgd_round = _open(path)
     except Exception as exc:  # whatever fails, rows are drawn, beams stepped and rounds scored in Python
         _warn("kernel", repr(exc), "rows are drawn and finalized, beams stepped and PSGD rounds scored in Python")
         return Functions()
 
-    def rows_check(block) -> bool:
-        # tsd_block draws with tsd_dirichlet, whose check covers the wide rows the block's leaves out.
-        return dirichlet_self_check(dirichlet) and block_self_check(block)
-
     return Functions(
-        _checked(block, rows_check, "row block", "rows are drawn in Python"),
+        _checked(block, block_self_check, "row block", "rows are drawn in Python"),
         _checked(finalize, finalize_self_check, "row finalisation", "rows are finalized in Python"),
         _checked(beam_step, beam_self_check, "beam step", "beams are stepped in Python"),
         _checked(psgd_round, psgd_self_check, "PSGD round", "PSGD rounds are scored in Python"),
@@ -175,16 +169,12 @@ def _compile(command: list[str], path: Path) -> None:
         raise
 
 
-def _open(path: Path) -> tuple:
-    """``tsd_dirichlet``, ``tsd_finalize``, ``tsd_beam_step``,
-    ``tsd_psgd_round`` and ``tsd_block`` from the shared object at ``path``,
-    with their argument and result types."""
+def _open(path: Path) -> Functions:
+    """The kernel's functions from the shared object at ``path``, each field
+    ``name`` holding ``tsd_<name>`` with its argument and result types."""
     library = ctypes.CDLL(str(path))
-    dirichlet, finalize = library.tsd_dirichlet, library.tsd_finalize
-    beam_step, psgd_round, block = library.tsd_beam_step, library.tsd_psgd_round, library.tsd_block
-    dirichlet.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_int64, ctypes.c_double,
-                          ctypes.POINTER(ctypes.c_double))
-    dirichlet.restype = ctypes.c_uint64
+    functions = Functions(*(getattr(library, "tsd_" + name) for name in Functions._fields))
+    block, finalize, beam_step, psgd_round = functions
     finalize.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
                          ctypes.c_double, ctypes.c_double)
     finalize.restype = ctypes.c_int64
@@ -196,7 +186,7 @@ def _open(path: Path) -> tuple:
     block.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p,
                       ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
     block.restype = None
-    return dirichlet, finalize, beam_step, psgd_round, block
+    return functions
 
 
 class _BeamBuffers(ctypes.Structure):

@@ -1,11 +1,12 @@
-"""The compiled row kernel: the same rows and draw counts as the Python
-loop, the same finalized rows as numpy, a cache that is built once and
-checked, and every failure to build, load or match falling back to Python
-with the same rows."""
+"""The compiled kernel: the same row blocks as the Python loop, the same
+finalized rows as numpy, one field and one check for each exported
+function, a cache that is built once and checked, and every failure to
+build, load or match falling back to Python with the same rows."""
 
 import ctypes
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -15,6 +16,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +41,11 @@ needs_kernel = pytest.mark.skipif("kernel" not in kernel_paths("block"), reason=
 KEYS = [hash_key(29, 20, 1097), hash_key(29, 20, 1098)] + [hash_key(k, 2) for k in range(10)]
 
 
-def drawn_row(key, start, concentration, n, dirichlet=None):
-    """The bytes of the row drawn after ``start`` draws of the stream keyed
-    by ``key``, by the compiled ``dirichlet`` (``tsd_dirichlet``) or, when
-    it is None, by the Python loop, and the draws consumed by then."""
-    if dirichlet is None:
-        stream = Stream(key)
-        stream._counter = start
-        return stream.dirichlet(concentration, n).tobytes(), stream._counter
-    row = (ctypes.c_double * n)()
-    drawn = dirichlet(key, start, n, concentration, row)
-    return bytes(row), start + drawn
+def drawn_row(key, concentration, n):
+    """The bytes of a fresh stream's row drawn by the Python loop, and the
+    draws it consumed."""
+    stream = Stream(key)
+    return stream.dirichlet(concentration, n).tobytes(), stream._counter
 
 
 def reference_row(key, concentration, n):
@@ -68,13 +64,6 @@ def built(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def dirichlet(built):
-    """``tsd_dirichlet`` from ``built``, which rows are drawn with only
-    inside ``tsd_block``."""
-    return rowkernel._open(built)[0]
-
-
 @needs_compiler
 def test_kernel_loads_where_a_compiler_runs(tmp_path):
     directory = tmp_path / "cache"
@@ -84,23 +73,34 @@ def test_kernel_loads_where_a_compiler_runs(tmp_path):
     assert built.name.startswith("rowkernel-") and built.suffix == ".so"
 
 
-@needs_kernel
-@given(
-    st.integers(0, 2**64 - 1),
-    st.integers(0, 2**40),
-    st.one_of(st.sampled_from([0.001, 0.05, 0.2, 1.0, 2.5, 3.0]), st.floats(0.05, 3.0)),
-    st.one_of(st.sampled_from([1, 2, 3, 19, 99, 128, 129, 300]), st.integers(1, 300)),
-)
-@settings(max_examples=150, deadline=None)
-def test_kernel_rows_equal_python_rows(dirichlet, key, start, concentration, n):
-    got = drawn_row(key, start, concentration, n, dirichlet)
-    assert got == drawn_row(key, start, concentration, n)
-    # A row whose every variate underflows (often so at concentration 0.001
-    # and a few entries) is uniform.
-    stream = Stream(key)
-    stream._counter = start
-    if not any(stream._gammas(concentration, n)):
-        assert got[0] == np.full(n, 1.0 / n).tobytes()
+def test_every_exported_kernel_function_is_a_field_of_functions():
+    # Each function _rowkernel.c exports is tsd_<name> of one field of
+    # rowkernel.Functions; every other function is static.
+    code = re.sub(r"/\*.*?\*/", "", rowkernel.SOURCE.read_text(), flags=re.S)
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w ]*?[\s*](\w+)\([^;{]*\)\s*\{", code, flags=re.M)
+    assert sorted(exported) == sorted("tsd_" + name for name in rowkernel.Functions._fields)
+
+
+# The check in ``rowkernel`` that decides each field of ``Functions``.
+CHECKS = {
+    "block": "block_self_check",
+    "finalize": "finalize_self_check",
+    "beam_step": "beam_self_check",
+    "psgd_round": "psgd_self_check",
+}
+
+
+@needs_compiler
+@pytest.mark.parametrize("name", rowkernel.Functions._fields)
+def test_each_field_holds_its_function_decided_by_its_own_check(name, built, tmp_path, monkeypatch):
+    assert getattr(rowkernel._open(built), name).__name__ == "tsd_" + name
+    directory = tmp_path / "cache"
+    directory.mkdir(mode=0o700)
+    shutil.copy(built, directory)
+    monkeypatch.setattr(rowkernel, CHECKS[name], lambda function: False)
+    functions, warned = loaded_with_warnings(directory)
+    assert fallen_back(functions) == {name}
+    assert warned == [RuntimeWarning]
 
 
 needs_finalize = pytest.mark.skipif(
@@ -144,13 +144,6 @@ def test_compiled_finalisation_equals_numpy(n_rows, width, key, concentration, m
         assert strided.tobytes() == lm._numpy_finalize(np.asfortranarray(raw), 0).tobytes()
 
 
-@needs_kernel
-def test_kernel_row_with_a_long_rejection_run_matches_python(dirichlet):
-    got = drawn_row(KEYS[1], 0, 0.2, 20, dirichlet)
-    assert got == drawn_row(KEYS[1], 0, 0.2, 20)
-    assert got[1] > 4 * 20 + 16
-
-
 def drawn_block(path, model, source, contexts):
     """The bytes of the raw block ``model`` draws for ``contexts`` of
     ``source``, the ``path`` way: by the compiled block or by the Python
@@ -161,14 +154,15 @@ def drawn_block(path, model, source, contexts):
 
 @needs_kernel
 @given(
-    st.sampled_from([7, 20, 100, 131]),
+    # Rows of 2 to 300 entries, 127 to 131 among them: every branch of numpy's sum.
+    st.one_of(st.sampled_from([3, 4, 20, 100, 128, 129, 130, 131, 132, 301]), st.integers(3, 301)),
     st.integers(1, 4),
     st.sampled_from([None, 0.0, 0.3, 0.5, 1.0]),
-    st.sampled_from([0.05, 0.2, 1.0, 2.5]),
+    st.one_of(st.sampled_from([0.001, 0.05, 0.2, 1.0, 2.5, 3.0]), st.floats(0.05, 3.0)),
     st.integers(0, 2**64 - 1),
     st.data(),
 )
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_kernel_blocks_equal_python_blocks(vocab_size, order, rate, concentration, seed, data):
     model = NgramGenModel(Vocab(vocab_size), order, seed, concentration)
     if rate is not None:
@@ -182,13 +176,30 @@ def test_kernel_blocks_equal_python_blocks(vocab_size, order, rate, concentratio
 
 
 def test_the_block_check_covers_every_context_length_and_both_coin_sides():
-    (rate, source, contexts), (full_rate, _, _) = lm.CHECK_BLOCKS
+    (_, _, rate, source, contexts), (_, _, full_rate, _, _) = lm.CHECK_BLOCKS[:2]
     assert (rate, source, full_rate) == (0.5, (), 1.0)
     assert sorted(map(len, contexts)) == list(range(7))
     coins = [hash_key(7, _COIN_TAG, source, context) for context in contexts]
     below = [rng._uniform(coin, 1) < rate for coin in coins]
     assert 0 < sum(below) < len(contexts)
     assert any((rng._uniform(coin, 0) < rate) != side for coin, side in zip(coins, below))
+
+
+def test_the_block_check_holds_a_row_for_each_branch_of_a_row():
+    # One row per later block, as lm.block_self_check draws it: its
+    # variates and the draws they consumed. The check compares the kernel's
+    # bytes of each with these.
+    rows = {}
+    for size, concentration, rate, source, contexts in lm.CHECK_BLOCKS[1:]:
+        model = NgramGenModel(Vocab(size), 6, 41, concentration, 7, rate)
+        (key,) = model._row_keys(source, contexts)
+        stream = Stream(key)
+        rows[concentration] = size - 1, stream._gammas(concentration, size - 1), stream._counter
+    assert sorted(rows) == [0.001, 0.05, 0.2, 1.0]
+    n, _, drawn = rows[0.2]
+    assert drawn > 4 * n + 16
+    assert not any(rows[0.001][1])
+    assert rows[1.0][0] == 131
 
 
 @needs_compiler
@@ -235,32 +246,13 @@ def _fail_to_compile(command, path):
     raise subprocess.CalledProcessError(1, command)
 
 
-def _one_ulp_off(kernel):
-    def wrong(key, start, n, concentration, out):
-        drawn = kernel(key, start, n, concentration, out)
-        out[n - 1] = math.nextafter(out[n - 1], math.inf)
-        return drawn
-
-    return wrong
-
-
-def _one_draw_short(kernel):
-    return lambda key, start, n, concentration, out: kernel(key, start, n, concentration, out) - 1
-
-
-def _summed_in_order(dirichlet):
-    # Divides the row by its variates added left to right, not pairwise.
-    def wrong(key, start, n, concentration, out):
-        drawn = dirichlet(key, start, n, concentration, out)
-        stream = Stream(key)
-        stream._counter = start
-        variates = stream._gammas(concentration, n)
-        total = 0.0
-        for variate in variates:
-            total += variate
-        for k, variate in enumerate(variates):
-            out[k] = variate / total if total > 0.0 else 1.0 / n
-        return drawn
+def _one_ulp_off(block):
+    # Nudges the last entry of the block's last row.
+    def wrong(*args):
+        block(*args)
+        n_rows, vocab, rows = args[-4], args[-3], args[-1]
+        entries = (ctypes.c_double * (n_rows * vocab)).from_address(ctypes.addressof(rows))
+        entries[-1] = math.nextafter(entries[-1], math.inf)
 
     return wrong
 
@@ -329,10 +321,62 @@ def _fold(h, context, length=True):
     return h
 
 
-def _python_block(length=True, coin_at=1, inverted=False):
+def _sequential(values):
+    total = -0.0
+    for value in values:
+        total += value
+    return total
+
+
+def numpy_sum(values, rule=None):
+    """``np.add.reduce`` of a contiguous run of float64 ``values``, numpy's
+    pairwise sum as ``_rowkernel.c``'s ``add_reduce`` writes it, or with the
+    one rule ``rule`` changed: ``"sequential"`` adds them left to right,
+    ``"block-256"`` gives up to 256 entries to the eight accumulators,
+    ``"any-split"`` splits a longer run at half its length, not rounded down
+    to a multiple of 8, ``"in-order"`` adds the accumulators left to right
+    and ``"remainder-first"`` adds the remainder before them."""
+    if rule == "sequential":
+        return 0.0 + _sequential(values)
+
+    def pairwise(a):
+        n = len(a)
+        if n < 8:
+            return _sequential(a)
+        if n <= (256 if rule == "block-256" else 128):
+            whole = n - n % 8
+            r = [_sequential(a[j:whole:8]) for j in range(8)]
+            if rule == "in-order":
+                return _sequential([_sequential(r), *a[whole:]])
+            tree = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+            if rule == "remainder-first":
+                return _sequential(a[whole:]) + tree
+            return _sequential([tree, *a[whole:]])
+        half = n // 2
+        if rule != "any-split":
+            half -= half % 8
+        return pairwise(a[:half]) + pairwise(a[half:])
+
+    return 0.0 + pairwise(values)
+
+
+def _row(variates, total=numpy_sum, reciprocal=False, uniform=True):
+    """``rng._normalized(variates)`` as a list, or with a rule changed: the
+    row divided by the ``total`` of its variates, multiplied by its
+    reciprocal, or never uniform."""
+    t = total(variates)
+    if t <= 0.0 and uniform:
+        return [1.0 / len(variates)] * len(variates)
+    if reciprocal:
+        return [v * (1.0 / t) for v in variates]
+    return [v / t if t else math.nan for v in variates]
+
+
+def _python_block(length=True, coin_at=1, inverted=False, row=_row):
     """``tsd_block`` written in Python, with one rule changed unless every
     argument keeps its default: the length left out of the fold, the coin
-    drawn at another counter, or the coin's choice inverted."""
+    drawn at another counter, the coin's choice inverted, or each row made
+    of its variates by ``row`` instead of ``_row``."""
 
     def block(h_row, h_alt, h_coin, rate, tokens, lengths, n_rows, vocab, concentration, rows):
         lengths = struct.unpack(f"{n_rows}q", lengths)
@@ -343,8 +387,8 @@ def _python_block(length=True, coin_at=1, inverted=False):
             h = h_row
             if rate > 0.0 and (rng._uniform(_fold(h_coin, context, length), coin_at) < rate) != inverted:
                 h = h_alt
-            row = rng._normalized(Stream(_fold(h, context, length))._gammas(concentration, vocab - 1))
-            out[r * vocab + 1 : (r + 1) * vocab] = row.tolist()
+            variates = Stream(_fold(h, context, length))._gammas(concentration, vocab - 1)
+            out[r * vocab + 1 : (r + 1) * vocab] = row(variates)
 
     return block
 
@@ -353,37 +397,48 @@ BLOCK_MUTANTS = {
     "block-length-unmixed": _python_block(length=False),
     "block-coin-at-0": _python_block(coin_at=0),
     "block-coin-inverted": _python_block(inverted=True),
+    "sequential-sum": _python_block(row=partial(_row, total=partial(numpy_sum, rule="sequential"))),
 }
+# Mutants of the row alone, which the check's rows were found to reject.
+ROW_MUTANTS = {
+    **{f"sum-{rule}": _python_block(row=partial(_row, total=partial(numpy_sum, rule=rule)))
+       for rule in ("block-256", "any-split", "in-order", "remainder-first")},
+    "row-times-reciprocal": _python_block(row=partial(_row, reciprocal=True)),
+    "row-never-uniform": _python_block(row=partial(_row, uniform=False)),
+}
+
+
+def test_the_python_sum_is_numpys():
+    values = [(k * 0.6180339887498949 % 1.0) ** 4 for k in range(1, 301)]
+    for n in range(1, 301):
+        assert numpy_sum(values[:n]) == np.add.reduce(np.array(values[:n]))
 
 
 def test_the_block_check_passes_the_python_block_and_rejects_each_mutant():
     # Each mutant is the Python block with one rule changed, so the check
     # rejects it for that rule alone.
     assert lm.block_self_check(_python_block())
-    assert not any(lm.block_self_check(mutant) for mutant in BLOCK_MUTANTS.values())
+    mutants = {**BLOCK_MUTANTS, **ROW_MUTANTS}
+    assert [name for name, mutant in mutants.items() if lm.block_self_check(mutant)] == []
 
 
-def _opened_as(wrap, which):
-    """``rowkernel._open`` with its ``which``-th function wrapped by ``wrap``."""
+def _opened_as(wrap, name):
+    """``rowkernel._open`` with its function ``name`` wrapped by ``wrap``."""
     open_ = rowkernel._open
 
     def opened(path):
-        functions = list(open_(path))
-        functions[which] = wrap(functions[which])
-        return tuple(functions)
+        functions = open_(path)
+        return functions._replace(**{name: wrap(getattr(functions, name))})
 
     return opened
 
 
 # Without a compiler the Python row loop, finalisation, step and round are
 # taken silently; any other failure is reported. A function that fails its
-# check leaves the others compiled: ONLY names what falls back. The block
-# falls back when the row function it draws with fails its check.
+# check leaves the others compiled: ONLY names what falls back.
 SILENT = {"no-compiler-named", "compiler-missing"}
 ONLY = {
     "wrong-bytes": "block",
-    "wrong-count": "block",
-    "sequential-sum": "block",
     "bos-summed": "finalize",
     "step-one-short": "beam_step",
     "step-score-wrong": "beam_step",
@@ -397,15 +452,13 @@ FALLBACKS = {
     "compiler-fails": (sysconfig, "get_config_var", lambda name: "false"),
     "compile-step-fails": (rowkernel, "_compile", _fail_to_compile),
     "load-fails": (ctypes, "CDLL", _refuse),
-    "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, 0)),
-    "wrong-count": (rowkernel, "_open", _opened_as(_one_draw_short, 0)),
-    "sequential-sum": (rowkernel, "_open", _opened_as(_summed_in_order, 0)),
-    "bos-summed": (rowkernel, "_open", _opened_as(_bos_summed, 1)),
-    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, 2)),
-    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, 2)),
-    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, 3)),
-    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, 3)),
-    **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, 4))
+    "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, "block")),
+    "bos-summed": (rowkernel, "_open", _opened_as(_bos_summed, "finalize")),
+    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_step")),
+    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_step")),
+    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, "psgd_round")),
+    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, "psgd_round")),
+    **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, "block"))
        for name, mutant in BLOCK_MUTANTS.items()},
 }
 # The cases that fail after the kernel is built load one build, copied into
@@ -451,7 +504,7 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     rows = dirichlet_rows(KEYS, 0.2, 20)
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
-    assert [drawn_row(key, 0, 0.2, 20) for key in KEYS] == want
+    assert [drawn_row(key, 0.2, 20) for key in KEYS] == want
     raw = lm.check_blocks()[-1][::2]
     assert lm._finalize_rows(raw.copy(), 0).tobytes() == lm._numpy_finalize(raw.copy(), 0).tobytes()
     finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
