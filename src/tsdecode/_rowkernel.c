@@ -197,10 +197,10 @@ int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
 }
 
 /* One decode's beam and buffers, allocated by ``rowkernel.CompiledStep``.
-   The beam lives on side ``cur`` of each two-sided buffer; a step writes
-   the next beam to the other side, and the caller flips ``cur`` to take
-   it. Every hypothesis of a beam has the same length, and no two have the
-   same tokens. */
+   The beam lives on side ``cur`` of ``lp``, ``progress``, ``bank`` and
+   ``order``, side s at s times the side's length; a step writes the next
+   beam to the other side, and the caller flips ``cur`` to take it. All the
+   hypotheses of a beam have the same length, and no two the same tokens. */
 struct tsd_beam {
     int64_t vocab;          /* entries per row */
     int64_t width;          /* the beam width: hypotheses per side, at most */
@@ -211,6 +211,7 @@ struct tsd_beam {
     int64_t cur;
     int64_t n_finished;     /* outputs of the last step: finishes marked */
     int64_t hard;           /* ... and how many ranked in a window or slot */
+    int64_t size[2];        /* hypotheses on each side */
     const int64_t *phrases; /* the phrases' tokens, one phrase after another */
     const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
     const double *rows;     /* the step's log row per hypothesis, width x vocab */
@@ -218,11 +219,10 @@ struct tsd_beam {
     int64_t *token;         /* ... and new token */
     int64_t *finished;      /* the parent index of each finish, in order */
     double *finish_score;   /* ... and its EOS score */
-    int64_t size[2];        /* hypotheses on each side */
-    double *lp[2];          /* raw score per hypothesis */
-    int64_t *progress[2];   /* per hypothesis, its position in each phrase */
-    int64_t *bank[2];       /* per hypothesis, its summed progress */
-    int64_t *order[2];      /* per hypothesis, the rank of its tokens among
+    double *lp;             /* raw score per hypothesis */
+    int64_t *progress;      /* per hypothesis, its position in each phrase */
+    int64_t *bank;          /* per hypothesis, its summed progress */
+    int64_t *order;         /* per hypothesis, the rank of its tokens among
                                the side's tokens in lexicographic order */
 };
 
@@ -312,8 +312,9 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in];
     const int64_t width = s->width, vocab = s->vocab, n_phrases = s->n_phrases;
-    const double *lp = s->lp[in];
-    const int64_t *progress = s->progress[in], *bank = s->bank[in], *order = s->order[in];
+    const double *lp = s->lp + in * width;
+    const int64_t *progress = s->progress + in * width * n_phrases, *bank = s->bank + in * width;
+    const int64_t *order = s->order + in * width;
     const int64_t max_cands = n_beam + width + n_phrases * n_beam;
     struct cand *cands = malloc(max_cands * sizeof *cands);
     int64_t *ranked = malloc(max_cands * sizeof *ranked);
@@ -429,13 +430,13 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
         const struct cand *c = &cands[ranked[a]];
         s->parent[next] = c->parent;
         s->token[next] = c->token;
-        s->lp[out][next] = c->score;
-        s->bank[out][next] = c->bank;
+        s->lp[out * width + next] = c->score;
+        s->bank[out * width + next] = c->bank;
         for (int64_t j = 0; j < n_phrases; j++)
-            s->progress[out][next * n_phrases + j] = c->progress[j];
+            s->progress[(out * width + next) * n_phrases + j] = c->progress[j];
         next++;
     }
-    next_order(order, s->parent, s->token, next, s->order[out]);
+    next_order(order, s->parent, s->token, next, s->order + out * width);
     s->size[out] = next;
 
 done:
@@ -449,9 +450,9 @@ done:
 
 /* One PSGD decode's beam and buffers, allocated by ``rowkernel.CompiledRound``
    for one ``decode._SpanScorer``. As in ``struct tsd_beam``, the beam lives on
-   side ``cur``; a round that expands writes the children to the other side.
-   Every item of a beam holds a span of ``n_terms`` tokens, and no two hold
-   the same span. */
+   side ``cur`` of ``lp``, ``order`` and ``carry``; a round that expands writes
+   the children to the other side. Every item of a beam holds a span of
+   ``n_terms`` tokens, and no two hold the same span. */
 struct tsd_psgd {
     int64_t vocab;          /* entries per row */
     int64_t width;          /* the beam width: items per side, at most */
@@ -469,17 +470,17 @@ struct tsd_psgd {
     int64_t n_terms;        /* span tokens per item of side ``cur`` */
     int64_t cur;
     int64_t best;           /* output of the last round: its first-ranked item */
+    int64_t size[2];        /* items on each side */
     const int64_t *suffix;  /* the suffix tokens the span changes */
-    const double *prefix_terms, *tail_terms;
+    const double *terms;    /* the prefix terms, then the tail terms */
     const double *rows;     /* the round's rows, per_item per item */
     double *score;          /* per item, its normalised score */
     int64_t *parent;        /* the children in rank order: parent index */
     int64_t *token;         /* ... and new token */
-    int64_t size[2];        /* items on each side */
-    double *lp[2];          /* per item, its span's summed log-probability */
-    double *carry[2];       /* per item, ``capacity`` doubles of carry */
-    int64_t *order[2];      /* per item, the rank of its span among the
+    double *lp;             /* per item, its span's summed log-probability */
+    int64_t *order;         /* per item, the rank of its span among the
                                side's spans in lexicographic order */
+    double *carry;          /* per item, ``capacity`` doubles of carry */
 };
 
 int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand);
@@ -492,9 +493,9 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
 int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand)
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity;
-    const int64_t stride = s->per_item * s->vocab;
-    const int64_t *order = s->order[in];
-    const double *carry = s->carry[in];
+    const int64_t stride = s->per_item * s->vocab, width = s->width;
+    const int64_t *order = s->order + in * width;
+    const double *carry = s->carry + in * width * cap;
     int64_t top = 0;
     for (int64_t b = 0; b < n_beam; b++) {
         /* The order ``_SpanScorer.total`` adds in: EOS, prefix, span,
@@ -506,14 +507,14 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
         } else {
             total = rows[(s->per_item - 1) * s->vocab + s->eos];
             for (int64_t j = 0; j < s->n_prefix; j++)
-                total += s->prefix_terms[j];
+                total += s->terms[j];
             for (int64_t j = 0; j < s->n_terms; j++)
                 total += carry[b * cap + j];
         }
         for (int64_t j = 0; j < s->n_suffix; j++)
             total += rows[j * s->vocab + s->suffix[j]];
         for (int64_t j = 0; j < s->n_tail; j++)
-            total += s->tail_terms[j];
+            total += s->terms[s->n_prefix + j];
         double score = s->score[b] = s->mean ? total / norm : total - norm;
         if (b == 0 || score > s->score[top] || (score == s->score[top] && order[b] < order[top]))
             top = b;
@@ -522,19 +523,19 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
     if (!(expand == 2 || (expand == 1 && s->score[top] > best)))
         return 0;
 
-    struct cand *children = malloc(s->width * sizeof *children);
+    struct cand *children = malloc(width * sizeof *children);
     if (!children)
         return -1;
-    int64_t k = top_children(s->lp[in], s->rows, stride, n_beam, s->lo, s->n_content, order, s->width,
+    int64_t k = top_children(s->lp + in * width, s->rows, stride, n_beam, s->lo, s->n_content, order, width,
                              children);
     for (int64_t i = 0; i < k; i++) {
         const int64_t parent = children[i].parent, tok = children[i].token;
         const double term = s->rows[parent * stride + tok];
-        double *to = s->carry[out] + i * cap;
+        double *to = s->carry + (out * width + i) * cap;
         const double *from = carry + parent * cap;
         s->parent[i] = parent;
         s->token[i] = tok;
-        s->lp[out][i] = children[i].score;
+        s->lp[out * width + i] = children[i].score;
         if (s->fixed_eos) {
             to[0] = from[0] + term;
         } else {
@@ -543,7 +544,7 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
             to[s->n_terms] = term;
         }
     }
-    next_order(order, s->parent, s->token, k, s->order[out]);
+    next_order(order, s->parent, s->token, k, s->order + out * width);
     s->size[out] = k;
     free(children);
     return k;

@@ -76,7 +76,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             d = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a JSONDecodeError or UnicodeDecodeError is a ValueError
         raise ConfigError(f"cannot read JSON config {path}: {exc}") from exc
     if not isinstance(d, dict):
         raise ConfigError(f"config {path} must be a JSON object")

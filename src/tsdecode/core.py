@@ -296,12 +296,16 @@ def _read_jsonl(path: str | Path, from_dict, key_fields: tuple[str, ...]) -> lis
     agree on every one of ``key_fields``."""
     out = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 reads as a lone surrogate, so its line can be named.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")
                 item = from_dict(json.loads(line))
+            except UnicodeEncodeError:
+                raise MalformedLine(f"{path}:{lineno}: not UTF-8 text") from None
             except KeyError as exc:
                 raise MalformedLine(f"{path}:{lineno}: missing key {exc}") from exc
             except (TypeError, ValueError) as exc:

@@ -21,7 +21,7 @@ the block. The compiled kernel draws an ``NgramGenModel`` block in one call
 (``tsd_block``), which folds each context onto the source's keys, tosses a
 sibling's coins and draws the rows, when it passed its check
 (``block_self_check``); otherwise
-``_row_keys`` folds each key in Python and ``rng.dirichlet_rows`` draws
+``_row_keys`` folds each key in Python and ``Stream.dirichlet`` draws
 each row with the Python loop. The kernel finalizes a
 block in one call (``tsd_finalize``) when it passed its check
 (``finalize_self_check``), and numpy does otherwise (``_numpy_finalize``);
@@ -60,7 +60,7 @@ import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
 from . import rng
-from .rng import Stream, _normalized, dirichlet_rows, hash_key, mix64
+from .rng import Stream, _normalized, hash_key, mix64
 
 EPS_FLOOR = 1e-12
 _NO_MASS = "row has no probability mass outside BOS"
@@ -425,7 +425,8 @@ class NgramGenModel(SequenceModel):
         if block:
             return self._block_rows(block, source, contexts, rows)
         # Every id but Vocab.bos_id, which is 0.
-        rows[:, 1:] = dirichlet_rows(self._row_keys(source, contexts), self.concentration, self.vocab.size - 1)
+        keys = self._row_keys(source, contexts)
+        rows[:, 1:] = [Stream(key).dirichlet(self.concentration, self.vocab.size - 1) for key in keys]
         return rows
 
     def _row_keys(self, source: Tokens, contexts: Sequence[Tokens]) -> list[int]:

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -128,13 +128,6 @@ def compiled():
 
             _compiled = rowkernel.load()
         return _compiled
-
-
-def dirichlet_rows(keys: Sequence[int], concentration: float, n: int) -> list[np.ndarray]:
-    """``Stream(key).dirichlet(concentration, n)`` for each key: a block of
-    rows drawn by the Python loop, where the kernel's ``tsd_block`` is not
-    used."""
-    return [Stream(key).dirichlet(concentration, n) for key in keys]
 
 
 def _normalized(gammas: list[float]) -> np.ndarray:

@@ -56,6 +56,7 @@ import shlex
 import shutil
 import sysconfig
 import warnings
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -189,6 +190,26 @@ def _open(path: Path) -> Functions:
     return functions
 
 
+def _sections(struct, reals, ints) -> dict[str, np.ndarray]:
+    """One decode's buffers: a zeroed float64 array cut into the ``reals``
+    sections and a zeroed int64 array cut into the ``ints`` sections, each a
+    ``(name, length)`` pair, in order. Each name is a pointer field of
+    ``struct``, set to its section's address; returns each section's numpy
+    view by name. numpy arrays, not ctypes ones: each ctypes
+    array length is a new type that ctypes keeps for the life of the
+    process. An address is read through ``c_char.from_buffer``, without the
+    dict that ``__array_interface__`` builds."""
+    views = {}
+    for dtype, sections in ((np.float64, reals), (np.int64, ints)):
+        array = np.zeros(sum(length for _, length in sections), dtype)
+        base, at = ctypes.addressof(ctypes.c_char.from_buffer(array)), 0
+        for name, length in sections:
+            setattr(struct, name, base + 8 * at)
+            views[name] = array[at : at + length]
+            at += length
+    return views
+
+
 class _BeamBuffers(ctypes.Structure):
     """``struct tsd_beam`` of ``_rowkernel.c``."""
 
@@ -196,11 +217,11 @@ class _BeamBuffers(ctypes.Structure):
         [(name, ctypes.c_int64) for name in (
             "vocab", "width", "eos", "lo", "n_content", "n_phrases", "complete", "cur", "n_finished", "hard"
         )]
-        + [(name, ctypes.c_void_p) for name in (
-            "phrases", "starts", "rows", "parent", "token", "finished", "finish_score"
-        )]
         + [("size", ctypes.c_int64 * 2)]
-        + [(name, ctypes.c_void_p * 2) for name in ("lp", "progress", "bank", "order")]
+        + [(name, ctypes.c_void_p) for name in (
+            "phrases", "starts", "rows", "parent", "token", "finished", "finish_score", "lp", "progress", "bank",
+            "order",
+        )]
     )
 
 
@@ -208,14 +229,14 @@ class CompiledStep:
     """``decode._PythonStep``'s interface and results through
     ``tsd_beam_step``.
 
-    The beam lives in two buffers, one of doubles and one of 64-bit
-    integers, that each decode allocates once and the kernel reads and
-    writes at addresses taken once (``_BeamBuffers``); per step Python
-    copies the rows in and reads the survivors and finishes out, and the
-    tokens, which the kernel never reads, stay with the caller. The kernel
-    breaks token ties by each hypothesis's rank among the beam's tokens in
-    lexicographic order, computed here for the first beam and by the kernel
-    for every next one.
+    The beam lives in the sections of ``_BeamBuffers`` (``_sections``),
+    which each decode allocates once; ``lp``, ``progress``, ``bank`` and
+    ``order`` hold two sides, side s starting at s times the side's length.
+    Per step Python copies the rows in and reads the survivors and finishes
+    out, and the tokens, which the kernel never reads, stay with the caller.
+    The kernel breaks token ties by each hypothesis's rank among the beam's
+    tokens in lexicographic order, computed here for the first beam and by
+    the kernel for every next one.
     """
 
     def __init__(self, kernel, vocab, constraints: tuple[tuple[int, ...], ...], beam_width: int, beam: list) -> None:
@@ -230,77 +251,48 @@ class CompiledStep:
                 not 0 <= pos <= len(phrase) for pos, phrase in zip(progress, constraints)
             ):
                 raise ValueError(f"progress {progress} and bank {bank} do not fit the phrases {constraints}")
-        starts = [0]
-        for phrase in constraints:
-            starts.append(starts[-1] + len(phrase))
-        # The doubles: the rows, then the scores (two sides), then the
-        # finishes' scores. The integers: the phrases and their starts, then
-        # progress, bank and order (two sides each), then the survivors'
-        # parents and tokens, then the finishes' parents. Each ``*_at`` is a
-        # section's first index.
-        self.lp_at = width * size
-        self.score_at = self.lp_at + 2 * width
-        self.progress_at = len(flat) + n + 1
-        self.bank_at = self.progress_at + 2 * width * n
-        order_at = self.bank_at + 2 * width
-        self.parent_at = order_at + 2 * width
-        self.token_at = self.parent_at + width
-        self.finished_at = self.token_at + width
-        # numpy buffers, not ctypes arrays: each ctypes array length is a new
-        # type that ctypes keeps for the life of the process.
-        reals = self.reals = np.zeros(self.score_at + 2 * width)
-        ints = self.ints = np.zeros(self.finished_at + 2 * width, dtype=np.int64)
-        ints[: self.progress_at] = flat + starts
-        for b, (_, lp, progress, bank) in enumerate(beam):
-            reals[self.lp_at + b] = lp
-            ints[self.progress_at + b * n : self.progress_at + (b + 1) * n] = progress
-            ints[self.bank_at + b] = bank
-        for rank_, b in enumerate(sorted(range(len(beam)), key=lambda b: beam[b][0])):
-            ints[order_at + b] = rank_
-
-        reals_at, ints_at = reals.__array_interface__["data"][0], ints.__array_interface__["data"][0]
-
-        def real(i):
-            return reals_at + 8 * i
-
-        def integer(i):
-            return ints_at + 8 * i
-
         buffers = self.buffers = _BeamBuffers(
-            size, width, vocab.eos_id, content[0], len(content), n, len(flat), 0, 0, 0,
-            integer(0), integer(len(flat)), real(0), integer(self.parent_at), integer(self.token_at),
-            integer(self.finished_at), real(self.score_at), (len(beam), 0),
-            (real(self.lp_at), real(self.lp_at + width)),
-            (integer(self.progress_at), integer(self.progress_at + width * n)),
-            (integer(self.bank_at), integer(self.bank_at + width)),
-            (integer(order_at), integer(order_at + width)),
+            size, width, vocab.eos_id, content[0], len(content), n, len(flat), 0, 0, 0, (len(beam), 0)
         )
+        # A hypothesis can finish twice in a step: at its EOS argmax, then in a window or slot.
+        views = self.views = _sections(
+            buffers,
+            (("rows", width * size), ("lp", 2 * width), ("finish_score", 2 * width)),
+            (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
+             ("order", 2 * width), ("parent", width), ("token", width), ("finished", 2 * width)),
+        )
+        views["phrases"][:] = flat
+        views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
+        lps, progresses, banks, order = views["lp"], views["progress"], views["bank"], views["order"]
+        for b, (_, lp, progress, bank) in enumerate(beam):
+            lps[b] = lp
+            progresses[b * n : (b + 1) * n] = progress
+            banks[b] = bank
+        for rank_, b in enumerate(sorted(range(len(beam)), key=lambda b: beam[b][0])):
+            order[b] = rank_
         self.kernel, self.address, self.width, self.n_phrases = kernel, ctypes.addressof(buffers), width, n
-        self.block = reals[: width * size].reshape(width, size)
+        self.block = views["rows"].reshape(width, size)
 
     def __call__(self, rows, tokens: list[tuple[int, ...]], last: bool):
         self.block[: len(rows)] = rows
         n = self.kernel(self.address, last)
         if n < 0:
             raise MemoryError("tsd_beam_step could not allocate its candidates")
-        ints, buffers = self.ints, self.buffers
+        views, buffers = self.views, self.buffers
         finishes = ()
         if buffers.n_finished:
-            f, s, k = self.finished_at, self.score_at, buffers.n_finished
-            finishes = zip(ints[f : f + k].tolist(), self.reals[s : s + k].tolist())
-        parents, new = ints[self.parent_at : self.parent_at + n], ints[self.token_at : self.token_at + n]
-        return zip(parents.tolist(), new.tolist()), finishes, buffers.hard
+            k = buffers.n_finished
+            finishes = zip(views["finished"][:k].tolist(), views["finish_score"][:k].tolist())
+        return zip(views["parent"][:n].tolist(), views["token"][:n].tolist()), finishes, buffers.hard
 
     def advance(self) -> None:
         self.buffers.cur ^= 1
 
     def beam(self, tokens: list[tuple[int, ...]]) -> list:
-        side, n, m = self.buffers.cur, self.n_phrases, len(tokens)
-        lp_at = self.lp_at + side * self.width
-        bank_at = self.bank_at + side * self.width
-        progress_at = self.progress_at + side * self.width * n
-        lps, banks = self.reals[lp_at : lp_at + m].tolist(), self.ints[bank_at : bank_at + m].tolist()
-        progress = self.ints[progress_at : progress_at + m * n].tolist()
+        views, n, m = self.views, self.n_phrases, len(tokens)
+        first = self.buffers.cur * self.width
+        lps, banks = views["lp"][first : first + m].tolist(), views["bank"][first : first + m].tolist()
+        progress = views["progress"][first * n : (first + m) * n].tolist()
         return [(t, lps[b], tuple(progress[b * n : (b + 1) * n]), banks[b]) for b, t in enumerate(tokens)]
 
 
@@ -372,11 +364,10 @@ class _RoundBuffers(ctypes.Structure):
             "vocab", "width", "eos", "lo", "n_content", "per_item", "n_suffix", "n_prefix", "n_tail",
             "fixed_eos", "mean", "capacity", "n_terms", "cur", "best",
         )]
-        + [(name, ctypes.c_void_p) for name in (
-            "suffix", "prefix_terms", "tail_terms", "rows", "score", "parent", "token"
-        )]
         + [("size", ctypes.c_int64 * 2)]
-        + [(name, ctypes.c_void_p * 2) for name in ("lp", "carry", "order")]
+        + [(name, ctypes.c_void_p) for name in (
+            "suffix", "terms", "rows", "score", "parent", "token", "lp", "order", "carry"
+        )]
     )
 
 
@@ -384,13 +375,13 @@ class CompiledRound:
     """``decode._PythonRound``'s interface and results through
     ``tsd_psgd_round``, for a ``decode._SpanScorer``.
 
-    As in ``CompiledStep``, the beam lives in buffers each decode allocates
-    once, two sides each, at addresses taken once, and the spans, which the
-    kernel never reads, stay with the caller; the kernel breaks ties by each
-    item's rank among the beam's spans. The carries have their own buffer,
-    one partial sum per item or, when the EOS row is not fixed, the span's
-    terms, in room that doubles as the spans grow: it is sized by the
-    rounds the decode runs, never by ``max_span_len``.
+    As in ``CompiledStep``, the beam lives in sections each decode
+    allocates once, ``lp`` and ``order`` with two sides, and the spans,
+    which the kernel never reads, stay with the caller; the kernel breaks
+    ties by each item's rank among the beam's spans. The carries have their
+    own buffer, two sides of one partial sum per item or, when the EOS row
+    is not fixed, the span's terms, in room that doubles as the spans grow:
+    it is sized by the rounds the decode runs, never by ``max_span_len``.
     """
 
     def __init__(self, kernel, scorer, vocab, params) -> None:
@@ -403,59 +394,44 @@ class CompiledRound:
             raise ValueError(f"the suffix {suffix} does not fit {per_item} rows of {size} per item")
         self.scoring, self.include_eos_in_len = params.scoring, params.include_eos_in_len
         self.fixed_eos, self.n_terms = scorer.fixed_eos, 0
-        # The doubles: the rows, the prefix and tail terms, the scores and
-        # the span log-probs (two sides). The integers: the changed suffix
-        # tokens, the children's parents and tokens, and the tie ranks (two
-        # sides). Each ``*_at`` is a section's first index.
-        terms_at = width * per_item * size
-        self.score_at = terms_at + len(prefix) + len(tail)
-        lp_at = self.score_at + width
-        self.parent_at = len(suffix)
-        self.token_at = self.parent_at + width
-        order_at = self.token_at + width
-        reals = self.reals = np.zeros(lp_at + 2 * width)
-        reals[terms_at : self.score_at] = prefix + tail
-        ints = self.ints = np.zeros(order_at + 2 * width, dtype=np.int64)
-        ints[: self.parent_at] = suffix
         # The root: one item, the empty span, log-prob 0.0, tie rank 0.
+        buffers = self.buffers = _RoundBuffers(
+            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(prefix), len(tail),
+            scorer.fixed_eos, params.scoring == SCORING_MEAN_LOGPROB, 0, 0, 0, 0, (1, 0),
+        )
+        views = self.views = _sections(
+            buffers,
+            (("rows", width * per_item * size), ("terms", len(prefix) + len(tail)), ("score", width),
+             ("lp", 2 * width)),
+            (("suffix", len(suffix)), ("parent", width), ("token", width), ("order", 2 * width)),
+        )
+        views["terms"][:] = prefix + tail
+        views["suffix"][:] = suffix
         self.carries = np.zeros((2, width, 1 if scorer.fixed_eos else 8))
         if scorer.fixed_eos:
             self.carries[0, 0, 0] = scorer.root
-
-        reals_at, ints_at = reals.__array_interface__["data"][0], ints.__array_interface__["data"][0]
-        buffers = self.buffers = _RoundBuffers(
-            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(prefix), len(tail),
-            scorer.fixed_eos, params.scoring == SCORING_MEAN_LOGPROB, 0, 0, 0, 0,
-            ints_at, reals_at + 8 * terms_at, reals_at + 8 * (terms_at + len(prefix)), reals_at,
-            reals_at + 8 * self.score_at, ints_at + 8 * self.parent_at, ints_at + 8 * self.token_at, (1, 0),
-            (reals_at + 8 * lp_at, reals_at + 8 * (lp_at + width)), (0, 0),
-            (ints_at + 8 * order_at, ints_at + 8 * (order_at + width)),
-        )
-        self._carry_at()
+        self._set_carries()
         self.kernel, self.address = kernel, ctypes.addressof(buffers)
-        self.block = reals[:terms_at].reshape(width * per_item, size)
+        self.block = views["rows"].reshape(width * per_item, size)
 
-    def _carry_at(self) -> None:
+    def _set_carries(self) -> None:
         carries, buffers = self.carries, self.buffers
-        at = carries.__array_interface__["data"][0]
         buffers.capacity = carries.shape[2]
-        buffers.carry = (at, at + 8 * carries[0].size)
+        buffers.carry = ctypes.addressof(ctypes.c_char.from_buffer(carries))
 
     def __call__(self, rows, spans: list[tuple[int, ...]], length: int, expand: int, best: float):
         self.block[: len(rows)] = rows
         k = self.kernel(self.address, length_term(length, self.scoring, self.include_eos_in_len), best, expand)
         if k < 0:
             raise MemoryError("tsd_psgd_round could not allocate its children")
-        top = self.buffers.best
+        views, top = self.views, self.buffers.best
         children = []
         if k:
-            ints = self.ints
-            parents, tokens = ints[self.parent_at : self.parent_at + k], ints[self.token_at : self.token_at + k]
-            children = list(zip(parents.tolist(), tokens.tolist()))
-        return top, self.reals.item(self.score_at + top), children
+            children = list(zip(views["parent"][:k].tolist(), views["token"][:k].tolist()))
+        return top, views["score"].item(top), children
 
     def scores(self) -> list[float]:
-        return self.reals[self.score_at : self.score_at + self.buffers.size[self.buffers.cur]].tolist()
+        return self.views["score"][: self.buffers.size[self.buffers.cur]].tolist()
 
     def advance(self) -> None:
         buffers = self.buffers
@@ -466,13 +442,13 @@ class CompiledRound:
             grown = np.zeros((2, buffers.width, 2 * capacity))
             grown[:, :, :capacity] = self.carries
             self.carries = grown
-            self._carry_at()
+            self._set_carries()
 
     def beam(self) -> list:
         buffers = self.buffers
         side, m = buffers.cur, buffers.size[buffers.cur]
-        lp_at = self.score_at + (1 + side) * buffers.width
-        lps = self.reals[lp_at : lp_at + m].tolist()
+        first = side * buffers.width
+        lps = self.views["lp"][first : first + m].tolist()
         carries = self.carries[side, :m].tolist()
         if self.fixed_eos:
             return [(lp, carry[0]) for lp, carry in zip(lps, carries)]

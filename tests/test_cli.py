@@ -191,6 +191,31 @@ def test_vocab_size_above_the_bound_exits_2_naming_it(tmp_path, given):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("bad", ["tasks", "results", "spec", "gen-config", "sweep-config"])
+def test_a_byte_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys, bad):
+    # The byte starts the second line of a JSONL file, which the message
+    # names, and starts any other file.
+    tasks, spec = run_gen(tmp_path)
+    results, config, out = tmp_path / "results.jsonl", Path(write_config(tmp_path, SWEEP_CONFIG)), tmp_path / "out"
+    suggest = ["suggest", "--tasks", str(tasks), "--model-spec", str(spec), "--out"]
+    assert main([*suggest, str(results)]) == 0
+    argv, path = {
+        "tasks": (suggest, tasks),
+        "results": (["eval", "--tasks", str(tasks), "--results", str(results), "--out"], results),
+        "spec": (suggest, spec),
+        "gen-config": (["gen", "--config", str(config), "--out"], config),
+        "sweep-config": (["sweep-ratio", "--config", str(config), "--out"], config),
+    }[bad]
+    data = path.read_bytes()
+    at = data.index(b"\n") + 1 if path.suffix == ".jsonl" else 0
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    capsys.readouterr()
+    assert main([*argv, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and (f"{path}:2:" if at else str(path)) in err
+    assert not out.exists()
+
+
 class TestSuggest:
     def test_one_result_per_task_order_preserved(self, tmp_path):
         tasks_path, model_path = run_gen(tmp_path)

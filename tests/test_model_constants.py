@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from tsdecode.core import Vocab
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, TableModel, UniformModel, make_perturbed_sibling
-from tsdecode.rng import Stream, _normalized, dirichlet_rows, hash_key
+from tsdecode.rng import Stream, _normalized, hash_key
 
 from test_row_block import recorded_counters
 from util import kernel_paths, run_by
@@ -72,7 +72,7 @@ def test_rows_are_keyed_by_hash_key(vocab_size, order, rate, seed, data):
 )
 def test_row_blocks_match_single_streams(keys, n):
     with recorded_counters() as counters:
-        block = dirichlet_rows(keys, 0.2, n)
+        block = [Stream(key).dirichlet(0.2, n) for key in keys]
         block_counters = dict(counters)
         counters.clear()
         single = [Stream(key).dirichlet(0.2, n) for key in keys]

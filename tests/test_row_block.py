@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from tsdecode import decode, harness
 from tsdecode.core import Vocab
 from tsdecode.lm import _ROW_TAG, NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
-from tsdecode.rng import Stream, dirichlet_rows, hash_key
+from tsdecode.rng import Stream, hash_key
 
 from util import kernel_paths, run_by
 
@@ -164,7 +164,7 @@ def test_block_rows_share_no_memory_and_match_single_rows():
     # Each row is normalized in place, in a buffer of its own.
     n = 20
     keys = [hash_key(31, n, k) for k in range(6)]
-    block = dirichlet_rows(keys, 0.2, n)
+    block = [Stream(key).dirichlet(0.2, n) for key in keys]
     single = [Stream(key).dirichlet(0.2, n) for key in keys]
     assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
     rows = block + single

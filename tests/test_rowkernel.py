@@ -27,7 +27,7 @@ from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, make_perturbed_sibling
-from tsdecode.rng import Stream, dirichlet_rows, hash_key, mix64
+from tsdecode.rng import Stream, hash_key, mix64
 
 from util import gamma, kernel_paths, reference_beam_core, run_by
 
@@ -88,6 +88,24 @@ CHECKS = {
     "beam_step": "beam_self_check",
     "psgd_round": "psgd_self_check",
 }
+
+
+def test_every_pointer_field_is_set():
+    # A misspelt section name would set a Python attribute instead of its
+    # field, and the kernel would read through NULL. No kernel is called.
+    vocab = Vocab(6)
+    takes = [
+        rowkernel.CompiledStep(None, vocab, rowkernel.CHECK_PHRASES, 3, rowkernel.CHECK_BEAM),
+        rowkernel.CompiledStep(None, vocab, (), 3, [((2,), -0.5, (), 0)]),
+    ]
+    for order, p, s, *_ in rowkernel.CHECK_ROUNDS:
+        scorer = decode._SpanScorer(rowkernel._CheckModel(order), (), p, s)
+        takes.append(rowkernel.CompiledRound(None, scorer, vocab, decode.PsgdParams(beam_width=3)))
+    assert [take.fixed_eos for take in takes[2:]] == [False, True]
+    for take in takes:
+        pointers = [name for name, kind in take.buffers._fields_ if kind is ctypes.c_void_p]
+        assert pointers and all(getattr(take.buffers, name) for name in pointers)
+        assert not vars(take.buffers)
 
 
 @needs_compiler
@@ -283,7 +301,7 @@ def _score_one_ulp_off(beam_step):
         n = beam_step(at, last)
         buffers = rowkernel._BeamBuffers.from_address(at)
         if n:
-            scores = (ctypes.c_double * n).from_address(buffers.lp[1 - buffers.cur])
+            scores = (ctypes.c_double * n).from_address(buffers.lp + 8 * (1 - buffers.cur) * buffers.width)
             scores[n - 1] = math.nextafter(scores[n - 1], -math.inf)
         return n
 
@@ -501,7 +519,7 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     assert fallen_back(rng.compiled()) == failed
     want = [reference_row(hash_key(9, _ROW_TAG, (3, 7, 5, 9), context), 0.2, 11)[0] for context in contexts]
     assert block[:, 1:].tobytes() == b"".join(want)
-    rows = dirichlet_rows(KEYS, 0.2, 20)
+    rows = [Stream(key).dirichlet(0.2, 20) for key in KEYS]
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row(key, 0.2, 20) for key in KEYS] == want
