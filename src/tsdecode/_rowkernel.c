@@ -1,27 +1,26 @@
-/* The compiled kernel: the raw rows of a block of contexts, the
-   finalisation of a block of rows, one step of the full-sentence beam
-   search and one PSGD scoring round. Each exported function is named
-   ``tsd_`` and its ``rowkernel.Functions`` field.
+/* The compiled kernel: the finished rows of a block of contexts, one step
+   of the full-sentence beam search and one PSGD scoring round. Each
+   exported function is named ``tsd_`` and its ``rowkernel.Functions``
+   field.
 
-   ``tsd_block`` is ``lm.NgramGenModel._raw_rows``'s per-row loop in one
-   call: for each context it folds the row key as ``rng.hash_key`` does,
-   onto the source's key that Python folded once, tosses a perturbed
-   sibling's coin the same way, and draws the row with ``dirichlet``, which
-   is ``rng.Stream.dirichlet`` on a fresh stream: its gamma variates are
-   ``rng.Stream._gammas`` statement for statement, then the row is divided
-   by its sum (``rng._normalized``). Draw i of the stream keyed by ``key``
-   is mix64(key ^ mix64(i)), and each variate is one boosted
-   Marsaglia-Tsang sample. The transcendentals are the libm functions
-   CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and float ``**``
-   call, on the same operands in the same order, and the file must be
-   compiled without floating-point contraction (-ffp-contract=off) or
-   fast-math, so every variate has the bytes the Python loop gives. A row
-   is a pure function of its key and starts at draw 1, so where it is
-   drawn changes no byte, and nothing outside this file sees a row's draws.
-
-   ``tsd_finalize`` is ``lm._finalize_rows``'s numpy body on a C-contiguous
-   block. Both row functions sum a row as numpy's ``add.reduce`` does, in
-   the same order (``add_reduce``), and every other step is one IEEE
+   ``tsd_block`` is ``lm.NgramGenModel._python_rows`` in one call: for each
+   context it folds the row key as ``rng.hash_key`` does, onto the source's
+   key that Python folded once, tosses a perturbed sibling's coin the same
+   way, draws the row with ``dirichlet`` and finishes it as
+   ``lm._numpy_finalize`` does. ``dirichlet`` is ``rng.Stream.dirichlet`` on
+   a fresh stream: its gamma variates are ``rng.Stream._gammas`` statement
+   for statement, then the row is divided by its sum (``rng._normalized``).
+   Draw i of the stream keyed by ``key`` is mix64(key ^ mix64(i)), and each
+   variate is one boosted Marsaglia-Tsang sample. The transcendentals are
+   the libm functions CPython's ``math.log``, ``math.cos``, ``math.sqrt``
+   and float ``**`` call, on the same operands in the same order, and the
+   file must be compiled without floating-point contraction
+   (-ffp-contract=off) or fast-math, so every variate has the bytes the
+   Python loop gives. A row is a pure function of its key and starts at
+   draw 1, so where it is drawn changes no byte, and nothing outside this
+   file sees a row's draws. Both sums of a row, the Dirichlet row's and the
+   finished row's, add it up as numpy's ``add.reduce`` does, in the same
+   order (``add_reduce``), and every other step of the finish is one IEEE
    operation per entry, as numpy's elementwise loops are.
 
    ``tsd_beam_step`` is ``decode._PythonStep``: it picks the same finishes
@@ -45,10 +44,8 @@
 #include <stdlib.h>
 
 void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
-               const int64_t *tokens, const int64_t *lengths, int64_t n_rows,
-               int64_t vocab, double concentration, double *rows);
-int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
-                     double scale, double eps);
+               const int64_t *contexts, int64_t n_rows, int64_t vocab,
+               double concentration, double scale, double eps, double *rows);
 
 static uint64_t mix64(uint64_t x)
 {
@@ -156,44 +153,35 @@ static uint64_t fold(uint64_t h, const int64_t *ids, int64_t n)
     return h;
 }
 
-/* Draws the raw rows of ``n_rows`` contexts of one source into columns
-   1 .. ``vocab`` - 1 of the zeroed ``n_rows`` x ``vocab`` block ``rows``.
-   Context r is the next ``lengths[r]`` ids of ``tokens``. Its row is the
-   Dirichlet row keyed by the context folded onto ``h_row``, or onto
+/* Writes the finished rows of ``n_rows`` contexts of one source to the
+   ``n_rows`` x ``vocab`` block ``rows``, every entry of it. ``contexts``
+   holds the contexts' lengths, then their ids one context after another.
+   A context's raw row is 0 at BOS (column 0) and, in the other columns,
+   the Dirichlet row keyed by the context folded onto ``h_row``, or onto
    ``h_alt`` when ``rate`` > 0 and the first draw keyed by the context
-   folded onto ``h_coin`` is below ``rate``. */
+   folded onto ``h_coin`` is below ``rate``. Each raw row is then finished:
+   BOS zeroed, each entry divided by the row's sum, times ``scale``, plus
+   ``eps``, and BOS zeroed again. A Dirichlet row's sum is positive, so the
+   finished row's sum is too. */
 void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
-               const int64_t *tokens, const int64_t *lengths, int64_t n_rows,
-               int64_t vocab, double concentration, double *rows)
+               const int64_t *contexts, int64_t n_rows, int64_t vocab,
+               double concentration, double scale, double eps, double *rows)
 {
+    const int64_t *tokens = contexts + n_rows;
     for (int64_t r = 0; r < n_rows; r++) {
-        const int64_t n = lengths[r];
+        const int64_t n = contexts[r];
+        double *row = rows + r * vocab;
         uint64_t h = h_row;
         if (rate > 0.0 && uniform(fold(h_coin, tokens, n), 1) < rate)
             h = h_alt;
-        dirichlet(fold(h, tokens, n), vocab - 1, concentration, rows + r * vocab + 1);
-        tokens += n;
-    }
-}
-
-/* Finalizes the ``n_rows`` x ``vocab`` block ``rows`` in place, row by
-   row: zero BOS, divide by the sum, times ``scale``, plus ``eps``, zero
-   BOS. Returns the index of the first row with no mass outside BOS, which
-   is left unfinished with the rows after it, or -1. */
-int64_t tsd_finalize(double *rows, int64_t n_rows, int64_t vocab, int64_t bos,
-                     double scale, double eps)
-{
-    for (int64_t r = 0; r < n_rows; r++) {
-        double *row = rows + r * vocab;
-        row[bos] = 0.0;
+        row[0] = 0.0;
+        dirichlet(fold(h, tokens, n), vocab - 1, concentration, row + 1);
         double total = add_reduce(row, vocab);
-        if (total <= 0.0)
-            return r;
         for (int64_t v = 0; v < vocab; v++)
             row[v] = row[v] / total * scale + eps;
-        row[bos] = 0.0;
+        row[0] = 0.0;
+        tokens += n;
     }
-    return -1;
 }
 
 /* One decode's beam and buffers, allocated by ``rowkernel.CompiledStep``.

@@ -12,28 +12,29 @@ distribution. Every query is served from one memo of finalized log rows,
 one dict per source keyed by context, read by one lookup that checks
 nothing, ``rows_after``: the log rows after each of a batch of prefixes of
 one source, whose contexts one ``_contexts`` call computes. Its one miss
-path, ``_draw``, draws the rows a batch misses as one block, each distinct
-context once, and keeps one read-only log row per context: every decoder
-scores with log-probabilities only. Row bytes do not depend on the block:
-an ``NgramGenModel`` row is a pure function of its key, ``hash_key(seed,
-tag, source, context)``, and finalizing acts on each row alone, in place in
-the block. The compiled kernel draws an ``NgramGenModel`` block in one call
-(``tsd_block``), which folds each context onto the source's keys, tosses a
-sibling's coins and draws the rows, when it passed its check
-(``block_self_check``); otherwise
-``_row_keys`` folds each key in Python and ``Stream.dirichlet`` draws
-each row with the Python loop. The kernel finalizes a
-block in one call (``tsd_finalize``) when it passed its check
-(``finalize_self_check``), and numpy does otherwise (``_numpy_finalize``);
-the kernel adds each row up in the order numpy's ``add.reduce`` does, and
-each check compares the bytes of both paths rather than assume they match.
+path, ``_draw``, takes the finished rows of the contexts a batch misses as
+one block from ``_finished_rows``, each distinct context once, and keeps
+one read-only log row per context: every decoder scores with
+log-probabilities only. Row bytes do not depend on the block: an
+``NgramGenModel`` row is a pure function of its key, ``hash_key(seed, tag,
+source, context)``, and finishing acts on each row alone, in place in the
+block. The compiled kernel returns an ``NgramGenModel`` block's finished
+rows in one call (``tsd_block``), which folds each context onto the
+source's keys, tosses a sibling's coins, draws the rows and finishes them,
+when it passed its check (``block_self_check``); otherwise
+``_python_rows`` does the same in Python: ``_row_keys`` folds each key,
+``Stream.dirichlet`` draws each row with the Python loop and
+``_numpy_finalize`` finishes the block. The kernel adds each row up in the
+order numpy's ``add.reduce`` does, and the check compares the bytes of both
+paths rather than assume they match. The rows of the other models are
+finished in numpy.
 
 The one checked query, ``forced_pass``, checks its tokens with
 ``core.check_tokens`` (BOS and EOS are allowed in the source only) and
 reads the rows at every position of a target with one ``rows_after`` call;
 its ``log_rows`` hold the log distribution at every position
 (``seq_logprob``, the PSGD two-pass reference). Its probability rows are
-finalized again from the raw rows, outside the memo, when first read. The
+finished again by ``_finished_rows``, outside the memo, when first read. The
 decoders check their inputs once per decode and then call ``rows_after``
 directly: PSGD once per scoring round for the few rows its items' spans
 change, the beam core once per step for one row per hypothesis.
@@ -60,7 +61,7 @@ import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
 from . import rng
-from .rng import Stream, _normalized, hash_key, mix64
+from .rng import Stream, hash_key, mix64
 
 EPS_FLOOR = 1e-12
 _NO_MASS = "row has no probability mass outside BOS"
@@ -133,30 +134,12 @@ class ForcedPassResult:
         return np.stack([d.probs for d in self.distributions])
 
 
-def _finalize_rows(raws: np.ndarray | Sequence[np.ndarray], bos_id: int) -> np.ndarray:
-    """Zero BOS, renormalize each raw row, mix in the EPS_FLOOR uniform
-    floor. Returns the (R, V) block of probability rows, BOS exactly 0.
-
-    An (R, V) float64 array is finalized in place; a list of rows is first
-    stacked into a fresh array, so the rows it holds are never written. The
-    compiled kernel finalizes a C-contiguous block when it passed its check
-    (``rng.compiled().finalize``, through ``_compiled_finalize``), and
-    ``_numpy_finalize`` does otherwise; both give the same bytes. ``_draw``
-    copies each memo row out of its block: memo rows kept as views of their
-    blocks raised the ratio-sweep benchmark's peak RSS by about 0.6 MB
-    (1.5%)."""
-    rows = np.asarray(raws, dtype=np.float64)
-    finalize = (rng._compiled or rng.compiled()).finalize
-    if finalize and rows.flags.c_contiguous:
-        return _compiled_finalize(finalize, rows, bos_id)
-    return _numpy_finalize(rows, bos_id)
-
-
 def _numpy_finalize(rows: np.ndarray, bos_id: int) -> np.ndarray:
-    """``_finalize_rows`` of an (R, V) float64 block in numpy, in place: the
-    reference ``tsd_finalize`` is checked against. Each row comes out as it
-    would alone: the sum runs along the contiguous axis, as a 1-D row's
-    does, and every other step is elementwise."""
+    """Zero BOS, renormalize each raw row of the (R, V) float64 block
+    ``rows``, mix in the EPS_FLOOR uniform floor, in place; returns the
+    block, BOS exactly 0. Each row comes out as it would alone: the sum runs
+    along the contiguous axis, as a 1-D row's does, and every other step is
+    elementwise. ``tsd_block`` finishes each row it draws as this does."""
     rows[:, bos_id] = 0.0
     total = np.add.reduce(rows, axis=1)
     if min(total.tolist()) <= 0.0:
@@ -169,62 +152,9 @@ def _numpy_finalize(rows: np.ndarray, bos_id: int) -> np.ndarray:
     return rows
 
 
-def _compiled_finalize(finalize, rows: np.ndarray, bos_id: int) -> np.ndarray:
-    """``_numpy_finalize`` of a C-contiguous (R, V) float64 block by the
-    compiled ``finalize`` (``tsd_finalize``), in place, with the same
-    bytes and the same ``ValueError``."""
-    n_rows, size = rows.shape
-    # ``from_buffer`` takes the block's address faster than ``ndarray.ctypes``.
-    if finalize(c_double.from_buffer(rows), n_rows, size, bos_id, 1.0 - (size - 1) * EPS_FLOOR, EPS_FLOOR) >= 0:
-        raise ValueError(_NO_MASS)
-    return rows
-
-
-# Widths of the blocks the compiled ``tsd_finalize`` must reproduce, byte
-# for byte: every branch of numpy's pairwise sum (below 8 entries, 8
-# accumulators with and without a remainder, parts split once and twice),
-# odd widths and 8k +- 1, and the rows of vocab 20 and vocab 100.
-CHECK_WIDTHS = (2, 7, 9, 17, 20, 100, 127, 128, 129, 300)
-
-
-def check_blocks() -> list[np.ndarray]:
-    """A raw block of three rows for each width in ``CHECK_WIDTHS``, BOS
-    (column 0) included, whose sums depend on the order they are added in;
-    the middle row has no mass outside BOS. The values are Python floats:
-    numpy's remainder and power loops would page in code that nothing else
-    runs, about 0.2 MB of peak RSS."""
-    values = [(k * 0.6180339887498949 % 1.0) ** 4 for k in range(1, 3 * max(CHECK_WIDTHS) + 1)]
-    blocks = []
-    for width in CHECK_WIDTHS:
-        block = np.array(values[: 3 * width]).reshape(3, width)
-        block[1, 1:] = 0.0
-        blocks.append(block)
-    return blocks
-
-
-def finalize_self_check(finalize) -> bool:
-    """Whether the compiled ``finalize`` (``tsd_finalize``) finalizes a block
-    of every width in ``CHECK_WIDTHS`` as ``_numpy_finalize`` does: the
-    first and last rows of each of ``check_blocks`` to the same bytes, and
-    all three to the same ``ValueError``."""
-    compiled = partial(_compiled_finalize, finalize)
-    for block in check_blocks():
-        for rows in (block[::2], block):
-            if _outcome(_numpy_finalize, rows) != _outcome(compiled, rows):
-                return False
-    return True
-
-
-def _outcome(finalize, rows: np.ndarray) -> bytes | str:
-    """The bytes ``finalize`` makes of a copy of ``rows``, or its error."""
-    try:
-        return finalize(rows.copy(), 0).tobytes()
-    except ValueError as exc:
-        return repr(exc)
-
-
 class SequenceModel:
-    """Base class: subclasses provide the raw rows of contexts of one source.
+    """Base class: subclasses provide the raw rows of contexts of one source,
+    or their finished rows.
 
     ``name`` is the spec kind, ``order`` the context length; ``seed`` is the
     row seed of models that draw their rows (0 for the others). Finalized
@@ -251,23 +181,30 @@ class SequenceModel:
         order, bos = self.order, (self.vocab.bos_id,)
         return [prefix[-order:] if len(prefix) >= order else bos + prefix for prefix in prefixes]
 
-    def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray | Sequence[np.ndarray]:
-        """The raw rows of ``contexts`` of one source: an (R, V) float64
-        array that the caller may overwrite, or a list of rows, which the
-        caller only reads."""
+    def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> Sequence[np.ndarray]:
+        """The raw rows of ``contexts`` of one source, which the caller only
+        reads."""
         raise NotImplementedError
 
+    def _finished_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
+        """The probability rows of ``contexts`` of one source: a new (R, V)
+        float64 block, BOS exactly 0, each row finished from its raw row by
+        ``_numpy_finalize``. The raw rows are copied first, never written."""
+        return _numpy_finalize(np.array(self._raw_rows(source, contexts), dtype=np.float64), self.vocab.bos_id)
+
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
-        """Build, finalize and memoise the log rows of distinct uncached
-        contexts of one source, as one block: the memo's one miss path."""
+        """Memoise the log rows of distinct uncached contexts of one source,
+        from one block of ``_finished_rows``: the memo's one miss path."""
         bos = self.vocab.bos_id
-        rows = _finalize_rows(self._raw_rows(source, contexts), bos)
+        rows = self._finished_rows(source, contexts)
         # The log of BOS's exact 0 is -inf, written after the log: with a
         # 1.0 there, np.log meets no zero (every other entry is at least
         # EPS_FLOOR) and needs no np.errstate.
         rows[:, bos] = 1.0
         np.log(rows, out=rows)
         rows[:, bos] = -math.inf
+        # One copy per row, not a view of the block: memo rows kept as views
+        # of their blocks raised the benchmark's peak RSS.
         memo = self._row_cache.setdefault(source, {})
         for context, row in zip(contexts, rows):
             row = row.copy()
@@ -277,23 +214,22 @@ class SequenceModel:
     def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
         """The memoised log rows of the next-token distribution given BOS +
         each of ``prefixes``: the memo's one reader. The source's memo is
-        looked up once and then each prefix's context. Every row the batch
-        misses is drawn in one block, each distinct context once. Nothing is
-        checked: the source and prefixes must be int tuples whose ids
-        ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
-        memo = self._row_cache.get(source, {})
+        looked up once, one pass over the prefixes' contexts finds those it
+        misses, and every row the batch misses is drawn in one block, each
+        distinct context once. Nothing is checked: the source and prefixes
+        must be int tuples whose ids ``check_tokens`` accepts (the source
+        with BOS and EOS allowed)."""
+        memo = self._row_cache.setdefault(source, {})
         contexts = self._contexts(prefixes)
-        try:
-            return [memo[c] for c in contexts]
-        except KeyError:
-            self._draw(source, tuple(dict.fromkeys(c for c in contexts if c not in memo)))
-            memo = self._row_cache[source]
-            return [memo[c] for c in contexts]
+        missing = [c for c in contexts if c not in memo]
+        if missing:
+            self._draw(source, tuple(dict.fromkeys(missing)))
+        return [memo[c] for c in contexts]
 
     def _prob_rows(self, source: Tokens, prefixes: Sequence[Tokens]) -> np.ndarray:
-        """The probability rows after each of ``prefixes``, finalized again
-        from the raw rows; the memo is neither read nor written."""
-        return _finalize_rows(self._raw_rows(source, self._contexts(prefixes)), self.vocab.bos_id)
+        """The probability rows after each of ``prefixes``, finished again by
+        ``_finished_rows``; the memo is neither read nor written."""
+        return self._finished_rows(source, self._contexts(prefixes))
 
     def forced_pass(self, source: TokenSeq | Sequence[int], target: TokenSeq | Sequence[int]) -> ForcedPassResult:
         """The rows at every position of ``target``, from one ``rows_after``
@@ -416,18 +352,22 @@ class NgramGenModel(SequenceModel):
         # compiled block folds each context onto these.
         self._source_keys: dict[Tokens, tuple[int, int, int]] = {}
 
-    def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
-        """The contexts' rows in one ``tsd_block`` call when the compiled
-        block passed its check, otherwise one ``Stream.dirichlet`` per row,
-        keyed by ``_row_keys``."""
-        rows = np.zeros((len(contexts), self.vocab.size), dtype=np.float64)
+    def _finished_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
+        """The contexts' finished rows from one ``tsd_block`` call when the
+        compiled block passed its check, otherwise from ``_python_rows``."""
         block = (rng._compiled or rng.compiled()).block
         if block:
-            return self._block_rows(block, source, contexts, rows)
-        # Every id but Vocab.bos_id, which is 0.
+            return self._block_rows(block, source, contexts, np.empty((len(contexts), self.vocab.size)))
+        return self._python_rows(source, contexts)
+
+    def _python_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
+        """The Python twin of ``tsd_block``: one ``Stream.dirichlet`` row per
+        key of ``_row_keys``, in every column but BOS (id 0), finished by
+        ``_numpy_finalize``."""
+        rows = np.zeros((len(contexts), self.vocab.size), dtype=np.float64)
         keys = self._row_keys(source, contexts)
         rows[:, 1:] = [Stream(key).dirichlet(self.concentration, self.vocab.size - 1) for key in keys]
-        return rows
+        return _numpy_finalize(rows, 0)
 
     def _row_keys(self, source: Tokens, contexts: Sequence[Tokens]) -> list[int]:
         """Each context's row key: ``hash_key(seed, _ROW_TAG, source,
@@ -443,9 +383,9 @@ class NgramGenModel(SequenceModel):
         return keys
 
     def _block_rows(self, block, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray) -> np.ndarray:
-        """The contexts' raw rows drawn into the zeroed block ``rows`` by the
-        compiled ``block`` (``tsd_block``), which folds each context onto the
-        source's keys."""
+        """The contexts' finished rows, written over every entry of the
+        C-contiguous float64 block ``rows`` by the compiled ``block``
+        (``tsd_block``), which folds each context onto the source's keys."""
         keys = self._source_keys.get(source)
         if keys is None:
             alt = coin = 0
@@ -453,12 +393,13 @@ class NgramGenModel(SequenceModel):
                 alt = hash_key(self._perturbed_seed, _ROW_TAG, source)
                 coin = hash_key(self.perturb_seed, _COIN_TAG, source)
             keys = self._source_keys[source] = (hash_key(self.seed, _ROW_TAG, source), alt, coin)
-        # The contexts' ids one after another, and their lengths, as int64
+        # The contexts' lengths, then their ids one after another, as int64
         # bytes: ``struct`` packs them faster than a ctypes array is built.
+        n, size = len(contexts), self.vocab.size
         lengths = [*map(len, contexts)]
-        tokens = pack(f"{sum(lengths)}q", *chain.from_iterable(contexts))
-        n = len(lengths)
-        block(*keys, self._rate, tokens, pack(f"{n}q", *lengths), n, self.vocab.size, self.concentration,
+        packed = pack(f"{n + sum(lengths)}q", *lengths, *chain.from_iterable(contexts))
+        # The scale and the floor of ``_numpy_finalize``.
+        block(*keys, self._rate, packed, n, size, self.concentration, 1.0 - (size - 1) * EPS_FLOOR, EPS_FLOOR,
               c_double.from_buffer(rows))
         return rows
 
@@ -475,40 +416,46 @@ def make_perturbed_sibling(model: NgramGenModel, perturb_seed: int, rate: float 
     )
 
 
-# Blocks the compiled ``tsd_block`` must draw byte for byte as ``_row_keys``
-# and the Python row loop do: (vocab size, concentration, rate, source,
-# contexts) of a sibling with seed 41 and perturb_seed 7 at that rate. The
-# first holds a context of every length from 0 to 6 on the empty source; at
-# rate 0.5 three of its coins land below the rate and four above, and three
-# would land otherwise if drawn at counter 0. In the second every coin lands
-# below rate 1.0, and the row's boost power is 20. The last three rows were
-# found by search: a boosted row with a long run of rejections, 98 draws
-# where 4n + 16 is 96; a row whose every variate underflows to 0, so it
-# comes out uniform; and a 131-wide row at the shape 1.0 edge, which does
-# not boost. numpy sums that row in two parts of 64 and 67 entries, and its
-# bytes change with any one rule of that sum changed (added left to right,
-# in one part up to 256 entries, split off a multiple of 8, the accumulators
-# added in order, the remainder added first) and when it is multiplied by
-# the reciprocal of its sum.
+# Blocks the compiled ``tsd_block`` must finish byte for byte as
+# ``_python_rows`` does: (vocab size, concentration, rate, source, contexts)
+# of a sibling with seed 41 and perturb_seed 7 at that rate. The first holds
+# a context of every length from 0 to 6 on the empty source; at rate 0.5
+# three of its coins land below the rate and four above, and three would
+# land otherwise if drawn at counter 0. In the second every coin lands below
+# rate 1.0, and the row's boost power is 20. The last three rows were found
+# by search: a boosted row with a long run of rejections, 98 draws where
+# 4n + 16 is 96; a row whose every variate underflows to 0, so it comes out
+# uniform; and a 258-wide row at the shape 1.0 edge, which does not boost.
+# numpy sums that row's 257 variates in parts of 128 and 129 entries, the
+# second split again, and the finished row's 258 entries in parts of 128
+# and 130, the second split again; so the rows' two sums, of V - 1 and V
+# entries, take every branch of numpy's pairwise sum between them: below 8
+# entries, 8 accumulators with and without a remainder, and parts split
+# once and twice. The wide row's bytes change with any one rule of that sum
+# changed (added left to right, in one part up to 256 entries, split off a
+# multiple of 8, the accumulators added in order, the remainder added
+# first), when it is multiplied by the reciprocal of its Dirichlet sum, and
+# with any one rule of the finish changed (BOS in the sum, BOS left at the
+# floor, the row multiplied by the scale over its sum). The check fills
+# each block with NaN first, so an entry the kernel leaves unwritten
+# changes bytes too.
 CHECK_BLOCKS = (
     (3, 2.5, 0.5, (), ((), (0,), (0, 2), (2, 2, 0), (0, 2, 2, 2), (2, 0, 2, 2, 0), (2, 2, 2, 0, 0, 2))),
     (10, 0.05, 1.0, (2,), ((0, 2),)),
     (21, 0.2, 0.0, (), ((10, 13, 4),)),
     (4, 0.001, 0.0, (), ((0, 2, 2, 2),)),
-    (132, 1.0, 0.0, (), ((82,),)),
+    (258, 1.0, 0.0, (), ((43,),)),
 )
 
 
 def block_self_check(block) -> bool:
-    """Whether the compiled ``block`` (``tsd_block``) draws every block of
-    ``CHECK_BLOCKS`` with the bytes of ``_row_keys``, ``Stream._gammas``
-    and ``rng._normalized``."""
+    """Whether the compiled ``block`` (``tsd_block``) finishes every block
+    of ``CHECK_BLOCKS`` with the bytes of ``_python_rows``, writing every
+    entry of a block that holds NaN before the call."""
     for size, concentration, rate, source, contexts in CHECK_BLOCKS:
         model = NgramGenModel(Vocab(size), 6, 41, concentration, 7, rate)
-        want = np.zeros((len(contexts), size))
-        want[:, 1:] = [_normalized(Stream(key)._gammas(concentration, size - 1))
-                       for key in model._row_keys(source, contexts)]
-        if model._block_rows(block, source, contexts, np.zeros_like(want)).tobytes() != want.tobytes():
+        got = model._block_rows(block, source, contexts, np.full((len(contexts), size), math.nan))
+        if got.tobytes() != model._python_rows(source, contexts).tobytes():
             return False
     return True
 

@@ -21,24 +21,26 @@ A Dirichlet row is drawn by one of two paths that give the same bytes.
 ``Stream.dirichlet`` is the Python path: ``Stream._gammas``, the Python
 loop, draws the variates and ``_normalized`` divides them by numpy's
 ``add.reduce`` sum. The compiled kernel (``rowkernel``, ``_rowkernel.c``)
-draws whole blocks of an n-gram model's rows in one call, ``tsd_block``,
-which folds each row's key and draws the row on a fresh stream, the gamma
-variates divided by their sum. The kernel is built and loaded when a
-process first draws an n-gram model's rows or takes a beam step, and its
-block is used only if it draws a fixed set of blocks (``lm.CHECK_BLOCKS``)
-exactly as the Python path does; their rows cover a long run of
-rejections, the shape 1.0 edge, a boost power of 20, a row whose every
-variate underflows and a row wide enough to tell numpy's pairwise sum from
-any one of its rules changed. The kernel adds a row up in the order
-numpy's pairwise sum does, and its checks compare bytes, so a numpy that
-sums otherwise only sends rows back to Python. ``compiled()`` loads the
-kernel once per process, for row blocks, finalisation, beam steps and
-PSGD rounds alike. The transcendentals of both loops are scalar libm
-calls, the ones CPython's ``math.log``, ``math.cos``, ``math.sqrt`` and
-float ``**`` make, on the same operands in the same order, and never
-numpy's: ``np.log`` does not round like ``math.log`` on every input, and
-rows must not depend on which is used. The kernel is compiled without
-floating-point contraction or fast-math for the same reason.
+returns the finished rows of a whole block of an n-gram model's contexts
+in one call, ``tsd_block``, which folds each row's key, draws the row on a
+fresh stream, the gamma variates divided by their sum, and finishes it as
+``lm._numpy_finalize`` does. The kernel is built and loaded when a process
+first draws an n-gram model's rows, takes a beam step or scores a PSGD
+round, and its block is used only if it finishes a fixed set of blocks
+(``lm.CHECK_BLOCKS``) exactly as the Python path does; their rows cover a
+long run of rejections, the shape 1.0 edge, a boost power of 20, a row
+whose every variate underflows, every branch of numpy's pairwise sum and a
+row wide enough to tell that sum from any one of its rules changed. The
+kernel adds a row up in the order numpy's pairwise sum does, and its check
+compares bytes, so a numpy that sums otherwise only sends rows back to
+Python. ``compiled()`` loads the kernel once per process, for row blocks,
+beam steps and PSGD rounds alike. The transcendentals of both loops are
+scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
+``math.sqrt`` and float ``**`` make, on the same operands in the same
+order, and never numpy's: ``np.log`` does not round like ``math.log`` on
+every input, and rows must not depend on which is used. The kernel is
+compiled without floating-point contraction or fast-math for the same
+reason.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 before its items, so a key can be folded in steps: ``lm.NgramGenModel``

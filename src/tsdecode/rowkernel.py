@@ -1,14 +1,14 @@
 """The compiled kernel: build, cache, load and check ``_rowkernel.c``.
 
-``_rowkernel.c`` exports four functions, each named ``tsd_`` and its
+``_rowkernel.c`` exports three functions, each named ``tsd_`` and its
 ``Functions`` field and each the C twin of Python code: ``tsd_block`` is
-``lm.NgramGenModel``'s Python row loop over a block of contexts
-(``_row_keys``, then one ``rng.Stream.dirichlet`` row per key),
-``tsd_finalize`` is ``lm._numpy_finalize``, ``tsd_beam_step`` is
-``decode._PythonStep``, one step of the full-sentence beam search, and
-``tsd_psgd_round`` is ``decode._PythonRound``, one PSGD scoring round. The
-row functions add a row up in numpy's ``add.reduce`` order, which their
-checks compare rather than assume. This module holds no state:
+``lm.NgramGenModel._python_rows``, the finished rows of a block of contexts
+(``_row_keys``, then one ``rng.Stream.dirichlet`` row per key, finished by
+``lm._numpy_finalize``), ``tsd_beam_step`` is ``decode._PythonStep``, one
+step of the full-sentence beam search, and ``tsd_psgd_round`` is
+``decode._PythonRound``, one PSGD scoring round. The block adds a row up in
+numpy's ``add.reduce`` order, which its check compares rather than
+assumes. This module holds no state:
 ``rng.compiled()`` calls ``load`` once per process, on the first n-gram row
 block, beam step or PSGD round, never on import. ``lm`` and ``decode`` then
 use each function that passed its check, and the much slower Python code
@@ -26,23 +26,23 @@ to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
 Each function is checked before it is used, next to its Python twin, by a
-check of its own. ``lm.block_self_check`` draws ``lm.CHECK_BLOCKS`` both
+check of its own. ``lm.block_self_check`` finishes ``lm.CHECK_BLOCKS`` both
 ways and requires the same bytes: blocks of several vocabularies and
-concentrations, whose rows cover the Dirichlet row's branches and tell
-numpy's sum from any one of its rules changed.
-``lm.finalize_self_check`` finalizes a block of every width in
-``lm.CHECK_WIDTHS`` both ways and requires the same bytes, and the same
-``ValueError`` for a row with no mass; ``beam_self_check`` takes the ``CHECK_STEPS`` steps of a small fixed
+concentrations, whose rows cover the Dirichlet row's branches and every
+branch of numpy's sum, and tell it from any one of its rules changed;
+``beam_self_check`` takes the ``CHECK_STEPS`` steps of a small fixed
 decode with both steps and requires the same survivors, finishes and
 scores, byte for byte; ``psgd_self_check`` scores the ``CHECK_ROUNDS`` with
 both rounds and requires the same scores, best items, children and
-carries, byte for byte. The checks run inside ``rng.compiled()``'s lock, so
-they call the Python twins, never ``lm.NgramGenModel._raw_rows`` or
-``lm._finalize_rows``, which would wait for it. A function that fails its
-check is replaced by its Python twin alone, so a row mismatch leaves the
-compiled finalisation, beam step and round in use, and so on. No compiler,
-or a failed build or load, leaves all four to Python, exactly as without
-the kernel. Without a compiler that is silent; any other failure is
+carries, byte for byte. The two search checks refuse a take whose buffers
+hold a NULL pointer before they call the kernel, which would crash the
+process rather than fail the check. The checks run inside
+``rng.compiled()``'s lock, so they call the Python twins, never
+``lm.NgramGenModel._finished_rows``, which would wait for it. A function
+that fails its check is replaced by its Python twin alone, so a row
+mismatch leaves the compiled beam step and round in use, and so on. No
+compiler, or a failed build or load, leaves all three to Python, exactly as
+without the kernel. Without a compiler that is silent; any other failure is
 reported by one ``RuntimeWarning``. The cache holds code, never rows: every
 command still draws every row it reads.
 """
@@ -62,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lm import block_self_check, finalize_self_check
+from .lm import block_self_check
 from .rng import hash_key
 from .scoring import SCORING_MEAN_LOGPROB, length_term
 
@@ -86,12 +86,11 @@ def cache_dir() -> Path:
 class Functions(NamedTuple):
     """The kernel's functions that passed their checks; None for each that
     did not, or when the kernel could not be built or loaded. Field
-    ``name`` holds ``tsd_<name>``: ``block`` draws a block of an n-gram
-    model's rows, ``finalize`` finalizes a block of rows, ``beam_step``
-    takes a beam step and ``psgd_round`` scores a PSGD round."""
+    ``name`` holds ``tsd_<name>``: ``block`` returns the finished rows of
+    a block of an n-gram model's contexts, ``beam_step`` takes a beam step
+    and ``psgd_round`` scores a PSGD round."""
 
     block: object = None
-    finalize: object = None
     beam_step: object = None
     psgd_round: object = None
 
@@ -100,9 +99,9 @@ def load(directory: Path | None = None) -> Functions:
     """The kernel's functions from ``directory`` (``cache_dir()`` by
     default), built there first if it is not there yet, each kept only if it
     passes its own check: ``lm.block_self_check`` for ``tsd_block``,
-    ``lm.finalize_self_check`` for ``tsd_finalize``, ``beam_self_check`` for
-    ``tsd_beam_step`` and ``psgd_self_check`` for ``tsd_psgd_round``. Each
-    failure is reported as one warning, except a missing compiler."""
+    ``beam_self_check`` for ``tsd_beam_step`` and ``psgd_self_check`` for
+    ``tsd_psgd_round``. Each failure is reported as one warning, except a
+    missing compiler."""
     cc = compiler()
     if cc is None or shutil.which(cc[0]) is None:
         return Functions()
@@ -116,14 +115,13 @@ def load(directory: Path | None = None) -> Functions:
         path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
         if not path.exists():
             _compile(command, path)
-        block, finalize, beam_step, psgd_round = _open(path)
+        block, beam_step, psgd_round = _open(path)
     except Exception as exc:  # whatever fails, rows are drawn, beams stepped and rounds scored in Python
-        _warn("kernel", repr(exc), "rows are drawn and finalized, beams stepped and PSGD rounds scored in Python")
+        _warn("kernel", repr(exc), "rows are drawn, beams stepped and PSGD rounds scored in Python")
         return Functions()
 
     return Functions(
         _checked(block, block_self_check, "row block", "rows are drawn in Python"),
-        _checked(finalize, finalize_self_check, "row finalisation", "rows are finalized in Python"),
         _checked(beam_step, beam_self_check, "beam step", "beams are stepped in Python"),
         _checked(psgd_round, psgd_self_check, "PSGD round", "PSGD rounds are scored in Python"),
     )
@@ -175,19 +173,25 @@ def _open(path: Path) -> Functions:
     ``name`` holding ``tsd_<name>`` with its argument and result types."""
     library = ctypes.CDLL(str(path))
     functions = Functions(*(getattr(library, "tsd_" + name) for name in Functions._fields))
-    block, finalize, beam_step, psgd_round = functions
-    finalize.argtypes = (ctypes.POINTER(ctypes.c_double), ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-                         ctypes.c_double, ctypes.c_double)
-    finalize.restype = ctypes.c_int64
+    block, beam_step, psgd_round = functions
     beam_step.argtypes = (ctypes.c_void_p, ctypes.c_int64)
     beam_step.restype = ctypes.c_int64
     psgd_round.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64)
     psgd_round.restype = ctypes.c_int64
-    # The tokens and the lengths come as bytes objects of packed int64s.
+    # The contexts come as one bytes object of packed int64s.
     block.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p,
-                      ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.POINTER(ctypes.c_double))
+                      ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                      ctypes.POINTER(ctypes.c_double))
     block.restype = None
     return functions
+
+
+def _pointers_set(buffers) -> bool:
+    """Whether every pointer field of ``buffers`` is set. A misspelt section
+    name sets a Python attribute instead of its field, and the kernel would
+    read or write through NULL, ending the process instead of failing a
+    check."""
+    return all(getattr(buffers, name) for name, kind in buffers._fields_ if kind is ctypes.c_void_p)
 
 
 def _sections(struct, reals, ints) -> dict[str, np.ndarray]:
@@ -346,6 +350,8 @@ def beam_self_check(beam_step) -> bool:
         _PythonStep(vocab, CHECK_PHRASES, 3, CHECK_BEAM),
         CompiledStep(beam_step, vocab, CHECK_PHRASES, 3, CHECK_BEAM),
     ]
+    if not _pointers_set(steps[1].buffers):
+        return False
     tokens = [entry[0] for entry in CHECK_BEAM]
     for step in range(CHECK_STEPS):
         rows = [CHECK_TABLE[t[-1]] for t in tokens]
@@ -521,6 +527,8 @@ def psgd_self_check(psgd_round) -> bool:
         scorer = _SpanScorer(model, (), p, s)
         params = PsgdParams(beam_width=3, scoring=scoring, include_eos_in_len=include_eos_in_len)
         takes = [_PythonRound(scorer, model.vocab, params), CompiledRound(psgd_round, scorer, model.vocab, params)]
+        if not _pointers_set(takes[1].buffers):
+            return False
         spans = [()]
         for n in range(rounds):
             rows = model.rows_after((), [p + span + piece for span in spans for piece in scorer.pieces])

@@ -49,8 +49,9 @@ def m1_task_empty(m1_src):
 
 @pytest.fixture
 def finalize_path(request):
-    """Finalizes the test's rows with the finalisation named by its
-    parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
+    """Finishes the test's rows by the row block named by its parameter,
+    ``"python"`` or ``"kernel"`` (``util.kernel_paths``): the compiled
+    block returns finished rows."""
     with run_by("finalize", request.param):
         yield request.param
 

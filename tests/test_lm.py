@@ -27,7 +27,7 @@ from tsdecode.lm import (
 )
 from tsdecode.rng import Stream, hash_key
 
-from util import kernel_paths, over_paths, random_table_model, run_by
+from util import finish_rows, kernel_paths, over_paths, random_table_model, run_by
 
 
 def test_as_tokens_gives_plain_ints():
@@ -239,11 +239,19 @@ def test_finalized_row_bytes_are_pinned(name):
 
 @pytest.mark.parametrize("name", sorted(ROW_BYTES))
 def test_pinned_row_bytes_on_every_row_path(name):
-    # The pins above hold however the raw rows are drawn: by the Python loop
-    # or by the compiled block.
+    # The pins above hold however the rows are drawn: by the Python loop or
+    # by the compiled block, and in a block of one row each, the memo filled
+    # one prefix at a time, as in one block per pass.
+    make, queries, want = ROW_BYTES[name]
     for path in kernel_paths("block"):
         with run_by("block", path):
-            test_finalized_row_bytes_are_pinned(name)
+            model = make()
+            digest = hashlib.sha256()
+            for src, target in queries:
+                prefixes = [tuple(target[:t]) for t in range(len(target) + 1)]
+                digest.update(np.concatenate([model._prob_rows(src, [prefix]) for prefix in prefixes]).tobytes())
+                digest.update(np.stack([model.rows_after(src, [prefix])[0] for prefix in prefixes]).tobytes())
+        assert digest.hexdigest() == want, path
 
 
 class TestSeqLogprob:
@@ -301,17 +309,17 @@ class TestNgramGenModel:
     def test_golden_row(self):
         # Cross-platform canary: raw Dirichlet row pinned to 12 digits.
         model = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
-        row = model._raw_rows((2, 3), [(0,)])[0]
+        (key,) = model._row_keys((2, 3), [(0,)])
         np.testing.assert_allclose(
-            row,
-            [0.0, 0.005985862393, 0.253041496324, 0.033840999458, 0.704912698660, 0.002218943165],
+            Stream(key).dirichlet(0.5, 5),
+            [0.005985862393, 0.253041496324, 0.033840999458, 0.704912698660, 0.002218943165],
             atol=1e-12,
         )
 
     def test_different_seeds_differ(self):
         a = NgramGenModel(Vocab(6), 2, seed=123, concentration=0.5)
         b = NgramGenModel(Vocab(6), 2, seed=124, concentration=0.5)
-        assert (a._raw_rows((2, 3), [(0,)])[0] != b._raw_rows((2, 3), [(0,)])[0]).any()
+        assert (a._finished_rows((2, 3), [(0,)])[0] != b._finished_rows((2, 3), [(0,)])[0]).any()
 
     def test_rows_normalized(self):
         model = NgramGenModel(Vocab(9), 2, seed=5, concentration=0.3)
@@ -325,8 +333,8 @@ class TestNgramGenModel:
         sibling = make_perturbed_sibling(base, perturb_seed=99, rate=0.3)
         same = differ = 0
         for ctx_tok in base.vocab.content_ids:
-            a = base._raw_rows((2,), [(ctx_tok,)])[0]
-            b = sibling._raw_rows((2,), [(ctx_tok,)])[0]
+            a = base._finished_rows((2,), [(ctx_tok,)])[0]
+            b = sibling._finished_rows((2,), [(ctx_tok,)])[0]
             if (a == b).all():
                 same += 1
             else:
@@ -344,7 +352,8 @@ class TestNgramGenModel:
         for n in (0, 1, 5, 40, 3, 100, 2):
             context = tuple(2 + (5 * i) % 7 for i in range(n))
             key = hash_key(5, _ROW_TAG, (2, 3), context)
-            assert huge._raw_rows((2, 3), [context])[0, 1:].tobytes() == Stream(key).dirichlet(0.3, 8).tobytes()
+            want = finish_rows([Stream(key).dirichlet(0.3, 8)])
+            assert huge._finished_rows((2, 3), [context]).tobytes() == want.tobytes()
         # A forced pass draws contexts of every length up to the target's,
         # each keyed as under any order longer than the target.
         target = tuple(2 + (3 * i) % 7 for i in range(40))

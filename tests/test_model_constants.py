@@ -4,9 +4,10 @@ A row is a pure function of its key, ``rng.hash_key(seed, tag, source,
 context)``, under the sibling's seed where its coin lands below the rate.
 ``NgramGenModel`` folds the (seed, tag, source) part once per source and
 the compiled block (``tsd_block``) folds each context onto it, or the
-Python path folds each whole key, and draws its rows in blocks; each path
-must give exactly the rows of a fresh ``Stream`` per key. Blocks are
-finalized in place, which must never write a row a model keeps.
+Python path folds each whole key, and draws and finishes its rows in
+blocks; each path must give exactly the rows of a fresh ``Stream`` per
+key, finished by ``lm._numpy_finalize``. Blocks are finished in place,
+which must never write a row a model keeps.
 """
 
 import numpy as np
@@ -18,12 +19,13 @@ from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, TableModel, UniformM
 from tsdecode.rng import Stream, _normalized, hash_key
 
 from test_row_block import recorded_counters
-from util import kernel_paths, run_by
+from util import finish_rows, kernel_paths, run_by
 
 
 def reference_rows(model, source, contexts):
-    """Each context's raw row from its definition: the coin and the row key
-    each by one ``hash_key`` call, and one Python-loop row per key."""
+    """Each context's finished row from its definition: the coin and the row
+    key each by one ``hash_key`` call, one Python-loop row per key, finished
+    by ``lm._numpy_finalize``."""
     rows = []
     for context in contexts:
         seed = model.seed
@@ -31,8 +33,8 @@ def reference_rows(model, source, contexts):
             if Stream(hash_key(model.perturb_seed, _COIN_TAG, source, context)).uniform() < model.perturb_rate:
                 seed = model._perturbed_seed
         stream = Stream(hash_key(seed, _ROW_TAG, source, context))
-        rows.append([0.0, *_normalized(stream._gammas(model.concentration, model.vocab.size - 1))])
-    return np.array(rows)
+        rows.append(_normalized(stream._gammas(model.concentration, model.vocab.size - 1)))
+    return finish_rows(rows)
 
 
 @given(
@@ -56,28 +58,37 @@ def test_rows_are_keyed_by_hash_key(vocab_size, order, rate, seed, data):
     want = reference_rows(model, source, contexts).tobytes()
     for path in kernel_paths("block"):
         with run_by("block", path):
-            assert model._raw_rows(source, contexts).tobytes() == want
+            assert model._finished_rows(source, contexts).tobytes() == want
 
 
 @pytest.mark.parametrize(
-    "keys, n",
+    "n, seed, source, contexts",
     [
-        ([hash_key(3, 2)], 2),
-        ([hash_key(5, 19, k) for k in range(5)], 19),
-        ([hash_key(7, 99, k) for k in range(3)], 99),
-        # The middle row has a long run of rejections (test_rng's
-        # test_dirichlet_row_with_a_long_rejection_run_matches_reference).
-        ([hash_key(29, 20, 1097), hash_key(29, 20, 1098), hash_key(29, 20, 1099)], 20),
+        (2, 3, (2,), [(2,)]),
+        (19, 5, (4, 9), [(0,), (0, 4), (4, 9), (9, 9), (17, 4)]),
+        (99, 7, (), [(0, 50), (50, 2), (2, 98)]),
+        # The middle row has a long run of rejections, more than 4n + 16
+        # draws (test_row_block's
+        # test_block_with_an_overrunning_row_matches_single_rows).
+        (20, 29, (3, 15), [(2, 3), (17, 15), (4, 5)]),
     ],
+    ids=["vocab3", "vocab20", "vocab100", "long-rejection-run"],
 )
-def test_row_blocks_match_single_streams(keys, n):
+def test_row_blocks_match_single_streams(n, seed, source, contexts):
+    # The block's rows, on every path, against one fresh stream per
+    # context's key, each drawn alone and finished alone; the Python path
+    # consumes the same draws from each stream.
+    model = NgramGenModel(Vocab(n + 1), 2, seed=seed, concentration=0.2)
+    keys = [hash_key(seed, _ROW_TAG, source, context) for context in contexts]
     with recorded_counters() as counters:
-        block = [Stream(key).dirichlet(0.2, n) for key in keys]
-        block_counters = dict(counters)
-        counters.clear()
-        single = [Stream(key).dirichlet(0.2, n) for key in keys]
-    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-    assert block_counters == counters and len(counters) == len(keys)
+        single = [finish_rows([Stream(key).dirichlet(0.2, n)]).tobytes() for key in keys]
+    single_counters = dict(counters)
+    assert len(set(single)) == len(keys) == len(single_counters)
+    for path in kernel_paths("block"):
+        with recorded_counters() as counters, run_by("block", path):
+            block = model._finished_rows(source, contexts)
+        assert [row.tobytes() for row in block] == single
+        assert counters == ({} if path == "kernel" else single_counters)
 
 
 def _draw_everything(model):

@@ -23,12 +23,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode import decode, harness
+from tsdecode import decode, harness, rng
 from tsdecode.core import Vocab
 from tsdecode.lm import _ROW_TAG, NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, hash_key
 
-from util import kernel_paths, run_by
+from util import finish_rows, kernel_paths, run_by
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -154,20 +154,26 @@ def test_block_with_an_overrunning_row_matches_single_rows():
     assert single_counters[keys[1]] > 4 * n + 16
     for path in kernel_paths("block"):
         with recorded_counters() as counters, run_by("block", path):
-            block = NgramGenModel(Vocab(n + 1), 2, seed=29, concentration=0.2)._raw_rows(source, contexts)
+            block = NgramGenModel(Vocab(n + 1), 2, seed=29, concentration=0.2)._finished_rows(source, contexts)
         assert not block[:, 0].any()
-        assert [row[1:].tobytes() for row in block] == [row.tobytes() for row in single]
+        assert block.tobytes() == finish_rows(single).tobytes()
         assert counters == ({} if path == "kernel" else single_counters)
 
 
 def test_block_rows_share_no_memory_and_match_single_rows():
-    # Each row is normalized in place, in a buffer of its own.
-    n = 20
-    keys = [hash_key(31, n, k) for k in range(6)]
-    block = [Stream(key).dirichlet(0.2, n) for key in keys]
-    single = [Stream(key).dirichlet(0.2, n) for key in keys]
-    assert [row.tobytes() for row in block] == [row.tobytes() for row in single]
-    rows = block + single
+    # Each call finishes its rows in a block of its own, and each row as it
+    # would be finished alone, on every path.
+    n, source, contexts = 20, (5, 9), [(0,), (0, 5), (5, 9), (9, 2), (2, 2), (7, 5)]
+    single = [finish_rows([Stream(hash_key(31, _ROW_TAG, source, context)).dirichlet(0.2, n)]).tobytes()
+              for context in contexts]
+    rows = []
+    for path in kernel_paths("block"):
+        with run_by("block", path):
+            model = NgramGenModel(Vocab(n + 1), 2, seed=31, concentration=0.2)
+            for _ in range(2):
+                block = model._finished_rows(source, contexts)
+                assert [row.tobytes() for row in block] == single
+                rows += list(block)
     assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
 
 
@@ -260,6 +266,36 @@ def test_cold_forced_pass_draws_one_block(monkeypatch):
     assert blocks == [5]
     model.forced_pass(SRC, (2, 3, 4))
     assert blocks == [5]
+
+
+def test_a_missed_block_is_one_compiled_call_and_owned_read_only_rows():
+    """A miss of R distinct contexts makes exactly one call into the
+    compiled kernel, whatever function it calls, and each memo row it adds
+    is a read-only copy that owns its data, not a view of the block."""
+    if "kernel" not in kernel_paths("block"):
+        pytest.skip("the compiled row block cannot be built here")
+    loaded = rng.compiled()
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+
+        return call
+
+    model = make_model(20, perturbed=True)
+    prefixes = [(), (2,), (3, 4), (4, 4, 2), (2, 3)]
+    rng._compiled = loaded._replace(**{name: counted(name, f) for name, f in loaded._asdict().items() if f})
+    try:
+        rows = model.rows_after(SRC, prefixes)
+    finally:
+        rng._compiled = loaded
+    assert calls == ["block"]
+    assert len(memo_snapshot(model)) == len(prefixes)
+    for row in memo_snapshot(model).values():
+        assert row.base is None and not row.flags.writeable
+    assert all(any(row is kept for kept in memo_snapshot(model).values()) for row in rows)
 
 
 def test_memo_costs_under_500_bytes_per_row():

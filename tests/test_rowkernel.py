@@ -1,7 +1,7 @@
-"""The compiled kernel: the same row blocks as the Python loop, the same
-finalized rows as numpy, one field and one check for each exported
-function, a cache that is built once and checked, and every failure to
-build, load or match falling back to Python with the same rows."""
+"""The compiled kernel: the same finished row blocks as the Python loop
+and numpy, one field and one check for each exported function, a cache
+that is built once and checked, and every failure to build, load or match
+falling back to Python with the same rows."""
 
 import ctypes
 import math
@@ -29,7 +29,7 @@ from tsdecode.decode import DbaParams
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, make_perturbed_sibling
 from tsdecode.rng import Stream, hash_key, mix64
 
-from util import gamma, kernel_paths, reference_beam_core, run_by
+from util import finish_rows, gamma, kernel_paths, reference_beam_core, run_by
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
@@ -84,7 +84,6 @@ def test_every_exported_kernel_function_is_a_field_of_functions():
 # The check in ``rowkernel`` that decides each field of ``Functions``.
 CHECKS = {
     "block": "block_self_check",
-    "finalize": "finalize_self_check",
     "beam_step": "beam_self_check",
     "psgd_round": "psgd_self_check",
 }
@@ -103,9 +102,41 @@ def test_every_pointer_field_is_set():
         takes.append(rowkernel.CompiledRound(None, scorer, vocab, decode.PsgdParams(beam_width=3)))
     assert [take.fixed_eos for take in takes[2:]] == [False, True]
     for take in takes:
-        pointers = [name for name, kind in take.buffers._fields_ if kind is ctypes.c_void_p]
-        assert pointers and all(getattr(take.buffers, name) for name in pointers)
+        assert rowkernel._pointers_set(take.buffers)
         assert not vars(take.buffers)
+
+
+# Loads the kernel from the cache directory argv[1] with every section named
+# "finished" misspelt, so that struct tsd_beam's pointer stays NULL, and
+# prints the functions that fell back and the warnings' categories.
+MISSPELT = """
+import sys, warnings
+from pathlib import Path
+from tsdecode import rowkernel
+
+sections = rowkernel._sections
+rowkernel._sections = lambda struct, reals, ints: sections(
+    struct, reals, [("finishd" if name == "finished" else name, n) for name, n in ints])
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    functions = rowkernel.load(Path(sys.argv[1]))
+print([name for name, f in functions._asdict().items() if f is None], [w.category.__name__ for w in caught])
+"""
+
+
+@needs_compiler
+def test_a_null_section_pointer_falls_back_instead_of_crashing(built, tmp_path):
+    # The beam check refuses the take before the kernel writes a finish
+    # through NULL, which would end the process.
+    directory = tmp_path / "cache"
+    directory.mkdir(mode=0o700)
+    shutil.copy(built, directory)
+    src = str(Path(rng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", MISSPELT, str(directory)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "['beam_step'] ['RuntimeWarning']"
 
 
 @needs_compiler
@@ -121,58 +152,19 @@ def test_each_field_holds_its_function_decided_by_its_own_check(name, built, tmp
     assert warned == [RuntimeWarning]
 
 
-needs_finalize = pytest.mark.skipif(
-    "kernel" not in kernel_paths("finalize"), reason="the compiled row finalisation cannot be built here"
-)
-
-
-def finalized(path, raw):
-    """The bytes ``lm._finalize_rows`` gives on the ``path`` way for a copy
-    of the raw block ``raw``, or its ``ValueError``."""
-    with run_by("finalize", path):
-        return lm._outcome(lm._finalize_rows, raw)
-
-
-@needs_finalize
-@given(
-    st.integers(1, 4),
-    st.integers(1, 300),
-    st.integers(0, 2**64 - 1),
-    st.one_of(st.sampled_from([0.001, 0.05, 0.2, 1.0, 2.5]), st.floats(0.001, 3.0)),
-    st.sets(st.integers(0, 3)),
-)
-@settings(max_examples=150, deadline=None)
-def test_compiled_finalisation_equals_numpy(n_rows, width, key, concentration, massless):
-    # Raw rows: a nonzero BOS entry (a table row may hold one), which
-    # finalisation must drop, and Dirichlet variates, some of which
-    # underflow to 0; the rows in ``massless`` have no mass outside BOS.
-    stream = Stream(key)
-    raw = np.array([[stream.uniform(), *stream._gammas(concentration, width - 1)] for _ in range(n_rows)])
-    for r in massless & set(range(n_rows)):
-        raw[r, 1:] = 0.0
-    got = finalized("kernel", raw)
-    assert got == finalized("python", raw)
-    if not raw[:, 1:].sum(axis=1).all():
-        assert got == repr(ValueError("row has no probability mass outside BOS"))
-    elif n_rows > 1:
-        # A block that is not C-contiguous is finalized in numpy, whose sums
-        # depend on the layout.
-        with run_by("finalize", "kernel"):
-            strided = lm._finalize_rows(np.asfortranarray(raw), 0)
-        assert strided.tobytes() == lm._numpy_finalize(np.asfortranarray(raw), 0).tobytes()
-
-
 def drawn_block(path, model, source, contexts):
-    """The bytes of the raw block ``model`` draws for ``contexts`` of
+    """The bytes of the finished block ``model`` draws for ``contexts`` of
     ``source``, the ``path`` way: by the compiled block or by the Python
-    loop."""
+    loop and numpy."""
     with run_by("block", path):
-        return model._raw_rows(source, contexts).tobytes()
+        return model._finished_rows(source, contexts).tobytes()
 
 
 @needs_kernel
 @given(
-    # Rows of 2 to 300 entries, 127 to 131 among them: every branch of numpy's sum.
+    # Vocabularies of 3 to 301 ids, 128 to 132 among them: every branch of
+    # numpy's sum, in the Dirichlet row (vocab - 1 entries) and the
+    # finished row (vocab).
     st.one_of(st.sampled_from([3, 4, 20, 100, 128, 129, 130, 131, 132, 301]), st.integers(3, 301)),
     st.integers(1, 4),
     st.sampled_from([None, 0.0, 0.3, 0.5, 1.0]),
@@ -217,7 +209,25 @@ def test_the_block_check_holds_a_row_for_each_branch_of_a_row():
     n, _, drawn = rows[0.2]
     assert drawn > 4 * n + 16
     assert not any(rows[0.001][1])
-    assert rows[1.0][0] == 131
+    assert rows[1.0][0] == 257
+
+
+def sum_branches(n, depth=0):
+    """The branches numpy's pairwise sum of ``n`` entries takes
+    (``numpy_sum``): below 8 entries, 8 accumulators with or without a
+    remainder, and parts split at each depth."""
+    if n < 8:
+        return {"below 8"}
+    if n <= 128:
+        return {"8 accumulators, remainder" if n % 8 else "8 accumulators"}
+    half = n // 2 - n // 2 % 8
+    return {f"split {depth + 1}"} | sum_branches(half, depth + 1) | sum_branches(n - half, depth + 1)
+
+
+def test_the_block_check_takes_every_branch_of_numpys_sum():
+    # Each row is summed twice: its vocab - 1 variates, then its vocab entries.
+    taken = set().union(*(sum_branches(n) for size, *_ in lm.CHECK_BLOCKS for n in (size - 1, size)))
+    assert taken == {"below 8", "8 accumulators", "8 accumulators, remainder", "split 1", "split 2"}
 
 
 @needs_compiler
@@ -268,26 +278,9 @@ def _one_ulp_off(block):
     # Nudges the last entry of the block's last row.
     def wrong(*args):
         block(*args)
-        n_rows, vocab, rows = args[-4], args[-3], args[-1]
+        n_rows, vocab, rows = args[5], args[6], args[-1]
         entries = (ctypes.c_double * (n_rows * vocab)).from_address(ctypes.addressof(rows))
         entries[-1] = math.nextafter(entries[-1], math.inf)
-
-    return wrong
-
-
-def _bos_summed(finalize):
-    # Sums each row before zeroing its BOS entry.
-    def wrong(first, n_rows, size, bos, scale, eps):
-        block = (ctypes.c_double * (n_rows * size)).from_address(ctypes.addressof(first))
-        rows = np.ctypeslib.as_array(block).reshape(n_rows, size)
-        total = np.add.reduce(rows, axis=1)
-        if min(total.tolist()) <= 0.0:
-            return int(np.argmin(total))
-        rows /= total[:, None]
-        rows *= scale
-        rows += eps
-        rows[:, bos] = 0.0
-        return -1
 
     return wrong
 
@@ -390,23 +383,34 @@ def _row(variates, total=numpy_sum, reciprocal=False, uniform=True):
     return [v / t if t else math.nan for v in variates]
 
 
-def _python_block(length=True, coin_at=1, inverted=False, row=_row):
+def _python_block(length=True, coin_at=1, inverted=False, rule=None, reciprocal=False, uniform=True,
+                  bos_summed=False, bos_at_eps=False, scale_over_total=False):
     """``tsd_block`` written in Python, with one rule changed unless every
     argument keeps its default: the length left out of the fold, the coin
-    drawn at another counter, the coin's choice inverted, or each row made
-    of its variates by ``row`` instead of ``_row``."""
+    drawn at another counter, the coin's choice inverted, both sums of a row
+    by numpy's sum with the one ``rule`` changed (``numpy_sum``), the
+    Dirichlet row made by ``_row`` multiplied by the reciprocal of its sum
+    or never uniform, or the finish summing the BOS entry the block held
+    before the call, leaving BOS at ``eps`` or multiplying by the scale over
+    the sum."""
+    total = partial(numpy_sum, rule=rule)
 
-    def block(h_row, h_alt, h_coin, rate, tokens, lengths, n_rows, vocab, concentration, rows):
-        lengths = struct.unpack(f"{n_rows}q", lengths)
-        ids = iter(struct.unpack(f"{sum(lengths)}q", tokens))
+    def block(h_row, h_alt, h_coin, rate, contexts, n_rows, vocab, concentration, scale, eps, rows):
+        packed = struct.unpack(f"{len(contexts) // 8}q", contexts)
+        ids = iter(packed[n_rows:])
         out = (ctypes.c_double * (n_rows * vocab)).from_address(ctypes.addressof(rows))
-        for r, n in enumerate(lengths):
+        for r, n in enumerate(packed[:n_rows]):
             context = tuple(next(ids) for _ in range(n))
             h = h_row
             if rate > 0.0 and (rng._uniform(_fold(h_coin, context, length), coin_at) < rate) != inverted:
                 h = h_alt
             variates = Stream(_fold(h, context, length))._gammas(concentration, vocab - 1)
-            out[r * vocab + 1 : (r + 1) * vocab] = row(variates)
+            raw = [out[r * vocab] if bos_summed else 0.0, *_row(variates, total, reciprocal, uniform)]
+            t = total(raw)
+            row = [v * (scale / t) + eps if scale_over_total else v / t * scale + eps for v in raw]
+            if not bos_at_eps:
+                row[0] = 0.0
+            out[r * vocab : (r + 1) * vocab] = row
 
     return block
 
@@ -415,14 +419,16 @@ BLOCK_MUTANTS = {
     "block-length-unmixed": _python_block(length=False),
     "block-coin-at-0": _python_block(coin_at=0),
     "block-coin-inverted": _python_block(inverted=True),
-    "sequential-sum": _python_block(row=partial(_row, total=partial(numpy_sum, rule="sequential"))),
+    "sequential-sum": _python_block(rule="sequential"),
+    "bos-summed": _python_block(bos_summed=True),
 }
 # Mutants of the row alone, which the check's rows were found to reject.
 ROW_MUTANTS = {
-    **{f"sum-{rule}": _python_block(row=partial(_row, total=partial(numpy_sum, rule=rule)))
-       for rule in ("block-256", "any-split", "in-order", "remainder-first")},
-    "row-times-reciprocal": _python_block(row=partial(_row, reciprocal=True)),
-    "row-never-uniform": _python_block(row=partial(_row, uniform=False)),
+    **{f"sum-{rule}": _python_block(rule=rule) for rule in ("block-256", "any-split", "in-order", "remainder-first")},
+    "row-times-reciprocal": _python_block(reciprocal=True),
+    "row-never-uniform": _python_block(uniform=False),
+    "finish-bos-at-eps": _python_block(bos_at_eps=True),
+    "finish-times-scale-over-total": _python_block(scale_over_total=True),
 }
 
 
@@ -457,7 +463,6 @@ def _opened_as(wrap, name):
 SILENT = {"no-compiler-named", "compiler-missing"}
 ONLY = {
     "wrong-bytes": "block",
-    "bos-summed": "finalize",
     "step-one-short": "beam_step",
     "step-score-wrong": "beam_step",
     "round-score-wrong": "psgd_round",
@@ -471,7 +476,6 @@ FALLBACKS = {
     "compile-step-fails": (rowkernel, "_compile", _fail_to_compile),
     "load-fails": (ctypes, "CDLL", _refuse),
     "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, "block")),
-    "bos-summed": (rowkernel, "_open", _opened_as(_bos_summed, "finalize")),
     "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_step")),
     "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_step")),
     "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, "psgd_round")),
@@ -505,9 +509,9 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     assert warned == ([] if fallback in SILENT else [RuntimeWarning])
     assert not list(tmp_path.glob("cache/.build-*"))
     # A process that draws its first block of rows now draws every row with
-    # the Python loop, unless only another function failed: the reference's
-    # bytes, block or not, and the reference's draw counts row by row. It
-    # finalizes rows in numpy, takes its beams by the Python step and scores
+    # the Python loop and finishes it in numpy, unless only another function
+    # failed: the reference's bytes, block or not, and the reference's draw
+    # counts row by row. It takes its beams by the Python step and scores
     # its PSGD rounds by the Python round when those failed, with the same
     # bytes.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
@@ -515,16 +519,14 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     contexts = [(0,), (0, 3), (3, 7), (7, 5)]
     with warnings.catch_warnings(record=True):
-        block = model._raw_rows((3, 7, 5, 9), contexts)
+        block = model._finished_rows((3, 7, 5, 9), contexts)
     assert fallen_back(rng.compiled()) == failed
     want = [reference_row(hash_key(9, _ROW_TAG, (3, 7, 5, 9), context), 0.2, 11)[0] for context in contexts]
-    assert block[:, 1:].tobytes() == b"".join(want)
+    assert block.tobytes() == finish_rows([np.frombuffer(row) for row in want]).tobytes()
     rows = [Stream(key).dirichlet(0.2, 20) for key in KEYS]
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row(key, 0.2, 20) for key in KEYS] == want
-    raw = lm.check_blocks()[-1][::2]
-    assert lm._finalize_rows(raw.copy(), 0).tobytes() == lm._numpy_finalize(raw.copy(), 0).tobytes()
     finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
     assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
@@ -568,7 +570,7 @@ def test_a_process_loads_the_kernel_once(order, monkeypatch):
     monkeypatch.setattr(rowkernel, "load", counted)
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     uses = {
-        "rows": lambda: model._raw_rows((3, 7, 5, 9), [(0,), (0, 3)]),
+        "rows": lambda: model._finished_rows((3, 7, 5, 9), [(0,), (0, 3)]),
         "beams": lambda: decode.beam_search(model, (3, 7, 5, 9), 4, 10),
         "psgd": lambda: decode.psgd(model, TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6, 2)))),
     }
@@ -615,7 +617,7 @@ def test_drawing_a_row_loads_no_openssl():
     code = (
         "import sys, tsdecode.cli\n"
         "from tsdecode import core, lm, rng\n"
-        "lm.NgramGenModel(core.Vocab(20), 2, 1, 0.2)._raw_rows((2,), [()])\n"
+        "lm.NgramGenModel(core.Vocab(20), 2, 1, 0.2)._finished_rows((2,), [()])\n"
         "print(rng._compiled.block is not None, '_hashlib' in sys.modules)"
     )
     # A first draw that waits for rng's lock forever fails here, not hangs.

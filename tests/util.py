@@ -114,21 +114,34 @@ def gamma(stream, shape):
             return d * v
 
 
+# The row finalisation is the row block's: ``tsd_block`` returns finished
+# rows, and its Python twin finishes them with ``lm._numpy_finalize``.
+FIELDS = {"finalize": "block"}
+
+
+def finish_rows(rows):
+    """The finished rows of the Dirichlet ``rows`` of an n-gram model, as
+    one (R, V) block: each row after a BOS entry of 0.0, finished by
+    ``lm._numpy_finalize``."""
+    return lm._numpy_finalize(np.array([[0.0, *row] for row in rows]), 0)
+
+
 def kernel_paths(function):
-    """The ways to run the kernel function ``function`` (``"block"``, an
-    n-gram model's block of rows, ``"finalize"``, the row finalisation,
-    ``"beam_step"`` or ``"psgd_round"``) here: ``"python"`` always, and
-    ``"kernel"`` where the compiled function builds, loads and passes its
-    check."""
-    return ("python", "kernel") if getattr(rng.compiled(), function) else ("python",)
+    """The ways to run the kernel function ``function`` (``"block"``, the
+    finished rows of an n-gram model's block of contexts, ``"finalize"``,
+    the same, ``"beam_step"`` or ``"psgd_round"``) here: ``"python"``
+    always, and ``"kernel"`` where the compiled function builds, loads and
+    passes its check."""
+    return ("python", "kernel") if getattr(rng.compiled(), FIELDS.get(function, function)) else ("python",)
 
 
 @contextmanager
 def run_by(function, path):
     """Run ``function`` (``"block"``, ``"finalize"``, ``"beam_step"`` or
     ``"psgd_round"``) the ``path`` way while the block is open: the loaded
-    kernel's function, or in its place the Python row loop, finalisation,
-    step or round."""
+    kernel's function, or in its place the Python row loop and numpy
+    finish, step or round."""
+    function = FIELDS.get(function, function)
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
     rng._compiled = loaded if path == "kernel" else loaded._replace(**{function: None})
