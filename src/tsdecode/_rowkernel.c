@@ -440,7 +440,8 @@ done:
    for one ``decode._SpanScorer``. As in ``struct tsd_beam``, the beam lives on
    side ``cur`` of ``lp``, ``order`` and ``carry``; a round that expands writes
    the children to the other side. Every item of a beam holds a span of
-   ``n_terms`` tokens, and no two hold the same span. */
+   ``n_terms`` tokens, and no two hold the same span; its carry is its span's
+   ``n_terms`` terms, each token's term in its parent's next-token row. */
 struct tsd_psgd {
     int64_t vocab;          /* entries per row */
     int64_t width;          /* the beam width: items per side, at most */
@@ -450,9 +451,9 @@ struct tsd_psgd {
                                the suffix terms the span changes, then its EOS
                                row unless that is fixed */
     int64_t n_suffix;       /* suffix terms the span changes */
-    int64_t n_prefix, n_tail;
-    int64_t fixed_eos;      /* the carry: a partial sum (1) or the span's
-                               terms (0) */
+    int64_t n_head, n_tail; /* the scorer's head and tail terms */
+    int64_t fixed_eos;      /* the EOS term: the first head term (1) or read
+                               from each item's last row (0) */
     int64_t mean;           /* the score: total / norm (1) or total - norm (0) */
     int64_t capacity;       /* carry doubles per item */
     int64_t n_terms;        /* span tokens per item of side ``cur`` */
@@ -460,7 +461,7 @@ struct tsd_psgd {
     int64_t best;           /* output of the last round: its first-ranked item */
     int64_t size[2];        /* items on each side */
     const int64_t *suffix;  /* the suffix tokens the span changes */
-    const double *terms;    /* the prefix terms, then the tail terms */
+    const double *terms;    /* the head terms, then the tail terms */
     const double *rows;     /* the round's rows, per_item per item */
     double *score;          /* per item, its normalised score */
     int64_t *parent;        /* the children in rank order: parent index */
@@ -487,22 +488,18 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
     int64_t top = 0;
     for (int64_t b = 0; b < n_beam; b++) {
         /* The order ``_SpanScorer.total`` adds in: EOS, prefix, span,
-           changed suffix terms, then the tail. */
+           changed suffix terms, then the tail. -0.0 + x is x, so a fixed
+           EOS term, the first head term, starts the sum unchanged. */
         const double *rows = s->rows + b * stride;
-        double total;
-        if (s->fixed_eos) {
-            total = carry[b * cap];
-        } else {
-            total = rows[(s->per_item - 1) * s->vocab + s->eos];
-            for (int64_t j = 0; j < s->n_prefix; j++)
-                total += s->terms[j];
-            for (int64_t j = 0; j < s->n_terms; j++)
-                total += carry[b * cap + j];
-        }
+        double total = s->fixed_eos ? -0.0 : rows[(s->per_item - 1) * s->vocab + s->eos];
+        for (int64_t j = 0; j < s->n_head; j++)
+            total += s->terms[j];
+        for (int64_t j = 0; j < s->n_terms; j++)
+            total += carry[b * cap + j];
         for (int64_t j = 0; j < s->n_suffix; j++)
             total += rows[j * s->vocab + s->suffix[j]];
         for (int64_t j = 0; j < s->n_tail; j++)
-            total += s->terms[s->n_prefix + j];
+            total += s->terms[s->n_head + j];
         double score = s->score[b] = s->mean ? total / norm : total - norm;
         if (b == 0 || score > s->score[top] || (score == s->score[top] && order[b] < order[top]))
             top = b;
@@ -518,19 +515,13 @@ int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t exp
                              children);
     for (int64_t i = 0; i < k; i++) {
         const int64_t parent = children[i].parent, tok = children[i].token;
-        const double term = s->rows[parent * stride + tok];
         double *to = s->carry + (out * width + i) * cap;
-        const double *from = carry + parent * cap;
         s->parent[i] = parent;
         s->token[i] = tok;
         s->lp[out * width + i] = children[i].score;
-        if (s->fixed_eos) {
-            to[0] = from[0] + term;
-        } else {
-            for (int64_t j = 0; j < s->n_terms; j++)
-                to[j] = from[j];
-            to[s->n_terms] = term;
-        }
+        for (int64_t j = 0; j < s->n_terms; j++)
+            to[j] = carry[parent * cap + j];
+        to[s->n_terms] = s->rows[parent * stride + tok];
     }
     next_order(order, s->parent, s->token, k, s->order + out * width);
     s->size[out] = k;

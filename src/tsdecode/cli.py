@@ -39,6 +39,7 @@ from .core import (
     write_tasks_jsonl,
 )
 from .decode import PsgdParams
+# bench/tracer.py patches cli.decode_task by name, so it stays imported.
 from .harness import (
     GenConfig,
     SweepConfig,
@@ -46,7 +47,7 @@ from .harness import (
     eval_record,
     gen_config_from_dict,
     gen_dataset,
-    result_row,
+    result_rows,
     run_pt_sweep,
     run_ratio_sweep,
     split_by_ratio,
@@ -175,13 +176,7 @@ def cmd_suggest(args) -> int:
     _require_file(args.model_spec, "model spec")
     model = load_model_spec(args.model_spec)
     tasks = read_tasks_jsonl(args.tasks)
-    rows: list[ResultRow] = []
-    for task in tasks:
-        try:
-            outcome = decode_task(model, task, args.decoder, params)
-        except TsError as exc:
-            outcome = exc
-        rows.append(result_row(task, args.decoder, outcome))
+    rows = result_rows(model, tasks, args.decoder, args.decoder, params)
     write_results_jsonl(args.out, rows)
     print(f"wrote {len(rows)} results to {args.out}")
     return EXIT_OK

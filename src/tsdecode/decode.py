@@ -191,19 +191,19 @@ class _SpanScorer:
     ``pieces`` are what each item's heads append to prefix + span: the rows
     after them are its next-token row (the first), the rows of the suffix
     terms the span changes and its EOS row (the last) unless that is fixed;
-    with no suffix the EOS row is the next-token row. ``root`` is the carry
-    of the empty span, ``extend(carry, term)`` the carry of a child whose
-    last token scored ``term`` in its parent's next-token row, and
-    ``total(rows, span, carry)`` an item's summed log-probability of the
-    whole sequence with its EOS, from its rows, with its next-token row.
+    with no suffix the EOS row is the next-token row. ``total(rows, span,
+    carry)`` is an item's summed log-probability of the whole sequence with
+    its EOS, from its rows and ``carry``, its span's terms (each token's
+    term in its parent's next-token row), with its next-token row.
 
     The sum is added in the order ``_ForcedPassScorer`` sums its forced
     pass, EOS term first and then the target left to right, so both give the
     same float. Under an order-k model the prefix rows and the suffix rows from
     position k on never see the span, so their terms are read once here, in
-    one batch. When the suffix has at least k tokens the EOS row is fixed
-    too and the carry is the partial sum EOS + prefix + span terms;
-    otherwise it is the span terms, re-summed after each item's own EOS term.
+    one batch: ``head_terms`` are the prefix terms, after the EOS term when
+    the suffix has at least k tokens and so fixes the EOS row too, and
+    ``tail_terms`` the suffix terms from position k on. An unfixed EOS term
+    is read from each item's last row.
     """
 
     def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
@@ -216,28 +216,20 @@ class _SpanScorer:
             + ([p + s] if fixed_eos else [])
         )
         fixed_rows = model.rows_after(src, fixed)
-        self.prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
+        prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
+        self.head_terms = ([float(fixed_rows[-1][eos])] if fixed_eos else []) + prefix_terms
         self.tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
-        self.root = ()
-        if fixed_eos:
-            self.root = float(fixed_rows[-1][eos])
-            for term in self.prefix_terms:
-                self.root += term
         self.pieces = [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else [])
         self.suffix = s[:k]
 
-    def extend(self, carry, term: float):
-        return carry + term if self.fixed_eos else carry + (term,)
-
     def total(self, rows, span: Tokens, carry) -> tuple[float, np.ndarray]:
-        if self.fixed_eos:
-            total = carry
-        else:
-            total = float(rows[-1][self.eos])
-            for term in self.prefix_terms:
-                total += term
-            for term in carry:
-                total += term
+        # -0.0 + x is x for every x, so a fixed EOS term starts the sum as
+        # the item's own EOS term does.
+        total = -0.0 if self.fixed_eos else float(rows[-1][self.eos])
+        for term in self.head_terms:
+            total += term
+        for term in carry:
+            total += term
         for log_row, tok in zip(rows, self.suffix):
             total += float(log_row[tok])
         for term in self.tail_terms:
@@ -246,18 +238,14 @@ class _SpanScorer:
 
 
 class _ForcedPassScorer:
-    """``_SpanScorer``'s interface with no carry and no pieces: per item, one
-    forced pass over prefix + span + suffix for the score and one over
-    prefix + span for the next-token row."""
+    """``_SpanScorer``'s interface with no pieces, the carry unread: per
+    item, one forced pass over prefix + span + suffix for the score and one
+    over prefix + span for the next-token row."""
 
     pieces = ()
-    root = ()
 
     def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
         self.model, self.src, self.p, self.s = model, src, p, s
-
-    def extend(self, carry, term: float):
-        return carry
 
     def total(self, rows, span: Tokens, carry) -> tuple[float, np.ndarray]:
         head = self.p + span
@@ -280,22 +268,24 @@ class _PythonRound:
     ``_SpanScorer``, and the reference the compiled round is checked
     against.
 
-    It holds each item's (span log-prob, scorer carry); the caller holds
-    their spans. Called with the items' rows (``len(scorer.pieces)`` per
-    item), their spans, their whole-sequence length, an ``EXPAND_*`` and the
-    best score so far, it returns ``(top, score, children)``: the index and
-    normalised score of the round's first-ranked item, and, when the round
-    expands, the ``beam_width`` best children as (parent index, token)
-    pairs in ``rank`` order, else none. ``scores()`` gives every item's
-    score, ``advance()`` makes the children the beam and ``beam()`` gives
-    its (span log-prob, carry) entries.
+    It holds each item's (span log-prob, carry), the carry being its span's
+    terms: the empty span starts at ``()`` and a child appends its token's
+    term in its parent's next-token row. The caller holds their spans.
+    Called with the items' rows (``len(scorer.pieces)`` per item), their
+    spans, their whole-sequence length, an ``EXPAND_*`` and the best score
+    so far, it returns ``(top, score, children)``: the index and normalised
+    score of the round's first-ranked item, and, when the round expands, the
+    ``beam_width`` best children as (parent index, token) pairs in ``rank``
+    order, else none. ``scores()`` gives every item's score, ``advance()``
+    makes the children the beam and ``beam()`` gives its (span log-prob,
+    carry) entries.
     """
 
     def __init__(self, scorer, vocab, params: PsgdParams) -> None:
         self.scorer = scorer
         self.content = vocab.content_ids
         self.params = params
-        self.state = [(0.0, scorer.root)]
+        self.state = [(0.0, ())]
         self.next: list = []
         self.round_scores: list[float] = []
 
@@ -312,9 +302,7 @@ class _PythonRound:
         if not (expand == EXPAND_ALWAYS or (expand == EXPAND_IF_BETTER and score > best)):
             return top, score, []
         children = _expand(entries, [entry[3] for entry in entries], self.content, params.beam_width)
-        self.next = [
-            (lp_c, scorer.extend(parent[2], float(parent[3][child[-1]]))) for lp_c, child, parent in children
-        ]
+        self.next = [(lp_c, parent[2] + (float(parent[3][child[-1]]),)) for lp_c, child, parent in children]
         return top, score, [(parent[4], child[-1]) for _, child, parent in children]
 
     def scores(self) -> list[float]:

@@ -317,6 +317,22 @@ def eval_record(task: TsTask, row: ResultRow) -> EvalRecord | None:
     )
 
 
+def result_rows(
+    model: SequenceModel, tasks: list[TsTask], decoder_label: str, decoder: str, params: PsgdParams
+) -> list[ResultRow]:
+    """Decode each of ``tasks`` once with ``decoder``, in order: one result
+    row each, labelled ``decoder_label``, an error row for a decode that
+    raised a ``TsError``."""
+    rows = []
+    for task in tasks:
+        try:
+            outcome = decode_task(model, task, decoder, params)
+        except TsError as exc:
+            outcome = exc
+        rows.append(result_row(task, decoder_label, outcome))
+    return rows
+
+
 def _sweep_point(
     model: SequenceModel,
     tasks: list[TsTask],
@@ -324,20 +340,11 @@ def _sweep_point(
     decoder: str,
     params: PsgdParams,
 ) -> tuple[list[EvalRecord], list[ResultRow]]:
-    """Decode each of ``tasks`` once, in order."""
-    records: list[EvalRecord] = []
-    rows: list[ResultRow] = []
-    for task in tasks:
-        try:
-            outcome = decode_task(model, task, decoder, params)
-        except TsError as exc:
-            outcome = exc
-        row = result_row(task, decoder_label, outcome)
-        rows.append(row)
-        record = eval_record(task, row)
-        if record is not None:
-            records.append(record)
-    return records, rows
+    """Decode each of ``tasks`` once, in order: the records to score and
+    the result rows."""
+    rows = result_rows(model, tasks, decoder_label, decoder, params)
+    records = [eval_record(task, row) for task, row in zip(tasks, rows)]
+    return [record for record in records if record is not None], rows
 
 
 def run_pt_sweep(

@@ -254,14 +254,19 @@ def seq_logprob(model: SequenceModel, source, target, include_eos: bool = True) 
     return total
 
 
+def _uniform_row(vocab: Vocab) -> np.ndarray:
+    """The distribution uniform over all non-BOS ids."""
+    row = np.full(vocab.size, 1.0 / (vocab.size - 1), dtype=np.float64)
+    row[vocab.bos_id] = 0.0
+    return row
+
+
 class UniformModel(SequenceModel):
     """Every distribution is uniform over all non-BOS ids."""
 
     def __init__(self, vocab: Vocab) -> None:
         super().__init__(_KIND_UNIFORM, vocab, 1)
-        row = np.full(vocab.size, 1.0 / (vocab.size - 1), dtype=np.float64)
-        row[vocab.bos_id] = 0.0
-        self._row = row
+        self._row = _uniform_row(vocab)
 
     def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
         # Position-independent model: one cache entry per source.
@@ -305,9 +310,7 @@ class TableModel(SequenceModel):
                     f"table key {_encode_table_key(src, ctx)!r} has an id outside [0, {vocab.size})"
                 )
             self._table[(tuple(src), tuple(ctx))] = arr
-        uniform = np.full(vocab.size, 1.0 / (vocab.size - 1), dtype=np.float64)
-        uniform[vocab.bos_id] = 0.0
-        self._fallback = uniform
+        self._fallback = _uniform_row(vocab)
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> list[np.ndarray]:
         return [self._table.get((source, context), self._fallback) for context in contexts]

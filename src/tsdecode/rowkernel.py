@@ -19,9 +19,10 @@ with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
 operation as the source writes it: never fast-math or ``-march=native``,
 as a fused multiply-add or a reordered sum changes bytes. The shared object
 is cached in ``cache_dir()``, a directory only its owner may write, under a
-name that is a 64-bit ``rng.hash_key`` of the source, the compile command
-and the platform, so a changed source or compiler builds a new file; the
-name needs no ``hashlib``, which loads OpenSSL into the process. It is written
+64-bit name, ``zlib``'s CRC-32 and Adler-32 checksums of the source, the
+compile command and the platform, so a changed source or compiler builds a
+new file. Both checksums run in C over the bytes at once, and the name
+needs no ``hashlib``, which loads OpenSSL into the process. It is written
 to a temporary file and moved into place, so processes that build it at
 once never load half a file.
 
@@ -56,6 +57,7 @@ import shlex
 import shutil
 import sysconfig
 import warnings
+import zlib
 from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
@@ -63,7 +65,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .lm import block_self_check
-from .rng import hash_key
 from .scoring import SCORING_MEAN_LOGPROB, length_term
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
@@ -111,8 +112,7 @@ def load(directory: Path | None = None) -> Functions:
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         _check_private(directory)
         data = SOURCE.read_bytes() + "\0".join([*command, sysconfig.get_platform()]).encode()
-        words = memoryview(data + bytes(-len(data) % 8)).cast("Q")
-        path = directory / f"rowkernel-{hash_key(len(data), words):016x}.so"
+        path = directory / f"rowkernel-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
         if not path.exists():
             _compile(command, path)
         block, beam_step, psgd_round = _open(path)
@@ -367,7 +367,7 @@ class _RoundBuffers(ctypes.Structure):
 
     _fields_ = (
         [(name, ctypes.c_int64) for name in (
-            "vocab", "width", "eos", "lo", "n_content", "per_item", "n_suffix", "n_prefix", "n_tail",
+            "vocab", "width", "eos", "lo", "n_content", "per_item", "n_suffix", "n_head", "n_tail",
             "fixed_eos", "mean", "capacity", "n_terms", "cur", "best",
         )]
         + [("size", ctypes.c_int64 * 2)]
@@ -384,44 +384,40 @@ class CompiledRound:
     As in ``CompiledStep``, the beam lives in sections each decode
     allocates once, ``lp`` and ``order`` with two sides, and the spans,
     which the kernel never reads, stay with the caller; the kernel breaks
-    ties by each item's rank among the beam's spans. The carries have their
-    own buffer, two sides of one partial sum per item or, when the EOS row
-    is not fixed, the span's terms, in room that doubles as the spans grow:
-    it is sized by the rounds the decode runs, never by ``max_span_len``.
+    ties by each item's rank among the beam's spans. The carries, each
+    item's span terms, have their own buffer of two sides, in room that
+    doubles as the spans grow: it is sized by the rounds the decode runs,
+    never by ``max_span_len``.
     """
 
     def __init__(self, kernel, scorer, vocab, params) -> None:
         width, size = params.beam_width, vocab.size
         per_item, content = len(scorer.pieces), vocab.content_ids
-        prefix, tail, suffix = scorer.prefix_terms, scorer.tail_terms, scorer.suffix
+        head, tail, suffix = scorer.head_terms, scorer.tail_terms, scorer.suffix
         # The kernel reads each item's suffix rows and, unless it is fixed, its
         # EOS row, and indexes them with the suffix ids, checking neither.
         if len(suffix) + (not scorer.fixed_eos) > per_item or any(not 0 <= tok < size for tok in suffix):
             raise ValueError(f"the suffix {suffix} does not fit {per_item} rows of {size} per item")
         self.scoring, self.include_eos_in_len = params.scoring, params.include_eos_in_len
-        self.fixed_eos, self.n_terms = scorer.fixed_eos, 0
         # The root: one item, the empty span, log-prob 0.0, tie rank 0.
         buffers = self.buffers = _RoundBuffers(
-            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(prefix), len(tail),
+            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(head), len(tail),
             scorer.fixed_eos, params.scoring == SCORING_MEAN_LOGPROB, 0, 0, 0, 0, (1, 0),
         )
         views = self.views = _sections(
             buffers,
-            (("rows", width * per_item * size), ("terms", len(prefix) + len(tail)), ("score", width),
+            (("rows", width * per_item * size), ("terms", len(head) + len(tail)), ("score", width),
              ("lp", 2 * width)),
             (("suffix", len(suffix)), ("parent", width), ("token", width), ("order", 2 * width)),
         )
-        views["terms"][:] = prefix + tail
+        views["terms"][:] = head + tail
         views["suffix"][:] = suffix
-        self.carries = np.zeros((2, width, 1 if scorer.fixed_eos else 8))
-        if scorer.fixed_eos:
-            self.carries[0, 0, 0] = scorer.root
-        self._set_carries()
+        self._set_carries(np.zeros((2, width, 8)))
         self.kernel, self.address = kernel, ctypes.addressof(buffers)
         self.block = views["rows"].reshape(width * per_item, size)
 
-    def _set_carries(self) -> None:
-        carries, buffers = self.carries, self.buffers
+    def _set_carries(self, carries: np.ndarray) -> None:
+        self.carries, buffers = carries, self.buffers
         buffers.capacity = carries.shape[2]
         buffers.carry = ctypes.addressof(ctypes.c_char.from_buffer(carries))
 
@@ -442,23 +438,19 @@ class CompiledRound:
     def advance(self) -> None:
         buffers = self.buffers
         buffers.cur ^= 1
-        self.n_terms = buffers.n_terms = self.n_terms + 1
+        buffers.n_terms += 1
         capacity = self.carries.shape[2]
-        if not self.fixed_eos and self.n_terms == capacity:
+        if buffers.n_terms == capacity:
             grown = np.zeros((2, buffers.width, 2 * capacity))
             grown[:, :, :capacity] = self.carries
-            self.carries = grown
-            self._set_carries()
+            self._set_carries(grown)
 
     def beam(self) -> list:
         buffers = self.buffers
-        side, m = buffers.cur, buffers.size[buffers.cur]
+        side, m, n = buffers.cur, buffers.size[buffers.cur], buffers.n_terms
         first = side * buffers.width
         lps = self.views["lp"][first : first + m].tolist()
-        carries = self.carries[side, :m].tolist()
-        if self.fixed_eos:
-            return [(lp, carry[0]) for lp, carry in zip(lps, carries)]
-        return [(lp, tuple(carry[: self.n_terms])) for lp, carry in zip(lps, carries)]
+        return [(lp, tuple(carry[:n])) for lp, carry in zip(lps, self.carries[side, :m].tolist())]
 
 
 def round_outputs(take, rows, spans, length: int, expand: int, best: float):
@@ -471,8 +463,7 @@ def round_outputs(take, rows, spans, length: int, expand: int, best: float):
     beam = []
     if children:
         take.advance()
-        for lp, carry in take.beam():
-            beam.append((lp.hex(), carry.hex() if isinstance(carry, float) else tuple(t.hex() for t in carry)))
+        beam = [(lp.hex(), tuple(term.hex() for term in carry)) for lp, carry in take.beam()]
     return scores, top, score.hex(), children, beam
 
 
@@ -495,15 +486,17 @@ class _CheckModel:
 # used: (order, prefix, suffix, scoring, include_eos_in_len, rounds), each
 # at beam width 3. Every round but the last expands (the odd ones only if
 # they beat a best of -inf); the last is told that its own best score is the
-# best so far, so it must not expand. The first keeps each span's terms
-# (its suffix is shorter than the order), the second a partial sum; both
-# read a suffix term the span changes. Row values repeat, so scores tie in
-# the expansion and in the best, and some are not short binary fractions,
-# so a sum added in another order changes bytes. Found by search: it tells
-# the round from copies with the item tie-break, the tie going to the last
-# item, the strict best (in the round or against the best so far), the
-# EOS-first addition order, the carry kind, the children's token tie-break
-# or the next beam's tie ranks changed.
+# best so far, so it must not expand. The first reads each item's EOS term
+# from its last row (its suffix is shorter than the order), the second a
+# fixed EOS head term; both read a suffix term the span changes. Row values
+# repeat, so scores tie in the expansion and in the best, and some are not
+# short binary fractions, so a sum added in another order changes bytes.
+# Found by search: it tells the round from copies with the item tie-break,
+# the tie going to the last item, the strict best (in the round or against
+# the best so far), the EOS-first addition order, the span's terms added
+# one by one, the children's token tie-break or the next beam's tie ranks
+# changed, and from copies that skip the fixed EOS term or read it from
+# the item's row.
 CHECK_ROUND_TABLE = {
     0: [_NO, -0.3, -0.3, -0.7, -1.0, -1.0],
     2: [_NO, -0.5, -1.1, -0.7, -0.5, -0.7],

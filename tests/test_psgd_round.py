@@ -105,8 +105,9 @@ def _decode(path, model, task, params):
 @needs_round_kernel
 @pytest.mark.parametrize("order", [2, 3])
 def test_long_decodes_match_past_the_carry_growth(order):
-    # A suffix shorter than the order keeps each span's terms, in a buffer
-    # that starts with room for 8 and doubles; these decodes run to 40.
+    # Every item carries its span's terms, in a buffer that starts with room
+    # for 8 and doubles; these decodes run to 40. The suffix (5, 2) at order
+    # 2 reads a fixed EOS head term, the shorter ones each item's EOS row.
     model = NgramGenModel(Vocab(9), order, seed=21, concentration=0.3)
     params = PsgdParams(beam_width=4, patience=50, max_span_len=40)
     for suffix in ((), (5,), (5, 2)):

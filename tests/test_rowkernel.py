@@ -100,7 +100,7 @@ def test_every_pointer_field_is_set():
     for order, p, s, *_ in rowkernel.CHECK_ROUNDS:
         scorer = decode._SpanScorer(rowkernel._CheckModel(order), (), p, s)
         takes.append(rowkernel.CompiledRound(None, scorer, vocab, decode.PsgdParams(beam_width=3)))
-    assert [take.fixed_eos for take in takes[2:]] == [False, True]
+    assert [take.buffers.fixed_eos for take in takes[2:]] == [False, True]
     for take in takes:
         assert rowkernel._pointers_set(take.buffers)
         assert not vars(take.buffers)
@@ -610,8 +610,8 @@ def test_threads_that_first_use_the_kernel_at_once_load_it_once(monkeypatch):
 
 
 def test_drawing_a_row_loads_no_openssl():
-    # The cached kernel's name is folded with rng.hash_key: hashlib would load
-    # OpenSSL's _hashlib into every process that draws a row.
+    # The cached kernel's name is zlib's CRC-32 and Adler-32: hashlib would
+    # load OpenSSL's _hashlib into every process that draws a row.
     src = str(Path(rng.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -637,4 +637,6 @@ def test_the_cached_name_changes_with_the_source_and_the_platform(tmp_path, monk
     platform = sysconfig.get_platform()
     monkeypatch.setattr(sysconfig, "get_platform", lambda: platform + "-other")
     assert all(rowkernel.load(cache))
-    assert len(list(cache.glob("rowkernel-*.so"))) == 3
+    monkeypatch.setattr(rowkernel, "FLAGS", rowkernel.FLAGS + ("-g",))
+    assert all(rowkernel.load(cache))
+    assert len(list(cache.glob("rowkernel-*.so"))) == 4
