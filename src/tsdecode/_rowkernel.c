@@ -1,7 +1,6 @@
-/* The compiled kernel: the finished rows of a block of contexts, one step
-   of the full-sentence beam search and one PSGD scoring round. Each
-   exported function is named ``tsd_`` and its ``rowkernel.Functions``
-   field.
+/* The compiled kernel: the finished rows of a block of contexts, the
+   full-sentence beam search and one PSGD scoring round. Each exported
+   function is named ``tsd_`` and its ``rowkernel.Functions`` field.
 
    ``tsd_block`` is ``lm.NgramGenModel._python_rows`` in one call: for each
    context it folds the row key as ``rng.hash_key`` does, onto the source's
@@ -23,10 +22,16 @@
    order (``add_reduce``), and every other step of the finish is one IEEE
    operation per entry, as numpy's elementwise loops are.
 
-   ``tsd_beam_step`` is ``decode._PythonStep``: it picks the same finishes
-   and the same next beam, in the same order, with the same scores. A
-   candidate's score is one IEEE add, ``lp + row[tok]``, as in Python; no
-   transcendental is called.
+   ``tsd_beam_search`` is ``decode._python_search``: the whole loop of
+   ``decode._beam_core``, each step by ``beam_step``, which is
+   ``decode._PythonStep``: the same finishes and the same next beam, in the
+   same order, with the same scores and counts. A candidate's score is one
+   IEEE add, ``lp + row[tok]``, as in Python; no transcendental is called.
+   It reads each hypothesis's log row from the source's memo index, an
+   open-addressing table of context ids and row addresses (``lm._Index``),
+   and returns to Python only when a step needs rows the memo lacks, or
+   room for its finishes or tokens; Python draws the rows through
+   ``rows_after`` or grows the room, and calls again to resume the step.
 
    ``tsd_psgd_round`` is ``decode._PythonRound`` over a
    ``decode._SpanScorer``: each item's whole-sequence total, added in the
@@ -42,6 +47,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
                const int64_t *contexts, int64_t n_rows, int64_t vocab,
@@ -184,37 +190,68 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
     }
 }
 
-/* One decode's beam and buffers, allocated by ``rowkernel.CompiledStep``.
-   The beam lives on side ``cur`` of ``lp``, ``progress``, ``bank`` and
-   ``order``, side s at s times the side's length; a step writes the next
-   beam to the other side, and the caller flips ``cur`` to take it. All the
-   hypotheses of a beam have the same length, and no two the same tokens. */
-struct tsd_beam {
+/* One decode of the full-sentence beam search and its buffers, allocated
+   by ``rowkernel.CompiledSearch``. The beam lives on side ``cur`` of
+   ``lp``, ``progress``, ``bank``, ``order`` and ``tokens``, side s at s
+   times the side's length; a step writes the next beam to the other side
+   and flips ``cur``. All the hypotheses of a beam hold ``step`` tokens, and
+   no two the same tokens. The search reads each hypothesis's log row from
+   the source's index (``lm._Index``), an open-addressing table the caller
+   sizes and this file fills: before each call the caller sets the table,
+   and the rows it lacks in ``queued``. */
+struct tsd_search {
     int64_t vocab;          /* entries per row */
     int64_t width;          /* the beam width: hypotheses per side, at most */
-    int64_t eos;            /* the EOS id */
+    int64_t eos, bos;       /* the EOS and BOS ids */
     int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
     int64_t n_phrases;
     int64_t complete;       /* the bank of a constraint-complete hypothesis */
+    int64_t n_context;      /* a row's context: the last ``n_context`` ids of
+                               BOS + the hypothesis's tokens */
+    int64_t max_len;        /* the length budget */
+    int64_t capacity;       /* tokens a hypothesis has room for */
+    int64_t finish_room;    /* finishes ``finish_score`` holds; ``finished``
+                               holds finish_room * (capacity + 1) ids */
+    int64_t bits;           /* the index holds 2^bits slots ... */
+    int64_t slot_width;     /* ... of slot_width ids: the row's address, the
+                               context's length, then its ids; or 0s */
+    int64_t old_bits, old_width; /* the table ``old_index`` outgrew */
+    int64_t n_queued;       /* ids in ``queued`` */
+    int64_t step;
     int64_t cur;
-    int64_t n_finished;     /* outputs of the last step: finishes marked */
-    int64_t hard;           /* ... and how many ranked in a window or slot */
     int64_t size[2];        /* hypotheses on each side */
+    int64_t forward_passes; /* the counts of ``decode._beam_core`` */
+    int64_t positions;
+    int64_t emitted;
+    int64_t hard;           /* EOS candidates ranked in a window or slot */
+    int64_t empty_beam;     /* the stop: 1 when ``hard`` reached ``width`` */
+    int64_t n_finished;     /* finishes marked since the caller read them */
+    int64_t n_finish_ids;   /* ... and the ids they take in ``finished`` */
+    int64_t n_wanted;       /* ids in ``wanted`` */
+    int64_t *index;
+    const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
+    const int64_t *queued;  /* rows to index, per block of rows one after
+                               another: its row count, its first row's
+                               address, each row's context length, then
+                               their ids */
     const int64_t *phrases; /* the phrases' tokens, one phrase after another */
     const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
-    const double *rows;     /* the step's log row per hypothesis, width x vocab */
+    double *rows;           /* the step's log row per hypothesis, width x vocab */
     int64_t *parent;        /* the next beam in rank order: parent index */
     int64_t *token;         /* ... and new token */
-    int64_t *finished;      /* the parent index of each finish, in order */
+    int64_t *finished;      /* per finish, in order: its length, its tokens */
     double *finish_score;   /* ... and its EOS score */
     double *lp;             /* raw score per hypothesis */
     int64_t *progress;      /* per hypothesis, its position in each phrase */
     int64_t *bank;          /* per hypothesis, its summed progress */
     int64_t *order;         /* per hypothesis, the rank of its tokens among
                                the side's tokens in lexicographic order */
+    int64_t *tokens;        /* per hypothesis, capacity ids */
+    int64_t *wanted;        /* per hypothesis whose row the index lacks: a
+                               prefix's length, then its ids */
 };
 
-int64_t tsd_beam_step(struct tsd_beam *s, int64_t last);
+int64_t tsd_beam_search(struct tsd_search *s);
 
 /* A candidate: an EOS completion (token -1) or a one-token child. */
 struct cand {
@@ -245,12 +282,6 @@ static int64_t argmax(const double *row, int64_t n)
         if (row[i] > row[best])
             best = i;
     return best;
-}
-
-static void finish(struct tsd_beam *s, int64_t parent, double score)
-{
-    s->finished[s->n_finished] = parent;
-    s->finish_score[s->n_finished++] = score;
 }
 
 /* Writes to ``top`` the first ``width`` one-token content children of the
@@ -293,29 +324,106 @@ static void next_order(const int64_t *order, const int64_t *parent, const int64_
     }
 }
 
-/* One step from the beam on side ``cur`` and its ``rows``: marks the
-   finishes and, unless ``last``, writes the next beam to the other side.
-   Returns the next beam's size, or -1 when memory runs out. */
-int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
+/* The first slot of the ``n`` context ids ``ctx``: their length, then
+   each id folded in by FNV-1a's step, spread over the 2^bits slots by
+   Fibonacci hashing. A probe steps from it to the next slot, cyclically,
+   until it finds the ids or a free slot; at most 3/4 of the slots are full,
+   so it ends. */
+static uint64_t first_slot(const struct tsd_search *s, const int64_t *ctx, int64_t n)
+{
+    uint64_t h = (uint64_t)n;
+    for (int64_t k = 0; k < n; k++)
+        h = (h ^ (uint64_t)ctx[k]) * UINT64_C(0x100000001B3);
+    return (h * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->bits);
+}
+
+/* Enters the row at ``address`` for the ``n`` context ids ``ctx``, which
+   the index lacks. */
+static void enter(struct tsd_search *s, const int64_t *ctx, int64_t n, int64_t address)
+{
+    uint64_t mask = (UINT64_C(1) << s->bits) - 1, slot = first_slot(s, ctx, n);
+    while (s->index[slot * s->slot_width])
+        slot = (slot + 1) & mask;
+    int64_t *entry = s->index + slot * s->slot_width;
+    entry[0] = address;
+    entry[1] = n;
+    memcpy(entry + 2, ctx, n * sizeof *ctx);
+}
+
+/* The log row of the ``n`` context ids ``ctx`` in the index, or NULL when
+   it holds none: the probe compares the ids, never the hash alone. */
+static const double *find_row(const struct tsd_search *s, const int64_t *ctx, int64_t n)
+{
+    uint64_t mask = (UINT64_C(1) << s->bits) - 1;
+    for (uint64_t slot = first_slot(s, ctx, n);; slot = (slot + 1) & mask) {
+        const int64_t *entry = s->index + slot * s->slot_width;
+        if (!entry[0])
+            return NULL;
+        if (entry[1] == n && !memcmp(entry + 2, ctx, n * sizeof *ctx))
+            return (const double *)(intptr_t)entry[0];
+    }
+}
+
+/* Moves the entries of ``old_index`` into the index, then enters the
+   queued rows. */
+static void index_rows(struct tsd_search *s)
+{
+    if (s->old_index) {
+        for (int64_t i = 0; i < INT64_C(1) << s->old_bits; i++) {
+            const int64_t *entry = s->old_index + i * s->old_width;
+            if (entry[0])
+                enter(s, entry + 2, entry[1], entry[0]);
+        }
+        s->old_index = NULL;
+    }
+    for (const int64_t *q = s->queued, *end = q + s->n_queued; q < end;) {
+        const int64_t n_rows = q[0], *lengths = q + 2;
+        const int64_t *ids = lengths + n_rows;
+        for (int64_t r = 0; r < n_rows; r++) {
+            enter(s, ids, lengths[r], q[1] + r * s->vocab * (int64_t)sizeof(double));
+            ids += lengths[r];
+        }
+        q = ids;
+    }
+    s->n_queued = 0;
+}
+
+/* The scratch of one call: candidates, their rank order, slot flags and
+   moved progress, bank counts, the hypotheses finished in this step and a
+   context. */
+struct scratch {
+    struct cand *cands;
+    int64_t *ranked, *in_slot, *moved, *counts, *marked, *ctx;
+};
+
+/* Marks hypothesis ``b`` of the step finished with ``score``, once per
+   step: a second finish in a step has the same tokens and score. */
+static void finish(struct tsd_search *s, struct scratch *w, int64_t b, double score)
+{
+    if (w->marked[b])
+        return;
+    w->marked[b] = 1;
+    const int64_t *tokens = s->tokens + (s->cur * s->width + b) * s->capacity;
+    s->finished[s->n_finish_ids++] = s->step;
+    memcpy(s->finished + s->n_finish_ids, tokens, s->step * sizeof *tokens);
+    s->n_finish_ids += s->step;
+    s->finish_score[s->n_finished++] = score;
+}
+
+/* One step of ``decode._PythonStep`` from the beam on side ``cur`` and its
+   ``rows``: marks the finishes and, unless ``last``, writes the next beam
+   to the other side, with ``parent`` and ``token``. Returns its size. */
+static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in];
     const int64_t width = s->width, vocab = s->vocab, n_phrases = s->n_phrases;
     const double *lp = s->lp + in * width;
     const int64_t *progress = s->progress + in * width * n_phrases, *bank = s->bank + in * width;
     const int64_t *order = s->order + in * width;
-    const int64_t max_cands = n_beam + width + n_phrases * n_beam;
-    struct cand *cands = malloc(max_cands * sizeof *cands);
-    int64_t *ranked = malloc(max_cands * sizeof *ranked);
-    int64_t *in_slot = malloc(max_cands * sizeof *in_slot);
-    int64_t *moved = malloc((max_cands * n_phrases + 1) * sizeof *moved);
-    int64_t *counts = calloc(3 * (s->complete + 1), sizeof *counts);
+    struct cand *cands = w->cands;
+    int64_t *ranked = w->ranked, *in_slot = w->in_slot, *moved = w->moved;
     int64_t n = 0, next = 0;
-    s->n_finished = 0;
-    s->hard = 0;
-    if (!cands || !ranked || !in_slot || !moved || !counts) {
-        next = -1;
-        goto done;
-    }
+    memset(w->marked, 0, width * sizeof *w->marked);
 
     /* EOS candidates of the complete hypotheses; one finishes when EOS is
        its argmax and, under constraints, at the length budget. */
@@ -326,10 +434,10 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
         struct cand eos = {lp[b] + row[s->eos], b, -1, bank[b], progress + b * n_phrases};
         cands[n++] = eos;
         if (argmax(row, vocab) == s->eos || (n_phrases && last))
-            finish(s, b, eos.score);
+            finish(s, w, b, eos.score);
     }
     if (last)
-        goto done;
+        return 0;
 
     /* The top ``width`` content expansions, kept in rank order. */
     const int64_t first_child = n;
@@ -376,9 +484,10 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
 
     /* Slots shared evenly over the non-empty banks, remainders to higher
        banks. */
-    int64_t *slots = counts, *seen = slots + s->complete + 1;
+    int64_t *slots = w->counts, *seen = slots + s->complete + 1;
     int64_t *kept = seen + s->complete + 1;
     int64_t n_banks = 0;
+    memset(slots, 0, 3 * (s->complete + 1) * sizeof *slots);
     for (int64_t i = 0; i < n; i++)
         n_banks += !slots[cands[i].bank]++;
     for (int64_t b = s->complete, i = 0; b >= 0; b--)
@@ -395,7 +504,7 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
         const struct cand *c = &cands[ranked[i]];
         if (c->token < 0) {
             if (i < width || seen[c->bank] < slots[c->bank]) {
-                finish(s, c->parent, c->score);
+                finish(s, w, c->parent, c->score);
                 s->hard++;
             }
         } else {
@@ -426,18 +535,102 @@ int64_t tsd_beam_step(struct tsd_beam *s, int64_t last)
     }
     next_order(order, s->parent, s->token, next, s->order + out * width);
     s->size[out] = next;
-
-done:
-    free(cands);
-    free(ranked);
-    free(in_slot);
-    free(moved);
-    free(counts);
     return next;
 }
 
+/* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
+   beam on side ``cur``, at length ``step``, until it stops at the length
+   budget or on an empty beam (returns 0), or until a step needs what the
+   caller must give first (returns 1): room for the next beam's tokens
+   (``step`` is ``capacity``), room for the step's finishes, or the rows of
+   the prefixes in ``wanted``. The step is then not begun; the caller reads
+   and clears the finishes, grows the buffers or draws the wanted rows, and
+   calls again to resume. Returns -1 when memory runs out. */
+int64_t tsd_beam_search(struct tsd_search *s)
+{
+    const int64_t width = s->width, vocab = s->vocab, max_len = s->max_len, cap = s->capacity;
+    const int64_t max_cands = width * (2 + s->n_phrases);
+    struct scratch w = {
+        malloc(max_cands * sizeof *w.cands), malloc(max_cands * sizeof *w.ranked),
+        malloc(max_cands * sizeof *w.in_slot), malloc((max_cands * s->n_phrases + 1) * sizeof *w.moved),
+        malloc(3 * (s->complete + 1) * sizeof *w.counts), malloc(width * sizeof *w.marked),
+        malloc((cap + 1) * sizeof *w.ctx),
+    };
+    int64_t status = 0;
+    index_rows(s);
+    if (!w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.marked || !w.ctx) {
+        status = -1;
+        goto done;
+    }
+    for (;;) {
+        const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], step = s->step;
+        s->n_wanted = 0;
+        if ((step == cap && step < max_len) || s->n_finished + n_beam > s->finish_room
+            || s->n_finish_ids + n_beam * (step + 1) > s->finish_room * (cap + 1)) {
+            status = 1;
+            break;
+        }
+        /* Each hypothesis's row: its context is the last ``n_context`` ids
+           of BOS + its tokens (``lm.SequenceModel._contexts``). A
+           hypothesis whose row the index lacks goes to ``wanted`` as the
+           shortest prefix with that context: its last ``n_context`` tokens,
+           or all of them. */
+        for (int64_t b = 0; b < n_beam; b++) {
+            const int64_t *tokens = s->tokens + (in * width + b) * cap, *ctx = w.ctx;
+            int64_t n = step + 1;
+            if (step >= s->n_context) {
+                ctx = tokens + step - s->n_context;
+                n = s->n_context;
+            } else {
+                w.ctx[0] = s->bos;
+                memcpy(w.ctx + 1, tokens, step * sizeof *tokens);
+            }
+            const double *row = find_row(s, ctx, n);
+            if (row) {
+                memcpy(s->rows + b * vocab, row, vocab * sizeof *row);
+                continue;
+            }
+            const int64_t k = n - (step < s->n_context);
+            s->wanted[s->n_wanted++] = k;
+            memcpy(s->wanted + s->n_wanted, tokens + step - k, k * sizeof *tokens);
+            s->n_wanted += k;
+        }
+        if (s->n_wanted) {
+            status = 1;
+            break;
+        }
+        /* The logical forced pass over BOS + tokens that each row ends. */
+        s->forward_passes += n_beam;
+        s->positions += n_beam * (step + 1);
+        const int64_t last = step == max_len, next = beam_step(s, &w, last);
+        if (last)
+            break;
+        if (s->hard >= width) {
+            s->empty_beam = 1;
+            break;
+        }
+        for (int64_t i = 0; i < next; i++) {
+            int64_t *to = s->tokens + (out * width + i) * cap;
+            memcpy(to, s->tokens + (in * width + s->parent[i]) * cap, step * sizeof *to);
+            to[step] = s->token[i];
+        }
+        s->cur = out;
+        s->step++;
+        s->emitted++;
+    }
+done:
+    free(w.cands);
+    free(w.ranked);
+    free(w.in_slot);
+    free(w.moved);
+    free(w.counts);
+    free(w.marked);
+    free(w.ctx);
+    return status;
+}
+
 /* One PSGD decode's beam and buffers, allocated by ``rowkernel.CompiledRound``
-   for one ``decode._SpanScorer``. As in ``struct tsd_beam``, the beam lives on
+   for one ``decode._SpanScorer``. As in ``struct tsd_search``, the beam lives on
    side ``cur`` of ``lp``, ``order`` and ``carry``; a round that expands writes
    the children to the other side. Every item of a beam holds a span of
    ``n_terms`` tokens, and no two hold the same span; its carry is its span's

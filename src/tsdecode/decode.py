@@ -38,18 +38,21 @@ ranks every candidate once, in one list sorted by ``scoring.rank``, and
 reads the global window, each bank's slots, the backfill and the next beam
 from that one order.
 
-The beam loop takes each step with one of two steps that give the same
-results: ``rowkernel.CompiledStep``, ``_rowkernel.c``'s ``tsd_beam_step``
-on buffers each decode allocates once, when the kernel builds, loads and
-passes its check (``rng.compiled().beam_step``), and ``_PythonStep``
-otherwise, which is also the reference the compiled step is checked
-against. The loop itself holds the tokens, the finishes, the counts and the
-stop reasons, the same for both.
+The beam loop runs one of two ways that give the same results:
+``rowkernel.CompiledSearch``, ``_rowkernel.c``'s ``tsd_beam_search``, the
+whole loop in one compiled call that reads its rows from the memo's index
+and returns to Python only for rows the memo lacks, when the kernel builds,
+loads and passes its check (``rng.compiled().beam_search``) and the model
+takes its contexts by ``SequenceModel``'s rule; and ``_python_search``
+otherwise, which is also the reference the compiled search is checked
+against: a loop holding the tokens, the finishes, the counts and the stop
+reasons, which takes each step with ``_PythonStep``.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows through the model's one unchecked batched lookup,
 ``SequenceModel.rows_after``, which draws the rows a batch misses in one
-block: PSGD makes one call per scoring round, the beam loop one per step.
+block: PSGD makes one call per scoring round, the Python beam loop one
+per step and the compiled one per step that misses rows.
 
 The Python round and step order all candidates with ``scoring.rank`` and
 extend their beams with one expansion step, ``_expand``. It works on
@@ -462,8 +465,8 @@ def _pick_best(entries) -> tuple[float, Tokens]:
 
 
 class _PythonStep:
-    """One decode's beam step in Python: the step taken when the compiled
-    ``tsd_beam_step`` is not loaded, and the reference it is checked against.
+    """One decode's beam step in Python: the step of ``_python_search``,
+    which ``_rowkernel.c``'s ``beam_step`` reproduces.
 
     It holds the beam's (raw score, constraint progress, bank) entries; the
     caller holds their tokens. Called with each hypothesis's log row, the
@@ -569,42 +572,16 @@ class _PythonStep:
         return [(t, *entry) for t, entry in zip(tokens, self.state)]
 
 
-def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
-    """Full-sentence beam search from BOS under ``params.constraints``.
-
-    Returns the finished sequences with their raw scores (EOS included), the
-    final beam as (tokens, raw score, constraint progress, bank) entries, and
-    the decode statistics. See ``dba_decode`` for the search itself. Each
-    step's selection is ``rowkernel.CompiledStep``'s or ``_PythonStep``'s,
-    which give the same results; this loop holds the tokens, the finishes, the counts
-    and the stop reasons.
-    """
-    if params.beam_width < 1:
-        raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
-    if params.max_len < 0:
-        raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
-    # Inputs are checked once here: every later row is read unchecked, and
-    # hypotheses hold only content ids and constraint tokens.
-    src = as_tokens(source)
-    check_tokens(src, model.vocab, "source", content=False)
-    constraints = tuple(as_tokens(c) for c in params.constraints)
-    for c in constraints:
-        if len(c) == 0:
-            raise InvalidParams("constraint phrases must be non-empty")
-        check_tokens(c, model.vocab, "constraint")
-    rows_after = model.rows_after
-    beam_width = params.beam_width
-    # The step, compiled when the kernel loads and passes its check.
-    kernel = rng.compiled().beam_step
-    start = [((), 0.0, tuple(0 for _ in constraints), 0)]
-    if kernel:
-        from .rowkernel import CompiledStep
-
-        take = CompiledStep(kernel, model.vocab, constraints, beam_width, start)
-    else:
-        take = _PythonStep(model.vocab, constraints, beam_width, start)
-
-    t0 = time.perf_counter()
+def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
+                   max_len: int) -> tuple[dict[Tokens, float], Beam, tuple[int, int, int, str]]:
+    """``_beam_core``'s search in Python, one ``_PythonStep`` per step and
+    one ``rows_after`` call per step for one row per hypothesis: the search
+    taken when the compiled ``tsd_beam_search`` cannot be, and the
+    reference it is checked against. Returns the finished sequences with
+    their raw scores, the final beam and the counts (forward passes,
+    positions scored, emitted steps, stop reason). This loop holds the
+    tokens, the finishes, the counts and the stop reasons."""
+    take = _PythonStep(model.vocab, constraints, beam_width, [((), 0.0, tuple(0 for _ in constraints), 0)])
     fw = 0
     pos_scored = 0
     emitted = 0
@@ -614,12 +591,12 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
     tokens: list[Tokens] = [()]
     finished: dict[Tokens, float] = {}
 
-    for step in range(params.max_len + 1):
-        last = step == params.max_len
+    for step in range(max_len + 1):
+        last = step == max_len
         # One memoised row per hypothesis, from one batched lookup; the
         # statistics still count the logical forced pass over BOS + tokens
         # that each row ends.
-        rows = rows_after(src, tokens)
+        rows = model.rows_after(src, tokens)
         fw += len(tokens)
         pos_scored += len(tokens) * (step + 1)  # every hypothesis holds step tokens
         survivors, finishes, hard = take(rows, tokens, last)
@@ -634,7 +611,44 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         tokens = [tokens[parent] + (tok,) for parent, tok in survivors]
         take.advance()
         emitted += 1
+    return finished, take.beam(tokens), (fw, pos_scored, emitted, stop_reason)
 
+
+def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
+    """Full-sentence beam search from BOS under ``params.constraints``.
+
+    Returns the finished sequences with their raw scores (EOS included), the
+    final beam as (tokens, raw score, constraint progress, bank) entries, and
+    the decode statistics. See ``dba_decode`` for the search itself. The
+    search is ``rowkernel.CompiledSearch``'s, one compiled call that returns
+    to Python only for rows the memo lacks, when the kernel loads and passes
+    its check and the model takes its contexts by ``SequenceModel``'s rule;
+    otherwise ``_python_search``'s. Both give the same results.
+    """
+    if params.beam_width < 1:
+        raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
+    if params.max_len < 0:
+        raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
+    # Inputs are checked once here: every later row is read unchecked, and
+    # hypotheses hold only content ids and constraint tokens.
+    src = as_tokens(source)
+    check_tokens(src, model.vocab, "source", content=False)
+    constraints = tuple(as_tokens(c) for c in params.constraints)
+    for c in constraints:
+        if len(c) == 0:
+            raise InvalidParams("constraint phrases must be non-empty")
+        check_tokens(c, model.vocab, "constraint")
+    t0 = time.perf_counter()
+    kernel = rng.compiled().beam_search
+    if kernel and getattr(type(model), "_contexts", None) is SequenceModel._contexts:
+        from .rowkernel import CompiledSearch
+
+        search = CompiledSearch(kernel, model, src, constraints, params.beam_width, params.max_len)
+        finished, beam, (fw, pos_scored, emitted, stop_reason) = search()
+    else:
+        finished, beam, (fw, pos_scored, emitted, stop_reason) = _python_search(
+            model, src, constraints, params.beam_width, params.max_len
+        )
     stats = DecodeStats(
         forward_passes=fw,
         positions_scored=pos_scored,
@@ -642,7 +656,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return finished, take.beam(tokens), stats
+    return finished, beam, stats
 
 
 def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> BeamSearchResult:

@@ -15,7 +15,11 @@ one source, whose contexts one ``_contexts`` call computes. Its one miss
 path, ``_draw``, takes the finished rows of the contexts a batch misses as
 one block from ``_finished_rows``, each distinct context once, and keeps
 one read-only log row per context: every decoder scores with
-log-probabilities only. Row bytes do not depend on the block: an
+log-probabilities only. The log rows sit in the model's row store, float64
+chunks that never move, and each memo row is a read-only view of its
+chunk. A source that a compiled beam search reads also has an index
+(``_Index``), through which the search reads rows by context, without
+Python. Row bytes do not depend on the block: an
 ``NgramGenModel`` row is a pure function of its key, ``hash_key(seed, tag,
 source, context)``, and finishing acts on each row alone, in place in the
 block. The compiled kernel returns an ``NgramGenModel`` block's finished
@@ -37,7 +41,8 @@ its ``log_rows`` hold the log distribution at every position
 finished again by ``_finished_rows``, outside the memo, when first read. The
 decoders check their inputs once per decode and then call ``rows_after``
 directly: PSGD once per scoring round for the few rows its items' spans
-change, the beam core once per step for one row per hypothesis.
+change, the beam core once per step for one row per hypothesis, or, when
+compiled, once per step that misses rows.
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import json
 import math
-from ctypes import c_double
+from ctypes import addressof, c_char, c_double
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -152,13 +157,37 @@ def _numpy_finalize(rows: np.ndarray, bos_id: int) -> np.ndarray:
     return rows
 
 
+# Rows per chunk of the row store, unless one block needs more.
+CHUNK_ROWS = 64
+
+
+class _Index:
+    """The index a compiled beam search probes for one source's memo rows.
+
+    ``table`` is an int64 ``array`` of ``2 ** bits`` slots of ``width``
+    ids, each ``[row address, context length, context ids]`` or 0s;
+    ``rowkernel.CompiledSearch`` sizes it for ``count`` rows and the kernel
+    enters the rows into it. A source has an index from its first compiled
+    search on; ``_draw`` then queues each block it adds in ``pending``, as
+    ``(contexts, address of the first row)``.
+    """
+
+    __slots__ = ("pending", "count", "table", "bits", "width")
+
+    def __init__(self, pending: list[tuple[Sequence[Tokens], int]]) -> None:
+        self.pending, self.count = pending, 0
+        self.table, self.bits, self.width = None, 0, 2
+
+
 class SequenceModel:
     """Base class: subclasses provide the raw rows of contexts of one source,
     or their finished rows.
 
     ``name`` is the spec kind, ``order`` the context length; ``seed`` is the
     row seed of models that draw their rows (0 for the others). Finalized
-    log rows are memoized per source, then per context.
+    log rows are memoized per source, then per context; their data sit in
+    the model's row store, float64 chunks of ``CHUNK_ROWS`` rows
+    that never move, filled in the order the rows are drawn.
     """
 
     seed = 0
@@ -170,6 +199,11 @@ class SequenceModel:
         self.vocab = vocab
         self.order = order
         self._row_cache: dict[Tokens, dict[Tokens, np.ndarray]] = {}
+        self._indexes: dict[Tokens, _Index] = {}
+        # The chunk being filled, its read-only view, its address and the
+        # rows used.
+        self._chunk = self._read_only = np.empty((0, vocab.size))
+        self._address = self._used = 0
 
     def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
         """The conditioning context of each target prefix: the last
@@ -194,22 +228,29 @@ class SequenceModel:
 
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
         """Memoise the log rows of distinct uncached contexts of one source,
-        from one block of ``_finished_rows``: the memo's one miss path."""
-        bos = self.vocab.bos_id
+        from one block of ``_finished_rows``: the memo's one miss path. The
+        log rows are written into the model's chunk, a new one when they do
+        not fit, each context keeps a read-only view of its row, and the
+        block is queued for the source's index once it has one."""
+        bos, n, size = self.vocab.bos_id, len(contexts), self.vocab.size
         rows = self._finished_rows(source, contexts)
         # The log of BOS's exact 0 is -inf, written after the log: with a
         # 1.0 there, np.log meets no zero (every other entry is at least
         # EPS_FLOOR) and needs no np.errstate.
         rows[:, bos] = 1.0
-        np.log(rows, out=rows)
-        rows[:, bos] = -math.inf
-        # One copy per row, not a view of the block: memo rows kept as views
-        # of their blocks raised the benchmark's peak RSS.
-        memo = self._row_cache.setdefault(source, {})
-        for context, row in zip(contexts, rows):
-            row = row.copy()
-            row.setflags(write=False)
-            memo[context] = row
+        at = self._used
+        if at + n > len(self._chunk):
+            self._chunk = np.empty((max(CHUNK_ROWS, n), size))
+            self._read_only = self._chunk.view()
+            self._read_only.setflags(write=False)
+            self._address, at = addressof(c_char.from_buffer(self._chunk)), 0
+        self._used = at + n
+        logs = np.log(rows, out=self._chunk[at : at + n])
+        logs[:, bos] = -math.inf
+        self._row_cache.setdefault(source, {}).update(zip(contexts, self._read_only[at : at + n]))
+        index = self._indexes.get(source)
+        if index is not None:
+            index.pending.append((contexts, self._address + 8 * size * at))
 
     def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
         """The memoised log rows of the next-token distribution given BOS +
@@ -267,10 +308,6 @@ class UniformModel(SequenceModel):
     def __init__(self, vocab: Vocab) -> None:
         super().__init__(_KIND_UNIFORM, vocab, 1)
         self._row = _uniform_row(vocab)
-
-    def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
-        # Position-independent model: one cache entry per source.
-        return [()] * len(prefixes)
 
     def _raw_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> list[np.ndarray]:
         return [self._row] * len(contexts)

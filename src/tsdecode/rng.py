@@ -25,7 +25,7 @@ returns the finished rows of a whole block of an n-gram model's contexts
 in one call, ``tsd_block``, which folds each row's key, draws the row on a
 fresh stream, the gamma variates divided by their sum, and finishes it as
 ``lm._numpy_finalize`` does. The kernel is built and loaded when a process
-first draws an n-gram model's rows, takes a beam step or scores a PSGD
+first draws an n-gram model's rows, runs a beam search or scores a PSGD
 round, and its block is used only if it finishes a fixed set of blocks
 (``lm.CHECK_BLOCKS``) exactly as the Python path does; their rows cover a
 long run of rejections, the shape 1.0 edge, a boost power of 20, a row
@@ -34,7 +34,7 @@ row wide enough to tell that sum from any one of its rules changed. The
 kernel adds a row up in the order numpy's pairwise sum does, and its check
 compares bytes, so a numpy that sums otherwise only sends rows back to
 Python. ``compiled()`` loads the kernel once per process, for row blocks,
-beam steps and PSGD rounds alike. The transcendentals of both loops are
+beam searches and PSGD rounds alike. The transcendentals of both loops are
 scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
 ``math.sqrt`` and float ``**`` make, on the same operands in the same
 order, and never numpy's: ``np.log`` does not round like ``math.log`` on
@@ -113,7 +113,7 @@ def hash_key(*parts: int | Iterable[int]) -> int:
 
 
 # This process's compiled kernel, a ``rowkernel.Functions``, once the first
-# n-gram row block, beam step or PSGD round has loaded it; None before.
+# n-gram row block, beam search or PSGD round has loaded it; None before.
 _compiled = None
 _lock = threading.Lock()
 

@@ -58,9 +58,9 @@ def finalize_path(request):
 
 @pytest.fixture
 def beam_path(request):
-    """Takes the test's beam-search steps with the step named by its
+    """Runs the test's beam searches with the search named by its
     parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
-    with run_by("beam_step", request.param):
+    with run_by("beam_search", request.param):
         yield request.param
 
 

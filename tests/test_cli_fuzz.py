@@ -118,7 +118,11 @@ def fuzz(directory: str) -> None:
             text = jsonl(changed) if name != "spec" and isinstance(changed, list) else json.dumps(changed).encode()
         else:
             text = data.draw(damaged(valid[name]))
+        # Each file is unlinked before it is written: opening a file that
+        # holds data with O_TRUNC can wait tens of milliseconds on the disk's
+        # writeback, while creating a new one does not.
         for each in valid:
+            Path(path[each]).unlink(missing_ok=True)
             Path(path[each]).write_bytes(text if each == name else valid[each])
         if name == "results":
             argv = ["eval", "--tasks", path["tasks"], "--results", path["results"], "--out", path["out"]]

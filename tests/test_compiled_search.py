@@ -1,0 +1,202 @@
+"""The compiled beam search against the Python search, decode by decode:
+the same finished sequences in the same order, the same final beam, the
+same statistics and the same result bytes, on random n-gram and table
+models, constrained or not, on a cold memo and on one filled first. A warm
+decode is one compiled call, and a cold one returns to Python once per step
+that misses rows, drawing them through ``rows_after``."""
+
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tsdecode import decode, rng, rowkernel
+from tsdecode.core import ResultRow, TokenSeq, TsTask, Vocab, result_to_dict
+from tsdecode.decode import DbaParams, beam_search, dba_suggest
+from tsdecode.lm import NgramGenModel, TableModel, make_perturbed_sibling
+from tsdecode.rng import Stream, hash_key
+
+from util import kernel_paths, run_by
+
+needs_search_kernel = pytest.mark.skipif(
+    "kernel" not in kernel_paths("beam_search"), reason="the compiled beam search cannot be built here"
+)
+
+
+def table_model(seed, vocab_size, order, tied):
+    """An order-``order`` table model over ``vocab_size`` ids with a row
+    for some contexts of sources (2,) and (3,): random rows, or rows of
+    few distinct values, so that scores tie."""
+    vocab = Vocab(vocab_size)
+    stream = Stream(hash_key(seed, 0x7AB1E))
+    content = vocab.content_ids
+    table = {}
+    for source in ((2,), (3,)):
+        for _ in range(12):
+            length = stream.randint(1, order)
+            context = (vocab.bos_id,) * (stream.randint(0, 1)) + tuple(stream.choice(content) for _ in range(length))
+            if tied:
+                weights = [float(stream.choice((1, 2, 4))) for _ in range(vocab_size - 1)]
+            else:
+                weights = stream.dirichlet(0.5, vocab_size - 1).tolist()
+            total = sum(weights)
+            table[(source, context[-order:])] = [0.0, *(w / total for w in weights)]
+    return TableModel(vocab, order, table)
+
+
+@st.composite
+def decodes(draw):
+    """(model factory, source, constraints, width, max_len, warm-up)."""
+    kind = draw(st.sampled_from(["ngram", "sibling", "table", "tied"]))
+    vocab_size = draw(st.sampled_from([5, 8, 20]))
+    order = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind in ("ngram", "sibling"):
+        concentration = draw(st.sampled_from([0.05, 0.2, 1.0]))
+
+        def factory():
+            model = NgramGenModel(Vocab(vocab_size), order, seed, concentration)
+            return make_perturbed_sibling(model, seed + 1, 0.5) if kind == "sibling" else model
+    else:
+        def factory():
+            return table_model(seed, vocab_size, order, kind == "tied")
+    content = Vocab(vocab_size).content_ids
+    source = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=1)))
+    phrase = st.lists(st.sampled_from(content[:4]), min_size=1, max_size=3).map(tuple)
+    constraints = tuple(draw(st.lists(phrase, max_size=2)))
+    width = draw(st.integers(1, 6))
+    max_len = draw(st.integers(0, 8))
+    warm = draw(st.sampled_from(["cold", "forced", "decoded"]))
+    return factory, source, constraints, width, max_len, warm
+
+
+def warmed(factory, source, warm):
+    """A new model, its memo filled first by forced passes or by a decode
+    of another width when ``warm`` says so."""
+    model = factory()
+    if warm == "forced":
+        content = model.vocab.content_ids
+        for target in [(), content[:3], content[-2:] * 2, (content[0],) * 4]:
+            model.forced_pass(source, target)
+    elif warm == "decoded":
+        decode._python_search(model, source, (), 3, 5)
+    return model
+
+
+def outcome(path, factory, source, constraints, width, max_len, warm):
+    """What a decode gives on the ``path`` way: the finished sequences in
+    the order they finished, the final beam and the statistics of the beam
+    core, and the result bytes of the DBA suggestion under the same
+    constraints as prefix and suffix (or ``None`` when nothing finished),
+    each float as its hex."""
+    prefix, suffix = (constraints + ((), ()))[:2]
+    task = TsTask("t", TokenSeq(source), TokenSeq(prefix), TokenSeq(suffix))
+    with run_by("beam_search", path):
+        model = warmed(factory, source, warm)
+        finished, beam, stats = decode._beam_core(model, source, DbaParams(width, max_len, constraints))
+        try:
+            suggestion = dba_suggest(warmed(factory, source, warm), task, beam_width=width, max_len=max_len)
+        except decode.ConstraintsUnsatisfiable:
+            suggestion = None
+    row = None
+    if suggestion is not None:
+        s = suggestion.stats
+        row = result_to_dict(ResultRow(task.task_id, "dba", suggestion.span.tokens, suggestion.whole_seq_score,
+                                       s.forward_passes, s.positions_scored, s.emitted_steps, s.stop_reason, 0))
+    return rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0), row
+
+
+def _never_finishes():
+    # EOS is floored to 1e-12 everywhere: nothing finishes, and the
+    # unconstrained search is not forced to finish at max_len.
+    vocab = Vocab(7)
+    row = [0.0, 0.0, 0.2, 0.2, 0.2, 0.2, 0.2]
+    rows = {((2,), ctx): row for ctx in [(0,)] + [(t,) for t in vocab.content_ids]}
+    return lambda: TableModel(vocab, 1, rows)
+
+
+@needs_search_kernel
+@given(decodes())
+@example((_never_finishes(), (2,), (), 2, 4, "cold"))
+@example((_never_finishes(), (2,), ((3, 4),), 2, 4, "cold"))
+@settings(max_examples=150, deadline=None)
+def test_compiled_search_equals_python_search(case):
+    assert outcome("kernel", *case) == outcome("python", *case)
+
+
+@needs_search_kernel
+@pytest.mark.parametrize("path", ["python", "kernel"])
+def test_the_open_found_case_stays_unfinished_on_both_paths(path):
+    # Unconstrained beam search is not force-finished at max_len, on either
+    # path: the condition is ``constraints and last`` in both.
+    with run_by("beam_search", path):
+        got = beam_search(_never_finishes()(), (2,), beam_width=2, max_len=4)
+    assert not got.finished and len(got.tokens) == 4
+
+
+@needs_search_kernel
+@pytest.mark.parametrize("constraints", [(), ((3, 4),)], ids=["plain", "constrained"])
+def test_a_decode_longer_than_the_first_capacity_grows_it(constraints):
+    # Nothing finishes before the budget, so the search runs to 150 tokens,
+    # past the 64 a hypothesis has room for at first.
+    outcomes = [outcome(path, _never_finishes(), (2,), constraints, 3, 150, "cold") for path in ("python", "kernel")]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1].emitted_steps == 150 > rowkernel.INITIAL_CAPACITY
+
+
+@needs_search_kernel
+def test_a_decode_that_stops_on_an_empty_beam_matches():
+    # Every hypothesis of the uniform-EOS rows finishes in the window at
+    # once: beam-width many window finishes stop the search.
+    vocab = Vocab(6)
+    row = [0.0, 0.6, 0.1, 0.1, 0.1, 0.1]
+    model = lambda: TableModel(vocab, 1, {((2,), (t,)): row for t in (0, 2, 3, 4, 5)})
+    outcomes = [outcome(path, model, (2,), (), 3, 6, "cold") for path in ("python", "kernel")]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1].stop_reason == "empty_beam"
+
+
+@needs_search_kernel
+def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_step():
+    kernel = rng.compiled().beam_search
+    calls = []
+
+    def counted(address):
+        calls.append(address)
+        return kernel(address)
+
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    params = DbaParams(4, 10, ((4,), (6, 2)))
+    with run_by("beam_search", "kernel"):
+        rng._compiled = rng._compiled._replace(beam_search=counted)
+        cold = decode._beam_core(model, (3, 7, 5, 9), params)
+        cold_calls = len(calls)
+        calls.clear()
+        warm = decode._beam_core(model, (3, 7, 5, 9), params)
+    assert cold_calls > 1 and len(calls) == 1
+    assert cold[:2] == warm[:2]
+
+
+class _Forgetful(NgramGenModel):
+    """A model whose ``rows_after`` draws nothing into its memo."""
+
+    def rows_after(self, source, prefixes):
+        return self._finished_rows(source, self._contexts(prefixes))
+
+
+@needs_search_kernel
+def test_a_rows_after_that_keeps_no_rows_raises_instead_of_looping():
+    with run_by("beam_search", "kernel"):
+        with pytest.raises(RuntimeError, match="out of the memo"):
+            decode._beam_core(_Forgetful(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
+
+
+def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
+    class Shortsighted(NgramGenModel):
+        def _contexts(self, prefixes):
+            return [p[-1:] for p in prefixes]
+
+    monkeypatch.setattr(rowkernel, "CompiledSearch", lambda *a: pytest.fail("compiled"))
+    model = Shortsighted(Vocab(8), 2, 3, 0.5)
+    finished, _, _ = decode._beam_core(model, (2,), DbaParams(2, 4))
+    assert finished == decode._python_search(Shortsighted(Vocab(8), 2, 3, 0.5), (2,), (), 2, 4)[0]

@@ -193,7 +193,7 @@ PINNED_BEAM_CORE = {
 
 # Ids as pytest gave them when the keys also held the raw-score mode.
 @over_paths(
-    "beam_step", "constraints", [(c,) for c in sorted(PINNED_BEAM_CORE)], ["constraints1-True", "constraints3-True"]
+    "beam_search", "constraints", [(c,) for c in sorted(PINNED_BEAM_CORE)], ["constraints1-True", "constraints3-True"]
 )
 def test_beam_core_queries_last_rows_and_keeps_logical_counts(monkeypatch, beam_path, constraints):
     # The beam core reads one row per hypothesis per step through the

@@ -16,6 +16,7 @@ import gc
 import importlib.util
 import math
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -23,8 +24,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tsdecode import decode, harness, rng
-from tsdecode.core import Vocab
+from tsdecode import decode, harness, lm, rng
+from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import _ROW_TAG, NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, hash_key
 
@@ -268,10 +269,11 @@ def test_cold_forced_pass_draws_one_block(monkeypatch):
     assert blocks == [5]
 
 
-def test_a_missed_block_is_one_compiled_call_and_owned_read_only_rows():
+def test_a_missed_block_is_one_compiled_call_and_read_only_views():
     """A miss of R distinct contexts makes exactly one call into the
     compiled kernel, whatever function it calls, and each memo row it adds
-    is a read-only copy that owns its data, not a view of the block."""
+    is a read-only view of the model's row store, one chunk for the block,
+    that owns no data."""
     if "kernel" not in kernel_paths("block"):
         pytest.skip("the compiled row block cannot be built here")
     loaded = rng.compiled()
@@ -294,8 +296,40 @@ def test_a_missed_block_is_one_compiled_call_and_owned_read_only_rows():
     assert calls == ["block"]
     assert len(memo_snapshot(model)) == len(prefixes)
     for row in memo_snapshot(model).values():
-        assert row.base is None and not row.flags.writeable
+        assert not row.flags.owndata and not row.flags.writeable
+    assert len({id(row.base) for row in memo_snapshot(model).values()}) == 1
     assert all(any(row is kept for kept in memo_snapshot(model).values()) for row in rows)
+
+
+def test_a_memo_row_keeps_its_data_address_as_its_source_grows():
+    # Rows are views of chunks that never move: drawing many more rows of
+    # the same source fills new chunks and leaves the first row's data where
+    # it was, with the same bytes.
+    model = make_model(20, perturbed=False)
+    (first,) = model.rows_after(SRC, [(2,)])
+    address, kept = first.__array_interface__["data"][0], first.tobytes()
+    content = model.vocab.content_ids
+    for a in content:
+        model.rows_after(SRC, [(a, b) for b in content])
+    assert len(memo_snapshot(model)) > 3 * lm.CHUNK_ROWS
+    (again,) = model.rows_after(SRC, [(2,)])
+    assert again is first
+    assert first.__array_interface__["data"][0] == address and first.tobytes() == kept
+    assert len({id(row.base) for row in memo_snapshot(model).values()}) > 3
+
+
+def test_a_models_row_store_and_index_are_freed_with_it():
+    # No cache outlives its model: the chunks and the index a compiled
+    # search filled go when the model does.
+    model = make_model(20, perturbed=True)
+    decode.dba_suggest(model, TsTask("t", TokenSeq(SRC), TokenSeq((2,)), TokenSeq(())), beam_width=3)
+    memo, index = model._row_cache[SRC], model._indexes.get(SRC)
+    held = [weakref.ref(model), weakref.ref(next(iter(memo.values())).base)]
+    if index is not None:
+        held.append(weakref.ref(index.table))
+    del model, memo, index
+    gc.collect()
+    assert [ref() for ref in held] == [None] * len(held)
 
 
 def test_memo_costs_under_500_bytes_per_row():

@@ -84,7 +84,7 @@ def test_every_exported_kernel_function_is_a_field_of_functions():
 # The check in ``rowkernel`` that decides each field of ``Functions``.
 CHECKS = {
     "block": "block_self_check",
-    "beam_step": "beam_self_check",
+    "beam_search": "beam_search_self_check",
     "psgd_round": "psgd_self_check",
 }
 
@@ -94,20 +94,21 @@ def test_every_pointer_field_is_set():
     # field, and the kernel would read through NULL. No kernel is called.
     vocab = Vocab(6)
     takes = [
-        rowkernel.CompiledStep(None, vocab, rowkernel.CHECK_PHRASES, 3, rowkernel.CHECK_BEAM),
-        rowkernel.CompiledStep(None, vocab, (), 3, [((2,), -0.5, (), 0)]),
+        rowkernel.CompiledSearch(None, rowkernel._check_model(name, {}), source, constraints, width, max_len)
+        for name, source, constraints, width, max_len in rowkernel.CHECK_SEARCHES
     ]
+    n_searches = len(takes)
     for order, p, s, *_ in rowkernel.CHECK_ROUNDS:
         scorer = decode._SpanScorer(rowkernel._CheckModel(order), (), p, s)
         takes.append(rowkernel.CompiledRound(None, scorer, vocab, decode.PsgdParams(beam_width=3)))
-    assert [take.buffers.fixed_eos for take in takes[2:]] == [False, True]
+    assert [take.buffers.fixed_eos for take in takes[n_searches:]] == [False, True]
     for take in takes:
         assert rowkernel._pointers_set(take.buffers)
         assert not vars(take.buffers)
 
 
 # Loads the kernel from the cache directory argv[1] with every section named
-# "finished" misspelt, so that struct tsd_beam's pointer stays NULL, and
+# "finished" misspelt, so that struct tsd_search's pointer stays NULL, and
 # prints the functions that fell back and the warnings' categories.
 MISSPELT = """
 import sys, warnings
@@ -126,7 +127,7 @@ print([name for name, f in functions._asdict().items() if f is None], [w.categor
 
 @needs_compiler
 def test_a_null_section_pointer_falls_back_instead_of_crashing(built, tmp_path):
-    # The beam check refuses the take before the kernel writes a finish
+    # The search check refuses the take before the kernel writes a finish
     # through NULL, which would end the process.
     directory = tmp_path / "cache"
     directory.mkdir(mode=0o700)
@@ -136,7 +137,7 @@ def test_a_null_section_pointer_falls_back_instead_of_crashing(built, tmp_path):
     proc = subprocess.run([sys.executable, "-c", MISSPELT, str(directory)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[0] == "['beam_step'] ['RuntimeWarning']"
+    assert proc.stdout.split("\n")[0] == "['beam_search'] ['RuntimeWarning']"
 
 
 @needs_compiler
@@ -285,18 +286,26 @@ def _one_ulp_off(block):
     return wrong
 
 
-def _step_one_short(beam_step):
-    return lambda at, last: max(beam_step(at, last) - 1, 0)
+def _step_one_short(beam_search):
+    # Counts one emitted step fewer.
+    def wrong(at):
+        status = beam_search(at)
+        if status == 0:
+            rowkernel._SearchBuffers.from_address(at).emitted -= 1
+        return status
+
+    return wrong
 
 
-def _score_one_ulp_off(beam_step):
-    def wrong(at, last):
-        n = beam_step(at, last)
-        buffers = rowkernel._BeamBuffers.from_address(at)
-        if n:
-            scores = (ctypes.c_double * n).from_address(buffers.lp + 8 * (1 - buffers.cur) * buffers.width)
-            scores[n - 1] = math.nextafter(scores[n - 1], -math.inf)
-        return n
+def _score_one_ulp_off(beam_search):
+    # Nudges the score of the last finish of each call.
+    def wrong(at):
+        status = beam_search(at)
+        buffers = rowkernel._SearchBuffers.from_address(at)
+        if buffers.n_finished:
+            score = ctypes.c_double.from_address(buffers.finish_score + 8 * (buffers.n_finished - 1))
+            score.value = math.nextafter(score.value, -math.inf)
+        return status
 
     return wrong
 
@@ -463,8 +472,8 @@ def _opened_as(wrap, name):
 SILENT = {"no-compiler-named", "compiler-missing"}
 ONLY = {
     "wrong-bytes": "block",
-    "step-one-short": "beam_step",
-    "step-score-wrong": "beam_step",
+    "step-one-short": "beam_search",
+    "step-score-wrong": "beam_search",
     "round-score-wrong": "psgd_round",
     "round-tie-wrong": "psgd_round",
     **dict.fromkeys(BLOCK_MUTANTS, "block"),
@@ -476,8 +485,8 @@ FALLBACKS = {
     "compile-step-fails": (rowkernel, "_compile", _fail_to_compile),
     "load-fails": (ctypes, "CDLL", _refuse),
     "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, "block")),
-    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_step")),
-    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_step")),
+    "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_search")),
+    "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_search")),
     "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, "psgd_round")),
     "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, "psgd_round")),
     **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, "block"))

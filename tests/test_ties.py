@@ -118,13 +118,13 @@ _BEAM_ARGS = "name, src, width, max_len, tokens, score, finished"
 _DBA_ARGS = "name, src, constraints, width, max_len, tokens, score, fw, emitted, stop"
 
 
-@over_paths("beam_step", _BEAM_ARGS, BEAM_SEARCH, pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
+@over_paths("beam_search", _BEAM_ARGS, BEAM_SEARCH, pinned_ids(_BEAM_ARGS, BEAM_SEARCH, 3))
 def test_beam_search_ties_pinned(beam_path, name, src, width, max_len, tokens, score, finished):
     got = beam_search(MODELS[name], src, width, max_len)
     assert (got.tokens.tokens, got.score, got.finished) == (tokens, score, finished)
 
 
-@over_paths("beam_step", _DBA_ARGS, DBA, pinned_ids(_DBA_ARGS, DBA, 8))
+@over_paths("beam_search", _DBA_ARGS, DBA, pinned_ids(_DBA_ARGS, DBA, 8))
 def test_dba_decode_ties_pinned(beam_path, name, src, constraints, width, max_len, tokens, score, fw, emitted, stop):
     got, sel, stats = dba_decode(MODELS[name], src, DbaParams(width, max_len, constraints))
     assert (got.tokens, sel) == (tokens, score)
@@ -255,7 +255,7 @@ _WINDOW_DECIDES = (
 )
 
 
-@pytest.mark.parametrize("beam_path", kernel_paths("beam_step"), indirect=True)
+@pytest.mark.parametrize("beam_path", kernel_paths("beam_search"), indirect=True)
 @given(_beam_core_cases())
 @example(_WINDOW_DECIDES)
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -129,7 +129,7 @@ def finish_rows(rows):
 def kernel_paths(function):
     """The ways to run the kernel function ``function`` (``"block"``, the
     finished rows of an n-gram model's block of contexts, ``"finalize"``,
-    the same, ``"beam_step"`` or ``"psgd_round"``) here: ``"python"``
+    the same, ``"beam_search"`` or ``"psgd_round"``) here: ``"python"``
     always, and ``"kernel"`` where the compiled function builds, loads and
     passes its check."""
     return ("python", "kernel") if getattr(rng.compiled(), FIELDS.get(function, function)) else ("python",)
@@ -137,10 +137,10 @@ def kernel_paths(function):
 
 @contextmanager
 def run_by(function, path):
-    """Run ``function`` (``"block"``, ``"finalize"``, ``"beam_step"`` or
+    """Run ``function`` (``"block"``, ``"finalize"``, ``"beam_search"`` or
     ``"psgd_round"``) the ``path`` way while the block is open: the loaded
     kernel's function, or in its place the Python row loop and numpy
-    finish, step or round."""
+    finish, search or round."""
     function = FIELDS.get(function, function)
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
@@ -152,7 +152,7 @@ def run_by(function, path):
 
 
 # The fixture that runs a test on one path of each kernel function.
-PATH_FIXTURES = {"finalize": "finalize_path", "beam_step": "beam_path", "psgd_round": "round_path"}
+PATH_FIXTURES = {"finalize": "finalize_path", "beam_search": "beam_path", "psgd_round": "round_path"}
 
 
 def over_paths(function, argnames, table, ids):
