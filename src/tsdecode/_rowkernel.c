@@ -1,6 +1,6 @@
 /* The compiled kernel: the finished rows of a block of contexts, the
-   full-sentence beam search and one PSGD scoring round. Each exported
-   function is named ``tsd_`` and its ``rowkernel.Functions`` field.
+   full-sentence beam search and the PSGD search. Each exported function is
+   named ``tsd_`` and its ``rowkernel.Functions`` field.
 
    ``tsd_block`` is ``lm.NgramGenModel._python_rows`` in one call: for each
    context it folds the row key as ``rng.hash_key`` does, onto the source's
@@ -26,19 +26,24 @@
    ``decode._beam_core``, each step by ``beam_step``, which is
    ``decode._PythonStep``: the same finishes and the same next beam, in the
    same order, with the same scores and counts. A candidate's score is one
-   IEEE add, ``lp + row[tok]``, as in Python; no transcendental is called.
-   It reads each hypothesis's log row from the source's memo index, an
-   open-addressing table of context ids and row addresses (``lm._Index``),
-   and returns to Python only when a step needs rows the memo lacks, or
-   room for its finishes or tokens; Python draws the rows through
-   ``rows_after`` or grows the room, and calls again to resume the step.
+   IEEE add, ``lp + row[tok]``, as in Python.
 
-   ``tsd_psgd_round`` is ``decode._PythonRound`` over a
-   ``decode._SpanScorer``: each item's whole-sequence total, added in the
-   scorer's order, its normalised score, the round's first-ranked item and
-   the top children. The caller passes the length term of the
-   normalisation, so no transcendental is called here either. Both search
-   functions keep their top k with one helper, ``top_children``.
+   ``tsd_psgd_search`` is ``decode._python_psgd`` over a
+   ``decode._SpanScorer``: the whole PSGD loop (the spans, the counts, the
+   best so far and the stopping rule), each round by ``psgd_round``, which
+   is ``decode._PythonRound``: each item's whole-sequence total, added in
+   the scorer's order, its normalised score, the round's first-ranked item
+   and the top children. The length term of ``prob_over_length`` is libm's
+   ``log``, which CPython's ``math.log`` calls for an int. Both searches
+   keep their top k with one helper, ``top_children``.
+
+   Both searches read each row from the source's memo index, an
+   open-addressing table of context ids and row addresses (``lm._Index``,
+   ``struct tsd_rows``), and return to Python only when a step or round
+   needs rows the memo lacks, handing back each missing context once, or
+   room for its finishes or tokens; Python draws the rows through
+   ``lm.SequenceModel._draw`` or grows the room, and calls again to resume
+   the step. A warm decode is one call.
 
    ``rowkernel.load`` checks each exported function against its Python
    twin before any is used; the summation order of numpy is reproduced,
@@ -190,43 +195,23 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
     }
 }
 
-/* One decode of the full-sentence beam search and its buffers, allocated
-   by ``rowkernel.CompiledSearch``. The beam lives on side ``cur`` of
-   ``lp``, ``progress``, ``bank``, ``order`` and ``tokens``, side s at s
-   times the side's length; a step writes the next beam to the other side
-   and flips ``cur``. All the hypotheses of a beam hold ``step`` tokens, and
-   no two the same tokens. The search reads each hypothesis's log row from
-   the source's index (``lm._Index``), an open-addressing table the caller
-   sizes and this file fills: before each call the caller sets the table,
-   and the rows it lacks in ``queued``. */
-struct tsd_search {
+/* What both searches share: the source's memo index (``lm._Index``), an
+   open-addressing table of context ids and row addresses that the caller
+   sizes and this file fills (before each call the caller sets the table,
+   and the rows it lacks in ``queued``), the step or round the search is at,
+   and the contexts whose rows the index lacks, which the search hands back
+   for the caller to draw. A row's context is the last ``n_context`` ids of
+   BOS + the tokens it follows (``lm.SequenceModel._contexts``). */
+struct tsd_rows {
     int64_t vocab;          /* entries per row */
-    int64_t width;          /* the beam width: hypotheses per side, at most */
-    int64_t eos, bos;       /* the EOS and BOS ids */
-    int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
-    int64_t n_phrases;
-    int64_t complete;       /* the bank of a constraint-complete hypothesis */
-    int64_t n_context;      /* a row's context: the last ``n_context`` ids of
-                               BOS + the hypothesis's tokens */
-    int64_t max_len;        /* the length budget */
-    int64_t capacity;       /* tokens a hypothesis has room for */
-    int64_t finish_room;    /* finishes ``finish_score`` holds; ``finished``
-                               holds finish_room * (capacity + 1) ids */
+    int64_t bos;            /* the BOS id */
+    int64_t n_context;
     int64_t bits;           /* the index holds 2^bits slots ... */
     int64_t slot_width;     /* ... of slot_width ids: the row's address, the
                                context's length, then its ids; or 0s */
     int64_t old_bits, old_width; /* the table ``old_index`` outgrew */
     int64_t n_queued;       /* ids in ``queued`` */
-    int64_t step;
-    int64_t cur;
-    int64_t size[2];        /* hypotheses on each side */
-    int64_t forward_passes; /* the counts of ``decode._beam_core`` */
-    int64_t positions;
-    int64_t emitted;
-    int64_t hard;           /* EOS candidates ranked in a window or slot */
-    int64_t empty_beam;     /* the stop: 1 when ``hard`` reached ``width`` */
-    int64_t n_finished;     /* finishes marked since the caller read them */
-    int64_t n_finish_ids;   /* ... and the ids they take in ``finished`` */
+    int64_t step;           /* the beam's length, or the PSGD spans' */
     int64_t n_wanted;       /* ids in ``wanted`` */
     int64_t *index;
     const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
@@ -234,9 +219,122 @@ struct tsd_search {
                                another: its row count, its first row's
                                address, each row's context length, then
                                their ids */
+    int64_t *wanted;        /* per context the index lacks, each once: its
+                               length, then its ids */
+};
+
+/* The first slot of the ``n`` context ids ``ctx``: their length, then
+   each id folded in by FNV-1a's step, spread over the 2^bits slots by
+   Fibonacci hashing. A probe steps from it to the next slot, cyclically,
+   until it finds the ids or a free slot; at most 3/4 of the slots are full,
+   so it ends. */
+static uint64_t first_slot(const struct tsd_rows *r, const int64_t *ctx, int64_t n)
+{
+    uint64_t h = (uint64_t)n;
+    for (int64_t k = 0; k < n; k++)
+        h = (h ^ (uint64_t)ctx[k]) * UINT64_C(0x100000001B3);
+    return (h * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - r->bits);
+}
+
+/* Enters the row at ``address`` for the ``n`` context ids ``ctx``, which
+   the index lacks. */
+static void enter(struct tsd_rows *r, const int64_t *ctx, int64_t n, int64_t address)
+{
+    uint64_t mask = (UINT64_C(1) << r->bits) - 1, slot = first_slot(r, ctx, n);
+    while (r->index[slot * r->slot_width])
+        slot = (slot + 1) & mask;
+    int64_t *entry = r->index + slot * r->slot_width;
+    entry[0] = address;
+    entry[1] = n;
+    memcpy(entry + 2, ctx, n * sizeof *ctx);
+}
+
+/* The log row of the ``n`` context ids ``ctx`` in the index, or NULL when
+   it holds none: the probe compares the ids, never the hash alone. */
+static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int64_t n)
+{
+    uint64_t mask = (UINT64_C(1) << r->bits) - 1;
+    for (uint64_t slot = first_slot(r, ctx, n);; slot = (slot + 1) & mask) {
+        const int64_t *entry = r->index + slot * r->slot_width;
+        if (!entry[0])
+            return NULL;
+        if (entry[1] == n && !memcmp(entry + 2, ctx, n * sizeof *ctx))
+            return (const double *)(intptr_t)entry[0];
+    }
+}
+
+/* Moves the entries of ``old_index`` into the index, then enters the
+   queued rows. */
+static void index_rows(struct tsd_rows *r)
+{
+    if (r->old_index) {
+        for (int64_t i = 0; i < INT64_C(1) << r->old_bits; i++) {
+            const int64_t *entry = r->old_index + i * r->old_width;
+            if (entry[0])
+                enter(r, entry + 2, entry[1], entry[0]);
+        }
+        r->old_index = NULL;
+    }
+    for (const int64_t *q = r->queued, *end = q + r->n_queued; q < end;) {
+        const int64_t n_rows = q[0], *lengths = q + 2;
+        const int64_t *ids = lengths + n_rows;
+        for (int64_t k = 0; k < n_rows; k++) {
+            enter(r, ids, lengths[k], q[1] + k * r->vocab * (int64_t)sizeof(double));
+            ids += lengths[k];
+        }
+        q = ids;
+    }
+    r->n_queued = 0;
+}
+
+/* The log row after the ``n`` ids ``ids``, BOS + the tokens it follows:
+   the row of their last ``n_context`` ids, or of all of them. When the
+   index lacks it, returns NULL and adds the context to ``wanted``, unless
+   it is there already. */
+static const double *row_after(struct tsd_rows *r, const int64_t *ids, int64_t n)
+{
+    const int64_t m = n < r->n_context ? n : r->n_context;
+    const int64_t *ctx = ids + n - m;
+    const double *row = find_row(r, ctx, m);
+    if (row)
+        return row;
+    for (const int64_t *w = r->wanted, *end = w + r->n_wanted; w < end; w += 1 + w[0])
+        if (w[0] == m && !memcmp(w + 1, ctx, m * sizeof *ctx))
+            return NULL;
+    r->wanted[r->n_wanted] = m;
+    memcpy(r->wanted + r->n_wanted + 1, ctx, m * sizeof *ctx);
+    r->n_wanted += 1 + m;
+    return NULL;
+}
+
+/* One decode of the full-sentence beam search and its buffers, allocated
+   by ``rowkernel.CompiledSearch``. The beam lives on side ``cur`` of
+   ``lp``, ``progress``, ``bank``, ``order`` and ``tokens``, side s at s
+   times the side's length; a step writes the next beam to the other side
+   and flips ``cur``. All the hypotheses of a beam hold ``r.step`` tokens,
+   and no two the same tokens. */
+struct tsd_search {
+    struct tsd_rows r;
+    int64_t width;          /* the beam width: hypotheses per side, at most */
+    int64_t eos;            /* the EOS id */
+    int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
+    int64_t n_phrases;
+    int64_t complete;       /* the bank of a constraint-complete hypothesis */
+    int64_t max_len;        /* the length budget */
+    int64_t capacity;       /* tokens a hypothesis has room for */
+    int64_t finish_room;    /* finishes ``finish_score`` holds; ``finished``
+                               holds finish_room * (capacity + 1) ids */
+    int64_t cur;
+    int64_t forward_passes; /* the counts of ``decode._beam_core`` */
+    int64_t positions;
+    int64_t emitted;
+    int64_t hard;           /* EOS candidates ranked in a window or slot */
+    int64_t empty_beam;     /* the stop: 1 when ``hard`` reached ``width`` */
+    int64_t n_finished;     /* finishes marked since the caller read them */
+    int64_t n_finish_ids;   /* ... and the ids they take in ``finished`` */
+    int64_t size[2];        /* hypotheses on each side */
     const int64_t *phrases; /* the phrases' tokens, one phrase after another */
     const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
-    double *rows;           /* the step's log row per hypothesis, width x vocab */
     int64_t *parent;        /* the next beam in rank order: parent index */
     int64_t *token;         /* ... and new token */
     int64_t *finished;      /* per finish, in order: its length, its tokens */
@@ -247,8 +345,6 @@ struct tsd_search {
     int64_t *order;         /* per hypothesis, the rank of its tokens among
                                the side's tokens in lexicographic order */
     int64_t *tokens;        /* per hypothesis, capacity ids */
-    int64_t *wanted;        /* per hypothesis whose row the index lacks: a
-                               prefix's length, then its ids */
 };
 
 int64_t tsd_beam_search(struct tsd_search *s);
@@ -286,15 +382,15 @@ static int64_t argmax(const double *row, int64_t n)
 
 /* Writes to ``top`` the first ``width`` one-token content children of the
    ``n_beam`` hypotheses in rank order, and returns how many it wrote.
-   Hypothesis b has score ``lp[b]``, log row ``rows + b * stride`` and tie
+   Hypothesis b has score ``lp[b]``, log row ``rows[b * stride]`` and tie
    rank ``order[b]``. */
-static int64_t top_children(const double *lp, const double *rows, int64_t stride, int64_t n_beam,
+static int64_t top_children(const double *lp, const double *const *rows, int64_t stride, int64_t n_beam,
                             int64_t lo, int64_t n_content, const int64_t *order, int64_t width,
                             struct cand *top)
 {
     int64_t k = 0;
     for (int64_t b = 0; b < n_beam; b++) {
-        const double *row = rows + b * stride;
+        const double *row = rows[b * stride];
         for (int64_t tok = lo; tok < lo + n_content; tok++) {
             struct cand child = {lp[b] + row[tok], b, tok, 0, NULL};
             if (k == width && !precedes(order, &child, &top[k - 1]))
@@ -324,74 +420,11 @@ static void next_order(const int64_t *order, const int64_t *parent, const int64_
     }
 }
 
-/* The first slot of the ``n`` context ids ``ctx``: their length, then
-   each id folded in by FNV-1a's step, spread over the 2^bits slots by
-   Fibonacci hashing. A probe steps from it to the next slot, cyclically,
-   until it finds the ids or a free slot; at most 3/4 of the slots are full,
-   so it ends. */
-static uint64_t first_slot(const struct tsd_search *s, const int64_t *ctx, int64_t n)
-{
-    uint64_t h = (uint64_t)n;
-    for (int64_t k = 0; k < n; k++)
-        h = (h ^ (uint64_t)ctx[k]) * UINT64_C(0x100000001B3);
-    return (h * UINT64_C(0x9E3779B97F4A7C15)) >> (64 - s->bits);
-}
-
-/* Enters the row at ``address`` for the ``n`` context ids ``ctx``, which
-   the index lacks. */
-static void enter(struct tsd_search *s, const int64_t *ctx, int64_t n, int64_t address)
-{
-    uint64_t mask = (UINT64_C(1) << s->bits) - 1, slot = first_slot(s, ctx, n);
-    while (s->index[slot * s->slot_width])
-        slot = (slot + 1) & mask;
-    int64_t *entry = s->index + slot * s->slot_width;
-    entry[0] = address;
-    entry[1] = n;
-    memcpy(entry + 2, ctx, n * sizeof *ctx);
-}
-
-/* The log row of the ``n`` context ids ``ctx`` in the index, or NULL when
-   it holds none: the probe compares the ids, never the hash alone. */
-static const double *find_row(const struct tsd_search *s, const int64_t *ctx, int64_t n)
-{
-    uint64_t mask = (UINT64_C(1) << s->bits) - 1;
-    for (uint64_t slot = first_slot(s, ctx, n);; slot = (slot + 1) & mask) {
-        const int64_t *entry = s->index + slot * s->slot_width;
-        if (!entry[0])
-            return NULL;
-        if (entry[1] == n && !memcmp(entry + 2, ctx, n * sizeof *ctx))
-            return (const double *)(intptr_t)entry[0];
-    }
-}
-
-/* Moves the entries of ``old_index`` into the index, then enters the
-   queued rows. */
-static void index_rows(struct tsd_search *s)
-{
-    if (s->old_index) {
-        for (int64_t i = 0; i < INT64_C(1) << s->old_bits; i++) {
-            const int64_t *entry = s->old_index + i * s->old_width;
-            if (entry[0])
-                enter(s, entry + 2, entry[1], entry[0]);
-        }
-        s->old_index = NULL;
-    }
-    for (const int64_t *q = s->queued, *end = q + s->n_queued; q < end;) {
-        const int64_t n_rows = q[0], *lengths = q + 2;
-        const int64_t *ids = lengths + n_rows;
-        for (int64_t r = 0; r < n_rows; r++) {
-            enter(s, ids, lengths[r], q[1] + r * s->vocab * (int64_t)sizeof(double));
-            ids += lengths[r];
-        }
-        q = ids;
-    }
-    s->n_queued = 0;
-}
-
-/* The scratch of one call: candidates, their rank order, slot flags and
-   moved progress, bank counts, the hypotheses finished in this step and a
-   context. */
+/* The scratch of one call: each hypothesis's row, candidates, their rank
+   order, slot flags and moved progress, bank counts, the hypotheses
+   finished in this step and a context. */
 struct scratch {
+    const double **rows;
     struct cand *cands;
     int64_t *ranked, *in_slot, *moved, *counts, *marked, *ctx;
 };
@@ -403,21 +436,21 @@ static void finish(struct tsd_search *s, struct scratch *w, int64_t b, double sc
     if (w->marked[b])
         return;
     w->marked[b] = 1;
-    const int64_t *tokens = s->tokens + (s->cur * s->width + b) * s->capacity;
-    s->finished[s->n_finish_ids++] = s->step;
-    memcpy(s->finished + s->n_finish_ids, tokens, s->step * sizeof *tokens);
-    s->n_finish_ids += s->step;
+    const int64_t step = s->r.step, *tokens = s->tokens + (s->cur * s->width + b) * s->capacity;
+    s->finished[s->n_finish_ids++] = step;
+    memcpy(s->finished + s->n_finish_ids, tokens, step * sizeof *tokens);
+    s->n_finish_ids += step;
     s->finish_score[s->n_finished++] = score;
 }
 
 /* One step of ``decode._PythonStep`` from the beam on side ``cur`` and its
-   ``rows``: marks the finishes and, unless ``last``, writes the next beam
-   to the other side, with ``parent`` and ``token``. Returns its size. */
+   rows: marks the finishes and, unless ``last``, writes the next beam to
+   the other side, with ``parent`` and ``token``. Returns its size. */
 static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in];
-    const int64_t width = s->width, vocab = s->vocab, n_phrases = s->n_phrases;
-    const double *lp = s->lp + in * width;
+    const int64_t width = s->width, vocab = s->r.vocab, n_phrases = s->n_phrases;
+    const double *lp = s->lp + in * width, *const *rows = w->rows;
     const int64_t *progress = s->progress + in * width * n_phrases, *bank = s->bank + in * width;
     const int64_t *order = s->order + in * width;
     struct cand *cands = w->cands;
@@ -430,10 +463,9 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     for (int64_t b = 0; b < n_beam; b++) {
         if (bank[b] != s->complete)
             continue;
-        const double *row = s->rows + b * vocab;
-        struct cand eos = {lp[b] + row[s->eos], b, -1, bank[b], progress + b * n_phrases};
+        struct cand eos = {lp[b] + rows[b][s->eos], b, -1, bank[b], progress + b * n_phrases};
         cands[n++] = eos;
-        if (argmax(row, vocab) == s->eos || (n_phrases && last))
+        if (argmax(rows[b], vocab) == s->eos || (n_phrases && last))
             finish(s, w, b, eos.score);
     }
     if (last)
@@ -441,7 +473,7 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
 
     /* The top ``width`` content expansions, kept in rank order. */
     const int64_t first_child = n;
-    n += top_children(lp, s->rows, vocab, n_beam, s->lo, s->n_content, order, width, cands + n);
+    n += top_children(lp, rows, 1, n_beam, s->lo, s->n_content, order, width, cands + n);
 
     /* The forced child of every unfinished phrase, each child once. */
     for (int64_t b = 0; b < n_beam; b++) {
@@ -454,7 +486,7 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
             for (int64_t i = first_child; i < n && !dup; i++)
                 dup = cands[i].parent == b && cands[i].token == tok;
             if (!dup) {
-                struct cand child = {lp[b] + s->rows[b * vocab + tok], b, tok, 0, NULL};
+                struct cand child = {lp[b] + rows[b][tok], b, tok, 0, NULL};
                 cands[n++] = child;
             }
         }
@@ -539,63 +571,51 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
 }
 
 /* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
-   beam on side ``cur``, at length ``step``, until it stops at the length
+   beam on side ``cur``, at length ``r.step``, until it stops at the length
    budget or on an empty beam (returns 0), or until a step needs what the
    caller must give first (returns 1): room for the next beam's tokens
-   (``step`` is ``capacity``), room for the step's finishes, or the rows of
-   the prefixes in ``wanted``. The step is then not begun; the caller reads
-   and clears the finishes, grows the buffers or draws the wanted rows, and
-   calls again to resume. Returns -1 when memory runs out. */
+   (``r.step`` is ``capacity``), room for the step's finishes, or the rows
+   of the contexts in ``wanted``. The step is then not begun; the caller
+   reads and clears the finishes, grows the buffers or draws the wanted
+   rows, and calls again to resume. Returns -1 when memory runs out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
-    const int64_t width = s->width, vocab = s->vocab, max_len = s->max_len, cap = s->capacity;
+    const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
     const int64_t max_cands = width * (2 + s->n_phrases);
     struct scratch w = {
+        malloc(width * sizeof *w.rows),
         malloc(max_cands * sizeof *w.cands), malloc(max_cands * sizeof *w.ranked),
         malloc(max_cands * sizeof *w.in_slot), malloc((max_cands * s->n_phrases + 1) * sizeof *w.moved),
         malloc(3 * (s->complete + 1) * sizeof *w.counts), malloc(width * sizeof *w.marked),
         malloc((cap + 1) * sizeof *w.ctx),
     };
     int64_t status = 0;
-    index_rows(s);
-    if (!w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.marked || !w.ctx) {
+    index_rows(&s->r);
+    if (!w.rows || !w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.marked || !w.ctx) {
         status = -1;
         goto done;
     }
+    w.ctx[0] = s->r.bos;
     for (;;) {
-        const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], step = s->step;
-        s->n_wanted = 0;
+        const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], step = s->r.step;
+        s->r.n_wanted = 0;
         if ((step == cap && step < max_len) || s->n_finished + n_beam > s->finish_room
             || s->n_finish_ids + n_beam * (step + 1) > s->finish_room * (cap + 1)) {
             status = 1;
             break;
         }
-        /* Each hypothesis's row: its context is the last ``n_context`` ids
-           of BOS + its tokens (``lm.SequenceModel._contexts``). A
-           hypothesis whose row the index lacks goes to ``wanted`` as the
-           shortest prefix with that context: its last ``n_context`` tokens,
-           or all of them. */
+        /* Each hypothesis's row, after BOS + its tokens: past the context
+           length, its tokens alone end in the context. */
         for (int64_t b = 0; b < n_beam; b++) {
-            const int64_t *tokens = s->tokens + (in * width + b) * cap, *ctx = w.ctx;
-            int64_t n = step + 1;
-            if (step >= s->n_context) {
-                ctx = tokens + step - s->n_context;
-                n = s->n_context;
+            const int64_t *tokens = s->tokens + (in * width + b) * cap;
+            if (step >= s->r.n_context) {
+                w.rows[b] = row_after(&s->r, tokens, step);
             } else {
-                w.ctx[0] = s->bos;
                 memcpy(w.ctx + 1, tokens, step * sizeof *tokens);
+                w.rows[b] = row_after(&s->r, w.ctx, step + 1);
             }
-            const double *row = find_row(s, ctx, n);
-            if (row) {
-                memcpy(s->rows + b * vocab, row, vocab * sizeof *row);
-                continue;
-            }
-            const int64_t k = n - (step < s->n_context);
-            s->wanted[s->n_wanted++] = k;
-            memcpy(s->wanted + s->n_wanted, tokens + step - k, k * sizeof *tokens);
-            s->n_wanted += k;
         }
-        if (s->n_wanted) {
+        if (s->r.n_wanted) {
             status = 1;
             break;
         }
@@ -615,10 +635,11 @@ int64_t tsd_beam_search(struct tsd_search *s)
             to[step] = s->token[i];
         }
         s->cur = out;
-        s->step++;
+        s->r.step++;
         s->emitted++;
     }
 done:
+    free(w.rows);
     free(w.cands);
     free(w.ranked);
     free(w.in_slot);
@@ -629,95 +650,202 @@ done:
     return status;
 }
 
-/* One PSGD decode's beam and buffers, allocated by ``rowkernel.CompiledRound``
-   for one ``decode._SpanScorer``. As in ``struct tsd_search``, the beam lives on
-   side ``cur`` of ``lp``, ``order`` and ``carry``; a round that expands writes
-   the children to the other side. Every item of a beam holds a span of
-   ``n_terms`` tokens, and no two hold the same span; its carry is its span's
-   ``n_terms`` terms, each token's term in its parent's next-token row. */
+/* One PSGD decode and its buffers, allocated by ``rowkernel.CompiledPsgd``
+   for one ``decode._SpanScorer``. As in ``struct tsd_search``, the beam
+   lives on side ``cur`` of ``lp``, ``order``, ``carry`` and ``tokens``; a
+   round that expands writes the children to the other side. Every item of
+   a beam holds a span of ``r.step`` tokens, and no two hold the same span;
+   its carry is its span's terms, each token's term in its parent's
+   next-token row. Each item reads ``n_pieces`` rows, those after prefix +
+   span + the first ``pieces[j]`` suffix tokens: its next-token row, the
+   rows of the suffix terms the span changes, then its EOS row unless that
+   is fixed. */
 struct tsd_psgd {
-    int64_t vocab;          /* entries per row */
+    struct tsd_rows r;
     int64_t width;          /* the beam width: items per side, at most */
     int64_t eos;            /* the EOS id */
     int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
-    int64_t per_item;       /* rows per item: its next-token row, the rows of
-                               the suffix terms the span changes, then its EOS
-                               row unless that is fixed */
-    int64_t n_suffix;       /* suffix terms the span changes */
+    int64_t n_prefix, n_suffix;
+    int64_t n_pieces;
+    int64_t n_changed;      /* suffix terms the span changes */
     int64_t n_head, n_tail; /* the scorer's head and tail terms */
     int64_t fixed_eos;      /* the EOS term: the first head term (1) or read
                                from each item's last row (0) */
-    int64_t mean;           /* the score: total / norm (1) or total - norm (0) */
-    int64_t capacity;       /* carry doubles per item */
-    int64_t n_terms;        /* span tokens per item of side ``cur`` */
+    int64_t mean;           /* the score: total / length (1), or total -
+                               log(length) (0) */
+    int64_t eos_in_len;     /* 1 when the length counts EOS */
+    int64_t patience;
+    int64_t max_span;       /* the span cap */
+    int64_t capacity;       /* span tokens and carry terms per item */
     int64_t cur;
-    int64_t best;           /* output of the last round: its first-ranked item */
+    int64_t forward_passes; /* the counts of ``decode._python_psgd`` */
+    int64_t positions;
+    int64_t emitted;
+    int64_t at_cap;         /* the stop: 1 at the span cap, 0 on patience */
+    int64_t best_step;      /* the round of the best score, and so the length
+                               of its span */
     int64_t size[2];        /* items on each side */
-    const int64_t *suffix;  /* the suffix tokens the span changes */
+    double best;            /* the first-ranked whole-sequence score so far */
+    const int64_t *prefix;
+    const int64_t *suffix;
+    const int64_t *pieces;
     const double *terms;    /* the head terms, then the tail terms */
-    const double *rows;     /* the round's rows, per_item per item */
-    double *score;          /* per item, its normalised score */
     int64_t *parent;        /* the children in rank order: parent index */
     int64_t *token;         /* ... and new token */
     double *lp;             /* per item, its span's summed log-probability */
     int64_t *order;         /* per item, the rank of its span among the
                                side's spans in lexicographic order */
-    double *carry;          /* per item, ``capacity`` doubles of carry */
+    double *carry;          /* per item, capacity terms */
+    int64_t *tokens;        /* per item, capacity ids */
+    int64_t *best_span;     /* the best score's span, capacity ids */
 };
 
-int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand);
+int64_t tsd_psgd_search(struct tsd_psgd *s);
 
-/* Scores the items on side ``cur`` from their ``rows``, ``norm`` being the
-   length or its log, and marks the first-ranked. When ``expand`` is 2, or
-   1 and that item scores above ``best``, writes the top ``width`` children
-   to the other side. Returns how many children it wrote, or -1 when memory
-   runs out. */
-int64_t tsd_psgd_round(struct tsd_psgd *s, double norm, double best, int64_t expand)
+/* Whether a scoring round expands its items: never, only when its
+   first-ranked item scores above the best so far, or always
+   (``decode.EXPAND_*``). */
+enum { EXPAND_NEVER, EXPAND_IF_BETTER, EXPAND_ALWAYS };
+
+/* One round of ``decode._PythonRound`` over the items on side ``cur`` and
+   their ``rows``: writes each item's normalised score to ``score`` and the
+   first-ranked item to ``top``, and, when ``expand`` says so, the top
+   ``width`` children to the other side, whose size it sets. Returns how
+   many it wrote. */
+static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t expand, double *score,
+                          int64_t *top, struct cand *children)
 {
-    const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity;
-    const int64_t stride = s->per_item * s->vocab, width = s->width;
+    const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity, n = s->r.step;
+    const int64_t width = s->width, n_pieces = s->n_pieces;
     const int64_t *order = s->order + in * width;
     const double *carry = s->carry + in * width * cap;
-    int64_t top = 0;
+    /* ``scoring.length_term``: math.log of an int that fits a double is
+       libm's log of that double. */
+    int64_t length = s->n_prefix + n + s->n_suffix + s->eos_in_len;
+    length = length > 1 ? length : 1;
+    const double norm = s->mean ? (double)length : log((double)length);
+    int64_t best = 0;
     for (int64_t b = 0; b < n_beam; b++) {
         /* The order ``_SpanScorer.total`` adds in: EOS, prefix, span,
            changed suffix terms, then the tail. -0.0 + x is x, so a fixed
            EOS term, the first head term, starts the sum unchanged. */
-        const double *rows = s->rows + b * stride;
-        double total = s->fixed_eos ? -0.0 : rows[(s->per_item - 1) * s->vocab + s->eos];
+        const double *const *item = rows + b * n_pieces;
+        double total = s->fixed_eos ? -0.0 : item[n_pieces - 1][s->eos];
         for (int64_t j = 0; j < s->n_head; j++)
             total += s->terms[j];
-        for (int64_t j = 0; j < s->n_terms; j++)
+        for (int64_t j = 0; j < n; j++)
             total += carry[b * cap + j];
-        for (int64_t j = 0; j < s->n_suffix; j++)
-            total += rows[j * s->vocab + s->suffix[j]];
+        for (int64_t j = 0; j < s->n_changed; j++)
+            total += item[j][s->suffix[j]];
         for (int64_t j = 0; j < s->n_tail; j++)
             total += s->terms[s->n_head + j];
-        double score = s->score[b] = s->mean ? total / norm : total - norm;
-        if (b == 0 || score > s->score[top] || (score == s->score[top] && order[b] < order[top]))
-            top = b;
+        score[b] = s->mean ? total / norm : total - norm;
+        if (b == 0 || score[b] > score[best] || (score[b] == score[best] && order[b] < order[best]))
+            best = b;
     }
-    s->best = top;
-    if (!(expand == 2 || (expand == 1 && s->score[top] > best)))
-        return 0;
-
-    struct cand *children = malloc(width * sizeof *children);
-    if (!children)
-        return -1;
-    int64_t k = top_children(s->lp + in * width, s->rows, stride, n_beam, s->lo, s->n_content, order, width,
-                             children);
+    *top = best;
+    int64_t k = 0;
+    if (expand == EXPAND_ALWAYS || (expand == EXPAND_IF_BETTER && score[best] > s->best))
+        k = top_children(s->lp + in * width, rows, n_pieces, n_beam, s->lo, s->n_content, order, width,
+                         children);
     for (int64_t i = 0; i < k; i++) {
         const int64_t parent = children[i].parent, tok = children[i].token;
         double *to = s->carry + (out * width + i) * cap;
         s->parent[i] = parent;
         s->token[i] = tok;
         s->lp[out * width + i] = children[i].score;
-        for (int64_t j = 0; j < s->n_terms; j++)
+        for (int64_t j = 0; j < n; j++)
             to[j] = carry[parent * cap + j];
-        to[s->n_terms] = s->rows[parent * stride + tok];
+        to[n] = rows[parent * n_pieces][tok];
     }
     next_order(order, s->parent, s->token, k, s->order + out * width);
     s->size[out] = k;
-    free(children);
     return k;
+}
+
+/* Indexes the queued rows, then runs ``decode._python_psgd``'s loop from
+   the items on side ``cur``, at span length ``r.step``, until the patience
+   rule or the span cap stops it (returns 0), or until a round needs what
+   the caller must give first (returns 1): room for the children's spans
+   and carries (``r.step`` is ``capacity``), or the rows of the contexts in
+   ``wanted``. The round is then not begun; the caller grows the buffers or
+   draws the wanted rows, and calls again to resume. The best score, its
+   round and its span, the counts and the stop are left in ``s``. Returns
+   -1 when memory runs out. */
+int64_t tsd_psgd_search(struct tsd_psgd *s)
+{
+    const int64_t width = s->width, cap = s->capacity, n_pieces = s->n_pieces, at = 1 + s->n_prefix;
+    int64_t *seq = malloc((at + cap + s->n_suffix) * sizeof *seq);
+    const double **rows = malloc(width * n_pieces * sizeof *rows);
+    double *score = malloc(width * sizeof *score);
+    struct cand *children = malloc(width * sizeof *children);
+    int64_t status = 0;
+    index_rows(&s->r);
+    if (!seq || !rows || !score || !children) {
+        status = -1;
+        goto done;
+    }
+    /* BOS + prefix + span + suffix: the rows of an item follow its first
+       ``at + r.step + pieces[j]`` ids. */
+    seq[0] = s->r.bos;
+    memcpy(seq + 1, s->prefix, s->n_prefix * sizeof *seq);
+    for (;;) {
+        const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], n = s->r.step;
+        s->r.n_wanted = 0;
+        if (n == cap && n < s->max_span) {
+            status = 1;
+            break;
+        }
+        for (int64_t b = 0; b < n_beam; b++) {
+            memcpy(seq + at, s->tokens + (in * width + b) * cap, n * sizeof *seq);
+            memcpy(seq + at + n, s->suffix, s->n_suffix * sizeof *seq);
+            for (int64_t j = 0; j < n_pieces; j++)
+                rows[b * n_pieces + j] = row_after(&s->r, seq, at + n + s->pieces[j]);
+        }
+        if (s->r.n_wanted) {
+            status = 1;
+            break;
+        }
+        /* Round n + 1 is scored unless the cap or the patience rule stops
+           first; the rule stops after round n unless round n beats the
+           best (and round n + 1 then comes 1 round after the best). */
+        const int64_t expand = n == s->max_span || s->patience <= 1 ? EXPAND_NEVER
+                               : n + 1 - s->best_step < s->patience ? EXPAND_ALWAYS
+                               : EXPAND_IF_BETTER;
+        int64_t top;
+        const int64_t k = psgd_round(s, rows, expand, score, &top, children);
+        s->forward_passes += n_beam;
+        s->positions += (s->n_prefix + n + s->n_suffix + 1) * n_beam;
+        /* Spans grow by one token a round, so on a tie the earlier best
+           ranks first. */
+        if (score[top] > s->best) {
+            s->best = score[top];
+            s->best_step = n;
+            memcpy(s->best_span, s->tokens + (in * width + top) * cap, n * sizeof *s->best_span);
+        }
+        if (s->patience == 0)
+            break;
+        if (n == s->max_span) {
+            s->at_cap = 1;
+            break;
+        }
+        /* Step n + 1 is emitted (the logical count) but expanded only if
+           it will be scored. */
+        s->emitted++;
+        if (n + 1 - s->best_step >= s->patience)
+            break;
+        for (int64_t i = 0; i < k; i++) {
+            int64_t *to = s->tokens + (out * width + i) * cap;
+            memcpy(to, s->tokens + (in * width + s->parent[i]) * cap, n * sizeof *to);
+            to[n] = s->token[i];
+        }
+        s->cur = out;
+        s->r.step++;
+    }
+done:
+    free(seq);
+    free(rows);
+    free(score);
+    free(children);
+    return status;
 }

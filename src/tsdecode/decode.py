@@ -18,16 +18,13 @@ the logical forced passes over each scored sequence all the same. The
 reference ``psgd_two_pass`` runs the same loop with ``_ForcedPassScorer``,
 which gets both values from forced passes.
 
-The PSGD loop, ``_psgd_run``, holds the spans, the counts, the best so far
-and the stopping rule, and looks up each round's rows. It scores each round
-with one of two rounds that give the same results:
-``rowkernel.CompiledRound``, ``_rowkernel.c``'s ``tsd_psgd_round`` on
-buffers each decode allocates once, when the scorer is ``_SpanScorer`` and
-the compiled round is loaded and passed its check
-(``rng.compiled().psgd_round``), and ``_PythonRound`` otherwise, which is
-also the reference the compiled round is checked against. A round gives
-each item's score, the first-ranked item and, only when the loop will score
-another round, the children.
+The PSGD search runs one of two ways that give the same results (see
+``_psgd_run``): ``rowkernel.CompiledPsgd``, ``_rowkernel.c``'s
+``tsd_psgd_search``, the whole loop in one compiled call; and
+``_python_psgd``, a loop holding the spans, the counts, the best so far and
+the stopping rule, which scores each round with ``_PythonRound``. A round
+gives each item's score, the first-ranked item and, only when the loop will
+score another round, the children.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -49,10 +46,9 @@ against: a loop holding the tokens, the finishes, the counts and the stop
 reasons, which takes each step with ``_PythonStep``.
 
 Every decoder checks its inputs once per decode and then reads memoised
-log rows through the model's one unchecked batched lookup,
-``SequenceModel.rows_after``, which draws the rows a batch misses in one
-block: PSGD makes one call per scoring round, the Python beam loop one
-per step and the compiled one per step that misses rows.
+log rows, the Python loops through ``SequenceModel.rows_after`` once per
+round or step, the compiled searches through the memo's index, handing the
+contexts a step misses to ``SequenceModel._draw``, the memo's one miss path.
 
 The Python round and step order all candidates with ``scoring.rank`` and
 extend their beams with one expansion step, ``_expand``. It works on
@@ -266,10 +262,8 @@ EXPAND_NEVER, EXPAND_IF_BETTER, EXPAND_ALWAYS = 0, 1, 2
 
 
 class _PythonRound:
-    """One decode's PSGD scoring round in Python: the round taken when the
-    compiled ``tsd_psgd_round`` is not loaded or the scorer is not a
-    ``_SpanScorer``, and the reference the compiled round is checked
-    against.
+    """One decode's PSGD scoring round in Python: the round of
+    ``_python_psgd``, which ``_rowkernel.c``'s ``psgd_round`` reproduces.
 
     It holds each item's (span log-prob, carry), the carry being its span's
     terms: the empty span starts at ``()`` and a child appends its token's
@@ -279,9 +273,8 @@ class _PythonRound:
     so far, it returns ``(top, score, children)``: the index and normalised
     score of the round's first-ranked item, and, when the round expands, the
     ``beam_width`` best children as (parent index, token) pairs in ``rank``
-    order, else none. ``scores()`` gives every item's score, ``advance()``
-    makes the children the beam and ``beam()`` gives its (span log-prob,
-    carry) entries.
+    order, else none, and keeps every item's score in ``round_scores``.
+    ``advance()`` makes the children the beam.
     """
 
     def __init__(self, scorer, vocab, params: PsgdParams) -> None:
@@ -308,43 +301,19 @@ class _PythonRound:
         self.next = [(lp_c, parent[2] + (float(parent[3][child[-1]]),)) for lp_c, child, parent in children]
         return top, score, [(parent[4], child[-1]) for _, child, parent in children]
 
-    def scores(self) -> list[float]:
-        return self.round_scores
-
     def advance(self) -> None:
         self.state = self.next
 
-    def beam(self) -> list:
-        return self.state
 
-
-def _psgd_run(
-    model: SequenceModel, task: TsTask, params: PsgdParams, scorer, trace: list | None = None
-) -> Suggestion:
-    """The PSGD search, scoring with ``scorer`` (``_SpanScorer`` or
-    ``_ForcedPassScorer``); appends to ``trace``, when given, each scoring
-    round's (span, score) pairs.
-
-    Each round goes to ``rowkernel.CompiledRound`` when the scorer is a
-    ``_SpanScorer`` and the compiled round is loaded
-    (``rng.compiled().psgd_round``), and to ``_PythonRound`` otherwise; both
-    give the same results. This loop holds the spans, the counts, the best
-    and the stopping rule."""
-    validate_task(task, model.vocab)
-    beam_width, patience, max_span = _resolve_psgd_params(params, len(task.source))
-    src = as_tokens(task.source)
-    p = as_tokens(task.prefix)
-    s = as_tokens(task.suffix)
-
-    t0 = time.perf_counter()
-    scorer = scorer(model, src, p, s)
-    kernel = rng.compiled().psgd_round if isinstance(scorer, _SpanScorer) else None
-    if kernel:
-        from .rowkernel import CompiledRound
-
-        take = CompiledRound(kernel, scorer, model.vocab, params)
-    else:
-        take = _PythonRound(scorer, model.vocab, params)
+def _python_psgd(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens, scorer, params: PsgdParams,
+                 max_span: int, trace: list | None = None):
+    """The PSGD search in Python, one ``_PythonRound`` and one
+    ``rows_after`` call per round: the fallback and the reference of
+    ``tsd_psgd_search``. Returns the best score, its span, the counts and
+    the last round's children, which only the check reads (a round the rule
+    stops after changes nothing by expanding)."""
+    patience = params.patience
+    take = _PythonRound(scorer, model.vocab, params)
     rows_after, pieces = model.rows_after, scorer.pieces
     fw = 0
     pos_scored = 0
@@ -376,7 +345,7 @@ def _psgd_run(
         if score > best[0]:
             best = (score, spans[top], n)
         if trace is not None:
-            trace.append(list(zip(spans, take.scores())))
+            trace.append(list(zip(spans, take.round_scores)))
         if patience == 0:  # the empty span's score only, no expansion
             break
         if n == max_span:
@@ -391,7 +360,40 @@ def _psgd_run(
         spans = [spans[parent] + (tok,) for parent, tok in children]
         take.advance()
         n += 1
+    return best[0], best[1], (fw, pos_scored, emitted, stop_reason), children
 
+
+def _indexed(model: SequenceModel) -> bool:
+    """Whether ``model`` takes its contexts by the rule the compiled
+    searches follow, ``SequenceModel``'s."""
+    return getattr(type(model), "_contexts", None) is SequenceModel._contexts
+
+
+def _psgd_run(
+    model: SequenceModel, task: TsTask, params: PsgdParams, scorer, trace: list | None = None
+) -> Suggestion:
+    """The PSGD search, scoring with ``scorer`` (``_SpanScorer`` or
+    ``_ForcedPassScorer``); appends to ``trace``, when given, each scoring
+    round's (span, score) pairs. The search is ``rowkernel.CompiledPsgd``'s
+    when the scorer is a ``_SpanScorer``, no trace is asked for (the kernel
+    keeps no round's scores), the model is ``_indexed`` and the kernel
+    passed its check; otherwise ``_python_psgd``'s."""
+    validate_task(task, model.vocab)
+    _, _, max_span = _resolve_psgd_params(params, len(task.source))
+    src = as_tokens(task.source)
+    p = as_tokens(task.prefix)
+    s = as_tokens(task.suffix)
+
+    t0 = time.perf_counter()
+    scorer = scorer(model, src, p, s)
+    kernel = trace is None and isinstance(scorer, _SpanScorer) and _indexed(model) and rng.compiled().psgd_search
+    if kernel:
+        from .rowkernel import CompiledPsgd
+
+        result = CompiledPsgd(kernel, model, src, p, s, scorer, params, max_span)()
+    else:
+        result = _python_psgd(model, src, p, s, scorer, params, max_span, trace)
+    score, span, (fw, pos_scored, emitted, stop_reason), _ = result
     stats = DecodeStats(
         forward_passes=fw,
         positions_scored=pos_scored,
@@ -399,7 +401,7 @@ def _psgd_run(
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return Suggestion(span=TokenSeq(best[1]), whole_seq_score=best[0], stats=stats)
+    return Suggestion(span=TokenSeq(span), whole_seq_score=score, stats=stats)
 
 
 def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -640,7 +642,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         check_tokens(c, model.vocab, "constraint")
     t0 = time.perf_counter()
     kernel = rng.compiled().beam_search
-    if kernel and getattr(type(model), "_contexts", None) is SequenceModel._contexts:
+    if kernel and _indexed(model):
         from .rowkernel import CompiledSearch
 
         search = CompiledSearch(kernel, model, src, constraints, params.beam_width, params.max_len)

@@ -17,9 +17,10 @@ one block from ``_finished_rows``, each distinct context once, and keeps
 one read-only log row per context: every decoder scores with
 log-probabilities only. The log rows sit in the model's row store, float64
 chunks that never move, and each memo row is a read-only view of its
-chunk. A source that a compiled beam search reads also has an index
+chunk. A source that a compiled search reads also has an index
 (``_Index``), through which the search reads rows by context, without
-Python. Row bytes do not depend on the block: an
+Python, handing the contexts it misses to ``_draw``. Row bytes do not
+depend on the block: an
 ``NgramGenModel`` row is a pure function of its key, ``hash_key(seed, tag,
 source, context)``, and finishing acts on each row alone, in place in the
 block. The compiled kernel returns an ``NgramGenModel`` block's finished
@@ -39,10 +40,8 @@ reads the rows at every position of a target with one ``rows_after`` call;
 its ``log_rows`` hold the log distribution at every position
 (``seq_logprob``, the PSGD two-pass reference). Its probability rows are
 finished again by ``_finished_rows``, outside the memo, when first read. The
-decoders check their inputs once per decode and then call ``rows_after``
-directly: PSGD once per scoring round for the few rows its items' spans
-change, the beam core once per step for one row per hypothesis, or, when
-compiled, once per step that misses rows.
+decoders check their inputs once per decode; the Python searches then call
+``rows_after`` directly, once per round or step.
 
 All rows are post-processed the same way: BOS gets probability exactly 0,
 and every other entry is floored at ``EPS_FLOOR`` (by mixing in that much
@@ -162,11 +161,11 @@ CHUNK_ROWS = 64
 
 
 class _Index:
-    """The index a compiled beam search probes for one source's memo rows.
+    """The index the compiled searches probe for one source's memo rows.
 
     ``table`` is an int64 ``array`` of ``2 ** bits`` slots of ``width``
     ids, each ``[row address, context length, context ids]`` or 0s;
-    ``rowkernel.CompiledSearch`` sizes it for ``count`` rows and the kernel
+    ``rowkernel._Resumable`` sizes it for ``count`` rows and the kernel
     enters the rows into it. A source has an index from its first compiled
     search on; ``_draw`` then queues each block it adds in ``pending``, as
     ``(contexts, address of the first row)``.

@@ -34,7 +34,7 @@ row wide enough to tell that sum from any one of its rules changed. The
 kernel adds a row up in the order numpy's pairwise sum does, and its check
 compares bytes, so a numpy that sums otherwise only sends rows back to
 Python. ``compiled()`` loads the kernel once per process, for row blocks,
-beam searches and PSGD rounds alike. The transcendentals of both loops are
+beam searches and PSGD decodes alike. The transcendentals of both loops are
 scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
 ``math.sqrt`` and float ``**`` make, on the same operands in the same
 order, and never numpy's: ``np.log`` does not round like ``math.log`` on
@@ -113,7 +113,7 @@ def hash_key(*parts: int | Iterable[int]) -> int:
 
 
 # This process's compiled kernel, a ``rowkernel.Functions``, once the first
-# n-gram row block, beam search or PSGD round has loaded it; None before.
+# n-gram row block, beam search or PSGD decode has loaded it; None before.
 _compiled = None
 _lock = threading.Lock()
 
@@ -121,7 +121,7 @@ _lock = threading.Lock()
 def compiled():
     """The compiled kernel's functions for this process, None for each that
     runs in Python: the first call, from the first n-gram row block, beam
-    step or PSGD round, builds or finds the kernel and opens it
+    search or PSGD decode, builds or finds the kernel and opens it
     (``rowkernel.load``); every later call returns the same functions."""
     global _compiled
     with _lock:

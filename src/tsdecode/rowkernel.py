@@ -5,14 +5,15 @@
 ``lm.NgramGenModel._python_rows``, the finished rows of a block of contexts
 (``_row_keys``, then one ``rng.Stream.dirichlet`` row per key, finished by
 ``lm._numpy_finalize``), ``tsd_beam_search`` is ``decode._python_search``,
-the full-sentence beam search, and ``tsd_psgd_round`` is
-``decode._PythonRound``, one PSGD scoring round. The block adds a row up in
-numpy's ``add.reduce`` order, which its check compares rather than
-assumes. This module holds no state:
+the full-sentence beam search, and ``tsd_psgd_search`` is
+``decode._python_psgd``, the PSGD search, each run for one decode by
+``CompiledSearch`` or ``CompiledPsgd`` through the resume loop they share
+(``_Resumable``). The block adds a row up in numpy's ``add.reduce`` order,
+which its check compares rather than assumes. This module holds no state:
 ``rng.compiled()`` calls ``load`` once per process, on the first n-gram row
-block, beam search or PSGD round, never on import. ``lm`` and ``decode`` then
-use each function that passed its check, and the much slower Python code
-otherwise.
+block, beam search or PSGD decode, never on import. ``lm`` and ``decode``
+then use each function that passed its check, and the much slower Python
+code otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -31,17 +32,14 @@ check of its own. ``lm.block_self_check`` finishes ``lm.CHECK_BLOCKS`` both
 ways and requires the same bytes: blocks of several vocabularies and
 concentrations, whose rows cover the Dirichlet row's branches and every
 branch of numpy's sum, and tell it from any one of its rules changed;
-``beam_search_self_check`` runs the ``CHECK_SEARCHES`` decodes with both
-searches, on cold check models and on warm ones, and requires the same
-finishes, final beams, scores and counts, byte for byte; ``psgd_self_check`` scores the ``CHECK_ROUNDS`` with
-both rounds and requires the same scores, best items, children and
-carries, byte for byte. The two search checks refuse a take whose buffers
-hold a NULL pointer before they call the kernel, which would crash the
+``beam_search_self_check`` and ``psgd_self_check`` run the
+``CHECK_SEARCHES`` and ``CHECK_DECODES`` with both searches, cold and warm
+(``_decodes_match``), and require the same results, byte for byte, first
+refusing a take whose buffers hold a NULL pointer, which would crash the
 process rather than fail the check. The checks run inside
-``rng.compiled()``'s lock, so they call the Python twins, never
-``lm.NgramGenModel._finished_rows``, which would wait for it. A function
-that fails its check is replaced by its Python twin alone, so a row
-mismatch leaves the compiled beam search and round in use, and so on. No
+``rng.compiled()``'s lock, so their n-gram rows (``CheckRows``) never come
+from ``lm.NgramGenModel._finished_rows``, which would wait for it. A
+function that fails its check is replaced by its Python twin alone. No
 compiler, or a failed build or load, leaves all three to Python, exactly as
 without the kernel. Without a compiler that is silent; any other failure is
 reported by one ``RuntimeWarning``. The cache holds code, never rows: every
@@ -59,15 +57,17 @@ import shutil
 import sysconfig
 import warnings
 import zlib
+from functools import partial
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN
+from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE
+from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search
 from .lm import _Index, block_self_check
-from .scoring import SCORING_MEAN_LOGPROB, length_term
+from .scoring import SCORING_MEAN_LOGPROB
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
@@ -91,11 +91,11 @@ class Functions(NamedTuple):
     did not, or when the kernel could not be built or loaded. Field
     ``name`` holds ``tsd_<name>``: ``block`` returns the finished rows of
     a block of an n-gram model's contexts, ``beam_search`` runs a
-    full-sentence beam search and ``psgd_round`` scores a PSGD round."""
+    full-sentence beam search and ``psgd_search`` a PSGD search."""
 
     block: object = None
     beam_search: object = None
-    psgd_round: object = None
+    psgd_search: object = None
 
 
 def load(directory: Path | None = None) -> Functions:
@@ -103,7 +103,8 @@ def load(directory: Path | None = None) -> Functions:
     default), built there first if it is not there yet, each kept only if it
     passes its own check: ``lm.block_self_check`` for ``tsd_block``,
     ``beam_search_self_check`` for ``tsd_beam_search`` and
-    ``psgd_self_check`` for ``tsd_psgd_round``. Each failure is reported as one warning, except a
+    ``psgd_self_check`` for ``tsd_psgd_search``, which share the n-gram
+    rows they draw, by the block when it passed. Each failure is reported as one warning, except a
     missing compiler."""
     cc = compiler()
     if cc is None or shutil.which(cc[0]) is None:
@@ -117,23 +118,25 @@ def load(directory: Path | None = None) -> Functions:
         path = directory / f"rowkernel-{zlib.crc32(data):08x}{zlib.adler32(data):08x}.so"
         if not path.exists():
             _compile(command, path)
-        block, beam_search, psgd_round = _open(path)
-    except Exception as exc:  # whatever fails, rows are drawn, beams searched and rounds scored in Python
-        _warn("kernel", repr(exc), "rows are drawn, beams searched and PSGD rounds scored in Python")
+        block, beam_search, psgd_search = _open(path)
+    except Exception as exc:  # whatever fails, rows are drawn and decodes run in Python
+        _warn("kernel", repr(exc), "rows are drawn, beams searched and PSGD decodes run in Python")
         return Functions()
 
+    block = _checked(block, block_self_check, "row block", "rows are drawn in Python")
+    rows = CheckRows(block)
     return Functions(
-        _checked(block, block_self_check, "row block", "rows are drawn in Python"),
-        _checked(beam_search, beam_search_self_check, "beam search", "beams are searched in Python"),
-        _checked(psgd_round, psgd_self_check, "PSGD round", "PSGD rounds are scored in Python"),
+        block,
+        _checked(beam_search, beam_search_self_check, "beam search", "beams are searched in Python", rows),
+        _checked(psgd_search, psgd_self_check, "PSGD search", "PSGD decodes run in Python", rows),
     )
 
 
-def _checked(function, check, name: str, fallback: str):
-    """``function`` if ``check(function)`` holds; otherwise None, with one
-    warning."""
+def _checked(function, check, name: str, fallback: str, *args):
+    """``function`` if ``check(function, *args)`` holds; otherwise None,
+    with one warning."""
     try:
-        if check(function):
+        if check(function, *args):
             return function
         problem = "it differs from the Python reference"
     except Exception as exc:  # a check that cannot run rejects the function
@@ -175,11 +178,10 @@ def _open(path: Path) -> Functions:
     ``name`` holding ``tsd_<name>`` with its argument and result types."""
     library = ctypes.CDLL(str(path))
     functions = Functions(*(getattr(library, "tsd_" + name) for name in Functions._fields))
-    block, beam_search, psgd_round = functions
-    beam_search.argtypes = (ctypes.c_void_p,)
-    beam_search.restype = ctypes.c_int64
-    psgd_round.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_int64)
-    psgd_round.restype = ctypes.c_int64
+    block, beam_search, psgd_search = functions
+    for search in (beam_search, psgd_search):
+        search.argtypes = (ctypes.c_void_p,)
+        search.restype = ctypes.c_int64
     # The contexts come as one bytes object of packed int64s.
     block.argtypes = (ctypes.c_uint64, ctypes.c_uint64, ctypes.c_uint64, ctypes.c_double, ctypes.c_void_p,
                       ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_double,
@@ -189,13 +191,13 @@ def _open(path: Path) -> Functions:
 
 
 def _pointers_set(buffers) -> bool:
-    """Whether every pointer field of ``buffers`` is set, but those it
-    names ``optional``. A misspelt section name sets a Python attribute
-    instead of its field, and the kernel would read or write through NULL,
-    ending the process instead of failing a check."""
+    """Whether every pointer field of ``buffers``, its base's included, is
+    set, but those it names ``optional``. A misspelt section name sets a
+    Python attribute instead of its field, and the kernel would read or
+    write through NULL, ending the process instead of failing a check."""
     optional = getattr(buffers, "optional", ())
-    return all(getattr(buffers, name) for name, kind in buffers._fields_ if kind is ctypes.c_void_p
-               and name not in optional)
+    fields = [field for cls in type(buffers).__mro__ for field in vars(cls).get("_fields_", ())]
+    return all(getattr(buffers, name) for name, kind in fields if kind is ctypes.c_void_p and name not in optional)
 
 
 def _address(array: np.ndarray) -> int:
@@ -226,76 +228,66 @@ def _sections(struct, reals, ints) -> dict[str, np.ndarray]:
     return views
 
 
-class _SearchBuffers(ctypes.Structure):
-    """``struct tsd_search`` of ``_rowkernel.c``."""
+def _fields(ints: str, pointers: str, **others) -> list:
+    """A ``_fields_`` list: an int64 field per name of ``ints``, the
+    ``others``, then a pointer field per name of ``pointers``."""
+    return ([(name, ctypes.c_int64) for name in ints.split()] + [*others.items()]
+            + [(name, ctypes.c_void_p) for name in pointers.split()])
 
-    _fields_ = (
-        [(name, ctypes.c_int64) for name in (
-            "vocab", "width", "eos", "bos", "lo", "n_content", "n_phrases", "complete", "n_context", "max_len",
-            "capacity", "finish_room", "bits", "slot_width", "old_bits", "old_width", "n_queued", "step", "cur",
-        )]
-        + [("size", ctypes.c_int64 * 2)]
-        + [(name, ctypes.c_int64) for name in (
-            "forward_passes", "positions", "emitted", "hard", "empty_beam", "n_finished", "n_finish_ids", "n_wanted",
-        )]
-        + [(name, ctypes.c_void_p) for name in (
-            "index", "old_index", "queued", "phrases", "starts", "rows", "parent", "token", "finished",
-            "finish_score", "lp", "progress", "bank", "order", "tokens", "wanted",
-        )]
-    )
-    # Pointers that ``CompiledSearch`` sets for each call, NULL when there is
-    # nothing to read.
+
+class _RowBuffers(ctypes.Structure):
+    """``struct tsd_rows`` of ``_rowkernel.c``, which both searches'
+    structs begin with."""
+
+    _fields_ = _fields("vocab bos n_context bits slot_width old_bits old_width n_queued step n_wanted",
+                       "index old_index queued wanted")
+    # Pointers that ``_Resumable._queue`` sets for each call, NULL when there
+    # is nothing to read.
     optional = ("index", "old_index", "queued")
 
 
-# Finishes per beam slot that one call of the search can hold before it
-# returns for the caller to read them, and the tokens a hypothesis has room
-# for at first: a longer decode returns to have the room doubled.
+class _SearchBuffers(_RowBuffers):
+    """``struct tsd_search`` of ``_rowkernel.c``."""
+
+    _fields_ = _fields(
+        "width eos lo n_content n_phrases complete max_len capacity finish_room cur forward_passes positions emitted"
+        " hard empty_beam n_finished n_finish_ids",
+        "phrases starts parent token finished finish_score lp progress bank order tokens",
+        size=ctypes.c_int64 * 2,
+    )
+
+
+class _PsgdBuffers(_RowBuffers):
+    """``struct tsd_psgd`` of ``_rowkernel.c``."""
+
+    _fields_ = _fields(
+        "width eos lo n_content n_prefix n_suffix n_pieces n_changed n_head n_tail fixed_eos mean eos_in_len"
+        " patience max_span capacity cur forward_passes positions emitted at_cap best_step",
+        "prefix suffix pieces terms parent token lp order carry tokens best_span",
+        size=ctypes.c_int64 * 2, best=ctypes.c_double,
+    )
+
+
+# Finishes per beam slot that one call of the beam search can hold before
+# it returns for the caller to read them, and the tokens a hypothesis or
+# span has room for at first: a longer decode returns to have the room
+# doubled.
 FINISH_ROOM = 4
 INITIAL_CAPACITY = 64
 
 
-class CompiledSearch:
-    """``decode._python_search`` of one decode of ``model`` from ``source``
-    through ``tsd_beam_search``, called with no argument.
+class _Resumable:
+    """One decode of ``model`` from ``source`` by a compiled search that
+    reads its rows through the source's index (``lm._Index``) and returns
+    early when a step needs rows the memo lacks or room for its tokens. A
+    subclass sets ``buffers``, ``views``, ``limit`` (the room's cap),
+    ``_sized()`` (the sections sized by ``capacity``) and ``KEPT`` (those
+    whose rows of ``capacity`` entries outlive a growth)."""
 
-    The search lives in the sections of ``_SearchBuffers`` (``_sections``),
-    which each decode allocates once, but for those sized by ``capacity``,
-    which double when the hypotheses outgrow them; ``lp``, ``progress``,
-    ``bank``, ``order`` and ``tokens`` hold two sides, side s starting at s
-    times the side's length. The kernel reads each hypothesis's row through
-    the source's index (``lm._Index``) and runs the whole loop in one call.
-    It returns early when a step needs room for its tokens or finishes, or
-    rows the memo lacks: Python then reads the finishes, grows the sections
-    or looks up the wanted prefixes with ``rows_after``, whose ``_draw``
-    draws and queues the missing rows, and calls again to resume that step.
-    A warm decode is one call.
-    """
+    KEPT: tuple[str, ...] = ()
 
-    def __init__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
-                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY) -> None:
-        vocab, width, n = model.vocab, beam_width, len(constraints)
-        content = vocab.content_ids
-        flat = [tok for phrase in constraints for tok in phrase]
-        # The kernel indexes its rows with these without checking them.
-        if any(not content[0] <= tok <= content[-1] for tok in flat):
-            raise ValueError(f"a phrase of {constraints} holds a non-content id")
-        room = FINISH_ROOM * width
-        # The root: one hypothesis, no tokens, log-prob 0.0, no progress.
-        buffers = self.buffers = _SearchBuffers(
-            vocab.size, width, vocab.eos_id, vocab.bos_id, content[0], len(content), n, len(flat), model.order,
-            max_len, min(max_len, capacity), room, size=(1, 0),
-        )
-        views = self.views = _sections(
-            buffers,
-            (("rows", width * vocab.size), ("lp", 2 * width), ("finish_score", room)),
-            (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
-             ("order", 2 * width), ("parent", width), ("token", width), *self._sized()),
-        )
-        self.tokens = views["tokens"].reshape(2 * width, buffers.capacity)
-        views["phrases"][:] = flat
-        views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
-        self.kernel, self.address, self.model, self.source = kernel, ctypes.addressof(buffers), model, source
+    def _start(self, kernel, model, source: tuple[int, ...]) -> None:
+        self.kernel, self.address, self.model, self.source = kernel, ctypes.addressof(self.buffers), model, source
         self.index, self.table = model._indexes.get(source), None
         if self.index is None:
             # The first search of the source queues each row the memo holds.
@@ -304,23 +296,14 @@ class CompiledSearch:
                 [((context,), row.__array_interface__["data"][0]) for context, row in memo.items()]
             )
 
-    def _sized(self) -> tuple:
-        """The sections sized by ``capacity``: the finishes' ids, the
-        hypotheses' tokens and the wanted prefixes."""
-        buffers = self.buffers
-        width, capacity = buffers.width, buffers.capacity
-        return (("finished", buffers.finish_room * (capacity + 1)), ("tokens", 2 * width * capacity),
-                ("wanted", width * (capacity + 1)))
-
     def _grow(self) -> None:
-        """Double ``capacity``, up to ``max_len``, in new sections keeping
-        both sides' tokens. The finishes and the wanted prefixes were read
-        first."""
-        buffers, tokens = self.buffers, self.tokens
-        buffers.capacity = min(2 * buffers.capacity, buffers.max_len)
-        self.views.update(_sections(buffers, (), self._sized()))
-        self.tokens = self.views["tokens"].reshape(2 * buffers.width, buffers.capacity)
-        self.tokens[:, : tokens.shape[1]] = tokens
+        """Double ``capacity``, up to ``limit``, in new sections that keep
+        the ``KEPT`` ones' entries."""
+        buffers, old, capacity = self.buffers, self.views, self.buffers.capacity
+        buffers.capacity = min(2 * capacity, self.limit)
+        self.views = {**old, **_sections(buffers, *self._sized())}
+        for name in self.KEPT:
+            self.views[name].reshape(-1, buffers.capacity)[:, :capacity] = old[name].reshape(-1, capacity)
 
     def _queue(self) -> None:
         """Point the kernel's next call at the source's index, with the rows
@@ -360,41 +343,102 @@ class CompiledSearch:
             at += 1 + ids[at]
         return records
 
-    def _read_finishes(self, finished: dict) -> None:
+    def _read(self) -> None:
+        """Read what the kernel's last call left, if anything."""
+
+    def _run(self) -> None:
+        """Call the kernel until it is done: after each early return, read
+        what it left, grow the room it lacks and draw the contexts it wants
+        with ``_draw``, the memo's one miss path, which queues them for the
+        index."""
+        buffers, step, returns = self.buffers, -1, 0
+        self._queue()
+        while status := self.kernel(self.address):
+            if status < 0:
+                raise MemoryError(f"{self.NAME} could not allocate its scratch")
+            # A step returns at most twice: for room, then for its rows.
+            returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
+            if returns > 2:
+                raise RuntimeError(f"step {step} returned three times: _draw left a row out of the memo")
+            self._read()
+            if step == buffers.capacity < self.limit:
+                self._grow()
+            if buffers.n_wanted:
+                self.model._draw(self.source, self._records("wanted", buffers.n_wanted))
+            self._queue()
+        self._read()
+
+
+class CompiledSearch(_Resumable):
+    """``decode._python_search`` of one decode of ``model`` from ``source``
+    through ``tsd_beam_search``, called with no argument.
+
+    The search lives in the sections of ``_SearchBuffers`` (``_sections``),
+    which each decode allocates once, but for those sized by ``capacity``,
+    which double when the hypotheses outgrow them; ``lp``, ``progress``,
+    ``bank``, ``order`` and ``tokens`` hold two sides, side s starting at s
+    times the side's length. The kernel also returns when a step needs room
+    for its finishes, which Python then reads. A warm decode is one call.
+    """
+
+    NAME, KEPT = "tsd_beam_search", ("tokens",)
+
+    def __init__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
+                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY) -> None:
+        vocab, width, n = model.vocab, beam_width, len(constraints)
+        content = vocab.content_ids
+        flat = [tok for phrase in constraints for tok in phrase]
+        # The kernel indexes its rows with these without checking them.
+        if any(not content[0] <= tok <= content[-1] for tok in flat):
+            raise ValueError(f"a phrase of {constraints} holds a non-content id")
+        room = FINISH_ROOM * width
+        # The root: one hypothesis, no tokens, log-prob 0.0, no progress.
+        buffers = self.buffers = _SearchBuffers(
+            vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
+            n_content=len(content), n_phrases=n, complete=len(flat), max_len=max_len,
+            capacity=min(max_len, capacity), finish_room=room, size=(1, 0),
+        )
+        self.limit = max_len
+        views = self.views = _sections(
+            buffers,
+            (("lp", 2 * width), ("finish_score", room)),
+            (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
+             ("order", 2 * width), ("parent", width), ("token", width), ("wanted", width * (1 + model.order)),
+             *self._sized()[1]),
+        )
+        views["phrases"][:] = flat
+        views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
+        self._start(kernel, model, source)
+
+    def _sized(self) -> tuple:
+        """The sections sized by ``capacity``: the finishes' ids and the
+        hypotheses' tokens."""
+        buffers = self.buffers
+        width, capacity = buffers.width, buffers.capacity
+        return (), (("finished", buffers.finish_room * (capacity + 1)), ("tokens", 2 * width * capacity))
+
+    def _read(self) -> None:
         buffers = self.buffers
         if buffers.n_finished:
             tokens = self._records("finished", buffers.n_finish_ids)
             for t, score in zip(tokens, self.views["finish_score"][: buffers.n_finished].tolist()):
-                finished.setdefault(t, score)
+                self.finished.setdefault(t, score)
             buffers.n_finished = buffers.n_finish_ids = 0
 
     def __call__(self):
         """The finished sequences with their raw scores, the final beam and
         the counts, as ``decode._python_search`` returns them."""
-        buffers, finished, step, returns = self.buffers, {}, -1, 0
-        self._queue()
-        while status := self.kernel(self.address):
-            if status < 0:
-                raise MemoryError("tsd_beam_search could not allocate its candidates")
-            # A step returns at most twice: for room, then for its rows.
-            returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
-            if returns > 2:
-                raise RuntimeError(f"step {step} returned three times: rows_after left a row out of the memo")
-            self._read_finishes(finished)
-            if step == buffers.capacity < buffers.max_len:
-                self._grow()
-            if buffers.n_wanted:
-                self.model.rows_after(self.source, self._records("wanted", buffers.n_wanted))
-            self._queue()
-        self._read_finishes(finished)
-        views, n, m, width = self.views, buffers.n_phrases, buffers.size[buffers.cur], buffers.width
+        self.finished = {}
+        self._run()
+        buffers, views = self.buffers, self.views
+        n, m, width = buffers.n_phrases, buffers.size[buffers.cur], buffers.width
         first = buffers.cur * width
         lps, banks = views["lp"][first : first + m].tolist(), views["bank"][first : first + m].tolist()
         progress = views["progress"][first * n : (first + m) * n].tolist()
-        tokens = self.tokens[first : first + m, : buffers.step].tolist()
+        tokens = views["tokens"].reshape(2 * width, buffers.capacity)[first : first + m, : buffers.step].tolist()
         beam = [(tuple(t), lps[b], tuple(progress[b * n : (b + 1) * n]), banks[b]) for b, t in enumerate(tokens)]
         stop = STOP_EMPTY_BEAM if buffers.empty_beam else STOP_MAX_LEN
-        return finished, beam, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
+        return self.finished, beam, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
 
 
 # Decodes the compiled beam search must reproduce, byte for byte, before it
@@ -417,31 +461,53 @@ CHECK_SEARCHES = (
 CHECK_CAPACITY = 4
 _A = (0.0, 0.25, 0.25, 0.25, 0.125, 0.125)
 _B = (0.0, 0.125, 0.125, 0.25, 0.25, 0.25)
+# The "round" check model's rows for source (2,), by the context (BOS, 0,
+# or a token): repeated probabilities, so scores tie, whose logs are not
+# short binary fractions, so a sum added in another order changes bytes.
+CHECK_ROUND_TABLE = {
+    0: (0.0, 0.3, 0.3, 0.2, 0.1, 0.1),
+    2: (0.0, 0.2, 0.1, 0.2, 0.3, 0.2),
+    3: (0.0, 0.1, 0.3, 0.2, 0.1, 0.3),
+    4: (0.0, 0.15, 0.2, 0.3, 0.05, 0.3),
+    5: (0.0, 0.3, 0.2, 0.1, 0.3, 0.1),
+}
 
 
-def _check_model(name: str, drawn: dict):
-    """A new check model ``name``. An n-gram model's rows are drawn by the
-    Python twin, never ``lm.NgramGenModel._finished_rows``, which would wait
-    for the lock the checks run under, each once into ``drawn``, which the
-    check's models share."""
+class CheckRows(dict):
+    """The finished rows the search checks' n-gram models draw, by (source,
+    context), each once: by ``block``, the compiled row block that passed
+    its check, or else by the Python twin; never by
+    ``lm.NgramGenModel._finished_rows``, which would wait for the lock the
+    checks run under. Every check model of one load shares them."""
+
+    def __init__(self, block=None) -> None:
+        super().__init__()
+        self.block = block
+
+    def finished(self, model, source: tuple[int, ...], contexts) -> np.ndarray:
+        if new := [context for context in contexts if (source, context) not in self]:
+            rows = np.empty((len(new), model.vocab.size))
+            rows = model._block_rows(self.block, source, new, rows) if self.block else model._python_rows(source, new)
+            self.update(zip([(source, context) for context in new], rows))
+        return np.array([self[source, context] for context in contexts])
+
+
+def _check_model(name: str, rows: CheckRows):
+    """A new check model ``name``, an n-gram model's rows drawn into
+    ``rows``."""
     from .core import Vocab
     from .lm import NgramGenModel, TableModel, UniformModel
 
     if name == "ngram":
         model = NgramGenModel(Vocab(6), 2, 182, 1.0)
-
-        def finished_rows(source, contexts):
-            new = [context for context in contexts if (source, context) not in drawn]
-            if new:
-                drawn.update(zip([(source, context) for context in new], model._python_rows(source, new)))
-            return np.array([drawn[source, context] for context in contexts])
-
-        model._finished_rows = finished_rows
+        model._finished_rows = partial(rows.finished, model)
         return model
     if name == "tied":
         rows = [_A, _B, _A, _B, _A, _B, _A, _B, _A, _B]
         contexts = [(src, (ctx,)) for src in (2, 3) for ctx in (0, 2, 3, 4, 5)]
         return TableModel(Vocab(6), 1, {((src,), ctx): row for (src, ctx), row in zip(contexts, rows)})
+    if name == "round":
+        return TableModel(Vocab(6), 1, {((2,), (tok,)): row for tok, row in CHECK_ROUND_TABLE.items()})
     return UniformModel(Vocab(5))
 
 
@@ -456,196 +522,128 @@ def search_outcome(result) -> tuple:
     )
 
 
-def beam_search_self_check(beam_search) -> bool:
-    """Whether ``beam_search`` decodes every decode of ``CHECK_SEARCHES``
-    exactly as ``decode._python_search`` does, three times: on a cold model
-    with room for ``CHECK_CAPACITY`` tokens, so that the search returns to
-    grow it and for rows, and resumes; on the same model warm, in one call
-    that reads every row it indexed; and on the model the Python search
-    filled, whose rows the first search of a source indexes."""
-    from .decode import _python_search
-
-    drawn = {}
-    for name, source, constraints, width, max_len in CHECK_SEARCHES:
-        filled, cold = _check_model(name, drawn), _check_model(name, drawn)
-        want = search_outcome(_python_search(filled, source, constraints, width, max_len))
+def _decodes_match(decodes, python, compiled, outcome, rows: CheckRows | None) -> bool:
+    """Whether each decode ``(model name, *args)`` of ``decodes`` gives the
+    ``outcome`` of ``python(model, *args)`` through the compiled search
+    ``compiled(model, capacity, *args)`` three times: on a cold model with
+    room for ``CHECK_CAPACITY`` tokens, so that the search returns to grow
+    it and for rows, and resumes; on the same model warm, drawing no row,
+    in one call that reads every row it indexed (an index that lost a row
+    would have it drawn again); and on the model the Python twin filled,
+    whose rows the first search of a source indexes. The n-gram rows are
+    drawn into ``rows``, by the Python twin unless given."""
+    rows = CheckRows() if rows is None else rows
+    for name, *args in decodes:
+        filled, cold = _check_model(name, rows), _check_model(name, rows)
+        want = outcome(python(filled, *args))
         for model, capacity in ((cold, CHECK_CAPACITY), (cold, INITIAL_CAPACITY), (filled, INITIAL_CAPACITY)):
-            take = CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity)
-            if not _pointers_set(take.buffers) or search_outcome(take()) != want:
+            take = compiled(model, capacity, *args)
+            if not _pointers_set(take.buffers):
+                return False
+            indexed = take.index.count
+            if outcome(take()) != want or (model is cold and capacity != CHECK_CAPACITY and take.index.count > indexed):
                 return False
     return True
 
 
-class _RoundBuffers(ctypes.Structure):
-    """``struct tsd_psgd`` of ``_rowkernel.c``."""
+def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
+    """Whether ``beam_search`` decodes every decode of ``CHECK_SEARCHES``
+    exactly as ``decode._python_search`` does (``_decodes_match``)."""
 
-    _fields_ = (
-        [(name, ctypes.c_int64) for name in (
-            "vocab", "width", "eos", "lo", "n_content", "per_item", "n_suffix", "n_head", "n_tail",
-            "fixed_eos", "mean", "capacity", "n_terms", "cur", "best",
-        )]
-        + [("size", ctypes.c_int64 * 2)]
-        + [(name, ctypes.c_void_p) for name in (
-            "suffix", "terms", "rows", "score", "parent", "token", "lp", "order", "carry"
-        )]
-    )
+    def compiled(model, capacity, source, constraints, width, max_len):
+        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity)
+
+    return _decodes_match(CHECK_SEARCHES, _python_search, compiled, search_outcome, rows)
 
 
-class CompiledRound:
-    """``decode._PythonRound``'s interface and results through
-    ``tsd_psgd_round``, for a ``decode._SpanScorer``.
+class CompiledPsgd(_Resumable):
+    """``decode._python_psgd`` of one decode of ``model`` from ``source``
+    through ``tsd_psgd_search``, for a ``decode._SpanScorer``, called with
+    no argument.
 
-    As in ``CompiledSearch``, the beam lives in sections each decode
-    allocates once, ``lp`` and ``order`` with two sides, and the spans,
-    which the kernel never reads, stay with the caller; the kernel breaks
-    ties by each item's rank among the beam's spans. The carries, each
-    item's span terms, have their own buffer of two sides, in room that
-    doubles as the spans grow: it is sized by the rounds the decode runs,
-    never by ``max_span_len``.
+    As in ``CompiledSearch``; the sections sized by ``capacity``, the
+    spans, their carries (each item's span terms) and the best span, grow
+    with the rounds the decode runs, never with ``max_span``. The kernel
+    breaks ties by each item's rank among the beam's spans.
     """
 
-    def __init__(self, kernel, scorer, vocab, params) -> None:
-        width, size = params.beam_width, vocab.size
-        per_item, content = len(scorer.pieces), vocab.content_ids
-        head, tail, suffix = scorer.head_terms, scorer.tail_terms, scorer.suffix
-        # The kernel reads each item's suffix rows and, unless it is fixed, its
-        # EOS row, and indexes them with the suffix ids, checking neither.
-        if len(suffix) + (not scorer.fixed_eos) > per_item or any(not 0 <= tok < size for tok in suffix):
-            raise ValueError(f"the suffix {suffix} does not fit {per_item} rows of {size} per item")
-        self.scoring, self.include_eos_in_len = params.scoring, params.include_eos_in_len
+    NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
+
+    def __init__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
+                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY) -> None:
+        vocab, width = model.vocab, params.beam_width
+        content, head, tail = vocab.content_ids, scorer.head_terms, scorer.tail_terms
+        pieces = [*map(len, scorer.pieces)]
         # The root: one item, the empty span, log-prob 0.0, tie rank 0.
-        buffers = self.buffers = _RoundBuffers(
-            size, width, vocab.eos_id, content[0], len(content), per_item, len(suffix), len(head), len(tail),
-            scorer.fixed_eos, params.scoring == SCORING_MEAN_LOGPROB, 0, 0, 0, 0, (1, 0),
+        buffers = self.buffers = _PsgdBuffers(
+            vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
+            n_content=len(content), n_prefix=len(prefix), n_suffix=len(suffix), n_pieces=len(pieces),
+            n_changed=len(scorer.suffix), n_head=len(head), n_tail=len(tail), fixed_eos=scorer.fixed_eos,
+            mean=params.scoring == SCORING_MEAN_LOGPROB, eos_in_len=params.include_eos_in_len,
+            patience=params.patience, max_span=max_span, capacity=min(max_span, capacity), size=(1, 0),
+            best=-math.inf,
         )
+        self.limit = max_span
+        reals, ints = self._sized()
         views = self.views = _sections(
             buffers,
-            (("rows", width * per_item * size), ("terms", len(head) + len(tail)), ("score", width),
-             ("lp", 2 * width)),
-            (("suffix", len(suffix)), ("parent", width), ("token", width), ("order", 2 * width)),
+            (("terms", len(head) + len(tail)), ("lp", 2 * width), *reals),
+            (("prefix", len(prefix)), ("suffix", len(suffix)), ("pieces", len(pieces)), ("parent", width),
+             ("token", width), ("order", 2 * width), ("wanted", width * len(pieces) * (1 + model.order)), *ints),
         )
         views["terms"][:] = head + tail
+        views["prefix"][:] = prefix
         views["suffix"][:] = suffix
-        self._set_carries(np.zeros((2, width, 8)))
-        self.kernel, self.address = kernel, ctypes.addressof(buffers)
-        self.block = views["rows"].reshape(width * per_item, size)
+        views["pieces"][:] = pieces
+        self._start(kernel, model, source)
 
-    def _set_carries(self, carries: np.ndarray) -> None:
-        self.carries, buffers = carries, self.buffers
-        buffers.capacity = carries.shape[2]
-        buffers.carry = _address(carries)
-
-    def __call__(self, rows, spans: list[tuple[int, ...]], length: int, expand: int, best: float):
-        self.block[: len(rows)] = rows
-        k = self.kernel(self.address, length_term(length, self.scoring, self.include_eos_in_len), best, expand)
-        if k < 0:
-            raise MemoryError("tsd_psgd_round could not allocate its children")
-        views, top = self.views, self.buffers.best
-        children = []
-        if k:
-            children = list(zip(views["parent"][:k].tolist(), views["token"][:k].tolist()))
-        return top, views["score"].item(top), children
-
-    def scores(self) -> list[float]:
-        return self.views["score"][: self.buffers.size[self.buffers.cur]].tolist()
-
-    def advance(self) -> None:
+    def _sized(self) -> tuple:
+        """The sections sized by ``capacity``: the carries, the spans and
+        the best span."""
         buffers = self.buffers
-        buffers.cur ^= 1
-        buffers.n_terms += 1
-        capacity = self.carries.shape[2]
-        if buffers.n_terms == capacity:
-            grown = np.zeros((2, buffers.width, 2 * capacity))
-            grown[:, :, :capacity] = self.carries
-            self._set_carries(grown)
+        side = 2 * buffers.width * buffers.capacity
+        return (("carry", side),), (("tokens", side), ("best_span", buffers.capacity))
 
-    def beam(self) -> list:
-        buffers = self.buffers
-        side, m, n = buffers.cur, buffers.size[buffers.cur], buffers.n_terms
-        first = side * buffers.width
-        lps = self.views["lp"][first : first + m].tolist()
-        return [(lp, tuple(carry[:n])) for lp, carry in zip(lps, self.carries[side, :m].tolist())]
-
-
-def round_outputs(take, rows, spans, length: int, expand: int, best: float):
-    """One round of ``take`` (a ``decode._PythonRound`` or a
-    ``CompiledRound``) as plain data, each float as its ``float.hex``: every
-    item's score, the first-ranked item and its score, the children, and
-    their (span log-prob, carry) entries, to which ``take`` advances."""
-    top, score, children = take(rows, spans, length, expand, best)
-    scores = [x.hex() for x in take.scores()]
-    beam = []
-    if children:
-        take.advance()
-        beam = [(lp.hex(), tuple(term.hex() for term in carry)) for lp, carry in take.beam()]
-    return scores, top, score.hex(), children, beam
+    def __call__(self):
+        """The best whole-sequence score, its span, the counts and the last
+        round's children, as ``decode._python_psgd`` returns them."""
+        self._run()
+        buffers, views = self.buffers, self.views
+        k = buffers.size[1 - buffers.cur]
+        last = list(zip(views["parent"][:k].tolist(), views["token"][:k].tolist()))
+        span = tuple(views["best_span"][: buffers.best_step].tolist())
+        stop = STOP_MAX_LEN if buffers.at_cap else STOP_PATIENCE
+        return buffers.best, span, (buffers.forward_passes, buffers.positions, buffers.emitted, stop), last
 
 
-class _CheckModel:
-    """The model of ``psgd_self_check``'s rounds: vocab 6 (content ids 2-5)
-    and order ``order``; the row after BOS + a prefix is CHECK_ROUND_TABLE's
-    row for the prefix's last token (BOS for the empty prefix)."""
-
-    def __init__(self, order: int) -> None:
-        from .core import Vocab
-
-        self.vocab, self.order = Vocab(6), order
-        self.table = {tok: np.array(row) for tok, row in CHECK_ROUND_TABLE.items()}
-
-    def rows_after(self, source, prefixes) -> list:
-        return [self.table[prefix[-1] if prefix else 0] for prefix in prefixes]
-
-
-# Rounds the compiled PSGD round must reproduce, byte for byte, before it is
-# used: (order, prefix, suffix, scoring, include_eos_in_len, rounds), each
-# at beam width 3. Every round but the last expands (the odd ones only if
-# they beat a best of -inf); the last is told that its own best score is the
-# best so far, so it must not expand. The first reads each item's EOS term
-# from its last row (its suffix is shorter than the order), the second a
-# fixed EOS head term; both read a suffix term the span changes. Row values
-# repeat, so scores tie in the expansion and in the best, and some are not
-# short binary fractions, so a sum added in another order changes bytes.
-# Found by search: it tells the round from copies with the item tie-break,
-# the tie going to the last item, the strict best (in the round or against
-# the best so far), the EOS-first addition order, the span's terms added
-# one by one, the children's token tie-break or the next beam's tie ranks
-# changed, and from copies that skip the fixed EOS term or read it from
-# the item's row.
-_NO = -math.inf  # BOS, never a next token
-CHECK_ROUND_TABLE = {
-    0: [_NO, -0.3, -0.3, -0.7, -1.0, -1.0],
-    2: [_NO, -0.5, -1.1, -0.7, -0.5, -0.7],
-    3: [_NO, -1.0, -0.3, -0.7, -1.1, -0.3],
-    4: [_NO, -0.75, -0.7, -0.25, -1.1, -0.25],
-    5: [_NO, -0.3, -0.5, -0.7, -0.3, -0.75],
-}
-CHECK_ROUNDS = (
-    (3, (4, 3), (3,), "mean_logprob", True, 3),
-    (1, (5, 5), (3, 3, 4), "prob_over_length", True, 3),
+# Decodes the compiled PSGD search must reproduce, byte for byte, before it
+# is used: (model, source, prefix, suffix, params). Found by search, they
+# cover fixed and unfixed EOS terms, both scoring modes, EOS in the length
+# or not, tied rows, patience stops (at 0, and after a round that ties the
+# best), cap stops and spans past ``CHECK_CAPACITY``, and tell the search
+# from copies with one rule of the round or the loop changed.
+CHECK_DECODES = (
+    ("uniform", (2,), (2,), (3, 2, 3), PsgdParams(2, 2, 2, "mean_logprob", False)),
+    ("ngram", (2, 5), (), (2,), PsgdParams(3, 3, 2, "mean_logprob", True)),
+    ("uniform", (2,), (4,), (2, 3, 4), PsgdParams(2, 2, 6, "mean_logprob", True)),
+    ("ngram", (2, 5, 4), (), (), PsgdParams(4, 0, 5, "prob_over_length", False)),
+    ("ngram", (3, 4), (), (), PsgdParams(1, 2, 6, "prob_over_length", False)),
+    ("round", (2,), (), (2, 5, 5), PsgdParams(3, 4, 2, "mean_logprob", True)),
+    ("uniform", (2,), (3,), (), PsgdParams(1, 2, 5, "mean_logprob", False)),
 )
 
 
-def psgd_self_check(psgd_round) -> bool:
-    """Whether ``psgd_round`` scores and expands every round of
-    ``CHECK_ROUNDS`` exactly as ``decode._PythonRound`` does."""
-    from .decode import EXPAND_ALWAYS, EXPAND_IF_BETTER, EXPAND_NEVER, PsgdParams, _PythonRound, _SpanScorer
+def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
+    """Whether ``psgd_search`` decodes every decode of ``CHECK_DECODES``
+    exactly as ``decode._python_psgd`` does with ``_PythonRound``
+    (``_decodes_match``)."""
 
-    for order, p, s, scoring, include_eos_in_len, rounds in CHECK_ROUNDS:
-        model = _CheckModel(order)
-        scorer = _SpanScorer(model, (), p, s)
-        params = PsgdParams(beam_width=3, scoring=scoring, include_eos_in_len=include_eos_in_len)
-        takes = [_PythonRound(scorer, model.vocab, params), CompiledRound(psgd_round, scorer, model.vocab, params)]
-        if not _pointers_set(takes[1].buffers):
-            return False
-        spans = [()]
-        for n in range(rounds):
-            rows = model.rows_after((), [p + span + piece for span in spans for piece in scorer.pieces])
-            length = len(p) + n + len(s)
-            expand, best = (EXPAND_IF_BETTER, -math.inf) if n % 2 else (EXPAND_ALWAYS, -math.inf)
-            if n == rounds - 1:
-                expand, best = EXPAND_IF_BETTER, takes[0](rows, spans, length, EXPAND_NEVER, best)[1]
-            want, got = (round_outputs(take, rows, spans, length, expand, best) for take in takes)
-            if want != got:
-                return False
-            spans = [spans[parent] + (tok,) for parent, tok in want[3]]
-    return True
+    def python(model, source, p, s, params):
+        return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)
+
+    def compiled(model, capacity, source, p, s, params):
+        scorer = _SpanScorer(model, source, p, s)
+        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity)
+
+    # (score, span, counts, last round's children), the score as its hex.
+    return _decodes_match(CHECK_DECODES, python, compiled, lambda result: (result[0].hex(), *result[1:]), rows)

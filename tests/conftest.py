@@ -66,7 +66,8 @@ def beam_path(request):
 
 @pytest.fixture
 def round_path(request):
-    """Scores the test's PSGD rounds with the round named by its parameter,
-    ``"python"`` or ``"kernel"`` (``util.kernel_paths``)."""
-    with run_by("psgd_round", request.param):
+    """Runs the test's untraced PSGD decodes with the search named by its
+    parameter, ``"python"`` or ``"kernel"`` (``util.kernel_paths``); a
+    traced decode always runs the Python search."""
+    with run_by("psgd_search", request.param):
         yield request.param

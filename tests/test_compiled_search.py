@@ -3,7 +3,7 @@ the same finished sequences in the same order, the same final beam, the
 same statistics and the same result bytes, on random n-gram and table
 models, constrained or not, on a cold memo and on one filled first. A warm
 decode is one compiled call, and a cold one returns to Python once per step
-that misses rows, drawing them through ``rows_after``."""
+that misses rows, drawing them through ``_draw``."""
 
 from dataclasses import replace
 
@@ -14,34 +14,12 @@ from tsdecode import decode, rng, rowkernel
 from tsdecode.core import ResultRow, TokenSeq, TsTask, Vocab, result_to_dict
 from tsdecode.decode import DbaParams, beam_search, dba_suggest
 from tsdecode.lm import NgramGenModel, TableModel, make_perturbed_sibling
-from tsdecode.rng import Stream, hash_key
 
-from util import kernel_paths, run_by
+from util import Unindexed, kernel_paths, run_by, table_model
 
 needs_search_kernel = pytest.mark.skipif(
     "kernel" not in kernel_paths("beam_search"), reason="the compiled beam search cannot be built here"
 )
-
-
-def table_model(seed, vocab_size, order, tied):
-    """An order-``order`` table model over ``vocab_size`` ids with a row
-    for some contexts of sources (2,) and (3,): random rows, or rows of
-    few distinct values, so that scores tie."""
-    vocab = Vocab(vocab_size)
-    stream = Stream(hash_key(seed, 0x7AB1E))
-    content = vocab.content_ids
-    table = {}
-    for source in ((2,), (3,)):
-        for _ in range(12):
-            length = stream.randint(1, order)
-            context = (vocab.bos_id,) * (stream.randint(0, 1)) + tuple(stream.choice(content) for _ in range(length))
-            if tied:
-                weights = [float(stream.choice((1, 2, 4))) for _ in range(vocab_size - 1)]
-            else:
-                weights = stream.dirichlet(0.5, vocab_size - 1).tolist()
-            total = sum(weights)
-            table[(source, context[-order:])] = [0.0, *(w / total for w in weights)]
-    return TableModel(vocab, order, table)
 
 
 @st.composite
@@ -177,18 +155,11 @@ def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_step():
     assert cold[:2] == warm[:2]
 
 
-class _Forgetful(NgramGenModel):
-    """A model whose ``rows_after`` draws nothing into its memo."""
-
-    def rows_after(self, source, prefixes):
-        return self._finished_rows(source, self._contexts(prefixes))
-
-
 @needs_search_kernel
-def test_a_rows_after_that_keeps_no_rows_raises_instead_of_looping():
+def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
     with run_by("beam_search", "kernel"):
         with pytest.raises(RuntimeError, match="out of the memo"):
-            decode._beam_core(_Forgetful(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
+            decode._beam_core(Unindexed(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
 
 
 def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):

@@ -90,7 +90,7 @@ def test_greedy_emitted_path_matches_greedy_argmax(m1, m1_task_empty, m1_src):
     assert path == tuple(want)
 
 
-@on_every_path("psgd_round")
+@on_every_path("psgd_search")
 class TestStopping:
     def test_patience_accounting(self):
         for seed in range(10):
@@ -100,23 +100,28 @@ class TestStopping:
             if got.stats.stop_reason == STOP_PATIENCE:
                 assert got.stats.emitted_steps == len(got.span) + 2
 
-    def test_expands_only_before_a_scoring_round(self, monkeypatch):
+    def test_expands_only_before_a_scoring_round(self, monkeypatch, round_path):
         # A patience stop counts its last step in emitted_steps but does not
         # expand the beam for it: one expansion per scoring round but the
-        # last, by whichever round runs.
-        calls = []
+        # last. The traced decode runs the Python round, which shows every
+        # expansion; the untraced one, compiled on the kernel path, ends
+        # with no children and the same results.
+        calls, lasts = [], []
+        expand, search = decode._PythonRound.__call__, rowkernel.CompiledPsgd.__call__
 
-        def counted(real):
-            def call(self, *args):
-                top, score, children = real(self, *args)
-                if children:
-                    calls.append(args)
-                return top, score, children
+        def counted(self, *args):
+            top, score, children = expand(self, *args)
+            if children:
+                calls.append(args)
+            return top, score, children
 
-            return call
+        def recorded(self):
+            result = search(self)
+            lasts.append(result[3])
+            return result
 
-        for round_class in (decode._PythonRound, rowkernel.CompiledRound):
-            monkeypatch.setattr(round_class, "__call__", counted(round_class.__call__))
+        monkeypatch.setattr(decode._PythonRound, "__call__", counted)
+        monkeypatch.setattr(rowkernel.CompiledPsgd, "__call__", recorded)
         stops = set()
         for seed in range(10):
             vocab, src, model = random_table_model(seed + 50)
@@ -126,6 +131,12 @@ class TestStopping:
                 params = PsgdParams(beam_width=3, patience=patience, max_span_len=max_span)
                 got, trace = psgd_with_trace(model, task, params)
                 assert len(calls) == len(trace) - 1
+                lasts.clear()
+                untraced = psgd(model, task, params)
+                assert lasts == ([[]] if round_path == "kernel" else [])
+                assert replace(untraced, stats=replace(untraced.stats, wall_time_us=0)) == replace(
+                    got, stats=replace(got.stats, wall_time_us=0)
+                )
                 stops.add(got.stats.stop_reason)
                 if got.stats.stop_reason == STOP_PATIENCE:
                     assert got.stats.emitted_steps == len(trace) == len(got.span) + patience
@@ -223,7 +234,7 @@ def _affix_tasks(order: int, vocab: Vocab, seed: int):
             )
 
 
-@on_every_path("psgd_round")
+@on_every_path("psgd_search")
 class TestTwoPassReference:
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_incremental_scores_equal_forced_passes_bit_for_bit(self, order):
@@ -387,7 +398,7 @@ def pinned_setup():
     return model, task
 
 
-@over_paths("psgd_round", "run", [(r,) for r in PINNED_RUNS], [r[0] for r in PINNED_RUNS])
+@over_paths("psgd_search", "run", [(r,) for r in PINNED_RUNS], [r[0] for r in PINNED_RUNS])
 def test_entry_points_are_pinned(round_path, pinned_setup, run):
     model, task = pinned_setup
     _label, params, span, one, two, emitted, stop, trace_spans = run

@@ -1,117 +1,199 @@
-"""The compiled PSGD round against the Python round: the same scores, byte
-for byte, the same first-ranked item, the same children and carries, over
-random rounds whose scores tie, and the same decodes past the point where
-the compiled round's carry buffer grows."""
+"""The compiled PSGD search against the Python search, decode by decode:
+the same span, the same score bytes and the same statistics, on random
+n-gram, sibling and table models and on models whose rows tie, on a cold
+memo, a warm one and one filled first, past the point where the compiled
+search's span room grows. A warm decode is one compiled call, and a cold
+one returns to Python once per round that misses rows, drawing them
+through ``_draw``."""
 
-import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tsdecode import decode, rng
+from tsdecode import decode, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
-from tsdecode.decode import EXPAND_ALWAYS, EXPAND_IF_BETTER, EXPAND_NEVER, PsgdParams, psgd_with_trace
-from tsdecode.lm import NgramGenModel
-from tsdecode.rowkernel import CompiledRound, round_outputs
+from tsdecode.decode import PsgdParams, psgd, psgd_with_trace
+from tsdecode.lm import NgramGenModel, SequenceModel, UniformModel, make_perturbed_sibling
 from tsdecode.scoring import SCORING_MODES
 
-from util import kernel_paths, run_by
+from util import Unindexed, kernel_paths, run_by, table_model
 
-needs_round_kernel = pytest.mark.skipif(
-    "kernel" not in kernel_paths("psgd_round"), reason="the compiled PSGD round cannot be built here"
+needs_psgd_kernel = pytest.mark.skipif(
+    "kernel" not in kernel_paths("psgd_search"), reason="the compiled PSGD search cannot be built here"
 )
 
-# Row values: few and distinct, so scores tie. Short binary fractions add
+# Log-row values: few and distinct, so scores tie. Short binary fractions add
 # exactly, so items whose spans score differently tie too; the others do
-# not, so a sum added in another order changes bytes.
+# not, so a sum added in another order changes bytes. Each is the log of its
+# exponential, so ``_draw`` keeps it.
 EXACT_VALUES = tuple(-0.25 * i for i in range(1, 9))
 INEXACT_VALUES = (-0.3, -0.7, -1.1, -2.9)
 
 
-class TiedModel:
-    """A model whose row after BOS + a prefix depends only on the prefix's
-    last token, each drawn from ``values`` on first use."""
+class TiedModel(SequenceModel):
+    """A model whose log row after BOS + a prefix depends only on the
+    prefix's last token (BOS for the empty prefix), each entry drawn from
+    ``values`` by a generator seeded with ``seed`` and that token."""
 
     def __init__(self, vocab: Vocab, order: int, values: tuple[float, ...], seed: int) -> None:
-        self.vocab, self.order, self.values = vocab, order, values
-        self.draw = np.random.default_rng(seed)
-        self.table = {}
+        super().__init__("tied", vocab, order)
+        self.probs, self.seed = np.exp(values), seed
 
-    def rows_after(self, source, prefixes):
-        out = []
-        for prefix in prefixes:
-            key = prefix[-1:]
-            if key not in self.table:
-                row = self.draw.choice(self.values, size=self.vocab.size)
-                row[self.vocab.bos_id] = -math.inf
-                self.table[key] = row
-            out.append(self.table[key])
-        return out
+    def _finished_rows(self, source, contexts):
+        return np.array([np.random.default_rng((self.seed, context[-1])).choice(self.probs, self.vocab.size)
+                         for context in contexts])
+
+
+def factories(kind, vocab_size, order, seed, draw):
+    """A function that builds a new model of ``kind``."""
+    if kind in ("ngram", "sibling"):
+        concentration = draw(st.sampled_from([0.05, 0.2, 1.0]))
+
+        def factory():
+            model = NgramGenModel(Vocab(vocab_size), order, seed, concentration)
+            return make_perturbed_sibling(model, seed + 1, 0.5) if kind == "sibling" else model
+    elif kind == "tied":
+        values = draw(st.sampled_from([EXACT_VALUES, INEXACT_VALUES]))
+
+        def factory():
+            return TiedModel(Vocab(vocab_size), order, values, seed)
+    else:
+        def factory():
+            return table_model(seed, vocab_size, order, kind == "tied-table")
+    return factory
 
 
 @st.composite
 def decodes(draw):
-    """(model, prefix, suffix, params, plan): vocab 20 or 100, order 1-3,
-    rows of exact or inexact values, prefix and suffix of 0-4 tokens over
-    the first content ids, so the
-    suffix is shorter or longer than the order, width 1-8, both scoring
-    modes, and 1-5 rounds, each with an ``EXPAND_*`` and the best so far:
-    -inf, or the round's own best score, which it must not beat."""
-    vocab = Vocab(draw(st.sampled_from([20, 100])))
-    values = draw(st.sampled_from([EXACT_VALUES, INEXACT_VALUES]))
-    model = TiedModel(vocab, draw(st.integers(1, 3)), values, draw(st.integers(0, 2**32 - 1)))
-    affix = st.lists(st.sampled_from(vocab.content_ids[:3]), max_size=4).map(tuple)
-    prefix, suffix = draw(affix), draw(affix)
+    """(model factory, task, params, memo state): n-gram, sibling, table
+    and tied models of vocab 5, 8 or 20 and order 1-3, prefix and suffix of
+    0-4 tokens over the first content ids, so the suffix is shorter or
+    longer than the order, widths 1-6, patience 0-6, ``max_span_len`` 1-8
+    or 70, past the first span room, both scoring modes, with EOS in the
+    length or not."""
+    kind = draw(st.sampled_from(["ngram", "sibling", "table", "tied-table", "tied"]))
+    vocab_size = draw(st.sampled_from([5, 8, 20]))
+    factory = factories(kind, vocab_size, draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), draw)
+    affix = st.lists(st.sampled_from(Vocab(vocab_size).content_ids[:3]), max_size=4).map(tuple)
+    source = draw(st.sampled_from([(2,), (3,)]))
+    task = TsTask("t", TokenSeq(source), TokenSeq(draw(affix)), TokenSeq(draw(affix)))
     params = PsgdParams(
-        beam_width=draw(st.integers(1, 8)),
+        beam_width=draw(st.integers(1, 6)),
+        patience=draw(st.integers(0, 6)),
+        max_span_len=draw(st.one_of(st.integers(1, 8), st.just(70))),
         scoring=draw(st.sampled_from(SCORING_MODES)),
         include_eos_in_len=draw(st.booleans()),
     )
-    expand = st.sampled_from([EXPAND_ALWAYS, EXPAND_ALWAYS, EXPAND_IF_BETTER, EXPAND_NEVER])
-    plan = draw(st.lists(st.tuples(expand, st.booleans()), min_size=1, max_size=5))
-    return model, prefix, suffix, params, plan
+    return factory, task, params, draw(st.sampled_from(["cold", "warm", "filled"]))
 
 
-@needs_round_kernel
+def outcome(path, factory, task, params, memo):
+    """What a decode gives on the ``path`` way, its score as its hex and
+    its statistics with ``wall_time_us`` 0. Its model's memo is ``cold``,
+    ``warm`` (the same decode ran first) or ``filled`` (forced passes over
+    some targets ran first)."""
+    with run_by("psgd_search", path):
+        model = factory()
+        if memo == "warm":
+            psgd(model, task, params)
+        elif memo == "filled":
+            content = model.vocab.content_ids
+            for target in [(), content[:3], content[-2:] * 2, task.prefix.tokens + (content[0],) * 3]:
+                model.forced_pass(task.source, target)
+        got = psgd(model, task, params)
+    return got.span.tokens, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0)
+
+
+def _uniform():
+    # Every span scores alike under the mean with EOS in the length, and
+    # better with each token without it: decodes that run to the cap.
+    return UniformModel(Vocab(6))
+
+
+@needs_psgd_kernel
 @given(decodes())
+@example((_uniform, TsTask("u", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,))), PsgdParams(3, 6, 70), "cold"))
+@example((_uniform, TsTask("u", TokenSeq((2,)), TokenSeq(()), TokenSeq(())), PsgdParams(2, 2, 70, "mean_logprob", True),
+          "warm"))
 @settings(max_examples=300, deadline=None)
 def test_compiled_round_equals_python_round(case):
-    model, p, s, params, plan = case
-    scorer = decode._SpanScorer(model, (), p, s)
-    takes = [
-        decode._PythonRound(scorer, model.vocab, params),
-        CompiledRound(rng.compiled().psgd_round, scorer, model.vocab, params),
-    ]
-    spans = [()]
-    for n, (expand, own_best) in enumerate(plan):
-        rows = model.rows_after((), [p + span + piece for span in spans for piece in scorer.pieces])
-        length = len(p) + n + len(s)
-        best = -math.inf
-        if own_best:
-            best = takes[0](rows, spans, length, EXPAND_NEVER, best)[1]
-        want, got = (round_outputs(take, rows, spans, length, expand, best) for take in takes)
-        assert got == want
-        spans = [spans[parent] + (tok,) for parent, tok in want[3]]
-        if not spans:
-            break
+    assert outcome("kernel", *case) == outcome("python", *case)
 
 
-def _decode(path, model, task, params):
-    with run_by("psgd_round", path):
-        return psgd_with_trace(model, task, params)
-
-
-@needs_round_kernel
+@needs_psgd_kernel
 @pytest.mark.parametrize("order", [2, 3])
 def test_long_decodes_match_past_the_carry_growth(order):
-    # Every item carries its span's terms, in a buffer that starts with room
-    # for 8 and doubles; these decodes run to 40. The suffix (5, 2) at order
-    # 2 reads a fixed EOS head term, the shorter ones each item's EOS row.
-    model = NgramGenModel(Vocab(9), order, seed=21, concentration=0.3)
-    params = PsgdParams(beam_width=4, patience=50, max_span_len=40)
+    # Every item carries its span's terms, in room for 64 at first that
+    # doubles; these decodes run to 70. The suffix (5, 2) at order 2 reads a
+    # fixed EOS head term, the shorter ones each item's EOS row.
+    params = PsgdParams(beam_width=4, patience=80, max_span_len=70)
     for suffix in ((), (5,), (5, 2)):
         task = TsTask("long", TokenSeq((3, 4)), TokenSeq((2,)), TokenSeq(suffix))
-        (want, want_trace), (got, got_trace) = (_decode(path, model, task, params) for path in ("python", "kernel"))
-        assert got.stats.emitted_steps == 40
-        assert (got.span, got.whole_seq_score, got_trace) == (want.span, want.whole_seq_score, want_trace)
+        outcomes = [outcome(path, lambda: NgramGenModel(Vocab(9), order, seed=21, concentration=0.3), task, params,
+                            "cold") for path in ("python", "kernel")]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2].emitted_steps == 70 > rowkernel.INITIAL_CAPACITY
+
+
+@needs_psgd_kernel
+def test_a_traced_decode_matches_the_compiled_one():
+    # A trace asks for every round's scores, which the kernel does not
+    # keep: psgd_with_trace takes the Python search on either path.
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    task = TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6, 2)))
+    with run_by("psgd_search", "kernel"):
+        traced, trace = psgd_with_trace(model, task)
+        got = psgd(model, task)
+    assert (traced.span, traced.whole_seq_score) == (got.span, got.whole_seq_score)
+    assert replace(traced.stats, wall_time_us=0) == replace(got.stats, wall_time_us=0)
+    assert sum(map(len, trace)) == got.stats.forward_passes
+
+
+@needs_psgd_kernel
+def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_round():
+    kernel = rng.compiled().psgd_search
+    calls = []
+
+    def counted(address):
+        calls.append(address)
+        return kernel(address)
+
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    task = TsTask("t", TokenSeq((3, 7, 5, 9)), TokenSeq((4,)), TokenSeq((6, 2)))
+    with run_by("psgd_search", "kernel"):
+        rng._compiled = rng._compiled._replace(psgd_search=counted)
+        cold = psgd(model, task)
+        cold_calls = len(calls)
+        calls.clear()
+        warm = psgd(model, task)
+    assert cold_calls > 1 and len(calls) == 1
+    assert (cold.span, cold.whole_seq_score) == (warm.span, warm.whole_seq_score)
+
+
+@needs_psgd_kernel
+def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
+    task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
+    with run_by("psgd_search", "kernel"):
+        with pytest.raises(RuntimeError, match="out of the memo"):
+            psgd(Unindexed(Vocab(8), 2, 3, 0.5), task)
+
+
+def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
+    class Shortsighted(NgramGenModel):
+        def _contexts(self, prefixes):
+            return [p[-1:] for p in prefixes]
+
+    monkeypatch.setattr(rowkernel, "CompiledPsgd", lambda *a: pytest.fail("compiled"))
+    task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
+    got = psgd(Shortsighted(Vocab(8), 2, 3, 0.5), task)
+    with run_by("psgd_search", "python"):
+        want = psgd(Shortsighted(Vocab(8), 2, 3, 0.5), task)
+    assert (got.span, got.whole_seq_score) == (want.span, want.whole_seq_score)
+
+
+def test_the_forced_pass_reference_takes_the_python_search(monkeypatch):
+    monkeypatch.setattr(rowkernel, "CompiledPsgd", lambda *a: pytest.fail("compiled"))
+    task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
+    decode.psgd_two_pass(NgramGenModel(Vocab(8), 2, 3, 0.5), task)

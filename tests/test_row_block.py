@@ -233,7 +233,10 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     rows_after = vars(SequenceModel)["rows_after"]
     with run_by("block", "python"):
         assert traced_rows(tracer_module) == (rows, u64, blocks)
-        with monkeypatch.context() as patch:
+        # One row at a time through rows_after: the compiled searches hand
+        # the contexts a step misses to _draw as one block, so the Python
+        # searches run here.
+        with monkeypatch.context() as patch, run_by("beam_search", "python"), run_by("psgd_search", "python"):
             patch.setattr(
                 SequenceModel,
                 "rows_after",

@@ -85,23 +85,24 @@ def test_every_exported_kernel_function_is_a_field_of_functions():
 CHECKS = {
     "block": "block_self_check",
     "beam_search": "beam_search_self_check",
-    "psgd_round": "psgd_self_check",
+    "psgd_search": "psgd_self_check",
 }
 
 
 def test_every_pointer_field_is_set():
     # A misspelt section name would set a Python attribute instead of its
     # field, and the kernel would read through NULL. No kernel is called.
-    vocab = Vocab(6)
+    rows = rowkernel.CheckRows()
     takes = [
-        rowkernel.CompiledSearch(None, rowkernel._check_model(name, {}), source, constraints, width, max_len)
+        rowkernel.CompiledSearch(None, rowkernel._check_model(name, rows), source, constraints, width, max_len)
         for name, source, constraints, width, max_len in rowkernel.CHECK_SEARCHES
     ]
     n_searches = len(takes)
-    for order, p, s, *_ in rowkernel.CHECK_ROUNDS:
-        scorer = decode._SpanScorer(rowkernel._CheckModel(order), (), p, s)
-        takes.append(rowkernel.CompiledRound(None, scorer, vocab, decode.PsgdParams(beam_width=3)))
-    assert [take.buffers.fixed_eos for take in takes[n_searches:]] == [False, True]
+    for name, source, p, s, params in rowkernel.CHECK_DECODES:
+        model = rowkernel._check_model(name, rows)
+        scorer = decode._SpanScorer(model, source, p, s)
+        takes.append(rowkernel.CompiledPsgd(None, model, source, p, s, scorer, params, params.max_span_len))
+    assert {take.buffers.fixed_eos for take in takes[n_searches:]} == {False, True}
     for take in takes:
         assert rowkernel._pointers_set(take.buffers)
         assert not vars(take.buffers)
@@ -147,7 +148,7 @@ def test_each_field_holds_its_function_decided_by_its_own_check(name, built, tmp
     directory = tmp_path / "cache"
     directory.mkdir(mode=0o700)
     shutil.copy(built, directory)
-    monkeypatch.setattr(rowkernel, CHECKS[name], lambda function: False)
+    monkeypatch.setattr(rowkernel, CHECKS[name], lambda function, *rows: False)
     functions, warned = loaded_with_warnings(directory)
     assert fallen_back(functions) == {name}
     assert warned == [RuntimeWarning]
@@ -310,24 +311,27 @@ def _score_one_ulp_off(beam_search):
     return wrong
 
 
-def _round_score_one_ulp_off(psgd_round):
-    def wrong(at, norm, best, expand):
-        k = psgd_round(at, norm, best, expand)
-        score = ctypes.c_double.from_address(rowkernel._RoundBuffers.from_address(at).score)
-        score.value = math.nextafter(score.value, -math.inf)
-        return k
+def _best_score_one_ulp_off(psgd_search):
+    # Nudges the best score of a finished decode.
+    def wrong(at):
+        status = psgd_search(at)
+        if status == 0:
+            buffers = rowkernel._PsgdBuffers.from_address(at)
+            buffers.best = math.nextafter(buffers.best, -math.inf)
+        return status
 
     return wrong
 
 
-def _round_tie_to_the_last(psgd_round):
-    # Of the items tied with the first-ranked, marks the last in beam order.
-    def wrong(at, norm, best, expand):
-        k = psgd_round(at, norm, best, expand)
-        buffers = rowkernel._RoundBuffers.from_address(at)
-        scores = (ctypes.c_double * buffers.size[buffers.cur]).from_address(buffers.score)
-        buffers.best = max(b for b, score in enumerate(scores) if score == scores[buffers.best])
-        return k
+def _resumed_ties_reversed(psgd_search):
+    # Reverses the tie ranks of the items a call starts from, so that a
+    # decode resumed after a return breaks its ties the other way.
+    def wrong(at):
+        buffers = rowkernel._PsgdBuffers.from_address(at)
+        n = buffers.size[buffers.cur]
+        order = (ctypes.c_int64 * n).from_address(buffers.order + 8 * buffers.cur * buffers.width)
+        order[:] = [n - 1 - rank for rank in order]
+        return psgd_search(at)
 
     return wrong
 
@@ -466,7 +470,7 @@ def _opened_as(wrap, name):
     return opened
 
 
-# Without a compiler the Python row loop, finalisation, step and round are
+# Without a compiler the Python row loop, finalisation and searches are
 # taken silently; any other failure is reported. A function that fails its
 # check leaves the others compiled: ONLY names what falls back.
 SILENT = {"no-compiler-named", "compiler-missing"}
@@ -474,8 +478,8 @@ ONLY = {
     "wrong-bytes": "block",
     "step-one-short": "beam_search",
     "step-score-wrong": "beam_search",
-    "round-score-wrong": "psgd_round",
-    "round-tie-wrong": "psgd_round",
+    "round-score-wrong": "psgd_search",
+    "round-tie-wrong": "psgd_search",
     **dict.fromkeys(BLOCK_MUTANTS, "block"),
 }
 FALLBACKS = {
@@ -487,8 +491,8 @@ FALLBACKS = {
     "wrong-bytes": (rowkernel, "_open", _opened_as(_one_ulp_off, "block")),
     "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_search")),
     "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_search")),
-    "round-score-wrong": (rowkernel, "_open", _opened_as(_round_score_one_ulp_off, "psgd_round")),
-    "round-tie-wrong": (rowkernel, "_open", _opened_as(_round_tie_to_the_last, "psgd_round")),
+    "round-score-wrong": (rowkernel, "_open", _opened_as(_best_score_one_ulp_off, "psgd_search")),
+    "round-tie-wrong": (rowkernel, "_open", _opened_as(_resumed_ties_reversed, "psgd_search")),
     **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, "block"))
        for name, mutant in BLOCK_MUTANTS.items()},
 }
@@ -520,9 +524,8 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     # A process that draws its first block of rows now draws every row with
     # the Python loop and finishes it in numpy, unless only another function
     # failed: the reference's bytes, block or not, and the reference's draw
-    # counts row by row. It takes its beams by the Python step and scores
-    # its PSGD rounds by the Python round when those failed, with the same
-    # bytes.
+    # counts row by row. It takes its beams by the Python step and its PSGD
+    # decodes by the Python round when those failed, with the same bytes.
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(rng, "_compiled", None)
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
@@ -566,8 +569,8 @@ def test_importing_the_program_loads_no_kernel():
     ids=["rows", "beams", "psgd"],
 )
 def test_a_process_loads_the_kernel_once(order, monkeypatch):
-    # Row blocks, beam steps and PSGD rounds share one load, whichever comes
-    # first.
+    # Row blocks, beam searches and PSGD decodes share one load, whichever
+    # comes first.
     monkeypatch.setattr(rng, "_compiled", None)
     calls = []
     load = rowkernel.load

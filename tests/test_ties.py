@@ -144,7 +144,7 @@ def default_ids(argnames, table):
     ]
 
 
-@over_paths("psgd_round", _PSGD_ARGS, PSGD, default_ids(_PSGD_ARGS, PSGD))
+@over_paths("psgd_search", _PSGD_ARGS, PSGD, default_ids(_PSGD_ARGS, PSGD))
 def test_psgd_ties_pinned(round_path, name, src, prefix, suffix, width, span, score, emitted):
     task = TsTask(
         "t", TokenSeq(src), TokenSeq(prefix), TokenSeq(suffix)

@@ -37,6 +37,38 @@ def random_table_model(seed, vocab_size=4, order=1, concentration=0.8, max_src_l
     return vocab, src, TableModel(vocab, order, table)
 
 
+def table_model(seed, vocab_size, order, tied):
+    """An order-``order`` table model over ``vocab_size`` ids with a row
+    for some contexts of sources (2,) and (3,): random rows, or rows of
+    few distinct values, so that scores tie."""
+    vocab = Vocab(vocab_size)
+    stream = Stream(hash_key(seed, 0x7AB1E))
+    content = vocab.content_ids
+    table = {}
+    for source in ((2,), (3,)):
+        for _ in range(12):
+            length = stream.randint(1, order)
+            context = (vocab.bos_id,) * (stream.randint(0, 1)) + tuple(stream.choice(content) for _ in range(length))
+            if tied:
+                weights = [float(stream.choice((1, 2, 4))) for _ in range(vocab_size - 1)]
+            else:
+                weights = stream.dirichlet(0.5, vocab_size - 1).tolist()
+            total = sum(weights)
+            table[(source, context[-order:])] = [0.0, *(w / total for w in weights)]
+    return TableModel(vocab, order, table)
+
+
+class Unindexed(lm.NgramGenModel):
+    """A model whose ``_draw`` keeps the rows it draws out of the source's
+    index, so that a compiled search misses them again."""
+
+    def _draw(self, source, contexts):
+        index = self._indexes.pop(source, None)
+        super()._draw(source, contexts)
+        if index is not None:
+            self._indexes[source] = index
+
+
 def random_task(seed, vocab, src, max_affix_len=2):
     """A task with random prefix/suffix content tokens over ``vocab``."""
     stream = Stream(hash_key(seed, 0xA27B))
@@ -129,7 +161,7 @@ def finish_rows(rows):
 def kernel_paths(function):
     """The ways to run the kernel function ``function`` (``"block"``, the
     finished rows of an n-gram model's block of contexts, ``"finalize"``,
-    the same, ``"beam_search"`` or ``"psgd_round"``) here: ``"python"``
+    the same, ``"beam_search"`` or ``"psgd_search"``) here: ``"python"``
     always, and ``"kernel"`` where the compiled function builds, loads and
     passes its check."""
     return ("python", "kernel") if getattr(rng.compiled(), FIELDS.get(function, function)) else ("python",)
@@ -138,9 +170,9 @@ def kernel_paths(function):
 @contextmanager
 def run_by(function, path):
     """Run ``function`` (``"block"``, ``"finalize"``, ``"beam_search"`` or
-    ``"psgd_round"``) the ``path`` way while the block is open: the loaded
+    ``"psgd_search"``) the ``path`` way while the block is open: the loaded
     kernel's function, or in its place the Python row loop and numpy
-    finish, search or round."""
+    finish or search."""
     function = FIELDS.get(function, function)
     loaded = rng.compiled()
     assert path == "python" or getattr(loaded, function), f"the compiled {function} is not loaded"
@@ -152,7 +184,7 @@ def run_by(function, path):
 
 
 # The fixture that runs a test on one path of each kernel function.
-PATH_FIXTURES = {"finalize": "finalize_path", "beam_search": "beam_path", "psgd_round": "round_path"}
+PATH_FIXTURES = {"finalize": "finalize_path", "beam_search": "beam_path", "psgd_search": "round_path"}
 
 
 def over_paths(function, argnames, table, ids):
