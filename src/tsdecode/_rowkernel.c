@@ -41,9 +41,13 @@
    open-addressing table of context ids and row addresses (``lm._Index``,
    ``struct tsd_rows``), and return to Python only when a step or round
    needs rows the memo lacks, handing back each missing context once, or
-   room for its finishes or tokens; Python draws the rows through
-   ``lm.SequenceModel._draw`` or grows the room, and calls again to resume
-   the step. A warm decode is one call.
+   room for its finishes or tokens. An n-gram model's missed rows they
+   draw first, into the model's chunk, with the code of ``tsd_block``
+   (``finished_row``), when the chunk has room for them all; Python takes
+   their log (numpy's log is the reference for the log rows) or draws the
+   rows through ``lm.SequenceModel._draw``, grows the room, and calls
+   again to resume the step, and only that call enters the rows into the
+   index. A warm decode is one call.
 
    ``rowkernel.load`` checks each exported function against its Python
    twin before any is used; the summation order of numpy is reproduced,
@@ -164,34 +168,49 @@ static uint64_t fold(uint64_t h, const int64_t *ids, int64_t n)
     return h;
 }
 
-/* Writes the finished rows of ``n_rows`` contexts of one source to the
-   ``n_rows`` x ``vocab`` block ``rows``, every entry of it. ``contexts``
-   holds the contexts' lengths, then their ids one context after another.
-   A context's raw row is 0 at BOS (column 0) and, in the other columns,
-   the Dirichlet row keyed by the context folded onto ``h_row``, or onto
-   ``h_alt`` when ``rate`` > 0 and the first draw keyed by the context
-   folded onto ``h_coin`` is below ``rate``. Each raw row is then finished:
-   BOS zeroed, each entry divided by the row's sum, times ``scale``, plus
-   ``eps``, and BOS zeroed again. A Dirichlet row's sum is positive, so the
-   finished row's sum is too. */
+/* An n-gram model's row parameters for one source: the keys Python folded
+   once, ``hash_key(seed, tag, source)`` for its rows, its sibling's rows
+   and its coins, the sibling's rate (0 for a model with no sibling), the
+   Dirichlet concentration and the scale and floor of the finish. */
+struct tsd_source {
+    uint64_t h_row, h_alt, h_coin;
+    double rate, concentration, scale, eps;
+};
+
+/* Writes the finished row of the ``n`` context ids ``ctx`` of the source
+   ``p`` to ``row``, every one of its ``vocab`` entries. Its raw row is 0 at
+   BOS (column 0) and, in the other columns, the Dirichlet row keyed by the
+   context folded onto ``h_row``, or onto ``h_alt`` when ``rate`` > 0 and
+   the first draw keyed by the context folded onto ``h_coin`` is below
+   ``rate``. The raw row is then finished: BOS zeroed, each entry divided by
+   the row's sum, times ``scale``, plus ``eps``, and BOS zeroed again. A
+   Dirichlet row's sum is positive, so the finished row's sum is too. */
+static void finished_row(const struct tsd_source *p, const int64_t *ctx, int64_t n, int64_t vocab, double *row)
+{
+    uint64_t h = p->h_row;
+    if (p->rate > 0.0 && uniform(fold(p->h_coin, ctx, n), 1) < p->rate)
+        h = p->h_alt;
+    row[0] = 0.0;
+    dirichlet(fold(h, ctx, n), vocab - 1, p->concentration, row + 1);
+    double total = add_reduce(row, vocab);
+    for (int64_t v = 0; v < vocab; v++)
+        row[v] = row[v] / total * p->scale + p->eps;
+    row[0] = 0.0;
+}
+
+/* Writes the finished rows (``finished_row``) of ``n_rows`` contexts of one
+   source to the ``n_rows`` x ``vocab`` block ``rows``, every entry of it.
+   ``contexts`` holds the contexts' lengths, then their ids one context
+   after another. */
 void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
                const int64_t *contexts, int64_t n_rows, int64_t vocab,
                double concentration, double scale, double eps, double *rows)
 {
+    const struct tsd_source p = {h_row, h_alt, h_coin, rate, concentration, scale, eps};
     const int64_t *tokens = contexts + n_rows;
     for (int64_t r = 0; r < n_rows; r++) {
-        const int64_t n = contexts[r];
-        double *row = rows + r * vocab;
-        uint64_t h = h_row;
-        if (rate > 0.0 && uniform(fold(h_coin, tokens, n), 1) < rate)
-            h = h_alt;
-        row[0] = 0.0;
-        dirichlet(fold(h, tokens, n), vocab - 1, concentration, row + 1);
-        double total = add_reduce(row, vocab);
-        for (int64_t v = 0; v < vocab; v++)
-            row[v] = row[v] / total * scale + eps;
-        row[0] = 0.0;
-        tokens += n;
+        finished_row(&p, tokens, contexts[r], vocab, rows + r * vocab);
+        tokens += contexts[r];
     }
 }
 
@@ -199,20 +218,32 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
    open-addressing table of context ids and row addresses that the caller
    sizes and this file fills (before each call the caller sets the table,
    and the rows it lacks in ``queued``), the step or round the search is at,
-   and the contexts whose rows the index lacks, which the search hands back
-   for the caller to draw. A row's context is the last ``n_context`` ids of
-   BOS + the tokens it follows (``lm.SequenceModel._contexts``). */
+   and the contexts whose rows the index lacks, which the search hands back.
+   A row's context is the last ``n_context`` ids of BOS + the tokens it
+   follows (``lm.SequenceModel._contexts``).
+
+   A missed row takes one of two routes. When the caller set ``chunk`` and
+   ``source``, the free rows of an n-gram model's chunk and the source's
+   row parameters, and the chunk has room for every wanted row, the search
+   draws their finished rows into the chunk, points ``drawn`` at the first
+   and returns; the caller takes their log in place, makes the index room
+   for them and calls again, and only that call enters them into the
+   index, reading their contexts from ``wanted``, so a row is logged
+   before the index can reach it. Otherwise it returns the contexts alone,
+   and the caller draws their rows and queues them. */
 struct tsd_rows {
     int64_t vocab;          /* entries per row */
     int64_t bos;            /* the BOS id */
     int64_t n_context;
-    int64_t bits;           /* the index holds 2^bits slots ... */
-    int64_t slot_width;     /* ... of slot_width ids: the row's address, the
-                               context's length, then its ids; or 0s */
-    int64_t old_bits, old_width; /* the table ``old_index`` outgrew */
+    int64_t bits;           /* the index holds 2^bits slots of 2 + n_context
+                               ids: the row's address, the context's length,
+                               then its ids; or 0s */
+    int64_t old_bits;       /* the table ``old_index`` outgrew */
     int64_t n_queued;       /* ids in ``queued`` */
     int64_t step;           /* the beam's length, or the PSGD spans' */
     int64_t n_wanted;       /* ids in ``wanted`` */
+    int64_t chunk_room;     /* rows free in ``chunk`` */
+    struct tsd_source source;
     int64_t *index;
     const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
     const int64_t *queued;  /* rows to index, per block of rows one after
@@ -221,6 +252,9 @@ struct tsd_rows {
                                their ids */
     int64_t *wanted;        /* per context the index lacks, each once: its
                                length, then its ids */
+    double *chunk;          /* NULL, or the first free row of the model's
+                               chunk, for rows drawn with ``source`` */
+    double *drawn;          /* NULL, or the first row drawn for ``wanted`` */
 };
 
 /* The first slot of the ``n`` context ids ``ctx``: their length, then
@@ -241,9 +275,9 @@ static uint64_t first_slot(const struct tsd_rows *r, const int64_t *ctx, int64_t
 static void enter(struct tsd_rows *r, const int64_t *ctx, int64_t n, int64_t address)
 {
     uint64_t mask = (UINT64_C(1) << r->bits) - 1, slot = first_slot(r, ctx, n);
-    while (r->index[slot * r->slot_width])
+    while (r->index[slot * (2 + r->n_context)])
         slot = (slot + 1) & mask;
-    int64_t *entry = r->index + slot * r->slot_width;
+    int64_t *entry = r->index + slot * (2 + r->n_context);
     entry[0] = address;
     entry[1] = n;
     memcpy(entry + 2, ctx, n * sizeof *ctx);
@@ -255,7 +289,7 @@ static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int6
 {
     uint64_t mask = (UINT64_C(1) << r->bits) - 1;
     for (uint64_t slot = first_slot(r, ctx, n);; slot = (slot + 1) & mask) {
-        const int64_t *entry = r->index + slot * r->slot_width;
+        const int64_t *entry = r->index + slot * (2 + r->n_context);
         if (!entry[0])
             return NULL;
         if (entry[1] == n && !memcmp(entry + 2, ctx, n * sizeof *ctx))
@@ -263,17 +297,23 @@ static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int6
     }
 }
 
-/* Moves the entries of ``old_index`` into the index, then enters the
-   queued rows. */
+/* Moves the entries of ``old_index`` into the index, then enters the rows
+   the last call drew and the queued rows. */
 static void index_rows(struct tsd_rows *r)
 {
     if (r->old_index) {
         for (int64_t i = 0; i < INT64_C(1) << r->old_bits; i++) {
-            const int64_t *entry = r->old_index + i * r->old_width;
+            const int64_t *entry = r->old_index + i * (2 + r->n_context);
             if (entry[0])
                 enter(r, entry + 2, entry[1], entry[0]);
         }
         r->old_index = NULL;
+    }
+    if (r->drawn) {
+        double *row = r->drawn;
+        for (const int64_t *w = r->wanted, *end = w + r->n_wanted; w < end; w += 1 + w[0], row += r->vocab)
+            enter(r, w + 1, w[0], (int64_t)(intptr_t)row);
+        r->drawn = NULL;
     }
     for (const int64_t *q = r->queued, *end = q + r->n_queued; q < end;) {
         const int64_t n_rows = q[0], *lengths = q + 2;
@@ -305,6 +345,23 @@ static const double *row_after(struct tsd_rows *r, const int64_t *ids, int64_t n
     memcpy(r->wanted + r->n_wanted + 1, ctx, m * sizeof *ctx);
     r->n_wanted += 1 + m;
     return NULL;
+}
+
+/* Draws the rows of the contexts in ``wanted`` into the chunk and points
+   ``drawn`` at the first, when the caller set the chunk and it has room
+   for them all; otherwise leaves them to the caller. */
+static void draw_wanted(struct tsd_rows *r)
+{
+    const int64_t *end = r->wanted + r->n_wanted;
+    int64_t n_rows = 0;
+    for (const int64_t *w = r->wanted; w < end; w += 1 + w[0])
+        n_rows++;
+    if (!r->chunk || n_rows > r->chunk_room)
+        return;
+    double *row = r->chunk;
+    for (const int64_t *w = r->wanted; w < end; w += 1 + w[0], row += r->vocab)
+        finished_row(&r->source, w + 1, w[0], r->vocab, row);
+    r->drawn = r->chunk;
 }
 
 /* One decode of the full-sentence beam search and its buffers, allocated
@@ -570,14 +627,16 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     return next;
 }
 
-/* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
-   beam on side ``cur``, at length ``r.step``, until it stops at the length
-   budget or on an empty beam (returns 0), or until a step needs what the
-   caller must give first (returns 1): room for the next beam's tokens
-   (``r.step`` is ``capacity``), room for the step's finishes, or the rows
-   of the contexts in ``wanted``. The step is then not begun; the caller
-   reads and clears the finishes, grows the buffers or draws the wanted
-   rows, and calls again to resume. Returns -1 when memory runs out. */
+/* Indexes the rows the last call drew and the queued rows, then runs
+   ``decode._beam_core``'s loop from the beam on side ``cur``, at length
+   ``r.step``, until it stops at the length budget or on an empty beam
+   (returns 0), or until a step needs what the caller must give first
+   (returns 1): room for the next beam's tokens (``r.step`` is
+   ``capacity``), room for the step's finishes, or the rows of the contexts
+   in ``wanted``, which it draws first when it can (``draw_wanted``). The
+   step is then not begun; the caller reads and clears the finishes, grows
+   the buffers and logs the drawn rows or draws the wanted ones, and calls
+   again to resume. Returns -1 when memory runs out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
     const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
@@ -616,6 +675,7 @@ int64_t tsd_beam_search(struct tsd_search *s)
             }
         }
         if (s->r.n_wanted) {
+            draw_wanted(&s->r);
             status = 1;
             break;
         }
@@ -763,15 +823,17 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
     return k;
 }
 
-/* Indexes the queued rows, then runs ``decode._python_psgd``'s loop from
-   the items on side ``cur``, at span length ``r.step``, until the patience
-   rule or the span cap stops it (returns 0), or until a round needs what
-   the caller must give first (returns 1): room for the children's spans
-   and carries (``r.step`` is ``capacity``), or the rows of the contexts in
-   ``wanted``. The round is then not begun; the caller grows the buffers or
-   draws the wanted rows, and calls again to resume. The best score, its
-   round and its span, the counts and the stop are left in ``s``. Returns
-   -1 when memory runs out. */
+/* Indexes the rows the last call drew and the queued rows, then runs
+   ``decode._python_psgd``'s loop from the items on side ``cur``, at span
+   length ``r.step``, until the patience rule or the span cap stops it
+   (returns 0), or until a round needs what the caller must give first
+   (returns 1): room for the children's spans and carries (``r.step`` is
+   ``capacity``), or the rows of the contexts in ``wanted``, which it draws
+   first when it can (``draw_wanted``). The round is then not begun; the
+   caller grows the buffers and logs the drawn rows or draws the wanted
+   ones, and calls again to resume. The best score, its round and its
+   span, the counts and the stop are left in ``s``. Returns -1 when memory
+   runs out. */
 int64_t tsd_psgd_search(struct tsd_psgd *s)
 {
     const int64_t width = s->width, cap = s->capacity, n_pieces = s->n_pieces, at = 1 + s->n_prefix;
@@ -803,6 +865,7 @@ int64_t tsd_psgd_search(struct tsd_psgd *s)
                 rows[b * n_pieces + j] = row_after(&s->r, seq, at + n + s->pieces[j]);
         }
         if (s->r.n_wanted) {
+            draw_wanted(&s->r);
             status = 1;
             break;
         }

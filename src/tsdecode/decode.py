@@ -47,8 +47,9 @@ reasons, which takes each step with ``_PythonStep``.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows, the Python loops through ``SequenceModel.rows_after`` once per
-round or step, the compiled searches through the memo's index, handing the
-contexts a step misses to ``SequenceModel._draw``, the memo's one miss path.
+round or step, the compiled searches through the memo's index. A compiled
+search draws the n-gram rows a step misses itself, for Python to take
+their log, or hands the contexts to ``SequenceModel._draw``.
 
 The Python round and step order all candidates with ``scoring.rank`` and
 extend their beams with one expansion step, ``_expand``. It works on
@@ -386,11 +387,12 @@ def _psgd_run(
 
     t0 = time.perf_counter()
     scorer = scorer(model, src, p, s)
-    kernel = trace is None and isinstance(scorer, _SpanScorer) and _indexed(model) and rng.compiled().psgd_search
-    if kernel:
+    functions = trace is None and isinstance(scorer, _SpanScorer) and _indexed(model) and rng.compiled()
+    if functions and functions.psgd_search:
         from .rowkernel import CompiledPsgd
 
-        result = CompiledPsgd(kernel, model, src, p, s, scorer, params, max_span)()
+        result = CompiledPsgd(functions.psgd_search, model, src, p, s, scorer, params, max_span,
+                              block=functions.block)()
     else:
         result = _python_psgd(model, src, p, s, scorer, params, max_span, trace)
     score, span, (fw, pos_scored, emitted, stop_reason), _ = result
@@ -641,11 +643,12 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
     t0 = time.perf_counter()
-    kernel = rng.compiled().beam_search
-    if kernel and _indexed(model):
+    functions = rng.compiled()
+    if functions.beam_search and _indexed(model):
         from .rowkernel import CompiledSearch
 
-        search = CompiledSearch(kernel, model, src, constraints, params.beam_width, params.max_len)
+        search = CompiledSearch(functions.beam_search, model, src, constraints, params.beam_width, params.max_len,
+                                block=functions.block)
         finished, beam, (fw, pos_scored, emitted, stop_reason) = search()
     else:
         finished, beam, (fw, pos_scored, emitted, stop_reason) = _python_search(

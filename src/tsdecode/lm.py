@@ -11,22 +11,28 @@ A model maps (source sequence, target prefix) to a normalized next-token
 distribution. Every query is served from one memo of finalized log rows,
 one dict per source keyed by context, read by one lookup that checks
 nothing, ``rows_after``: the log rows after each of a batch of prefixes of
-one source, whose contexts one ``_contexts`` call computes. Its one miss
-path, ``_draw``, takes the finished rows of the contexts a batch misses as
-one block from ``_finished_rows``, each distinct context once, and keeps
-one read-only log row per context: every decoder scores with
-log-probabilities only. The log rows sit in the model's row store, float64
-chunks that never move, and each memo row is a read-only view of its
-chunk. A source that a compiled search reads also has an index
-(``_Index``), through which the search reads rows by context, without
-Python, handing the contexts it misses to ``_draw``. Row bytes do not
-depend on the block: an
-``NgramGenModel`` row is a pure function of its key, ``hash_key(seed, tag,
-source, context)``, and finishing acts on each row alone, in place in the
-block. The compiled kernel returns an ``NgramGenModel`` block's finished
-rows in one call (``tsd_block``), which folds each context onto the
-source's keys, tosses a sibling's coins, draws the rows and finishes them,
-when it passed its check (``block_self_check``); otherwise
+one source, whose contexts one ``_contexts`` call computes. The log rows
+sit in the model's row store, float64 chunks that never move, and each
+memo row is a read-only view of its chunk: every decoder scores with
+log-probabilities only. A missed row takes one of two routes, and both
+end in one step, ``_logged``, which writes the log of finished rows into
+the chunk's next rows (``np.log``, the one log of a memo row) and keeps a
+view per context. ``_draw`` is the route in Python: it takes the finished
+rows of the contexts a batch misses as one block from ``_finished_rows``,
+each distinct context once. A source that a compiled search reads also
+has an index (``_Index``), through which the search reads rows by
+context, without Python. The search draws the ``NgramGenModel`` rows a
+step misses itself, into the chunk's free rows, with the source's
+``_row_params``, when the chunk has room for them all, and ``_logged``
+takes their log in place; otherwise it hands the contexts to ``_draw``.
+Either way the rows enter the index on the search's next call, after
+their log is taken, never before. Row bytes do not depend on the block
+or the route: an ``NgramGenModel`` row is a pure function of its key,
+``hash_key(seed, tag, source, context)``, and finishing acts on each row
+alone, in place. The compiled kernel returns an ``NgramGenModel`` block's
+finished rows in one call (``tsd_block``), which folds each context onto
+the source's keys, tosses a sibling's coins, draws the rows and finishes
+them, when it passed its check (``block_self_check``); otherwise
 ``_python_rows`` does the same in Python: ``_row_keys`` folds each key,
 ``Stream.dirichlet`` draws each row with the Python loop and
 ``_numpy_finalize`` finishes the block. The kernel adds each row up in the
@@ -163,19 +169,20 @@ CHUNK_ROWS = 64
 class _Index:
     """The index the compiled searches probe for one source's memo rows.
 
-    ``table`` is an int64 ``array`` of ``2 ** bits`` slots of ``width``
-    ids, each ``[row address, context length, context ids]`` or 0s;
-    ``rowkernel._Resumable`` sizes it for ``count`` rows and the kernel
-    enters the rows into it. A source has an index from its first compiled
-    search on; ``_draw`` then queues each block it adds in ``pending``, as
-    ``(contexts, address of the first row)``.
+    ``table`` is an int64 ``array`` of ``2 ** bits`` slots of 2 + the
+    model's order ids, each ``[row address, context length, context ids]``
+    or 0s; ``rowkernel._Resumable`` sizes it for ``count`` rows and the
+    kernel enters the rows into it. A source has an index from its first
+    compiled search on; ``_draw`` then queues each block it adds in
+    ``pending``, as ``(contexts, address of the first row)``, and a search
+    enters the rows it drew itself on its next call.
     """
 
-    __slots__ = ("pending", "count", "table", "bits", "width")
+    __slots__ = ("pending", "count", "table", "bits")
 
     def __init__(self, pending: list[tuple[Sequence[Tokens], int]]) -> None:
         self.pending, self.count = pending, 0
-        self.table, self.bits, self.width = None, 0, 2
+        self.table, self.bits = None, 0
 
 
 class SequenceModel:
@@ -225,31 +232,53 @@ class SequenceModel:
         ``_numpy_finalize``. The raw rows are copied first, never written."""
         return _numpy_finalize(np.array(self._raw_rows(source, contexts), dtype=np.float64), self.vocab.bos_id)
 
+    def _row_params(self, source: Tokens) -> tuple | None:
+        """The parameters with which the compiled row block draws the rows
+        of ``source``, in the order of ``_rowkernel.c``'s ``struct
+        tsd_source``; None for a model whose rows it does not draw."""
+        return None
+
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
         """Memoise the log rows of distinct uncached contexts of one source,
-        from one block of ``_finished_rows``: the memo's one miss path. The
-        log rows are written into the model's chunk, a new one when they do
-        not fit, each context keeps a read-only view of its row, and the
-        block is queued for the source's index once it has one."""
-        bos, n, size = self.vocab.bos_id, len(contexts), self.vocab.size
+        from one block of ``_finished_rows``: the memo's miss path in Python.
+        The rows are logged into the model's chunk, a new one when they do
+        not fit (``_logged``), and the block is queued for the source's
+        index once it has one."""
+        n, size = len(contexts), self.vocab.size
         rows = self._finished_rows(source, contexts)
+        if self._used + n > len(self._chunk):
+            self._new_chunk(np.empty((max(CHUNK_ROWS, n), size)))
+        at = self._used
+        self._logged(source, contexts, rows)
+        index = self._indexes.get(source)
+        if index is not None:
+            index.pending.append((contexts, self._address + 8 * size * at))
+
+    def _new_chunk(self, chunk: np.ndarray) -> None:
+        """Fill the C-contiguous float64 (R, V) array ``chunk`` next, from
+        its first row."""
+        self._chunk, self._read_only = chunk, chunk.view()
+        self._read_only.setflags(write=False)
+        self._address, self._used = addressof(c_char.from_buffer(chunk)), 0
+
+    def _logged(self, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray | None = None) -> None:
+        """Memoise the finished ``rows`` of ``contexts`` of one source: the
+        step both miss routes end in. Their log is written into the chunk's
+        next rows, after ``_used``, in place when ``rows`` is None (a
+        compiled search drew them there), each context keeps a read-only
+        view of its row, and ``_used`` moves past them. The chunk must have
+        room."""
+        bos, n, at = self.vocab.bos_id, len(contexts), self._used
+        logs = self._chunk[at : at + n]
+        rows = logs if rows is None else rows
         # The log of BOS's exact 0 is -inf, written after the log: with a
         # 1.0 there, np.log meets no zero (every other entry is at least
         # EPS_FLOOR) and needs no np.errstate.
         rows[:, bos] = 1.0
-        at = self._used
-        if at + n > len(self._chunk):
-            self._chunk = np.empty((max(CHUNK_ROWS, n), size))
-            self._read_only = self._chunk.view()
-            self._read_only.setflags(write=False)
-            self._address, at = addressof(c_char.from_buffer(self._chunk)), 0
-        self._used = at + n
-        logs = np.log(rows, out=self._chunk[at : at + n])
+        np.log(rows, out=logs)
         logs[:, bos] = -math.inf
         self._row_cache.setdefault(source, {}).update(zip(contexts, self._read_only[at : at + n]))
-        index = self._indexes.get(source)
-        if index is not None:
-            index.pending.append((contexts, self._address + 8 * size * at))
+        self._used = at + n
 
     def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
         """The memoised log rows of the next-token distribution given BOS +
@@ -386,10 +415,8 @@ class NgramGenModel(SequenceModel):
         self._rate = self.perturb_rate if perturb_seed is not None else 0.0
         if perturb_seed is not None:
             self._perturbed_seed = mix64(seed ^ mix64(perturb_seed))
-        # Per source seen, hash_key(seed, tag, source) for its rows, its
-        # sibling's rows and its coins (0 for a model with no sibling): the
-        # compiled block folds each context onto these.
-        self._source_keys: dict[Tokens, tuple[int, int, int]] = {}
+        # Per source seen, its ``_row_params``.
+        self._source_params: dict[Tokens, tuple] = {}
 
     def _finished_rows(self, source: Tokens, contexts: Sequence[Tokens]) -> np.ndarray:
         """The contexts' finished rows from one ``tsd_block`` call when the
@@ -421,24 +448,35 @@ class NgramGenModel(SequenceModel):
             keys.append(hash_key(seed, _ROW_TAG, source, context))
         return keys
 
-    def _block_rows(self, block, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray) -> np.ndarray:
-        """The contexts' finished rows, written over every entry of the
-        C-contiguous float64 block ``rows`` by the compiled ``block``
-        (``tsd_block``), which folds each context onto the source's keys."""
-        keys = self._source_keys.get(source)
-        if keys is None:
+    def _row_params(self, source: Tokens) -> tuple:
+        """``hash_key(seed, tag, source)`` for the source's rows, its
+        sibling's rows and its coins (0 for a model with no sibling), onto
+        which the compiled block folds each context, then the rate, the
+        concentration, and the scale and the floor of ``_numpy_finalize``."""
+        params = self._source_params.get(source)
+        if params is None:
             alt = coin = 0
             if self.perturb_seed is not None:
                 alt = hash_key(self._perturbed_seed, _ROW_TAG, source)
                 coin = hash_key(self.perturb_seed, _COIN_TAG, source)
-            keys = self._source_keys[source] = (hash_key(self.seed, _ROW_TAG, source), alt, coin)
+            size = self.vocab.size
+            params = self._source_params[source] = (
+                hash_key(self.seed, _ROW_TAG, source), alt, coin, self._rate, self.concentration,
+                1.0 - (size - 1) * EPS_FLOOR, EPS_FLOOR,
+            )
+        return params
+
+    def _block_rows(self, block, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray) -> np.ndarray:
+        """The contexts' finished rows, written over every entry of the
+        C-contiguous float64 block ``rows`` by the compiled ``block``
+        (``tsd_block``) with the source's ``_row_params``."""
+        h_row, h_alt, h_coin, rate, concentration, scale, eps = self._row_params(source)
         # The contexts' lengths, then their ids one after another, as int64
         # bytes: ``struct`` packs them faster than a ctypes array is built.
-        n, size = len(contexts), self.vocab.size
+        n = len(contexts)
         lengths = [*map(len, contexts)]
         packed = pack(f"{n + sum(lengths)}q", *lengths, *chain.from_iterable(contexts))
-        # The scale and the floor of ``_numpy_finalize``.
-        block(*keys, self._rate, packed, n, size, self.concentration, 1.0 - (size - 1) * EPS_FLOOR, EPS_FLOOR,
+        block(h_row, h_alt, h_coin, rate, packed, n, self.vocab.size, concentration, scale, eps,
               c_double.from_buffer(rows))
         return rows
 

@@ -8,12 +8,16 @@
 the full-sentence beam search, and ``tsd_psgd_search`` is
 ``decode._python_psgd``, the PSGD search, each run for one decode by
 ``CompiledSearch`` or ``CompiledPsgd`` through the resume loop they share
-(``_Resumable``). The block adds a row up in numpy's ``add.reduce`` order,
-which its check compares rather than assumes. This module holds no state:
-``rng.compiled()`` calls ``load`` once per process, on the first n-gram row
-block, beam search or PSGD decode, never on import. ``lm`` and ``decode``
-then use each function that passed its check, and the much slower Python
-code otherwise.
+(``_Resumable``). A search returns to Python when a step misses rows: when
+the row block passed its check, it draws an n-gram model's missed rows
+itself, with the block's code, and Python only takes their log; otherwise
+Python draws them. Its next call enters them into the memo's index, so no
+row is read before its log is taken. The block adds a row up in numpy's
+``add.reduce`` order, which its check compares rather than assumes. This
+module holds no state: ``rng.compiled()`` calls ``load`` once per process,
+on the first n-gram row block, beam search or PSGD decode, never on
+import. ``lm`` and ``decode`` then use each function that passed its check,
+and the much slower Python code otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -34,9 +38,10 @@ concentrations, whose rows cover the Dirichlet row's branches and every
 branch of numpy's sum, and tell it from any one of its rules changed;
 ``beam_search_self_check`` and ``psgd_self_check`` run the
 ``CHECK_SEARCHES`` and ``CHECK_DECODES`` with both searches, cold and warm
-(``_decodes_match``), and require the same results, byte for byte, first
-refusing a take whose buffers hold a NULL pointer, which would crash the
-process rather than fail the check. The checks run inside
+(``_decodes_match``), and require the same results and the same memo, byte
+for byte, over both routes a missed row takes, first refusing a take whose
+buffers hold a NULL pointer, which would crash the process rather than
+fail the check. The checks run inside
 ``rng.compiled()``'s lock, so their n-gram rows (``CheckRows``) never come
 from ``lm.NgramGenModel._finished_rows``, which would wait for it. A
 function that fails its check is replaced by its Python twin alone. No
@@ -66,7 +71,7 @@ import numpy as np
 
 from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE
 from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search
-from .lm import _Index, block_self_check
+from .lm import CHUNK_ROWS, _Index, block_self_check
 from .scoring import SCORING_MEAN_LOGPROB
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
@@ -235,15 +240,23 @@ def _fields(ints: str, pointers: str, **others) -> list:
             + [(name, ctypes.c_void_p) for name in pointers.split()])
 
 
+class _Source(ctypes.Structure):
+    """``struct tsd_source`` of ``_rowkernel.c``: an n-gram model's
+    ``_row_params`` for one source."""
+
+    _fields_ = [*((name, ctypes.c_uint64) for name in ("h_row", "h_alt", "h_coin")),
+                *((name, ctypes.c_double) for name in ("rate", "concentration", "scale", "eps"))]
+
+
 class _RowBuffers(ctypes.Structure):
     """``struct tsd_rows`` of ``_rowkernel.c``, which both searches'
     structs begin with."""
 
-    _fields_ = _fields("vocab bos n_context bits slot_width old_bits old_width n_queued step n_wanted",
-                       "index old_index queued wanted")
-    # Pointers that ``_Resumable._queue`` sets for each call, NULL when there
-    # is nothing to read.
-    optional = ("index", "old_index", "queued")
+    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room",
+                       "index old_index queued wanted chunk drawn", source=_Source)
+    # Pointers that ``_Resumable._queue`` sets for each call, or the kernel,
+    # NULL when there is nothing to read or no chunk to draw rows into.
+    optional = ("index", "old_index", "queued", "chunk", "drawn")
 
 
 class _SearchBuffers(_RowBuffers):
@@ -282,11 +295,20 @@ class _Resumable:
     early when a step needs rows the memo lacks or room for its tokens. A
     subclass sets ``buffers``, ``views``, ``limit`` (the room's cap),
     ``_sized()`` (the sections sized by ``capacity``) and ``KEPT`` (those
-    whose rows of ``capacity`` entries outlive a growth)."""
+    whose rows of ``capacity`` entries outlive a growth).
+
+    A missed row takes one of two routes. Given ``block``, the row block
+    that passed its check, and a model whose rows it draws
+    (``_row_params``), the kernel draws the rows a step misses into the
+    model's chunk when it has room for them all, and Python only takes
+    their log in place (``lm.SequenceModel._logged``); otherwise Python
+    draws them through ``_draw``, which opens a new chunk when the old one
+    is full. Either way the rows are entered into the index by the next
+    call, never before their log is taken."""
 
     KEPT: tuple[str, ...] = ()
 
-    def _start(self, kernel, model, source: tuple[int, ...]) -> None:
+    def _start(self, kernel, model, source: tuple[int, ...], block) -> None:
         self.kernel, self.address, self.model, self.source = kernel, ctypes.addressof(self.buffers), model, source
         self.index, self.table = model._indexes.get(source), None
         if self.index is None:
@@ -295,6 +317,10 @@ class _Resumable:
             self.index = model._indexes[source] = _Index(
                 [((context,), row.__array_interface__["data"][0]) for context, row in memo.items()]
             )
+        params = model._row_params(source) if block else None
+        self.draws = params is not None
+        if self.draws:
+            self.buffers.source = _Source(*params)
 
     def _grow(self) -> None:
         """Double ``capacity``, up to ``limit``, in new sections that keep
@@ -307,30 +333,32 @@ class _Resumable:
 
     def _queue(self) -> None:
         """Point the kernel's next call at the source's index, with the rows
-        it lacks queued for it to enter. The index is made to have room
-        first, at most 3/4 full and each slot wide enough for every
-        context: a table that must grow is replaced by a zeroed one, and the
-        kernel moves the old entries into it before the queued ones. The
-        call must follow, or those rows are lost to the index."""
-        index, buffers = self.index, self.buffers
+        it lacks queued for it to enter, and at the free rows of the model's
+        chunk when the kernel may draw rows into it. The index is made to
+        have room first, at most 3/4 full, for the queued rows and those the
+        last call drew: a table that must grow is replaced by a zeroed one,
+        and the kernel moves the old entries into it before the new ones.
+        The call must follow, or those rows are lost to the index."""
+        index, buffers, model = self.index, self.buffers, self.model
         pending, index.pending = index.pending, []
-        queued, width, old = array("q"), index.width, None
+        queued, old = array("q"), None
         for contexts, address in pending:
-            lengths = [*map(len, contexts)]
-            width = max(width, 2 + max(lengths))
-            queued.extend((len(contexts), address, *lengths, *chain.from_iterable(contexts)))
+            queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
             index.count += len(contexts)
-        if index.table is None or 4 * index.count > 3 << index.bits or width > index.width:
+        if index.table is None or 4 * index.count > 3 << index.bits:
             bits, old = max(index.bits, 4), index.table
             while 4 * index.count > 3 << bits:
                 bits += 1
             buffers.old_index = None if old is None else old.buffer_info()[0]
-            buffers.old_bits, buffers.old_width = index.bits, index.width
-            index.table, index.bits, index.width = array("q", [0]) * (width << bits), bits, width
+            buffers.old_bits = index.bits
+            index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
         if index.table is not self.table:
             self.table = index.table
-            buffers.index, buffers.bits, buffers.slot_width = index.table.buffer_info()[0], index.bits, index.width
+            buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
         buffers.queued, buffers.n_queued = queued.buffer_info()
+        if self.draws:
+            buffers.chunk = model._address + 8 * buffers.vocab * model._used
+            buffers.chunk_room = len(model._chunk) - model._used
         # Both are read by the kernel's next call.
         self.held = old, queued
 
@@ -348,30 +376,37 @@ class _Resumable:
 
     def _run(self) -> None:
         """Call the kernel until it is done: after each early return, read
-        what it left, grow the room it lacks and draw the contexts it wants
-        with ``_draw``, the memo's one miss path, which queues them for the
-        index."""
+        what it left, grow the room it lacks, and log the rows it drew or
+        draw the contexts it wants with ``_draw``; the next call enters
+        them into the index."""
         buffers, step, returns = self.buffers, -1, 0
         self._queue()
         while status := self.kernel(self.address):
             if status < 0:
                 raise MemoryError(f"{self.NAME} could not allocate its scratch")
-            # A step returns at most twice: for room, then for its rows.
+            # A step returns at most twice: for room, then for its rows,
+            # which the next call finds in the index.
             returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
             if returns > 2:
-                raise RuntimeError(f"step {step} returned three times: _draw left a row out of the memo")
+                raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the memo's index")
             self._read()
             if step == buffers.capacity < self.limit:
                 self._grow()
             if buffers.n_wanted:
-                self.model._draw(self.source, self._records("wanted", buffers.n_wanted))
+                contexts = self._records("wanted", buffers.n_wanted)
+                if buffers.drawn:
+                    self.model._logged(self.source, contexts)
+                    self.index.count += len(contexts)
+                else:
+                    self.model._draw(self.source, contexts)
             self._queue()
         self._read()
 
 
 class CompiledSearch(_Resumable):
     """``decode._python_search`` of one decode of ``model`` from ``source``
-    through ``tsd_beam_search``, called with no argument.
+    through ``tsd_beam_search``, called with no argument; ``block`` is the
+    row block that passed its check, or None (``_Resumable``).
 
     The search lives in the sections of ``_SearchBuffers`` (``_sections``),
     which each decode allocates once, but for those sized by ``capacity``,
@@ -384,7 +419,7 @@ class CompiledSearch(_Resumable):
     NAME, KEPT = "tsd_beam_search", ("tokens",)
 
     def __init__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
-                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY) -> None:
+                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY, block=None) -> None:
         vocab, width, n = model.vocab, beam_width, len(constraints)
         content = vocab.content_ids
         flat = [tok for phrase in constraints for tok in phrase]
@@ -408,7 +443,7 @@ class CompiledSearch(_Resumable):
         )
         views["phrases"][:] = flat
         views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
-        self._start(kernel, model, source)
+        self._start(kernel, model, source, block)
 
     def _sized(self) -> tuple:
         """The sections sized by ``capacity``: the finishes' ids and the
@@ -443,7 +478,8 @@ class CompiledSearch(_Resumable):
 
 # Decodes the compiled beam search must reproduce, byte for byte, before it
 # is used: (model, source, constraints, beam width, max_len). "ngram" is an
-# order-2 n-gram model over vocab 8, "tied" an order-1 table model over vocab
+# order-2 n-gram model over vocab 6, "sibling" its perturbed sibling at rate
+# 0.5, whose coins land both ways, "tied" an order-1 table model over vocab
 # 6 whose rows tie EOS with content ids and content ids with each other, and
 # "uniform" the uniform model over vocab 5, where every candidate ties.
 CHECK_SEARCHES = (
@@ -454,11 +490,14 @@ CHECK_SEARCHES = (
     ("ngram", (3, 4), (), 4, 3),
     ("ngram", (3, 4), (), 1, 5),
     ("ngram", (5,), ((5,),), 2, 0),
+    ("sibling", (2, 5, 4), ((3,),), 3, 6),
     ("tied", (2,), (), 3, 4),
     ("tied", (3,), ((4, 5),), 2, 5),
     ("uniform", (2,), ((3,),), 3, 3),
 )
 CHECK_CAPACITY = 4
+# Rows of the first chunk of a cold check model: fewer than some steps want.
+CHECK_CHUNK_ROWS = 3
 _A = (0.0, 0.25, 0.25, 0.25, 0.125, 0.125)
 _B = (0.0, 0.125, 0.125, 0.25, 0.25, 0.25)
 # The "round" check model's rows for source (2,), by the context (BOS, 0,
@@ -474,32 +513,37 @@ CHECK_ROUND_TABLE = {
 
 
 class CheckRows(dict):
-    """The finished rows the search checks' n-gram models draw, by (source,
-    context), each once: by ``block``, the compiled row block that passed
-    its check, or else by the Python twin; never by
-    ``lm.NgramGenModel._finished_rows``, which would wait for the lock the
-    checks run under. Every check model of one load shares them."""
+    """The finished rows that the search checks' n-gram models draw in
+    Python, by their ``_row_params`` and context, each once: by ``block``,
+    the compiled row block that passed its check, or else by the Python
+    twin; never by ``lm.NgramGenModel._finished_rows``, which would wait for
+    the lock the checks run under. Every check model of one load shares
+    them. The compiled searches draw rows themselves when ``block`` is
+    set."""
 
     def __init__(self, block=None) -> None:
         super().__init__()
         self.block = block
 
     def finished(self, model, source: tuple[int, ...], contexts) -> np.ndarray:
-        if new := [context for context in contexts if (source, context) not in self]:
+        params = model._row_params(source)
+        if new := [context for context in contexts if (params, context) not in self]:
             rows = np.empty((len(new), model.vocab.size))
             rows = model._block_rows(self.block, source, new, rows) if self.block else model._python_rows(source, new)
-            self.update(zip([(source, context) for context in new], rows))
-        return np.array([self[source, context] for context in contexts])
+            self.update(zip([(params, context) for context in new], rows))
+        return np.array([self[params, context] for context in contexts])
 
 
 def _check_model(name: str, rows: CheckRows):
     """A new check model ``name``, an n-gram model's rows drawn into
     ``rows``."""
     from .core import Vocab
-    from .lm import NgramGenModel, TableModel, UniformModel
+    from .lm import NgramGenModel, TableModel, UniformModel, make_perturbed_sibling
 
-    if name == "ngram":
+    if name in ("ngram", "sibling"):
         model = NgramGenModel(Vocab(6), 2, 182, 1.0)
+        if name == "sibling":
+            model = make_perturbed_sibling(model, 7, 0.5)
         model._finished_rows = partial(rows.finished, model)
         return model
     if name == "tied":
@@ -522,27 +566,50 @@ def search_outcome(result) -> tuple:
     )
 
 
+def _memo(model) -> dict:
+    """The memo of ``model`` as plain data: each row's bytes, by source and
+    context."""
+    return {source: {context: row.tobytes() for context, row in rows.items()}
+            for source, rows in model._row_cache.items()}
+
+
 def _decodes_match(decodes, python, compiled, outcome, rows: CheckRows | None) -> bool:
     """Whether each decode ``(model name, *args)`` of ``decodes`` gives the
     ``outcome`` of ``python(model, *args)`` through the compiled search
-    ``compiled(model, capacity, *args)`` three times: on a cold model with
-    room for ``CHECK_CAPACITY`` tokens, so that the search returns to grow
-    it and for rows, and resumes; on the same model warm, drawing no row,
-    in one call that reads every row it indexed (an index that lost a row
-    would have it drawn again); and on the model the Python twin filled,
-    whose rows the first search of a source indexes. The n-gram rows are
-    drawn into ``rows``, by the Python twin unless given."""
+    ``compiled(model, capacity, block, *args)`` three times: on a cold model
+    with room for ``CHECK_CAPACITY`` tokens, so that the search returns to
+    grow it and for rows, and resumes; on the same model warm, drawing no
+    row, in one call that reads every row it indexed (an index that lost a
+    row would have it drawn again); and on the model the Python twin
+    filled, whose rows the first search of a source indexes. Each time the
+    index must hold as many rows as it counts, and the cold model's memo
+    must then hold the filled one's contexts with the same bytes. Its first
+    rows go to a chunk with room for ``CHECK_CHUNK_ROWS``, cut from a
+    NaN-filled block whose later rows must stay NaN: a step that wants more
+    rows takes ``_draw``, and a search that draws past the room is seen.
+    The searches draw their n-gram rows themselves when ``rows`` holds the
+    row block that passed; the Python draws go to ``rows``, by the Python
+    twin unless given."""
     rows = CheckRows() if rows is None else rows
     for name, *args in decodes:
         filled, cold = _check_model(name, rows), _check_model(name, rows)
+        guarded = np.empty((CHECK_CHUNK_ROWS + CHUNK_ROWS, cold.vocab.size))
+        guarded[:] = math.nan
+        guard = guarded[CHECK_CHUNK_ROWS:].tobytes()
+        cold._new_chunk(guarded[:CHECK_CHUNK_ROWS])
         want = outcome(python(filled, *args))
         for model, capacity in ((cold, CHECK_CAPACITY), (cold, INITIAL_CAPACITY), (filled, INITIAL_CAPACITY)):
-            take = compiled(model, capacity, *args)
+            take = compiled(model, capacity, rows.block, *args)
             if not _pointers_set(take.buffers):
                 return False
-            indexed = take.index.count
-            if outcome(take()) != want or (model is cold and capacity != CHECK_CAPACITY and take.index.count > indexed):
+            index = take.index
+            indexed = index.count
+            if outcome(take()) != want or (model is cold and capacity != CHECK_CAPACITY and index.count > indexed):
                 return False
+            if index.count != sum(map(bool, index.table[:: 2 + model.order])):
+                return False
+        if _memo(cold) != _memo(filled) or guarded[CHECK_CHUNK_ROWS:].tobytes() != guard:
+            return False
     return True
 
 
@@ -550,8 +617,8 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
     """Whether ``beam_search`` decodes every decode of ``CHECK_SEARCHES``
     exactly as ``decode._python_search`` does (``_decodes_match``)."""
 
-    def compiled(model, capacity, source, constraints, width, max_len):
-        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity)
+    def compiled(model, capacity, block, source, constraints, width, max_len):
+        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity, block)
 
     return _decodes_match(CHECK_SEARCHES, _python_search, compiled, search_outcome, rows)
 
@@ -559,7 +626,7 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
 class CompiledPsgd(_Resumable):
     """``decode._python_psgd`` of one decode of ``model`` from ``source``
     through ``tsd_psgd_search``, for a ``decode._SpanScorer``, called with
-    no argument.
+    no argument; ``block`` as in ``CompiledSearch``.
 
     As in ``CompiledSearch``; the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
@@ -570,7 +637,7 @@ class CompiledPsgd(_Resumable):
     NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
 
     def __init__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
-                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY) -> None:
+                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY, block=None) -> None:
         vocab, width = model.vocab, params.beam_width
         content, head, tail = vocab.content_ids, scorer.head_terms, scorer.tail_terms
         pieces = [*map(len, scorer.pieces)]
@@ -595,7 +662,7 @@ class CompiledPsgd(_Resumable):
         views["prefix"][:] = prefix
         views["suffix"][:] = suffix
         views["pieces"][:] = pieces
-        self._start(kernel, model, source)
+        self._start(kernel, model, source, block)
 
     def _sized(self) -> tuple:
         """The sections sized by ``capacity``: the carries, the spans and
@@ -641,9 +708,9 @@ def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
     def python(model, source, p, s, params):
         return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)
 
-    def compiled(model, capacity, source, p, s, params):
+    def compiled(model, capacity, block, source, p, s, params):
         scorer = _SpanScorer(model, source, p, s)
-        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity)
+        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity, block)
 
     # (score, span, counts, last round's children), the score as its hex.
     return _decodes_match(CHECK_DECODES, python, compiled, lambda result: (result[0].hex(), *result[1:]), rows)

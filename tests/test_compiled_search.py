@@ -10,12 +10,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsdecode import decode, rng, rowkernel
+from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import ResultRow, TokenSeq, TsTask, Vocab, result_to_dict
 from tsdecode.decode import DbaParams, beam_search, dba_suggest
 from tsdecode.lm import NgramGenModel, TableModel, make_perturbed_sibling
 
-from util import Unindexed, kernel_paths, run_by, table_model
+from util import (LogFailed, Unindexed, failing_logs, forgetful, kernel_paths, logged_rows, memo_bytes, run_by,
+                  table_model)
 
 needs_search_kernel = pytest.mark.skipif(
     "kernel" not in kernel_paths("beam_search"), reason="the compiled beam search cannot be built here"
@@ -157,9 +158,15 @@ def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_step():
 
 @needs_search_kernel
 def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
+    # Rows drawn by _draw (the row block off) that never reach the index,
+    # then rows the kernel draws that the next call never enters.
     with run_by("beam_search", "kernel"):
-        with pytest.raises(RuntimeError, match="out of the memo"):
+        with run_by("block", "python"), pytest.raises(RuntimeError, match="out of the memo"):
             decode._beam_core(Unindexed(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
+        if "kernel" in kernel_paths("block"):
+            rng._compiled = rng._compiled._replace(beam_search=forgetful(rng._compiled.beam_search))
+            with pytest.raises(RuntimeError, match="out of the memo"):
+                decode._beam_core(NgramGenModel(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
 
 
 def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
@@ -171,3 +178,52 @@ def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
     model = Shortsighted(Vocab(8), 2, 3, 0.5)
     finished, _, _ = decode._beam_core(model, (2,), DbaParams(2, 4))
     assert finished == decode._python_search(Shortsighted(Vocab(8), 2, 3, 0.5), (2,), (), 2, 4)[0]
+
+
+@needs_search_kernel
+@pytest.mark.parametrize("kind", ["ngram", "sibling"])
+def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatch, kind):
+    # With chunks of 3 rows, a step that misses more rows than the chunk
+    # has room for takes _draw, which opens a new chunk; the kernel draws
+    # the rows of the others itself.
+    monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
+    logged = logged_rows(monkeypatch)
+    outcomes = {}
+    for path in ("python", "kernel"):
+        logged.clear()
+        with run_by("beam_search", path):
+            model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+            if kind == "sibling":
+                model = make_perturbed_sibling(model, 5, 0.5)
+            finished, beam, stats = decode._beam_core(model, (3, 7, 5), DbaParams(3, 8, ((4,), (6, 2))))
+            plain = beam_search(model, (2, 9), beam_width=3, max_len=6)
+        contexts = [(source, context) for source, context, _ in logged]
+        assert len(set(contexts)) == len(contexts)
+        routes = {drawn for _, _, drawn in logged}
+        outcomes[path] = (rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0),
+                          plain.tokens, plain.score.hex(), memo_bytes(model))
+        assert routes == ({False, True} if path == "kernel" and "kernel" in kernel_paths("block") else {False})
+    assert outcomes["kernel"] == outcomes["python"]
+
+
+@needs_search_kernel
+def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
+    # The kernel draws a step's missed rows into the chunk and returns; when
+    # taking their log fails, no later call may read them unlogged.
+    if "kernel" not in kernel_paths("block"):
+        pytest.skip("the compiled row block cannot be built here")
+    def searched(model):
+        finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(3, 7, ((4,),)))
+        return rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0)
+
+    with run_by("beam_search", "python"):
+        want = searched(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2))
+    with run_by("beam_search", "kernel"):
+        model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+        with monkeypatch.context() as patch:
+            failing_logs(patch)
+            for _ in range(2):
+                with pytest.raises(LogFailed):
+                    searched(model)
+        assert searched(model) == want
+        assert searched(model) == want

@@ -261,6 +261,12 @@ class TestTwoPassReference:
             assert single.stats.emitted_steps == double.stats.emitted_steps
             assert single.stats.stop_reason == double.stats.stop_reason
             assert double.stats.forward_passes == 2 * single.stats.forward_passes
+            # A traced decode takes the Python search on either path; the
+            # untraced one is compiled on the kernel path.
+            untraced = psgd(model, task, params)
+            assert replace(untraced, stats=replace(untraced.stats, wall_time_us=0)) == replace(
+                single, stats=replace(single.stats, wall_time_us=0)
+            ), task.task_id
 
     def test_counts_exactly_the_forced_passes_it_makes(self, monkeypatch, pinned_setup):
         # psgd_two_pass derives its counts from the search's one pass per
@@ -285,6 +291,12 @@ class TestTwoPassReference:
             made.clear()
             got = psgd_two_pass(model, task, params)
             assert (got.stats.forward_passes, got.stats.positions_scored) == (len(made), sum(made)), task.task_id
+            # The reference takes the Python search on either path; the
+            # untraced decode, compiled on the kernel path, makes half its
+            # passes and finds the same span.
+            untraced = psgd(model, task, params)
+            assert (untraced.span, untraced.whole_seq_score) == (got.span, got.whole_seq_score), task.task_id
+            assert 2 * untraced.stats.forward_passes == got.stats.forward_passes, task.task_id
 
     def test_bit_identical_with_double_passes(self):
         for seed in range(15):
@@ -412,3 +424,8 @@ def test_entry_points_are_pinned(round_path, pinned_setup, run):
         assert got.stats.emitted_steps == emitted
         assert got.stats.stop_reason == stop
     assert trace == [[(sp, _PIN_SCORES[sp]) for sp in rnd] for rnd in trace_spans]
+    # The traced decode takes the Python search on either path; the untraced
+    # one is compiled on the kernel path.
+    assert replace(traced, stats=replace(traced.stats, wall_time_us=0)) == replace(
+        single, stats=replace(single.stats, wall_time_us=0)
+    )

@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsdecode import decode, rng, rowkernel
+from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import PsgdParams, psgd, psgd_with_trace
 from tsdecode.lm import NgramGenModel, SequenceModel, UniformModel, make_perturbed_sibling
 from tsdecode.scoring import SCORING_MODES
 
-from util import Unindexed, kernel_paths, run_by, table_model
+from util import (LogFailed, Unindexed, failing_logs, forgetful, kernel_paths, logged_rows, memo_bytes, run_by,
+                  table_model)
 
 needs_psgd_kernel = pytest.mark.skipif(
     "kernel" not in kernel_paths("psgd_search"), reason="the compiled PSGD search cannot be built here"
@@ -174,10 +175,16 @@ def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_round():
 
 @needs_psgd_kernel
 def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
+    # Rows drawn by _draw (the row block off) that never reach the index,
+    # then rows the kernel draws that the next call never enters.
     task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
     with run_by("psgd_search", "kernel"):
-        with pytest.raises(RuntimeError, match="out of the memo"):
+        with run_by("block", "python"), pytest.raises(RuntimeError, match="out of the memo"):
             psgd(Unindexed(Vocab(8), 2, 3, 0.5), task)
+        if "kernel" in kernel_paths("block"):
+            rng._compiled = rng._compiled._replace(psgd_search=forgetful(rng._compiled.psgd_search))
+            with pytest.raises(RuntimeError, match="out of the memo"):
+                psgd(NgramGenModel(Vocab(8), 2, 3, 0.5), task)
 
 
 def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
@@ -197,3 +204,53 @@ def test_the_forced_pass_reference_takes_the_python_search(monkeypatch):
     monkeypatch.setattr(rowkernel, "CompiledPsgd", lambda *a: pytest.fail("compiled"))
     task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
     decode.psgd_two_pass(NgramGenModel(Vocab(8), 2, 3, 0.5), task)
+
+
+@needs_psgd_kernel
+@pytest.mark.parametrize("kind", ["ngram", "sibling"])
+def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatch, kind):
+    # With chunks of 3 rows, a round that misses more rows than the chunk
+    # has room for takes _draw, which opens a new chunk; the kernel draws
+    # the rows of the others itself.
+    monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
+    logged = logged_rows(monkeypatch)
+    task = TsTask("t", TokenSeq((3, 7, 5)), TokenSeq((4,)), TokenSeq((6,)))
+    outcomes = {}
+    for path in ("python", "kernel"):
+        logged.clear()
+        with run_by("psgd_search", path):
+            model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+            if kind == "sibling":
+                model = make_perturbed_sibling(model, 5, 0.5)
+            got = psgd(model, task, PsgdParams(beam_width=2, patience=3, max_span_len=8))
+        contexts = [(source, context) for source, context, _ in logged]
+        assert len(set(contexts)) == len(contexts)
+        routes = {drawn for _, _, drawn in logged}
+        outcomes[path] = (got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0), memo_bytes(model))
+        assert routes == ({False, True} if path == "kernel" and "kernel" in kernel_paths("block") else {False})
+    assert outcomes["kernel"] == outcomes["python"]
+
+
+@needs_psgd_kernel
+def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
+    # The kernel draws a round's missed rows into the chunk and returns;
+    # when taking their log fails, no later call may read them unlogged.
+    if "kernel" not in kernel_paths("block"):
+        pytest.skip("the compiled row block cannot be built here")
+    task = TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6,)))
+
+    def decoded(model):
+        got = psgd(model, task)
+        return got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0)
+
+    with run_by("psgd_search", "python"):
+        want = decoded(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2))
+    with run_by("psgd_search", "kernel"):
+        model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+        with monkeypatch.context() as patch:
+            failing_logs(patch)
+            for _ in range(2):
+                with pytest.raises(LogFailed):
+                    decoded(model)
+        assert decoded(model) == want
+        assert decoded(model) == want

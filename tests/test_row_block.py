@@ -189,13 +189,14 @@ def traced_rows(tracer_module):
     """A cold gen + psgd + dba run under the benchmark's tracer (MT
     constraints, so a perturbed sibling draws rows too): its
     ``rng.rows_drawn``, summed ``dirichlet`` counter advance, and the size
-    of every block drawn into a memo."""
+    of every block logged into a memo, by ``_draw`` or after a compiled
+    search drew it."""
     blocks = []
-    draw = vars(SequenceModel)["_draw"]
+    logged = vars(SequenceModel)["_logged"]
 
-    def counted(self, source, contexts):
+    def counted(self, source, contexts, rows=None):
         blocks.append(len(contexts))
-        draw(self, source, contexts)
+        logged(self, source, contexts, rows)
 
     cfg = harness.GenConfig(
         vocab_size=20,
@@ -206,7 +207,7 @@ def traced_rows(tracer_module):
         constraint_source=harness.CONSTRAINT_MT,
     )
     tracer = tracer_module.Tracer()
-    SequenceModel._draw = counted
+    SequenceModel._logged = counted
     try:
         with tracer.active():
             model = model_from_spec(cfg.resolved_model_spec())
@@ -214,7 +215,7 @@ def traced_rows(tracer_module):
                 decode.psgd(model, task)
                 decode.dba_suggest(model, task, beam_width=3)
     finally:
-        SequenceModel._draw = draw
+        SequenceModel._logged = logged
     u64 = sum(sp.info for sp in tracer.spans if sp.name == "rng.dirichlet")
     return tracer_module.layer_metrics(tracer.spans)["rng.rows_drawn"], u64, blocks
 
@@ -223,9 +224,10 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     """``rng.rows_drawn`` counts ``Stream.dirichlet`` calls and
     ``rng.u64_per_row`` their counter advance. With the block off, batched,
     ``dirichlet`` runs once per memoised row, and both sums equal the
-    one-at-a-time path's. The compiled block draws the same blocks and
-    calls ``dirichlet`` for no row, so the tracer reads 0 rows there: its
-    blind spot until it counts rows at ``_draw``."""
+    one-at-a-time path's. The compiled block, and the compiled searches
+    that draw rows with it, draw the same blocks and call ``dirichlet`` for
+    no row, so the tracer reads 0 rows there: its blind spot until it counts
+    rows at ``_logged``."""
     tracer_module = _load_tracer()
     with run_by("block", "python"):
         rows, u64, blocks = traced_rows(tracer_module)
@@ -233,9 +235,9 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     rows_after = vars(SequenceModel)["rows_after"]
     with run_by("block", "python"):
         assert traced_rows(tracer_module) == (rows, u64, blocks)
-        # One row at a time through rows_after: the compiled searches hand
-        # the contexts a step misses to _draw as one block, so the Python
-        # searches run here.
+        # One row at a time through rows_after: the compiled searches draw
+        # or hand back the contexts a step misses as one block, so the
+        # Python searches run here.
         with monkeypatch.context() as patch, run_by("beam_search", "python"), run_by("psgd_search", "python"):
             patch.setattr(
                 SequenceModel,

@@ -69,6 +69,59 @@ class Unindexed(lm.NgramGenModel):
             self._indexes[source] = index
 
 
+def forgetful(search):
+    """The compiled ``search`` (``tsd_beam_search`` or ``tsd_psgd_search``)
+    with each call made to forget the rows the last one drew: they are
+    logged but never entered into the index, so the search misses them
+    again."""
+    from tsdecode import rowkernel
+
+    def call(address):
+        rowkernel._RowBuffers.from_address(address).drawn = None
+        return search(address)
+
+    return call
+
+
+def logged_rows(monkeypatch) -> list:
+    """Patch ``SequenceModel._logged``, the step both miss routes end in;
+    the returned list collects ``(source, context, drawn by the kernel)``
+    for every row it logs."""
+    logged = []
+    real = vars(lm.SequenceModel)["_logged"]
+
+    def counted(self, source, contexts, rows=None):
+        logged.extend((source, context, rows is None) for context in contexts)
+        real(self, source, contexts, rows)
+
+    monkeypatch.setattr(lm.SequenceModel, "_logged", counted)
+    return logged
+
+
+class LogFailed(Exception):
+    """Raised in place of taking the log of rows a compiled search drew."""
+
+
+def failing_logs(monkeypatch) -> None:
+    """Patch ``SequenceModel._logged`` to raise ``LogFailed`` for rows a
+    compiled search drew, before taking their log; ``_draw``'s rows are
+    logged as before."""
+    real = vars(lm.SequenceModel)["_logged"]
+
+    def failing(self, source, contexts, rows=None):
+        if rows is None:
+            raise LogFailed
+        real(self, source, contexts, rows)
+
+    monkeypatch.setattr(lm.SequenceModel, "_logged", failing)
+
+
+def memo_bytes(model) -> dict:
+    """The memo of ``model``: each row's bytes, by source and context."""
+    return {(source, context): row.tobytes() for source, rows in model._row_cache.items()
+            for context, row in rows.items()}
+
+
 def random_task(seed, vocab, src, max_affix_len=2):
     """A task with random prefix/suffix content tokens over ``vocab``."""
     stream = Stream(hash_key(seed, 0xA27B))
