@@ -39,15 +39,21 @@
 
    Both searches read each row from the source's memo index, an
    open-addressing table of context ids and row addresses (``lm._Index``,
-   ``struct tsd_rows``), and return to Python only when a step or round
-   needs rows the memo lacks, handing back each missing context once, or
-   room for its finishes or tokens. An n-gram model's missed rows they
-   draw first, into the model's chunk, with the code of ``tsd_block``
-   (``finished_row``), when the chunk has room for them all; Python takes
-   their log (numpy's log is the reference for the log rows) or draws the
-   rows through ``lm.SequenceModel._draw``, grows the room, and calls
-   again to resume the step, and only that call enters the rows into the
-   index. A warm decode is one call.
+   ``struct tsd_rows``). The rows a step or round misses of an n-gram
+   model they draw, log and index themselves (``draw_wanted``): each row
+   into the model's chunk with the code of ``tsd_block`` (``finished_row``),
+   then its log with numpy's own float64 log loop, which ``np.log`` runs
+   (``log_rows``), then its entry in the index, and the step goes on. So a
+   search returns to Python only when the chunk, the index or its room for
+   finishes or tokens is full, or when it cannot draw the rows itself (a
+   table or uniform model, or no checked row block or log loop): then it
+   hands back each missing context once, Python draws the rows through
+   ``lm.SequenceModel._draw`` and queues them, and the next call enters
+   them into the index. A warm decode is one call, and a cold one with room
+   is one call too. The file holds no log of its own for a memo row: the
+   loop is numpy's, found in ``np.log``'s table by ``rowkernel.log_loop``,
+   which keeps it only if it writes ``np.log``'s bytes, and it runs
+   without the GIL.
 
    ``rowkernel.load`` checks each exported function against its Python
    twin before any is used; the summation order of numpy is reproduced,
@@ -214,6 +220,11 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
     }
 }
 
+/* numpy's inner loop of a ufunc of one input and one output
+   (``PyUFuncGenericFunction`` of its ``ufuncobject.h``): ``dimensions[0]``
+   entries from ``args[0]`` to ``args[1]``, ``steps`` bytes apart. */
+typedef void tsd_loop(char **args, const intptr_t *dimensions, const intptr_t *steps, void *data);
+
 /* What both searches share: the source's memo index (``lm._Index``), an
    open-addressing table of context ids and row addresses that the caller
    sizes and this file fills (before each call the caller sets the table,
@@ -222,15 +233,16 @@ void tsd_block(uint64_t h_row, uint64_t h_alt, uint64_t h_coin, double rate,
    A row's context is the last ``n_context`` ids of BOS + the tokens it
    follows (``lm.SequenceModel._contexts``).
 
-   A missed row takes one of two routes. When the caller set ``chunk`` and
-   ``source``, the free rows of an n-gram model's chunk and the source's
-   row parameters, and the chunk has room for every wanted row, the search
-   draws their finished rows into the chunk, points ``drawn`` at the first
-   and returns; the caller takes their log in place, makes the index room
-   for them and calls again, and only that call enters them into the
-   index, reading their contexts from ``wanted``, so a row is logged
-   before the index can reach it. Otherwise it returns the contexts alone,
-   and the caller draws their rows and queues them. */
+   A missed row takes one of two routes. When the caller set ``chunk``,
+   ``source`` and ``log``, the free rows of an n-gram model's chunk, the
+   source's row parameters and numpy's float64 log loop, and the chunk, the
+   index and ``drawn`` have room for every wanted row, the search draws
+   their finished rows into the chunk, writes their log over them, then
+   enters them into the index, so no row is reachable before its log is
+   written; it records their contexts in ``drawn``, in chunk order, for
+   the caller to memoise when it returns, and goes on. Otherwise it returns
+   the contexts alone: the caller gives the room (a new chunk, a larger
+   table), or draws the rows and queues them. */
 struct tsd_rows {
     int64_t vocab;          /* entries per row */
     int64_t bos;            /* the BOS id */
@@ -242,7 +254,10 @@ struct tsd_rows {
     int64_t n_queued;       /* ids in ``queued`` */
     int64_t step;           /* the beam's length, or the PSGD spans' */
     int64_t n_wanted;       /* ids in ``wanted`` */
-    int64_t chunk_room;     /* rows free in ``chunk`` */
+    int64_t chunk_room;     /* rows free in ``chunk``, and ``drawn`` holds
+                               as many records */
+    int64_t index_room;     /* rows the index takes before it is 3/4 full */
+    int64_t n_drawn;        /* ids in ``drawn`` */
     struct tsd_source source;
     int64_t *index;
     const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
@@ -254,7 +269,10 @@ struct tsd_rows {
                                length, then its ids */
     double *chunk;          /* NULL, or the first free row of the model's
                                chunk, for rows drawn with ``source`` */
-    double *drawn;          /* NULL, or the first row drawn for ``wanted`` */
+    int64_t *drawn;         /* per row drawn since the call began, in chunk
+                               order: its context's length, then its ids */
+    tsd_loop *log;          /* NULL, or numpy's float64 log loop */
+    void *log_data;         /* ... and the data it is called with */
 };
 
 /* The first slot of the ``n`` context ids ``ctx``: their length, then
@@ -297,8 +315,8 @@ static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int6
     }
 }
 
-/* Moves the entries of ``old_index`` into the index, then enters the rows
-   the last call drew and the queued rows. */
+/* Moves the entries of ``old_index`` into the index, then enters the
+   queued rows. */
 static void index_rows(struct tsd_rows *r)
 {
     if (r->old_index) {
@@ -308,12 +326,6 @@ static void index_rows(struct tsd_rows *r)
                 enter(r, entry + 2, entry[1], entry[0]);
         }
         r->old_index = NULL;
-    }
-    if (r->drawn) {
-        double *row = r->drawn;
-        for (const int64_t *w = r->wanted, *end = w + r->n_wanted; w < end; w += 1 + w[0], row += r->vocab)
-            enter(r, w + 1, w[0], (int64_t)(intptr_t)row);
-        r->drawn = NULL;
     }
     for (const int64_t *q = r->queued, *end = q + r->n_queued; q < end;) {
         const int64_t n_rows = q[0], *lengths = q + 2;
@@ -325,6 +337,7 @@ static void index_rows(struct tsd_rows *r)
         q = ids;
     }
     r->n_queued = 0;
+    r->n_drawn = 0;
 }
 
 /* The log row after the ``n`` ids ``ids``, BOS + the tokens it follows:
@@ -347,21 +360,46 @@ static const double *row_after(struct tsd_rows *r, const int64_t *ids, int64_t n
     return NULL;
 }
 
-/* Draws the rows of the contexts in ``wanted`` into the chunk and points
-   ``drawn`` at the first, when the caller set the chunk and it has room
-   for them all; otherwise leaves them to the caller. */
-static void draw_wanted(struct tsd_rows *r)
+/* Writes the log of the ``n_rows`` finished rows at ``rows`` over them as
+   ``np.log`` does, with its own loop: one call over the block, BOS set to
+   1.0 first, so the loop meets no zero (every other entry is at least the
+   floor), and to -inf after, the log of its exact 0. */
+static void log_rows(const struct tsd_rows *r, double *rows, int64_t n_rows)
+{
+    char *args[2] = {(char *)rows, (char *)rows};
+    const intptr_t n = n_rows * r->vocab, steps[2] = {sizeof *rows, sizeof *rows};
+    for (int64_t i = 0; i < n_rows; i++)
+        rows[i * r->vocab + r->bos] = 1.0;
+    r->log(args, &n, steps, r->log_data);
+    for (int64_t i = 0; i < n_rows; i++)
+        rows[i * r->vocab + r->bos] = -INFINITY;
+}
+
+/* Draws the finished rows of the contexts in ``wanted`` into the chunk,
+   writes their log, enters them into the index and records them in
+   ``drawn``, when the caller set the chunk and the log loop and the chunk
+   and the index have room for them all; returns whether it did. */
+static int draw_wanted(struct tsd_rows *r)
 {
     const int64_t *end = r->wanted + r->n_wanted;
     int64_t n_rows = 0;
     for (const int64_t *w = r->wanted; w < end; w += 1 + w[0])
         n_rows++;
-    if (!r->chunk || n_rows > r->chunk_room)
-        return;
+    if (!r->chunk || !r->log || n_rows > r->chunk_room || n_rows > r->index_room)
+        return 0;
     double *row = r->chunk;
     for (const int64_t *w = r->wanted; w < end; w += 1 + w[0], row += r->vocab)
         finished_row(&r->source, w + 1, w[0], r->vocab, row);
-    r->drawn = r->chunk;
+    log_rows(r, r->chunk, n_rows);
+    row = r->chunk;
+    for (const int64_t *w = r->wanted; w < end; w += 1 + w[0], row += r->vocab)
+        enter(r, w + 1, w[0], (int64_t)(intptr_t)row);
+    memcpy(r->drawn + r->n_drawn, r->wanted, r->n_wanted * sizeof *r->wanted);
+    r->n_drawn += r->n_wanted;
+    r->chunk = row;
+    r->chunk_room -= n_rows;
+    r->index_room -= n_rows;
+    return 1;
 }
 
 /* One decode of the full-sentence beam search and its buffers, allocated
@@ -627,16 +665,17 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     return next;
 }
 
-/* Indexes the rows the last call drew and the queued rows, then runs
-   ``decode._beam_core``'s loop from the beam on side ``cur``, at length
-   ``r.step``, until it stops at the length budget or on an empty beam
-   (returns 0), or until a step needs what the caller must give first
-   (returns 1): room for the next beam's tokens (``r.step`` is
-   ``capacity``), room for the step's finishes, or the rows of the contexts
-   in ``wanted``, which it draws first when it can (``draw_wanted``). The
-   step is then not begun; the caller reads and clears the finishes, grows
-   the buffers and logs the drawn rows or draws the wanted ones, and calls
-   again to resume. Returns -1 when memory runs out. */
+/* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
+   beam on side ``cur``, at length ``r.step``, until it stops at the length
+   budget or on an empty beam (returns 0), or until a step needs what the
+   caller must give first (returns 1): room for the next beam's tokens
+   (``r.step`` is ``capacity``), room for the step's finishes, or the rows
+   of the contexts in ``wanted`` that it could not draw itself
+   (``draw_wanted``), or room for them. The step is then not begun; the
+   caller reads and clears the finishes, grows the buffers and the room for
+   rows or draws the wanted ones, and calls again to resume. Either way it
+   memoises the rows recorded in ``drawn``. Returns -1 when memory runs
+   out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
     const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
@@ -675,7 +714,8 @@ int64_t tsd_beam_search(struct tsd_search *s)
             }
         }
         if (s->r.n_wanted) {
-            draw_wanted(&s->r);
+            if (draw_wanted(&s->r))
+                continue;
             status = 1;
             break;
         }
@@ -823,17 +863,17 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
     return k;
 }
 
-/* Indexes the rows the last call drew and the queued rows, then runs
-   ``decode._python_psgd``'s loop from the items on side ``cur``, at span
-   length ``r.step``, until the patience rule or the span cap stops it
-   (returns 0), or until a round needs what the caller must give first
-   (returns 1): room for the children's spans and carries (``r.step`` is
-   ``capacity``), or the rows of the contexts in ``wanted``, which it draws
-   first when it can (``draw_wanted``). The round is then not begun; the
-   caller grows the buffers and logs the drawn rows or draws the wanted
-   ones, and calls again to resume. The best score, its round and its
-   span, the counts and the stop are left in ``s``. Returns -1 when memory
-   runs out. */
+/* Indexes the queued rows, then runs ``decode._python_psgd``'s loop from
+   the items on side ``cur``, at span length ``r.step``, until the patience
+   rule or the span cap stops it (returns 0), or until a round needs what
+   the caller must give first (returns 1): room for the children's spans
+   and carries (``r.step`` is ``capacity``), or the rows of the contexts in
+   ``wanted`` that it could not draw itself (``draw_wanted``), or room for
+   them. The round is then not begun; the caller grows the buffers and the
+   room for rows or draws the wanted ones, and calls again to resume.
+   Either way it memoises the rows recorded in ``drawn``. The best score,
+   its round and its span, the counts and the stop are left in ``s``.
+   Returns -1 when memory runs out. */
 int64_t tsd_psgd_search(struct tsd_psgd *s)
 {
     const int64_t width = s->width, cap = s->capacity, n_pieces = s->n_pieces, at = 1 + s->n_prefix;
@@ -865,7 +905,8 @@ int64_t tsd_psgd_search(struct tsd_psgd *s)
                 rows[b * n_pieces + j] = row_after(&s->r, seq, at + n + s->pieces[j]);
         }
         if (s->r.n_wanted) {
-            draw_wanted(&s->r);
+            if (draw_wanted(&s->r))
+                continue;
             status = 1;
             break;
         }

@@ -48,8 +48,8 @@ reasons, which takes each step with ``_PythonStep``.
 Every decoder checks its inputs once per decode and then reads memoised
 log rows, the Python loops through ``SequenceModel.rows_after`` once per
 round or step, the compiled searches through the memo's index. A compiled
-search draws the n-gram rows a step misses itself, for Python to take
-their log, or hands the contexts to ``SequenceModel._draw``.
+search draws, logs and indexes the n-gram rows a step misses itself, or
+hands the contexts to ``SequenceModel._draw``.
 
 The Python round and step order all candidates with ``scoring.rank`` and
 extend their beams with one expansion step, ``_expand``. It works on
@@ -392,7 +392,7 @@ def _psgd_run(
         from .rowkernel import CompiledPsgd
 
         result = CompiledPsgd(functions.psgd_search, model, src, p, s, scorer, params, max_span,
-                              block=functions.block)()
+                              log=functions.block and rng._log)()
     else:
         result = _python_psgd(model, src, p, s, scorer, params, max_span, trace)
     score, span, (fw, pos_scored, emitted, stop_reason), _ = result
@@ -648,7 +648,7 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
         from .rowkernel import CompiledSearch
 
         search = CompiledSearch(functions.beam_search, model, src, constraints, params.beam_width, params.max_len,
-                                block=functions.block)
+                                log=functions.block and rng._log)
         finished, beam, (fw, pos_scored, emitted, stop_reason) = search()
     else:
         finished, beam, (fw, pos_scored, emitted, stop_reason) = _python_search(

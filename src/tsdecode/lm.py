@@ -14,19 +14,22 @@ nothing, ``rows_after``: the log rows after each of a batch of prefixes of
 one source, whose contexts one ``_contexts`` call computes. The log rows
 sit in the model's row store, float64 chunks that never move, and each
 memo row is a read-only view of its chunk: every decoder scores with
-log-probabilities only. A missed row takes one of two routes, and both
-end in one step, ``_logged``, which writes the log of finished rows into
-the chunk's next rows (``np.log``, the one log of a memo row) and keeps a
-view per context. ``_draw`` is the route in Python: it takes the finished
-rows of the contexts a batch misses as one block from ``_finished_rows``,
-each distinct context once. A source that a compiled search reads also
-has an index (``_Index``), through which the search reads rows by
-context, without Python. The search draws the ``NgramGenModel`` rows a
-step misses itself, into the chunk's free rows, with the source's
-``_row_params``, when the chunk has room for them all, and ``_logged``
-takes their log in place; otherwise it hands the contexts to ``_draw``.
-Either way the rows enter the index on the search's next call, after
-their log is taken, never before. Row bytes do not depend on the block
+log-probabilities only, and a row's log is numpy's float64 log. A missed
+row takes one of two routes. ``_draw`` is the route in Python: it takes
+the finished rows of the contexts a batch misses as one block from
+``_finished_rows``, each distinct context once, writes their log into the
+chunk's next rows with ``np.log`` and keeps a view per context. A source
+that a compiled search reads also has an index (``_Index``), through which
+the search reads rows by context, without Python. The search draws the
+``NgramGenModel`` rows a step misses itself, into the chunk's free rows,
+with the source's ``_row_params``, writes their log with the loop
+``np.log`` runs on float64 (``rowkernel.log_loop``), enters them into the
+index and goes on; Python keeps a view per context when it returns. When
+the chunk lacks room for a step's rows, Python opens a new one
+(``_room``). A table or uniform model, or a search without the checked row
+block or log loop, hands the contexts to ``_draw`` instead, and the rows
+enter the index on the search's next call. Either way no row is reachable
+before its log is written. Row bytes do not depend on the block
 or the route: an ``NgramGenModel`` row is a pure function of its key,
 ``hash_key(seed, tag, source, context)``, and finishing acts on each row
 alone, in place. The compiled kernel returns an ``NgramGenModel`` block's
@@ -175,7 +178,7 @@ class _Index:
     kernel enters the rows into it. A source has an index from its first
     compiled search on; ``_draw`` then queues each block it adds in
     ``pending``, as ``(contexts, address of the first row)``, and a search
-    enters the rows it drew itself on its next call.
+    enters the rows it draws itself as it draws them.
     """
 
     __slots__ = ("pending", "count", "table", "bits")
@@ -193,7 +196,9 @@ class SequenceModel:
     row seed of models that draw their rows (0 for the others). Finalized
     log rows are memoized per source, then per context; their data sit in
     the model's row store, float64 chunks of ``CHUNK_ROWS`` rows
-    that never move, filled in the order the rows are drawn.
+    that never move, filled in the order the rows are drawn. The model
+    holds every chunk it has filled, so a row an index reaches lives as
+    long as the model, even if no memo view of it was kept.
     """
 
     seed = 0
@@ -206,8 +211,9 @@ class SequenceModel:
         self.order = order
         self._row_cache: dict[Tokens, dict[Tokens, np.ndarray]] = {}
         self._indexes: dict[Tokens, _Index] = {}
-        # The chunk being filled, its read-only view, its address and the
-        # rows used.
+        # Every chunk filled; the chunk being filled, its read-only view, its
+        # address and the rows used.
+        self._chunks: list[np.ndarray] = []
         self._chunk = self._read_only = np.empty((0, vocab.size))
         self._address = self._used = 0
 
@@ -241,36 +247,15 @@ class SequenceModel:
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
         """Memoise the log rows of distinct uncached contexts of one source,
         from one block of ``_finished_rows``: the memo's miss path in Python.
-        The rows are logged into the model's chunk, a new one when they do
-        not fit (``_logged``), and the block is queued for the source's
-        index once it has one."""
-        n, size = len(contexts), self.vocab.size
+        Their log is written into the chunk's next rows, in a new chunk when
+        they do not fit (``_room``), each context keeps a read-only view of
+        its row, and the block is queued for the source's index once it has
+        one."""
+        n, size, bos = len(contexts), self.vocab.size, self.vocab.bos_id
         rows = self._finished_rows(source, contexts)
-        if self._used + n > len(self._chunk):
-            self._new_chunk(np.empty((max(CHUNK_ROWS, n), size)))
+        self._room(n)
         at = self._used
-        self._logged(source, contexts, rows)
-        index = self._indexes.get(source)
-        if index is not None:
-            index.pending.append((contexts, self._address + 8 * size * at))
-
-    def _new_chunk(self, chunk: np.ndarray) -> None:
-        """Fill the C-contiguous float64 (R, V) array ``chunk`` next, from
-        its first row."""
-        self._chunk, self._read_only = chunk, chunk.view()
-        self._read_only.setflags(write=False)
-        self._address, self._used = addressof(c_char.from_buffer(chunk)), 0
-
-    def _logged(self, source: Tokens, contexts: Sequence[Tokens], rows: np.ndarray | None = None) -> None:
-        """Memoise the finished ``rows`` of ``contexts`` of one source: the
-        step both miss routes end in. Their log is written into the chunk's
-        next rows, after ``_used``, in place when ``rows`` is None (a
-        compiled search drew them there), each context keeps a read-only
-        view of its row, and ``_used`` moves past them. The chunk must have
-        room."""
-        bos, n, at = self.vocab.bos_id, len(contexts), self._used
         logs = self._chunk[at : at + n]
-        rows = logs if rows is None else rows
         # The log of BOS's exact 0 is -inf, written after the log: with a
         # 1.0 there, np.log meets no zero (every other entry is at least
         # EPS_FLOOR) and needs no np.errstate.
@@ -279,6 +264,23 @@ class SequenceModel:
         logs[:, bos] = -math.inf
         self._row_cache.setdefault(source, {}).update(zip(contexts, self._read_only[at : at + n]))
         self._used = at + n
+        index = self._indexes.get(source)
+        if index is not None:
+            index.pending.append((contexts, self._address + 8 * size * at))
+
+    def _room(self, n: int) -> None:
+        """Give the chunk room for ``n`` more rows: when it lacks it, fill a
+        new chunk of ``CHUNK_ROWS`` rows, or ``n`` if more, next."""
+        if self._used + n > len(self._chunk):
+            self._new_chunk(np.empty((max(CHUNK_ROWS, n), self.vocab.size)))
+
+    def _new_chunk(self, chunk: np.ndarray) -> None:
+        """Fill the C-contiguous float64 (R, V) array ``chunk`` next, from
+        its first row."""
+        self._chunks.append(chunk)
+        self._chunk, self._read_only = chunk, chunk.view()
+        self._read_only.setflags(write=False)
+        self._address, self._used = addressof(c_char.from_buffer(chunk)), 0
 
     def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
         """The memoised log rows of the next-token distribution given BOS +

@@ -40,7 +40,10 @@ scalar libm calls, the ones CPython's ``math.log``, ``math.cos``,
 order, and never numpy's: ``np.log`` does not round like ``math.log`` on
 every input, and rows must not depend on which is used. The kernel is
 compiled without floating-point contraction or fast-math for the same
-reason.
+reason. The log of a finished row, which the memo keeps, is the other way
+round: it is always numpy's float64 log, ``np.log`` in Python and the same
+loop called from the kernel (``rowkernel.log_loop``), which is checked
+against ``np.log``'s bytes before the kernel uses it.
 
 ``hash_key`` mixes each integer part alone, and a sequence part's length
 before its items, so a key can be folded in steps: ``lm.NgramGenModel``
@@ -114,21 +117,26 @@ def hash_key(*parts: int | Iterable[int]) -> int:
 
 # This process's compiled kernel, a ``rowkernel.Functions``, once the first
 # n-gram row block, beam search or PSGD decode has loaded it; None before.
-_compiled = None
+# Next to it, set by the same load, numpy's float64 log loop that passed its
+# check (``rowkernel.log_loop``), with which the compiled searches log the
+# rows they draw; None when it did not, or before the load.
+_compiled = _log = None
 _lock = threading.Lock()
 
 
 def compiled():
     """The compiled kernel's functions for this process, None for each that
     runs in Python: the first call, from the first n-gram row block, beam
-    search or PSGD decode, builds or finds the kernel and opens it
-    (``rowkernel.load``); every later call returns the same functions."""
-    global _compiled
+    search or PSGD decode, finds numpy's float64 log loop, then builds or
+    finds the kernel and opens it (``rowkernel.load``), and sets ``_log``;
+    every later call returns the same functions."""
+    global _compiled, _log
     with _lock:
         if _compiled is None:
             from . import rowkernel
 
-            _compiled = rowkernel.load()
+            _log = rowkernel.log_loop()
+            _compiled = rowkernel.load(log=_log)
         return _compiled
 
 

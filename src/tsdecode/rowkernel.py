@@ -8,16 +8,20 @@
 the full-sentence beam search, and ``tsd_psgd_search`` is
 ``decode._python_psgd``, the PSGD search, each run for one decode by
 ``CompiledSearch`` or ``CompiledPsgd`` through the resume loop they share
-(``_Resumable``). A search returns to Python when a step misses rows: when
-the row block passed its check, it draws an n-gram model's missed rows
-itself, with the block's code, and Python only takes their log; otherwise
-Python draws them. Its next call enters them into the memo's index, so no
-row is read before its log is taken. The block adds a row up in numpy's
-``add.reduce`` order, which its check compares rather than assumes. This
-module holds no state: ``rng.compiled()`` calls ``load`` once per process,
-on the first n-gram row block, beam search or PSGD decode, never on
-import. ``lm`` and ``decode`` then use each function that passed its check,
-and the much slower Python code otherwise.
+(``_Resumable``). When the row block passed its check and numpy's float64
+log loop passed its own (``log_loop``), a search draws the rows a step
+misses of an n-gram model itself, with the block's code, writes their log
+with that loop and enters them into the memo's index, in that order, and
+goes on: it returns to Python only when the model's chunk, the index or
+its room for tokens or finishes is full, and Python then memoises the rows
+it drew. Otherwise it returns the contexts it misses, Python draws their
+rows and its next call enters them into the index. The block adds a row
+up in numpy's ``add.reduce`` order, which its check compares rather than
+assumes. This module holds no state: ``rng.compiled()`` calls ``log_loop``
+and ``load`` once per process, on the first n-gram row block, beam search
+or PSGD decode, never on import. ``lm`` and ``decode`` then use each
+function that passed its check, and the much slower Python code
+otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -39,16 +43,20 @@ branch of numpy's sum, and tell it from any one of its rules changed;
 ``beam_search_self_check`` and ``psgd_self_check`` run the
 ``CHECK_SEARCHES`` and ``CHECK_DECODES`` with both searches, cold and warm
 (``_decodes_match``), and require the same results and the same memo, byte
-for byte, over both routes a missed row takes, first refusing a take whose
+for byte, over the route a missed row takes, first refusing a take whose
 buffers hold a NULL pointer, which would crash the process rather than
-fail the check. The checks run inside
+fail the check. The log loop is numpy's own, not this file's: ``log_loop``
+reads it from ``np.log``'s table of loops and keeps it only if it writes
+``np.log``'s bytes over a fixed block. The checks run inside
 ``rng.compiled()``'s lock, so their n-gram rows (``CheckRows``) never come
 from ``lm.NgramGenModel._finished_rows``, which would wait for it. A
-function that fails its check is replaced by its Python twin alone. No
-compiler, or a failed build or load, leaves all three to Python, exactly as
-without the kernel. Without a compiler that is silent; any other failure is
-reported by one ``RuntimeWarning``. The cache holds code, never rows: every
-command still draws every row it reads.
+function that fails its check is replaced by its Python twin alone, and a
+log loop that cannot be found or fails its check sends every missed row to
+``lm.SequenceModel._draw``. No compiler, or a failed build or load, leaves
+all three to Python, exactly as without the kernel. Without a compiler that
+is silent; any other failure is reported by one ``RuntimeWarning``. The
+cache holds code, never rows: every command still draws every row it
+reads.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ import numpy as np
 
 from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE
 from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search
-from .lm import CHUNK_ROWS, _Index, block_self_check
+from .lm import CHUNK_ROWS, EPS_FLOOR, _Index, block_self_check
 from .scoring import SCORING_MEAN_LOGPROB
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
@@ -103,13 +111,15 @@ class Functions(NamedTuple):
     psgd_search: object = None
 
 
-def load(directory: Path | None = None) -> Functions:
+def load(directory: Path | None = None, log: LogLoop | None = None) -> Functions:
     """The kernel's functions from ``directory`` (``cache_dir()`` by
     default), built there first if it is not there yet, each kept only if it
     passes its own check: ``lm.block_self_check`` for ``tsd_block``,
     ``beam_search_self_check`` for ``tsd_beam_search`` and
     ``psgd_self_check`` for ``tsd_psgd_search``, which share the n-gram
-    rows they draw, by the block when it passed. Each failure is reported as one warning, except a
+    rows they draw, by the block when it passed, and draw their own missed
+    rows with ``log``, the loop ``log_loop`` returned, when it is given and
+    the block passed. Each failure is reported as one warning, except a
     missing compiler."""
     cc = compiler()
     if cc is None or shutil.which(cc[0]) is None:
@@ -125,15 +135,16 @@ def load(directory: Path | None = None) -> Functions:
             _compile(command, path)
         block, beam_search, psgd_search = _open(path)
     except Exception as exc:  # whatever fails, rows are drawn and decodes run in Python
-        _warn("kernel", repr(exc), "rows are drawn, beams searched and PSGD decodes run in Python")
+        _warn("the compiled kernel", repr(exc), "rows are drawn, beams searched and PSGD decodes run in Python")
         return Functions()
 
-    block = _checked(block, block_self_check, "row block", "rows are drawn in Python")
-    rows = CheckRows(block)
+    block = _checked(block, block_self_check, "the compiled row block", "rows are drawn in Python")
+    rows = CheckRows(block, log)
     return Functions(
         block,
-        _checked(beam_search, beam_search_self_check, "beam search", "beams are searched in Python", rows),
-        _checked(psgd_search, psgd_self_check, "PSGD search", "PSGD decodes run in Python", rows),
+        _checked(beam_search, beam_search_self_check, "the compiled beam search", "beams are searched in Python",
+                 rows),
+        _checked(psgd_search, psgd_self_check, "the compiled PSGD search", "PSGD decodes run in Python", rows),
     )
 
 
@@ -151,7 +162,74 @@ def _checked(function, check, name: str, fallback: str, *args):
 
 
 def _warn(name: str, problem: str, fallback: str) -> None:
-    warnings.warn(f"the compiled {name} is not used ({problem}); {fallback}", RuntimeWarning, stacklevel=4)
+    warnings.warn(f"{name} is not used ({problem}); {fallback}", RuntimeWarning, stacklevel=4)
+
+
+class LogLoop(NamedTuple):
+    """numpy's float64 log loop: the addresses of the inner loop ``np.log``
+    runs on float64 arrays and of the data it is called with (0 for none),
+    as ``struct tsd_rows`` takes them."""
+
+    function: int
+    data: int
+
+
+class _UFunc(ctypes.Structure):
+    """The head of numpy's ``PyUFuncObject`` (``numpy/_core/include/numpy/
+    ufuncobject.h``) up to its name: after the object header, the counts of
+    inputs and outputs, then the arrays of loops and of their data, one
+    entry per type signature of ``ufunc.types``."""
+
+    _fields_ = [("header", ctypes.c_char * object.__basicsize__),
+                *((name, ctypes.c_int) for name in ("nin", "nout", "nargs", "identity")),
+                ("functions", ctypes.POINTER(ctypes.c_void_p)), ("data", ctypes.POINTER(ctypes.c_void_p)),
+                ("ntypes", ctypes.c_int), ("reserved1", ctypes.c_int), ("name", ctypes.c_char_p)]
+
+
+def _log_loop() -> LogLoop:
+    """The loop ``np.log`` runs on float64: the first ``d->d`` entry of its
+    table, as numpy resolves the loop by the first signature that fits.
+    Raises when the table does not look like ``np.log``'s."""
+    head = _UFunc.from_address(id(np.log))
+    # The counts first: a name read at the wrong offset could be any pointer.
+    if (head.nin, head.nout, head.ntypes) != (1, 1, len(np.log.types)) or head.name != b"log":
+        raise LookupError("np.log's table of loops is not where numpy's ufuncobject.h puts it")
+    at = np.log.types.index("d->d")
+    return LogLoop(head.functions[at], head.data[at] or 0)
+
+
+# The block the log loop must write with np.log's bytes: uniforms, the same
+# scaled by 1e-6, the floor and 1.0, 2046 entries from the second of the
+# array, so that the loop meets an unaligned start and a ragged end.
+_UNIFORMS = [k * 0.6180339887498949 % 1.0 for k in range(1, 1023)]
+CHECK_LOGS = np.array([math.nan, *_UNIFORMS, *(u * 1e-6 for u in _UNIFORMS), EPS_FLOOR, 1.0])
+
+
+# A loop's C type: ``tsd_loop`` of ``_rowkernel.c``.
+_LOOP = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+
+
+def log_self_check(loop: LogLoop) -> bool:
+    """Whether ``loop`` writes the log of ``CHECK_LOGS[1:]`` over it, in
+    place, with the bytes of ``np.log``."""
+    block = CHECK_LOGS.copy()
+    at = _address(block) + 8
+    args, steps = (ctypes.c_void_p * 2)(at, at), (ctypes.c_ssize_t * 2)(8, 8)
+    dimensions = (ctypes.c_ssize_t * 1)(len(block) - 1)
+    _LOOP(loop.function)(args, dimensions, steps, loop.data)
+    return block[1:].tobytes() == np.log(CHECK_LOGS[1:]).tobytes()
+
+
+def log_loop() -> LogLoop | None:
+    """numpy's float64 log loop (``_log_loop``) if it passes
+    ``log_self_check``; otherwise None, with one warning."""
+    fallback = "the rows a compiled search misses are drawn in Python"
+    try:
+        loop = _log_loop()
+    except Exception as exc:  # no loop: misses go to lm.SequenceModel._draw
+        _warn("numpy's float64 log loop", repr(exc), fallback)
+        return None
+    return _checked(loop, log_self_check, "numpy's float64 log loop", fallback)
 
 
 def _check_private(directory: Path) -> None:
@@ -252,11 +330,11 @@ class _RowBuffers(ctypes.Structure):
     """``struct tsd_rows`` of ``_rowkernel.c``, which both searches'
     structs begin with."""
 
-    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room",
-                       "index old_index queued wanted chunk drawn", source=_Source)
-    # Pointers that ``_Resumable._queue`` sets for each call, or the kernel,
-    # NULL when there is nothing to read or no chunk to draw rows into.
-    optional = ("index", "old_index", "queued", "chunk", "drawn")
+    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room index_room n_drawn",
+                       "index old_index queued wanted chunk drawn log log_data", source=_Source)
+    # Pointers that ``_Resumable._queue`` sets for each call, NULL when
+    # there is nothing to read, and those of a search that draws no rows.
+    optional = ("index", "old_index", "queued", "chunk", "log", "log_data")
 
 
 class _SearchBuffers(_RowBuffers):
@@ -292,23 +370,26 @@ INITIAL_CAPACITY = 64
 class _Resumable:
     """One decode of ``model`` from ``source`` by a compiled search that
     reads its rows through the source's index (``lm._Index``) and returns
-    early when a step needs rows the memo lacks or room for its tokens. A
-    subclass sets ``buffers``, ``views``, ``limit`` (the room's cap),
-    ``_sized()`` (the sections sized by ``capacity``) and ``KEPT`` (those
-    whose rows of ``capacity`` entries outlive a growth).
+    early when a step needs what Python must give: rows, room for them, or
+    room for its tokens. A subclass sets ``buffers``, ``views``, ``limit``
+    (the room's cap), ``_sized()`` (the sections sized by ``capacity``),
+    ``KEPT`` (those whose rows of ``capacity`` entries outlive a growth) and
+    a ``drawn`` section of ``drawn_rows`` records, at least the rows one
+    step can miss.
 
-    A missed row takes one of two routes. Given ``block``, the row block
-    that passed its check, and a model whose rows it draws
+    A missed row takes one of two routes. Given ``log``, numpy's checked
+    log loop (``log_loop``), and a model whose rows the kernel draws
     (``_row_params``), the kernel draws the rows a step misses into the
-    model's chunk when it has room for them all, and Python only takes
-    their log in place (``lm.SequenceModel._logged``); otherwise Python
-    draws them through ``_draw``, which opens a new chunk when the old one
-    is full. Either way the rows are entered into the index by the next
-    call, never before their log is taken."""
+    model's chunk, writes their log and enters them into the index, and
+    Python only memoises them when it returns (``_kept``); when the chunk or
+    the index lacks room for a step's rows, it returns first and Python
+    opens a new chunk or sizes a new table. Otherwise Python draws them
+    through ``_draw`` and the next call enters them into the index. Either
+    way no row is reachable before its log is written."""
 
     KEPT: tuple[str, ...] = ()
 
-    def _start(self, kernel, model, source: tuple[int, ...], block) -> None:
+    def _start(self, kernel, model, source: tuple[int, ...], log: LogLoop | None) -> None:
         self.kernel, self.address, self.model, self.source = kernel, ctypes.addressof(self.buffers), model, source
         self.index, self.table = model._indexes.get(source), None
         if self.index is None:
@@ -317,10 +398,11 @@ class _Resumable:
             self.index = model._indexes[source] = _Index(
                 [((context,), row.__array_interface__["data"][0]) for context, row in memo.items()]
             )
-        params = model._row_params(source) if block else None
+        params = model._row_params(source) if log else None
         self.draws = params is not None
         if self.draws:
             self.buffers.source = _Source(*params)
+            self.buffers.log, self.buffers.log_data = log
 
     def _grow(self) -> None:
         """Double ``capacity``, up to ``limit``, in new sections that keep
@@ -331,23 +413,25 @@ class _Resumable:
         for name in self.KEPT:
             self.views[name].reshape(-1, buffers.capacity)[:, :capacity] = old[name].reshape(-1, capacity)
 
-    def _queue(self) -> None:
+    def _queue(self, rows: int = 0) -> None:
         """Point the kernel's next call at the source's index, with the rows
-        it lacks queued for it to enter, and at the free rows of the model's
-        chunk when the kernel may draw rows into it. The index is made to
-        have room first, at most 3/4 full, for the queued rows and those the
-        last call drew: a table that must grow is replaced by a zeroed one,
-        and the kernel moves the old entries into it before the new ones.
-        The call must follow, or those rows are lost to the index."""
+        it lacks queued for it to enter, and, when the kernel draws rows, at
+        the free rows of the model's chunk. The index and the chunk are
+        given room first for ``rows`` more rows, besides the queued ones: a
+        full chunk, or one without that room, is followed by a new one, and
+        a table that would be more than 3/4 full is replaced by a zeroed
+        one, into which the kernel moves the old entries before the new
+        ones. The call must follow, or the queued rows are lost to the
+        index."""
         index, buffers, model = self.index, self.buffers, self.model
         pending, index.pending = index.pending, []
         queued, old = array("q"), None
         for contexts, address in pending:
             queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
             index.count += len(contexts)
-        if index.table is None or 4 * index.count > 3 << index.bits:
+        if index.table is None or 4 * (index.count + rows) > 3 << index.bits:
             bits, old = max(index.bits, 4), index.table
-            while 4 * index.count > 3 << bits:
+            while 4 * (index.count + rows) > 3 << bits:
                 bits += 1
             buffers.old_index = None if old is None else old.buffer_info()[0]
             buffers.old_bits = index.bits
@@ -357,10 +441,26 @@ class _Resumable:
             buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
         buffers.queued, buffers.n_queued = queued.buffer_info()
         if self.draws:
+            model._room(max(rows, 1))
             buffers.chunk = model._address + 8 * buffers.vocab * model._used
-            buffers.chunk_room = len(model._chunk) - model._used
+            buffers.chunk_room = min(len(model._chunk) - model._used, self.drawn_rows)
+            buffers.index_room = (3 << index.bits >> 2) - index.count
         # Both are read by the kernel's next call.
         self.held = old, queued
+
+    def _kept(self) -> None:
+        """Memoise the rows the kernel's last call drew, logged and entered
+        into the index: their chunk rows are claimed and counted first, so
+        that no later draw writes over a row the index reaches, then each
+        context, read from ``drawn`` in chunk order, keeps a read-only view
+        of its row."""
+        buffers, model = self.buffers, self.model
+        if not buffers.n_drawn:
+            return
+        at, model._used = model._used, (buffers.chunk - model._address) // (8 * buffers.vocab)
+        self.index.count += model._used - at
+        contexts = self._records("drawn", buffers.n_drawn)
+        model._row_cache.setdefault(self.source, {}).update(zip(contexts, model._read_only[at : model._used]))
 
     def _records(self, name: str, n: int) -> list[tuple[int, ...]]:
         """The first ``n`` ids of the section ``name`` as the records they
@@ -375,38 +475,39 @@ class _Resumable:
         """Read what the kernel's last call left, if anything."""
 
     def _run(self) -> None:
-        """Call the kernel until it is done: after each early return, read
-        what it left, grow the room it lacks, and log the rows it drew or
-        draw the contexts it wants with ``_draw``; the next call enters
-        them into the index."""
+        """Call the kernel until it is done: after each return, memoise the
+        rows it drew, and after each early one read what it left, grow the
+        room it lacks, and give it room for the rows it wants or draw them
+        with ``_draw``, for the next call to draw or to enter them into the
+        index."""
         buffers, step, returns = self.buffers, -1, 0
         self._queue()
         while status := self.kernel(self.address):
+            self._kept()
             if status < 0:
                 raise MemoryError(f"{self.NAME} could not allocate its scratch")
-            # A step returns at most twice: for room, then for its rows,
-            # which the next call finds in the index.
+            # A step returns at most twice: for room for its tokens or
+            # finishes, then for its rows or room for them, which the next
+            # call draws or finds in the index.
             returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
             if returns > 2:
                 raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the memo's index")
             self._read()
             if step == buffers.capacity < self.limit:
                 self._grow()
-            if buffers.n_wanted:
-                contexts = self._records("wanted", buffers.n_wanted)
-                if buffers.drawn:
-                    self.model._logged(self.source, contexts)
-                    self.index.count += len(contexts)
-                else:
-                    self.model._draw(self.source, contexts)
-            self._queue()
+            wanted = self._records("wanted", buffers.n_wanted)
+            if wanted and not self.draws:
+                self.model._draw(self.source, wanted)
+            self._queue(len(wanted) if self.draws else 0)
+        self._kept()
         self._read()
 
 
 class CompiledSearch(_Resumable):
     """``decode._python_search`` of one decode of ``model`` from ``source``
-    through ``tsd_beam_search``, called with no argument; ``block`` is the
-    row block that passed its check, or None (``_Resumable``).
+    through ``tsd_beam_search``, called with no argument; ``log`` is the log
+    loop with which the kernel draws the rows it misses, or None
+    (``_Resumable``).
 
     The search lives in the sections of ``_SearchBuffers`` (``_sections``),
     which each decode allocates once, but for those sized by ``capacity``,
@@ -419,7 +520,7 @@ class CompiledSearch(_Resumable):
     NAME, KEPT = "tsd_beam_search", ("tokens",)
 
     def __init__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
-                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY, block=None) -> None:
+                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
         vocab, width, n = model.vocab, beam_width, len(constraints)
         content = vocab.content_ids
         flat = [tok for phrase in constraints for tok in phrase]
@@ -433,17 +534,17 @@ class CompiledSearch(_Resumable):
             n_content=len(content), n_phrases=n, complete=len(flat), max_len=max_len,
             capacity=min(max_len, capacity), finish_room=room, size=(1, 0),
         )
-        self.limit = max_len
+        self.limit, self.drawn_rows = max_len, max(CHUNK_ROWS, width)
         views = self.views = _sections(
             buffers,
             (("lp", 2 * width), ("finish_score", room)),
             (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
              ("order", 2 * width), ("parent", width), ("token", width), ("wanted", width * (1 + model.order)),
-             *self._sized()[1]),
+             ("drawn", self.drawn_rows * (1 + model.order)), *self._sized()[1]),
         )
         views["phrases"][:] = flat
         views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
-        self._start(kernel, model, source, block)
+        self._start(kernel, model, source, log)
 
     def _sized(self) -> tuple:
         """The sections sized by ``capacity``: the finishes' ids and the
@@ -518,12 +619,12 @@ class CheckRows(dict):
     the compiled row block that passed its check, or else by the Python
     twin; never by ``lm.NgramGenModel._finished_rows``, which would wait for
     the lock the checks run under. Every check model of one load shares
-    them. The compiled searches draw rows themselves when ``block`` is
-    set."""
+    them. The compiled searches draw rows themselves, with ``log``, numpy's
+    checked log loop, when it and ``block`` are both given."""
 
-    def __init__(self, block=None) -> None:
+    def __init__(self, block=None, log: LogLoop | None = None) -> None:
         super().__init__()
-        self.block = block
+        self.block, self.log = block, log if block else None
 
     def finished(self, model, source: tuple[int, ...], contexts) -> np.ndarray:
         params = model._row_params(source)
@@ -576,39 +677,41 @@ def _memo(model) -> dict:
 def _decodes_match(decodes, python, compiled, outcome, rows: CheckRows | None) -> bool:
     """Whether each decode ``(model name, *args)`` of ``decodes`` gives the
     ``outcome`` of ``python(model, *args)`` through the compiled search
-    ``compiled(model, capacity, block, *args)`` three times: on a cold model
+    ``compiled(model, capacity, log, *args)`` three times: on a cold model
     with room for ``CHECK_CAPACITY`` tokens, so that the search returns to
     grow it and for rows, and resumes; on the same model warm, drawing no
     row, in one call that reads every row it indexed (an index that lost a
     row would have it drawn again); and on the model the Python twin
     filled, whose rows the first search of a source indexes. Each time the
-    index must hold as many rows as it counts, and the cold model's memo
-    must then hold the filled one's contexts with the same bytes. Its first
-    rows go to a chunk with room for ``CHECK_CHUNK_ROWS``, cut from a
-    NaN-filled block whose later rows must stay NaN: a step that wants more
-    rows takes ``_draw``, and a search that draws past the room is seen.
-    The searches draw their n-gram rows themselves when ``rows`` holds the
-    row block that passed; the Python draws go to ``rows``, by the Python
-    twin unless given."""
+    index must hold as many rows as it counts and be at most 3/4 full, and
+    the cold model's memo must then hold the filled one's contexts with the
+    same bytes. Its first rows go to a chunk whose first row counts as used,
+    with room for ``CHECK_CHUNK_ROWS`` more, cut from a NaN-filled block
+    whose later rows must stay NaN: a step that wants more rows returns for
+    a new chunk, and a search that draws past the room is seen. The searches draw, log and
+    index their n-gram rows themselves when ``rows`` holds the row block
+    that passed and the log loop; the Python draws go to ``rows``, by the
+    Python twin unless given."""
     rows = CheckRows() if rows is None else rows
     for name, *args in decodes:
         filled, cold = _check_model(name, rows), _check_model(name, rows)
-        guarded = np.empty((CHECK_CHUNK_ROWS + CHUNK_ROWS, cold.vocab.size))
+        guarded = np.empty((1 + CHECK_CHUNK_ROWS + CHUNK_ROWS, cold.vocab.size))
         guarded[:] = math.nan
-        guard = guarded[CHECK_CHUNK_ROWS:].tobytes()
-        cold._new_chunk(guarded[:CHECK_CHUNK_ROWS])
+        guard = guarded[1 + CHECK_CHUNK_ROWS :].tobytes()
+        cold._new_chunk(guarded[: 1 + CHECK_CHUNK_ROWS])
+        cold._used = 1
         want = outcome(python(filled, *args))
         for model, capacity in ((cold, CHECK_CAPACITY), (cold, INITIAL_CAPACITY), (filled, INITIAL_CAPACITY)):
-            take = compiled(model, capacity, rows.block, *args)
+            take = compiled(model, capacity, rows.log, *args)
             if not _pointers_set(take.buffers):
                 return False
             index = take.index
             indexed = index.count
             if outcome(take()) != want or (model is cold and capacity != CHECK_CAPACITY and index.count > indexed):
                 return False
-            if index.count != sum(map(bool, index.table[:: 2 + model.order])):
+            if not index.count == sum(map(bool, index.table[:: 2 + model.order])) <= 3 << index.bits >> 2:
                 return False
-        if _memo(cold) != _memo(filled) or guarded[CHECK_CHUNK_ROWS:].tobytes() != guard:
+        if _memo(cold) != _memo(filled) or guarded[1 + CHECK_CHUNK_ROWS :].tobytes() != guard:
             return False
     return True
 
@@ -617,8 +720,8 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
     """Whether ``beam_search`` decodes every decode of ``CHECK_SEARCHES``
     exactly as ``decode._python_search`` does (``_decodes_match``)."""
 
-    def compiled(model, capacity, block, source, constraints, width, max_len):
-        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity, block)
+    def compiled(model, capacity, log, source, constraints, width, max_len):
+        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity, log)
 
     return _decodes_match(CHECK_SEARCHES, _python_search, compiled, search_outcome, rows)
 
@@ -626,7 +729,7 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
 class CompiledPsgd(_Resumable):
     """``decode._python_psgd`` of one decode of ``model`` from ``source``
     through ``tsd_psgd_search``, for a ``decode._SpanScorer``, called with
-    no argument; ``block`` as in ``CompiledSearch``.
+    no argument; ``log`` as in ``CompiledSearch``.
 
     As in ``CompiledSearch``; the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
@@ -637,7 +740,7 @@ class CompiledPsgd(_Resumable):
     NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
 
     def __init__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
-                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY, block=None) -> None:
+                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
         vocab, width = model.vocab, params.beam_width
         content, head, tail = vocab.content_ids, scorer.head_terms, scorer.tail_terms
         pieces = [*map(len, scorer.pieces)]
@@ -650,19 +753,20 @@ class CompiledPsgd(_Resumable):
             patience=params.patience, max_span=max_span, capacity=min(max_span, capacity), size=(1, 0),
             best=-math.inf,
         )
-        self.limit = max_span
+        self.limit, self.drawn_rows = max_span, max(CHUNK_ROWS, width * len(pieces))
         reals, ints = self._sized()
         views = self.views = _sections(
             buffers,
             (("terms", len(head) + len(tail)), ("lp", 2 * width), *reals),
             (("prefix", len(prefix)), ("suffix", len(suffix)), ("pieces", len(pieces)), ("parent", width),
-             ("token", width), ("order", 2 * width), ("wanted", width * len(pieces) * (1 + model.order)), *ints),
+             ("token", width), ("order", 2 * width), ("wanted", width * len(pieces) * (1 + model.order)),
+             ("drawn", self.drawn_rows * (1 + model.order)), *ints),
         )
         views["terms"][:] = head + tail
         views["prefix"][:] = prefix
         views["suffix"][:] = suffix
         views["pieces"][:] = pieces
-        self._start(kernel, model, source, block)
+        self._start(kernel, model, source, log)
 
     def _sized(self) -> tuple:
         """The sections sized by ``capacity``: the carries, the spans and
@@ -708,9 +812,9 @@ def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
     def python(model, source, p, s, params):
         return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)
 
-    def compiled(model, capacity, block, source, p, s, params):
+    def compiled(model, capacity, log, source, p, s, params):
         scorer = _SpanScorer(model, source, p, s)
-        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity, block)
+        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity, log)
 
     # (score, span, counts, last round's children), the score as its hex.
     return _decodes_match(CHECK_DECODES, python, compiled, lambda result: (result[0].hex(), *result[1:]), rows)

@@ -2,8 +2,10 @@
 the same finished sequences in the same order, the same final beam, the
 same statistics and the same result bytes, on random n-gram and table
 models, constrained or not, on a cold memo and on one filled first. A warm
-decode is one compiled call, and a cold one returns to Python once per step
-that misses rows, drawing them through ``_draw``."""
+decode is one compiled call, and so is a cold one with room for its rows,
+which the kernel draws, logs and indexes itself; without the log loop, a
+cold one returns to Python once per step that misses rows, which ``_draw``
+draws."""
 
 from dataclasses import replace
 
@@ -15,8 +17,8 @@ from tsdecode.core import ResultRow, TokenSeq, TsTask, Vocab, result_to_dict
 from tsdecode.decode import DbaParams, beam_search, dba_suggest
 from tsdecode.lm import NgramGenModel, TableModel, make_perturbed_sibling
 
-from util import (LogFailed, Unindexed, failing_logs, forgetful, kernel_paths, logged_rows, memo_bytes, run_by,
-                  table_model)
+from util import (ReadFailed, Unindexed, drawn_rows, failing_reads, indexed_rows, kernel_paths, memo_bytes, run_by,
+                  starved, table_model, with_room)
 
 needs_search_kernel = pytest.mark.skipif(
     "kernel" not in kernel_paths("beam_search"), reason="the compiled beam search cannot be built here"
@@ -136,7 +138,10 @@ def test_a_decode_that_stops_on_an_empty_beam_matches():
 
 
 @needs_search_kernel
-def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_step():
+def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
+    # The kernel draws, logs and indexes a cold decode's rows itself, and
+    # returns only when the chunk or the index is full; without the log
+    # loop it returns once per step that misses rows.
     kernel = rng.compiled().beam_search
     calls = []
 
@@ -144,27 +149,37 @@ def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_step():
         calls.append(address)
         return kernel(address)
 
-    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    drawn = drawn_rows(monkeypatch)
     params = DbaParams(4, 10, ((4,), (6, 2)))
-    with run_by("beam_search", "kernel"):
-        rng._compiled = rng._compiled._replace(beam_search=counted)
-        cold = decode._beam_core(model, (3, 7, 5, 9), params)
-        cold_calls = len(calls)
-        calls.clear()
-        warm = decode._beam_core(model, (3, 7, 5, 9), params)
-    assert cold_calls > 1 and len(calls) == 1
-    assert cold[:2] == warm[:2]
+    decodes = {}
+    for log in (rng._log, None):
+        monkeypatch.setattr(rng, "_log", log)
+        model = with_room(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2), (3, 7, 5, 9))
+        with run_by("beam_search", "kernel"):
+            rng._compiled = rng._compiled._replace(beam_search=counted)
+            calls.clear()
+            cold = decode._beam_core(model, (3, 7, 5, 9), params)
+            cold_calls = len(calls)
+            calls.clear()
+            warm = decode._beam_core(model, (3, 7, 5, 9), params)
+        assert len(calls) == 1 and cold[:2] == warm[:2]
+        decodes[log is None] = cold[:2], cold_calls, {kernel for _, _, kernel in drawn}
+        drawn.clear()
+    if "kernel" in kernel_paths("block") and rng._log is not None:
+        assert decodes[False][1:] == (1, {True})
+    assert decodes[True][1] > 1 and decodes[True][2] == {False}
+    assert decodes[True][0] == decodes[False][0]
 
 
 @needs_search_kernel
 def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
     # Rows drawn by _draw (the row block off) that never reach the index,
-    # then rows the kernel draws that the next call never enters.
+    # then rows the kernel is never given room to draw.
     with run_by("beam_search", "kernel"):
         with run_by("block", "python"), pytest.raises(RuntimeError, match="out of the memo"):
             decode._beam_core(Unindexed(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
-        if "kernel" in kernel_paths("block"):
-            rng._compiled = rng._compiled._replace(beam_search=forgetful(rng._compiled.beam_search))
+        if "kernel" in kernel_paths("block") and rng._log is not None:
+            rng._compiled = rng._compiled._replace(beam_search=starved(rng._compiled.beam_search))
             with pytest.raises(RuntimeError, match="out of the memo"):
                 decode._beam_core(NgramGenModel(Vocab(8), 2, 3, 0.5), (2,), DbaParams(2, 4))
 
@@ -184,46 +199,57 @@ def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
 @pytest.mark.parametrize("kind", ["ngram", "sibling"])
 def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatch, kind):
     # With chunks of 3 rows, a step that misses more rows than the chunk
-    # has room for takes _draw, which opens a new chunk; the kernel draws
-    # the rows of the others itself.
+    # has room for returns for a new chunk, and the kernel then draws the
+    # rows itself; without the log loop every row takes _draw.
     monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
-    logged = logged_rows(monkeypatch)
+    drawn = drawn_rows(monkeypatch)
+    log = rng._log
     outcomes = {}
-    for path in ("python", "kernel"):
-        logged.clear()
-        with run_by("beam_search", path):
+    for path in ("python", "kernel", "kernel without the log loop"):
+        drawn.clear()
+        monkeypatch.setattr(rng, "_log", None if path.endswith("loop") else log)
+        with run_by("beam_search", path[:6]):
             model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
             if kind == "sibling":
                 model = make_perturbed_sibling(model, 5, 0.5)
             finished, beam, stats = decode._beam_core(model, (3, 7, 5), DbaParams(3, 8, ((4,), (6, 2))))
             plain = beam_search(model, (2, 9), beam_width=3, max_len=6)
-        contexts = [(source, context) for source, context, _ in logged]
+        contexts = [(source, context) for source, context, _ in drawn]
         assert len(set(contexts)) == len(contexts)
-        routes = {drawn for _, _, drawn in logged}
+        routes = {kernel for _, _, kernel in drawn}
         outcomes[path] = (rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0),
                           plain.tokens, plain.score.hex(), memo_bytes(model))
-        assert routes == ({False, True} if path == "kernel" and "kernel" in kernel_paths("block") else {False})
-    assert outcomes["kernel"] == outcomes["python"]
+        by_kernel = path == "kernel" and "kernel" in kernel_paths("block") and log is not None
+        assert routes == ({True} if by_kernel else {False})
+    assert outcomes["kernel"] == outcomes["python"] == outcomes["kernel without the log loop"]
 
 
 @needs_search_kernel
 def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
-    # The kernel draws a step's missed rows into the chunk and returns; when
-    # taking their log fails, no later call may read them unlogged.
-    if "kernel" not in kernel_paths("block"):
-        pytest.skip("the compiled row block cannot be built here")
+    # The kernel draws, logs and indexes a step's missed rows and returns;
+    # when Python fails to read which rows they were, the chunk rows it
+    # claimed first stay theirs: every row the index reaches has its
+    # logged bytes, and later decodes read them.
+    if "kernel" not in kernel_paths("block") or rng._log is None:
+        pytest.skip("the compiled row block or the log loop is not used here")
+    monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
+
     def searched(model):
         finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(3, 7, ((4,),)))
         return rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0)
 
     with run_by("beam_search", "python"):
-        want = searched(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2))
+        filled = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+        want = searched(filled)
     with run_by("beam_search", "kernel"):
         model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
         with monkeypatch.context() as patch:
-            failing_logs(patch)
+            failing_reads(patch)
             for _ in range(2):
-                with pytest.raises(LogFailed):
+                with pytest.raises(ReadFailed):
                     searched(model)
+        reached = indexed_rows(model)
+        assert reached and all(row == memo_bytes(filled)[key] for key, row in reached.items())
         assert searched(model) == want
         assert searched(model) == want
+        assert indexed_rows(model).items() >= reached.items()

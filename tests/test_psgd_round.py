@@ -2,9 +2,10 @@
 the same span, the same score bytes and the same statistics, on random
 n-gram, sibling and table models and on models whose rows tie, on a cold
 memo, a warm one and one filled first, past the point where the compiled
-search's span room grows. A warm decode is one compiled call, and a cold
-one returns to Python once per round that misses rows, drawing them
-through ``_draw``."""
+search's span room grows. A warm decode is one compiled call, and so is a
+cold one with room for its rows, which the kernel draws, logs and indexes
+itself; without the log loop, a cold one returns to Python once per round
+that misses rows, which ``_draw`` draws."""
 
 from dataclasses import replace
 
@@ -18,8 +19,8 @@ from tsdecode.decode import PsgdParams, psgd, psgd_with_trace
 from tsdecode.lm import NgramGenModel, SequenceModel, UniformModel, make_perturbed_sibling
 from tsdecode.scoring import SCORING_MODES
 
-from util import (LogFailed, Unindexed, failing_logs, forgetful, kernel_paths, logged_rows, memo_bytes, run_by,
-                  table_model)
+from util import (ReadFailed, Unindexed, drawn_rows, failing_reads, indexed_rows, kernel_paths, memo_bytes, run_by,
+                  starved, table_model, with_room)
 
 needs_psgd_kernel = pytest.mark.skipif(
     "kernel" not in kernel_paths("psgd_search"), reason="the compiled PSGD search cannot be built here"
@@ -153,7 +154,10 @@ def test_a_traced_decode_matches_the_compiled_one():
 
 
 @needs_psgd_kernel
-def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_round():
+def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
+    # The kernel draws, logs and indexes a cold decode's rows itself, and
+    # returns only when the chunk or the index is full; without the log
+    # loop it returns once per round that misses rows.
     kernel = rng.compiled().psgd_search
     calls = []
 
@@ -161,28 +165,40 @@ def test_a_warm_decode_is_one_call_and_a_cold_one_resumes_per_missed_round():
         calls.append(address)
         return kernel(address)
 
-    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    drawn = drawn_rows(monkeypatch)
     task = TsTask("t", TokenSeq((3, 7, 5, 9)), TokenSeq((4,)), TokenSeq((6, 2)))
-    with run_by("psgd_search", "kernel"):
-        rng._compiled = rng._compiled._replace(psgd_search=counted)
-        cold = psgd(model, task)
-        cold_calls = len(calls)
-        calls.clear()
-        warm = psgd(model, task)
-    assert cold_calls > 1 and len(calls) == 1
-    assert (cold.span, cold.whole_seq_score) == (warm.span, warm.whole_seq_score)
+    decodes = {}
+    for log in (rng._log, None):
+        monkeypatch.setattr(rng, "_log", log)
+        model = with_room(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2), (3, 7, 5, 9))
+        with run_by("psgd_search", "kernel"):
+            rng._compiled = rng._compiled._replace(psgd_search=counted)
+            calls.clear()
+            cold = psgd(model, task)
+            cold_calls = len(calls)
+            calls.clear()
+            warm = psgd(model, task)
+        assert len(calls) == 1
+        assert (cold.span, cold.whole_seq_score) == (warm.span, warm.whole_seq_score)
+        # The scorer's forced passes of the prefix and suffix take _draw.
+        decodes[log is None] = (cold.span, cold.whole_seq_score), cold_calls, {kernel for _, _, kernel in drawn}
+        drawn.clear()
+    if "kernel" in kernel_paths("block") and rng._log is not None:
+        assert decodes[False][1:] == (1, {False, True})
+    assert decodes[True][1] > 1 and decodes[True][2] == {False}
+    assert decodes[True][0] == decodes[False][0]
 
 
 @needs_psgd_kernel
 def test_a_draw_that_indexes_no_rows_raises_instead_of_looping():
     # Rows drawn by _draw (the row block off) that never reach the index,
-    # then rows the kernel draws that the next call never enters.
+    # then rows the kernel is never given room to draw.
     task = TsTask("t", TokenSeq((2,)), TokenSeq((3,)), TokenSeq((4,)))
     with run_by("psgd_search", "kernel"):
         with run_by("block", "python"), pytest.raises(RuntimeError, match="out of the memo"):
             psgd(Unindexed(Vocab(8), 2, 3, 0.5), task)
-        if "kernel" in kernel_paths("block"):
-            rng._compiled = rng._compiled._replace(psgd_search=forgetful(rng._compiled.psgd_search))
+        if "kernel" in kernel_paths("block") and rng._log is not None:
+            rng._compiled = rng._compiled._replace(psgd_search=starved(rng._compiled.psgd_search))
             with pytest.raises(RuntimeError, match="out of the memo"):
                 psgd(NgramGenModel(Vocab(8), 2, 3, 0.5), task)
 
@@ -210,33 +226,40 @@ def test_the_forced_pass_reference_takes_the_python_search(monkeypatch):
 @pytest.mark.parametrize("kind", ["ngram", "sibling"])
 def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatch, kind):
     # With chunks of 3 rows, a round that misses more rows than the chunk
-    # has room for takes _draw, which opens a new chunk; the kernel draws
-    # the rows of the others itself.
+    # has room for returns for a new chunk, and the kernel then draws the
+    # rows itself; the scorer's forced passes, and every row without the
+    # log loop, take _draw.
     monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
-    logged = logged_rows(monkeypatch)
+    drawn = drawn_rows(monkeypatch)
+    log = rng._log
     task = TsTask("t", TokenSeq((3, 7, 5)), TokenSeq((4,)), TokenSeq((6,)))
     outcomes = {}
-    for path in ("python", "kernel"):
-        logged.clear()
-        with run_by("psgd_search", path):
+    for path in ("python", "kernel", "kernel without the log loop"):
+        drawn.clear()
+        monkeypatch.setattr(rng, "_log", None if path.endswith("loop") else log)
+        with run_by("psgd_search", path[:6]):
             model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
             if kind == "sibling":
                 model = make_perturbed_sibling(model, 5, 0.5)
             got = psgd(model, task, PsgdParams(beam_width=2, patience=3, max_span_len=8))
-        contexts = [(source, context) for source, context, _ in logged]
+        contexts = [(source, context) for source, context, _ in drawn]
         assert len(set(contexts)) == len(contexts)
-        routes = {drawn for _, _, drawn in logged}
+        routes = {kernel for _, _, kernel in drawn}
         outcomes[path] = (got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0), memo_bytes(model))
-        assert routes == ({False, True} if path == "kernel" and "kernel" in kernel_paths("block") else {False})
-    assert outcomes["kernel"] == outcomes["python"]
+        by_kernel = path == "kernel" and "kernel" in kernel_paths("block") and log is not None
+        assert routes == ({False, True} if by_kernel else {False})
+    assert outcomes["kernel"] == outcomes["python"] == outcomes["kernel without the log loop"]
 
 
 @needs_psgd_kernel
 def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
-    # The kernel draws a round's missed rows into the chunk and returns;
-    # when taking their log fails, no later call may read them unlogged.
-    if "kernel" not in kernel_paths("block"):
-        pytest.skip("the compiled row block cannot be built here")
+    # The kernel draws, logs and indexes a round's missed rows and returns;
+    # when Python fails to read which rows they were, the chunk rows it
+    # claimed first stay theirs: every row the index reaches has its
+    # logged bytes, and later decodes read them.
+    if "kernel" not in kernel_paths("block") or rng._log is None:
+        pytest.skip("the compiled row block or the log loop is not used here")
+    monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
     task = TsTask("t", TokenSeq((3, 7)), TokenSeq((4,)), TokenSeq((6,)))
 
     def decoded(model):
@@ -244,13 +267,17 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
         return got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0)
 
     with run_by("psgd_search", "python"):
-        want = decoded(NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2))
+        filled = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+        want = decoded(filled)
     with run_by("psgd_search", "kernel"):
         model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
         with monkeypatch.context() as patch:
-            failing_logs(patch)
+            failing_reads(patch)
             for _ in range(2):
-                with pytest.raises(LogFailed):
+                with pytest.raises(ReadFailed):
                     decoded(model)
+        reached = indexed_rows(model)
+        assert reached and all(row == memo_bytes(filled)[key] for key, row in reached.items())
         assert decoded(model) == want
         assert decoded(model) == want
+        assert indexed_rows(model).items() >= reached.items()

@@ -29,7 +29,7 @@ from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import _ROW_TAG, NgramGenModel, SequenceModel, make_perturbed_sibling, model_from_spec
 from tsdecode.rng import Stream, hash_key
 
-from util import finish_rows, kernel_paths, run_by
+from util import drawn_rows, finish_rows, kernel_paths, run_by
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -188,15 +188,10 @@ def _load_tracer():
 def traced_rows(tracer_module):
     """A cold gen + psgd + dba run under the benchmark's tracer (MT
     constraints, so a perturbed sibling draws rows too): its
-    ``rng.rows_drawn``, summed ``dirichlet`` counter advance, and the size
-    of every block logged into a memo, by ``_draw`` or after a compiled
-    search drew it."""
-    blocks = []
-    logged = vars(SequenceModel)["_logged"]
-
-    def counted(self, source, contexts, rows=None):
-        blocks.append(len(contexts))
-        logged(self, source, contexts, rows)
+    ``rng.rows_drawn``, summed ``dirichlet`` counter advance, the size of
+    every block ``_draw`` memoises, and the (source, context) of every row
+    memoised, by ``_draw`` or after a compiled search drew it, in order."""
+    blocks, memoised = [], []
 
     cfg = harness.GenConfig(
         vocab_size=20,
@@ -207,17 +202,23 @@ def traced_rows(tracer_module):
         constraint_source=harness.CONSTRAINT_MT,
     )
     tracer = tracer_module.Tracer()
-    SequenceModel._logged = counted
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        drawn = drawn_rows(patch)
+        draw = vars(SequenceModel)["_draw"]
+
+        def counted(self, source, contexts):
+            blocks.append(len(contexts))
+            draw(self, source, contexts)
+
+        patch.setattr(SequenceModel, "_draw", counted)
         with tracer.active():
             model = model_from_spec(cfg.resolved_model_spec())
             for task in harness.gen_dataset(cfg, model):
                 decode.psgd(model, task)
                 decode.dba_suggest(model, task, beam_width=3)
-    finally:
-        SequenceModel._logged = logged
+    memoised = [(source, context) for source, context, _ in drawn]
     u64 = sum(sp.info for sp in tracer.spans if sp.name == "rng.dirichlet")
-    return tracer_module.layer_metrics(tracer.spans)["rng.rows_drawn"], u64, blocks
+    return tracer_module.layer_metrics(tracer.spans)["rng.rows_drawn"], u64, blocks, memoised
 
 
 def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
@@ -225,16 +226,16 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
     ``rng.u64_per_row`` their counter advance. With the block off, batched,
     ``dirichlet`` runs once per memoised row, and both sums equal the
     one-at-a-time path's. The compiled block, and the compiled searches
-    that draw rows with it, draw the same blocks and call ``dirichlet`` for
+    that draw rows with it, memoise the same rows and call ``dirichlet`` for
     no row, so the tracer reads 0 rows there: its blind spot until it counts
-    rows at ``_logged``."""
+    the rows memoised."""
     tracer_module = _load_tracer()
     with run_by("block", "python"):
-        rows, u64, blocks = traced_rows(tracer_module)
-    assert rows == sum(blocks) and max(blocks) > 1
+        rows, u64, blocks, memoised = traced_rows(tracer_module)
+    assert rows == sum(blocks) == len(memoised) and max(blocks) > 1
     rows_after = vars(SequenceModel)["rows_after"]
     with run_by("block", "python"):
-        assert traced_rows(tracer_module) == (rows, u64, blocks)
+        assert traced_rows(tracer_module) == (rows, u64, blocks, memoised)
         # One row at a time through rows_after: the compiled searches draw
         # or hand back the contexts a step misses as one block, so the
         # Python searches run here.
@@ -244,13 +245,13 @@ def test_tracer_row_metrics_keep_their_meaning(monkeypatch):
                 "rows_after",
                 lambda self, source, prefixes: [rows_after(self, source, [p])[0] for p in prefixes],
             )
-            single_rows, single_u64, single_blocks = traced_rows(tracer_module)
+            single_rows, single_u64, single_blocks, _ = traced_rows(tracer_module)
     assert single_rows == sum(single_blocks) and max(single_blocks) == 1
     assert (rows, u64) == (single_rows, single_u64)
     if "kernel" in kernel_paths("block"):
         with run_by("block", "kernel"):
-            block_rows, _, block_sizes = traced_rows(tracer_module)
-        assert block_sizes == blocks
+            block_rows, _, _, block_memoised = traced_rows(tracer_module)
+        assert sorted(block_memoised) == sorted(memoised)
         assert block_rows == 0
 
 

@@ -29,7 +29,8 @@ from tsdecode.decode import DbaParams
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, make_perturbed_sibling
 from tsdecode.rng import Stream, hash_key, mix64
 
-from util import finish_rows, gamma, kernel_paths, reference_beam_core, run_by
+from util import (drawn_rows, finish_rows, gamma, kernel_paths, memo_bytes, on_every_path, reference_beam_core,
+                  run_by)
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
@@ -548,6 +549,90 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     assert (got.span, got.whole_seq_score) == (want.span, want.whole_seq_score)
 
 
+def run_loop(loop, source, target):
+    """Run the log ``loop`` from the float64 array ``source`` to ``target``,
+    as ``struct tsd_rows`` calls it."""
+    args = (ctypes.c_void_p * 2)(source.ctypes.data, target.ctypes.data)
+    dimensions, steps = (ctypes.c_ssize_t * 1)(len(source)), (ctypes.c_ssize_t * 2)(8, 8)
+    rowkernel._LOOP(loop.function)(args, dimensions, steps, loop.data)
+
+
+def test_the_log_loop_writes_np_logs_bytes():
+    # Finished rows of several concentrations, BOS at 1.0 as the kernel sets
+    # it, with entries at the floor: every length 1..301 at offsets 0-3,
+    # out of place and in place.
+    loop = rowkernel.log_loop()
+    if loop is None:
+        pytest.skip("numpy's float64 log loop is not found here")
+    rows = [NgramGenModel(Vocab(20), 2, 5, c)._python_rows((2,), [(k,) for k in range(2, 8)])
+            for c in (0.2, 0.001, 1.0)]
+    values = np.concatenate(rows).ravel()
+    values[values == 0.0] = 1.0
+    assert (values[:301] == lm.EPS_FLOOR).sum() > 10 and (values[:301] == 1.0).sum() == 16
+    for n in range(1, 302):
+        for offset in range(4):
+            source = np.empty(n + offset)[offset:]
+            source[:] = values[:n]
+            want = np.log(source).tobytes()
+            target = np.full(n + offset, math.nan)[offset:]
+            run_loop(loop, source, target)
+            assert target.tobytes() == want
+            run_loop(loop, source, source)
+            assert source.tobytes() == want
+
+
+def _refused_check(loop):
+    return False
+
+
+@needs_compiler
+@pytest.mark.parametrize("refusal", [(rowkernel, "_log_loop", _refuse), (rowkernel, "log_self_check", _refused_check)],
+                         ids=["lookup-fails", "check-fails"])
+def test_a_missing_or_refused_log_loop_warns_once_and_keeps_every_function(refusal, monkeypatch):
+    monkeypatch.setattr(*refusal)
+    monkeypatch.setattr(rng, "_compiled", None)
+    monkeypatch.setattr(rng, "_log", None)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        functions = rng.compiled()
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "numpy's float64 log loop is not used" in str(caught[0].message)
+    assert rng._log is None and not fallen_back(functions)
+
+
+def decoded_with_and_without_the_log_loop(monkeypatch, suggest, searched_in_c):
+    """``suggest(model, task)`` on a fresh sibling model with the log loop
+    and without it: each time the suggestion's span, score bytes, stats
+    and memo bytes. The searches draw rows in C only with the loop, and
+    then whenever ``searched_in_c``; every other missed row takes
+    ``_draw``."""
+    log, drawn = rng._log, drawn_rows(monkeypatch)
+    task = TsTask("t", TokenSeq((3, 7, 5)), TokenSeq((4,)), TokenSeq((6, 2)))
+    outcomes = []
+    for loop in (log, None):
+        monkeypatch.setattr(rng, "_log", loop)
+        drawn.clear()
+        model = make_perturbed_sibling(NgramGenModel(Vocab(12), 2, 9, 0.2), 5, 0.5)
+        got = suggest(model, task)
+        outcomes.append((got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0), memo_bytes(model)))
+        in_c = searched_in_c and loop is not None and "kernel" in kernel_paths("block")
+        assert (True in {by_kernel for _, _, by_kernel in drawn}) == in_c
+    return outcomes
+
+
+@on_every_path("beam_search")
+def test_without_the_log_loop_a_dba_decode_takes_draw_with_the_same_bytes(beam_path, monkeypatch):
+    with_loop, without = decoded_with_and_without_the_log_loop(
+        monkeypatch, lambda model, task: decode.dba_suggest(model, task, beam_width=3), beam_path == "kernel")
+    assert with_loop == without
+
+
+@on_every_path("psgd_search")
+def test_without_the_log_loop_a_psgd_decode_takes_draw_with_the_same_bytes(round_path, monkeypatch):
+    with_loop, without = decoded_with_and_without_the_log_loop(monkeypatch, decode.psgd, round_path == "kernel")
+    assert with_loop == without
+
+
 @needs_compiler
 def test_kernel_source_compiles_without_warnings(tmp_path):
     flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-ffp-contract=off", "-O2", "-c"]
@@ -575,9 +660,9 @@ def test_a_process_loads_the_kernel_once(order, monkeypatch):
     calls = []
     load = rowkernel.load
 
-    def counted():
+    def counted(directory=None, log=None):
         calls.append(1)
-        return load()
+        return load(directory, log)
 
     monkeypatch.setattr(rowkernel, "load", counted)
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
@@ -598,7 +683,7 @@ def test_threads_that_first_use_the_kernel_at_once_load_it_once(monkeypatch):
     monkeypatch.setattr(rng, "_compiled", None)
     calls = []
 
-    def slow_load():
+    def slow_load(directory=None, log=None):
         calls.append(1)
         time.sleep(0.05)
         return rowkernel.Functions()

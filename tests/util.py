@@ -5,8 +5,10 @@ Everything is keyed off the library's own platform-stable stream so every
 test run sees identical fixtures.
 """
 
+import ctypes
 import itertools
 import math
+from array import array
 from contextlib import contextmanager
 
 import numpy as np
@@ -69,51 +71,86 @@ class Unindexed(lm.NgramGenModel):
             self._indexes[source] = index
 
 
-def forgetful(search):
+def starved(search):
     """The compiled ``search`` (``tsd_beam_search`` or ``tsd_psgd_search``)
-    with each call made to forget the rows the last one drew: they are
-    logged but never entered into the index, so the search misses them
-    again."""
+    with each call given no room in the model's chunk, however much Python
+    gives it: a step that misses rows returns for room again and again, and
+    its rows never reach the index."""
     from tsdecode import rowkernel
 
     def call(address):
-        rowkernel._RowBuffers.from_address(address).drawn = None
+        rowkernel._RowBuffers.from_address(address).chunk_room = 0
         return search(address)
 
     return call
 
 
-def logged_rows(monkeypatch) -> list:
-    """Patch ``SequenceModel._logged``, the step both miss routes end in;
-    the returned list collects ``(source, context, drawn by the kernel)``
-    for every row it logs."""
-    logged = []
-    real = vars(lm.SequenceModel)["_logged"]
+def drawn_rows(monkeypatch) -> list:
+    """Patch the Python step of each miss route: ``SequenceModel._draw``,
+    and ``rowkernel._Resumable._kept``, which memoises the rows a compiled
+    search drew, logged and indexed itself. The returned list collects
+    ``(source, context, drawn by the kernel)`` for every row either one
+    memoises."""
+    from tsdecode import rowkernel
 
-    def counted(self, source, contexts, rows=None):
-        logged.extend((source, context, rows is None) for context in contexts)
-        real(self, source, contexts, rows)
+    drawn = []
+    draw, kept = vars(lm.SequenceModel)["_draw"], vars(rowkernel._Resumable)["_kept"]
 
-    monkeypatch.setattr(lm.SequenceModel, "_logged", counted)
-    return logged
+    def python(self, source, contexts):
+        drawn.extend((source, context, False) for context in contexts)
+        draw(self, source, contexts)
+
+    def kernel(self):
+        drawn.extend((self.source, context, True) for context in self._records("drawn", self.buffers.n_drawn))
+        kept(self)
+
+    monkeypatch.setattr(lm.SequenceModel, "_draw", python)
+    monkeypatch.setattr(rowkernel._Resumable, "_kept", kernel)
+    return drawn
 
 
-class LogFailed(Exception):
-    """Raised in place of taking the log of rows a compiled search drew."""
+class ReadFailed(Exception):
+    """Raised in place of reading the contexts of the rows a compiled search
+    drew."""
 
 
-def failing_logs(monkeypatch) -> None:
-    """Patch ``SequenceModel._logged`` to raise ``LogFailed`` for rows a
-    compiled search drew, before taking their log; ``_draw``'s rows are
-    logged as before."""
-    real = vars(lm.SequenceModel)["_logged"]
+def failing_reads(monkeypatch) -> None:
+    """Patch ``rowkernel._Resumable._records`` to raise ``ReadFailed`` when
+    Python reads the contexts of the rows a compiled search drew, logged and
+    indexed, after it has claimed their chunk rows."""
+    from tsdecode import rowkernel
 
-    def failing(self, source, contexts, rows=None):
-        if rows is None:
-            raise LogFailed
-        real(self, source, contexts, rows)
+    records = vars(rowkernel._Resumable)["_records"]
 
-    monkeypatch.setattr(lm.SequenceModel, "_logged", failing)
+    def failing(self, name, n):
+        if name == "drawn":
+            raise ReadFailed
+        return records(self, name, n)
+
+    monkeypatch.setattr(rowkernel._Resumable, "_records", failing)
+
+
+def indexed_rows(model) -> dict:
+    """Every row the indexes of ``model`` reach, read at its address: its
+    bytes by source and context."""
+    rows = {}
+    for source, index in model._indexes.items():
+        width = 2 + model.order
+        for at in range(0, len(index.table), width):
+            address, n = index.table[at : at + 2]
+            if address:
+                context = tuple(index.table[at + 2 : at + 2 + n])
+                rows[source, context] = ctypes.string_at(address, 8 * model.vocab.size)
+    return rows
+
+
+def with_room(model, source, rows=512, bits=10):
+    """``model`` with a chunk of ``rows`` free rows and an empty index of
+    ``2 ** bits`` slots for ``source``: room for a cold decode's rows."""
+    model._new_chunk(np.empty((rows, model.vocab.size)))
+    index = model._indexes[source] = lm._Index([])
+    index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
+    return model
 
 
 def memo_bytes(model) -> dict:
