@@ -33,9 +33,13 @@
    best so far and the stopping rule), each round by ``psgd_round``, which
    is ``decode._PythonRound``: each item's whole-sequence total, added in
    the scorer's order, its normalised score, the round's first-ranked item
-   and the top children. The length term of ``prob_over_length`` is libm's
-   ``log``, which CPython's ``math.log`` calls for an int. Both searches
-   keep their top k with one helper, ``top_children``.
+   and the top children. The terms no span changes, the scorer's head and
+   tail terms, it reads itself at the start of each call (``read_fixed``),
+   from the same index and by the same miss route as a round's rows, so
+   Python gives it only the task's ids and the shape of its scoring. The
+   length term of ``prob_over_length`` is libm's ``log``, which CPython's
+   ``math.log`` calls for an int. Both searches keep their top k with one
+   helper, ``top_children``.
 
    Both searches read each row from the source's memo index, an
    open-addressing table of context ids and row addresses (``lm._Index``,
@@ -751,9 +755,10 @@ done:
 }
 
 /* One PSGD decode and its buffers, allocated by ``rowkernel.CompiledPsgd``
-   for one ``decode._SpanScorer``. As in ``struct tsd_search``, the beam
-   lives on side ``cur`` of ``lp``, ``order``, ``carry`` and ``tokens``; a
-   round that expands writes the children to the other side. Every item of
+   with the shape of ``decode._SpanScorer``'s scoring
+   (``decode._span_shape``). As in ``struct tsd_search``, the beam lives on
+   side ``cur`` of ``lp``, ``order``, ``carry`` and ``tokens``; a round
+   that expands writes the children to the other side. Every item of
    a beam holds a span of ``r.step`` tokens, and no two hold the same span;
    its carry is its span's terms, each token's term in its parent's
    next-token row. Each item reads ``n_pieces`` rows, those after prefix +
@@ -767,10 +772,11 @@ struct tsd_psgd {
     int64_t lo, n_content;  /* the content ids, lo .. lo + n_content - 1 */
     int64_t n_prefix, n_suffix;
     int64_t n_pieces;
-    int64_t n_changed;      /* suffix terms the span changes */
-    int64_t n_head, n_tail; /* the scorer's head and tail terms */
-    int64_t fixed_eos;      /* the EOS term: the first head term (1) or read
-                               from each item's last row (0) */
+    int64_t n_changed;      /* suffix terms the span changes: the first
+                               min(n_context, n_suffix) */
+    int64_t fixed_eos;      /* the EOS term: the first head term (1), when
+                               n_suffix >= n_context, or read from each
+                               item's last row (0) */
     int64_t mean;           /* the score: total / length (1), or total -
                                log(length) (0) */
     int64_t eos_in_len;     /* 1 when the length counts EOS */
@@ -789,7 +795,10 @@ struct tsd_psgd {
     const int64_t *prefix;
     const int64_t *suffix;
     const int64_t *pieces;
-    const double *terms;    /* the head terms, then the tail terms */
+    double *terms;          /* the head terms (the fixed EOS term, then the
+                               prefix terms), then the tail terms (the
+                               suffix terms from n_changed on), which
+                               ``read_fixed`` writes */
     int64_t *parent;        /* the children in rank order: parent index */
     int64_t *token;         /* ... and new token */
     double *lp;             /* per item, its span's summed log-probability */
@@ -817,6 +826,7 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity, n = s->r.step;
     const int64_t width = s->width, n_pieces = s->n_pieces;
+    const int64_t n_head = s->n_prefix + s->fixed_eos, n_tail = s->n_suffix - s->n_changed;
     const int64_t *order = s->order + in * width;
     const double *carry = s->carry + in * width * cap;
     /* ``scoring.length_term``: math.log of an int that fits a double is
@@ -831,14 +841,14 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
            EOS term, the first head term, starts the sum unchanged. */
         const double *const *item = rows + b * n_pieces;
         double total = s->fixed_eos ? -0.0 : item[n_pieces - 1][s->eos];
-        for (int64_t j = 0; j < s->n_head; j++)
+        for (int64_t j = 0; j < n_head; j++)
             total += s->terms[j];
         for (int64_t j = 0; j < n; j++)
             total += carry[b * cap + j];
         for (int64_t j = 0; j < s->n_changed; j++)
             total += item[j][s->suffix[j]];
-        for (int64_t j = 0; j < s->n_tail; j++)
-            total += s->terms[s->n_head + j];
+        for (int64_t j = 0; j < n_tail; j++)
+            total += s->terms[n_head + j];
         score[b] = s->mean ? total / norm : total - norm;
         if (b == 0 || score[b] > score[best] || (score[b] == score[best] && order[b] < order[best]))
             best = b;
@@ -863,14 +873,40 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
     return k;
 }
 
+/* Writes to ``terms`` the terms of ``decode._SpanScorer`` that no span
+   changes, from the rows after the first ids of ``seq``, BOS + prefix +
+   suffix: under an order-k model the rows of the prefix terms, of the
+   suffix terms from position k on and, when the suffix has k tokens or
+   more, the EOS row never see the span. It reads their rows in the order
+   the scorer batches them (prefix, tail, EOS) and writes each term to its
+   place in the scorer's order. A row the index lacks goes to ``wanted``
+   and its term is left for a later read; returns whether none did. */
+static int read_fixed(struct tsd_psgd *s, const int64_t *seq)
+{
+    const int64_t at = 1 + s->n_prefix, n_head = s->n_prefix + s->fixed_eos;
+    const double *row;
+    s->r.n_wanted = 0;
+    for (int64_t t = 0; t < s->n_prefix; t++)
+        if ((row = row_after(&s->r, seq, 1 + t)))
+            s->terms[s->fixed_eos + t] = row[s->prefix[t]];
+    for (int64_t j = s->n_changed; j < s->n_suffix; j++)
+        if ((row = row_after(&s->r, seq, at + j)))
+            s->terms[n_head + j - s->n_changed] = row[s->suffix[j]];
+    if (s->fixed_eos && (row = row_after(&s->r, seq, at + s->n_suffix)))
+        s->terms[0] = row[s->eos];
+    return !s->r.n_wanted;
+}
+
 /* Indexes the queued rows, then runs ``decode._python_psgd``'s loop from
    the items on side ``cur``, at span length ``r.step``, until the patience
    rule or the span cap stops it (returns 0), or until a round needs what
    the caller must give first (returns 1): room for the children's spans
    and carries (``r.step`` is ``capacity``), or the rows of the contexts in
    ``wanted`` that it could not draw itself (``draw_wanted``), or room for
-   them. The round is then not begun; the caller grows the buffers and the
-   room for rows or draws the wanted ones, and calls again to resume.
+   them. Every call first reads the fixed terms (``read_fixed``), whose
+   missed rows take the same route. The round is then not begun; the
+   caller grows the buffers and the room for rows or draws the wanted ones,
+   and calls again to resume.
    Either way it memoises the rows recorded in ``drawn``. The best score,
    its round and its span, the counts and the stop are left in ``s``.
    Returns -1 when memory runs out. */
@@ -888,9 +924,16 @@ int64_t tsd_psgd_search(struct tsd_psgd *s)
         goto done;
     }
     /* BOS + prefix + span + suffix: the rows of an item follow its first
-       ``at + r.step + pieces[j]`` ids. */
+       ``at + r.step + pieces[j]`` ids; the fixed rows, with no span. */
     seq[0] = s->r.bos;
     memcpy(seq + 1, s->prefix, s->n_prefix * sizeof *seq);
+    memcpy(seq + at, s->suffix, s->n_suffix * sizeof *seq);
+    while (!read_fixed(s, seq)) {
+        if (!draw_wanted(&s->r)) {
+            status = 1;
+            goto done;
+        }
+    }
     for (;;) {
         const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], n = s->r.step;
         s->r.n_wanted = 0;

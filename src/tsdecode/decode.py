@@ -47,9 +47,12 @@ reasons, which takes each step with ``_PythonStep``.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows, the Python loops through ``SequenceModel.rows_after`` once per
-round or step, the compiled searches through the memo's index. A compiled
+round or step, the compiled searches through the memo's index, the
+compiled PSGD search also for the terms no span changes. A compiled
 search draws, logs and indexes the n-gram rows a step misses itself, or
-hands the contexts to ``SequenceModel._draw``.
+hands the contexts to ``SequenceModel._draw``. ``dba_suggest`` scores an
+output that is prefix + span + suffix from the search's own finish, so on
+the compiled path neither decoder reads a row in Python.
 
 The Python round and step order all candidates with ``scoring.rank`` and
 extend their beams with one expansion step, ``_expand``. It works on
@@ -185,8 +188,19 @@ def _resolve_psgd_params(params: PsgdParams, source_len: int) -> tuple[int, int,
     return params.beam_width, params.patience, max_span
 
 
+def _span_shape(order: int, s: Tokens) -> tuple[list[Tokens], int, bool]:
+    """The shape of a task's PSGD scoring under an order-``order`` model,
+    from its suffix ``s`` alone: the pieces (see ``_SpanScorer``), how many
+    suffix terms a span changes, the first ``min(order, len(s))``, and
+    whether the suffix fixes the EOS row, having at least ``order`` tokens."""
+    k = min(order, len(s))
+    fixed_eos = len(s) >= order
+    return [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else []), k, fixed_eos
+
+
 class _SpanScorer:
-    """Incremental scoring of prefix + span + suffix for one task.
+    """Incremental scoring of prefix + span + suffix for one task: the
+    scorer of ``_python_psgd``, whose scoring ``tsd_psgd_search`` does in C.
 
     ``pieces`` are what each item's heads append to prefix + span: the rows
     after them are its next-token row (the first), the rows of the suffix
@@ -208,8 +222,8 @@ class _SpanScorer:
 
     def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
         self.eos = eos = model.vocab.eos_id
-        k = min(model.order, len(s))
-        self.fixed_eos = fixed_eos = len(s) >= model.order
+        self.pieces, k, fixed_eos = _span_shape(model.order, s)
+        self.fixed_eos = fixed_eos
         fixed = (
             [p[:t] for t in range(len(p))]
             + [p + s[:j] for j in range(k, len(s))]
@@ -219,7 +233,6 @@ class _SpanScorer:
         prefix_terms = [float(row[tok]) for row, tok in zip(fixed_rows, p)]
         self.head_terms = ([float(fixed_rows[-1][eos])] if fixed_eos else []) + prefix_terms
         self.tail_terms = [float(row[tok]) for row, tok in zip(fixed_rows[len(p) :], s[k:])]
-        self.pieces = [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else [])
         self.suffix = s[:k]
 
     def total(self, rows, span: Tokens, carry) -> tuple[float, np.ndarray]:
@@ -373,12 +386,14 @@ def _indexed(model: SequenceModel) -> bool:
 def _psgd_run(
     model: SequenceModel, task: TsTask, params: PsgdParams, scorer, trace: list | None = None
 ) -> Suggestion:
-    """The PSGD search, scoring with ``scorer`` (``_SpanScorer`` or
-    ``_ForcedPassScorer``); appends to ``trace``, when given, each scoring
-    round's (span, score) pairs. The search is ``rowkernel.CompiledPsgd``'s
-    when the scorer is a ``_SpanScorer``, no trace is asked for (the kernel
-    keeps no round's scores), the model is ``_indexed`` and the kernel
-    passed its check; otherwise ``_python_psgd``'s."""
+    """The PSGD search, scoring with the class ``scorer`` (``_SpanScorer``
+    or ``_ForcedPassScorer``); appends to ``trace``, when given, each
+    scoring round's (span, score) pairs. The search is
+    ``rowkernel.CompiledPsgd``'s when the scorer is ``_SpanScorer``, no
+    trace is asked for (the kernel keeps no round's scores), the model is
+    ``_indexed`` and the kernel passed its check: it reads every row itself,
+    the fixed terms' too, and no scorer is made. Otherwise it is
+    ``_python_psgd``'s, with a scorer made for the task."""
     validate_task(task, model.vocab)
     _, _, max_span = _resolve_psgd_params(params, len(task.source))
     src = as_tokens(task.source)
@@ -386,15 +401,14 @@ def _psgd_run(
     s = as_tokens(task.suffix)
 
     t0 = time.perf_counter()
-    scorer = scorer(model, src, p, s)
-    functions = trace is None and isinstance(scorer, _SpanScorer) and _indexed(model) and rng.compiled()
+    functions = trace is None and scorer is _SpanScorer and _indexed(model) and rng.compiled()
     if functions and functions.psgd_search:
         from .rowkernel import CompiledPsgd
 
-        result = CompiledPsgd(functions.psgd_search, model, src, p, s, scorer, params, max_span,
+        result = CompiledPsgd(functions.psgd_search, model, src, p, s, params, max_span,
                               log=functions.block and rng._log)()
     else:
-        result = _python_psgd(model, src, p, s, scorer, params, max_span, trace)
+        result = _python_psgd(model, src, p, s, scorer(model, src, p, s), params, max_span, trace)
     score, span, (fw, pos_scored, emitted, stop_reason), _ = result
     stats = DecodeStats(
         forward_passes=fw,
@@ -618,21 +632,39 @@ def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens,
     return finished, take.beam(tokens), (fw, pos_scored, emitted, stop_reason)
 
 
+def _check_beam_params(beam_width: int, max_len: int) -> None:
+    if beam_width < 1:
+        raise InvalidParams(f"beam_width must be >= 1, got {beam_width}")
+    if max_len < 0:
+        raise InvalidParams(f"max_len must be >= 0, got {max_len}")
+
+
+def _search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
+            max_len: int) -> tuple[dict[Tokens, float], Beam, tuple[int, int, int, str]]:
+    """``_beam_core``'s search over inputs already checked: the finished
+    sequences with their raw scores, the final beam and the counts. It is
+    ``rowkernel.CompiledSearch``'s, one compiled call that returns to Python
+    only for rows the memo lacks, when the kernel loads and passes its check
+    and the model takes its contexts by ``SequenceModel``'s rule; otherwise
+    ``_python_search``'s. Both give the same results."""
+    functions = rng.compiled()
+    if functions.beam_search and _indexed(model):
+        from .rowkernel import CompiledSearch
+
+        return CompiledSearch(functions.beam_search, model, src, constraints, beam_width, max_len,
+                              log=functions.block and rng._log)()
+    return _python_search(model, src, constraints, beam_width, max_len)
+
+
 def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
     """Full-sentence beam search from BOS under ``params.constraints``.
 
     Returns the finished sequences with their raw scores (EOS included), the
     final beam as (tokens, raw score, constraint progress, bank) entries, and
-    the decode statistics. See ``dba_decode`` for the search itself. The
-    search is ``rowkernel.CompiledSearch``'s, one compiled call that returns
-    to Python only for rows the memo lacks, when the kernel loads and passes
-    its check and the model takes its contexts by ``SequenceModel``'s rule;
-    otherwise ``_python_search``'s. Both give the same results.
+    the decode statistics. See ``dba_decode`` for the search itself, and
+    ``_search`` for the two ways it runs.
     """
-    if params.beam_width < 1:
-        raise InvalidParams(f"beam_width must be >= 1, got {params.beam_width}")
-    if params.max_len < 0:
-        raise InvalidParams(f"max_len must be >= 0, got {params.max_len}")
+    _check_beam_params(params.beam_width, params.max_len)
     # Inputs are checked once here: every later row is read unchecked, and
     # hypotheses hold only content ids and constraint tokens.
     src = as_tokens(source)
@@ -643,17 +675,9 @@ def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[To
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
     t0 = time.perf_counter()
-    functions = rng.compiled()
-    if functions.beam_search and _indexed(model):
-        from .rowkernel import CompiledSearch
-
-        search = CompiledSearch(functions.beam_search, model, src, constraints, params.beam_width, params.max_len,
-                                log=functions.block and rng._log)
-        finished, beam, (fw, pos_scored, emitted, stop_reason) = search()
-    else:
-        finished, beam, (fw, pos_scored, emitted, stop_reason) = _python_search(
-            model, src, constraints, params.beam_width, params.max_len
-        )
+    finished, beam, (fw, pos_scored, emitted, stop_reason) = _search(
+        model, src, constraints, params.beam_width, params.max_len
+    )
     stats = DecodeStats(
         forward_passes=fw,
         positions_scored=pos_scored,
@@ -710,12 +734,16 @@ def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSe
     Raises ``ConstraintsUnsatisfiable`` when nothing finished.
     """
     finished, _beam, stats = _beam_core(model, source, params)
-    if not finished:
-        raise ConstraintsUnsatisfiable(
-            f"no constraint-complete hypothesis finished within max_len={params.max_len}"
-        )
-    score, tokens = _pick_best(finished.items())
+    score, tokens = _best_finish(finished, params.max_len)
     return TokenSeq(tokens), score, stats
+
+
+def _best_finish(finished: dict[Tokens, float], max_len: int) -> tuple[float, Tokens]:
+    """The first-ranked (length-normalized score, tokens) of ``finished``;
+    raises ``ConstraintsUnsatisfiable`` when it is empty."""
+    if not finished:
+        raise ConstraintsUnsatisfiable(f"no constraint-complete hypothesis finished within max_len={max_len}")
+    return _pick_best(finished.items())
 
 
 def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
@@ -765,26 +793,38 @@ def dba_suggest(
 
     Selection is always length-normalized, the usual convention for
     full-sentence translation decoding. The reported score is the same
-    whole-sequence score PSGD reports for prefix + span + suffix, computed
-    with one extra forced pass so results from both decoders are directly
-    comparable; ``wall_time_us`` covers that pass too.
+    whole-sequence score PSGD reports for prefix + span + suffix, so results
+    from both decoders are directly comparable. When the output is exactly
+    prefix + span + suffix, it is the output's own finish score, normalized:
+    the search added the same memo rows' terms in the order ``filled_score``
+    adds them, ``0.0`` + each token's term + the EOS term, so the bytes are
+    the same. Otherwise it takes one forced pass (``filled_score``).
+    Either way the statistics count that pass as one more logical forced
+    pass, and ``wall_time_us`` covers the whole suggestion. The task is
+    checked once, by ``validate_task``.
     """
     validate_task(task, model.vocab)
     _check_scoring(scoring)
     t0 = time.perf_counter()
+    src = as_tokens(task.source)
     p = as_tokens(task.prefix)
     s = as_tokens(task.suffix)
     if max_len is None:
-        max_len = len(p) + len(s) + default_max_span_len(len(task.source))
+        max_len = len(p) + len(s) + default_max_span_len(len(src))
+    _check_beam_params(beam_width, max_len)
     constraints = tuple(c for c in (p, s) if c)
-    output, _sel, stats = dba_decode(model, task.source, DbaParams(beam_width, max_len, constraints))
-    span = extract_span(output.tokens, p, s)
-    whole = filled_score(model, task.source, p, span, s, scoring, include_eos_in_len)
-    stats = replace(
-        stats,
-        forward_passes=stats.forward_passes + 1,
-        positions_scored=stats.positions_scored + len(p) + len(span) + len(s) + 1,
+    finished, _beam, (fw, pos_scored, emitted, stop_reason) = _search(model, src, constraints, beam_width, max_len)
+    _, output = _best_finish(finished, max_len)
+    span = extract_span(output, p, s)
+    if p + span + s == output:
+        whole = normalized_score(finished[output], len(output), scoring, include_eos_in_len)
+    else:
+        whole = filled_score(model, src, p, span, s, scoring, include_eos_in_len)
+    stats = DecodeStats(
+        forward_passes=fw + 1,
+        positions_scored=pos_scored + len(p) + len(span) + len(s) + 1,
+        emitted_steps=emitted,
+        stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
     return Suggestion(span=TokenSeq(span), whole_seq_score=whole, stats=stats)
-

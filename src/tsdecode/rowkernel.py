@@ -78,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE
-from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search
+from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search, _span_shape
 from .lm import CHUNK_ROWS, EPS_FLOOR, _Index, block_self_check
 from .scoring import SCORING_MEAN_LOGPROB
 
@@ -352,7 +352,7 @@ class _PsgdBuffers(_RowBuffers):
     """``struct tsd_psgd`` of ``_rowkernel.c``."""
 
     _fields_ = _fields(
-        "width eos lo n_content n_prefix n_suffix n_pieces n_changed n_head n_tail fixed_eos mean eos_in_len"
+        "width eos lo n_content n_prefix n_suffix n_pieces n_changed fixed_eos mean eos_in_len"
         " patience max_span capacity cur forward_passes positions emitted at_cap best_step",
         "prefix suffix pieces terms parent token lp order carry tokens best_span",
         size=ctypes.c_int64 * 2, best=ctypes.c_double,
@@ -430,7 +430,9 @@ class _Resumable:
             queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
             index.count += len(contexts)
         if index.table is None or 4 * (index.count + rows) > 3 << index.bits:
-            bits, old = max(index.bits, 4), index.table
+            # 64 slots at first: room for a decode's first call, its fixed
+            # rows and its first steps.
+            bits, old = max(index.bits, 6), index.table
             while 4 * (index.count + rows) > 3 << bits:
                 bits += 1
             buffers.old_index = None if old is None else old.buffer_info()[0]
@@ -487,8 +489,9 @@ class _Resumable:
             if status < 0:
                 raise MemoryError(f"{self.NAME} could not allocate its scratch")
             # A step returns at most twice: for room for its tokens or
-            # finishes, then for its rows or room for them, which the next
-            # call draws or finds in the index.
+            # finishes, or for a PSGD decode's fixed rows at its first step,
+            # then for its rows or room for them, which the next call draws
+            # or finds in the index.
             returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
             if returns > 2:
                 raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the memo's index")
@@ -728,8 +731,10 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
 
 class CompiledPsgd(_Resumable):
     """``decode._python_psgd`` of one decode of ``model`` from ``source``
-    through ``tsd_psgd_search``, for a ``decode._SpanScorer``, called with
-    no argument; ``log`` as in ``CompiledSearch``.
+    through ``tsd_psgd_search``, called with no argument; ``log`` as in
+    ``CompiledSearch``. It scores as ``decode._SpanScorer`` does, but reads
+    every row in the kernel, the scorer's fixed terms' too; Python gives it
+    only the ids and the scoring's shape (``decode._span_shape``).
 
     As in ``CompiledSearch``; the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
@@ -740,29 +745,32 @@ class CompiledPsgd(_Resumable):
     NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
 
     def __init__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
-                 scorer, params, max_span: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
+                 params, max_span: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
         vocab, width = model.vocab, params.beam_width
-        content, head, tail = vocab.content_ids, scorer.head_terms, scorer.tail_terms
-        pieces = [*map(len, scorer.pieces)]
+        content = vocab.content_ids
+        pieces, changed, fixed_eos = _span_shape(model.order, suffix)
+        pieces = [*map(len, pieces)]
+        # The fixed terms: the EOS term when fixed, the prefix terms and the
+        # tail terms, each read from a row the first call may miss.
+        n_fixed = fixed_eos + len(prefix) + len(suffix) - changed
         # The root: one item, the empty span, log-prob 0.0, tie rank 0.
         buffers = self.buffers = _PsgdBuffers(
             vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
             n_content=len(content), n_prefix=len(prefix), n_suffix=len(suffix), n_pieces=len(pieces),
-            n_changed=len(scorer.suffix), n_head=len(head), n_tail=len(tail), fixed_eos=scorer.fixed_eos,
-            mean=params.scoring == SCORING_MEAN_LOGPROB, eos_in_len=params.include_eos_in_len,
-            patience=params.patience, max_span=max_span, capacity=min(max_span, capacity), size=(1, 0),
-            best=-math.inf,
+            n_changed=changed, fixed_eos=fixed_eos, mean=params.scoring == SCORING_MEAN_LOGPROB,
+            eos_in_len=params.include_eos_in_len, patience=params.patience, max_span=max_span,
+            capacity=min(max_span, capacity), size=(1, 0), best=-math.inf,
         )
-        self.limit, self.drawn_rows = max_span, max(CHUNK_ROWS, width * len(pieces))
+        missed = max(width * len(pieces), n_fixed)
+        self.limit, self.drawn_rows = max_span, max(CHUNK_ROWS, missed)
         reals, ints = self._sized()
         views = self.views = _sections(
             buffers,
-            (("terms", len(head) + len(tail)), ("lp", 2 * width), *reals),
+            (("terms", n_fixed), ("lp", 2 * width), *reals),
             (("prefix", len(prefix)), ("suffix", len(suffix)), ("pieces", len(pieces)), ("parent", width),
-             ("token", width), ("order", 2 * width), ("wanted", width * len(pieces) * (1 + model.order)),
+             ("token", width), ("order", 2 * width), ("wanted", missed * (1 + model.order)),
              ("drawn", self.drawn_rows * (1 + model.order)), *ints),
         )
-        views["terms"][:] = head + tail
         views["prefix"][:] = prefix
         views["suffix"][:] = suffix
         views["pieces"][:] = pieces
@@ -792,7 +800,9 @@ class CompiledPsgd(_Resumable):
 # cover fixed and unfixed EOS terms, both scoring modes, EOS in the length
 # or not, tied rows, patience stops (at 0, and after a round that ties the
 # best), cap stops and spans past ``CHECK_CAPACITY``, and tell the search
-# from copies with one rule of the round or the loop changed.
+# from copies with one rule of the round, the loop or the fixed terms'
+# reading changed. The last two read prefix terms, a fixed EOS term and,
+# in the first, a tail term from n-gram rows that the cold model lacks.
 CHECK_DECODES = (
     ("uniform", (2,), (2,), (3, 2, 3), PsgdParams(2, 2, 2, "mean_logprob", False)),
     ("ngram", (2, 5), (), (2,), PsgdParams(3, 3, 2, "mean_logprob", True)),
@@ -801,6 +811,8 @@ CHECK_DECODES = (
     ("ngram", (3, 4), (), (), PsgdParams(1, 2, 6, "prob_over_length", False)),
     ("round", (2,), (), (2, 5, 5), PsgdParams(3, 4, 2, "mean_logprob", True)),
     ("uniform", (2,), (3,), (), PsgdParams(1, 2, 5, "mean_logprob", False)),
+    ("ngram", (3, 4), (4, 2), (4, 5, 2), PsgdParams(2, 1, 3, "mean_logprob", True)),
+    ("ngram", (3, 4), (5, 3, 2), (2, 3), PsgdParams(3, 3, 6, "prob_over_length", True)),
 )
 
 
@@ -813,8 +825,7 @@ def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
         return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)
 
     def compiled(model, capacity, log, source, p, s, params):
-        scorer = _SpanScorer(model, source, p, s)
-        return CompiledPsgd(psgd_search, model, source, p, s, scorer, params, params.max_span_len, capacity, log)
+        return CompiledPsgd(psgd_search, model, source, p, s, params, params.max_span_len, capacity, log)
 
     # (score, span, counts, last round's children), the score as its hex.
     return _decodes_match(CHECK_DECODES, python, compiled, lambda result: (result[0].hex(), *result[1:]), rows)

@@ -1,9 +1,10 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsdecode import decode
-from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, Vocab
+from tsdecode.core import ReservedTokenInContent, TokenOutOfRange, TokenSeq, TsTask, Vocab
 from tsdecode.decode import (
     ConstraintsUnsatisfiable,
     _find,
@@ -14,17 +15,21 @@ from tsdecode.decode import (
     dba_suggest,
     extract_span,
 )
-from tsdecode.lm import NgramGenModel, UniformModel
-from tsdecode.scoring import filled_score
+from tsdecode.lm import NgramGenModel, UniformModel, make_perturbed_sibling
+from tsdecode.rng import Stream, hash_key
+from tsdecode.scoring import SCORING_MODES, filled_score
 
 from util import (
     contains_phrase,
     enumerate_best,
+    kernel_paths,
     over_paths,
     random_phrases,
     random_table_model,
     random_task,
     record_token_checks,
+    run_by,
+    table_model,
 )
 
 
@@ -152,7 +157,7 @@ class TestDbaSuggest:
     def test_score_matches_shared_scoring(self, m1, m1_task):
         got = dba_suggest(m1, m1_task, beam_width=4)
         want = filled_score(m1, m1_task.source, m1_task.prefix, got.span.tokens, m1_task.suffix)
-        assert abs(got.whole_seq_score - want) < 1e-12
+        assert got.whole_seq_score.hex() == want.hex()
 
     def test_propagates_unsatisfiable(self, m1, m1_task):
         with pytest.raises(ConstraintsUnsatisfiable):
@@ -163,14 +168,24 @@ class TestDbaSuggest:
         assert got.span.tokens == (2, 3)
 
     def test_wall_time_covers_the_rescoring_pass(self, monkeypatch, m1, m1_task):
-        real = decode.filled_score
+        # m1_task's output is prefix + span + suffix, scored from its own
+        # finish; with prefix (3,) alone the output starts before the
+        # prefix, and its score takes the forced pass.
+        def slow(real, calls):
+            def slowed(*args):
+                calls.append(args)
+                time.sleep(0.05)
+                return real(*args)
+            return slowed
 
-        def slow_filled_score(*args):
-            time.sleep(0.05)
-            return real(*args)
-
-        monkeypatch.setattr(decode, "filled_score", slow_filled_score)
+        cut, rescored = [], []
+        monkeypatch.setattr(decode, "extract_span", slow(decode.extract_span, cut))
+        monkeypatch.setattr(decode, "filled_score", slow(decode.filled_score, rescored))
         assert dba_suggest(m1, m1_task, beam_width=4).stats.wall_time_us >= 50_000
+        assert (len(cut), len(rescored)) == (1, 0)
+        forced = TsTask("m1p", m1_task.source, TokenSeq((3,)), TokenSeq(()))
+        assert dba_suggest(m1, forced, beam_width=4).stats.wall_time_us >= 100_000
+        assert (len(cut), len(rescored)) == (2, 1)
 
     def test_output_reconstructs_with_constraints(self):
         for seed in range(20):
@@ -257,3 +272,69 @@ def test_beam_core_checks_its_inputs_once_per_decode(monkeypatch, constraints):
         checked.clear()
         beam_search(model, (3, 7, 5, 9), beam_width=4, max_len=10)
         assert checked == ["source"]
+
+
+# The models of the score tests by kind: an order-2 n-gram model, its
+# perturbed sibling, an order-2 table model whose rows tie and the uniform
+# model, each over vocab 7.
+SCORED_MODELS = {
+    "ngram": lambda seed: NgramGenModel(Vocab(7), 2, seed, 0.3),
+    "sibling": lambda seed: make_perturbed_sibling(NgramGenModel(Vocab(7), 2, seed, 0.3), seed + 1, 0.5),
+    "tied": lambda seed: table_model(seed, 7, 2, True),
+    "uniform": lambda seed: UniformModel(Vocab(7)),
+}
+
+
+def scored(path, kind, seed, task, width, scoring, eos_in_len):
+    """A DBA suggestion's score on the ``path`` search and ``filled_score``
+    of its span, both as hex, and whether its output is other than prefix
+    + span + suffix, so that its score took the forced pass; None when
+    nothing finished."""
+    p, s = task.prefix.tokens, task.suffix.tokens
+    with run_by("beam_search", path):
+        model = SCORED_MODELS[kind](seed)
+        try:
+            got = dba_suggest(model, task, width, scoring=scoring, include_eos_in_len=eos_in_len)
+        except ConstraintsUnsatisfiable:
+            return None
+        max_len = len(p) + len(s) + decode.default_max_span_len(len(task.source))
+        output, _, _ = dba_decode(model, task.source, DbaParams(width, max_len, tuple(c for c in (p, s) if c)))
+    want = filled_score(model, task.source, p, got.span.tokens, s, scoring, eos_in_len)
+    return got.whole_seq_score.hex(), want.hex(), output.tokens != p + got.span.tokens + s
+
+
+@st.composite
+def scored_suggestions(draw):
+    """(model kind, seed, task, width, scoring, include_eos_in_len): a
+    prefix and a suffix of 0-3 tokens over the first content ids, so that
+    they recur and overlap in outputs."""
+    affix = st.lists(st.sampled_from(Vocab(7).content_ids[:3]), max_size=3).map(TokenSeq)
+    task = TsTask("t", TokenSeq(draw(st.sampled_from([(2,), (3,)]))), draw(affix), draw(affix))
+    return (draw(st.sampled_from(sorted(SCORED_MODELS))), draw(st.integers(0, 2**32 - 1)), task,
+            draw(st.integers(1, 5)), draw(st.sampled_from(SCORING_MODES)), draw(st.booleans()))
+
+
+@pytest.mark.parametrize("path", kernel_paths("beam_search"))
+@given(scored_suggestions())
+@settings(max_examples=150, deadline=None)
+def test_the_score_has_the_bytes_of_the_forced_pass(path, case):
+    got = scored(path, *case)
+    assert got is None or got[0] == got[1]
+
+
+@pytest.mark.parametrize("path", kernel_paths("beam_search"))
+def test_the_score_takes_the_finish_and_the_forced_pass_with_the_same_bytes(path):
+    # Seeded tasks on every model kind: outputs that are prefix + span +
+    # suffix, scored from the finish, and outputs with a token outside the
+    # prefix ... suffix window, scored by the forced pass.
+    forced = {kind: set() for kind in SCORED_MODELS}
+    for seed in range(40):
+        stream = Stream(hash_key(seed, 0xD8A))
+        affix = [tuple(stream.choice((2, 3, 4)) for _ in range(stream.randint(0, 2))) for _ in range(2)]
+        task = TsTask("t", TokenSeq((2 + seed % 2,)), TokenSeq(affix[0]), TokenSeq(affix[1]))
+        for kind in SCORED_MODELS:
+            got = scored(path, kind, seed, task, 1 + seed % 4, SCORING_MODES[seed % 2], seed % 3 == 0)
+            if got is not None:
+                assert got[0] == got[1]
+                forced[kind].add(got[2])
+    assert forced == {kind: {False, True} for kind in SCORED_MODELS}

@@ -180,11 +180,11 @@ def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
             warm = psgd(model, task)
         assert len(calls) == 1
         assert (cold.span, cold.whole_seq_score) == (warm.span, warm.whole_seq_score)
-        # The scorer's forced passes of the prefix and suffix take _draw.
+        # The kernel draws the fixed terms' rows too, with the rounds'.
         decodes[log is None] = (cold.span, cold.whole_seq_score), cold_calls, {kernel for _, _, kernel in drawn}
         drawn.clear()
     if "kernel" in kernel_paths("block") and rng._log is not None:
-        assert decodes[False][1:] == (1, {False, True})
+        assert decodes[False][1:] == (1, {True})
     assert decodes[True][1] > 1 and decodes[True][2] == {False}
     assert decodes[True][0] == decodes[False][0]
 
@@ -227,8 +227,8 @@ def test_the_forced_pass_reference_takes_the_python_search(monkeypatch):
 def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatch, kind):
     # With chunks of 3 rows, a round that misses more rows than the chunk
     # has room for returns for a new chunk, and the kernel then draws the
-    # rows itself; the scorer's forced passes, and every row without the
-    # log loop, take _draw.
+    # rows itself, the fixed terms' too; without the log loop every row
+    # takes _draw.
     monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
     drawn = drawn_rows(monkeypatch)
     log = rng._log
@@ -247,7 +247,7 @@ def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatc
         routes = {kernel for _, _, kernel in drawn}
         outcomes[path] = (got.span, got.whole_seq_score.hex(), replace(got.stats, wall_time_us=0), memo_bytes(model))
         by_kernel = path == "kernel" and "kernel" in kernel_paths("block") and log is not None
-        assert routes == ({False, True} if by_kernel else {False})
+        assert routes == ({True} if by_kernel else {False})
     assert outcomes["kernel"] == outcomes["python"] == outcomes["kernel without the log loop"]
 
 

@@ -101,8 +101,7 @@ def test_every_pointer_field_is_set():
     n_searches = len(takes)
     for name, source, p, s, params in rowkernel.CHECK_DECODES:
         model = rowkernel._check_model(name, rows)
-        scorer = decode._SpanScorer(model, source, p, s)
-        takes.append(rowkernel.CompiledPsgd(None, model, source, p, s, scorer, params, params.max_span_len))
+        takes.append(rowkernel.CompiledPsgd(None, model, source, p, s, params, params.max_span_len))
     assert {take.buffers.fixed_eos for take in takes[n_searches:]} == {False, True}
     for take in takes:
         assert rowkernel._pointers_set(take.buffers)
@@ -631,6 +630,38 @@ def test_without_the_log_loop_a_dba_decode_takes_draw_with_the_same_bytes(beam_p
 def test_without_the_log_loop_a_psgd_decode_takes_draw_with_the_same_bytes(round_path, monkeypatch):
     with_loop, without = decoded_with_and_without_the_log_loop(monkeypatch, decode.psgd, round_path == "kernel")
     assert with_loop == without
+
+
+@pytest.mark.parametrize("path", ["python", "kernel"])
+def test_a_kernel_decode_reads_and_draws_no_row_in_python(monkeypatch, path):
+    # On the kernel path, PSGD reads its fixed terms' rows in C and DBA
+    # scores an output that is prefix + span + suffix from its own finish:
+    # neither calls rows_after or _draw. In Python both read every row
+    # through rows_after and draw each missed one with _draw.
+    functions = rng.compiled()
+    if path == "kernel" and not (functions.beam_search and functions.psgd_search and functions.block and rng._log):
+        pytest.skip("the compiled searches, the row block or the log loop is not used here")
+    drawn, reads = drawn_rows(monkeypatch), []
+    rows_after = vars(lm.SequenceModel)["rows_after"]
+    monkeypatch.setattr(lm.SequenceModel, "rows_after",
+                        lambda self, source, prefixes: reads.append(source) or rows_after(self, source, prefixes))
+    # Prefix (5,) and suffix (6, 2, 3) at order 2: the fixed terms are the
+    # prefix term, after BOS, a tail term after (6, 2) and the EOS term
+    # after (2, 3).
+    task = TsTask("t", TokenSeq((3, 7, 5)), TokenSeq((5,)), TokenSeq((6, 2, 3)))
+    fixed = {((3, 7, 5), context) for context in ((0,), (6, 2), (2, 3))}
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    with run_by("psgd_search", path), run_by("beam_search", path):
+        decode.psgd(model, task)
+        psgd_drawn, psgd_reads = list(drawn), len(reads)
+        got = decode.dba_suggest(model, task, beam_width=3)
+    assert got.span.tokens == (5, 7, 6, 5, 9, 11, 6, 2, 4, 2, 6, 6)  # the output is prefix + span + suffix
+    by_kernel = {(source, context): kernel for source, context, kernel in psgd_drawn}
+    assert {by_kernel[key] for key in fixed} == {path == "kernel"}
+    if path == "kernel":
+        assert (psgd_reads, len(reads), {kernel for _, _, kernel in drawn}) == (0, 0, {True})
+    else:
+        assert 0 < psgd_reads < len(reads) and {kernel for _, _, kernel in drawn} == {False}
 
 
 @needs_compiler

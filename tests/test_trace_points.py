@@ -46,10 +46,14 @@ def test_traced_counts_equal_the_calls_made(monkeypatch):
     with tracer.active():
         model.forced_pass(task.source, task.gold_full)
         suggestion = decode.psgd(model, task)
-        decode.dba_suggest(model, task, beam_width=3)
+        dba = decode.dba_suggest(model, task, beam_width=3)
     metrics = tracer_module.layer_metrics(tracer.spans)
-    # The direct pass and dba_suggest's re-score of its span.
-    assert len(positions) == 2
+    # The direct pass, and dba_suggest's re-score of its span unless the
+    # output is prefix + span + suffix, whose score is its own finish's.
+    p, s = task.prefix.tokens, task.suffix.tokens
+    max_len = len(p) + len(s) + decode.default_max_span_len(len(task.source))
+    output, _, _ = decode.dba_decode(model, task.source, decode.DbaParams(3, max_len, tuple(c for c in (p, s) if c)))
+    assert len(positions) == 1 + (output.tokens != p + dba.span.tokens + s)
     assert metrics["lm.forced_pass.calls"] == len(positions)
     assert metrics["lm.forced_pass.positions"] == sum(positions)
     assert metrics["decode.psgd.forward_passes"] == suggestion.stats.forward_passes > 0
