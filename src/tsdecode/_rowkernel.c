@@ -24,14 +24,14 @@
 
    ``tsd_beam_search`` is ``decode._python_search``: the whole loop of
    ``decode._beam_core``, each step by ``beam_step``, which is
-   ``decode._PythonStep``: the same finishes and the same next beam, in the
+   ``decode._beam_step``: the same finishes and the same next beam, in the
    same order, with the same scores and counts. A candidate's score is one
    IEEE add, ``lp + row[tok]``, as in Python.
 
    ``tsd_psgd_search`` is ``decode._python_psgd`` over a
    ``decode._SpanScorer``: the whole PSGD loop (the spans, the counts, the
    best so far and the stopping rule), each round by ``psgd_round``, which
-   is ``decode._PythonRound``: each item's whole-sequence total, added in
+   is ``decode._psgd_round``: each item's whole-sequence total, added in
    the scorer's order, its normalised score, the round's first-ranked item
    and the top children. The terms no span changes, the scorer's head and
    tail terms, it reads itself at the start of each call (``read_fixed``),
@@ -39,7 +39,8 @@
    Python gives it only the task's ids and the shape of its scoring. The
    length term of ``prob_over_length`` is libm's ``log``, which CPython's
    ``math.log`` calls for an int. Both searches keep their top k with one
-   helper, ``top_children``.
+   helper, ``top_children``, and break a tie on score as ``scoring.rank``
+   does, by the tokens themselves (``precedes``).
 
    Both searches read each row from the source's memo index, an
    open-addressing table of context ids and row addresses (``lm._Index``,
@@ -408,8 +409,8 @@ static int draw_wanted(struct tsd_rows *r)
 
 /* One decode of the full-sentence beam search and its buffers, allocated
    by ``rowkernel.CompiledSearch``. The beam lives on side ``cur`` of
-   ``lp``, ``progress``, ``bank``, ``order`` and ``tokens``, side s at s
-   times the side's length; a step writes the next beam to the other side
+   ``lp``, ``progress``, ``bank`` and ``tokens``, side s at s times the
+   side's length; a step writes the next beam to the other side
    and flips ``cur``. All the hypotheses of a beam hold ``r.step`` tokens,
    and no two the same tokens. */
 struct tsd_search {
@@ -434,15 +435,11 @@ struct tsd_search {
     int64_t size[2];        /* hypotheses on each side */
     const int64_t *phrases; /* the phrases' tokens, one phrase after another */
     const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
-    int64_t *parent;        /* the next beam in rank order: parent index */
-    int64_t *token;         /* ... and new token */
     int64_t *finished;      /* per finish, in order: its length, its tokens */
     double *finish_score;   /* ... and its EOS score */
     double *lp;             /* raw score per hypothesis */
     int64_t *progress;      /* per hypothesis, its position in each phrase */
     int64_t *bank;          /* per hypothesis, its summed progress */
-    int64_t *order;         /* per hypothesis, the rank of its tokens among
-                               the side's tokens in lexicographic order */
     int64_t *tokens;        /* per hypothesis, capacity ids */
 };
 
@@ -455,17 +452,36 @@ struct cand {
     const int64_t *progress;
 };
 
+/* The tokens of the beam on one side: each hypothesis or item holds ``n``
+   ids, hypothesis b at ``tokens + b * stride``. */
+struct side {
+    const int64_t *tokens;
+    int64_t stride, n;
+};
+
+/* Whether the tokens of hypothesis ``a`` come before those of ``b`` in
+   lexicographic order. */
+static int lex_before(const struct side *beam, int64_t a, int64_t b)
+{
+    const int64_t *x = beam->tokens + a * beam->stride, *y = beam->tokens + b * beam->stride;
+    for (int64_t i = 0; i < beam->n; i++)
+        if (x[i] != y[i])
+            return x[i] < y[i];
+    return 0;
+}
+
 /* Whether ``a`` ranks before ``b`` under ``scoring.rank``: the higher
    score, then the shorter tokens (an EOS completion keeps its parent's
-   tokens, one fewer than a child's), then the lexicographically smaller. */
-static int precedes(const int64_t *order, const struct cand *a, const struct cand *b)
+   tokens, one fewer than a child's), then the lexicographically smaller:
+   the parents' tokens, then the new one. */
+static int precedes(const struct side *beam, const struct cand *a, const struct cand *b)
 {
     if (a->score != b->score)
         return a->score > b->score;
     if ((a->token < 0) != (b->token < 0))
         return a->token < 0;
     if (a->parent != b->parent)
-        return order[a->parent] < order[b->parent];
+        return lex_before(beam, a->parent, b->parent);
     return a->token < b->token;
 }
 
@@ -480,11 +496,10 @@ static int64_t argmax(const double *row, int64_t n)
 }
 
 /* Writes to ``top`` the first ``width`` one-token content children of the
-   ``n_beam`` hypotheses in rank order, and returns how many it wrote.
-   Hypothesis b has score ``lp[b]``, log row ``rows[b * stride]`` and tie
-   rank ``order[b]``. */
+   ``n_beam`` hypotheses of ``beam`` in rank order, and returns how many it
+   wrote. Hypothesis b has score ``lp[b]`` and log row ``rows[b * stride]``. */
 static int64_t top_children(const double *lp, const double *const *rows, int64_t stride, int64_t n_beam,
-                            int64_t lo, int64_t n_content, const int64_t *order, int64_t width,
+                            int64_t lo, int64_t n_content, const struct side *beam, int64_t width,
                             struct cand *top)
 {
     int64_t k = 0;
@@ -492,31 +507,15 @@ static int64_t top_children(const double *lp, const double *const *rows, int64_t
         const double *row = rows[b * stride];
         for (int64_t tok = lo; tok < lo + n_content; tok++) {
             struct cand child = {lp[b] + row[tok], b, tok, 0, NULL};
-            if (k == width && !precedes(order, &child, &top[k - 1]))
+            if (k == width && !precedes(beam, &child, &top[k - 1]))
                 continue;
             int64_t i = k < width ? k++ : width - 1;
-            for (; i > 0 && precedes(order, &child, &top[i - 1]); i--)
+            for (; i > 0 && precedes(beam, &child, &top[i - 1]); i--)
                 top[i] = top[i - 1];
             top[i] = child;
         }
     }
     return k;
-}
-
-/* Writes to ``to`` the tie rank of each of ``n`` children, the rank of its
-   tokens among theirs in lexicographic order: its parent's rank in
-   ``order``, then its new token. */
-static void next_order(const int64_t *order, const int64_t *parent, const int64_t *token, int64_t n,
-                       int64_t *to)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t rank = 0;
-        for (int64_t j = 0; j < n; j++) {
-            int64_t a = order[parent[j]], b = order[parent[i]];
-            rank += a < b || (a == b && token[j] < token[i]);
-        }
-        to[i] = rank;
-    }
 }
 
 /* The scratch of one call: each hypothesis's row, candidates, their rank
@@ -542,16 +541,16 @@ static void finish(struct tsd_search *s, struct scratch *w, int64_t b, double sc
     s->finish_score[s->n_finished++] = score;
 }
 
-/* One step of ``decode._PythonStep`` from the beam on side ``cur`` and its
-   rows: marks the finishes and, unless ``last``, writes the next beam to
-   the other side, with ``parent`` and ``token``. Returns its size. */
-static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
+/* One step of ``decode._beam_step`` from the beam on side ``cur`` and its
+   rows: marks the finishes and, unless ``last``, writes the next beam, its
+   tokens too, to the other side. */
+static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
 {
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in];
     const int64_t width = s->width, vocab = s->r.vocab, n_phrases = s->n_phrases;
     const double *lp = s->lp + in * width, *const *rows = w->rows;
     const int64_t *progress = s->progress + in * width * n_phrases, *bank = s->bank + in * width;
-    const int64_t *order = s->order + in * width;
+    const struct side beam = {s->tokens + in * width * s->capacity, s->capacity, s->r.step};
     struct cand *cands = w->cands;
     int64_t *ranked = w->ranked, *in_slot = w->in_slot, *moved = w->moved;
     int64_t n = 0, next = 0;
@@ -568,11 +567,11 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
             finish(s, w, b, eos.score);
     }
     if (last)
-        return 0;
+        return;
 
     /* The top ``width`` content expansions, kept in rank order. */
     const int64_t first_child = n;
-    n += top_children(lp, rows, 1, n_beam, s->lo, s->n_content, order, width, cands + n);
+    n += top_children(lp, rows, 1, n_beam, s->lo, s->n_content, &beam, width, cands + n);
 
     /* The forced child of every unfinished phrase, each child once. */
     for (int64_t b = 0; b < n_beam; b++) {
@@ -608,7 +607,7 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     /* The one rank order of the step. */
     for (int64_t i = 0; i < n; i++) {
         int64_t j = i;
-        for (; j > 0 && precedes(order, &cands[i], &cands[ranked[j - 1]]); j--)
+        for (; j > 0 && precedes(&beam, &cands[i], &cands[ranked[j - 1]]); j--)
             ranked[j] = ranked[j - 1];
         ranked[j] = i;
     }
@@ -656,17 +655,16 @@ static int64_t beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
             spare--;
         }
         const struct cand *c = &cands[ranked[a]];
-        s->parent[next] = c->parent;
-        s->token[next] = c->token;
+        int64_t *to = s->tokens + (out * width + next) * s->capacity;
+        memcpy(to, beam.tokens + c->parent * beam.stride, beam.n * sizeof *to);
+        to[beam.n] = c->token;
         s->lp[out * width + next] = c->score;
         s->bank[out * width + next] = c->bank;
         for (int64_t j = 0; j < n_phrases; j++)
             s->progress[(out * width + next) * n_phrases + j] = c->progress[j];
         next++;
     }
-    next_order(order, s->parent, s->token, next, s->order + out * width);
     s->size[out] = next;
-    return next;
 }
 
 /* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
@@ -699,7 +697,7 @@ int64_t tsd_beam_search(struct tsd_search *s)
     }
     w.ctx[0] = s->r.bos;
     for (;;) {
-        const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], step = s->r.step;
+        const int64_t in = s->cur, n_beam = s->size[in], step = s->r.step;
         s->r.n_wanted = 0;
         if ((step == cap && step < max_len) || s->n_finished + n_beam > s->finish_room
             || s->n_finish_ids + n_beam * (step + 1) > s->finish_room * (cap + 1)) {
@@ -726,19 +724,15 @@ int64_t tsd_beam_search(struct tsd_search *s)
         /* The logical forced pass over BOS + tokens that each row ends. */
         s->forward_passes += n_beam;
         s->positions += n_beam * (step + 1);
-        const int64_t last = step == max_len, next = beam_step(s, &w, last);
+        const int64_t last = step == max_len;
+        beam_step(s, &w, last);
         if (last)
             break;
         if (s->hard >= width) {
             s->empty_beam = 1;
             break;
         }
-        for (int64_t i = 0; i < next; i++) {
-            int64_t *to = s->tokens + (out * width + i) * cap;
-            memcpy(to, s->tokens + (in * width + s->parent[i]) * cap, step * sizeof *to);
-            to[step] = s->token[i];
-        }
-        s->cur = out;
+        s->cur = 1 - in;
         s->r.step++;
         s->emitted++;
     }
@@ -757,7 +751,7 @@ done:
 /* One PSGD decode and its buffers, allocated by ``rowkernel.CompiledPsgd``
    with the shape of ``decode._SpanScorer``'s scoring
    (``decode._span_shape``). As in ``struct tsd_search``, the beam lives on
-   side ``cur`` of ``lp``, ``order``, ``carry`` and ``tokens``; a round
+   side ``cur`` of ``lp``, ``carry`` and ``tokens``; a round
    that expands writes the children to the other side. Every item of
    a beam holds a span of ``r.step`` tokens, and no two hold the same span;
    its carry is its span's terms, each token's term in its parent's
@@ -802,8 +796,6 @@ struct tsd_psgd {
     int64_t *parent;        /* the children in rank order: parent index */
     int64_t *token;         /* ... and new token */
     double *lp;             /* per item, its span's summed log-probability */
-    int64_t *order;         /* per item, the rank of its span among the
-                               side's spans in lexicographic order */
     double *carry;          /* per item, capacity terms */
     int64_t *tokens;        /* per item, capacity ids */
     int64_t *best_span;     /* the best score's span, capacity ids */
@@ -816,7 +808,7 @@ int64_t tsd_psgd_search(struct tsd_psgd *s);
    (``decode.EXPAND_*``). */
 enum { EXPAND_NEVER, EXPAND_IF_BETTER, EXPAND_ALWAYS };
 
-/* One round of ``decode._PythonRound`` over the items on side ``cur`` and
+/* One round of ``decode._psgd_round`` over the items on side ``cur`` and
    their ``rows``: writes each item's normalised score to ``score`` and the
    first-ranked item to ``top``, and, when ``expand`` says so, the top
    ``width`` children to the other side, whose size it sets. Returns how
@@ -827,7 +819,7 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
     const int64_t in = s->cur, out = 1 - in, n_beam = s->size[in], cap = s->capacity, n = s->r.step;
     const int64_t width = s->width, n_pieces = s->n_pieces;
     const int64_t n_head = s->n_prefix + s->fixed_eos, n_tail = s->n_suffix - s->n_changed;
-    const int64_t *order = s->order + in * width;
+    const struct side beam = {s->tokens + in * width * cap, cap, n};
     const double *carry = s->carry + in * width * cap;
     /* ``scoring.length_term``: math.log of an int that fits a double is
        libm's log of that double. */
@@ -850,13 +842,13 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
         for (int64_t j = 0; j < n_tail; j++)
             total += s->terms[n_head + j];
         score[b] = s->mean ? total / norm : total - norm;
-        if (b == 0 || score[b] > score[best] || (score[b] == score[best] && order[b] < order[best]))
+        if (b == 0 || score[b] > score[best] || (score[b] == score[best] && lex_before(&beam, b, best)))
             best = b;
     }
     *top = best;
     int64_t k = 0;
     if (expand == EXPAND_ALWAYS || (expand == EXPAND_IF_BETTER && score[best] > s->best))
-        k = top_children(s->lp + in * width, rows, n_pieces, n_beam, s->lo, s->n_content, order, width,
+        k = top_children(s->lp + in * width, rows, n_pieces, n_beam, s->lo, s->n_content, &beam, width,
                          children);
     for (int64_t i = 0; i < k; i++) {
         const int64_t parent = children[i].parent, tok = children[i].token;
@@ -868,7 +860,6 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
             to[j] = carry[parent * cap + j];
         to[n] = rows[parent * n_pieces][tok];
     }
-    next_order(order, s->parent, s->token, k, s->order + out * width);
     s->size[out] = k;
     return k;
 }

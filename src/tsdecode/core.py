@@ -72,7 +72,7 @@ class TokenSeq:
     says what it is."""
 
     tokens: tuple[int, ...] = ()
-    role: InitVar[str | None] = None  # accepted and dropped; deleted (ROADMAP item 6) once item 1 stops bench/ passing one
+    role: InitVar[str | None] = None  # accepted and dropped; deleted (ROADMAP item 7) once item 1 stops bench/ passing one
 
     def __post_init__(self, role: str | None) -> None:
         object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))

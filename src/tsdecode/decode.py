@@ -21,10 +21,10 @@ which gets both values from forced passes.
 The PSGD search runs one of two ways that give the same results (see
 ``_psgd_run``): ``rowkernel.CompiledPsgd``, ``_rowkernel.c``'s
 ``tsd_psgd_search``, the whole loop in one compiled call; and
-``_python_psgd``, a loop holding the spans, the counts, the best so far and
-the stopping rule, which scores each round with ``_PythonRound``. A round
-gives each item's score, the first-ranked item and, only when the loop will
-score another round, the children.
+``_python_psgd``, a loop holding one list of ``(span, lp, carry)`` items,
+the counts, the best so far and the stopping rule, which scores each round
+with ``_psgd_round``. A round gives each item's score, the first-ranked item
+and, only when the loop will score another round, the next list.
 
 DBA decodes the whole sentence left to right under hard phrasal
 constraints, dividing the beam into banks by constraint progress so that
@@ -42,8 +42,9 @@ and returns to Python only for rows the memo lacks, when the kernel builds,
 loads and passes its check (``rng.compiled().beam_search``) and the model
 takes its contexts by ``SequenceModel``'s rule; and ``_python_search``
 otherwise, which is also the reference the compiled search is checked
-against: a loop holding the tokens, the finishes, the counts and the stop
-reasons, which takes each step with ``_PythonStep``.
+against: a loop holding one list of ``(tokens, lp, progress, bank)``
+hypotheses, the finishes, the counts and the stop reasons, which takes each
+step with ``_beam_step``.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows, the Python loops through ``SequenceModel.rows_after`` once per
@@ -60,7 +61,8 @@ arrays, like the vectorised DBA of Hu et al. (NAACL 2019), which builds on
 Post & Vilar (NAACL 2018): it scores all beam x content candidates in one
 numpy add and builds candidate tuples only for those scoring at least the
 k-th best score, ties included, so the cut never changes which candidates
-win. The compiled round and step keep the same top k in C, with one helper.
+win. The compiled searches keep the same top k in C, with one helper, and
+break a tie on score by comparing the tokens, as ``scoring.rank`` does.
 """
 
 from __future__ import annotations
@@ -275,67 +277,55 @@ class _ForcedPassScorer:
 EXPAND_NEVER, EXPAND_IF_BETTER, EXPAND_ALWAYS = 0, 1, 2
 
 
-class _PythonRound:
-    """One decode's PSGD scoring round in Python: the round of
-    ``_python_psgd``, which ``_rowkernel.c``'s ``psgd_round`` reproduces.
+PsgdItem = tuple[Tokens, float, tuple[float, ...]]
 
-    It holds each item's (span log-prob, carry), the carry being its span's
-    terms: the empty span starts at ``()`` and a child appends its token's
-    term in its parent's next-token row. The caller holds their spans.
-    Called with the items' rows (``len(scorer.pieces)`` per item), their
-    spans, their whole-sequence length, an ``EXPAND_*`` and the best score
-    so far, it returns ``(top, score, children)``: the index and normalised
-    score of the round's first-ranked item, and, when the round expands, the
-    ``beam_width`` best children as (parent index, token) pairs in ``rank``
-    order, else none, and keeps every item's score in ``round_scores``.
-    ``advance()`` makes the children the beam.
+
+def _psgd_round(scorer, content, params: PsgdParams, items: list[PsgdItem], rows, length: int, expand: int,
+                best: float):
+    """One PSGD scoring round of ``_python_psgd``, which ``_rowkernel.c``'s
+    ``psgd_round`` reproduces, over its ``(span, lp, carry)`` items, the
+    carry being the span's terms: the empty span's is ``()`` and a child
+    appends its token's term in its parent's next-token row.
+
+    Given the items' rows (``len(scorer.pieces)`` per item), their
+    whole-sequence length, an ``EXPAND_*`` and the best score so far, it
+    returns ``(scores, top, children, items)``: each item's normalised
+    score, the round's first-ranked (score, span) and, when the round
+    expands, the ``beam_width`` best children in ``rank`` order, as (parent
+    index, token) pairs and as the next items; else none.
     """
-
-    def __init__(self, scorer, vocab, params: PsgdParams) -> None:
-        self.scorer = scorer
-        self.content = vocab.content_ids
-        self.params = params
-        self.state = [(0.0, ())]
-        self.next: list = []
-        self.round_scores: list[float] = []
-
-    def __call__(self, rows, spans: list[Tokens], length: int, expand: int, best: float):
-        scorer, params = self.scorer, self.params
-        per_item = len(scorer.pieces)
-        entries = []
-        scores = self.round_scores = []
-        for i, (span, (lp, carry)) in enumerate(zip(spans, self.state)):
-            total, row = scorer.total(rows[i * per_item : (i + 1) * per_item], span, carry)
-            scores.append(normalized_score(total, length, params.scoring, params.include_eos_in_len))
-            entries.append((span, lp, carry, row, i))
-        score, _, top = min(zip(scores, spans, range(len(spans))), key=rank)
-        if not (expand == EXPAND_ALWAYS or (expand == EXPAND_IF_BETTER and score > best)):
-            return top, score, []
-        children = _expand(entries, [entry[3] for entry in entries], self.content, params.beam_width)
-        self.next = [(lp_c, parent[2] + (float(parent[3][child[-1]]),)) for lp_c, child, parent in children]
-        return top, score, [(parent[4], child[-1]) for _, child, parent in children]
-
-    def advance(self) -> None:
-        self.state = self.next
+    per_item = len(scorer.pieces)
+    scores, heads = [], []
+    for i, (span, _, carry) in enumerate(items):
+        total, head = scorer.total(rows[i * per_item : (i + 1) * per_item], span, carry)
+        scores.append(normalized_score(total, length, params.scoring, params.include_eos_in_len))
+        heads.append(head)
+    top = min(zip(scores, [item[0] for item in items]), key=rank)
+    if not (expand == EXPAND_ALWAYS or (expand == EXPAND_IF_BETTER and top[0] > best)):
+        return scores, top, [], []
+    parents = [(*item, head, i) for i, (item, head) in enumerate(zip(items, heads))]
+    children = _expand(parents, heads, content, params.beam_width)
+    return scores, top, [(parent[4], child[-1]) for _, child, parent in children], [
+        (child, lp, parent[2] + (float(parent[3][child[-1]]),)) for lp, child, parent in children
+    ]
 
 
 def _python_psgd(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens, scorer, params: PsgdParams,
                  max_span: int, trace: list | None = None):
-    """The PSGD search in Python, one ``_PythonRound`` and one
-    ``rows_after`` call per round: the fallback and the reference of
-    ``tsd_psgd_search``. Returns the best score, its span, the counts and
-    the last round's children, which only the check reads (a round the rule
-    stops after changes nothing by expanding)."""
+    """The PSGD search in Python, one ``_psgd_round`` and one ``rows_after``
+    call per round: the fallback and the reference of ``tsd_psgd_search``.
+    Returns the best score, its span, the counts and the last round's
+    children as (parent index, token) pairs, which only the check reads (a
+    round the rule stops after changes nothing by expanding)."""
     patience = params.patience
-    take = _PythonRound(scorer, model.vocab, params)
-    rows_after, pieces = model.rows_after, scorer.pieces
+    rows_after, pieces, content = model.rows_after, scorer.pieces, model.vocab.content_ids
     fw = 0
     pos_scored = 0
     emitted = 0
     stop_reason = STOP_PATIENCE
     # The first-ranked (whole-sequence score, span, step) so far.
     best: tuple[float, Tokens, int] = (float("-inf"), (), 0)
-    spans: list[Tokens] = [()]
+    items: list[PsgdItem] = [((), 0.0, ())]
     n = 0
     while True:
         # Round n + 1 is scored unless the cap or the patience rule stops
@@ -350,16 +340,17 @@ def _python_psgd(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens, scorer
         # One scoring round: each item's whole-sequence score, the best and,
         # if the search goes on, the children.
         length = len(p) + n + len(s)
-        rows = rows_after(src, [head + piece for head in [p + span for span in spans] for piece in pieces])
-        top, score, children = take(rows, spans, length, expand, best[0])
-        fw += len(spans)
-        pos_scored += (length + 1) * len(spans)
+        rows = rows_after(src, [p + item[0] + piece for item in items for piece in pieces])
+        scores, (score, span), children, expanded = _psgd_round(scorer, content, params, items, rows, length,
+                                                                expand, best[0])
+        fw += len(items)
+        pos_scored += (length + 1) * len(items)
         # Spans grow by one token a round, so on a tie the earlier best
         # ranks first.
         if score > best[0]:
-            best = (score, spans[top], n)
+            best = (score, span, n)
         if trace is not None:
-            trace.append(list(zip(spans, take.round_scores)))
+            trace.append([(item[0], item_score) for item, item_score in zip(items, scores)])
         if patience == 0:  # the empty span's score only, no expansion
             break
         if n == max_span:
@@ -371,8 +362,7 @@ def _python_psgd(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens, scorer
         if n + 1 - best[2] >= patience:
             break
         # Never empty: every vocabulary has a content id.
-        spans = [spans[parent] + (tok,) for parent, tok in children]
-        take.advance()
+        items = expanded
         n += 1
     return best[0], best[1], (fw, pos_scored, emitted, stop_reason), children
 
@@ -482,131 +472,108 @@ def _pick_best(entries) -> tuple[float, Tokens]:
     return min(((normalized_score(raw, len(tokens)), tokens) for tokens, raw in entries), key=rank)
 
 
-class _PythonStep:
-    """One decode's beam step in Python: the step of ``_python_search``,
-    which ``_rowkernel.c``'s ``beam_step`` reproduces.
-
-    It holds the beam's (raw score, constraint progress, bank) entries; the
-    caller holds their tokens. Called with each hypothesis's log row, the
-    beam's tokens and whether this is the step at the length budget, it
-    returns ``(survivors, finishes, hard)``:
-    - ``survivors``, the next beam as (parent index, token) pairs in ``rank``
-      order, none when ``last``;
-    - ``finishes``, the (parent index, EOS score) of each finish in the order
-      it was marked, a parent possibly twice;
+def _beam_step(beam: Beam, rows, vocab, constraints: tuple[Tokens, ...], beam_width: int, last: bool):
+    """One step of ``_python_search``, which ``_rowkernel.c``'s
+    ``beam_step`` reproduces, from ``beam``, its (tokens, raw score,
+    constraint progress, bank) hypotheses, each one's log row and whether
+    this is the step at the length budget. Returns ``(survivors, finishes,
+    hard)``:
+    - ``survivors``, the next beam in ``rank`` order, none when ``last``;
+    - ``finishes``, the (tokens, EOS score) of each finish in the order it
+      was marked, the same tokens possibly twice;
     - ``hard``, how many EOS candidates ranked inside the global window or
       their bank's slots (0 when ``last``).
-    ``advance()`` makes the survivors the beam; ``beam(tokens)`` gives the
-    beam's (tokens, raw score, progress, bank) entries.
     """
+    eos = vocab.eos_id
+    # A hypothesis's bank is its summed progress; it is constraint-complete
+    # exactly in the bank of every phrase token.
+    complete = sum(map(len, constraints))
+    rows = np.array(rows)
+    # EOS candidates of the complete hypotheses, which never enter the alive
+    # beam, and the forced child of every unfinished phrase, as _expand's
+    # (score, child, parent); a complete hypothesis finishes when EOS is its
+    # argmax and, under constraints, at the length budget (a forced finish,
+    # rather than return nothing).
+    cands, forced, finishes = [], [], []
+    for b, entry in enumerate(beam):
+        t, lp, progress, bank = entry
+        if bank == complete:
+            score = lp + rows.item(b, eos)
+            cands.append((score, t, progress, bank, None))
+            if rows[b].argmax() == eos or (constraints and last):
+                finishes.append((t, score))
+        for pos, phrase in zip(progress, constraints):
+            if pos < len(phrase):
+                forced.append((lp + rows.item(b, phrase[pos]), t + (phrase[pos],), entry))
+    if last:
+        return [], finishes, 0
 
-    def __init__(self, vocab, constraints: tuple[Tokens, ...], beam_width: int, beam: Beam) -> None:
-        self.eos = vocab.eos_id
-        self.content = vocab.content_ids
-        self.constraints = constraints
-        # A hypothesis's bank is its summed progress; it is constraint-complete
-        # exactly in the bank of every phrase token.
-        self.complete = sum(len(c) for c in constraints)
-        self.beam_width = beam_width
-        self.state = [entry[1:] for entry in beam]
-        self.next: list[tuple[float, tuple[int, ...], int]] = []
+    # The content pool: the top-k expansions and the forced children, each
+    # child once, with its new progress and bank.
+    pool = set()
+    for lp_c, child, parent in _expand(beam, rows, vocab.content_ids, beam_width) + forced:
+        if child in pool:
+            continue
+        pool.add(child)
+        tok = child[-1]
+        progress = _advance_progress(parent[2], constraints, tok)
+        cands.append((lp_c, child, progress, sum(progress), tok))
+    cands.sort(key=rank)  # the one sort of the step (see dba_decode)
 
-    def __call__(self, rows, tokens: list[Tokens], last: bool):
-        eos, constraints, complete, beam_width = self.eos, self.constraints, self.complete, self.beam_width
-        rows = np.array(rows)
-        beam = [(t, lp, progress, bank, b) for b, (t, (lp, progress, bank)) in enumerate(zip(tokens, self.state))]
-        # EOS candidates of the complete hypotheses, which never enter the
-        # alive beam, and the forced child of every unfinished phrase, as
-        # _expand's (score, child, parent); a complete hypothesis finishes
-        # when EOS is its argmax and, under constraints, at the length
-        # budget (a forced finish, rather than return nothing).
-        cands, forced, finishes = [], [], []
-        for t, lp, progress, bank, b in beam:
-            if bank == complete:
-                score = lp + rows.item(b, eos)
-                cands.append((score, t, progress, bank, b, None))
-                if rows[b].argmax() == eos or (constraints and last):
-                    finishes.append((b, score))
-            for pos, phrase in zip(progress, constraints):
-                if pos < len(phrase):
-                    forced.append((lp + rows.item(b, phrase[pos]), t + (phrase[pos],), beam[b]))
-        if last:
-            return [], finishes, 0
-
-        # The content pool: the top-k expansions and the forced children,
-        # each child once, with its new progress and bank.
-        pool = set()
-        for lp_c, child, parent in _expand(beam, rows, self.content, beam_width) + forced:
-            if child in pool:
+    # EOS candidates finish by ranking inside the global window, the first
+    # beam_width candidates, or inside their own bank's slots (without which
+    # finishing would have to outrank every unconstrained hypothesis
+    # globally). A forced-only candidate ranks after all beam_width top
+    # ones, so it never enters the window. Slots are split evenly over the
+    # non-empty banks, remainders to higher banks; each bank keeps its best
+    # content candidates in its slots.
+    banks = sorted({cand[3] for cand in cands}, reverse=True)
+    base, rem = divmod(beam_width, len(banks))
+    slots = {bank: base + (i < rem) for i, bank in enumerate(banks)}
+    seen = dict.fromkeys(banks, 0)
+    kept = dict.fromkeys(banks, 0)
+    alive = []
+    hard = 0
+    # Slots a bank cannot fill go to the best leftover candidates.
+    spare = beam_width
+    for i, cand in enumerate(cands):
+        bank = cand[3]
+        if cand[4] is None:
+            if i < beam_width or seen[bank] < slots[bank]:
+                finishes.append((cand[1], cand[0]))
+                hard += 1
+        else:
+            in_slot = kept[bank] < slots[bank]
+            spare -= in_slot
+            alive.append((cand, in_slot))
+            kept[bank] += 1
+        seen[bank] += 1
+    survivors = []
+    for (lp_c, child, progress, bank, _), in_slot in alive:
+        if not in_slot:
+            if spare == 0:
                 continue
-            pool.add(child)
-            tok = child[-1]
-            progress = _advance_progress(parent[2], constraints, tok)
-            cands.append((lp_c, child, progress, sum(progress), parent[4], tok))
-        cands.sort(key=rank)  # the one sort of the step (see dba_decode)
-
-        # EOS candidates finish by ranking inside the global window, the
-        # first beam_width candidates, or inside their own bank's slots
-        # (without which finishing would have to outrank every unconstrained
-        # hypothesis globally). A forced-only candidate ranks after all
-        # beam_width top ones, so it never enters the window. Slots are split
-        # evenly over the non-empty banks, remainders to higher banks; each
-        # bank keeps its best content candidates in its slots.
-        banks = sorted({cand[3] for cand in cands}, reverse=True)
-        base, rem = divmod(beam_width, len(banks))
-        slots = {bank: base + (i < rem) for i, bank in enumerate(banks)}
-        seen = dict.fromkeys(banks, 0)
-        kept = dict.fromkeys(banks, 0)
-        alive = []
-        hard = 0
-        # Slots a bank cannot fill go to the best leftover candidates.
-        spare = beam_width
-        for i, cand in enumerate(cands):
-            bank = cand[3]
-            if cand[5] is None:
-                if i < beam_width or seen[bank] < slots[bank]:
-                    finishes.append((cand[4], cand[0]))
-                    hard += 1
-            else:
-                in_slot = kept[bank] < slots[bank]
-                spare -= in_slot
-                alive.append((cand, in_slot))
-                kept[bank] += 1
-            seen[bank] += 1
-        survivors, self.next = [], []
-        for (lp_c, _, progress, bank, parent, tok), in_slot in alive:
-            if not in_slot:
-                if spare == 0:
-                    continue
-                spare -= 1
-            survivors.append((parent, tok))
-            self.next.append((lp_c, progress, bank))
-        return survivors, finishes, hard
-
-    def advance(self) -> None:
-        self.state = self.next
-
-    def beam(self, tokens: list[Tokens]) -> Beam:
-        return [(t, *entry) for t, entry in zip(tokens, self.state)]
+            spare -= 1
+        survivors.append((child, lp_c, progress, bank))
+    return survivors, finishes, hard
 
 
 def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
                    max_len: int) -> tuple[dict[Tokens, float], Beam, tuple[int, int, int, str]]:
-    """``_beam_core``'s search in Python, one ``_PythonStep`` per step and
+    """``_beam_core``'s search in Python, one ``_beam_step`` per step and
     one ``rows_after`` call per step for one row per hypothesis: the search
     taken when the compiled ``tsd_beam_search`` cannot be, and the
     reference it is checked against. Returns the finished sequences with
     their raw scores, the final beam and the counts (forward passes,
     positions scored, emitted steps, stop reason). This loop holds the
-    tokens, the finishes, the counts and the stop reasons."""
-    take = _PythonStep(model.vocab, constraints, beam_width, [((), 0.0, tuple(0 for _ in constraints), 0)])
+    beam, the finishes, the counts and the stop reasons."""
     fw = 0
     pos_scored = 0
     emitted = 0
     stop_reason = STOP_MAX_LEN
     hard_finishes = 0
 
-    tokens: list[Tokens] = [()]
+    beam: Beam = [((), 0.0, tuple(0 for _ in constraints), 0)]
     finished: dict[Tokens, float] = {}
 
     for step in range(max_len + 1):
@@ -614,22 +581,21 @@ def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens,
         # One memoised row per hypothesis, from one batched lookup; the
         # statistics still count the logical forced pass over BOS + tokens
         # that each row ends.
-        rows = model.rows_after(src, tokens)
-        fw += len(tokens)
-        pos_scored += len(tokens) * (step + 1)  # every hypothesis holds step tokens
-        survivors, finishes, hard = take(rows, tokens, last)
-        for parent, score in finishes:
-            finished.setdefault(tokens[parent], score)
+        rows = model.rows_after(src, [entry[0] for entry in beam])
+        fw += len(beam)
+        pos_scored += len(beam) * (step + 1)  # every hypothesis holds step tokens
+        survivors, finishes, hard = _beam_step(beam, rows, model.vocab, constraints, beam_width, last)
+        for tokens, score in finishes:
+            finished.setdefault(tokens, score)
         if last:
             break
         hard_finishes += hard
         if hard_finishes >= beam_width:
             stop_reason = STOP_EMPTY_BEAM
             break
-        tokens = [tokens[parent] + (tok,) for parent, tok in survivors]
-        take.advance()
+        beam = survivors
         emitted += 1
-    return finished, take.beam(tokens), (fw, pos_scored, emitted, stop_reason)
+    return finished, beam, (fw, pos_scored, emitted, stop_reason)
 
 
 def _check_beam_params(beam_width: int, max_len: int) -> None:

@@ -343,7 +343,7 @@ class _SearchBuffers(_RowBuffers):
     _fields_ = _fields(
         "width eos lo n_content n_phrases complete max_len capacity finish_room cur forward_passes positions emitted"
         " hard empty_beam n_finished n_finish_ids",
-        "phrases starts parent token finished finish_score lp progress bank order tokens",
+        "phrases starts finished finish_score lp progress bank tokens",
         size=ctypes.c_int64 * 2,
     )
 
@@ -354,7 +354,7 @@ class _PsgdBuffers(_RowBuffers):
     _fields_ = _fields(
         "width eos lo n_content n_prefix n_suffix n_pieces n_changed fixed_eos mean eos_in_len"
         " patience max_span capacity cur forward_passes positions emitted at_cap best_step",
-        "prefix suffix pieces terms parent token lp order carry tokens best_span",
+        "prefix suffix pieces terms parent token lp carry tokens best_span",
         size=ctypes.c_int64 * 2, best=ctypes.c_double,
     )
 
@@ -515,9 +515,11 @@ class CompiledSearch(_Resumable):
     The search lives in the sections of ``_SearchBuffers`` (``_sections``),
     which each decode allocates once, but for those sized by ``capacity``,
     which double when the hypotheses outgrow them; ``lp``, ``progress``,
-    ``bank``, ``order`` and ``tokens`` hold two sides, side s starting at s
-    times the side's length. The kernel also returns when a step needs room
-    for its finishes, which Python then reads. A warm decode is one call.
+    ``bank`` and ``tokens`` hold two sides, side s starting at s times the
+    side's length. The kernel breaks a tie on score by the hypotheses'
+    tokens, as ``scoring.rank`` does. It also returns when a step needs
+    room for its finishes, which Python then reads. A warm decode is one
+    call.
     """
 
     NAME, KEPT = "tsd_beam_search", ("tokens",)
@@ -542,8 +544,8 @@ class CompiledSearch(_Resumable):
             buffers,
             (("lp", 2 * width), ("finish_score", room)),
             (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
-             ("order", 2 * width), ("parent", width), ("token", width), ("wanted", width * (1 + model.order)),
-             ("drawn", self.drawn_rows * (1 + model.order)), *self._sized()[1]),
+             ("wanted", width * (1 + model.order)), ("drawn", self.drawn_rows * (1 + model.order)),
+             *self._sized()[1]),
         )
         views["phrases"][:] = flat
         views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
@@ -585,7 +587,9 @@ class CompiledSearch(_Resumable):
 # order-2 n-gram model over vocab 6, "sibling" its perturbed sibling at rate
 # 0.5, whose coins land both ways, "tied" an order-1 table model over vocab
 # 6 whose rows tie EOS with content ids and content ids with each other, and
-# "uniform" the uniform model over vocab 5, where every candidate ties.
+# "uniform" the uniform model over vocab 5, where every candidate ties. The
+# last "tied" decode ties children of parents whose scores differ, in the
+# order opposite to their tokens'.
 CHECK_SEARCHES = (
     ("ngram", (2, 5), (), 2, 10),
     ("ngram", (2, 5, 4), ((3,), (5, 2)), 3, 9),
@@ -597,6 +601,7 @@ CHECK_SEARCHES = (
     ("sibling", (2, 5, 4), ((3,),), 3, 6),
     ("tied", (2,), (), 3, 4),
     ("tied", (3,), ((4, 5),), 2, 5),
+    ("tied", (3,), ((2, 2), (2,)), 5, 2),
     ("uniform", (2,), ((3,),), 3, 3),
 )
 CHECK_CAPACITY = 4
@@ -739,7 +744,7 @@ class CompiledPsgd(_Resumable):
     As in ``CompiledSearch``; the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
     with the rounds the decode runs, never with ``max_span``. The kernel
-    breaks ties by each item's rank among the beam's spans.
+    breaks a tie on score by the spans, as ``scoring.rank`` does.
     """
 
     NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
@@ -753,7 +758,7 @@ class CompiledPsgd(_Resumable):
         # The fixed terms: the EOS term when fixed, the prefix terms and the
         # tail terms, each read from a row the first call may miss.
         n_fixed = fixed_eos + len(prefix) + len(suffix) - changed
-        # The root: one item, the empty span, log-prob 0.0, tie rank 0.
+        # The root: one item, the empty span, log-prob 0.0.
         buffers = self.buffers = _PsgdBuffers(
             vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
             n_content=len(content), n_prefix=len(prefix), n_suffix=len(suffix), n_pieces=len(pieces),
@@ -768,7 +773,7 @@ class CompiledPsgd(_Resumable):
             buffers,
             (("terms", n_fixed), ("lp", 2 * width), *reals),
             (("prefix", len(prefix)), ("suffix", len(suffix)), ("pieces", len(pieces)), ("parent", width),
-             ("token", width), ("order", 2 * width), ("wanted", missed * (1 + model.order)),
+             ("token", width), ("wanted", missed * (1 + model.order)),
              ("drawn", self.drawn_rows * (1 + model.order)), *ints),
         )
         views["prefix"][:] = prefix
@@ -818,8 +823,7 @@ CHECK_DECODES = (
 
 def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
     """Whether ``psgd_search`` decodes every decode of ``CHECK_DECODES``
-    exactly as ``decode._python_psgd`` does with ``_PythonRound``
-    (``_decodes_match``)."""
+    exactly as ``decode._python_psgd`` does (``_decodes_match``)."""
 
     def python(model, source, p, s, params):
         return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)

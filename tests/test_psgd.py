@@ -4,11 +4,12 @@ from dataclasses import replace
 import pytest
 
 from tsdecode import decode, harness, rowkernel
-from tsdecode.core import STOP_MAX_LEN, STOP_PATIENCE, TokenSeq, TsTask, Vocab
+from tsdecode.core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE, TokenSeq, TsTask, Vocab
 from tsdecode.decode import (
     InvalidParams,
     PsgdParams,
     beam_search,
+    dba_suggest,
     psgd,
     psgd_two_pass,
     psgd_with_trace,
@@ -18,7 +19,8 @@ from tsdecode.oracle import exhaustive_best_prefix, exhaustive_best_span
 from tsdecode.rng import Stream, hash_key
 from tsdecode.scoring import SCORING_MODES, SCORING_PROB_OVER_LENGTH, filled_score
 
-from util import on_every_path, over_paths, random_table_model, random_task, record_token_checks
+from util import (kernel_paths, on_every_path, over_paths, random_table_model, random_task, record_token_checks,
+                  run_by)
 
 
 @pytest.fixture(scope="module")
@@ -107,20 +109,20 @@ class TestStopping:
         # expansion; the untraced one, compiled on the kernel path, ends
         # with no children and the same results.
         calls, lasts = [], []
-        expand, search = decode._PythonRound.__call__, rowkernel.CompiledPsgd.__call__
+        expand, search = decode._psgd_round, rowkernel.CompiledPsgd.__call__
 
-        def counted(self, *args):
-            top, score, children = expand(self, *args)
+        def counted(*args):
+            scores, top, children, items = expand(*args)
             if children:
                 calls.append(args)
-            return top, score, children
+            return scores, top, children, items
 
         def recorded(self):
             result = search(self)
             lasts.append(result[3])
             return result
 
-        monkeypatch.setattr(decode._PythonRound, "__call__", counted)
+        monkeypatch.setattr(decode, "_psgd_round", counted)
         monkeypatch.setattr(rowkernel.CompiledPsgd, "__call__", recorded)
         stops = set()
         for seed in range(10):
@@ -204,6 +206,35 @@ class TestStopping:
             assert replace(huge, stats=replace(huge.stats, wall_time_us=0)) == replace(
                 default, stats=replace(default.stats, wall_time_us=0)
             )
+
+
+@pytest.mark.parametrize("decoder", ["psgd", "dba"])
+def test_a_huge_cap_sizes_no_room_by_it(decoder):
+    # PSGD stops on patience and DBA on an empty beam long before a cap of
+    # 10**9, the same way on every path. Token room sized for the cap would
+    # take gigabytes: the peak shows that it follows the decode instead. The
+    # kernel is loaded and the rows drawn before measuring.
+    cfg = harness.GenConfig(vocab_size=20, n_tasks=2, seed=3)
+    model = model_from_spec(cfg.resolved_model_spec())
+    task = {t.task_id: t for t in harness.gen_dataset(cfg, model)}["r0.10_n0001"]
+    function, stop, run = {
+        "psgd": ("psgd_search", STOP_PATIENCE, lambda: psgd(model, task, PsgdParams(max_span_len=10**9, patience=2))),
+        "dba": ("beam_search", STOP_EMPTY_BEAM, lambda: dba_suggest(model, task, beam_width=5, max_len=10**9)),
+    }[decoder]
+    results = []
+    for path in kernel_paths(function):
+        with run_by(function, path):
+            run()
+            tracemalloc.start()
+            try:
+                got = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert got.stats.stop_reason == stop
+        assert peak < 50_000, path
+        results.append(replace(got, stats=replace(got.stats, wall_time_us=0)))
+    assert all(result == results[0] for result in results)
 
 
 class TestScoreConsistency:

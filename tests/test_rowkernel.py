@@ -323,19 +323,6 @@ def _best_score_one_ulp_off(psgd_search):
     return wrong
 
 
-def _resumed_ties_reversed(psgd_search):
-    # Reverses the tie ranks of the items a call starts from, so that a
-    # decode resumed after a return breaks its ties the other way.
-    def wrong(at):
-        buffers = rowkernel._PsgdBuffers.from_address(at)
-        n = buffers.size[buffers.cur]
-        order = (ctypes.c_int64 * n).from_address(buffers.order + 8 * buffers.cur * buffers.width)
-        order[:] = [n - 1 - rank for rank in order]
-        return psgd_search(at)
-
-    return wrong
-
-
 def _fold(h, context, length=True):
     # rng.hash_key's fold of a sequence part, or with its length left out.
     if length:
@@ -492,10 +479,13 @@ FALLBACKS = {
     "step-one-short": (rowkernel, "_open", _opened_as(_step_one_short, "beam_search")),
     "step-score-wrong": (rowkernel, "_open", _opened_as(_score_one_ulp_off, "beam_search")),
     "round-score-wrong": (rowkernel, "_open", _opened_as(_best_score_one_ulp_off, "psgd_search")),
-    "round-tie-wrong": (rowkernel, "_open", _opened_as(_resumed_ties_reversed, "psgd_search")),
     **{name: (rowkernel, "_open", _opened_as(lambda block, mutant=mutant: mutant, "block"))
        for name, mutant in BLOCK_MUTANTS.items()},
 }
+# Mutants of ``_rowkernel.c`` itself, each built from a copy of the source
+# with its one ``old`` text made ``new``: a round's first-ranked item is the
+# later of two tied spans in lexicographic order.
+SOURCE_MUTANTS = {"round-tie-wrong": ("lex_before(&beam, b, best)", "lex_before(&beam, best, b)")}
 # The cases that fail after the kernel is built load one build, copied into
 # their cache directories, rather than compile it afresh.
 PREBUILT = {name for name, (_, attr, _) in FALLBACKS.items() if attr in ("_open", "CDLL")}
@@ -508,14 +498,22 @@ def fallen_back(functions) -> set[str]:
     return {name for name, function in functions._asdict().items() if function is None}
 
 
-@pytest.mark.parametrize("fallback", sorted(FALLBACKS))
+@pytest.mark.parametrize("fallback", sorted({**FALLBACKS, **SOURCE_MUTANTS}))
 def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeypatch, request):
     if fallback in PREBUILT:
         built = request.getfixturevalue("built")
         for directory in (tmp_path / "cache", tmp_path / "xdg" / "tsdecode"):
             directory.mkdir(mode=0o700, parents=True)
             shutil.copy(built, directory)
-    monkeypatch.setattr(*FALLBACKS[fallback])
+    if fallback in SOURCE_MUTANTS:
+        old, new = SOURCE_MUTANTS[fallback]
+        code = rowkernel.SOURCE.read_text()
+        assert code.count(old) == 1
+        source = tmp_path / rowkernel.SOURCE.name
+        source.write_text(code.replace(old, new))
+        monkeypatch.setattr(rowkernel, "SOURCE", source)
+    else:
+        monkeypatch.setattr(*FALLBACKS[fallback])
     functions, warned = loaded_with_warnings(tmp_path / "cache")
     failed = {ONLY[fallback]} if fallback in ONLY else set(rowkernel.Functions._fields)
     assert fallen_back(functions) == failed
