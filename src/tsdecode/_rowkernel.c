@@ -283,8 +283,9 @@ struct tsd_rows {
 /* The first slot of the ``n`` context ids ``ctx``: their length, then
    each id folded in by FNV-1a's step, spread over the 2^bits slots by
    Fibonacci hashing. A probe steps from it to the next slot, cyclically,
-   until it finds the ids or a free slot; at most 3/4 of the slots are full,
-   so it ends. */
+   until it finds the ids or a free slot, or has seen every slot: at most
+   3/4 of the slots should be full, and a full table must not hang the
+   search. */
 static uint64_t first_slot(const struct tsd_rows *r, const int64_t *ctx, int64_t n)
 {
     uint64_t h = (uint64_t)n;
@@ -294,12 +295,13 @@ static uint64_t first_slot(const struct tsd_rows *r, const int64_t *ctx, int64_t
 }
 
 /* Enters the row at ``address`` for the ``n`` context ids ``ctx``, which
-   the index lacks. */
+   the index lacks, unless no slot is free. */
 static void enter(struct tsd_rows *r, const int64_t *ctx, int64_t n, int64_t address)
 {
     uint64_t mask = (UINT64_C(1) << r->bits) - 1, slot = first_slot(r, ctx, n);
-    while (r->index[slot * (2 + r->n_context)])
-        slot = (slot + 1) & mask;
+    for (uint64_t seen = 0; r->index[slot * (2 + r->n_context)]; slot = (slot + 1) & mask)
+        if (seen++ == mask)
+            return;
     int64_t *entry = r->index + slot * (2 + r->n_context);
     entry[0] = address;
     entry[1] = n;
@@ -310,14 +312,15 @@ static void enter(struct tsd_rows *r, const int64_t *ctx, int64_t n, int64_t add
    it holds none: the probe compares the ids, never the hash alone. */
 static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int64_t n)
 {
-    uint64_t mask = (UINT64_C(1) << r->bits) - 1;
-    for (uint64_t slot = first_slot(r, ctx, n);; slot = (slot + 1) & mask) {
+    uint64_t mask = (UINT64_C(1) << r->bits) - 1, slot = first_slot(r, ctx, n);
+    for (uint64_t seen = 0; seen <= mask; seen++, slot = (slot + 1) & mask) {
         const int64_t *entry = r->index + slot * (2 + r->n_context);
         if (!entry[0])
             return NULL;
         if (entry[1] == n && !memcmp(entry + 2, ctx, n * sizeof *ctx))
             return (const double *)(intptr_t)entry[0];
     }
+    return NULL;
 }
 
 /* Moves the entries of ``old_index`` into the index, then enters the
@@ -407,12 +410,12 @@ static int draw_wanted(struct tsd_rows *r)
     return 1;
 }
 
-/* One decode of the full-sentence beam search and its buffers, allocated
-   by ``rowkernel.CompiledSearch``. The beam lives on side ``cur`` of
-   ``lp``, ``progress``, ``bank`` and ``tokens``, side s at s times the
-   side's length; a step writes the next beam to the other side
-   and flips ``cur``. All the hypotheses of a beam hold ``r.step`` tokens,
-   and no two the same tokens. */
+/* One decode of the full-sentence beam search and its buffers, which a
+   model's ``rowkernel.CompiledSearch`` holds for all its decodes. The
+   beam lives on side ``cur`` of ``lp``, ``progress``, ``bank`` and
+   ``tokens``, side s at s times the side's length; a step writes the next
+   beam to the other side and flips ``cur``. All the hypotheses of a beam
+   hold ``r.step`` tokens, and no two the same tokens. */
 struct tsd_search {
     struct tsd_rows r;
     int64_t width;          /* the beam width: hypotheses per side, at most */
@@ -748,14 +751,14 @@ done:
     return status;
 }
 
-/* One PSGD decode and its buffers, allocated by ``rowkernel.CompiledPsgd``
-   with the shape of ``decode._SpanScorer``'s scoring
-   (``decode._span_shape``). As in ``struct tsd_search``, the beam lives on
-   side ``cur`` of ``lp``, ``carry`` and ``tokens``; a round
-   that expands writes the children to the other side. Every item of
-   a beam holds a span of ``r.step`` tokens, and no two hold the same span;
-   its carry is its span's terms, each token's term in its parent's
-   next-token row. Each item reads ``n_pieces`` rows, those after prefix +
+/* One PSGD decode and its buffers, which a model's
+   ``rowkernel.CompiledPsgd`` holds for all its decodes, with the shape of
+   ``decode._SpanScorer``'s scoring (``decode._span_shape``). As in
+   ``struct tsd_search``, the beam lives on side ``cur`` of ``lp``,
+   ``carry`` and ``tokens``; a round that expands writes the children to
+   the other side. Every item of a beam holds a span of ``r.step`` tokens,
+   and no two hold the same span; its carry is its span's terms, each
+   token's term in its parent's next-token row. Each item reads ``n_pieces`` rows, those after prefix +
    span + the first ``pieces[j]`` suffix tokens: its next-token row, the
    rows of the suffix terms the span changes, then its EOS row unless that
    is fixed. */

@@ -68,6 +68,7 @@ break a tie on score by comparing the tokens, as ``scoring.rank`` does.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -395,11 +396,11 @@ def _psgd_run(
     if functions and functions.psgd_search:
         from .rowkernel import CompiledPsgd
 
-        result = CompiledPsgd(functions.psgd_search, model, src, p, s, params, max_span,
-                              log=functions.block and rng._log)()
+        score, span, counts = CompiledPsgd.of(model)(functions.psgd_search, model, src, p, s, params, max_span,
+                                                     functions.block and rng._log)
     else:
-        result = _python_psgd(model, src, p, s, scorer(model, src, p, s), params, max_span, trace)
-    score, span, (fw, pos_scored, emitted, stop_reason), _ = result
+        score, span, counts, _ = _python_psgd(model, src, p, s, scorer(model, src, p, s), params, max_span, trace)
+    fw, pos_scored, emitted, stop_reason = counts
     stats = DecodeStats(
         forward_passes=fw,
         positions_scored=pos_scored,
@@ -606,29 +607,36 @@ def _check_beam_params(beam_width: int, max_len: int) -> None:
 
 
 def _search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
-            max_len: int) -> tuple[dict[Tokens, float], Beam, tuple[int, int, int, str]]:
+            max_len: int) -> tuple[dict[Tokens, float], Callable[[], Beam], tuple[int, int, int, str]]:
     """``_beam_core``'s search over inputs already checked: the finished
-    sequences with their raw scores, the final beam and the counts. It is
-    ``rowkernel.CompiledSearch``'s, one compiled call that returns to Python
-    only for rows the memo lacks, when the kernel loads and passes its check
-    and the model takes its contexts by ``SequenceModel``'s rule; otherwise
-    ``_python_search``'s. Both give the same results."""
+    sequences with their raw scores, a function that returns the final beam
+    until the model's next search, and the counts. It is
+    ``rowkernel.CompiledSearch``'s, one compiled call on the model's context
+    that returns to Python only for rows the memo lacks, when the kernel
+    loads and passes its check and the model takes its contexts by
+    ``SequenceModel``'s rule; otherwise ``_python_search``'s. Both give the
+    same results."""
     functions = rng.compiled()
     if functions.beam_search and _indexed(model):
         from .rowkernel import CompiledSearch
 
-        return CompiledSearch(functions.beam_search, model, src, constraints, beam_width, max_len,
-                              log=functions.block and rng._log)()
-    return _python_search(model, src, constraints, beam_width, max_len)
+        search = CompiledSearch.of(model)
+        finished, counts = search(functions.beam_search, model, src, constraints, beam_width, max_len,
+                                  functions.block and rng._log)
+        return finished, search.beam, counts
+    finished, beam, counts = _python_search(model, src, constraints, beam_width, max_len)
+    return finished, lambda: beam, counts
 
 
-def _beam_core(model: SequenceModel, source, params: DbaParams) -> tuple[dict[Tokens, float], Beam, DecodeStats]:
+def _beam_core(model: SequenceModel, source,
+               params: DbaParams) -> tuple[dict[Tokens, float], Callable[[], Beam], DecodeStats]:
     """Full-sentence beam search from BOS under ``params.constraints``.
 
-    Returns the finished sequences with their raw scores (EOS included), the
-    final beam as (tokens, raw score, constraint progress, bank) entries, and
-    the decode statistics. See ``dba_decode`` for the search itself, and
-    ``_search`` for the two ways it runs.
+    Returns the finished sequences with their raw scores (EOS included), a
+    function that returns the final beam as (tokens, raw score, constraint
+    progress, bank) entries until the model's next search, and the decode
+    statistics. See ``dba_decode`` for the search itself, and ``_search``
+    for the two ways it runs.
     """
     _check_beam_params(params.beam_width, params.max_len)
     # Inputs are checked once here: every later row is read unchecked, and
@@ -665,7 +673,7 @@ def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> 
     nothing finished, the best unfinished hypothesis with ``finished=False``.
     """
     finished, beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
-    entries = finished.items() if finished else [entry[:2] for entry in beam]
+    entries = finished.items() if finished else [entry[:2] for entry in beam()]
     score, tokens = _pick_best(entries)
     return BeamSearchResult(TokenSeq(tokens), score, bool(finished))
 

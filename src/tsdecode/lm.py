@@ -198,7 +198,11 @@ class SequenceModel:
     the model's row store, float64 chunks of ``CHUNK_ROWS`` rows
     that never move, filled in the order the rows are drawn. The model
     holds every chunk it has filled, so a row an index reaches lives as
-    long as the model, even if no memo view of it was kept.
+    long as the model, even if no memo view of it was kept. It also holds
+    one compiled decode context per search kind (``rowkernel``), made on
+    its first compiled decode of that kind and reused by the later ones. A
+    model runs one decode at a time, as its memo and its chunk already
+    require: two threads may not decode on one model at once.
     """
 
     seed = 0
@@ -216,6 +220,8 @@ class SequenceModel:
         self._chunks: list[np.ndarray] = []
         self._chunk = self._read_only = np.empty((0, vocab.size))
         self._address = self._used = 0
+        # Per compiled search kind, its decode context (``rowkernel``).
+        self._decoders: dict[type, object] = {}
 
     def _contexts(self, prefixes: Sequence[Tokens]) -> list[Tokens]:
         """The conditioning context of each target prefix: the last

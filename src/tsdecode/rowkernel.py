@@ -6,18 +6,23 @@
 (``_row_keys``, then one ``rng.Stream.dirichlet`` row per key, finished by
 ``lm._numpy_finalize``), ``tsd_beam_search`` is ``decode._python_search``,
 the full-sentence beam search, and ``tsd_psgd_search`` is
-``decode._python_psgd``, the PSGD search, each run for one decode by
-``CompiledSearch`` or ``CompiledPsgd`` through the resume loop they share
-(``_Resumable``). When the row block passed its check and numpy's float64
-log loop passed its own (``log_loop``), a search draws the rows a step
-misses of an n-gram model itself, with the block's code, writes their log
-with that loop and enters them into the memo's index, in that order, and
-goes on: it returns to Python only when the model's chunk, the index or
-its room for tokens or finishes is full, and Python then memoises the rows
-it drew. Otherwise it returns the contexts it misses, Python draws their
-rows and its next call enters them into the index. The block adds a row
-up in numpy's ``add.reduce`` order, which its check compares rather than
-assumes. This module holds no state: ``rng.compiled()`` calls ``log_loop``
+``decode._python_psgd``, the PSGD search, each run by a model's decode
+context of its kind, ``CompiledSearch`` or ``CompiledPsgd``, through the
+resume loop they share (``_Resumable``). A context holds the kernel's
+struct and the two arrays its sections are cut from; the model makes it
+on its first compiled decode of that kind and every later one reuses it,
+writing only its inputs and resetting the search's state, so a decode of
+a shape seen before builds no buffers. When the row block passed its
+check and numpy's float64 log loop passed its own (``log_loop``), a search
+draws the rows a step misses of an n-gram model itself, with the block's
+code, writes their log with that loop and enters them into the memo's
+index, in that order, and goes on: it returns to Python only when the
+model's chunk, the index or its room for tokens or finishes is full, and
+Python then memoises the rows it drew. Otherwise it returns the contexts
+it misses, Python draws their rows and its next call enters them into the
+index. The block adds a row up in numpy's ``add.reduce`` order, which its
+check compares rather than assumes. This module holds no state, and the
+contexts belong to their models: ``rng.compiled()`` calls ``log_loop``
 and ``load`` once per process, on the first n-gram row block, beam search
 or PSGD decode, never on import. ``lm`` and ``decode`` then use each
 function that passed its check, and the much slower Python code
@@ -41,10 +46,11 @@ ways and requires the same bytes: blocks of several vocabularies and
 concentrations, whose rows cover the Dirichlet row's branches and every
 branch of numpy's sum, and tell it from any one of its rules changed;
 ``beam_search_self_check`` and ``psgd_self_check`` run the
-``CHECK_SEARCHES`` and ``CHECK_DECODES`` with both searches, cold and warm
+``CHECK_SEARCHES`` and ``CHECK_DECODES`` with both searches, cold and warm,
+on new contexts and on one that another check decode left mid-decode
 (``_decodes_match``), and require the same results and the same memo, byte
-for byte, over the route a missed row takes, first refusing a take whose
-buffers hold a NULL pointer, which would crash the process rather than
+for byte, over the route a missed row takes, first refusing a call whose
+context holds a NULL pointer, which would crash the process rather than
 fail the check. The log loop is numpy's own, not this file's: ``log_loop``
 reads it from ``np.log``'s table of loops and keeps it only if it writes
 ``np.log``'s bytes over a fixed block. The checks run inside
@@ -70,8 +76,9 @@ import shutil
 import sysconfig
 import warnings
 import zlib
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, chain
+from operator import gt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -278,9 +285,15 @@ def _pointers_set(buffers) -> bool:
     set, but those it names ``optional``. A misspelt section name sets a
     Python attribute instead of its field, and the kernel would read or
     write through NULL, ending the process instead of failing a check."""
-    optional = getattr(buffers, "optional", ())
-    fields = [field for cls in type(buffers).__mro__ for field in vars(cls).get("_fields_", ())]
-    return all(getattr(buffers, name) for name, kind in fields if kind is ctypes.c_void_p and name not in optional)
+    return all(getattr(buffers, name) for name in _pointers(type(buffers)))
+
+
+@cache
+def _pointers(struct) -> list[str]:
+    """The names of the pointer fields of ``struct`` that must be set."""
+    optional = getattr(struct, "optional", ())
+    fields = [field for cls in struct.__mro__ for field in vars(cls).get("_fields_", ())]
+    return [name for name, kind in fields if kind is ctypes.c_void_p and name not in optional]
 
 
 def _address(array: np.ndarray) -> int:
@@ -291,18 +304,16 @@ def _address(array: np.ndarray) -> int:
 
 
 def _sections(struct, reals, ints) -> dict[str, np.ndarray]:
-    """One decode's buffers: a zeroed float64 array cut into the ``reals``
+    """A context's buffers: a zeroed float64 array cut into the ``reals``
     sections and a zeroed int64 array cut into the ``ints`` sections, each a
     ``(name, length)`` pair, in order. Each name is a pointer field of
-    ``struct``, set to its section's address; returns each section's numpy
-    view by name. numpy arrays, not ctypes ones: each ctypes
-    array length is a new type that ctypes keeps for the life of the
-    process."""
-    views = {}
-    for dtype, sections in ((np.float64, reals), (np.int64, ints)):
-        if not sections:
-            continue
-        array = np.zeros(sum(length for _, length in sections), dtype)
+    ``struct``, set to its section's address once both arrays are made, so
+    a failed allocation leaves ``struct`` as it was; returns each section's
+    numpy view by name. numpy arrays, not ctypes ones: each ctypes array
+    length is a new type that ctypes keeps for the life of the process."""
+    views, arrays = {}, [(np.zeros(sum(length for _, length in sections), dtype), sections)
+                         for dtype, sections in ((np.float64, reals), (np.int64, ints))]
+    for array, sections in arrays:
         base, at = _address(array), 0
         for name, length in sections:
             setattr(struct, name, base + 8 * at)
@@ -362,20 +373,25 @@ class _PsgdBuffers(_RowBuffers):
 # Finishes per beam slot that one call of the beam search can hold before
 # it returns for the caller to read them, and the tokens a hypothesis or
 # span has room for at first: a longer decode returns to have the room
-# doubled.
+# doubled, and the context keeps it.
 FINISH_ROOM = 4
 INITIAL_CAPACITY = 64
 
 
 class _Resumable:
-    """One decode of ``model`` from ``source`` by a compiled search that
-    reads its rows through the source's index (``lm._Index``) and returns
-    early when a step needs what Python must give: rows, room for them, or
-    room for its tokens. A subclass sets ``buffers``, ``views``, ``limit``
-    (the room's cap), ``_sized()`` (the sections sized by ``capacity``),
-    ``KEPT`` (those whose rows of ``capacity`` entries outlive a growth) and
-    a ``drawn`` section of ``drawn_rows`` records, at least the rows one
-    step can miss.
+    """A model's context for the decodes of one compiled search kind
+    (``of``): its ``STRUCT`` and the sections of one float64 and one int64
+    array that its pointers name, which every decode reuses, one at a time,
+    writing its inputs and resetting the state the kernel reads. The
+    sections are cut anew only for a decode whose ``shape`` (the model's
+    order, the beam width, ...) needs more room than they hold, for the
+    largest shape seen. A subclass sets ``_layout(shape, capacity)``, the
+    sections by name and length, ``drawn`` among them with room for the records of at
+    least the rows one step can miss, and ``KEPT``, those of rows of
+    ``capacity`` entries. A decode (``_run``) reads its rows through the
+    source's index (``lm._Index``) and returns early when a step needs
+    what Python must give: rows, room for them, or room for its tokens,
+    whose ``capacity`` doubles up to the decode's ``limit`` and stays so.
 
     A missed row takes one of two routes. Given ``log``, numpy's checked
     log loop (``log_loop``), and a model whose rows the kernel draws
@@ -389,9 +405,32 @@ class _Resumable:
 
     KEPT: tuple[str, ...] = ()
 
-    def _start(self, kernel, model, source: tuple[int, ...], log: LogLoop | None) -> None:
-        self.kernel, self.address, self.model, self.source = kernel, ctypes.addressof(self.buffers), model, source
-        self.index, self.table = model._indexes.get(source), None
+    def __init__(self, capacity: int = INITIAL_CAPACITY) -> None:
+        self.buffers = self.STRUCT(capacity=capacity)
+        self.address, self.vocab, self.shape, self.views = ctypes.addressof(self.buffers), None, None, {}
+
+    @classmethod
+    def of(cls, model):
+        """The context of ``model`` for this kind, made on its first decode
+        and freed with it."""
+        context = model._decoders.get(cls)
+        if context is None:
+            context = model._decoders[cls] = cls()
+        return context
+
+    def _start(self, model, source: tuple[int, ...], log: LogLoop | None, shape: tuple[int, ...]) -> None:
+        """Bind the context to ``model`` and ``source``, with room for
+        ``shape``."""
+        buffers = self.buffers
+        if model.vocab is not self.vocab or model.order != buffers.n_context:
+            vocab = self.vocab = model.vocab
+            buffers.vocab, buffers.bos, buffers.eos = vocab.size, vocab.bos_id, vocab.eos_id
+            buffers.n_context, buffers.lo, buffers.n_content = model.order, vocab.content_ids[0], len(vocab.content_ids)
+        if self.shape is None or any(map(gt, shape, self.shape)):
+            shape = tuple(map(max, shape, self.shape or shape))
+            self.views = _sections(buffers, *self._layout(shape, buffers.capacity))
+            self.shape, self.drawn_rows = shape, len(self.views["drawn"]) // (1 + shape[0])
+        self.model, self.source, self.index = model, source, model._indexes.get(source)
         if self.index is None:
             # The first search of the source queues each row the memo holds.
             memo = model._row_cache.get(source, {})
@@ -401,17 +440,23 @@ class _Resumable:
         params = model._row_params(source) if log else None
         self.draws = params is not None
         if self.draws:
-            self.buffers.source = _Source(*params)
-            self.buffers.log, self.buffers.log_data = log
+            buffers.source = _Source(*params)
+            buffers.log, buffers.log_data = log
+        else:
+            buffers.log = None
 
     def _grow(self) -> None:
-        """Double ``capacity``, up to ``limit``, in new sections that keep
-        the ``KEPT`` ones' entries."""
+        """Double ``capacity``, up to ``limit``, in sections cut anew that
+        keep every entry, those of the ``KEPT`` ones in their rows."""
         buffers, old, capacity = self.buffers, self.views, self.buffers.capacity
-        buffers.capacity = min(2 * capacity, self.limit)
-        self.views = {**old, **_sections(buffers, *self._sized())}
-        for name in self.KEPT:
-            self.views[name].reshape(-1, buffers.capacity)[:, :capacity] = old[name].reshape(-1, capacity)
+        grown = min(2 * capacity, self.limit)
+        self.views = _sections(buffers, *self._layout(self.shape, grown))
+        buffers.capacity = grown
+        for name, view in old.items():
+            new = self.views[name]
+            if name in self.KEPT:
+                new, view = new.reshape(-1, grown)[:, :capacity], view.reshape(-1, capacity)
+            new[: len(view)] = view
 
     def _queue(self, rows: int = 0) -> None:
         """Point the kernel's next call at the source's index, with the rows
@@ -435,12 +480,10 @@ class _Resumable:
             bits, old = max(index.bits, 6), index.table
             while 4 * (index.count + rows) > 3 << bits:
                 bits += 1
-            buffers.old_index = None if old is None else old.buffer_info()[0]
             buffers.old_bits = index.bits
             index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
-        if index.table is not self.table:
-            self.table = index.table
-            buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
+        buffers.old_index = None if old is None else old.buffer_info()[0]
+        buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
         buffers.queued, buffers.n_queued = queued.buffer_info()
         if self.draws:
             model._room(max(rows, 1))
@@ -466,97 +509,111 @@ class _Resumable:
 
     def _records(self, name: str, n: int) -> list[tuple[int, ...]]:
         """The first ``n`` ids of the section ``name`` as the records they
-        hold, each a length and that many ids."""
+        hold, each a length and that many ids. Raises on a length below 0
+        or a record past the ``n`` ids, which a faulty kernel would write."""
         ids, at, records = self.views[name][:n].tolist(), 0, []
         while at < n:
-            records.append(tuple(ids[at + 1 : at + 1 + ids[at]]))
-            at += 1 + ids[at]
+            length = ids[at]
+            if not 0 <= length < n - at:
+                raise ValueError(f"a record of {length} ids at {at} of the {n} in {name}")
+            records.append(tuple(ids[at + 1 : at + 1 + length]))
+            at += 1 + length
         return records
 
     def _read(self) -> None:
         """Read what the kernel's last call left, if anything."""
 
-    def _run(self) -> None:
-        """Call the kernel until it is done: after each return, memoise the
+    def _run(self, kernel) -> None:
+        """Call ``kernel`` until it is done: after each return, memoise the
         rows it drew, and after each early one read what it left, grow the
         room it lacks, and give it room for the rows it wants or draw them
         with ``_draw``, for the next call to draw or to enter them into the
-        index."""
-        buffers, step, returns = self.buffers, -1, 0
-        self._queue()
-        while status := self.kernel(self.address):
+        index. The context then lets go of the model."""
+        buffers, address, step, returns = self.buffers, self.address, -1, 0
+        try:
+            self._queue()
+            while status := kernel(address):
+                self._kept()
+                if status < 0:
+                    raise MemoryError(f"{self.NAME} could not allocate its scratch")
+                # A step returns at most twice: for room for its tokens or
+                # finishes, or for a PSGD decode's fixed rows at its first
+                # step, then for its rows or room for them, which the next
+                # call draws or finds in the index.
+                returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
+                if returns > 2:
+                    raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the "
+                                       "memo's index")
+                self._read()
+                if step == buffers.capacity < self.limit:
+                    self._grow()
+                wanted = self._records("wanted", buffers.n_wanted)
+                if wanted and not self.draws:
+                    self.model._draw(self.source, wanted)
+                self._queue(len(wanted) if self.draws else 0)
             self._kept()
-            if status < 0:
-                raise MemoryError(f"{self.NAME} could not allocate its scratch")
-            # A step returns at most twice: for room for its tokens or
-            # finishes, or for a PSGD decode's fixed rows at its first step,
-            # then for its rows or room for them, which the next call draws
-            # or finds in the index.
-            returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
-            if returns > 2:
-                raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the memo's index")
             self._read()
-            if step == buffers.capacity < self.limit:
-                self._grow()
-            wanted = self._records("wanted", buffers.n_wanted)
-            if wanted and not self.draws:
-                self.model._draw(self.source, wanted)
-            self._queue(len(wanted) if self.draws else 0)
-        self._kept()
-        self._read()
+        finally:
+            self.model = self.index = None
 
 
 class CompiledSearch(_Resumable):
-    """``decode._python_search`` of one decode of ``model`` from ``source``
-    through ``tsd_beam_search``, called with no argument; ``log`` is the log
-    loop with which the kernel draws the rows it misses, or None
-    (``_Resumable``).
+    """A model's context for ``decode._python_search`` through
+    ``tsd_beam_search`` (``_Resumable``): a call runs one decode of
+    ``model`` from ``source`` with the ``kernel``; ``log`` is the log loop
+    with which the kernel draws the rows it misses, or None.
 
-    The search lives in the sections of ``_SearchBuffers`` (``_sections``),
-    which each decode allocates once, but for those sized by ``capacity``,
-    which double when the hypotheses outgrow them; ``lp``, ``progress``,
-    ``bank`` and ``tokens`` hold two sides, side s starting at s times the
-    side's length. The kernel breaks a tie on score by the hypotheses'
+    The search lives in the sections of ``_SearchBuffers``. ``lp``,
+    ``progress``, ``bank`` and ``tokens`` hold two sides, side s starting at
+    s times the decode's side length, so a narrower decode uses the first
+    part of each. The kernel breaks a tie on score by the hypotheses'
     tokens, as ``scoring.rank`` does. It also returns when a step needs
     room for its finishes, which Python then reads. A warm decode is one
-    call.
+    call. The final beam is read only on request (``beam``).
     """
 
-    NAME, KEPT = "tsd_beam_search", ("tokens",)
+    NAME, STRUCT, KEPT = "tsd_beam_search", _SearchBuffers, ("tokens",)
 
-    def __init__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
-                 beam_width: int, max_len: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
-        vocab, width, n = model.vocab, beam_width, len(constraints)
-        content = vocab.content_ids
+    def __call__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
+                 beam_width: int, max_len: int, log: LogLoop | None = None):
+        """The finished sequences with their raw scores and the counts, as
+        ``decode._python_search`` returns them."""
+        content = model.vocab.content_ids
         flat = [tok for phrase in constraints for tok in phrase]
         # The kernel indexes its rows with these without checking them.
         if any(not content[0] <= tok <= content[-1] for tok in flat):
             raise ValueError(f"a phrase of {constraints} holds a non-content id")
-        room = FINISH_ROOM * width
-        # The root: one hypothesis, no tokens, log-prob 0.0, no progress.
-        buffers = self.buffers = _SearchBuffers(
-            vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
-            n_content=len(content), n_phrases=n, complete=len(flat), max_len=max_len,
-            capacity=min(max_len, capacity), finish_room=room, size=(1, 0),
-        )
-        self.limit, self.drawn_rows = max_len, max(CHUNK_ROWS, width)
-        views = self.views = _sections(
-            buffers,
-            (("lp", 2 * width), ("finish_score", room)),
-            (("phrases", len(flat)), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
-             ("wanted", width * (1 + model.order)), ("drawn", self.drawn_rows * (1 + model.order)),
-             *self._sized()[1]),
-        )
-        views["phrases"][:] = flat
-        views["starts"][:] = list(accumulate(map(len, constraints), initial=0))
-        self._start(kernel, model, source, log)
+        n = len(constraints)
+        self._start(model, source, log, (model.order, beam_width, n, len(flat)))
+        buffers, views = self.buffers, self.views
+        buffers.width, buffers.n_phrases, buffers.complete = beam_width, n, len(flat)
+        buffers.max_len, buffers.finish_room, self.limit = max_len, FINISH_ROOM * beam_width, max_len
+        views["phrases"][: len(flat)] = flat
+        views["starts"][: n + 1] = list(accumulate(map(len, constraints), initial=0))
+        # The root: one hypothesis on side 0, no tokens, log-prob 0.0, no
+        # progress, bank 0; and no count, finish or hard finish yet.
+        buffers.size[0] = 1
+        buffers.cur = buffers.step = 0
+        buffers.forward_passes = buffers.positions = buffers.emitted = 0
+        buffers.hard = buffers.empty_beam = 0
+        buffers.n_finished = buffers.n_finish_ids = 0
+        views["lp"][0] = 0.0
+        views["progress"][:n] = 0
+        views["bank"][0] = 0
+        self.finished = {}
+        self._run(kernel)
+        stop = STOP_EMPTY_BEAM if buffers.empty_beam else STOP_MAX_LEN
+        return self.finished, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
 
-    def _sized(self) -> tuple:
-        """The sections sized by ``capacity``: the finishes' ids and the
-        hypotheses' tokens."""
-        buffers = self.buffers
-        width, capacity = buffers.width, buffers.capacity
-        return (), (("finished", buffers.finish_room * (capacity + 1)), ("tokens", 2 * width * capacity))
+    @staticmethod
+    def _layout(shape, capacity: int) -> tuple:
+        """The float64 and the int64 sections for ``shape``, (order, width,
+        phrases, phrase tokens), and ``capacity``."""
+        order, width, n, complete = shape
+        return ((("lp", 2 * width), ("finish_score", FINISH_ROOM * width)),
+                (("phrases", complete), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
+                 ("wanted", width * (1 + order)), ("drawn", max(CHUNK_ROWS, width) * (1 + order)),
+                 ("finished", FINISH_ROOM * width * (capacity + 1)), ("tokens", 2 * width * capacity)))
 
     def _read(self) -> None:
         buffers = self.buffers
@@ -566,20 +623,16 @@ class CompiledSearch(_Resumable):
                 self.finished.setdefault(t, score)
             buffers.n_finished = buffers.n_finish_ids = 0
 
-    def __call__(self):
-        """The finished sequences with their raw scores, the final beam and
-        the counts, as ``decode._python_search`` returns them."""
-        self.finished = {}
-        self._run()
+    def beam(self):
+        """The final beam of the context's last decode, as
+        ``decode._python_search`` returns it."""
         buffers, views = self.buffers, self.views
         n, m, width = buffers.n_phrases, buffers.size[buffers.cur], buffers.width
         first = buffers.cur * width
         lps, banks = views["lp"][first : first + m].tolist(), views["bank"][first : first + m].tolist()
         progress = views["progress"][first * n : (first + m) * n].tolist()
-        tokens = views["tokens"].reshape(2 * width, buffers.capacity)[first : first + m, : buffers.step].tolist()
-        beam = [(tuple(t), lps[b], tuple(progress[b * n : (b + 1) * n]), banks[b]) for b, t in enumerate(tokens)]
-        stop = STOP_EMPTY_BEAM if buffers.empty_beam else STOP_MAX_LEN
-        return self.finished, beam, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
+        tokens = views["tokens"].reshape(-1, buffers.capacity)[first : first + m, : buffers.step].tolist()
+        return [(tuple(t), lps[b], tuple(progress[b * n : (b + 1) * n]), banks[b]) for b, t in enumerate(tokens)]
 
 
 # Decodes the compiled beam search must reproduce, byte for byte, before it
@@ -607,6 +660,9 @@ CHECK_SEARCHES = (
 CHECK_CAPACITY = 4
 # Rows of the first chunk of a cold check model: fewer than some steps want.
 CHECK_CHUNK_ROWS = 3
+# The first index table of a cold check model's source has 2^3 slots: most
+# check decodes read more than the 6 rows it takes, and replace it.
+CHECK_INDEX_BITS = 3
 _A = (0.0, 0.25, 0.25, 0.25, 0.125, 0.125)
 _B = (0.0, 0.125, 0.125, 0.25, 0.25, 0.25)
 # The "round" check model's rows for source (2,), by the context (BOS, 0,
@@ -682,45 +738,74 @@ def _memo(model) -> dict:
             for source, rows in model._row_cache.items()}
 
 
-def _decodes_match(decodes, python, compiled, outcome, rows: CheckRows | None) -> bool:
+def _decodes_match(decodes, python, kernel, kind, compiled, outcome, rows: CheckRows | None) -> bool:
     """Whether each decode ``(model name, *args)`` of ``decodes`` gives the
     ``outcome`` of ``python(model, *args)`` through the compiled search
-    ``compiled(model, capacity, log, *args)`` three times: on a cold model
-    with room for ``CHECK_CAPACITY`` tokens, so that the search returns to
-    grow it and for rows, and resumes; on the same model warm, drawing no
-    row, in one call that reads every row it indexed (an index that lost a
-    row would have it drawn again); and on the model the Python twin
-    filled, whose rows the first search of a source indexes. Each time the
-    index must hold as many rows as it counts and be at most 3/4 full, and
-    the cold model's memo must then hold the filled one's contexts with the
-    same bytes. Its first rows go to a chunk whose first row counts as used,
-    with room for ``CHECK_CHUNK_ROWS`` more, cut from a NaN-filled block
-    whose later rows must stay NaN: a step that wants more rows returns for
-    a new chunk, and a search that draws past the room is seen. The searches draw, log and
+    ``compiled(context, kernel, model, log, *args)``, on a context of class
+    ``kind``, three times: on a cold model, whose rows outgrow the first
+    index table of its source, of 2^``CHECK_INDEX_BITS`` slots, so that the
+    search returns for rows and resumes; on the same model warm and a new
+    context with room for ``CHECK_CAPACITY`` tokens, so that the search
+    returns to grow it and resumes, drawing no row (an index that lost a row
+    would have it drawn again); and on the model the Python twin filled,
+    whose rows the first search of a source indexes. The first and the last
+    share one context with every decode: the previous decode left it after
+    its first kernel call, which reported a failed allocation, on a model of
+    its own, and every section is filled with NaN or -1 before each decode,
+    so a state that a decode fails to reset is seen. Each time the index
+    must hold as many rows as it counts and be at most 3/4 full, and the
+    cold model's memo must then hold the filled one's contexts with the same
+    bytes. Its first rows go to a chunk whose first row counts as used, with
+    room for ``CHECK_CHUNK_ROWS`` more, cut from a NaN-filled block whose
+    later rows must stay NaN: a step that wants more rows returns for a new
+    chunk, and a search that draws past the room is seen. Every kernel call
+    is refused first when the context holds a NULL pointer, which would
+    crash the process rather than fail the check. The searches draw, log and
     index their n-gram rows themselves when ``rows`` holds the row block
     that passed and the log loop; the Python draws go to ``rows``, by the
     Python twin unless given."""
     rows = CheckRows() if rows is None else rows
-    for name, *args in decodes:
-        filled, cold = _check_model(name, rows), _check_model(name, rows)
+
+    def kernel_of(context, abandon: bool = False):
+        def call(address):
+            if not _pointers_set(context.buffers):
+                raise ValueError(f"{context.NAME} was given a NULL section")
+            status = kernel(address)
+            return -1 if abandon else status
+
+        return call
+
+    shared, left = kind(), None
+    for name, source, *args in decodes:
+        # The last decode's abandoned model lives on while the shared context
+        # may still point into its chunk.
+        abandoned, (filled, cold, left) = left, [_check_model(name, rows) for _ in range(3)]
         guarded = np.empty((1 + CHECK_CHUNK_ROWS + CHUNK_ROWS, cold.vocab.size))
         guarded[:] = math.nan
         guard = guarded[1 + CHECK_CHUNK_ROWS :].tobytes()
         cold._new_chunk(guarded[: 1 + CHECK_CHUNK_ROWS])
         cold._used = 1
-        want = outcome(python(filled, *args))
-        for model, capacity in ((cold, CHECK_CAPACITY), (cold, INITIAL_CAPACITY), (filled, INITIAL_CAPACITY)):
-            take = compiled(model, capacity, rows.log, *args)
-            if not _pointers_set(take.buffers):
+        index = cold._indexes[source] = _Index([])
+        index.table, index.bits = array("q", [0]) * ((2 + cold.order) << CHECK_INDEX_BITS), CHECK_INDEX_BITS
+        want = outcome(python(filled, source, *args))
+        for model, context, warm in ((cold, shared, False), (cold, kind(CHECK_CAPACITY), True),
+                                     (filled, shared, False)):
+            for view in context.views.values():
+                view.fill(-1 if view.dtype.kind == "i" else math.nan)
+            indexed = model._indexes[source].count if warm else None
+            if outcome(compiled(context, kernel_of(context), model, rows.log, source, *args)) != want:
                 return False
-            index = take.index
-            indexed = index.count
-            if outcome(take()) != want or (model is cold and capacity != CHECK_CAPACITY and index.count > indexed):
+            index = model._indexes[source]
+            if warm and index.count > indexed:
                 return False
             if not index.count == sum(map(bool, index.table[:: 2 + model.order])) <= 3 << index.bits >> 2:
                 return False
         if _memo(cold) != _memo(filled) or guarded[1 + CHECK_CHUNK_ROWS :].tobytes() != guard:
             return False
+        try:
+            compiled(shared, kernel_of(shared, abandon=True), left, rows.log, source, *args)
+        except MemoryError:
+            pass
     return True
 
 
@@ -728,76 +813,79 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
     """Whether ``beam_search`` decodes every decode of ``CHECK_SEARCHES``
     exactly as ``decode._python_search`` does (``_decodes_match``)."""
 
-    def compiled(model, capacity, log, source, constraints, width, max_len):
-        return CompiledSearch(beam_search, model, source, constraints, width, max_len, capacity, log)
+    def compiled(context, kernel, model, log, source, constraints, width, max_len):
+        finished, counts = context(kernel, model, source, constraints, width, max_len, log)
+        return finished, context.beam(), counts
 
-    return _decodes_match(CHECK_SEARCHES, _python_search, compiled, search_outcome, rows)
+    return _decodes_match(CHECK_SEARCHES, _python_search, beam_search, CompiledSearch, compiled, search_outcome,
+                          rows)
 
 
 class CompiledPsgd(_Resumable):
-    """``decode._python_psgd`` of one decode of ``model`` from ``source``
-    through ``tsd_psgd_search``, called with no argument; ``log`` as in
-    ``CompiledSearch``. It scores as ``decode._SpanScorer`` does, but reads
-    every row in the kernel, the scorer's fixed terms' too; Python gives it
-    only the ids and the scoring's shape (``decode._span_shape``).
+    """A model's context for ``decode._python_psgd`` through
+    ``tsd_psgd_search``, called as ``CompiledSearch`` is. It scores as
+    ``decode._SpanScorer`` does, but reads every row in the kernel, the
+    scorer's fixed terms' too; Python gives it only the ids and the
+    scoring's shape (``decode._span_shape``).
 
     As in ``CompiledSearch``; the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
-    with the rounds the decode runs, never with ``max_span``. The kernel
-    breaks a tie on score by the spans, as ``scoring.rank`` does.
+    with the rounds a decode runs, never with ``max_span``. The kernel
+    breaks a tie on score by the spans, as ``scoring.rank`` does. The last
+    round's children are read only on request (``children``).
     """
 
-    NAME, KEPT = "tsd_psgd_search", ("carry", "tokens", "best_span")
+    NAME, STRUCT, KEPT = "tsd_psgd_search", _PsgdBuffers, ("carry", "tokens", "best_span")
 
-    def __init__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
-                 params, max_span: int, capacity: int = INITIAL_CAPACITY, log: LogLoop | None = None) -> None:
-        vocab, width = model.vocab, params.beam_width
-        content = vocab.content_ids
+    def __call__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
+                 params, max_span: int, log: LogLoop | None = None):
+        """The best whole-sequence score, its span and the counts, as
+        ``decode._python_psgd`` returns them."""
+        width = params.beam_width
         pieces, changed, fixed_eos = _span_shape(model.order, suffix)
         pieces = [*map(len, pieces)]
         # The fixed terms: the EOS term when fixed, the prefix terms and the
         # tail terms, each read from a row the first call may miss.
         n_fixed = fixed_eos + len(prefix) + len(suffix) - changed
-        # The root: one item, the empty span, log-prob 0.0.
-        buffers = self.buffers = _PsgdBuffers(
-            vocab=vocab.size, bos=vocab.bos_id, n_context=model.order, width=width, eos=vocab.eos_id, lo=content[0],
-            n_content=len(content), n_prefix=len(prefix), n_suffix=len(suffix), n_pieces=len(pieces),
-            n_changed=changed, fixed_eos=fixed_eos, mean=params.scoring == SCORING_MEAN_LOGPROB,
-            eos_in_len=params.include_eos_in_len, patience=params.patience, max_span=max_span,
-            capacity=min(max_span, capacity), size=(1, 0), best=-math.inf,
-        )
-        missed = max(width * len(pieces), n_fixed)
-        self.limit, self.drawn_rows = max_span, max(CHUNK_ROWS, missed)
-        reals, ints = self._sized()
-        views = self.views = _sections(
-            buffers,
-            (("terms", n_fixed), ("lp", 2 * width), *reals),
-            (("prefix", len(prefix)), ("suffix", len(suffix)), ("pieces", len(pieces)), ("parent", width),
-             ("token", width), ("wanted", missed * (1 + model.order)),
-             ("drawn", self.drawn_rows * (1 + model.order)), *ints),
-        )
-        views["prefix"][:] = prefix
-        views["suffix"][:] = suffix
-        views["pieces"][:] = pieces
-        self._start(kernel, model, source, log)
-
-    def _sized(self) -> tuple:
-        """The sections sized by ``capacity``: the carries, the spans and
-        the best span."""
-        buffers = self.buffers
-        side = 2 * buffers.width * buffers.capacity
-        return (("carry", side),), (("tokens", side), ("best_span", buffers.capacity))
-
-    def __call__(self):
-        """The best whole-sequence score, its span, the counts and the last
-        round's children, as ``decode._python_psgd`` returns them."""
-        self._run()
+        self._start(model, source, log, (model.order, width, len(prefix), len(suffix), len(pieces), n_fixed))
         buffers, views = self.buffers, self.views
-        k = buffers.size[1 - buffers.cur]
-        last = list(zip(views["parent"][:k].tolist(), views["token"][:k].tolist()))
-        span = tuple(views["best_span"][: buffers.best_step].tolist())
+        buffers.width, buffers.n_prefix, buffers.n_suffix = width, len(prefix), len(suffix)
+        buffers.n_pieces, buffers.n_changed, buffers.fixed_eos = len(pieces), changed, fixed_eos
+        buffers.mean, buffers.eos_in_len = params.scoring == SCORING_MEAN_LOGPROB, params.include_eos_in_len
+        buffers.patience, buffers.max_span, self.limit = params.patience, max_span, max_span
+        views["prefix"][: len(prefix)] = prefix
+        views["suffix"][: len(suffix)] = suffix
+        views["pieces"][: len(pieces)] = pieces
+        # The root: one item on side 0, the empty span, log-prob 0.0; and no
+        # count or best score yet.
+        buffers.size[0] = 1
+        buffers.cur = buffers.step = 0
+        buffers.forward_passes = buffers.positions = buffers.emitted = 0
+        buffers.at_cap = buffers.best_step = 0
+        buffers.best = -math.inf
+        views["lp"][0] = 0.0
+        self._run(kernel)
+        span = tuple(self.views["best_span"][: buffers.best_step].tolist())
         stop = STOP_MAX_LEN if buffers.at_cap else STOP_PATIENCE
-        return buffers.best, span, (buffers.forward_passes, buffers.positions, buffers.emitted, stop), last
+        return buffers.best, span, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
+
+    @staticmethod
+    def _layout(shape, capacity: int) -> tuple:
+        """The float64 and the int64 sections for ``shape``, (order, width,
+        prefix tokens, suffix tokens, pieces, fixed terms), and
+        ``capacity``."""
+        order, width, n_prefix, n_suffix, n_pieces, n_fixed = shape
+        missed = max(width * n_pieces, n_fixed)
+        return ((("terms", n_fixed), ("lp", 2 * width), ("carry", 2 * width * capacity)),
+                (("prefix", n_prefix), ("suffix", n_suffix), ("pieces", n_pieces), ("parent", width),
+                 ("token", width), ("wanted", missed * (1 + order)), ("drawn", max(CHUNK_ROWS, missed) * (1 + order)),
+                 ("tokens", 2 * width * capacity), ("best_span", capacity)))
+
+    def children(self) -> list[tuple[int, int]]:
+        """The last round's children of the context's last decode, as
+        (parent index, token) pairs."""
+        k = self.buffers.size[1 - self.buffers.cur]
+        return list(zip(self.views["parent"][:k].tolist(), self.views["token"][:k].tolist()))
 
 
 # Decodes the compiled PSGD search must reproduce, byte for byte, before it
@@ -806,8 +894,9 @@ class CompiledPsgd(_Resumable):
 # or not, tied rows, patience stops (at 0, and after a round that ties the
 # best), cap stops and spans past ``CHECK_CAPACITY``, and tell the search
 # from copies with one rule of the round, the loop or the fixed terms'
-# reading changed. The last two read prefix terms, a fixed EOS term and,
-# in the first, a tail term from n-gram rows that the cold model lacks.
+# reading changed. The two after the third "uniform" read prefix terms, a
+# fixed EOS term and, in the first, a tail term from n-gram rows that the
+# cold model lacks; the last grows the spans of three items twice.
 CHECK_DECODES = (
     ("uniform", (2,), (2,), (3, 2, 3), PsgdParams(2, 2, 2, "mean_logprob", False)),
     ("ngram", (2, 5), (), (2,), PsgdParams(3, 3, 2, "mean_logprob", True)),
@@ -818,6 +907,7 @@ CHECK_DECODES = (
     ("uniform", (2,), (3,), (), PsgdParams(1, 2, 5, "mean_logprob", False)),
     ("ngram", (3, 4), (4, 2), (4, 5, 2), PsgdParams(2, 1, 3, "mean_logprob", True)),
     ("ngram", (3, 4), (5, 3, 2), (2, 3), PsgdParams(3, 3, 6, "prob_over_length", True)),
+    ("ngram", (3, 4), (4,), (2,), PsgdParams(3, 4, 8, "mean_logprob", True)),
 )
 
 
@@ -828,8 +918,9 @@ def psgd_self_check(psgd_search, rows: CheckRows | None = None) -> bool:
     def python(model, source, p, s, params):
         return _python_psgd(model, source, p, s, _SpanScorer(model, source, p, s), params, params.max_span_len)
 
-    def compiled(model, capacity, log, source, p, s, params):
-        return CompiledPsgd(psgd_search, model, source, p, s, params, params.max_span_len, capacity, log)
+    def compiled(context, kernel, model, log, source, p, s, params):
+        return (*context(kernel, model, source, p, s, params, params.max_span_len, log), context.children())
 
     # (score, span, counts, last round's children), the score as its hex.
-    return _decodes_match(CHECK_DECODES, python, compiled, lambda result: (result[0].hex(), *result[1:]), rows)
+    return _decodes_match(CHECK_DECODES, python, psgd_search, CompiledPsgd, compiled,
+                          lambda result: (result[0].hex(), *result[1:]), rows)

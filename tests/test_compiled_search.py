@@ -7,7 +7,11 @@ which the kernel draws, logs and indexes itself; without the log loop, a
 cold one returns to Python once per step that misses rows, which ``_draw``
 draws."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -75,6 +79,7 @@ def outcome(path, factory, source, constraints, width, max_len, warm):
     with run_by("beam_search", path):
         model = warmed(factory, source, warm)
         finished, beam, stats = decode._beam_core(model, source, DbaParams(width, max_len, constraints))
+        beam = beam()
         try:
             suggestion = dba_suggest(warmed(factory, source, warm), task, beam_width=width, max_len=max_len)
         except decode.ConstraintsUnsatisfiable:
@@ -149,8 +154,11 @@ def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
         calls.append(address)
         return kernel(address)
 
+    def decoded(model):
+        finished, beam, _ = decode._beam_core(model, (3, 7, 5, 9), DbaParams(4, 10, ((4,), (6, 2))))
+        return finished, beam()
+
     drawn = drawn_rows(monkeypatch)
-    params = DbaParams(4, 10, ((4,), (6, 2)))
     decodes = {}
     for log in (rng._log, None):
         monkeypatch.setattr(rng, "_log", log)
@@ -158,12 +166,12 @@ def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
         with run_by("beam_search", "kernel"):
             rng._compiled = rng._compiled._replace(beam_search=counted)
             calls.clear()
-            cold = decode._beam_core(model, (3, 7, 5, 9), params)
+            cold = decoded(model)
             cold_calls = len(calls)
             calls.clear()
-            warm = decode._beam_core(model, (3, 7, 5, 9), params)
-        assert len(calls) == 1 and cold[:2] == warm[:2]
-        decodes[log is None] = cold[:2], cold_calls, {kernel for _, _, kernel in drawn}
+            warm = decoded(model)
+        assert len(calls) == 1 and cold == warm
+        decodes[log is None] = cold, cold_calls, {kernel for _, _, kernel in drawn}
         drawn.clear()
     if "kernel" in kernel_paths("block") and rng._log is not None:
         assert decodes[False][1:] == (1, {True})
@@ -213,6 +221,7 @@ def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatc
             if kind == "sibling":
                 model = make_perturbed_sibling(model, 5, 0.5)
             finished, beam, stats = decode._beam_core(model, (3, 7, 5), DbaParams(3, 8, ((4,), (6, 2))))
+            beam = beam()
             plain = beam_search(model, (2, 9), beam_width=3, max_len=6)
         contexts = [(source, context) for source, context, _ in drawn]
         assert len(set(contexts)) == len(contexts)
@@ -236,7 +245,7 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
 
     def searched(model):
         finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(3, 7, ((4,),)))
-        return rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0)
+        return rowkernel.search_outcome((finished, beam(), ())), replace(stats, wall_time_us=0)
 
     with run_by("beam_search", "python"):
         filled = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
@@ -253,3 +262,53 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
         assert searched(model) == want
         assert searched(model) == want
         assert indexed_rows(model).items() >= reached.items()
+
+
+# Decodes a cold model twice, by the compiled search, each of whose calls
+# is told that the index has room for any number of rows, and by the Python
+# search, and prints whether they agree. The source's first table has 8
+# slots, which the kernel fills and then probes.
+FULL_TABLE = """
+from array import array
+from dataclasses import replace
+import numpy as np
+from tsdecode import decode, lm, rng, rowkernel
+from tsdecode.core import Vocab
+from tsdecode.decode import DbaParams
+from tsdecode.lm import NgramGenModel
+
+search = rng.compiled().beam_search
+
+
+def unchecked_room(address):
+    rowkernel._RowBuffers.from_address(address).index_room = 1 << 40
+    return search(address)
+
+
+def decoded(by):
+    model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
+    model._new_chunk(np.empty((512, model.vocab.size)))
+    index = model._indexes[(3, 7)] = lm._Index([])
+    index.table, index.bits = array("q", [0]) * (4 << 3), 3
+    rng._compiled = rng._compiled._replace(beam_search=by)
+    finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(4, 8))
+    return finished, beam(), replace(stats, wall_time_us=0)
+
+
+print(decoded(unchecked_room) == decoded(None))
+"""
+
+
+@needs_search_kernel
+def test_a_full_index_table_ends_the_probe_instead_of_hanging():
+    # A probe of a table with no free slot gives up after every slot: the
+    # step misses and draws its rows again until the chunk is full, then
+    # Python sizes a larger table and the decode goes on. Run apart, so that
+    # a probe that never ends fails the test instead of hanging the suite.
+    if "kernel" not in kernel_paths("block") or rng._log is None:
+        pytest.skip("the compiled row block or the log loop is not used here")
+    src = str(Path(rng.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", FULL_TABLE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True"]

@@ -117,9 +117,9 @@ class TestStopping:
                 calls.append(args)
             return scores, top, children, items
 
-        def recorded(self):
-            result = search(self)
-            lasts.append(result[3])
+        def recorded(self, *args):
+            result = search(self, *args)
+            lasts.append(self.children())
             return result
 
         monkeypatch.setattr(decode, "_psgd_round", counted)

@@ -92,20 +92,37 @@ CHECKS = {
 
 def test_every_pointer_field_is_set():
     # A misspelt section name would set a Python attribute instead of its
-    # field, and the kernel would read through NULL. No kernel is called.
-    rows = rowkernel.CheckRows()
-    takes = [
-        rowkernel.CompiledSearch(None, rowkernel._check_model(name, rows), source, constraints, width, max_len)
-        for name, source, constraints, width, max_len in rowkernel.CHECK_SEARCHES
-    ]
-    n_searches = len(takes)
+    # field, and the kernel would read through NULL. No kernel is called:
+    # each decode's stand-in records the pointers and returns at once.
+    rows, seen, fixed_eos = rowkernel.CheckRows(), [], set()
+
+    def stand_in(context):
+        def call(address):
+            seen.append(rowkernel._pointers_set(context.buffers) and not vars(context.buffers))
+            return 0
+        return call
+
+    for name, source, constraints, width, max_len in rowkernel.CHECK_SEARCHES:
+        context = rowkernel.CompiledSearch()
+        context(stand_in(context), rowkernel._check_model(name, rows), source, constraints, width, max_len)
     for name, source, p, s, params in rowkernel.CHECK_DECODES:
-        model = rowkernel._check_model(name, rows)
-        takes.append(rowkernel.CompiledPsgd(None, model, source, p, s, params, params.max_span_len))
-    assert {take.buffers.fixed_eos for take in takes[n_searches:]} == {False, True}
-    for take in takes:
-        assert rowkernel._pointers_set(take.buffers)
-        assert not vars(take.buffers)
+        context = rowkernel.CompiledPsgd()
+        context(stand_in(context), rowkernel._check_model(name, rows), source, p, s, params, params.max_span_len)
+        fixed_eos.add(context.buffers.fixed_eos)
+    assert fixed_eos == {False, True}
+    assert seen == [True] * (len(rowkernel.CHECK_SEARCHES) + len(rowkernel.CHECK_DECODES))
+
+
+@pytest.mark.parametrize("ids", [[-1, 5, 5], [3, 2, 2]], ids=["a negative length", "past the ids"])
+def test_a_record_of_a_negative_length_or_past_its_ids_raises(ids):
+    # A faulty kernel could write either; reading it would loop without end
+    # or read ids the kernel did not write. The load check that reads it
+    # then fails instead, and the search falls back.
+    context = rowkernel.CompiledSearch()
+    context.views = {"wanted": np.array([2, 4, 5, *ids])}
+    assert context._records("wanted", 3) == [(4, 5)]
+    with pytest.raises(ValueError, match="record"):
+        context._records("wanted", 3 + len(ids))
 
 
 # Loads the kernel from the cache directory argv[1] with every section named
@@ -538,6 +555,7 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row(key, 0.2, 20) for key in KEYS] == want
     finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
+    beam = beam()
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
     assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
     assert replace(stats, wall_time_us=0) == want_stats

@@ -264,6 +264,7 @@ def test_beam_core_equals_per_bank_sort_reference(beam_path, case):
     # each bank, the leftovers and the next beam on their own picked.
     model, params = case
     finished, beam, stats = _beam_core(model, (2,), params)
+    beam = beam()
     want_finished, want_beam, want_stats = reference_beam_core(model, (2,), params)
     assert finished == want_finished
     assert [entry[:3] for entry in beam] == want_beam
