@@ -26,7 +26,8 @@
    ``decode._beam_core``, each step by ``beam_step``, which is
    ``decode._beam_step``: the same finishes and the same next beam, in the
    same order, with the same scores and counts. A candidate's score is one
-   IEEE add, ``lp + row[tok]``, as in Python.
+   IEEE add, ``lp + row[tok]``, as in Python. Of the finishes it keeps only
+   the first-ranked (``finish``), as the PSGD search keeps its best span.
 
    ``tsd_psgd_search`` is ``decode._python_psgd`` over a
    ``decode._SpanScorer``: the whole PSGD loop (the spans, the counts, the
@@ -50,7 +51,7 @@
    then its log with numpy's own float64 log loop, which ``np.log`` runs
    (``log_rows``), then its entry in the index, and the step goes on. So a
    search returns to Python only when the chunk, the index or its room for
-   finishes or tokens is full, or when it cannot draw the rows itself (a
+   tokens is full, or when it cannot draw the rows itself (a
    table or uniform model, or no checked row block or log loop): then it
    hands back each missing context once, Python draws the rows through
    ``lm.SequenceModel._draw`` and queues them, and the next call enters
@@ -415,7 +416,8 @@ static int draw_wanted(struct tsd_rows *r)
    beam lives on side ``cur`` of ``lp``, ``progress``, ``bank`` and
    ``tokens``, side s at s times the side's length; a step writes the next
    beam to the other side and flips ``cur``. All the hypotheses of a beam
-   hold ``r.step`` tokens, and no two the same tokens. */
+   hold ``r.step`` tokens, and no two the same tokens. The first-ranked
+   finish so far is kept as ``struct tsd_psgd`` keeps its best span. */
 struct tsd_search {
     struct tsd_rows r;
     int64_t width;          /* the beam width: hypotheses per side, at most */
@@ -425,25 +427,22 @@ struct tsd_search {
     int64_t complete;       /* the bank of a constraint-complete hypothesis */
     int64_t max_len;        /* the length budget */
     int64_t capacity;       /* tokens a hypothesis has room for */
-    int64_t finish_room;    /* finishes ``finish_score`` holds; ``finished``
-                               holds finish_room * (capacity + 1) ids */
     int64_t cur;
     int64_t forward_passes; /* the counts of ``decode._beam_core`` */
     int64_t positions;
     int64_t emitted;
     int64_t hard;           /* EOS candidates ranked in a window or slot */
     int64_t empty_beam;     /* the stop: 1 when ``hard`` reached ``width`` */
-    int64_t n_finished;     /* finishes marked since the caller read them */
-    int64_t n_finish_ids;   /* ... and the ids they take in ``finished`` */
+    int64_t best_step;      /* the step of the best finish, and so its length */
     int64_t size[2];        /* hypotheses on each side */
+    double best;            /* the best finish's raw score, -inf for none */
     const int64_t *phrases; /* the phrases' tokens, one phrase after another */
     const int64_t *starts;  /* phrase j is phrases[starts[j] .. starts[j + 1]) */
-    int64_t *finished;      /* per finish, in order: its length, its tokens */
-    double *finish_score;   /* ... and its EOS score */
     double *lp;             /* raw score per hypothesis */
     int64_t *progress;      /* per hypothesis, its position in each phrase */
     int64_t *bank;          /* per hypothesis, its summed progress */
     int64_t *tokens;        /* per hypothesis, capacity ids */
+    int64_t *best_tokens;   /* the best finish's tokens, capacity ids */
 };
 
 int64_t tsd_beam_search(struct tsd_search *s);
@@ -462,12 +461,11 @@ struct side {
     int64_t stride, n;
 };
 
-/* Whether the tokens of hypothesis ``a`` come before those of ``b`` in
+/* Whether the ``n`` ids ``x`` come before the ``n`` ids ``y`` in
    lexicographic order. */
-static int lex_before(const struct side *beam, int64_t a, int64_t b)
+static int lex_less(const int64_t *x, const int64_t *y, int64_t n)
 {
-    const int64_t *x = beam->tokens + a * beam->stride, *y = beam->tokens + b * beam->stride;
-    for (int64_t i = 0; i < beam->n; i++)
+    for (int64_t i = 0; i < n; i++)
         if (x[i] != y[i])
             return x[i] < y[i];
     return 0;
@@ -484,7 +482,8 @@ static int precedes(const struct side *beam, const struct cand *a, const struct 
     if ((a->token < 0) != (b->token < 0))
         return a->token < 0;
     if (a->parent != b->parent)
-        return lex_before(beam, a->parent, b->parent);
+        return lex_less(beam->tokens + a->parent * beam->stride, beam->tokens + b->parent * beam->stride,
+                        beam->n);
     return a->token < b->token;
 }
 
@@ -522,26 +521,27 @@ static int64_t top_children(const double *lp, const double *const *rows, int64_t
 }
 
 /* The scratch of one call: each hypothesis's row, candidates, their rank
-   order, slot flags and moved progress, bank counts, the hypotheses
-   finished in this step and a context. */
+   order, slot flags and moved progress, bank counts and a context. */
 struct scratch {
     const double **rows;
     struct cand *cands;
-    int64_t *ranked, *in_slot, *moved, *counts, *marked, *ctx;
+    int64_t *ranked, *in_slot, *moved, *counts, *ctx;
 };
 
-/* Marks hypothesis ``b`` of the step finished with ``score``, once per
-   step: a second finish in a step has the same tokens and score. */
-static void finish(struct tsd_search *s, struct scratch *w, int64_t b, double score)
+/* Marks hypothesis ``b`` of the step finished with the raw ``score``: it
+   becomes the best if it ranks first under ``decode._pick_best``'s rule.
+   The best is never the longer, and a finish marked twice in a step has
+   the same tokens and score, so the second never ranks first. */
+static void finish(struct tsd_search *s, int64_t b, double score)
 {
-    if (w->marked[b])
-        return;
-    w->marked[b] = 1;
-    const int64_t step = s->r.step, *tokens = s->tokens + (s->cur * s->width + b) * s->capacity;
-    s->finished[s->n_finish_ids++] = step;
-    memcpy(s->finished + s->n_finish_ids, tokens, step * sizeof *tokens);
-    s->n_finish_ids += step;
-    s->finish_score[s->n_finished++] = score;
+    const int64_t n = s->r.step, *tokens = s->tokens + (s->cur * s->width + b) * s->capacity;
+    const double norm = score / (double)(n > 1 ? n : 1);
+    const double best = s->best / (double)(s->best_step > 1 ? s->best_step : 1);
+    if (norm > best || (norm == best && n == s->best_step && lex_less(tokens, s->best_tokens, n))) {
+        s->best = score;
+        s->best_step = n;
+        memcpy(s->best_tokens, tokens, n * sizeof *tokens);
+    }
 }
 
 /* One step of ``decode._beam_step`` from the beam on side ``cur`` and its
@@ -557,7 +557,6 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     struct cand *cands = w->cands;
     int64_t *ranked = w->ranked, *in_slot = w->in_slot, *moved = w->moved;
     int64_t n = 0, next = 0;
-    memset(w->marked, 0, width * sizeof *w->marked);
 
     /* EOS candidates of the complete hypotheses; one finishes when EOS is
        its argmax and, under constraints, at the length budget. */
@@ -567,7 +566,7 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
         struct cand eos = {lp[b] + rows[b][s->eos], b, -1, bank[b], progress + b * n_phrases};
         cands[n++] = eos;
         if (argmax(rows[b], vocab) == s->eos || (n_phrases && last))
-            finish(s, w, b, eos.score);
+            finish(s, b, eos.score);
     }
     if (last)
         return;
@@ -637,7 +636,7 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
         const struct cand *c = &cands[ranked[i]];
         if (c->token < 0) {
             if (i < width || seen[c->bank] < slots[c->bank]) {
-                finish(s, w, c->parent, c->score);
+                finish(s, c->parent, c->score);
                 s->hard++;
             }
         } else {
@@ -674,13 +673,12 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
    beam on side ``cur``, at length ``r.step``, until it stops at the length
    budget or on an empty beam (returns 0), or until a step needs what the
    caller must give first (returns 1): room for the next beam's tokens
-   (``r.step`` is ``capacity``), room for the step's finishes, or the rows
-   of the contexts in ``wanted`` that it could not draw itself
-   (``draw_wanted``), or room for them. The step is then not begun; the
-   caller reads and clears the finishes, grows the buffers and the room for
+   (``r.step`` is ``capacity``), or the rows of the contexts in ``wanted``
+   that it could not draw itself (``draw_wanted``), or room for them. The
+   step is then not begun; the caller grows the buffers and the room for
    rows or draws the wanted ones, and calls again to resume. Either way it
-   memoises the rows recorded in ``drawn``. Returns -1 when memory runs
-   out. */
+   memoises the rows recorded in ``drawn``. The best finish, the counts and
+   the stop are left in ``s``. Returns -1 when memory runs out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
     const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
@@ -689,12 +687,11 @@ int64_t tsd_beam_search(struct tsd_search *s)
         malloc(width * sizeof *w.rows),
         malloc(max_cands * sizeof *w.cands), malloc(max_cands * sizeof *w.ranked),
         malloc(max_cands * sizeof *w.in_slot), malloc((max_cands * s->n_phrases + 1) * sizeof *w.moved),
-        malloc(3 * (s->complete + 1) * sizeof *w.counts), malloc(width * sizeof *w.marked),
-        malloc((cap + 1) * sizeof *w.ctx),
+        malloc(3 * (s->complete + 1) * sizeof *w.counts), malloc((cap + 1) * sizeof *w.ctx),
     };
     int64_t status = 0;
     index_rows(&s->r);
-    if (!w.rows || !w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.marked || !w.ctx) {
+    if (!w.rows || !w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.ctx) {
         status = -1;
         goto done;
     }
@@ -702,8 +699,7 @@ int64_t tsd_beam_search(struct tsd_search *s)
     for (;;) {
         const int64_t in = s->cur, n_beam = s->size[in], step = s->r.step;
         s->r.n_wanted = 0;
-        if ((step == cap && step < max_len) || s->n_finished + n_beam > s->finish_room
-            || s->n_finish_ids + n_beam * (step + 1) > s->finish_room * (cap + 1)) {
+        if (step == cap && step < max_len) {
             status = 1;
             break;
         }
@@ -746,7 +742,6 @@ done:
     free(w.in_slot);
     free(w.moved);
     free(w.counts);
-    free(w.marked);
     free(w.ctx);
     return status;
 }
@@ -801,7 +796,7 @@ struct tsd_psgd {
     double *lp;             /* per item, its span's summed log-probability */
     double *carry;          /* per item, capacity terms */
     int64_t *tokens;        /* per item, capacity ids */
-    int64_t *best_span;     /* the best score's span, capacity ids */
+    int64_t *best_tokens;   /* the best score's span, capacity ids */
 };
 
 int64_t tsd_psgd_search(struct tsd_psgd *s);
@@ -845,7 +840,8 @@ static int64_t psgd_round(struct tsd_psgd *s, const double *const *rows, int64_t
         for (int64_t j = 0; j < n_tail; j++)
             total += s->terms[n_head + j];
         score[b] = s->mean ? total / norm : total - norm;
-        if (b == 0 || score[b] > score[best] || (score[b] == score[best] && lex_before(&beam, b, best)))
+        if (b == 0 || score[b] > score[best]
+            || (score[b] == score[best] && lex_less(beam.tokens + b * cap, beam.tokens + best * cap, n)))
             best = b;
     }
     *top = best;
@@ -962,7 +958,7 @@ int64_t tsd_psgd_search(struct tsd_psgd *s)
         if (score[top] > s->best) {
             s->best = score[top];
             s->best_step = n;
-            memcpy(s->best_span, s->tokens + (in * width + top) * cap, n * sizeof *s->best_span);
+            memcpy(s->best_tokens, s->tokens + (in * width + top) * cap, n * sizeof *s->best_tokens);
         }
         if (s->patience == 0)
             break;

@@ -43,8 +43,8 @@ loads and passes its check (``rng.compiled().beam_search``) and the model
 takes its contexts by ``SequenceModel``'s rule; and ``_python_search``
 otherwise, which is also the reference the compiled search is checked
 against: a loop holding one list of ``(tokens, lp, progress, bank)``
-hypotheses, the finishes, the counts and the stop reasons, which takes each
-step with ``_beam_step``.
+hypotheses, the first-ranked finish, the counts and the stop reasons, which
+takes each step with ``_beam_step``. Like PSGD, each keeps one answer.
 
 Every decoder checks its inputs once per decode and then reads memoised
 log rows, the Python loops through ``SequenceModel.rows_after`` once per
@@ -67,6 +67,7 @@ break a tie on score by comparing the tokens, as ``scoring.rank`` does.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -560,22 +561,21 @@ def _beam_step(beam: Beam, rows, vocab, constraints: tuple[Tokens, ...], beam_wi
 
 
 def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
-                   max_len: int) -> tuple[dict[Tokens, float], Beam, tuple[int, int, int, str]]:
+                   max_len: int) -> tuple[tuple[float, Tokens], Beam, tuple[int, int, int, str]]:
     """``_beam_core``'s search in Python, one ``_beam_step`` per step and
     one ``rows_after`` call per step for one row per hypothesis: the search
     taken when the compiled ``tsd_beam_search`` cannot be, and the
-    reference it is checked against. Returns the finished sequences with
-    their raw scores, the final beam and the counts (forward passes,
+    reference it is checked against. Returns the first-ranked finish under
+    ``_pick_best``'s rule as (raw score, tokens), ``(-inf, ())`` when
+    nothing finished, the final beam and the counts (forward passes,
     positions scored, emitted steps, stop reason). This loop holds the
-    beam, the finishes, the counts and the stop reasons."""
-    fw = 0
-    pos_scored = 0
-    emitted = 0
+    beam, the best finish, the counts and the stop reasons."""
+    fw = pos_scored = emitted = hard_finishes = 0
     stop_reason = STOP_MAX_LEN
-    hard_finishes = 0
-
     beam: Beam = [((), 0.0, tuple(0 for _ in constraints), 0)]
-    finished: dict[Tokens, float] = {}
+    # The first-ranked (normalized score, tokens, raw score) so far; scores
+    # are finite, so -inf stands for none. min keeps the first of equals.
+    best = (-math.inf, (), -math.inf)
 
     for step in range(max_len + 1):
         last = step == max_len
@@ -586,8 +586,7 @@ def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens,
         fw += len(beam)
         pos_scored += len(beam) * (step + 1)  # every hypothesis holds step tokens
         survivors, finishes, hard = _beam_step(beam, rows, model.vocab, constraints, beam_width, last)
-        for tokens, score in finishes:
-            finished.setdefault(tokens, score)
+        best = min([best, *((normalized_score(score, len(t)), t, score) for t, score in finishes)], key=rank)
         if last:
             break
         hard_finishes += hard
@@ -596,7 +595,7 @@ def _python_search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens,
             break
         beam = survivors
         emitted += 1
-    return finished, beam, (fw, pos_scored, emitted, stop_reason)
+    return (best[2], best[1]), beam, (fw, pos_scored, emitted, stop_reason)
 
 
 def _check_beam_params(beam_width: int, max_len: int) -> None:
@@ -607,10 +606,11 @@ def _check_beam_params(beam_width: int, max_len: int) -> None:
 
 
 def _search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], beam_width: int,
-            max_len: int) -> tuple[dict[Tokens, float], Callable[[], Beam], tuple[int, int, int, str]]:
-    """``_beam_core``'s search over inputs already checked: the finished
-    sequences with their raw scores, a function that returns the final beam
-    until the model's next search, and the counts. It is
+            max_len: int) -> tuple[tuple[float, Tokens], Callable[[], Beam], tuple[int, int, int, str]]:
+    """``_beam_core``'s search over inputs already checked: the first-ranked
+    finish as (raw score, tokens), ``(-inf, ())`` when nothing finished, a
+    function that returns the final beam until the model's next search, and
+    the counts. It is
     ``rowkernel.CompiledSearch``'s, one compiled call on the model's context
     that returns to Python only for rows the memo lacks, when the kernel
     loads and passes its check and the model takes its contexts by
@@ -621,22 +621,22 @@ def _search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], 
         from .rowkernel import CompiledSearch
 
         search = CompiledSearch.of(model)
-        finished, counts = search(functions.beam_search, model, src, constraints, beam_width, max_len,
-                                  functions.block and rng._log)
-        return finished, search.beam, counts
-    finished, beam, counts = _python_search(model, src, constraints, beam_width, max_len)
-    return finished, lambda: beam, counts
+        best, tokens, counts = search(functions.beam_search, model, src, constraints, beam_width, max_len,
+                                      functions.block and rng._log)
+        return (best, tokens), search.beam, counts
+    best, beam, counts = _python_search(model, src, constraints, beam_width, max_len)
+    return best, lambda: beam, counts
 
 
 def _beam_core(model: SequenceModel, source,
-               params: DbaParams) -> tuple[dict[Tokens, float], Callable[[], Beam], DecodeStats]:
+               params: DbaParams) -> tuple[tuple[float, Tokens], Callable[[], Beam], DecodeStats]:
     """Full-sentence beam search from BOS under ``params.constraints``.
 
-    Returns the finished sequences with their raw scores (EOS included), a
-    function that returns the final beam as (tokens, raw score, constraint
-    progress, bank) entries until the model's next search, and the decode
-    statistics. See ``dba_decode`` for the search itself, and ``_search``
-    for the two ways it runs.
+    Returns the first-ranked finish as (raw score with EOS, tokens),
+    ``(-inf, ())`` when nothing finished, a function that returns the final
+    beam as (tokens, raw score, constraint progress, bank) entries until the
+    model's next search, and the decode statistics. See ``dba_decode`` for
+    the search itself, and ``_search`` for the two ways it runs.
     """
     _check_beam_params(params.beam_width, params.max_len)
     # Inputs are checked once here: every later row is read unchecked, and
@@ -649,7 +649,7 @@ def _beam_core(model: SequenceModel, source,
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
     t0 = time.perf_counter()
-    finished, beam, (fw, pos_scored, emitted, stop_reason) = _search(
+    best, beam, (fw, pos_scored, emitted, stop_reason) = _search(
         model, src, constraints, params.beam_width, params.max_len
     )
     stats = DecodeStats(
@@ -659,7 +659,7 @@ def _beam_core(model: SequenceModel, source,
         stop_reason=stop_reason,
         wall_time_us=_wall_us(t0),
     )
-    return finished, beam, stats
+    return best, beam, stats
 
 
 def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> BeamSearchResult:
@@ -672,10 +672,10 @@ def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> 
     Returns the best finished sequence by length-normalized score; if
     nothing finished, the best unfinished hypothesis with ``finished=False``.
     """
-    finished, beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
-    entries = finished.items() if finished else [entry[:2] for entry in beam()]
-    score, tokens = _pick_best(entries)
-    return BeamSearchResult(TokenSeq(tokens), score, bool(finished))
+    (raw, tokens), beam, _stats = _beam_core(model, source, DbaParams(beam_width, max_len))
+    finished = raw > -math.inf
+    score, tokens = _pick_best([(tokens, raw)] if finished else [entry[:2] for entry in beam()])
+    return BeamSearchResult(TokenSeq(tokens), score, finished)
 
 
 def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSeq, float, DecodeStats]:
@@ -707,17 +707,15 @@ def dba_decode(model: SequenceModel, source, params: DbaParams) -> tuple[TokenSe
 
     Raises ``ConstraintsUnsatisfiable`` when nothing finished.
     """
-    finished, _beam, stats = _beam_core(model, source, params)
-    score, tokens = _best_finish(finished, params.max_len)
-    return TokenSeq(tokens), score, stats
+    (raw, tokens), _beam, stats = _beam_core(model, source, params)
+    _check_finished(raw, params.max_len)
+    return TokenSeq(tokens), normalized_score(raw, len(tokens)), stats
 
 
-def _best_finish(finished: dict[Tokens, float], max_len: int) -> tuple[float, Tokens]:
-    """The first-ranked (length-normalized score, tokens) of ``finished``;
-    raises ``ConstraintsUnsatisfiable`` when it is empty."""
-    if not finished:
+def _check_finished(raw: float, max_len: int) -> None:
+    """Raise ``ConstraintsUnsatisfiable`` when nothing finished (-inf)."""
+    if raw == -math.inf:
         raise ConstraintsUnsatisfiable(f"no constraint-complete hypothesis finished within max_len={max_len}")
-    return _pick_best(finished.items())
 
 
 def _find(hay: Tokens, needle: Tokens, last: bool = False) -> int | None:
@@ -769,10 +767,11 @@ def dba_suggest(
     full-sentence translation decoding. The reported score is the same
     whole-sequence score PSGD reports for prefix + span + suffix, so results
     from both decoders are directly comparable. When the output is exactly
-    prefix + span + suffix, it is the output's own finish score, normalized:
-    the search added the same memo rows' terms in the order ``filled_score``
-    adds them, ``0.0`` + each token's term + the EOS term, so the bytes are
-    the same. Otherwise it takes one forced pass (``filled_score``).
+    prefix + span + suffix, it is the output's own finish score, which the
+    search keeps with its tokens, normalized: the search added the same
+    memo rows' terms in the order ``filled_score`` adds them, ``0.0`` + each
+    token's term + the EOS term, so the bytes are the same. Otherwise it
+    takes one forced pass (``filled_score``).
     Either way the statistics count that pass as one more logical forced
     pass, and ``wall_time_us`` covers the whole suggestion. The task is
     checked once, by ``validate_task``.
@@ -787,11 +786,12 @@ def dba_suggest(
         max_len = len(p) + len(s) + default_max_span_len(len(src))
     _check_beam_params(beam_width, max_len)
     constraints = tuple(c for c in (p, s) if c)
-    finished, _beam, (fw, pos_scored, emitted, stop_reason) = _search(model, src, constraints, beam_width, max_len)
-    _, output = _best_finish(finished, max_len)
+    (raw, output), _beam, (fw, pos_scored, emitted, stop_reason) = _search(model, src, constraints, beam_width,
+                                                                           max_len)
+    _check_finished(raw, max_len)
     span = extract_span(output, p, s)
     if p + span + s == output:
-        whole = normalized_score(finished[output], len(output), scoring, include_eos_in_len)
+        whole = normalized_score(raw, len(output), scoring, include_eos_in_len)
     else:
         whole = filled_score(model, src, p, span, s, scoring, include_eos_in_len)
     stats = DecodeStats(

@@ -17,8 +17,8 @@ check and numpy's float64 log loop passed its own (``log_loop``), a search
 draws the rows a step misses of an n-gram model itself, with the block's
 code, writes their log with that loop and enters them into the memo's
 index, in that order, and goes on: it returns to Python only when the
-model's chunk, the index or its room for tokens or finishes is full, and
-Python then memoises the rows it drew. Otherwise it returns the contexts
+model's chunk, the index or its room for tokens is full, and Python then
+memoises the rows it drew. Otherwise it returns the contexts
 it misses, Python draws their rows and its next call enters them into the
 index. The block adds a row up in numpy's ``add.reduce`` order, which its
 check compares rather than assumes. This module holds no state, and the
@@ -352,10 +352,10 @@ class _SearchBuffers(_RowBuffers):
     """``struct tsd_search`` of ``_rowkernel.c``."""
 
     _fields_ = _fields(
-        "width eos lo n_content n_phrases complete max_len capacity finish_room cur forward_passes positions emitted"
-        " hard empty_beam n_finished n_finish_ids",
-        "phrases starts finished finish_score lp progress bank tokens",
-        size=ctypes.c_int64 * 2,
+        "width eos lo n_content n_phrases complete max_len capacity cur forward_passes positions emitted hard"
+        " empty_beam best_step",
+        "phrases starts lp progress bank tokens best_tokens",
+        size=ctypes.c_int64 * 2, best=ctypes.c_double,
     )
 
 
@@ -365,16 +365,13 @@ class _PsgdBuffers(_RowBuffers):
     _fields_ = _fields(
         "width eos lo n_content n_prefix n_suffix n_pieces n_changed fixed_eos mean eos_in_len"
         " patience max_span capacity cur forward_passes positions emitted at_cap best_step",
-        "prefix suffix pieces terms parent token lp carry tokens best_span",
+        "prefix suffix pieces terms parent token lp carry tokens best_tokens",
         size=ctypes.c_int64 * 2, best=ctypes.c_double,
     )
 
 
-# Finishes per beam slot that one call of the beam search can hold before
-# it returns for the caller to read them, and the tokens a hypothesis or
-# span has room for at first: a longer decode returns to have the room
-# doubled, and the context keeps it.
-FINISH_ROOM = 4
+# The tokens a hypothesis or span has room for at first: a longer decode
+# returns to have the room doubled, and the context keeps it.
 INITIAL_CAPACITY = 64
 
 
@@ -385,13 +382,16 @@ class _Resumable:
     writing its inputs and resetting the state the kernel reads. The
     sections are cut anew only for a decode whose ``shape`` (the model's
     order, the beam width, ...) needs more room than they hold, for the
-    largest shape seen. A subclass sets ``_layout(shape, capacity)``, the
-    sections by name and length, ``drawn`` among them with room for the records of at
-    least the rows one step can miss, and ``KEPT``, those of rows of
-    ``capacity`` entries. A decode (``_run``) reads its rows through the
-    source's index (``lm._Index``) and returns early when a step needs
-    what Python must give: rows, room for them, or room for its tokens,
-    whose ``capacity`` doubles up to the decode's ``limit`` and stays so.
+    largest shape seen. A subclass sets ``_layout(shape, capacity)``, the sections by name and
+    length, ``drawn`` among them with room for the records of at least the
+    rows one step can miss, and ``KEPT``, those of rows of ``capacity``
+    entries. Both kinds keep one answer, the first-ranked so far, in
+    ``best``, ``best_step`` and ``best_tokens``. A decode (``_run``) resets
+    and reads it as it does the root and the counts, and reads its rows
+    through the source's index (``lm._Index``); it returns early when a
+    step needs what Python must give: rows, room for them, or room for its
+    tokens, whose ``capacity`` doubles up to the decode's ``limit`` and
+    stays so.
 
     A missed row takes one of two routes. Given ``log``, numpy's checked
     log loop (``log_loop``), and a model whose rows the kernel draws
@@ -427,7 +427,10 @@ class _Resumable:
             buffers.vocab, buffers.bos, buffers.eos = vocab.size, vocab.bos_id, vocab.eos_id
             buffers.n_context, buffers.lo, buffers.n_content = model.order, vocab.content_ids[0], len(vocab.content_ids)
         if self.shape is None or any(map(gt, shape, self.shape)):
-            shape = tuple(map(max, shape, self.shape or shape))
+            # Each dimension but the order rounded up to a power of two, so
+            # that decodes that each need a little more room cut seldom.
+            shape = tuple(map(max, (shape[0], *(1 << max(n - 1, 0).bit_length() for n in shape[1:])),
+                              self.shape or shape))
             self.views = _sections(buffers, *self._layout(shape, buffers.capacity))
             self.shape, self.drawn_rows = shape, len(self.views["drawn"]) // (1 + shape[0])
         self.model, self.source, self.index = model, source, model._indexes.get(source)
@@ -520,31 +523,35 @@ class _Resumable:
             at += 1 + length
         return records
 
-    def _read(self) -> None:
-        """Read what the kernel's last call left, if anything."""
-
-    def _run(self, kernel) -> None:
-        """Call ``kernel`` until it is done: after each return, memoise the
-        rows it drew, and after each early one read what it left, grow the
-        room it lacks, and give it room for the rows it wants or draw them
-        with ``_draw``, for the next call to draw or to enter them into the
-        index. The context then lets go of the model."""
+    def _run(self, kernel) -> tuple[float, tuple[int, ...], tuple[int, int, int]]:
+        """Reset the decode to its root, then call ``kernel`` until it is
+        done: after each return, memoise the rows it drew, and after each
+        early one grow the room it lacks, and give it room for the rows it
+        wants or draw them with ``_draw``. The context then lets go of the
+        model. Returns the best score, its tokens and the counts (forward
+        passes, positions scored, emitted steps)."""
         buffers, address, step, returns = self.buffers, self.address, -1, 0
+        # The root: one hypothesis or item on side 0, no tokens, log-prob
+        # 0.0; and no count or answer yet.
+        buffers.size[0] = 1
+        buffers.cur = buffers.step = 0
+        buffers.forward_passes = buffers.positions = buffers.emitted = 0
+        buffers.best, buffers.best_step = -math.inf, 0
+        self.views["lp"][0] = 0.0
         try:
             self._queue()
             while status := kernel(address):
                 self._kept()
                 if status < 0:
                     raise MemoryError(f"{self.NAME} could not allocate its scratch")
-                # A step returns at most twice: for room for its tokens or
-                # finishes, or for a PSGD decode's fixed rows at its first
-                # step, then for its rows or room for them, which the next
-                # call draws or finds in the index.
+                # A step returns at most twice: for room for its tokens, or
+                # for a PSGD decode's fixed rows at its first step, then for
+                # its rows or room for them, which the next call draws or
+                # finds in the index.
                 returns, step = (returns + 1 if buffers.step == step else 1), buffers.step
                 if returns > 2:
                     raise RuntimeError(f"step {step} returned three times: a row it wanted was left out of the "
                                        "memo's index")
-                self._read()
                 if step == buffers.capacity < self.limit:
                     self._grow()
                 wanted = self._records("wanted", buffers.n_wanted)
@@ -552,9 +559,10 @@ class _Resumable:
                     self.model._draw(self.source, wanted)
                 self._queue(len(wanted) if self.draws else 0)
             self._kept()
-            self._read()
         finally:
             self.model = self.index = None
+        tokens = tuple(self.views["best_tokens"][: buffers.best_step].tolist())
+        return buffers.best, tokens, (buffers.forward_passes, buffers.positions, buffers.emitted)
 
 
 class CompiledSearch(_Resumable):
@@ -567,17 +575,17 @@ class CompiledSearch(_Resumable):
     ``progress``, ``bank`` and ``tokens`` hold two sides, side s starting at
     s times the decode's side length, so a narrower decode uses the first
     part of each. The kernel breaks a tie on score by the hypotheses'
-    tokens, as ``scoring.rank`` does. It also returns when a step needs
-    room for its finishes, which Python then reads. A warm decode is one
-    call. The final beam is read only on request (``beam``).
+    tokens, as ``scoring.rank`` does, and keeps only the first-ranked
+    finish. A warm decode is one call. The final beam is read only on
+    request (``beam``).
     """
 
     NAME, STRUCT, KEPT = "tsd_beam_search", _SearchBuffers, ("tokens",)
 
     def __call__(self, kernel, model, source: tuple[int, ...], constraints: tuple[tuple[int, ...], ...],
                  beam_width: int, max_len: int, log: LogLoop | None = None):
-        """The finished sequences with their raw scores and the counts, as
-        ``decode._python_search`` returns them."""
+        """The best finish's raw score (-inf for none), its tokens and the
+        counts, as ``decode._python_search`` returns them."""
         content = model.vocab.content_ids
         flat = [tok for phrase in constraints for tok in phrase]
         # The kernel indexes its rows with these without checking them.
@@ -587,41 +595,25 @@ class CompiledSearch(_Resumable):
         self._start(model, source, log, (model.order, beam_width, n, len(flat)))
         buffers, views = self.buffers, self.views
         buffers.width, buffers.n_phrases, buffers.complete = beam_width, n, len(flat)
-        buffers.max_len, buffers.finish_room, self.limit = max_len, FINISH_ROOM * beam_width, max_len
+        buffers.max_len = self.limit = max_len
         views["phrases"][: len(flat)] = flat
         views["starts"][: n + 1] = list(accumulate(map(len, constraints), initial=0))
-        # The root: one hypothesis on side 0, no tokens, log-prob 0.0, no
-        # progress, bank 0; and no count, finish or hard finish yet.
-        buffers.size[0] = 1
-        buffers.cur = buffers.step = 0
-        buffers.forward_passes = buffers.positions = buffers.emitted = 0
-        buffers.hard = buffers.empty_beam = 0
-        buffers.n_finished = buffers.n_finish_ids = 0
-        views["lp"][0] = 0.0
+        # The root's progress and bank, and no hard finish yet.
         views["progress"][:n] = 0
         views["bank"][0] = 0
-        self.finished = {}
-        self._run(kernel)
-        stop = STOP_EMPTY_BEAM if buffers.empty_beam else STOP_MAX_LEN
-        return self.finished, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
+        buffers.hard = buffers.empty_beam = 0
+        best, tokens, counts = self._run(kernel)
+        return best, tokens, (*counts, STOP_EMPTY_BEAM if buffers.empty_beam else STOP_MAX_LEN)
 
     @staticmethod
     def _layout(shape, capacity: int) -> tuple:
         """The float64 and the int64 sections for ``shape``, (order, width,
         phrases, phrase tokens), and ``capacity``."""
         order, width, n, complete = shape
-        return ((("lp", 2 * width), ("finish_score", FINISH_ROOM * width)),
+        return ((("lp", 2 * width),),
                 (("phrases", complete), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
                  ("wanted", width * (1 + order)), ("drawn", max(CHUNK_ROWS, width) * (1 + order)),
-                 ("finished", FINISH_ROOM * width * (capacity + 1)), ("tokens", 2 * width * capacity)))
-
-    def _read(self) -> None:
-        buffers = self.buffers
-        if buffers.n_finished:
-            tokens = self._records("finished", buffers.n_finish_ids)
-            for t, score in zip(tokens, self.views["finish_score"][: buffers.n_finished].tolist()):
-                self.finished.setdefault(t, score)
-            buffers.n_finished = buffers.n_finish_ids = 0
+                 ("tokens", 2 * width * capacity), ("best_tokens", capacity)))
 
     def beam(self):
         """The final beam of the context's last decode, as
@@ -639,10 +631,12 @@ class CompiledSearch(_Resumable):
 # is used: (model, source, constraints, beam width, max_len). "ngram" is an
 # order-2 n-gram model over vocab 6, "sibling" its perturbed sibling at rate
 # 0.5, whose coins land both ways, "tied" an order-1 table model over vocab
-# 6 whose rows tie EOS with content ids and content ids with each other, and
-# "uniform" the uniform model over vocab 5, where every candidate ties. The
+# 6 whose rows tie EOS with content ids and content ids with each other,
+# "uniform" the uniform model over vocab 5, where every candidate ties, and
+# "finish" a table model whose finishes tie (``CHECK_FINISH_TABLE``). The
 # last "tied" decode ties children of parents whose scores differ, in the
-# order opposite to their tokens'.
+# order opposite to their tokens'. The last "ngram" decode force-finishes
+# nothing: a complete hypothesis alive at its budget would rank first.
 CHECK_SEARCHES = (
     ("ngram", (2, 5), (), 2, 10),
     ("ngram", (2, 5, 4), ((3,), (5, 2)), 3, 9),
@@ -651,11 +645,14 @@ CHECK_SEARCHES = (
     ("ngram", (3, 4), (), 4, 3),
     ("ngram", (3, 4), (), 1, 5),
     ("ngram", (5,), ((5,),), 2, 0),
+    ("ngram", (2, 5, 4), (), 2, 4),
     ("sibling", (2, 5, 4), ((3,),), 3, 6),
     ("tied", (2,), (), 3, 4),
     ("tied", (3,), ((4, 5),), 2, 5),
     ("tied", (3,), ((2, 2), (2,)), 5, 2),
     ("uniform", (2,), ((3,),), 3, 3),
+    ("finish", (4,), (), 2, 6),
+    ("finish", (5,), (), 2, 3),
 )
 CHECK_CAPACITY = 4
 # Rows of the first chunk of a cold check model: fewer than some steps want.
@@ -674,6 +671,20 @@ CHECK_ROUND_TABLE = {
     3: (0.0, 0.1, 0.3, 0.2, 0.1, 0.3),
     4: (0.0, 0.15, 0.2, 0.3, 0.05, 0.3),
     5: (0.0, 0.3, 0.2, 0.1, 0.3, 0.1),
+}
+
+
+# The "finish" check model's rows, by source and context (BOS, 0, or a
+# token). After source (4,), (3,) then (2,) finish at step 1 with one score,
+# (2,) ranking first; nothing later does, and the decode grows its room.
+# After source (5,), the empty finish and (2,) tie exactly.
+CHECK_FINISH_TABLE = {
+    ((4,), (0,)): (0.0, 0.01, 0.45, 0.45, 0.05, 0.04),
+    ((4,), (2,)): (0.0, 0.45, 0.02, 0.02, 0.5, 0.01),
+    ((4,), (3,)): (0.0, 0.45, 0.1375, 0.1375, 0.1375, 0.1375),
+    **dict.fromkeys([((4,), (4,)), ((4,), (5,))], (0.0, 0.001, 0.0005, 0.0005, 0.499, 0.499)),
+    ((5,), (0,)): (0.0, 0.3599999999984, 0.6, *[(1.0 - 0.3599999999984 - 0.6) / 3] * 3),
+    ((5,), (2,)): (0.0, 0.6, 0.1, 0.1, 0.1, 0.1),
 }
 
 
@@ -717,18 +728,16 @@ def _check_model(name: str, rows: CheckRows):
         return TableModel(Vocab(6), 1, {((src,), ctx): row for (src, ctx), row in zip(contexts, rows)})
     if name == "round":
         return TableModel(Vocab(6), 1, {((2,), (tok,)): row for tok, row in CHECK_ROUND_TABLE.items()})
+    if name == "finish":
+        return TableModel(Vocab(6), 1, CHECK_FINISH_TABLE)
     return UniformModel(Vocab(5))
 
 
 def search_outcome(result) -> tuple:
-    """A search's (finished, beam, counts) as plain data, each score as its
-    ``float.hex``, the finishes in the order they were marked."""
-    finished, beam, counts = result
-    return (
-        [(tokens, score.hex()) for tokens, score in finished.items()],
-        [(tokens, lp.hex(), progress, bank) for tokens, lp, progress, bank in beam],
-        counts,
-    )
+    """A beam search's ((best, tokens), beam, counts) as plain data, each
+    score as its ``float.hex``."""
+    (best, tokens), beam, counts = result
+    return (best.hex(), tokens), [(t, lp.hex(), progress, bank) for t, lp, progress, bank in beam], counts
 
 
 def _memo(model) -> dict:
@@ -814,8 +823,8 @@ def beam_search_self_check(beam_search, rows: CheckRows | None = None) -> bool:
     exactly as ``decode._python_search`` does (``_decodes_match``)."""
 
     def compiled(context, kernel, model, log, source, constraints, width, max_len):
-        finished, counts = context(kernel, model, source, constraints, width, max_len, log)
-        return finished, context.beam(), counts
+        best, tokens, counts = context(kernel, model, source, constraints, width, max_len, log)
+        return (best, tokens), context.beam(), counts
 
     return _decodes_match(CHECK_SEARCHES, _python_search, beam_search, CompiledSearch, compiled, search_outcome,
                           rows)
@@ -828,14 +837,14 @@ class CompiledPsgd(_Resumable):
     scorer's fixed terms' too; Python gives it only the ids and the
     scoring's shape (``decode._span_shape``).
 
-    As in ``CompiledSearch``; the sections sized by ``capacity``, the
+    As in ``CompiledSearch``, the sections sized by ``capacity``, the
     spans, their carries (each item's span terms) and the best span, grow
     with the rounds a decode runs, never with ``max_span``. The kernel
     breaks a tie on score by the spans, as ``scoring.rank`` does. The last
     round's children are read only on request (``children``).
     """
 
-    NAME, STRUCT, KEPT = "tsd_psgd_search", _PsgdBuffers, ("carry", "tokens", "best_span")
+    NAME, STRUCT, KEPT = "tsd_psgd_search", _PsgdBuffers, ("carry", "tokens")
 
     def __call__(self, kernel, model, source: tuple[int, ...], prefix: tuple[int, ...], suffix: tuple[int, ...],
                  params, max_span: int, log: LogLoop | None = None):
@@ -856,18 +865,9 @@ class CompiledPsgd(_Resumable):
         views["prefix"][: len(prefix)] = prefix
         views["suffix"][: len(suffix)] = suffix
         views["pieces"][: len(pieces)] = pieces
-        # The root: one item on side 0, the empty span, log-prob 0.0; and no
-        # count or best score yet.
-        buffers.size[0] = 1
-        buffers.cur = buffers.step = 0
-        buffers.forward_passes = buffers.positions = buffers.emitted = 0
-        buffers.at_cap = buffers.best_step = 0
-        buffers.best = -math.inf
-        views["lp"][0] = 0.0
-        self._run(kernel)
-        span = tuple(self.views["best_span"][: buffers.best_step].tolist())
-        stop = STOP_MAX_LEN if buffers.at_cap else STOP_PATIENCE
-        return buffers.best, span, (buffers.forward_passes, buffers.positions, buffers.emitted, stop)
+        buffers.at_cap = 0
+        best, span, counts = self._run(kernel)
+        return best, span, (*counts, STOP_MAX_LEN if buffers.at_cap else STOP_PATIENCE)
 
     @staticmethod
     def _layout(shape, capacity: int) -> tuple:
@@ -879,7 +879,7 @@ class CompiledPsgd(_Resumable):
         return ((("terms", n_fixed), ("lp", 2 * width), ("carry", 2 * width * capacity)),
                 (("prefix", n_prefix), ("suffix", n_suffix), ("pieces", n_pieces), ("parent", width),
                  ("token", width), ("wanted", missed * (1 + order)), ("drawn", max(CHUNK_ROWS, missed) * (1 + order)),
-                 ("tokens", 2 * width * capacity), ("best_span", capacity)))
+                 ("tokens", 2 * width * capacity), ("best_tokens", capacity)))
 
     def children(self) -> list[tuple[int, int]]:
         """The last round's children of the context's last decode, as

@@ -1,6 +1,5 @@
 """The compiled beam search against the Python search, decode by decode:
-the same finished sequences in the same order, the same final beam, the
-same statistics and the same result bytes, on random n-gram and table
+the same first-ranked finish, the same final beam, the same statistics and the same result bytes, on random n-gram and table
 models, constrained or not, on a cold memo and on one filled first. A warm
 decode is one compiled call, and so is a cold one with room for its rows,
 which the kernel draws, logs and indexes itself; without the log loop, a
@@ -69,16 +68,15 @@ def warmed(factory, source, warm):
 
 
 def outcome(path, factory, source, constraints, width, max_len, warm):
-    """What a decode gives on the ``path`` way: the finished sequences in
-    the order they finished, the final beam and the statistics of the beam
-    core, and the result bytes of the DBA suggestion under the same
+    """What a decode gives on the ``path`` way: the first-ranked finish,
+    the final beam and the statistics of the beam core, and the result bytes of the DBA suggestion under the same
     constraints as prefix and suffix (or ``None`` when nothing finished),
     each float as its hex."""
     prefix, suffix = (constraints + ((), ()))[:2]
     task = TsTask("t", TokenSeq(source), TokenSeq(prefix), TokenSeq(suffix))
     with run_by("beam_search", path):
         model = warmed(factory, source, warm)
-        finished, beam, stats = decode._beam_core(model, source, DbaParams(width, max_len, constraints))
+        best, beam, stats = decode._beam_core(model, source, DbaParams(width, max_len, constraints))
         beam = beam()
         try:
             suggestion = dba_suggest(warmed(factory, source, warm), task, beam_width=width, max_len=max_len)
@@ -89,7 +87,7 @@ def outcome(path, factory, source, constraints, width, max_len, warm):
         s = suggestion.stats
         row = result_to_dict(ResultRow(task.task_id, "dba", suggestion.span.tokens, suggestion.whole_seq_score,
                                        s.forward_passes, s.positions_scored, s.emitted_steps, s.stop_reason, 0))
-    return rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0), row
+    return rowkernel.search_outcome((best, beam, ())), replace(stats, wall_time_us=0), row
 
 
 def _never_finishes():
@@ -155,8 +153,8 @@ def test_a_warm_decode_is_one_call_and_so_is_a_cold_one_with_room(monkeypatch):
         return kernel(address)
 
     def decoded(model):
-        finished, beam, _ = decode._beam_core(model, (3, 7, 5, 9), DbaParams(4, 10, ((4,), (6, 2))))
-        return finished, beam()
+        best, beam, _ = decode._beam_core(model, (3, 7, 5, 9), DbaParams(4, 10, ((4,), (6, 2))))
+        return best, beam()
 
     drawn = drawn_rows(monkeypatch)
     decodes = {}
@@ -199,8 +197,8 @@ def test_a_model_with_its_own_contexts_takes_the_python_search(monkeypatch):
 
     monkeypatch.setattr(rowkernel, "CompiledSearch", lambda *a: pytest.fail("compiled"))
     model = Shortsighted(Vocab(8), 2, 3, 0.5)
-    finished, _, _ = decode._beam_core(model, (2,), DbaParams(2, 4))
-    assert finished == decode._python_search(Shortsighted(Vocab(8), 2, 3, 0.5), (2,), (), 2, 4)[0]
+    best, _, _ = decode._beam_core(model, (2,), DbaParams(2, 4))
+    assert best == decode._python_search(Shortsighted(Vocab(8), 2, 3, 0.5), (2,), (), 2, 4)[0]
 
 
 @needs_search_kernel
@@ -220,13 +218,13 @@ def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatc
             model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
             if kind == "sibling":
                 model = make_perturbed_sibling(model, 5, 0.5)
-            finished, beam, stats = decode._beam_core(model, (3, 7, 5), DbaParams(3, 8, ((4,), (6, 2))))
+            best, beam, stats = decode._beam_core(model, (3, 7, 5), DbaParams(3, 8, ((4,), (6, 2))))
             beam = beam()
             plain = beam_search(model, (2, 9), beam_width=3, max_len=6)
         contexts = [(source, context) for source, context, _ in drawn]
         assert len(set(contexts)) == len(contexts)
         routes = {kernel for _, _, kernel in drawn}
-        outcomes[path] = (rowkernel.search_outcome((finished, beam, ())), replace(stats, wall_time_us=0),
+        outcomes[path] = (rowkernel.search_outcome((best, beam, ())), replace(stats, wall_time_us=0),
                           plain.tokens, plain.score.hex(), memo_bytes(model))
         by_kernel = path == "kernel" and "kernel" in kernel_paths("block") and log is not None
         assert routes == ({True} if by_kernel else {False})
@@ -244,8 +242,8 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
     monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
 
     def searched(model):
-        finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(3, 7, ((4,),)))
-        return rowkernel.search_outcome((finished, beam(), ())), replace(stats, wall_time_us=0)
+        best, beam, stats = decode._beam_core(model, (3, 7), DbaParams(3, 7, ((4,),)))
+        return rowkernel.search_outcome((best, beam(), ())), replace(stats, wall_time_us=0)
 
     with run_by("beam_search", "python"):
         filled = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
@@ -291,8 +289,8 @@ def decoded(by):
     index = model._indexes[(3, 7)] = lm._Index([])
     index.table, index.bits = array("q", [0]) * (4 << 3), 3
     rng._compiled = rng._compiled._replace(beam_search=by)
-    finished, beam, stats = decode._beam_core(model, (3, 7), DbaParams(4, 8))
-    return finished, beam(), replace(stats, wall_time_us=0)
+    best, beam, stats = decode._beam_core(model, (3, 7), DbaParams(4, 8))
+    return best, beam(), replace(stats, wall_time_us=0)
 
 
 print(decoded(unchecked_room) == decoded(None))

@@ -152,3 +152,22 @@ def test_a_failed_cut_leaves_the_context_as_it_was(monkeypatch):
                 wide(model)
         assert calls == [np.float64, np.int64]
         assert (wide(model), narrow(model)) == (wide(new_model(2)), narrow(new_model(2)))
+
+
+@pytest.mark.skipif(PATHS != ["python", "kernel"], reason="the compiled searches cannot be built here")
+def test_decodes_that_each_need_a_little_more_room_cut_seldom(monkeypatch):
+    # Each decode's prefix is one id longer than the last one's, so each
+    # needs more room for its prefix or phrase tokens and fixed terms; the
+    # room is rounded up to a power of two, so 16 decodes of each kind cut
+    # their context 1 + log2(16) times at most, the first cut included.
+    cut = []
+    sections = rowkernel._sections
+    monkeypatch.setattr(rowkernel, "_sections", lambda *args: cut.append(type(args[0])) or sections(*args))
+    model = new_model(2)
+    with run_by("beam_search", "kernel"), run_by("psgd_search", "kernel"):
+        for n in range(1, 17):
+            prefix = (2, 3, 4, 5)[: n % 4] + (6, 7, 8, 9) * (n // 4)
+            psgd(model, task(prefix, (6,)), PsgdParams(beam_width=2, patience=2))
+            dba_suggest(model, task(prefix, (6,)), beam_width=2)
+    assert 0 < cut.count(rowkernel._PsgdBuffers) <= 5
+    assert 0 < cut.count(rowkernel._SearchBuffers) <= 5

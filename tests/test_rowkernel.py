@@ -29,8 +29,8 @@ from tsdecode.decode import DbaParams
 from tsdecode.lm import _COIN_TAG, _ROW_TAG, NgramGenModel, make_perturbed_sibling
 from tsdecode.rng import Stream, hash_key, mix64
 
-from util import (drawn_rows, finish_rows, gamma, kernel_paths, memo_bytes, on_every_path, reference_beam_core,
-                  run_by)
+from util import (best_finish, drawn_rows, finish_rows, gamma, kernel_paths, memo_bytes, on_every_path,
+                  reference_beam_core, run_by)
 
 COMPILER = rowkernel.compiler()
 HAS_COMPILER = COMPILER is not None and shutil.which(COMPILER[0]) is not None
@@ -125,17 +125,18 @@ def test_a_record_of_a_negative_length_or_past_its_ids_raises(ids):
         context._records("wanted", 3 + len(ids))
 
 
-# Loads the kernel from the cache directory argv[1] with every section named
-# "finished" misspelt, so that struct tsd_search's pointer stays NULL, and
-# prints the functions that fell back and the warnings' categories.
+# Loads the kernel from the cache directory argv[1] with the beam search's
+# section "best_tokens" misspelt, so that struct tsd_search's pointer stays
+# NULL, and prints the functions that fell back and the warnings' categories.
 MISSPELT = """
 import sys, warnings
 from pathlib import Path
 from tsdecode import rowkernel
 
 sections = rowkernel._sections
-rowkernel._sections = lambda struct, reals, ints: sections(
-    struct, reals, [("finishd" if name == "finished" else name, n) for name, n in ints])
+rowkernel._sections = lambda struct, reals, ints: sections(struct, reals, [
+    ("best_tokns" if name == "best_tokens" and isinstance(struct, rowkernel._SearchBuffers) else name, n)
+    for name, n in ints])
 with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     functions = rowkernel.load(Path(sys.argv[1]))
@@ -316,13 +317,11 @@ def _step_one_short(beam_search):
 
 
 def _score_one_ulp_off(beam_search):
-    # Nudges the score of the last finish of each call.
+    # Nudges the score of the best finish kept after each call.
     def wrong(at):
         status = beam_search(at)
         buffers = rowkernel._SearchBuffers.from_address(at)
-        if buffers.n_finished:
-            score = ctypes.c_double.from_address(buffers.finish_score + 8 * (buffers.n_finished - 1))
-            score.value = math.nextafter(score.value, -math.inf)
+        buffers.best = math.nextafter(buffers.best, -math.inf)
         return status
 
     return wrong
@@ -502,7 +501,8 @@ FALLBACKS = {
 # Mutants of ``_rowkernel.c`` itself, each built from a copy of the source
 # with its one ``old`` text made ``new``: a round's first-ranked item is the
 # later of two tied spans in lexicographic order.
-SOURCE_MUTANTS = {"round-tie-wrong": ("lex_before(&beam, b, best)", "lex_before(&beam, best, b)")}
+SOURCE_MUTANTS = {"round-tie-wrong": ("lex_less(beam.tokens + b * cap, beam.tokens + best * cap, n)",
+                                      "lex_less(beam.tokens + best * cap, beam.tokens + b * cap, n)")}
 # The cases that fail after the kernel is built load one build, copied into
 # their cache directories, rather than compile it afresh.
 PREBUILT = {name for name, (_, attr, _) in FALLBACKS.items() if attr in ("_open", "CDLL")}
@@ -554,10 +554,10 @@ def test_every_failure_falls_back_to_the_python_loop(fallback, tmp_path, monkeyp
     want = [reference_row(key, 0.2, 20) for key in KEYS]
     assert [row.tobytes() for row in rows] == [row for row, _ in want]
     assert [drawn_row(key, 0.2, 20) for key in KEYS] == want
-    finished, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
+    best, beam, stats = decode._beam_core(model, (3, 7, 5, 9), PARAMS)
     beam = beam()
     want_finished, want_beam, want_stats = reference_beam_core(model, (3, 7, 5, 9), PARAMS)
-    assert (finished, [entry[:3] for entry in beam]) == (want_finished, want_beam)
+    assert (best, [entry[:3] for entry in beam]) == (best_finish(want_finished), want_beam)
     assert replace(stats, wall_time_us=0) == want_stats
     task = TsTask("t", TokenSeq((3, 7, 5, 9)), TokenSeq((4,)), TokenSeq((6, 2)))
     got, want = decode.psgd(model, task), decode.psgd_two_pass(model, task)

@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tsdecode import decode
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.decode import DbaParams, PsgdParams, _beam_core, _expand, beam_search, dba_decode, psgd
-from tsdecode.lm import TableModel, UniformModel
+from tsdecode.lm import NgramGenModel, TableModel, UniformModel
 from tsdecode.scoring import rank
 
-from util import kernel_paths, over_paths, ranked_expansions, reference_beam_core
+from util import best_finish, kernel_paths, over_paths, ranked_expansions, reference_beam_core
 
 _A = [0.0, 0.25, 0.25, 0.25, 0.125, 0.125]  # EOS tied with ids 2 and 3
 _B = [0.0, 0.125, 0.125, 0.25, 0.25, 0.25]  # ids 3, 4 and 5 tied above EOS
@@ -261,14 +262,63 @@ _WINDOW_DECIDES = (
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_beam_core_equals_per_bank_sort_reference(beam_path, case):
     # The one ranked list per step must pick exactly what sorting the window,
-    # each bank, the leftovers and the next beam on their own picked.
+    # each bank, the leftovers and the next beam on their own picked. The
+    # search keeps only its first-ranked finish; every finish is compared
+    # where the Python path's ``_beam_step`` marks them.
     model, params = case
-    finished, beam, stats = _beam_core(model, (2,), params)
+    finished, step = {}, decode._beam_step
+
+    def marking(*args):
+        survivors, finishes, hard = step(*args)
+        for tokens, score in finishes:
+            finished.setdefault(tokens, score)
+        return survivors, finishes, hard
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decode, "_beam_step", marking)
+        best, beam, stats = _beam_core(model, (2,), params)
     beam = beam()
     want_finished, want_beam, want_stats = reference_beam_core(model, (2,), params)
-    assert finished == want_finished
+    if beam_path == "python":
+        assert finished == want_finished
+    assert best == best_finish(want_finished)
     assert [entry[:3] for entry in beam] == want_beam
     assert all(bank == sum(progress) for _, _, progress, bank in beam)
+    assert replace(stats, wall_time_us=0) == want_stats
+
+
+@st.composite
+def _best_cases(draw):
+    """(model, source, params): the TIED and uniform tables or an n-gram
+    model of order 1-3 over vocab 5 or 8, beam width 1-5, ``max_len`` 0-8
+    and 0-2 phrases over ids 2-4."""
+    kind = draw(st.sampled_from(["tied", "uniform", "ngram"]))
+    source = draw(st.sampled_from([(2,), (3,)]))
+    if kind == "ngram":
+        model = NgramGenModel(Vocab(draw(st.sampled_from([5, 8]))), draw(st.integers(1, 3)),
+                              draw(st.integers(0, 2**16)), draw(st.sampled_from([0.2, 1.0])))
+    else:
+        model = MODELS[kind]
+    phrases = draw(st.lists(st.lists(st.integers(2, 4), min_size=1, max_size=2).map(tuple), max_size=2))
+    return model, source, DbaParams(draw(st.integers(1, 5)), draw(st.integers(0, 8)), tuple(phrases))
+
+
+@pytest.mark.parametrize("beam_path", kernel_paths("beam_search"), indirect=True)
+@given(_best_cases())
+# The empty sequence finishes at max_len 0; an empty beam stops a search
+# whose best finish is the empty sequence, and a constrained one.
+@example((MODELS["tied"], (2,), DbaParams(3, 0)))
+@example((MODELS["uniform"], (2,), DbaParams(2, 4)))
+@example((MODELS["uniform"], (2,), DbaParams(3, 5, ((4, 2),))))
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_beam_core_keeps_the_first_ranked_reference_finish(beam_path, case):
+    # The one finish a search keeps is the one decode._pick_best ranks
+    # first of all the finishes the reference marks.
+    model, source, params = case
+    best, _, stats = _beam_core(model, source, params)
+    finished, _, want_stats = reference_beam_core(model, source, params)
+    want = best_finish(finished)
+    assert (best[0].hex(), best[1]) == (want[0].hex(), want[1])
     assert replace(stats, wall_time_us=0) == want_stats
 
 

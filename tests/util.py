@@ -338,6 +338,16 @@ def ranked_expansions(beam, rows, content):
     )
 
 
+def best_finish(finished) -> tuple:
+    """The first-ranked of ``finished``'s (tokens, raw score) entries under
+    ``decode._pick_best``'s rule, as the searches keep it: (raw score,
+    tokens), or ``(-inf, ())`` when there is none."""
+    if not finished:
+        return -math.inf, ()
+    _, tokens = decode._pick_best(finished.items())
+    return finished[tokens], tokens
+
+
 def reference_beam_core(model, source, params):
     """The full-sentence beam search as written before ``decode._beam_core``
     ranked each step's candidates in one sorted list: the global window,
