@@ -49,7 +49,10 @@
    model they draw, log and index themselves (``draw_wanted``): each row
    into the model's chunk with the code of ``tsd_block`` (``finished_row``),
    then its log with numpy's own float64 log loop, which ``np.log`` runs
-   (``log_rows``), then its entry in the index, and the step goes on. So a
+   (``log_rows``), then its entry in the index, and the step goes on. The
+   index is the only memo of those rows: Python claims the chunk rows a
+   call drew, and caches a row of them only when it reads it
+   (``lm.SequenceModel.rows_after``). So a
    search returns to Python only when the chunk, the index or its room for
    tokens is full, or when it cannot draw the rows itself (a
    table or uniform model, or no checked row block or log loop): then it
@@ -241,14 +244,15 @@ typedef void tsd_loop(char **args, const intptr_t *dimensions, const intptr_t *s
 
    A missed row takes one of two routes. When the caller set ``chunk``,
    ``source`` and ``log``, the free rows of an n-gram model's chunk, the
-   source's row parameters and numpy's float64 log loop, and the chunk, the
-   index and ``drawn`` have room for every wanted row, the search draws
-   their finished rows into the chunk, writes their log over them, then
-   enters them into the index, so no row is reachable before its log is
-   written; it records their contexts in ``drawn``, in chunk order, for
-   the caller to memoise when it returns, and goes on. Otherwise it returns
-   the contexts alone: the caller gives the room (a new chunk, a larger
-   table), or draws the rows and queues them. */
+   source's row parameters and numpy's float64 log loop, and the chunk and
+   the index have room for every wanted row, the search draws their
+   finished rows into the chunk, writes their log over them, then enters
+   them into the index, so no row is reachable before its log is written;
+   it moves ``chunk`` past them and goes on. The index is then their only
+   memo: the caller claims the chunk rows ``chunk`` moved past when it
+   returns, and reads a row through the index only when it asks for it.
+   Otherwise it returns the contexts alone: the caller gives the room (a
+   new chunk, a larger table), or draws the rows and queues them. */
 struct tsd_rows {
     int64_t vocab;          /* entries per row */
     int64_t bos;            /* the BOS id */
@@ -260,10 +264,8 @@ struct tsd_rows {
     int64_t n_queued;       /* ids in ``queued`` */
     int64_t step;           /* the beam's length, or the PSGD spans' */
     int64_t n_wanted;       /* ids in ``wanted`` */
-    int64_t chunk_room;     /* rows free in ``chunk``, and ``drawn`` holds
-                               as many records */
+    int64_t chunk_room;     /* rows free in ``chunk`` */
     int64_t index_room;     /* rows the index takes before it is 3/4 full */
-    int64_t n_drawn;        /* ids in ``drawn`` */
     struct tsd_source source;
     int64_t *index;
     const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
@@ -274,9 +276,8 @@ struct tsd_rows {
     int64_t *wanted;        /* per context the index lacks, each once: its
                                length, then its ids */
     double *chunk;          /* NULL, or the first free row of the model's
-                               chunk, for rows drawn with ``source`` */
-    int64_t *drawn;         /* per row drawn since the call began, in chunk
-                               order: its context's length, then its ids */
+                               chunk, for rows drawn with ``source``; a
+                               draw moves it past the rows it drew */
     tsd_loop *log;          /* NULL, or numpy's float64 log loop */
     void *log_data;         /* ... and the data it is called with */
 };
@@ -346,7 +347,6 @@ static void index_rows(struct tsd_rows *r)
         q = ids;
     }
     r->n_queued = 0;
-    r->n_drawn = 0;
 }
 
 /* The log row after the ``n`` ids ``ids``, BOS + the tokens it follows:
@@ -385,9 +385,9 @@ static void log_rows(const struct tsd_rows *r, double *rows, int64_t n_rows)
 }
 
 /* Draws the finished rows of the contexts in ``wanted`` into the chunk,
-   writes their log, enters them into the index and records them in
-   ``drawn``, when the caller set the chunk and the log loop and the chunk
-   and the index have room for them all; returns whether it did. */
+   writes their log, enters them into the index and moves the chunk past
+   them, when the caller set the chunk and the log loop and the chunk and
+   the index have room for them all; returns whether it did. */
 static int draw_wanted(struct tsd_rows *r)
 {
     const int64_t *end = r->wanted + r->n_wanted;
@@ -403,8 +403,6 @@ static int draw_wanted(struct tsd_rows *r)
     row = r->chunk;
     for (const int64_t *w = r->wanted; w < end; w += 1 + w[0], row += r->vocab)
         enter(r, w + 1, w[0], (int64_t)(intptr_t)row);
-    memcpy(r->drawn + r->n_drawn, r->wanted, r->n_wanted * sizeof *r->wanted);
-    r->n_drawn += r->n_wanted;
     r->chunk = row;
     r->chunk_room -= n_rows;
     r->index_room -= n_rows;
@@ -676,9 +674,10 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
    (``r.step`` is ``capacity``), or the rows of the contexts in ``wanted``
    that it could not draw itself (``draw_wanted``), or room for them. The
    step is then not begun; the caller grows the buffers and the room for
-   rows or draws the wanted ones, and calls again to resume. Either way it
-   memoises the rows recorded in ``drawn``. The best finish, the counts and
-   the stop are left in ``s``. Returns -1 when memory runs out. */
+   rows or draws the wanted ones, and calls again to resume. Either way
+   ``r.chunk`` is left past the rows the call drew, for the caller to
+   claim. The best finish, the counts and the stop are left in ``s``.
+   Returns -1 when memory runs out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
     const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
@@ -896,9 +895,9 @@ static int read_fixed(struct tsd_psgd *s, const int64_t *seq)
    them. Every call first reads the fixed terms (``read_fixed``), whose
    missed rows take the same route. The round is then not begun; the
    caller grows the buffers and the room for rows or draws the wanted ones,
-   and calls again to resume.
-   Either way it memoises the rows recorded in ``drawn``. The best score,
-   its round and its span, the counts and the stop are left in ``s``.
+   and calls again to resume. Either way ``r.chunk`` is left past the rows
+   the call drew, for the caller to claim. The best score, its round and
+   its span, the counts and the stop are left in ``s``.
    Returns -1 when memory runs out. */
 int64_t tsd_psgd_search(struct tsd_psgd *s)
 {

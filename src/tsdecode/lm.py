@@ -9,25 +9,28 @@ A model's ``name`` (its spec kind), ``vocab``, context ``order`` and
 
 A model maps (source sequence, target prefix) to a normalized next-token
 distribution. Every query is served from one memo of finalized log rows,
-one dict per source keyed by context, read by one lookup that checks
-nothing, ``rows_after``: the log rows after each of a batch of prefixes of
-one source, whose contexts one ``_contexts`` call computes. The log rows
-sit in the model's row store, float64 chunks that never move, and each
-memo row is a read-only view of its chunk: every decoder scores with
-log-probabilities only, and a row's log is numpy's float64 log. A missed
-row takes one of two routes. ``_draw`` is the route in Python: it takes
-the finished rows of the contexts a batch misses as one block from
-``_finished_rows``, each distinct context once, writes their log into the
-chunk's next rows with ``np.log`` and keeps a view per context. A source
-that a compiled search reads also has an index (``_Index``), through which
-the search reads rows by context, without Python. The search draws the
-``NgramGenModel`` rows a step misses itself, into the chunk's free rows,
-with the source's ``_row_params``, writes their log with the loop
-``np.log`` runs on float64 (``rowkernel.log_loop``), enters them into the
-index and goes on; Python keeps a view per context when it returns. When
-the chunk lacks room for a step's rows, Python opens a new one
-(``_room``). A table or uniform model, or a search without the checked row
-block or log loop, hands the contexts to ``_draw`` instead, and the rows
+read by one lookup that checks nothing, ``rows_after``: the log rows after
+each of a batch of prefixes of one source, whose contexts one
+``_contexts`` call computes. The log rows sit in the model's row store,
+float64 chunks that never move: every decoder scores with
+log-probabilities only, and a row's log is numpy's float64 log. Python
+reads them through one dict per source keyed by context, whose rows are
+read-only views of their chunks. A missed row takes one of two routes.
+``_draw`` is the route in Python: it takes the finished rows of the
+contexts a batch misses as one block from ``_finished_rows``, each
+distinct context once, writes their log into the chunk's next rows with
+``np.log`` and keeps a view per context. A source that a compiled search
+reads also has an index (``_Index``), through which the search reads rows
+by context, without Python. The search draws the ``NgramGenModel`` rows a
+step misses itself, into the chunk's free rows, with the source's
+``_row_params``, writes their log with the loop ``np.log`` runs on float64
+(``rowkernel.log_loop``), enters them into the index and goes on; when it
+returns, Python only claims the chunk rows it drew. The index is the only memo
+of those rows: ``rows_after`` looks a context its dict misses up in the index
+(``_Index.find``) and caches a view of the row it finds, so that only a context
+both lack is drawn. When the chunk lacks room for a step's rows, Python opens a
+new one (``_room``). A table or uniform model, or a search without the checked
+row block or log loop, hands the contexts to ``_draw`` instead, and the rows
 enter the index on the search's next call. Either way no row is reachable
 before its log is written. Row bytes do not depend on the block
 or the route: an ``NgramGenModel`` row is a pure function of its key,
@@ -62,10 +65,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect, insort
 from ctypes import addressof, c_char, c_double
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from struct import pack
 from typing import Callable, Mapping, Sequence
@@ -74,7 +79,7 @@ import numpy as np
 
 from .core import TokenSeq, TsError, Vocab, check_float, check_int, check_tokens
 from . import rng
-from .rng import Stream, hash_key, mix64
+from .rng import _MASK64, Stream, hash_key, mix64
 
 EPS_FLOOR = 1e-12
 _NO_MASS = "row has no probability mass outside BOS"
@@ -170,7 +175,8 @@ CHUNK_ROWS = 64
 
 
 class _Index:
-    """The index the compiled searches probe for one source's memo rows.
+    """The index the compiled searches probe for one source's memo rows,
+    and the only memo of the rows they draw themselves.
 
     ``table`` is an int64 ``array`` of ``2 ** bits`` slots of 2 + the
     model's order ids, each ``[row address, context length, context ids]``
@@ -178,7 +184,8 @@ class _Index:
     kernel enters the rows into it. A source has an index from its first
     compiled search on; ``_draw`` then queues each block it adds in
     ``pending``, as ``(contexts, address of the first row)``, and a search
-    enters the rows it draws itself as it draws them.
+    enters the rows it draws itself as it draws them. ``find`` reads the
+    table as the kernel does.
     """
 
     __slots__ = ("pending", "count", "table", "bits")
@@ -186,6 +193,29 @@ class _Index:
     def __init__(self, pending: list[tuple[Sequence[Tokens], int]]) -> None:
         self.pending, self.count = pending, 0
         self.table, self.bits = None, 0
+
+    def find(self, context: Tokens) -> int:
+        """The address of the row the table holds for ``context``, or 0: the
+        Python twin of ``_rowkernel.c``'s ``first_slot`` and ``find_row``."""
+        table, bits, n = self.table, self.bits, len(context)
+        h, width, mask = n, len(table or ()) >> bits, (1 << bits) - 1
+        for tok in context:
+            h = (h ^ tok) * 0x100000001B3 & _MASK64
+        slot = (h * 0x9E3779B97F4A7C15 & _MASK64) >> (64 - bits)
+        # A free slot ends the probe with its 0.
+        for _ in range(mask + 1 if table else 0):
+            at = slot * width
+            if not table[at] or table[at + 1] == n and table[at + 2 : at + 2 + n].tolist() == [*context]:
+                return table[at]
+            slot = (slot + 1) & mask
+        return 0
+
+    def entries(self) -> dict[Tokens, int]:
+        """Each row address the table holds, by context."""
+        table = self.table.tolist() if self.table else []
+        width = len(table) >> self.bits or 1
+        return {tuple(table[at + 2 : at + 2 + table[at + 1]]): table[at] for at in range(0, len(table), width)
+                if table[at]}
 
 
 class SequenceModel:
@@ -196,9 +226,12 @@ class SequenceModel:
     row seed of models that draw their rows (0 for the others). Finalized
     log rows are memoized per source, then per context; their data sit in
     the model's row store, float64 chunks of ``CHUNK_ROWS`` rows
-    that never move, filled in the order the rows are drawn. The model
-    holds every chunk it has filled, so a row an index reaches lives as
-    long as the model, even if no memo view of it was kept. It also holds
+    that never move, filled in the order the rows are drawn. A source's
+    dict holds a view of each row Python drew or read, and its index, once
+    a compiled search has read the source, every row of it the model holds,
+    those the search drew only there. The model holds every chunk it has
+    filled, so a row an index reaches lives as long as the model, and a
+    view of a row keeps its chunk alive. It also holds
     one compiled decode context per search kind (``rowkernel``), made on
     its first compiled decode of that kind and reused by the later ones. A
     model runs one decode at a time, as its memo and its chunk already
@@ -215,9 +248,10 @@ class SequenceModel:
         self.order = order
         self._row_cache: dict[Tokens, dict[Tokens, np.ndarray]] = {}
         self._indexes: dict[Tokens, _Index] = {}
-        # Every chunk filled; the chunk being filled, its read-only view, its
-        # address and the rows used.
-        self._chunks: list[np.ndarray] = []
+        # Every chunk filled, as its address and a read-only view, in the
+        # order of the addresses; the chunk being filled, its read-only
+        # view, its address and the rows used.
+        self._chunks: list[tuple[int, np.ndarray]] = []
         self._chunk = self._read_only = np.empty((0, vocab.size))
         self._address = self._used = 0
         # Per compiled search kind, its decode context (``rowkernel``).
@@ -251,12 +285,13 @@ class SequenceModel:
         return None
 
     def _draw(self, source: Tokens, contexts: Sequence[Tokens]) -> None:
-        """Memoise the log rows of distinct uncached contexts of one source,
-        from one block of ``_finished_rows``: the memo's miss path in Python.
-        Their log is written into the chunk's next rows, in a new chunk when
-        they do not fit (``_room``), each context keeps a read-only view of
-        its row, and the block is queued for the source's index once it has
-        one."""
+        """Memoise the log rows of distinct contexts of one source that the
+        memo lacks, its index included, from one block of
+        ``_finished_rows``: the memo's miss path in Python. Their log is
+        written into the chunk's next rows, in a new chunk when they do not
+        fit (``_room``), each context keeps a read-only view of its row in
+        the source's dict, and the block is queued for the source's index
+        once it has one."""
         n, size, bos = len(contexts), self.vocab.size, self.vocab.bos_id
         rows = self._finished_rows(source, contexts)
         self._room(n)
@@ -283,24 +318,37 @@ class SequenceModel:
     def _new_chunk(self, chunk: np.ndarray) -> None:
         """Fill the C-contiguous float64 (R, V) array ``chunk`` next, from
         its first row."""
-        self._chunks.append(chunk)
         self._chunk, self._read_only = chunk, chunk.view()
         self._read_only.setflags(write=False)
         self._address, self._used = addressof(c_char.from_buffer(chunk)), 0
+        insort(self._chunks, (self._address, self._read_only))
+
+    def _row_at(self, address: int) -> np.ndarray:
+        """The read-only view of the chunk row at ``address``, cut from the
+        array of the chunk that holds it, which it keeps alive."""
+        base, chunk = self._chunks[bisect(self._chunks, address, key=itemgetter(0)) - 1]
+        return chunk[(address - base) // (8 * self.vocab.size)]
 
     def rows_after(self, source: Tokens, prefixes: Sequence[Tokens]) -> list[np.ndarray]:
         """The memoised log rows of the next-token distribution given BOS +
-        each of ``prefixes``: the memo's one reader. The source's memo is
-        looked up once, one pass over the prefixes' contexts finds those it
-        misses, and every row the batch misses is drawn in one block, each
-        distinct context once. Nothing is checked: the source and prefixes
-        must be int tuples whose ids ``check_tokens`` accepts (the source
-        with BOS and EOS allowed)."""
+        each of ``prefixes``: the memo's one reader. The source's dict of
+        rows is looked up once and one pass over the prefixes' contexts
+        finds those it misses. Each distinct one is looked up in the
+        source's index, which alone holds the rows a compiled search drew,
+        and the dict caches a view of each row found there; every row both
+        lack is drawn in one block, each distinct context once. Nothing is
+        checked: the source and prefixes must be int tuples whose ids
+        ``check_tokens`` accepts (the source with BOS and EOS allowed)."""
         memo = self._row_cache.setdefault(source, {})
         contexts = self._contexts(prefixes)
         missing = [c for c in contexts if c not in memo]
         if missing:
-            self._draw(source, tuple(dict.fromkeys(missing)))
+            index = self._indexes.get(source)
+            for context in dict.fromkeys(missing) if index else ():
+                if address := index.find(context):
+                    memo[context] = self._row_at(address)
+            if missing := tuple(dict.fromkeys(c for c in missing if c not in memo)):
+                self._draw(source, missing)
         return [memo[c] for c in contexts]
 
     def _prob_rows(self, source: Tokens, prefixes: Sequence[Tokens]) -> np.ndarray:

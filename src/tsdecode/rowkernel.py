@@ -18,14 +18,15 @@ draws the rows a step misses of an n-gram model itself, with the block's
 code, writes their log with that loop and enters them into the memo's
 index, in that order, and goes on: it returns to Python only when the
 model's chunk, the index or its room for tokens is full, and Python then
-memoises the rows it drew. Otherwise it returns the contexts
-it misses, Python draws their rows and its next call enters them into the
-index. The block adds a row up in numpy's ``add.reduce`` order, which its
-check compares rather than assumes. This module holds no state, and the
-contexts belong to their models: ``rng.compiled()`` calls ``log_loop``
-and ``load`` once per process, on the first n-gram row block, beam search
-or PSGD decode, never on import. ``lm`` and ``decode`` then use each
-function that passed its check, and the much slower Python code
+claims the chunk rows it drew. The index is those rows' only memo, which
+``lm.SequenceModel.rows_after`` reads when Python asks for one of them.
+Otherwise it returns the contexts it misses, Python draws their rows and its
+next call enters them into the index. The block adds a row up in numpy's
+``add.reduce`` order, which its check compares rather than assumes. This module
+holds no state, and the contexts belong to their models: ``rng.compiled()``
+calls ``log_loop`` and ``load`` once per process, on the first n-gram row
+block, beam search or PSGD decode, never on import. ``lm`` and ``decode`` then
+use each function that passed its check, and the much slower Python code
 otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
@@ -341,8 +342,8 @@ class _RowBuffers(ctypes.Structure):
     """``struct tsd_rows`` of ``_rowkernel.c``, which both searches'
     structs begin with."""
 
-    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room index_room n_drawn",
-                       "index old_index queued wanted chunk drawn log log_data", source=_Source)
+    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room index_room",
+                       "index old_index queued wanted chunk log log_data", source=_Source)
     # Pointers that ``_Resumable._queue`` sets for each call, NULL when
     # there is nothing to read, and those of a search that draws no rows.
     optional = ("index", "old_index", "queued", "chunk", "log", "log_data")
@@ -382,25 +383,23 @@ class _Resumable:
     writing its inputs and resetting the state the kernel reads. The
     sections are cut anew only for a decode whose ``shape`` (the model's
     order, the beam width, ...) needs more room than they hold, for the
-    largest shape seen. A subclass sets ``_layout(shape, capacity)``, the sections by name and
-    length, ``drawn`` among them with room for the records of at least the
-    rows one step can miss, and ``KEPT``, those of rows of ``capacity``
-    entries. Both kinds keep one answer, the first-ranked so far, in
-    ``best``, ``best_step`` and ``best_tokens``. A decode (``_run``) resets
-    and reads it as it does the root and the counts, and reads its rows
-    through the source's index (``lm._Index``); it returns early when a
-    step needs what Python must give: rows, room for them, or room for its
-    tokens, whose ``capacity`` doubles up to the decode's ``limit`` and
-    stays so.
+    largest shape seen. A subclass sets ``_layout(shape, capacity)``, the
+    sections by name and length, and ``KEPT``, those of rows of ``capacity``
+    entries. Both kinds keep one answer, the first-ranked so far, in ``best``,
+    ``best_step`` and ``best_tokens``. A decode (``_run``) resets and reads it
+    as it does the root and the counts, and reads its rows through the source's
+    index (``lm._Index``); it returns early when a step needs what Python must
+    give: rows, room for them, or room for its tokens, whose ``capacity``
+    doubles up to the decode's ``limit`` and stays so.
 
     A missed row takes one of two routes. Given ``log``, numpy's checked
     log loop (``log_loop``), and a model whose rows the kernel draws
-    (``_row_params``), the kernel draws the rows a step misses into the
-    model's chunk, writes their log and enters them into the index, and
-    Python only memoises them when it returns (``_kept``); when the chunk or
-    the index lacks room for a step's rows, it returns first and Python
-    opens a new chunk or sizes a new table. Otherwise Python draws them
-    through ``_draw`` and the next call enters them into the index. Either
+    (``_row_params``), the kernel draws the rows a step misses into the model's
+    chunk, writes their log and enters them into the index, which is their only
+    memo, and Python only claims their chunk rows when it returns (``_kept``);
+    when the chunk or the index lacks room for a step's rows, it returns first
+    and Python opens a new chunk or sizes a new table. Otherwise Python draws
+    them through ``_draw`` and the next call enters them into the index. Either
     way no row is reachable before its log is written."""
 
     KEPT: tuple[str, ...] = ()
@@ -432,7 +431,7 @@ class _Resumable:
             shape = tuple(map(max, (shape[0], *(1 << max(n - 1, 0).bit_length() for n in shape[1:])),
                               self.shape or shape))
             self.views = _sections(buffers, *self._layout(shape, buffers.capacity))
-            self.shape, self.drawn_rows = shape, len(self.views["drawn"]) // (1 + shape[0])
+            self.shape = shape
         self.model, self.source, self.index = model, source, model._indexes.get(source)
         if self.index is None:
             # The first search of the source queues each row the memo holds.
@@ -491,24 +490,21 @@ class _Resumable:
         if self.draws:
             model._room(max(rows, 1))
             buffers.chunk = model._address + 8 * buffers.vocab * model._used
-            buffers.chunk_room = min(len(model._chunk) - model._used, self.drawn_rows)
+            buffers.chunk_room = len(model._chunk) - model._used
             buffers.index_room = (3 << index.bits >> 2) - index.count
         # Both are read by the kernel's next call.
         self.held = old, queued
 
     def _kept(self) -> None:
-        """Memoise the rows the kernel's last call drew, logged and entered
-        into the index: their chunk rows are claimed and counted first, so
-        that no later draw writes over a row the index reaches, then each
-        context, read from ``drawn`` in chunk order, keeps a read-only view
-        of its row."""
-        buffers, model = self.buffers, self.model
-        if not buffers.n_drawn:
-            return
-        at, model._used = model._used, (buffers.chunk - model._address) // (8 * buffers.vocab)
-        self.index.count += model._used - at
-        contexts = self._records("drawn", buffers.n_drawn)
-        model._row_cache.setdefault(self.source, {}).update(zip(contexts, model._read_only[at : model._used]))
+        """Claim the chunk rows the kernel's last call drew, logged and
+        entered into the index, those it moved ``chunk`` past, and count
+        them into the index, so that no later draw writes over a row the
+        index reaches. The index is their only memo: Python reads one of
+        them only when it asks for it (``lm.SequenceModel.rows_after``)."""
+        if self.draws:
+            model, used = self.model, self.model._used
+            model._used = (self.buffers.chunk - model._address) // (8 * self.buffers.vocab)
+            self.index.count += model._used - used
 
     def _records(self, name: str, n: int) -> list[tuple[int, ...]]:
         """The first ``n`` ids of the section ``name`` as the records they
@@ -525,7 +521,7 @@ class _Resumable:
 
     def _run(self, kernel) -> tuple[float, tuple[int, ...], tuple[int, int, int]]:
         """Reset the decode to its root, then call ``kernel`` until it is
-        done: after each return, memoise the rows it drew, and after each
+        done: after each return, claim the rows it drew, and after each
         early one grow the room it lacks, and give it room for the rows it
         wants or draw them with ``_draw``. The context then lets go of the
         model. Returns the best score, its tokens and the counts (forward
@@ -612,8 +608,7 @@ class CompiledSearch(_Resumable):
         order, width, n, complete = shape
         return ((("lp", 2 * width),),
                 (("phrases", complete), ("starts", n + 1), ("progress", 2 * width * n), ("bank", 2 * width),
-                 ("wanted", width * (1 + order)), ("drawn", max(CHUNK_ROWS, width) * (1 + order)),
-                 ("tokens", 2 * width * capacity), ("best_tokens", capacity)))
+                 ("wanted", width * (1 + order)), ("tokens", 2 * width * capacity), ("best_tokens", capacity)))
 
     def beam(self):
         """The final beam of the context's last decode, as
@@ -741,10 +736,14 @@ def search_outcome(result) -> tuple:
 
 
 def _memo(model) -> dict:
-    """The memo of ``model`` as plain data: each row's bytes, by source and
-    context."""
-    return {source: {context: row.tobytes() for context, row in rows.items()}
-            for source, rows in model._row_cache.items()}
+    """The memo of ``model`` as plain data: by source and context, the bytes
+    of each row the source's index reaches, read at its address, or of each
+    row of its dict when it has no index."""
+    size = 8 * model.vocab.size
+    return {source: {context: ctypes.string_at(address, size) for context, address in index.entries().items()}
+            if (index := model._indexes.get(source)) else
+            {context: row.tobytes() for context, row in model._row_cache.get(source, {}).items()}
+            for source in {*model._row_cache, *model._indexes}}
 
 
 def _decodes_match(decodes, python, kernel, kind, compiled, outcome, rows: CheckRows | None) -> bool:
@@ -762,17 +761,17 @@ def _decodes_match(decodes, python, kernel, kind, compiled, outcome, rows: Check
     its first kernel call, which reported a failed allocation, on a model of
     its own, and every section is filled with NaN or -1 before each decode,
     so a state that a decode fails to reset is seen. Each time the index
-    must hold as many rows as it counts and be at most 3/4 full, and the
-    cold model's memo must then hold the filled one's contexts with the same
-    bytes. Its first rows go to a chunk whose first row counts as used, with
-    room for ``CHECK_CHUNK_ROWS`` more, cut from a NaN-filled block whose
-    later rows must stay NaN: a step that wants more rows returns for a new
-    chunk, and a search that draws past the room is seen. Every kernel call
-    is refused first when the context holds a NULL pointer, which would
-    crash the process rather than fail the check. The searches draw, log and
-    index their n-gram rows themselves when ``rows`` holds the row block
-    that passed and the log loop; the Python draws go to ``rows``, by the
-    Python twin unless given."""
+    must hold as many rows as it counts and be at most 3/4 full, and the rows
+    the cold model's index reaches (``_memo``) must then be the filled one's,
+    with the same bytes. Its first rows go to a chunk whose first row counts as
+    used, with room for ``CHECK_CHUNK_ROWS`` more, cut from a NaN-filled block
+    whose later rows must stay NaN: a step that wants more rows returns for a
+    new chunk, and a search that draws past the room is seen. Every kernel call
+    is refused first when the context holds a NULL pointer, which would crash
+    the process rather than fail the check. The searches draw, log and index
+    their n-gram rows themselves when ``rows`` holds the row block that passed
+    and the log loop; the Python draws go to ``rows``, by the Python twin
+    unless given."""
     rows = CheckRows() if rows is None else rows
 
     def kernel_of(context, abandon: bool = False):
@@ -807,7 +806,7 @@ def _decodes_match(decodes, python, kernel, kind, compiled, outcome, rows: Check
             index = model._indexes[source]
             if warm and index.count > indexed:
                 return False
-            if not index.count == sum(map(bool, index.table[:: 2 + model.order])) <= 3 << index.bits >> 2:
+            if not index.count == len(index.entries()) <= 3 << index.bits >> 2:
                 return False
         if _memo(cold) != _memo(filled) or guarded[1 + CHECK_CHUNK_ROWS :].tobytes() != guard:
             return False
@@ -878,8 +877,8 @@ class CompiledPsgd(_Resumable):
         missed = max(width * n_pieces, n_fixed)
         return ((("terms", n_fixed), ("lp", 2 * width), ("carry", 2 * width * capacity)),
                 (("prefix", n_prefix), ("suffix", n_suffix), ("pieces", n_pieces), ("parent", width),
-                 ("token", width), ("wanted", missed * (1 + order)), ("drawn", max(CHUNK_ROWS, missed) * (1 + order)),
-                 ("tokens", 2 * width * capacity), ("best_tokens", capacity)))
+                 ("token", width), ("wanted", missed * (1 + order)), ("tokens", 2 * width * capacity),
+                 ("best_tokens", capacity)))
 
     def children(self) -> list[tuple[int, int]]:
         """The last round's children of the context's last decode, as

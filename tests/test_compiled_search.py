@@ -20,7 +20,7 @@ from tsdecode.core import ResultRow, TokenSeq, TsTask, Vocab, result_to_dict
 from tsdecode.decode import DbaParams, beam_search, dba_suggest
 from tsdecode.lm import NgramGenModel, TableModel, make_perturbed_sibling
 
-from util import (ReadFailed, Unindexed, drawn_rows, failing_reads, indexed_rows, kernel_paths, memo_bytes, run_by,
+from util import (Interrupted, Unindexed, drawn_rows, interrupted_claims, kernel_paths, memo_bytes, run_by,
                   starved, table_model, with_room)
 
 needs_search_kernel = pytest.mark.skipif(
@@ -234,9 +234,9 @@ def test_a_cold_decode_takes_both_miss_routes_and_draws_each_row_once(monkeypatc
 @needs_search_kernel
 def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
     # The kernel draws, logs and indexes a step's missed rows and returns;
-    # when Python fails to read which rows they were, the chunk rows it
-    # claimed first stay theirs: every row the index reaches has its
-    # logged bytes, and later decodes read them.
+    # when the decode stops right after Python claimed their chunk rows,
+    # those rows stay theirs: every row the memo reaches has its logged
+    # bytes, and later decodes read them.
     if "kernel" not in kernel_paths("block") or rng._log is None:
         pytest.skip("the compiled row block or the log loop is not used here")
     monkeypatch.setattr(lm, "CHUNK_ROWS", 3)
@@ -251,15 +251,15 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
     with run_by("beam_search", "kernel"):
         model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
         with monkeypatch.context() as patch:
-            failing_reads(patch)
+            interrupted_claims(patch)
             for _ in range(2):
-                with pytest.raises(ReadFailed):
+                with pytest.raises(Interrupted):
                     searched(model)
-        reached = indexed_rows(model)
+        reached = memo_bytes(model)
         assert reached and all(row == memo_bytes(filled)[key] for key, row in reached.items())
         assert searched(model) == want
         assert searched(model) == want
-        assert indexed_rows(model).items() >= reached.items()
+        assert memo_bytes(model).items() >= reached.items()
 
 
 # Decodes a cold model twice, by the compiled search, each of whose calls

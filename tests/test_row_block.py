@@ -329,11 +329,11 @@ def test_a_models_row_store_and_index_are_freed_with_it():
     # search filled go when the model does.
     model = make_model(20, perturbed=True)
     decode.dba_suggest(model, TsTask("t", TokenSeq(SRC), TokenSeq((2,)), TokenSeq(())), beam_width=3)
-    memo, index = model._row_cache[SRC], model._indexes.get(SRC)
-    held = [weakref.ref(model), weakref.ref(next(iter(memo.values())).base)]
+    (row,), index = model.rows_after(SRC, [()]), model._indexes.get(SRC)
+    held = [weakref.ref(model), weakref.ref(row.base)]
     if index is not None:
         held.append(weakref.ref(index.table))
-    del model, memo, index
+    del model, row, index
     gc.collect()
     assert [ref() for ref in held] == [None] * len(held)
 

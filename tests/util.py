@@ -85,12 +85,23 @@ def starved(search):
     return call
 
 
+def claimed_rows(context) -> list:
+    """The contexts of the chunk rows that the kernel's last call drew, as
+    ``rowkernel._Resumable._kept`` is about to claim them, in chunk order:
+    read from the source's index by their addresses."""
+    if not context.draws:
+        return []
+    model, by_address = context.model, {a: c for c, a in context.index.entries().items()}
+    size = 8 * model.vocab.size
+    return [by_address[a] for a in range(model._address + size * model._used, context.buffers.chunk, size)]
+
+
 def drawn_rows(monkeypatch) -> list:
     """Patch the Python step of each miss route: ``SequenceModel._draw``,
-    and ``rowkernel._Resumable._kept``, which memoises the rows a compiled
+    and ``rowkernel._Resumable._kept``, which claims the rows a compiled
     search drew, logged and indexed itself. The returned list collects
     ``(source, context, drawn by the kernel)`` for every row either one
-    memoises."""
+    memoises, the kernel's read through the index (``claimed_rows``)."""
     from tsdecode import rowkernel
 
     drawn = []
@@ -101,7 +112,7 @@ def drawn_rows(monkeypatch) -> list:
         draw(self, source, contexts)
 
     def kernel(self):
-        drawn.extend((self.source, context, True) for context in self._records("drawn", self.buffers.n_drawn))
+        drawn.extend((self.source, context, True) for context in claimed_rows(self))
         kept(self)
 
     monkeypatch.setattr(lm.SequenceModel, "_draw", python)
@@ -109,39 +120,25 @@ def drawn_rows(monkeypatch) -> list:
     return drawn
 
 
-class ReadFailed(Exception):
-    """Raised in place of reading the contexts of the rows a compiled search
-    drew."""
+class Interrupted(Exception):
+    """Raised right after Python claimed the rows a compiled search drew."""
 
 
-def failing_reads(monkeypatch) -> None:
-    """Patch ``rowkernel._Resumable._records`` to raise ``ReadFailed`` when
-    Python reads the contexts of the rows a compiled search drew, logged and
-    indexed, after it has claimed their chunk rows."""
+def interrupted_claims(monkeypatch) -> None:
+    """Patch ``rowkernel._Resumable._kept`` to raise ``Interrupted`` once it
+    has claimed the chunk rows of rows a compiled search drew, logged and
+    indexed: the decode stops before Python reads anything else."""
     from tsdecode import rowkernel
 
-    records = vars(rowkernel._Resumable)["_records"]
+    kept = vars(rowkernel._Resumable)["_kept"]
 
-    def failing(self, name, n):
-        if name == "drawn":
-            raise ReadFailed
-        return records(self, name, n)
+    def failing(self):
+        used = self.model._used
+        kept(self)
+        if self.model._used != used:
+            raise Interrupted
 
-    monkeypatch.setattr(rowkernel._Resumable, "_records", failing)
-
-
-def indexed_rows(model) -> dict:
-    """Every row the indexes of ``model`` reach, read at its address: its
-    bytes by source and context."""
-    rows = {}
-    for source, index in model._indexes.items():
-        width = 2 + model.order
-        for at in range(0, len(index.table), width):
-            address, n = index.table[at : at + 2]
-            if address:
-                context = tuple(index.table[at + 2 : at + 2 + n])
-                rows[source, context] = ctypes.string_at(address, 8 * model.vocab.size)
-    return rows
+    monkeypatch.setattr(rowkernel._Resumable, "_kept", failing)
 
 
 def with_room(model, source, rows=512, bits=10):
@@ -154,9 +151,20 @@ def with_room(model, source, rows=512, bits=10):
 
 
 def memo_bytes(model) -> dict:
-    """The memo of ``model``: each row's bytes, by source and context."""
-    return {(source, context): row.tobytes() for source, rows in model._row_cache.items()
-            for context, row in rows.items()}
+    """Every row the memo of ``model`` reaches, by source and context: each
+    row of a source's dict and each its index reaches, read at its
+    address, as bytes. A row both reach must be one row, at one address."""
+    rows = {}
+    for source in {*model._row_cache, *model._indexes}:
+        index = model._indexes.get(source)
+        entries = index.entries() if index else {}
+        for context, address in entries.items():
+            rows[source, context] = ctypes.string_at(address, 8 * model.vocab.size)
+        for context, row in model._row_cache.get(source, {}).items():
+            address = row.__array_interface__["data"][0]
+            assert entries.get(context, address) == address
+            rows[source, context] = row.tobytes()
+    return rows
 
 
 def random_task(seed, vocab, src, max_affix_len=2):
