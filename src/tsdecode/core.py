@@ -8,6 +8,7 @@ BOS and decoders handle EOS, so lengths always count content tokens only.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import InitVar, dataclass
 from functools import cached_property
@@ -75,7 +76,7 @@ class TokenSeq:
     role: InitVar[str | None] = None  # accepted and dropped; deleted (ROADMAP item 7) once item 1 stops bench/ passing one
 
     def __post_init__(self, role: str | None) -> None:
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
+        object.__setattr__(self, "tokens", tuple(map(int, self.tokens)))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -139,7 +140,7 @@ class Suggestion:
 
     def __post_init__(self) -> None:
         score = float(self.whole_seq_score)
-        if score != score or score in (float("inf"), float("-inf")):
+        if not math.isfinite(score):
             raise ValueError(f"whole_seq_score must be finite, got {score}")
 
 
@@ -190,7 +191,16 @@ def check_tokens(tokens: tuple[int, ...], vocab: Vocab, what: str, content: bool
     """Raise TokenOutOfRange for an id outside ``vocab`` and, if ``tokens`` is
     a content sequence, ReservedTokenInContent for BOS or EOS; the message
     starts with ``what``."""
-    size = vocab.size
+    size, lo = vocab.size, 2 if content else 0
+    # BOS and EOS are ids 0 and 1, so content ids are exactly those from 2
+    # up: one chained comparison per id (min() and max() cost more on a
+    # task's short sequences), and the second loop runs only to raise the
+    # first error.
+    for tok in tokens:
+        if not lo <= tok < size:
+            break
+    else:
+        return
     reserved = (vocab.bos_id, vocab.eos_id)
     for tok in tokens:
         if tok < 0 or tok >= size:

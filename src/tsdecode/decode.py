@@ -192,14 +192,15 @@ def _resolve_psgd_params(params: PsgdParams, source_len: int) -> tuple[int, int,
     return params.beam_width, params.patience, max_span
 
 
-def _span_shape(order: int, s: Tokens) -> tuple[list[Tokens], int, bool]:
+def _span_shape(order: int, n_suffix: int) -> tuple[list[int], int, bool]:
     """The shape of a task's PSGD scoring under an order-``order`` model,
-    from its suffix ``s`` alone: the pieces (see ``_SpanScorer``), how many
-    suffix terms a span changes, the first ``min(order, len(s))``, and
-    whether the suffix fixes the EOS row, having at least ``order`` tokens."""
-    k = min(order, len(s))
-    fixed_eos = len(s) >= order
-    return [s[:j] for j in range(max(k, 1))] + ([s] if s and not fixed_eos else []), k, fixed_eos
+    from the length of its suffix alone: the length of each piece, the
+    suffix's first tokens (see ``_SpanScorer``), how many suffix terms a
+    span changes, the first ``min(order, n_suffix)``, and whether the suffix
+    fixes the EOS row, having at least ``order`` tokens."""
+    fixed_eos = n_suffix >= order
+    k = order if fixed_eos else n_suffix
+    return [*range(k or 1)] + ([n_suffix] if n_suffix and not fixed_eos else []), k, fixed_eos
 
 
 class _SpanScorer:
@@ -226,7 +227,8 @@ class _SpanScorer:
 
     def __init__(self, model: SequenceModel, src: Tokens, p: Tokens, s: Tokens) -> None:
         self.eos = eos = model.vocab.eos_id
-        self.pieces, k, fixed_eos = _span_shape(model.order, s)
+        lengths, k, fixed_eos = _span_shape(model.order, len(s))
+        self.pieces = [s[:j] for j in lengths]
         self.fixed_eos = fixed_eos
         fixed = (
             [p[:t] for t in range(len(p))]
@@ -369,6 +371,19 @@ def _python_psgd(model: SequenceModel, src: Tokens, p: Tokens, s: Tokens, scorer
     return best[0], best[1], (fw, pos_scored, emitted, stop_reason), children
 
 
+# ``rowkernel``, which imports this module: imported by the first compiled
+# search (``_kernel``) and kept.
+_rowkernel = None
+
+
+def _kernel():
+    """The ``rowkernel`` module, whose contexts run the compiled searches."""
+    global _rowkernel
+    if _rowkernel is None:
+        from . import rowkernel as _rowkernel
+    return _rowkernel
+
+
 def _indexed(model: SequenceModel) -> bool:
     """Whether ``model`` takes its contexts by the rule the compiled
     searches follow, ``SequenceModel``'s."""
@@ -393,23 +408,14 @@ def _psgd_run(
     s = as_tokens(task.suffix)
 
     t0 = time.perf_counter()
-    functions = trace is None and scorer is _SpanScorer and _indexed(model) and rng.compiled()
+    functions = trace is None and scorer is _SpanScorer and _indexed(model) and (rng._compiled or rng.compiled())
     if functions and functions.psgd_search:
-        from .rowkernel import CompiledPsgd
-
-        score, span, counts = CompiledPsgd.of(model)(functions.psgd_search, model, src, p, s, params, max_span,
-                                                     functions.block and rng._log)
+        score, span, counts = _kernel().CompiledPsgd.of(model)(functions.psgd_search, model, src, p, s, params,
+                                                               max_span, functions.block and rng._log)
     else:
         score, span, counts, _ = _python_psgd(model, src, p, s, scorer(model, src, p, s), params, max_span, trace)
-    fw, pos_scored, emitted, stop_reason = counts
-    stats = DecodeStats(
-        forward_passes=fw,
-        positions_scored=pos_scored,
-        emitted_steps=emitted,
-        stop_reason=stop_reason,
-        wall_time_us=_wall_us(t0),
-    )
-    return Suggestion(span=TokenSeq(span), whole_seq_score=score, stats=stats)
+    # counts are (forward_passes, positions_scored, emitted_steps, stop_reason).
+    return Suggestion(TokenSeq(span), score, DecodeStats(*counts, _wall_us(t0)))
 
 
 def psgd(model: SequenceModel, task: TsTask, params: PsgdParams | None = None) -> Suggestion:
@@ -616,11 +622,9 @@ def _search(model: SequenceModel, src: Tokens, constraints: tuple[Tokens, ...], 
     loads and passes its check and the model takes its contexts by
     ``SequenceModel``'s rule; otherwise ``_python_search``'s. Both give the
     same results."""
-    functions = rng.compiled()
+    functions = rng._compiled or rng.compiled()
     if functions.beam_search and _indexed(model):
-        from .rowkernel import CompiledSearch
-
-        search = CompiledSearch.of(model)
+        search = _kernel().CompiledSearch.of(model)
         best, tokens, counts = search(functions.beam_search, model, src, constraints, beam_width, max_len,
                                       functions.block and rng._log)
         return (best, tokens), search.beam, counts
@@ -649,17 +653,8 @@ def _beam_core(model: SequenceModel, source,
             raise InvalidParams("constraint phrases must be non-empty")
         check_tokens(c, model.vocab, "constraint")
     t0 = time.perf_counter()
-    best, beam, (fw, pos_scored, emitted, stop_reason) = _search(
-        model, src, constraints, params.beam_width, params.max_len
-    )
-    stats = DecodeStats(
-        forward_passes=fw,
-        positions_scored=pos_scored,
-        emitted_steps=emitted,
-        stop_reason=stop_reason,
-        wall_time_us=_wall_us(t0),
-    )
-    return best, beam, stats
+    best, beam, counts = _search(model, src, constraints, params.beam_width, params.max_len)
+    return best, beam, DecodeStats(*counts, _wall_us(t0))
 
 
 def beam_search(model: SequenceModel, source, beam_width: int, max_len: int) -> BeamSearchResult:
@@ -739,6 +734,12 @@ def extract_span(output: Tokens, prefix: Tokens, suffix: Tokens) -> Tokens:
     length at 0 or at the end, so it drops no token. dba_decode outputs
     always contain both; this keeps the function total for direct callers.
     """
+    # The output nearly always starts with the prefix and ends with the
+    # suffix, which are then its first and last occurrences. Where the two
+    # overlap, the slice is empty, as the removal below would leave nothing.
+    s_start = len(output) - len(suffix)
+    if output[: len(prefix)] == prefix and output[s_start:] == suffix:
+        return output[len(prefix) : s_start]
     p_start = _find(output, prefix)
     if p_start is None:
         prefix, p_start = (), 0
@@ -794,11 +795,5 @@ def dba_suggest(
         whole = normalized_score(raw, len(output), scoring, include_eos_in_len)
     else:
         whole = filled_score(model, src, p, span, s, scoring, include_eos_in_len)
-    stats = DecodeStats(
-        forward_passes=fw + 1,
-        positions_scored=pos_scored + len(p) + len(span) + len(s) + 1,
-        emitted_steps=emitted,
-        stop_reason=stop_reason,
-        wall_time_us=_wall_us(t0),
-    )
-    return Suggestion(span=TokenSeq(span), whole_seq_score=whole, stats=stats)
+    stats = DecodeStats(fw + 1, pos_scored + len(p) + len(span) + len(s) + 1, emitted, stop_reason, _wall_us(t0))
+    return Suggestion(TokenSeq(span), whole, stats)

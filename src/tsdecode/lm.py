@@ -29,9 +29,11 @@ returns, Python only claims the chunk rows it drew. The index is the only memo
 of those rows: ``rows_after`` looks a context its dict misses up in the index
 (``_Index.find``) and caches a view of the row it finds, so that only a context
 both lack is drawn. When the chunk lacks room for a step's rows, Python opens a
-new one (``_room``). A table or uniform model, or a search without the checked
-row block or log loop, hands the contexts to ``_draw`` instead, and the rows
-enter the index on the search's next call. Either way no row is reachable
+new one (``_room``), of twice the rows of the last but below glibc's mmap
+threshold, so that a cold search seldom returns for room. A table or uniform
+model, or a search without the checked row block or log loop, hands the
+contexts to ``_draw`` instead, and the rows enter the index on the search's
+next call. Either way no row is reachable
 before its log is written. Row bytes do not depend on the block
 or the route: an ``NgramGenModel`` row is a pure function of its key,
 ``hash_key(seed, tag, source, context)``, and finishing acts on each row
@@ -170,8 +172,13 @@ def _numpy_finalize(rows: np.ndarray, bos_id: int) -> np.ndarray:
     return rows
 
 
-# Rows per chunk of the row store, unless one block needs more.
+# Rows of a model's first chunk; each later one has twice the rows of the
+# one before, but stays below CHUNK_BYTES, unless one block needs more rows.
 CHUNK_ROWS = 64
+# glibc's default mmap threshold is 128 KiB: a chunk below it, with room for
+# malloc's header, comes from the heap and is never mapped and unmapped,
+# which would raise the threshold for the rest of the process.
+CHUNK_BYTES = 127 * 1024
 
 
 class _Index:
@@ -225,8 +232,9 @@ class SequenceModel:
     ``name`` is the spec kind, ``order`` the context length; ``seed`` is the
     row seed of models that draw their rows (0 for the others). Finalized
     log rows are memoized per source, then per context; their data sit in
-    the model's row store, float64 chunks of ``CHUNK_ROWS`` rows
-    that never move, filled in the order the rows are drawn. A source's
+    the model's row store, float64 chunks that never move, filled in the
+    order the rows are drawn: the first of ``CHUNK_ROWS`` rows, each later
+    one of twice the rows of the last, below ``CHUNK_BYTES``. A source's
     dict holds a view of each row Python drew or read, and its index, once
     a compiled search has read the source, every row of it the model holds,
     those the search drew only there. The model holds every chunk it has
@@ -311,9 +319,12 @@ class SequenceModel:
 
     def _room(self, n: int) -> None:
         """Give the chunk room for ``n`` more rows: when it lacks it, fill a
-        new chunk of ``CHUNK_ROWS`` rows, or ``n`` if more, next."""
+        new chunk next, of twice the rows of the last one (``CHUNK_ROWS`` at
+        first) but below ``CHUNK_BYTES``, or of ``n`` rows if more."""
         if self._used + n > len(self._chunk):
-            self._new_chunk(np.empty((max(CHUNK_ROWS, n), self.vocab.size)))
+            size = self.vocab.size
+            rows = min(max(CHUNK_ROWS, 2 * len(self._chunk)), CHUNK_BYTES // (8 * size))
+            self._new_chunk(np.empty((max(rows, n), size)))
 
     def _new_chunk(self, chunk: np.ndarray) -> None:
         """Fill the C-contiguous float64 (R, V) array ``chunk`` next, from

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,13 +40,19 @@ class BleuScore:
     reference_len: int
 
 
-def _ngram_counts(tokens: tuple[int, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: tuple[int, ...]) -> Counter:
+    """Every 1- to ``MAX_ORDER``-gram of ``tokens``, counted in one Counter;
+    an n-gram's length is its order."""
+    return Counter(chain.from_iterable(zip(*[tokens[i:] for i in range(n)]) for n in range(1, MAX_ORDER + 1)))
 
 
 def _pooled_counts(
-    candidates: Sequence[tuple[int, ...]], references: Sequence[tuple[int, ...]]
+    candidates: Sequence[tuple[int, ...]], references: Sequence[tuple[int, ...]], counted: dict | None = None
 ) -> tuple[list[int], list[int], int, int]:
+    """Clipped n-gram matches and n-gram totals per order, then the
+    candidates' and the references' lengths. ``counted`` holds each
+    reference's ``_ngram_counts`` by its tokens, each counted once."""
+    counted = {} if counted is None else counted
     matches = [0] * MAX_ORDER
     totals = [0] * MAX_ORDER
     cand_len = 0
@@ -53,15 +60,14 @@ def _pooled_counts(
     for cand, ref in zip(candidates, references):
         cand_len += len(cand)
         ref_len += len(ref)
-        for n in range(1, MAX_ORDER + 1):
-            cand_counts = _ngram_counts(cand, n)
-            if not cand_counts:
-                continue
-            ref_counts = _ngram_counts(ref, n)
-            totals[n - 1] += sum(cand_counts.values())
-            matches[n - 1] += sum(
-                min(count, ref_counts[ngram]) for ngram, count in cand_counts.items()
-            )
+        ref_counts = counted.get(ref)
+        if ref_counts is None:
+            ref_counts = counted[ref] = _ngram_counts(ref)
+        cand_counts = _ngram_counts(cand)
+        for ngram in cand_counts.keys() & ref_counts.keys():
+            matches[len(ngram) - 1] += min(cand_counts[ngram], ref_counts[ngram])
+        for i in range(MAX_ORDER):
+            totals[i] += max(len(cand) - i, 0)
     return matches, totals, cand_len, ref_len
 
 
@@ -80,11 +86,13 @@ def _geometric_bleu(precisions: Sequence[float], bp: float) -> float:
     return bp * math.exp(log_sum) * 100.0
 
 
-def corpus_bleu(candidates: Sequence, references: Sequence) -> BleuScore:
+def corpus_bleu(candidates: Sequence, references: Sequence, *, counted: dict | None = None) -> BleuScore:
     """Unsmoothed corpus BLEU with one reference per candidate.
 
     Empty candidates are legal: they add zero matches and zero length to the
-    pool (driving the brevity penalty down) rather than raising.
+    pool (driving the brevity penalty down) rather than raising. Calls that
+    share ``counted``, a dict that starts empty, count each reference's
+    n-grams once.
     """
     if len(candidates) != len(references):
         raise LengthMismatch(
@@ -94,7 +102,7 @@ def corpus_bleu(candidates: Sequence, references: Sequence) -> BleuScore:
         raise EmptyCorpus("corpus BLEU needs at least one sentence pair")
     cands = [as_tokens(c) for c in candidates]
     refs = [as_tokens(r) for r in references]
-    matches, totals, cand_len, ref_len = _pooled_counts(cands, refs)
+    matches, totals, cand_len, ref_len = _pooled_counts(cands, refs, counted)
     precisions = tuple(
         (matches[i] / totals[i]) if totals[i] > 0 else 0.0 for i in range(MAX_ORDER)
     )
@@ -164,8 +172,10 @@ def aggregate(records: Sequence[EvalRecord]) -> list[BenchRow]:
     for rec in records:
         groups.setdefault((rec.decoder, rec.mask_ratio), []).append(rec)
     rows = []
+    # Each reference's n-grams are counted once, for every decoder.
+    counted: dict = {}
     for (decoder, ratio), recs in sorted(groups.items()):
-        bleu = corpus_bleu([r.candidate for r in recs], [r.reference for r in recs])
+        bleu = corpus_bleu([r.candidate for r in recs], [r.reference for r in recs], counted=counted)
         rows.append(
             BenchRow(
                 decoder=decoder,

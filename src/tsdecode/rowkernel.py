@@ -374,6 +374,10 @@ class _PsgdBuffers(_RowBuffers):
 # The tokens a hypothesis or span has room for at first: a longer decode
 # returns to have the room doubled, and the context keeps it.
 INITIAL_CAPACITY = 64
+# A source's first index table has 2^INDEX_BITS slots: room for the 192 rows
+# that most cold decodes of a short source read, so that few return for a
+# larger table.
+INDEX_BITS = 8
 
 
 class _Resumable:
@@ -398,15 +402,19 @@ class _Resumable:
     chunk, writes their log and enters them into the index, which is their only
     memo, and Python only claims their chunk rows when it returns (``_kept``);
     when the chunk or the index lacks room for a step's rows, it returns first
-    and Python opens a new chunk or sizes a new table. Otherwise Python draws
-    them through ``_draw`` and the next call enters them into the index. Either
-    way no row is reachable before its log is written."""
+    and Python opens a new chunk or sizes a new table. Chunks double
+    (``lm.SequenceModel._room``) and a source's first table has
+    2^``INDEX_BITS`` slots, so a cold decode seldom returns. Otherwise Python
+    draws them through ``_draw`` and the next call enters them into the
+    index. Either way no row is reachable before its log is written."""
 
     KEPT: tuple[str, ...] = ()
 
     def __init__(self, capacity: int = INITIAL_CAPACITY) -> None:
         self.buffers = self.STRUCT(capacity=capacity)
         self.address, self.vocab, self.shape, self.views = ctypes.addressof(self.buffers), None, None, {}
+        # The row parameters and log loop the struct holds, as ``_start`` bound them.
+        self.bound = None
 
     @classmethod
     def of(cls, model):
@@ -419,7 +427,8 @@ class _Resumable:
 
     def _start(self, model, source: tuple[int, ...], log: LogLoop | None, shape: tuple[int, ...]) -> None:
         """Bind the context to ``model`` and ``source``, with room for
-        ``shape``."""
+        ``shape``; the struct's row parameters and log loop are written
+        only when they change."""
         buffers = self.buffers
         if model.vocab is not self.vocab or model.order != buffers.n_context:
             vocab = self.vocab = model.vocab
@@ -441,11 +450,15 @@ class _Resumable:
             )
         params = model._row_params(source) if log else None
         self.draws = params is not None
-        if self.draws:
-            buffers.source = _Source(*params)
-            buffers.log, buffers.log_data = log
-        else:
-            buffers.log = None
+        # Bound anew only when they change: a model keeps one ``_row_params``
+        # tuple per source.
+        if (params, log) != self.bound:
+            self.bound = params, log
+            if self.draws:
+                buffers.source = _Source(*params)
+                buffers.log, buffers.log_data = log
+            else:
+                buffers.log = None
 
     def _grow(self) -> None:
         """Double ``capacity``, up to ``limit``, in sections cut anew that
@@ -465,30 +478,33 @@ class _Resumable:
         it lacks queued for it to enter, and, when the kernel draws rows, at
         the free rows of the model's chunk. The index and the chunk are
         given room first for ``rows`` more rows, besides the queued ones: a
-        full chunk, or one without that room, is followed by a new one, and
-        a table that would be more than 3/4 full is replaced by a zeroed
-        one, into which the kernel moves the old entries before the new
-        ones. The call must follow, or the queued rows are lost to the
+        full chunk, or one without that room, is followed by a new one
+        (``lm.SequenceModel._room``); a source gets its first table, of
+        2^``INDEX_BITS`` slots or more, zeroed, and a table that would be
+        more than 3/4 full is replaced by a larger zeroed one, into which
+        the kernel moves the old entries before the new ones. With nothing
+        pending, no queue is built. The call must follow, or the queued rows are lost to the
         index."""
         index, buffers, model = self.index, self.buffers, self.model
-        pending, index.pending = index.pending, []
-        queued, old = array("q"), None
-        for contexts, address in pending:
-            queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
-            index.count += len(contexts)
+        queued = old = None
+        if index.pending:
+            pending, index.pending, queued = index.pending, [], array("q")
+            for contexts, address in pending:
+                queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
+                index.count += len(contexts)
+            buffers.queued, buffers.n_queued = queued.buffer_info()
+        else:
+            buffers.n_queued = 0
         if index.table is None or 4 * (index.count + rows) > 3 << index.bits:
-            # 64 slots at first: room for a decode's first call, its fixed
-            # rows and its first steps.
-            bits, old = max(index.bits, 6), index.table
+            bits, old = max(index.bits, INDEX_BITS), index.table
             while 4 * (index.count + rows) > 3 << bits:
                 bits += 1
             buffers.old_bits = index.bits
             index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
         buffers.old_index = None if old is None else old.buffer_info()[0]
         buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
-        buffers.queued, buffers.n_queued = queued.buffer_info()
         if self.draws:
-            model._room(max(rows, 1))
+            model._room(rows or 1)
             buffers.chunk = model._address + 8 * buffers.vocab * model._used
             buffers.chunk_room = len(model._chunk) - model._used
             buffers.index_room = (3 << index.bits >> 2) - index.count
@@ -583,10 +599,11 @@ class CompiledSearch(_Resumable):
         """The best finish's raw score (-inf for none), its tokens and the
         counts, as ``decode._python_search`` returns them."""
         content = model.vocab.content_ids
-        flat = [tok for phrase in constraints for tok in phrase]
+        lo, hi, flat = content[0], content[-1], [*chain.from_iterable(constraints)]
         # The kernel indexes its rows with these without checking them.
-        if any(not content[0] <= tok <= content[-1] for tok in flat):
-            raise ValueError(f"a phrase of {constraints} holds a non-content id")
+        for tok in flat:
+            if not lo <= tok <= hi:
+                raise ValueError(f"a phrase of {constraints} holds a non-content id")
         n = len(constraints)
         self._start(model, source, log, (model.order, beam_width, n, len(flat)))
         buffers, views = self.buffers, self.views
@@ -850,8 +867,7 @@ class CompiledPsgd(_Resumable):
         """The best whole-sequence score, its span and the counts, as
         ``decode._python_psgd`` returns them."""
         width = params.beam_width
-        pieces, changed, fixed_eos = _span_shape(model.order, suffix)
-        pieces = [*map(len, pieces)]
+        pieces, changed, fixed_eos = _span_shape(model.order, len(suffix))
         # The fixed terms: the EOS term when fixed, the prefix terms and the
         # tail terms, each read from a row the first call may miss.
         n_fixed = fixed_eos + len(prefix) + len(suffix) - changed

@@ -11,8 +11,10 @@ from tsdecode.core import (
     ResultRow,
     TokenOutOfRange,
     TokenSeq,
+    TsError,
     TsTask,
     Vocab,
+    check_tokens,
     read_results_jsonl,
     read_tasks_jsonl,
     result_from_dict,
@@ -23,6 +25,8 @@ from tsdecode.core import (
     write_results_jsonl,
     write_tasks_jsonl,
 )
+
+from util import reference_check_tokens
 
 
 def make_task(source, prefix, suffix, gold_span=None, gold_full=None, task_id="t"):
@@ -182,3 +186,25 @@ def test_public_names_resolve():
     assert len(names) == len(set(names)), "a name is exported twice"
     for name in names:
         assert hasattr(tsdecode, name), f"tsdecode.__all__ names missing {name!r}"
+
+
+@given(
+    st.integers(min_value=3, max_value=12).flatmap(
+        lambda size: st.tuples(st.just(size), st.lists(st.integers(min_value=-3, max_value=size + 2), max_size=8))
+    ),
+    st.booleans(),
+)
+def test_check_tokens_raises_as_its_loop_does(sized, content):
+    # Ids from -3 to size + 2 at every position, BOS and EOS among them:
+    # the fast path accepts exactly what the loop accepts, and otherwise the
+    # loop raises its first error.
+    size, tokens = sized
+
+    def outcome(check):
+        try:
+            check(tuple(tokens), Vocab(size), "seq", content)
+        except TsError as exc:
+            return type(exc), str(exc)
+        return None
+
+    assert outcome(check_tokens) == outcome(reference_check_tokens)

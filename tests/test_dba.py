@@ -28,6 +28,7 @@ from util import (
     random_table_model,
     random_task,
     record_token_checks,
+    reference_extract_span,
     run_by,
     table_model,
 )
@@ -109,6 +110,9 @@ def test_empty_phrase_rejected(m1, m1_src):
         dba_decode(m1, m1_src, DbaParams(beam_width=2, max_len=4, constraints=((),)))
 
 
+TOKENS = st.lists(st.integers(min_value=2, max_value=4), max_size=5).map(tuple)
+
+
 class TestExtractSpan:
     def test_clean_window(self):
         assert extract_span((7, 8, 5, 6, 9), (7, 8), (9,)) == (5, 6)
@@ -137,6 +141,15 @@ class TestExtractSpan:
         # Only part of the prefix occurs, so it is content: the window runs
         # from 0 to the suffix at 1.
         assert extract_span((5, 6), (5, 6, 7), (6,)) == (5,)
+
+    @given(*[TOKENS] * 5, st.one_of(st.none(), TOKENS))
+    @settings(max_examples=300)
+    def test_equals_its_two_scans(self, prefix, span, suffix, lead, trail, other):
+        # Over a small alphabet the prefix and suffix recur and overlap. The
+        # output is prefix + span + suffix, as DBA's nearly always is, with
+        # tokens before and after it, or any other sequence.
+        output = lead + prefix + span + suffix + trail if other is None else other
+        assert extract_span(output, prefix, suffix) == reference_extract_span(output, prefix, suffix)
 
     def test_find_first_and_last_occurrence(self):
         assert _find((1, 2, 1, 2), (1, 2)) == 0

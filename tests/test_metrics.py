@@ -7,6 +7,7 @@ from tsdecode.metrics import (
     EmptyCorpus,
     EvalRecord,
     LengthMismatch,
+    _pooled_counts,
     aggregate,
     corpus_bleu,
     format_metrics_csv,
@@ -14,7 +15,7 @@ from tsdecode.metrics import (
 )
 from tsdecode.rng import Stream, hash_key
 
-from reference_bleu import reference_corpus_bleu
+from reference_bleu import _count_ngrams, reference_corpus_bleu
 
 
 class TestCorpusBleu:
@@ -99,6 +100,30 @@ def test_permutation_invariance(seed, rnd):
     rnd.shuffle(order)
     shuffled = corpus_bleu([cands[i] for i in order], [refs[i] for i in order])
     assert abs(base.score - shuffled.score) < 1e-12
+
+
+@given(st.lists(st.tuples(*[st.lists(st.integers(min_value=1, max_value=4), min_size=size, max_size=7).map(tuple)
+                             for size in (0, 1)]), min_size=1, max_size=5))
+@settings(deadline=None)
+def test_pooled_counts_equal_the_reference_counter(pairs):
+    # Candidates may be empty. Each sentence's n-grams of every order are
+    # counted in one Counter, each reference once over calls that share its
+    # counts; the integer counts are the reference counter's, and so is
+    # every float.
+    cands, refs = [cand for cand, _ in pairs], [ref for _, ref in pairs]
+    matches, totals = [0] * 4, [0] * 4
+    for cand, ref in pairs:
+        for n in range(1, 5):
+            ref_counts = _count_ngrams(ref, n)
+            for gram, count in _count_ngrams(cand, n).items():
+                totals[n - 1] += count
+                matches[n - 1] += min(count, ref_counts.get(gram, 0))
+    want = (matches, totals, sum(map(len, cands)), sum(map(len, refs)))
+    counted = {}
+    assert _pooled_counts(cands, refs) == _pooled_counts(cands, refs, counted) == want
+    assert counted.keys() == set(refs) and _pooled_counts(cands, refs, counted) == want
+    got = corpus_bleu(cands, refs)
+    assert (got.score, got.precisions, got.brevity_penalty) == reference_corpus_bleu(cands, refs)
 
 
 def test_appending_exact_match_never_decreases():

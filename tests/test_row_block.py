@@ -309,8 +309,8 @@ def test_a_missed_block_is_one_compiled_call_and_read_only_views():
 
 def test_a_memo_row_keeps_its_data_address_as_its_source_grows():
     # Rows are views of chunks that never move: drawing many more rows of
-    # the same source fills new chunks and leaves the first row's data where
-    # it was, with the same bytes.
+    # the same source fills new chunks, each twice the rows of the last,
+    # and leaves the first row's data where it was, with the same bytes.
     model = make_model(20, perturbed=False)
     (first,) = model.rows_after(SRC, [(2,)])
     address, kept = first.__array_interface__["data"][0], first.tobytes()
@@ -321,7 +321,7 @@ def test_a_memo_row_keeps_its_data_address_as_its_source_grows():
     (again,) = model.rows_after(SRC, [(2,)])
     assert again is first
     assert first.__array_interface__["data"][0] == address and first.tobytes() == kept
-    assert len({id(row.base) for row in memo_snapshot(model).values()}) > 3
+    assert len({id(row.base) for row in memo_snapshot(model).values()}) >= 3
 
 
 def test_a_models_row_store_and_index_are_freed_with_it():

@@ -10,14 +10,16 @@ import ctypes
 import gc
 import weakref
 from array import array
+from collections import Counter
 
 import pytest
 
 from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import NgramGenModel, make_perturbed_sibling
+from tsdecode.rng import Stream, hash_key
 
-from util import drawn_rows, run_by, with_room
+from util import counted_returns, drawn_rows, run_by, with_room
 
 SOURCE = (3, 7, 5)
 # At seed 1, DBA's output for this task is not prefix + span + suffix on
@@ -85,7 +87,7 @@ def test_rows_the_kernel_drew_read_back_with_no_draw(kind, order, room, monkeypa
     assert {source for source, _, by_kernel in drawn if by_kernel} == {SOURCE, (2, 9)}
     assert model._indexes[SOURCE].bits > 3
     if room == "3-row chunks":
-        assert len(model._chunks) > 3
+        assert len(model._chunks) >= 3
     fresh, entries = make_model(kind, order), {source: index.entries() for source, index in model._indexes.items()}
     want = {source: [row.tobytes() for row in fresh.rows_after(source, [*map(prefix_of, contexts)])]
             for source, contexts in entries.items()}
@@ -161,3 +163,55 @@ def test_the_python_lookup_finds_every_entry_of_a_full_table_of_colliding_contex
     assert [entries[context] for context in contexts] == [index.find(context) for context in contexts]
     assert index.find((0,)) == bos_row.__array_interface__["data"][0]
     assert [index.find(context) for context in absent] == [0] * 9
+
+
+def session_tasks():
+    """8 sources of 6 to 12 content ids over vocab 20, each with a target as
+    long, masked 8 ways: a translator revising each sentence several times."""
+    stream, content = Stream(hash_key(45, 0x5E55)), Vocab(20).content_ids
+    tasks = []
+    for i in range(8):
+        n = stream.randint(6, 12)
+        source = tuple(stream.choice(content) for _ in range(n))
+        target = tuple(stream.choice(content) for _ in range(n))
+        for j in range(8):
+            length = stream.randint(1, n)
+            start = stream.randint(0, n - length)
+            tasks.append(TsTask(f"s{i}m{j}", TokenSeq(source), TokenSeq(target[:start]),
+                                TokenSeq(target[start + length :])))
+    return tasks
+
+
+@needs_kernel_draws
+def test_cold_decodes_return_within_their_budget(monkeypatch):
+    # A cold decode returns when the model's chunk or the source's index
+    # lacks room for a step's rows. Chunks double from CHUNK_ROWS and a
+    # source's first table has 256 slots, so the 64 decodes of each kind
+    # take few calls beyond one each; and no chunk reaches 128 KiB.
+    loaded, returns = rng.compiled(), {"psgd": Counter(), "dba": Counter()}
+    monkeypatch.setattr(rng, "_compiled", loaded._replace(
+        psgd_search=counted_returns(loaded.psgd_search, returns["psgd"]),
+        beam_search=counted_returns(loaded.beam_search, returns["dba"])))
+    models = {kind: NgramGenModel(Vocab(20), 2, seed=37, concentration=0.2) for kind in returns}
+    for task in session_tasks():
+        decode.psgd(models["psgd"], task, decode.PsgdParams(beam_width=5, patience=5))
+        try:
+            decode.dba_suggest(models["dba"], task, beam_width=5)
+        except decode.ConstraintsUnsatisfiable:
+            pass
+    # Before chunks doubled and the first table grew from 64 slots: 103 and
+    # 92 calls, 22 and 14 chunk-room returns, 18 and 14 index-room ones.
+    assert returns == {"psgd": Counter(calls=70, chunk=4, index=2), "dba": Counter(calls=67, chunk=3)}
+    assert all(chunk.nbytes < 128 * 1024 for model in models.values() for _, chunk in model._chunks)
+
+
+@needs_kernel_draws
+@pytest.mark.parametrize("kind", ["beam_search", "psgd_search"])
+def test_the_load_checks_cold_decodes_return_for_chunk_and_for_index_room(kind):
+    # The check's cold models start with CHECK_CHUNK_ROWS free rows and a
+    # table of 2^CHECK_INDEX_BITS slots, so that a kernel that draws past
+    # either room, or never returns for it, fails the check.
+    loaded, returns = rng.compiled(), Counter()
+    check = {"beam_search": rowkernel.beam_search_self_check, "psgd_search": rowkernel.psgd_self_check}[kind]
+    assert check(counted_returns(getattr(loaded, kind), returns), rowkernel.CheckRows(loaded.block, rng._log))
+    assert returns["chunk"] >= 1 and returns["index"] >= 1

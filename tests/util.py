@@ -316,6 +316,67 @@ def on_every_path(function):
     return mark
 
 
+def reference_check_tokens(tokens, vocab, what, content=True) -> None:
+    """``core.check_tokens`` as a loop over every token, without its fast
+    path: the first id outside ``vocab`` raises TokenOutOfRange and, in a
+    content sequence, the first BOS or EOS ReservedTokenInContent."""
+    size = vocab.size
+    reserved = (vocab.bos_id, vocab.eos_id)
+    for tok in tokens:
+        if tok < 0 or tok >= size:
+            raise core.TokenOutOfRange(f"{what}: token id {tok} outside vocab of size {size}")
+        if content and tok in reserved:
+            raise core.ReservedTokenInContent(f"{what}: reserved token id {tok} in content sequence")
+
+
+def reference_extract_span(output, prefix, suffix):
+    """``decode.extract_span`` as two scans, without its fast path: the
+    span between the end of the first prefix occurrence and the start of
+    the last suffix occurrence, an absent one counting as empty, or else
+    the output without the matched tokens."""
+
+    def find(hay, needle, last=False):
+        starts = range(len(hay) - len(needle) + 1)
+        for i in reversed(starts) if last else starts:
+            if hay[i : i + len(needle)] == needle:
+                return i
+        return None
+
+    p_start = find(output, prefix)
+    if p_start is None:
+        prefix, p_start = (), 0
+    s_start = find(output, suffix, last=True)
+    if s_start is None:
+        suffix, s_start = (), len(output)
+    p_end = p_start + len(prefix)
+    if p_end <= s_start:
+        return output[p_end:s_start]
+    drop = set(range(p_start, p_end)) | set(range(s_start, s_start + len(suffix)))
+    return tuple(tok for i, tok in enumerate(output) if i not in drop)
+
+
+def counted_returns(search, returns):
+    """The compiled ``search`` (``tsd_beam_search`` or ``tsd_psgd_search``),
+    counting into the Counter ``returns`` its calls (``"calls"``) and each
+    return for rows whose step the chunk (``"chunk"``) or the index
+    (``"index"``) lacks room for, as the kernel's ``draw_wanted`` found."""
+    from tsdecode import rowkernel
+
+    def call(address):
+        status = search(address)
+        returns["calls"] += 1
+        r = rowkernel._RowBuffers.from_address(address)
+        if status > 0 and r.n_wanted:
+            ids, at, rows = (ctypes.c_int64 * r.n_wanted).from_address(r.wanted), 0, 0
+            while at < r.n_wanted:
+                at, rows = at + 1 + ids[at], rows + 1
+            returns["chunk"] += rows > r.chunk_room
+            returns["index"] += rows > r.index_room
+        return status
+
+    return call
+
+
 def record_token_checks(monkeypatch) -> list[str]:
     """Patch ``check_tokens`` wherever the library calls it; the returned
     list collects the ``what`` of every call."""
