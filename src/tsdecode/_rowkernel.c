@@ -56,9 +56,10 @@
    search returns to Python only when the chunk, the index or its room for
    tokens is full, or when it cannot draw the rows itself (a
    table or uniform model, or no checked row block or log loop): then it
-   hands back each missing context once, Python draws the rows through
-   ``lm.SequenceModel._draw`` and queues them, and the next call enters
-   them into the index. A warm decode is one call, and a cold one with room
+   hands back each missing context once, and Python draws the rows through
+   ``lm.SequenceModel._draw`` and enters them into the index. Python alone
+   makes, sizes and grows the table; this file only probes it and enters
+   the rows it draws. A warm decode is one call, and a cold one with room
    is one call too. The file holds no log of its own for a memo row: the
    loop is numpy's, found in ``np.log``'s table by ``rowkernel.log_loop``,
    which keeps it only if it writes ``np.log``'s bytes, and it runs
@@ -236,11 +237,11 @@ typedef void tsd_loop(char **args, const intptr_t *dimensions, const intptr_t *s
 
 /* What both searches share: the source's memo index (``lm._Index``), an
    open-addressing table of context ids and row addresses that the caller
-   sizes and this file fills (before each call the caller sets the table,
-   and the rows it lacks in ``queued``), the step or round the search is at,
-   and the contexts whose rows the index lacks, which the search hands back.
-   A row's context is the last ``n_context`` ids of BOS + the tokens it
-   follows (``lm.SequenceModel._contexts``).
+   makes, sizes and fills with every row but those the search draws, the
+   step or round the search is at, and the contexts whose rows the index
+   lacks, which the search hands back. A row's context is the last
+   ``n_context`` ids of BOS + the tokens it follows
+   (``lm.SequenceModel._contexts``).
 
    A missed row takes one of two routes. When the caller set ``chunk``,
    ``source`` and ``log``, the free rows of an n-gram model's chunk, the
@@ -252,7 +253,7 @@ typedef void tsd_loop(char **args, const intptr_t *dimensions, const intptr_t *s
    memo: the caller claims the chunk rows ``chunk`` moved past when it
    returns, and reads a row through the index only when it asks for it.
    Otherwise it returns the contexts alone: the caller gives the room (a
-   new chunk, a larger table), or draws the rows and queues them. */
+   new chunk, a larger table), or draws the rows and enters them. */
 struct tsd_rows {
     int64_t vocab;          /* entries per row */
     int64_t bos;            /* the BOS id */
@@ -260,19 +261,12 @@ struct tsd_rows {
     int64_t bits;           /* the index holds 2^bits slots of 2 + n_context
                                ids: the row's address, the context's length,
                                then its ids; or 0s */
-    int64_t old_bits;       /* the table ``old_index`` outgrew */
-    int64_t n_queued;       /* ids in ``queued`` */
     int64_t step;           /* the beam's length, or the PSGD spans' */
     int64_t n_wanted;       /* ids in ``wanted`` */
     int64_t chunk_room;     /* rows free in ``chunk`` */
     int64_t index_room;     /* rows the index takes before it is 3/4 full */
     struct tsd_source source;
     int64_t *index;
-    const int64_t *old_index; /* NULL, or a table whose entries move to ``index`` */
-    const int64_t *queued;  /* rows to index, per block of rows one after
-                               another: its row count, its first row's
-                               address, each row's context length, then
-                               their ids */
     int64_t *wanted;        /* per context the index lacks, each once: its
                                length, then its ids */
     double *chunk;          /* NULL, or the first free row of the model's
@@ -297,7 +291,7 @@ static uint64_t first_slot(const struct tsd_rows *r, const int64_t *ctx, int64_t
 }
 
 /* Enters the row at ``address`` for the ``n`` context ids ``ctx``, which
-   the index lacks, unless no slot is free. */
+   the index lacks, unless no slot is free: ``lm._Index.enter``'s twin. */
 static void enter(struct tsd_rows *r, const int64_t *ctx, int64_t n, int64_t address)
 {
     uint64_t mask = (UINT64_C(1) << r->bits) - 1, slot = first_slot(r, ctx, n);
@@ -323,30 +317,6 @@ static const double *find_row(const struct tsd_rows *r, const int64_t *ctx, int6
             return (const double *)(intptr_t)entry[0];
     }
     return NULL;
-}
-
-/* Moves the entries of ``old_index`` into the index, then enters the
-   queued rows. */
-static void index_rows(struct tsd_rows *r)
-{
-    if (r->old_index) {
-        for (int64_t i = 0; i < INT64_C(1) << r->old_bits; i++) {
-            const int64_t *entry = r->old_index + i * (2 + r->n_context);
-            if (entry[0])
-                enter(r, entry + 2, entry[1], entry[0]);
-        }
-        r->old_index = NULL;
-    }
-    for (const int64_t *q = r->queued, *end = q + r->n_queued; q < end;) {
-        const int64_t n_rows = q[0], *lengths = q + 2;
-        const int64_t *ids = lengths + n_rows;
-        for (int64_t k = 0; k < n_rows; k++) {
-            enter(r, ids, lengths[k], q[1] + k * r->vocab * (int64_t)sizeof(double));
-            ids += lengths[k];
-        }
-        q = ids;
-    }
-    r->n_queued = 0;
 }
 
 /* The log row after the ``n`` ids ``ids``, BOS + the tokens it follows:
@@ -667,17 +637,17 @@ static void beam_step(struct tsd_search *s, struct scratch *w, int64_t last)
     s->size[out] = next;
 }
 
-/* Indexes the queued rows, then runs ``decode._beam_core``'s loop from the
-   beam on side ``cur``, at length ``r.step``, until it stops at the length
-   budget or on an empty beam (returns 0), or until a step needs what the
-   caller must give first (returns 1): room for the next beam's tokens
-   (``r.step`` is ``capacity``), or the rows of the contexts in ``wanted``
-   that it could not draw itself (``draw_wanted``), or room for them. The
-   step is then not begun; the caller grows the buffers and the room for
-   rows or draws the wanted ones, and calls again to resume. Either way
-   ``r.chunk`` is left past the rows the call drew, for the caller to
-   claim. The best finish, the counts and the stop are left in ``s``.
-   Returns -1 when memory runs out. */
+/* Runs ``decode._beam_core``'s loop from the beam on side ``cur``, at
+   length ``r.step``, until it stops at the length budget or on an empty
+   beam (returns 0), or until a step needs what the caller must give first
+   (returns 1): room for the next beam's tokens (``r.step`` is
+   ``capacity``), or the rows of the contexts in ``wanted`` that it could
+   not draw itself (``draw_wanted``), or room for them. The step is then
+   not begun; the caller grows the buffers and the room for rows or draws
+   the wanted ones, and calls again to resume. Either way ``r.chunk`` is
+   left past the rows the call drew, for the caller to claim. The best
+   finish, the counts and the stop are left in ``s``. Returns -1 when
+   memory runs out. */
 int64_t tsd_beam_search(struct tsd_search *s)
 {
     const int64_t width = s->width, max_len = s->max_len, cap = s->capacity;
@@ -689,7 +659,6 @@ int64_t tsd_beam_search(struct tsd_search *s)
         malloc(3 * (s->complete + 1) * sizeof *w.counts), malloc((cap + 1) * sizeof *w.ctx),
     };
     int64_t status = 0;
-    index_rows(&s->r);
     if (!w.rows || !w.cands || !w.ranked || !w.in_slot || !w.moved || !w.counts || !w.ctx) {
         status = -1;
         goto done;
@@ -886,19 +855,18 @@ static int read_fixed(struct tsd_psgd *s, const int64_t *seq)
     return !s->r.n_wanted;
 }
 
-/* Indexes the queued rows, then runs ``decode._python_psgd``'s loop from
-   the items on side ``cur``, at span length ``r.step``, until the patience
-   rule or the span cap stops it (returns 0), or until a round needs what
-   the caller must give first (returns 1): room for the children's spans
-   and carries (``r.step`` is ``capacity``), or the rows of the contexts in
-   ``wanted`` that it could not draw itself (``draw_wanted``), or room for
-   them. Every call first reads the fixed terms (``read_fixed``), whose
-   missed rows take the same route. The round is then not begun; the
-   caller grows the buffers and the room for rows or draws the wanted ones,
-   and calls again to resume. Either way ``r.chunk`` is left past the rows
-   the call drew, for the caller to claim. The best score, its round and
-   its span, the counts and the stop are left in ``s``.
-   Returns -1 when memory runs out. */
+/* Runs ``decode._python_psgd``'s loop from the items on side ``cur``, at
+   span length ``r.step``, until the patience rule or the span cap stops it
+   (returns 0), or until a round needs what the caller must give first
+   (returns 1): room for the children's spans and carries (``r.step`` is
+   ``capacity``), or the rows of the contexts in ``wanted`` that it could
+   not draw itself (``draw_wanted``), or room for them. Every call first
+   reads the fixed terms (``read_fixed``), whose missed rows take the same
+   route. The round is then not begun; the caller grows the buffers and the
+   room for rows or draws the wanted ones, and calls again to resume.
+   Either way ``r.chunk`` is left past the rows the call drew, for the
+   caller to claim. The best score, its round and its span, the counts and
+   the stop are left in ``s``. Returns -1 when memory runs out. */
 int64_t tsd_psgd_search(struct tsd_psgd *s)
 {
     const int64_t width = s->width, cap = s->capacity, n_pieces = s->n_pieces, at = 1 + s->n_prefix;
@@ -907,7 +875,6 @@ int64_t tsd_psgd_search(struct tsd_psgd *s)
     double *score = malloc(width * sizeof *score);
     struct cand *children = malloc(width * sizeof *children);
     int64_t status = 0;
-    index_rows(&s->r);
     if (!seq || !rows || !score || !children) {
         status = -1;
         goto done;

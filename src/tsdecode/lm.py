@@ -32,10 +32,10 @@ both lack is drawn. When the chunk lacks room for a step's rows, Python opens a
 new one (``_room``), of twice the rows of the last but below glibc's mmap
 threshold, so that a cold search seldom returns for room. A table or uniform
 model, or a search without the checked row block or log loop, hands the
-contexts to ``_draw`` instead, and the rows enter the index on the search's
-next call. Either way no row is reachable
-before its log is written. Row bytes do not depend on the block
-or the route: an ``NgramGenModel`` row is a pure function of its key,
+contexts to ``_draw`` instead, which enters each row it draws into the
+source's index, as it does any row once the source has one. Either way no
+row is reachable before its log is written. Row bytes do not depend on the
+block or the route: an ``NgramGenModel`` row is a pure function of its key,
 ``hash_key(seed, tag, source, context)``, and finishing acts on each row
 alone, in place. The compiled kernel returns an ``NgramGenModel`` block's
 finished rows in one call (``tsd_block``), which folds each context onto
@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect, insort
 from ctypes import addressof, c_char, c_double
 from dataclasses import dataclass, field
@@ -181,46 +182,91 @@ CHUNK_ROWS = 64
 CHUNK_BYTES = 127 * 1024
 
 
+# A source's first index table has 2^INDEX_BITS slots: room for the 192 rows
+# that most cold decodes of a short source read, so that few return for a
+# larger table.
+INDEX_BITS = 8
+
+
+def _first_slot(context: Tokens, bits: int) -> int:
+    """The first slot of ``context`` in a table of ``2 ** bits`` slots: the
+    Python twin of ``_rowkernel.c``'s ``first_slot``."""
+    h = len(context)
+    for tok in context:
+        h = (h ^ tok) * 0x100000001B3 & _MASK64
+    return (h * 0x9E3779B97F4A7C15 & _MASK64) >> (64 - bits)
+
+
 class _Index:
     """The index the compiled searches probe for one source's memo rows,
     and the only memo of the rows they draw themselves.
 
     ``table`` is an int64 ``array`` of ``2 ** bits`` slots of 2 + the
     model's order ids, each ``[row address, context length, context ids]``
-    or 0s; ``rowkernel._Resumable`` sizes it for ``count`` rows and the
-    kernel enters the rows into it. A source has an index from its first
-    compiled search on; ``_draw`` then queues each block it adds in
-    ``pending``, as ``(contexts, address of the first row)``, and a search
-    enters the rows it draws itself as it draws them. ``find`` reads the
-    table as the kernel does.
+    or 0s, and ``count`` rows are entered into it. Python alone makes,
+    sizes and grows the table (``reserve``) and enters each row it draws
+    (``enter``); a compiled search only probes it and enters the rows it
+    draws itself, as ``enter`` does. A source has an index from its first
+    compiled search on. ``find`` reads the table as the kernel does.
     """
 
-    __slots__ = ("pending", "count", "table", "bits")
+    __slots__ = ("count", "table", "bits", "width")
 
-    def __init__(self, pending: list[tuple[Sequence[Tokens], int]]) -> None:
-        self.pending, self.count = pending, 0
-        self.table, self.bits = None, 0
+    def __init__(self, order: int, bits: int) -> None:
+        self.count, self.bits, self.width = 0, bits, 2 + order
+        self.table = array("q", [0]) * (self.width << bits)
+
+    def _probe(self, context: Tokens) -> int:
+        """The offset of the slot that holds ``context`` or, when the table
+        lacks it, of the free slot that ends its probe; -1 when the probe
+        has seen every slot, as a full table must not hang it."""
+        table, width, n, mask = self.table, self.width, len(context), (1 << self.bits) - 1
+        slot = _first_slot(context, self.bits)
+        for _ in range(mask + 1):
+            at = slot * width
+            if not table[at] or table[at + 1] == n and table[at + 2 : at + 2 + n].tolist() == [*context]:
+                return at
+            slot = (slot + 1) & mask
+        return -1
 
     def find(self, context: Tokens) -> int:
         """The address of the row the table holds for ``context``, or 0: the
-        Python twin of ``_rowkernel.c``'s ``first_slot`` and ``find_row``."""
-        table, bits, n = self.table, self.bits, len(context)
-        h, width, mask = n, len(table or ()) >> bits, (1 << bits) - 1
-        for tok in context:
-            h = (h ^ tok) * 0x100000001B3 & _MASK64
-        slot = (h * 0x9E3779B97F4A7C15 & _MASK64) >> (64 - bits)
-        # A free slot ends the probe with its 0.
-        for _ in range(mask + 1 if table else 0):
-            at = slot * width
-            if not table[at] or table[at + 1] == n and table[at + 2 : at + 2 + n].tolist() == [*context]:
-                return table[at]
-            slot = (slot + 1) & mask
-        return 0
+        Python twin of ``_rowkernel.c``'s ``find_row``."""
+        at = self._probe(context)
+        return self.table[at] if at >= 0 else 0
+
+    def enter(self, context: Tokens, address: int) -> None:
+        """Enter the row at ``address`` for ``context``, which the table
+        lacks, unless no slot is free: the Python twin of ``_rowkernel.c``'s
+        ``enter``. ``reserve`` must have made room for it."""
+        at = self._probe(context)
+        if at >= 0:
+            self.table[at : at + 2 + len(context)] = array("q", (address, len(context), *context))
+            self.count += 1
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more entries: a table that would be more
+        than 3/4 full moves its entries to a new zeroed one of at least
+        2^``INDEX_BITS`` slots, doubled until they fit. The entries are
+        distinct, so each goes to the first free slot of its probe."""
+        if 4 * (self.count + rows) <= 3 << self.bits:
+            return
+        bits, width = max(self.bits, INDEX_BITS), self.width
+        while 4 * (self.count + rows) > 3 << bits:
+            bits += 1
+        old, table, mask = self.table.tolist(), [0] * (width << bits), (1 << bits) - 1
+        for at in range(0, len(old), width):
+            if old[at]:
+                context = old[at + 2 : at + 2 + old[at + 1]]
+                slot = _first_slot(context, bits)
+                while table[slot * width]:
+                    slot = (slot + 1) & mask
+                table[slot * width : (slot + 1) * width] = old[at : at + width]
+        self.table, self.bits = array("q", table), bits
 
     def entries(self) -> dict[Tokens, int]:
         """Each row address the table holds, by context."""
-        table = self.table.tolist() if self.table else []
-        width = len(table) >> self.bits or 1
+        table, width = self.table.tolist(), self.width
         return {tuple(table[at + 2 : at + 2 + table[at + 1]]): table[at] for at in range(0, len(table), width)
                 if table[at]}
 
@@ -298,8 +344,8 @@ class SequenceModel:
         ``_finished_rows``: the memo's miss path in Python. Their log is
         written into the chunk's next rows, in a new chunk when they do not
         fit (``_room``), each context keeps a read-only view of its row in
-        the source's dict, and the block is queued for the source's index
-        once it has one."""
+        the source's dict and, once the source has an index, enters its row
+        there after the log is written."""
         n, size, bos = len(contexts), self.vocab.size, self.vocab.bos_id
         rows = self._finished_rows(source, contexts)
         self._room(n)
@@ -315,7 +361,9 @@ class SequenceModel:
         self._used = at + n
         index = self._indexes.get(source)
         if index is not None:
-            index.pending.append((contexts, self._address + 8 * size * at))
+            index.reserve(n)
+            for k, context in enumerate(contexts):
+                index.enter(context, self._address + 8 * size * (at + k))
 
     def _room(self, n: int) -> None:
         """Give the chunk room for ``n`` more rows: when it lacks it, fill a

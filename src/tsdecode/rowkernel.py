@@ -20,14 +20,15 @@ index, in that order, and goes on: it returns to Python only when the
 model's chunk, the index or its room for tokens is full, and Python then
 claims the chunk rows it drew. The index is those rows' only memo, which
 ``lm.SequenceModel.rows_after`` reads when Python asks for one of them.
-Otherwise it returns the contexts it misses, Python draws their rows and its
-next call enters them into the index. The block adds a row up in numpy's
-``add.reduce`` order, which its check compares rather than assumes. This module
-holds no state, and the contexts belong to their models: ``rng.compiled()``
-calls ``log_loop`` and ``load`` once per process, on the first n-gram row
-block, beam search or PSGD decode, never on import. ``lm`` and ``decode`` then
-use each function that passed its check, and the much slower Python code
-otherwise.
+Otherwise it returns the contexts it misses, and Python draws their rows and
+enters them into the index (``lm.SequenceModel._draw``). Python alone makes,
+sizes and grows each table (``lm._Index``). The block adds a row up in
+numpy's ``add.reduce`` order, which its check compares rather than assumes.
+This module holds no state, and the contexts belong to their models:
+``rng.compiled()`` calls ``log_loop`` and ``load`` once per process, on the
+first n-gram row block, beam search or PSGD decode, never on import. ``lm``
+and ``decode`` then use each function that passed its check, and the much
+slower Python code otherwise.
 
 ``load`` builds the kernel with the C compiler the running Python was built
 with (``sysconfig``'s ``CC``) and ``FLAGS``, which keep every float
@@ -70,7 +71,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from array import array
 import os
 import shlex
 import shutil
@@ -87,7 +87,7 @@ import numpy as np
 
 from .core import STOP_EMPTY_BEAM, STOP_MAX_LEN, STOP_PATIENCE
 from .decode import PsgdParams, _SpanScorer, _python_psgd, _python_search, _span_shape
-from .lm import CHUNK_ROWS, EPS_FLOOR, _Index, block_self_check
+from .lm import CHUNK_ROWS, EPS_FLOOR, INDEX_BITS, _Index, block_self_check
 from .scoring import SCORING_MEAN_LOGPROB
 
 SOURCE = Path(__file__).with_name("_rowkernel.c")
@@ -342,11 +342,10 @@ class _RowBuffers(ctypes.Structure):
     """``struct tsd_rows`` of ``_rowkernel.c``, which both searches'
     structs begin with."""
 
-    _fields_ = _fields("vocab bos n_context bits old_bits n_queued step n_wanted chunk_room index_room",
-                       "index old_index queued wanted chunk log log_data", source=_Source)
-    # Pointers that ``_Resumable._queue`` sets for each call, NULL when
-    # there is nothing to read, and those of a search that draws no rows.
-    optional = ("index", "old_index", "queued", "chunk", "log", "log_data")
+    _fields_ = _fields("vocab bos n_context bits step n_wanted chunk_room index_room",
+                       "index wanted chunk log log_data", source=_Source)
+    # The pointers of a search that draws no rows.
+    optional = ("chunk", "log", "log_data")
 
 
 class _SearchBuffers(_RowBuffers):
@@ -374,10 +373,6 @@ class _PsgdBuffers(_RowBuffers):
 # The tokens a hypothesis or span has room for at first: a longer decode
 # returns to have the room doubled, and the context keeps it.
 INITIAL_CAPACITY = 64
-# A source's first index table has 2^INDEX_BITS slots: room for the 192 rows
-# that most cold decodes of a short source read, so that few return for a
-# larger table.
-INDEX_BITS = 8
 
 
 class _Resumable:
@@ -402,11 +397,11 @@ class _Resumable:
     chunk, writes their log and enters them into the index, which is their only
     memo, and Python only claims their chunk rows when it returns (``_kept``);
     when the chunk or the index lacks room for a step's rows, it returns first
-    and Python opens a new chunk or sizes a new table. Chunks double
-    (``lm.SequenceModel._room``) and a source's first table has
-    2^``INDEX_BITS`` slots, so a cold decode seldom returns. Otherwise Python
-    draws them through ``_draw`` and the next call enters them into the
-    index. Either way no row is reachable before its log is written."""
+    and Python opens a new chunk or grows the table (``lm._Index.reserve``).
+    Chunks double (``lm.SequenceModel._room``) and a source's first table has
+    2^``lm.INDEX_BITS`` slots, so a cold decode seldom returns. Otherwise
+    Python draws them through ``_draw``, which enters them into the index.
+    Either way no row is reachable before its log is written."""
 
     KEPT: tuple[str, ...] = ()
 
@@ -427,8 +422,9 @@ class _Resumable:
 
     def _start(self, model, source: tuple[int, ...], log: LogLoop | None, shape: tuple[int, ...]) -> None:
         """Bind the context to ``model`` and ``source``, with room for
-        ``shape``; the struct's row parameters and log loop are written
-        only when they change."""
+        ``shape``, and give the source its index at its first compiled
+        search; the struct's row parameters and log loop are written only
+        when they change."""
         buffers = self.buffers
         if model.vocab is not self.vocab or model.order != buffers.n_context:
             vocab = self.vocab = model.vocab
@@ -443,11 +439,12 @@ class _Resumable:
             self.shape = shape
         self.model, self.source, self.index = model, source, model._indexes.get(source)
         if self.index is None:
-            # The first search of the source queues each row the memo holds.
+            # The first search of the source enters each row the memo holds.
             memo = model._row_cache.get(source, {})
-            self.index = model._indexes[source] = _Index(
-                [((context,), row.__array_interface__["data"][0]) for context, row in memo.items()]
-            )
+            index = self.index = model._indexes[source] = _Index(model.order, INDEX_BITS)
+            index.reserve(len(memo))
+            for context, row in memo.items():
+                index.enter(context, row.__array_interface__["data"][0])
         params = model._row_params(source) if log else None
         self.draws = params is not None
         # Bound anew only when they change: a model keeps one ``_row_params``
@@ -473,43 +470,21 @@ class _Resumable:
                 new, view = new.reshape(-1, grown)[:, :capacity], view.reshape(-1, capacity)
             new[: len(view)] = view
 
-    def _queue(self, rows: int = 0) -> None:
-        """Point the kernel's next call at the source's index, with the rows
-        it lacks queued for it to enter, and, when the kernel draws rows, at
-        the free rows of the model's chunk. The index and the chunk are
-        given room first for ``rows`` more rows, besides the queued ones: a
-        full chunk, or one without that room, is followed by a new one
-        (``lm.SequenceModel._room``); a source gets its first table, of
-        2^``INDEX_BITS`` slots or more, zeroed, and a table that would be
-        more than 3/4 full is replaced by a larger zeroed one, into which
-        the kernel moves the old entries before the new ones. With nothing
-        pending, no queue is built. The call must follow, or the queued rows are lost to the
-        index."""
+    def _point(self, rows: int = 0) -> None:
+        """Point the kernel's next call at the source's index and, when the
+        kernel draws rows, at the free rows of the model's chunk, each given
+        room first for ``rows`` more rows: the table grows when it would be
+        more than 3/4 full (``lm._Index.reserve``), and a full chunk, or one
+        without that room, is followed by a new one
+        (``lm.SequenceModel._room``)."""
         index, buffers, model = self.index, self.buffers, self.model
-        queued = old = None
-        if index.pending:
-            pending, index.pending, queued = index.pending, [], array("q")
-            for contexts, address in pending:
-                queued.extend((len(contexts), address, *map(len, contexts), *chain.from_iterable(contexts)))
-                index.count += len(contexts)
-            buffers.queued, buffers.n_queued = queued.buffer_info()
-        else:
-            buffers.n_queued = 0
-        if index.table is None or 4 * (index.count + rows) > 3 << index.bits:
-            bits, old = max(index.bits, INDEX_BITS), index.table
-            while 4 * (index.count + rows) > 3 << bits:
-                bits += 1
-            buffers.old_bits = index.bits
-            index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
-        buffers.old_index = None if old is None else old.buffer_info()[0]
+        index.reserve(rows)
         buffers.index, buffers.bits = index.table.buffer_info()[0], index.bits
         if self.draws:
             model._room(rows or 1)
             buffers.chunk = model._address + 8 * buffers.vocab * model._used
             buffers.chunk_room = len(model._chunk) - model._used
             buffers.index_room = (3 << index.bits >> 2) - index.count
-        # Both are read by the kernel's next call.
-        self.held = old, queued
 
     def _kept(self) -> None:
         """Claim the chunk rows the kernel's last call drew, logged and
@@ -551,7 +526,7 @@ class _Resumable:
         buffers.best, buffers.best_step = -math.inf, 0
         self.views["lp"][0] = 0.0
         try:
-            self._queue()
+            self._point()
             while status := kernel(address):
                 self._kept()
                 if status < 0:
@@ -569,7 +544,7 @@ class _Resumable:
                 wanted = self._records("wanted", buffers.n_wanted)
                 if wanted and not self.draws:
                     self.model._draw(self.source, wanted)
-                self._queue(len(wanted) if self.draws else 0)
+                self._point(len(wanted) if self.draws else 0)
             self._kept()
         finally:
             self.model = self.index = None
@@ -810,8 +785,7 @@ def _decodes_match(decodes, python, kernel, kind, compiled, outcome, rows: Check
         guard = guarded[1 + CHECK_CHUNK_ROWS :].tobytes()
         cold._new_chunk(guarded[: 1 + CHECK_CHUNK_ROWS])
         cold._used = 1
-        index = cold._indexes[source] = _Index([])
-        index.table, index.bits = array("q", [0]) * ((2 + cold.order) << CHECK_INDEX_BITS), CHECK_INDEX_BITS
+        cold._indexes[source] = _Index(cold.order, CHECK_INDEX_BITS)
         want = outcome(python(filled, source, *args))
         for model, context, warm in ((cold, shared, False), (cold, kind(CHECK_CAPACITY), True),
                                      (filled, shared, False)):

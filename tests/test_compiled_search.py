@@ -267,7 +267,6 @@ def test_an_interrupted_draw_leaves_no_unlogged_row_reachable(monkeypatch):
 # search, and prints whether they agree. The source's first table has 8
 # slots, which the kernel fills and then probes.
 FULL_TABLE = """
-from array import array
 from dataclasses import replace
 import numpy as np
 from tsdecode import decode, lm, rng, rowkernel
@@ -286,8 +285,7 @@ def unchecked_room(address):
 def decoded(by):
     model = NgramGenModel(Vocab(12), 2, seed=9, concentration=0.2)
     model._new_chunk(np.empty((512, model.vocab.size)))
-    index = model._indexes[(3, 7)] = lm._Index([])
-    index.table, index.bits = array("q", [0]) * (4 << 3), 3
+    model._indexes[(3, 7)] = lm._Index(model.order, 3)
     rng._compiled = rng._compiled._replace(beam_search=by)
     best, beam, stats = decode._beam_core(model, (3, 7), DbaParams(4, 8))
     return best, beam(), replace(stats, wall_time_us=0)

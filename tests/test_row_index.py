@@ -8,18 +8,19 @@ lack reaches ``_draw``."""
 
 import ctypes
 import gc
+import itertools
 import weakref
-from array import array
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tsdecode import decode, lm, rng, rowkernel
 from tsdecode.core import TokenSeq, TsTask, Vocab
 from tsdecode.lm import NgramGenModel, make_perturbed_sibling
 from tsdecode.rng import Stream, hash_key
 
-from util import counted_returns, drawn_rows, run_by, with_room
+from util import counted_returns, drawn_rows, run_by, table_model, with_room
 
 SOURCE = (3, 7, 5)
 # At seed 1, DBA's output for this task is not prefix + span + suffix on
@@ -103,6 +104,63 @@ def test_rows_the_kernel_drew_read_back_with_no_draw(kind, order, room, monkeypa
         assert all(again is row for again, row in zip(model.rows_after(source, prefixes), rows))
 
 
+# A task whose source has rows in ``table_model(3, 12, 2, False)``.
+ROUTE_TASK = TsTask("r", TokenSeq((3,)), TokenSeq((4,)), TokenSeq((6, 2)))
+
+
+def searched(kind, model):
+    """The span and score of a PSGD decode of ``ROUTE_TASK`` on ``model``,
+    or the tokens and score of a beam search from its source."""
+    if kind == "psgd_search":
+        suggestion = decode.psgd(model, ROUTE_TASK)
+        return suggestion.span.tokens, suggestion.whole_seq_score.hex()
+    result = decode.beam_search(model, ROUTE_TASK.source, beam_width=3, max_len=6)
+    return result.tokens.tokens, result.score.hex()
+
+
+@pytest.mark.parametrize("route", ["seeded at the first search", "forced pass", "return route"])
+@pytest.mark.parametrize("kind", ["beam_search", "psgd_search"])
+def test_rows_python_drew_reach_the_kernel_with_no_redraw(kind, route, monkeypatch):
+    # Each way a row Python draws enters the source's index: the rows the
+    # dict holds at the source's first compiled search, and the rows
+    # ``_draw`` draws once the source has an index, through a forced pass
+    # or through the return route of a model whose rows the kernel does
+    # not draw. A later search that reads only those rows draws none.
+    if not getattr(rng.compiled(), kind):
+        pytest.skip(f"the compiled {kind} is not used here")
+    source = ROUTE_TASK.source.tokens
+    model = table_model(3, 12, 2, False) if route == "return route" else make_model("ngram", 3)
+    drawn = drawn_rows(monkeypatch)
+    if route == "seeded at the first search":
+        with run_by(kind, "python"):
+            want = searched(kind, model)
+        # More rows than the first table's 2^INDEX_BITS slots hold.
+        model.rows_after(source, [*itertools.product(range(2, 12), repeat=3)][:300])
+        assert source not in model._indexes and len(model._row_cache[source]) > 1 << lm.INDEX_BITS
+    elif route == "forced pass":
+        fresh = make_model("ngram", 3)
+        with run_by(kind, "kernel"):
+            want = searched(kind, fresh)
+        with run_by("beam_search", "kernel"):
+            decode.beam_search(model, source, beam_width=1, max_len=0)
+        count = model._indexes[source].count
+        for context in fresh._indexes[source].entries():
+            model.forced_pass(source, prefix_of(context))
+        assert model._indexes[source].count > count
+    else:
+        with run_by(kind, "kernel"):
+            want = searched(kind, model)
+        assert drawn and not any(by_kernel for _, _, by_kernel in drawn)
+    assert drawn
+    del drawn[:]
+    monkeypatch.setattr(lm.SequenceModel, "_draw", no_draw)
+    with run_by(kind, "kernel"):
+        assert searched(kind, model) == want
+    assert drawn == []
+    index = model._indexes[source]
+    assert index.count == len(index.entries()) == len(model._row_cache[source])
+
+
 @needs_kernel_draws
 def test_a_row_read_from_the_index_keeps_its_chunk_alive():
     model = make_model("ngram", 2)
@@ -140,22 +198,26 @@ def first_slot(context, bits):
     return (h * 0x9E3779B97F4A7C15) % 2**64 >> (64 - bits)
 
 
-@pytest.mark.skipif(not rng.compiled().beam_search, reason="the compiled beam search cannot be built here")
 @pytest.mark.parametrize("bits", range(3, 11))
-def test_the_python_lookup_finds_every_entry_of_a_full_table_of_colliding_contexts(bits):
-    # The kernel enters the queued contexts, 3/4 of the slots, into a table
-    # of 2^bits slots as a max_len-0 beam search begins; the search reads
-    # only the row after BOS, so the table is not replaced. Their rows are
-    # never read, so the addresses the test gives them are only numbers.
+def test_the_python_lookup_finds_every_entry_of_a_full_table_of_colliding_contexts(bits, monkeypatch):
+    # ``_Index.enter`` fills 3/4 of a table of 2^bits slots with contexts
+    # whose probes all wrap round its end. Their rows are never read, so the
+    # addresses the test gives them are only numbers. Where the compiled
+    # beam search runs, a max_len-0 search then reads only the row after
+    # BOS, which it must find in the full table: it draws no row, and the
+    # table is not replaced.
     model = NgramGenModel(Vocab(12), 3, seed=1, concentration=0.2)
     (bos_row,) = model.rows_after(SOURCE, [()])
     n = 3 << bits >> 2
     contexts = colliding(bits, n - 1)
     absent = colliding(bits, n + 8)[n - 1 :]
-    index = model._indexes[SOURCE] = lm._Index([(((0,),), bos_row.__array_interface__["data"][0]),
-                                                (contexts, 1 << 20)])
-    index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
-    rowkernel.CompiledSearch()(rng.compiled().beam_search, model, SOURCE, (), 2, 0)
+    index = model._indexes[SOURCE] = lm._Index(model.order, bits)
+    index.enter((0,), bos_row.__array_interface__["data"][0])
+    for k, context in enumerate(contexts):
+        index.enter(context, (1 << 20) + 8 * 12 * k)
+    if rng.compiled().beam_search:
+        monkeypatch.setattr(lm.SequenceModel, "_draw", no_draw)
+        rowkernel.CompiledSearch()(rng.compiled().beam_search, model, SOURCE, (), 2, 0)
     assert index.bits == bits and index.count == n
     entries = index.entries()
     assert len(entries) == n
@@ -163,6 +225,53 @@ def test_the_python_lookup_finds_every_entry_of_a_full_table_of_colliding_contex
     assert [entries[context] for context in contexts] == [index.find(context) for context in contexts]
     assert index.find((0,)) == bos_row.__array_interface__["data"][0]
     assert [index.find(context) for context in absent] == [0] * 9
+
+
+# Blocks of up to 12 contexts of up to 3 ids below 6 (BOS included, so
+# that contexts share ids and first slots), or a reservation of up to 200
+# rows.
+INDEX_OPS = st.lists(st.one_of(st.lists(st.lists(st.integers(0, 5), max_size=3).map(tuple), max_size=12),
+                               st.integers(0, 200)), max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INDEX_OPS)
+def test_the_python_index_enters_as_the_kernel_does(ops):
+    # From a table of 2^3 slots, each block is entered as ``_draw`` enters
+    # it: the room reserved, then each context the table lacks. After each
+    # step, every slot must hold what ``_rowkernel.c``'s ``enter`` writes
+    # (the address, the context's length, its ids, then 0s) on the probe
+    # from the context's first slot (``first_slot``, written apart here),
+    # every other slot 0s, and the table at most 3/4 full; a table that
+    # moved has at least 2^INDEX_BITS slots.
+    order = 3
+    index, entered = lm._Index(order, 3), {}
+    for op in ops:
+        bits = index.bits
+        if isinstance(op, int):
+            index.reserve(op)
+        else:
+            new = [context for context in dict.fromkeys(op) if context not in entered]
+            index.reserve(len(new))
+            for context in new:
+                entered[context] = 8 * (1 + len(entered))
+                index.enter(context, entered[context])
+        if index.bits != bits:
+            assert index.bits >= lm.INDEX_BITS
+        width, mask = 2 + order, (1 << index.bits) - 1
+        slots = [index.table[at : at + width].tolist() for at in range(0, len(index.table), width)]
+        assert len(slots) == 1 << index.bits
+        assert index.count == len(index.entries()) == len(entered) <= 3 << index.bits >> 2
+        assert index.entries() == entered
+        for context, address in entered.items():
+            assert index.find(context) == address
+            slot = first_slot(context, index.bits)
+            while slots[slot][0] != address:
+                assert slots[slot][0], f"{context}'s probe meets a free slot first"
+                slot = (slot + 1) & mask
+            assert slots[slot] == [address, len(context), *context] + [0] * (order - len(context))
+        assert all(slot == [0] * width for slot in slots if not slot[0])
+        assert [index.find(context) for context in ((6,), (0, 6), (7, 7, 7))] == [0, 0, 0]
 
 
 def session_tasks():

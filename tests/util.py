@@ -8,7 +8,6 @@ test run sees identical fixtures.
 import ctypes
 import itertools
 import math
-from array import array
 from contextlib import contextmanager
 
 import numpy as np
@@ -145,8 +144,7 @@ def with_room(model, source, rows=512, bits=10):
     """``model`` with a chunk of ``rows`` free rows and an empty index of
     ``2 ** bits`` slots for ``source``: room for a cold decode's rows."""
     model._new_chunk(np.empty((rows, model.vocab.size)))
-    index = model._indexes[source] = lm._Index([])
-    index.table, index.bits = array("q", [0]) * ((2 + model.order) << bits), bits
+    model._indexes[source] = lm._Index(model.order, bits)
     return model
 
 
